@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, basis_vec, vec_add, vec_is_zero,
-                     vec_scale, vec_sub, vec_zero)
+from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
+                     vec_is_zero, vec_scale, vec_sub, vec_zero)
 
 Key = tuple[int, ...]
 
@@ -55,6 +55,15 @@ def merge_index(block: Key, z: int) -> Optional[tuple[int, Key]]:
     sign = -1 if greater % 2 else 1
     pos = len(block) - greater
     return sign, block[:pos] + (z,) + block[pos:]
+
+
+def replace_slots(key: Key,
+                  vecs: Sequence[Vector]) -> list[tuple[Key, Fraction]]:
+    """Support of sum_i key with slot i replaced by vecs[i]: the pairs
+    (key with e_k in slot i, k-th coordinate of vecs[i]).  This is how a
+    derivation acts on a tuple of basis vectors."""
+    return [(key[:i] + (k,) + key[i + 1:], c)
+            for i, v in enumerate(vecs) for k, c in support(v)]
 
 
 @dataclass(frozen=True)
@@ -114,27 +123,8 @@ def bracket_eval(alg: NLieAlgebra, args: Sequence[Vector]) -> Vector:
     for v in args:
         if len(v) != m:
             raise DimensionMismatch("argument of wrong dimension")
-    out = vec_zero(m)
-    for choice in itertools.product(range(m), repeat=n):
-        coeff = Fraction(1)
-        for v, i in zip(args, choice):
-            coeff *= v[i]
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        out = vec_add(out, vec_scale(coeff, bracket_on_basis(alg, choice)))
-    return out
-
-
-def _bracket_prefix_vec(alg: NLieAlgebra, prefix: Key, v: Vector) -> Vector:
-    """[e_{p_1},..,e_{p_{n-1}}, v] without the full multilinear loop."""
-    out = vec_zero(alg.dim)
-    for k, c in enumerate(v):
-        if c == 0:
-            continue
-        out = vec_add(out, vec_scale(c, bracket_on_basis(alg, prefix + (k,))))
-    return out
+    return multilinear([support(v) for v in args],
+                       lambda idx: bracket_on_basis(alg, idx), m)
 
 
 @dataclass(frozen=True)
@@ -153,16 +143,11 @@ def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
     for a in itertools.combinations(range(m), n - 1):
         for b in itertools.combinations(range(m), n):
             inner = bracket_on_basis(alg, b)
-            lhs = _bracket_prefix_vec(alg, a, inner)
-            rhs = vec_zero(m)
-            for i in range(n):
-                acted = bracket_on_basis(alg, a + (b[i],))
-                for k, c in enumerate(acted):
-                    if c == 0:
-                        continue
-                    replaced = b[:i] + (k,) + b[i + 1:]
-                    rhs = vec_add(rhs,
-                                  vec_scale(c, bracket_on_basis(alg, replaced)))
+            lhs = multilinear([support(inner)],
+                              lambda k: bracket_on_basis(alg, a + k), m)
+            acted = [bracket_on_basis(alg, a + (y,)) for y in b]
+            rhs = multilinear([replace_slots(b, acted)],
+                              lambda key: bracket_on_basis(alg, key[0]), m)
             if lhs != rhs:
                 return CheckResult(False, {
                     "acting": a, "inner": b,
@@ -240,20 +225,17 @@ def fundamental_bracket(alg: NLieAlgebra, x: WedgeElement,
     for xk, cx in x.coords.items():
         for yk, cy in y.coords.items():
             cxy = cx * cy
-            for i in range(n - 1):
-                acted = bracket_on_basis(alg, xk + (yk[i],))
-                for k, c in enumerate(acted):
-                    if c == 0:
-                        continue
-                    ss = sort_with_sign(yk[:i] + (k,) + yk[i + 1:])
-                    if ss is None:
-                        continue
-                    sign, skey = ss
-                    acc = coords.get(skey, Fraction(0)) + sign * cxy * c
-                    if acc == 0:
-                        coords.pop(skey, None)
-                    else:
-                        coords[skey] = acc
+            acted = [bracket_on_basis(alg, xk + (b,)) for b in yk]
+            for moved, c in replace_slots(yk, acted):
+                ss = sort_with_sign(moved)
+                if ss is None:
+                    continue
+                sign, skey = ss
+                acc = coords.get(skey, Fraction(0)) + sign * cxy * c
+                if acc == 0:
+                    coords.pop(skey, None)
+                else:
+                    coords[skey] = acc
     return WedgeElement(n - 1, m, coords)
 
 
@@ -302,12 +284,8 @@ def rho_on_basis(rho: Representation, idx: Sequence[int], j: int) -> Vector:
 
 
 def _rho_basis_vec(rho: Representation, idx: Key, xi: Vector) -> Vector:
-    out = vec_zero(rho.module_dim)
-    for j, c in enumerate(xi):
-        if c == 0:
-            continue
-        out = vec_add(out, vec_scale(c, rho_on_basis(rho, idx, j)))
-    return out
+    return multilinear([support(xi)],
+                       lambda j: rho_on_basis(rho, idx, j[0]), rho.module_dim)
 
 
 def adjoint_representation(alg: NLieAlgebra) -> Representation:
@@ -337,32 +315,24 @@ def check_representation(alg: NLieAlgebra, rho: Representation) -> CheckResult:
         raise DimensionMismatch("representation does not match the algebra")
     for x in itertools.combinations(range(m), n - 1):
         for y in itertools.combinations(range(m), n - 1):
+            moves = replace_slots(
+                y, [bracket_on_basis(alg, x + (yi,)) for yi in y])
             for j in range(r):
                 lhs = vec_sub(
                     _rho_basis_vec(rho, x, rho_on_basis(rho, y, j)),
                     _rho_basis_vec(rho, y, rho_on_basis(rho, x, j)))
-                rhs = vec_zero(r)
-                for i in range(n - 1):
-                    acted = bracket_on_basis(alg, x + (y[i],))
-                    for k, c in enumerate(acted):
-                        if c == 0:
-                            continue
-                        rhs = vec_add(rhs, vec_scale(
-                            c, rho_on_basis(rho, y[:i] + (k,) + y[i + 1:], j)))
+                rhs = multilinear([moves],
+                                  lambda key: rho_on_basis(rho, key[0], j), r)
                 if lhs != rhs:
                     return CheckResult(False, {
                         "condition": 1, "x": x, "y": y, "xi": j,
                         "lhs": lhs, "rhs": rhs})
     for x in itertools.combinations(range(m), n - 2):
         for y in itertools.combinations(range(m), n):
+            inner = support(bracket_on_basis(alg, y))
             for j in range(r):
-                inner = bracket_on_basis(alg, y)
-                lhs = vec_zero(r)
-                for k, c in enumerate(inner):
-                    if c == 0:
-                        continue
-                    lhs = vec_add(lhs,
-                                  vec_scale(c, rho_on_basis(rho, x + (k,), j)))
+                lhs = multilinear([inner],
+                                  lambda k: rho_on_basis(rho, x + k, j), r)
                 rhs = vec_zero(r)
                 for i in range(n):
                     sign = -1 if (n - 1 - i) % 2 else 1
@@ -436,18 +406,9 @@ def check_o_operator(alg: NLieAlgebra, rho: Representation,
 def _rho_multi(rho: Representation, args: Sequence[Vector],
                xi: Vector) -> Vector:
     """rho evaluated on arbitrary algebra vectors, multilinear expansion."""
-    m = rho.algebra_dim
-    out = vec_zero(rho.module_dim)
-    for choice in itertools.product(range(m), repeat=len(args)):
-        coeff = Fraction(1)
-        for v, i in zip(args, choice):
-            coeff *= v[i]
-            if coeff == 0:
-                break
-        if coeff == 0:
-            continue
-        out = vec_add(out, vec_scale(coeff, _rho_basis_vec(rho, choice, xi)))
-    return out
+    return multilinear([support(v) for v in args] + [support(xi)],
+                       lambda idx: rho_on_basis(rho, idx[:-1], idx[-1]),
+                       rho.module_dim)
 
 
 def ad_map(alg: NLieAlgebra, x: WedgeElement) -> Matrix:
@@ -455,11 +416,8 @@ def ad_map(alg: NLieAlgebra, x: WedgeElement) -> Matrix:
     n, m = alg.arity, alg.dim
     if x.grade != n - 1 or x.dim != m:
         raise DimensionMismatch("ad needs an (n-1)-wedge")
-    cols = []
-    for j in range(m):
-        col = vec_zero(m)
-        for key, c in x.coords.items():
-            col = vec_add(col, vec_scale(c, bracket_on_basis(alg, key + (j,))))
-        cols.append(col)
+    cols = [multilinear([x.coords.items()],
+                        lambda key: bracket_on_basis(alg, key[0] + (j,)), m)
+            for j in range(m)]
     return Matrix(m, m, tuple(tuple(cols[j][i] for j in range(m))
                               for i in range(m)))

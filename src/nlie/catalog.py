@@ -62,7 +62,8 @@ def conjugated_algebra(alg: NLieAlgebra, p: Matrix) -> NLieAlgebra:
     for key in itertools.combinations(range(m), n):
         img = bracket_eval(alg, [cols[i] for i in key])
         sol = solve_linear(p, img)
-        assert sol is not None
+        if sol is None:
+            raise ArithmeticError("invertible basis change left no solution")
         if any(c != 0 for c in sol):
             table[key] = sol
     return make_algebra(n, m, table)

@@ -44,10 +44,12 @@ from functools import lru_cache
 from math import comb
 from typing import Sequence, Union
 
-from .algebra import (Key, NLieAlgebra, WedgeElement, bracket_on_basis,
-                      make_algebra, merge_index, sort_with_sign)
+from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
+                      bracket_on_basis, fundamental_bracket, make_algebra,
+                      merge_index, replace_slots, sort_with_sign)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import Matrix, Vector, vec_add, vec_is_zero, vec_scale, vec_zero
+from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
+                     vec_is_zero, vec_scale, vec_zero)
 
 CochainKey = tuple[tuple[Key, ...], Key]
 
@@ -91,9 +93,7 @@ def basis_cochains(dim: int, arity: int, degree: int) -> list[Cochain]:
     out = []
     for key in space_keys(dim, arity, degree):
         for i in range(dim):
-            vec = tuple(Fraction(1) if j == i else Fraction(0)
-                        for j in range(dim))
-            out.append(Cochain(arity, dim, degree, {key: vec}))
+            out.append(Cochain(arity, dim, degree, {key: basis_vec(dim, i)}))
     return out
 
 
@@ -182,12 +182,8 @@ def eval_keys_z(d: Cochain, blocks: tuple[Key, ...], z: int) -> Vector:
 
 
 def eval_keys_vec(d: Cochain, blocks: tuple[Key, ...], w: Vector) -> Vector:
-    out = vec_zero(d.dim)
-    for j, c in enumerate(w):
-        if c == 0:
-            continue
-        out = vec_add(out, vec_scale(c, eval_keys_z(d, blocks, j)))
-    return out
+    return multilinear([support(w)],
+                       lambda j: eval_keys_z(d, blocks, j[0]), d.dim)
 
 
 def evaluate(d: Cochain, blocks: Sequence[WedgeElement], z: Vector) -> Vector:
@@ -201,17 +197,8 @@ def evaluate(d: Cochain, blocks: Sequence[WedgeElement], z: Vector) -> Vector:
             raise DimensionMismatch("blocks must be (n-1)-wedges")
     if len(z) != m:
         raise DimensionMismatch("final vector has wrong length")
-    out = vec_zero(m)
-    coord_items = [list(b.coords.items()) for b in blocks]
-    for combo in itertools.product(*coord_items):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        if coeff == 0:
-            continue
-        keys = tuple(k for k, _ in combo)
-        out = vec_add(out, vec_scale(coeff, eval_keys_vec(d, keys, z)))
-    return out
+    return multilinear([b.coords.items() for b in blocks] + [support(z)],
+                       lambda keys: eval_keys_z(d, keys[:-1], keys[-1]), m)
 
 
 @lru_cache(maxsize=None)
@@ -362,18 +349,23 @@ def differential(phi: Cochain,
             "structure cochain fails the Maurer-Cartan equation",
             witness={"key": key, "value": val})
     if isinstance(psi, WedgeElement):
-        n, m = phi.arity, phi.dim
-        if psi.grade != n - 1 or psi.dim != m:
-            raise DimensionMismatch("degree -1 argument must be an (n-1)-wedge")
-        entries: dict[CochainKey, Vector] = {}
-        for z in range(m):
-            col = vec_zero(m)
-            for key, c in psi.coords.items():
-                col = vec_add(col, vec_scale(c, eval_keys_z(phi, (key,), z)))
-            if not vec_is_zero(col):
-                entries[((), (z,))] = col
-        return Cochain(n, m, 0, entries)
+        return wedge_differential(phi, psi)
     return gla_bracket(phi, psi)
+
+
+def wedge_differential(phi: Cochain, x: WedgeElement) -> Cochain:
+    """The differential on degree -1: the degree-0 cochain z -> phi(x ∧ z).
+    Unlike ``differential`` it does not check phi's Maurer-Cartan defect."""
+    n, m = phi.arity, phi.dim
+    if x.grade != n - 1 or x.dim != m:
+        raise DimensionMismatch("degree -1 argument must be an (n-1)-wedge")
+    entries: dict[CochainKey, Vector] = {}
+    for z in range(m):
+        col = multilinear([x.coords.items()],
+                          lambda blocks: eval_keys_z(phi, blocks, z), m)
+        if not vec_is_zero(col):
+            entries[((), (z,))] = col
+    return Cochain(n, m, 0, entries)
 
 
 def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
@@ -415,15 +407,17 @@ def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
             accumulate(sign, eval_keys_vec(psi, rem, w))
             # third sum: X_i acts on the value
             inner = eval_keys_z(psi, rem, z)
-            for j, c in enumerate(inner):
-                if c == 0:
-                    continue
-                accumulate(-sign * c, bracket_on_basis(alg, args[i0] + (j,)))
+            accumulate(-sign, multilinear(
+                [support(inner)],
+                lambda j: bracket_on_basis(alg, args[i0] + j), m))
         for i0 in range(p + 1):
             sign = -1 if (i0 + 1) % 2 else 1
+            acting = basis_wedge(n - 1, m, args[i0])
             for j0 in range(i0 + 1, p + 1):
                 # second sum: wedge-bracket of X_i into the X_j slot
-                for skey, c in _fund_on_keys(alg, args[i0], args[j0]).items():
+                moved = fundamental_bracket(alg, acting,
+                                            basis_wedge(n - 1, m, args[j0]))
+                for skey, c in moved.coords.items():
                     reduced = (args[:i0] + args[i0 + 1:j0] + (skey,)
                                + args[j0 + 1:])
                     accumulate(sign * c, eval_keys_z(psi, reduced, z))
@@ -431,37 +425,14 @@ def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
         sign0 = -1 if p % 2 else 1
         for s in range(n - 1):
             w = eval_keys_z(psi, args[:p], lastblock[s])
-            for j, wj in enumerate(w):
-                if wj == 0:
-                    continue
-                outer = bracket_on_basis(
-                    alg, lastblock[:s] + (j,) + lastblock[s + 1:] + (z,))
-                accumulate(sign0 * wj, outer)
+            accumulate(sign0, multilinear(
+                [support(w)],
+                lambda j: bracket_on_basis(
+                    alg, lastblock[:s] + j + lastblock[s + 1:] + (z,)), m))
         vec = tuple(total)
         if not vec_is_zero(vec):
             entries[key] = vec
     return Cochain(n, m, p + 1, entries)
-
-
-def _fund_on_keys(alg: NLieAlgebra, xk: Key, yk: Key) -> dict[Key, Fraction]:
-    """Wedge-level bracket of two basis (n-1)-wedges, as sparse coords."""
-    n = alg.arity
-    coords: dict[Key, Fraction] = {}
-    for i in range(n - 1):
-        acted = bracket_on_basis(alg, xk + (yk[i],))
-        for k, c in enumerate(acted):
-            if c == 0:
-                continue
-            ss = sort_with_sign(yk[:i] + (k,) + yk[i + 1:])
-            if ss is None:
-                continue
-            sign, skey = ss
-            acc = coords.get(skey, Fraction(0)) + sign * c
-            if acc == 0:
-                coords.pop(skey, None)
-            else:
-                coords[skey] = acc
-    return coords
 
 
 def is_filippov_derivation(alg: NLieAlgebra, mat: Matrix) -> bool:
@@ -473,13 +444,8 @@ def is_filippov_derivation(alg: NLieAlgebra, mat: Matrix) -> bool:
     cols = [mat.column(j) for j in range(m)]
     for key in itertools.combinations(range(m), n):
         lhs = mat.apply(bracket_on_basis(alg, key))
-        rhs = vec_zero(m)
-        for i in range(n):
-            for j, c in enumerate(cols[key[i]]):
-                if c == 0:
-                    continue
-                rhs = vec_add(rhs, vec_scale(
-                    c, bracket_on_basis(alg, key[:i] + (j,) + key[i + 1:])))
+        rhs = multilinear([replace_slots(key, [cols[j] for j in key])],
+                          lambda moved: bracket_on_basis(alg, moved[0]), m)
         if lhs != rhs:
             return False
     return True

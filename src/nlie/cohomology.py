@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .algebra import (NLieAlgebra, WedgeElement,
+from .algebra import (NLieAlgebra, WedgeElement, basis_wedge,
                       check_fundamental_identity)
-from .cochains import (Cochain, basis_cochains, eval_keys_z, from_bracket,
-                       gla_bracket, space_keys, to_matrix)
+from .cochains import (Cochain, basis_cochains, from_bracket, gla_bracket,
+                       space_keys, to_matrix, wedge_differential)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import Matrix, Vector, rank_nullspace, vec_is_zero, vec_zero
+from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, vec_is_zero,
+                     vec_zero)
 
 DEFAULT_DEGREE_CAP = 3
 
@@ -80,25 +81,17 @@ def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
     cols: list[Vector] = []
     if k == 0:
         for key in itertools.combinations(range(m), n - 1):
-            entries = {}
-            for z in range(m):
-                col = eval_keys_z(phi, (key,), z)
-                if not vec_is_zero(col):
-                    entries[((), (z,))] = col
-            cols.append(cochain_to_vec(Cochain(n, m, 0, entries)))
+            cols.append(cochain_to_vec(
+                wedge_differential(phi, basis_wedge(n - 1, m, key))))
     else:
         if k == 1:
-            domain = [Cochain(n, m, 0, {key: _unit(m, i)})
+            domain = [Cochain(n, m, 0, {key: basis_vec(m, i)})
                       for key in space_keys(m, n, 0) for i in range(m)]
         else:
             domain = basis_cochains(m, n, k - 1)
         for psi in domain:
             cols.append(cochain_to_vec(gla_bracket(phi, psi)))
     return _mat_from_cols(cols, nrows)
-
-
-def _unit(m: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(m))
 
 
 @dataclass(frozen=True)
@@ -142,7 +135,9 @@ def cohomology(alg: NLieAlgebra, k: int,
         piv = rank_nullspace(combined).pivots
         base = len(cob_cols)
         reps = [cocycles[j - base] for j in piv if j >= base]
-    assert len(reps) == betti
+    if len(reps) != betti:
+        raise ArithmeticError("representative count differs from the betti "
+                              "number; rank bookkeeping is wrong")
     if k == 0:
         n, m = alg.arity, alg.dim
         keys = list(itertools.combinations(range(m), n - 1))

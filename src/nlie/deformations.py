@@ -28,14 +28,14 @@ from typing import Optional, Sequence
 
 from .algebra import (CheckResult, NLieAlgebra, Representation, bracket_eval,
                       bracket_on_basis, check_fundamental_identity,
-                      check_o_operator, semidirect_product, sort_with_sign)
+                      check_o_operator, semidirect_product)
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
-                       cochain_zero, from_bracket, gla_bracket)
+                       cochain_zero, from_bracket, gla_bracket, to_algebra)
 from .cohomology import (cochain_to_vec, cohomology, differential_matrix,
                          vec_to_cochain)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, rank_nullspace, solve_linear, vec_add,
-                     vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, solve_linear,
+                     vec_add, vec_is_zero, vec_scale, vec_zero)
 
 
 @dataclass(frozen=True)
@@ -159,25 +159,6 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
                               vec_is_zero(coords))
 
 
-def _eval1(d: Cochain, args: Sequence[Vector]) -> Vector:
-    """Multilinear evaluation of a degree-1 cochain on n vectors."""
-    m = d.dim
-    out = vec_zero(m)
-    supports = [[(j, c) for j, c in enumerate(a) if c != 0] for a in args]
-    for combo in itertools.product(*supports):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        ss = sort_with_sign(tuple(j for j, _ in combo))
-        if ss is None:
-            continue
-        sign, key = ss
-        val = d.entries.get(((), key))
-        if val is not None:
-            out = vec_add(out, vec_scale(coeff * sign, val))
-    return out
-
-
 def _series_matrices(emap: EquivalenceMap, dim: int,
                      top: int) -> tuple[list[Matrix], list[Matrix]]:
     """Powers of Phi_t and of its truncated inverse up to t^top."""
@@ -202,7 +183,7 @@ def conjugate_path(path: DeformationPath,
     n, m = path.base.arity, path.base.dim
     k = path.order
     fwd, inv = _series_matrices(emap, m, k)
-    phis = _phi_list(path)
+    brackets = [path.base, *map(to_algebra, path.terms)]
     new_terms = []
     for r in range(1, k + 1):
         entries = {}
@@ -215,7 +196,7 @@ def conjugate_path(path: DeformationPath,
                         if sum(bs) != rem:
                             continue
                         args = [fwd[bs[t]].column(key[t]) for t in range(n)]
-                        val = _eval1(phis[i], args)
+                        val = bracket_eval(brackets[i], args)
                         if not vec_is_zero(val):
                             total = vec_add(total, inv[a].apply(val))
             if not vec_is_zero(total):
@@ -257,7 +238,6 @@ def check_homomorphism_family(path: DeformationPath,
     top = k + len(emap.maps) * n
     fwd, _ = _series_matrices(emap, m, top)
     phis = _phi_list(path)
-    phi0 = phis[0]
     for key in itertools.combinations(range(m), n):
         for r in range(top + 1):
             lhs = vec_zero(m)
@@ -272,7 +252,7 @@ def check_homomorphism_family(path: DeformationPath,
                 if sum(bs) != r:
                     continue
                 args = [fwd[bs[t]].column(key[t]) for t in range(n)]
-                rhs = vec_add(rhs, _eval1(phi0, args))
+                rhs = vec_add(rhs, bracket_eval(path.base, args))
             if lhs != rhs:
                 return CheckResult(False, {"tuple": key, "power": r,
                                            "lhs": lhs, "rhs": rhs})
@@ -297,7 +277,7 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
             total = vec_zero(m)
             for slots in itertools.combinations(range(n), step):
                 args = [ncols[key[t]] if t in slots
-                        else _basis(m, key[t]) for t in range(n)]
+                        else basis_vec(m, key[t]) for t in range(n)]
                 total = vec_add(total, bracket_eval(alg, args))
             pv = prev.get(((), key))
             if pv is not None:
@@ -306,10 +286,6 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
                 entries[((), key)] = total
         prev = entries
     return Cochain(n, m, 1, prev)
-
-
-def _basis(m: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(m))
 
 
 def check_nijenhuis(alg: NLieAlgebra, nmap: Matrix) -> CheckResult:

@@ -54,6 +54,8 @@ def load_document(path: str) -> Any:
         raise InputFormatError(
             f"invalid JSON: {exc.msg}",
             location=f"{path}: line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise InputFormatError("JSON nested too deeply", location=path)
 
 
 def fraction_str(c: Fraction) -> str:

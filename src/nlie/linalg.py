@@ -9,18 +9,21 @@ free coordinate set to 1 and all other free coordinates 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch
 
 Vector = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
+
 
 def vec_zero(m: int) -> Vector:
-    return (Fraction(0),) * m
+    return (_ZERO,) * m
 
 
 def basis_vec(m: int, i: int) -> Vector:
@@ -40,7 +43,38 @@ def vec_scale(c: Fraction | int, a: Vector) -> Vector:
 
 
 def vec_is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
+
+
+def support(v: Vector) -> list[tuple[int, Fraction]]:
+    """The nonzero coordinates of v as (index, value) pairs."""
+    return [(i, c) for i, c in enumerate(v) if c]
+
+
+def multilinear(supports: Sequence[Iterable[tuple[Hashable, Fraction | int]]],
+                term: Callable[[tuple], Vector], m: int) -> Vector:
+    """Expand a multilinear map over its arguments' coordinates.
+
+    ``supports`` gives, per argument, its nonzero (label, coefficient)
+    pairs, such as ``support(v)`` or a wedge's ``coords.items()``.  Returns
+    the length-m sum of c_1 * .. * c_k * term((label_1, .., label_k)) over
+    the product of the supports, so only products of nonzero coordinates
+    are visited.
+    """
+    acc: dict[int, Fraction] = {}
+    for combo in itertools.product(*supports):
+        labels = []
+        coeff = 1
+        # a product with 1 still costs a full Fraction operation: skip it
+        for label, c in combo:
+            labels.append(label)
+            coeff = c if coeff == 1 else coeff * c
+        for i, x in enumerate(term(tuple(labels))):
+            if x:
+                if coeff != 1:
+                    x = coeff * x
+                acc[i] = acc[i] + x if i in acc else x
+    return tuple(acc.get(i, _ZERO) for i in range(m))
 
 
 def as_vector(values: Sequence[Fraction | int], m: int) -> Vector:
@@ -160,7 +194,9 @@ def _bareiss(rows: list[list[int]], ncols: int,
             for j in range(c + 1, ncols):
                 num = piv * ri[j] - head * rr[j]
                 quo, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free update must divide exactly"
+                if rem:
+                    raise ArithmeticError(
+                        "fraction-free update must divide exactly")
                 ri[j] = quo
             ri[c] = 0
         prev = piv
@@ -178,6 +214,19 @@ class RankNullspace:
     pivots: tuple[int, ...]
 
 
+def _back_substitute(ech: list[list[int]], pivots: list[int],
+                     x: list[Fraction], rhs: Sequence[int]) -> Vector:
+    """Solve the echelon rows for the pivot coordinates of x, whose free
+    coordinates are already set; rhs[i] is the right side of row i."""
+    ncols = len(x)
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        s = sum((Fraction(ech[i][j]) * x[j]
+                 for j in range(pc + 1, ncols) if x[j]), Fraction(0))
+        x[pc] = (rhs[i] - s) / ech[i][pc]
+    return tuple(x)
+
+
 def rank_nullspace(m: Matrix) -> RankNullspace:
     """Exact rank and canonical nullspace basis of a rational matrix."""
     rows = _integer_rows(m)
@@ -188,12 +237,7 @@ def rank_nullspace(m: Matrix) -> RankNullspace:
     for f in free:
         x = [Fraction(0)] * m.cols
         x[f] = Fraction(1)
-        for i in range(rank - 1, -1, -1):
-            pc = pivots[i]
-            s = sum((Fraction(ech[i][j]) * x[j]
-                     for j in range(pc + 1, m.cols) if x[j]), Fraction(0))
-            x[pc] = -s / ech[i][pc]
-        basis.append(tuple(x))
+        basis.append(_back_substitute(ech, pivots, x, [0] * rank))
     return RankNullspace(rank, tuple(basis), tuple(pivots))
 
 
@@ -212,10 +256,5 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     for i in range(rank, m.rows):
         if ech[i][m.cols] != 0:
             return None
-    x = [Fraction(0)] * m.cols
-    for i in range(rank - 1, -1, -1):
-        pc = pivots[i]
-        s = sum((Fraction(ech[i][j]) * x[j]
-                 for j in range(pc + 1, m.cols) if x[j]), Fraction(0))
-        x[pc] = (Fraction(ech[i][m.cols]) - s) / ech[i][pc]
-    return tuple(x)
+    return _back_substitute(ech, pivots, [Fraction(0)] * m.cols,
+                            [row[m.cols] for row in ech[:rank]])

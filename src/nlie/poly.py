@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DimensionMismatch
 
@@ -237,9 +237,3 @@ def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
         tuple(vf_apply(v, wi) - vf_apply(w, vi)
               for vi, wi in zip(v.components, w.components)))
 
-
-def vf_sum(fields: Iterable[PolyVectorField], num_vars: int) -> PolyVectorField:
-    out = vf_zero(num_vars)
-    for f in fields:
-        out = out + f
-    return out

@@ -24,6 +24,13 @@ def rand_vector(rng: random.Random, m: int) -> tuple[Fraction, ...]:
     return tuple(rand_fraction(rng) for _ in range(m))
 
 
+def rand_sparse_vector(rng: random.Random, m: int,
+                       density: float = 0.4) -> tuple[Fraction, ...]:
+    """Mostly-zero rational vector; all zeros now and then."""
+    return tuple(rand_fraction(rng) if rng.random() < density else Fraction(0)
+                 for _ in range(m))
+
+
 def rand_poly(rng: random.Random, num_vars: int, max_deg: int = 2,
               terms: int = 3) -> MultiPoly:
     tbl = {}

@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import rand_bracket, rand_matrix, rand_valid_algebra, rand_vector
+from helpers import (rand_bracket, rand_matrix, rand_sparse_vector,
+                     rand_valid_algebra, rand_vector)
 from nlie.algebra import (adjoint_representation, ad_map, basis_wedge,
                           bracket_eval, bracket_on_basis,
                           check_fundamental_identity, check_o_operator,
@@ -41,6 +43,27 @@ def test_bracket_eval_multilinear():
     rhs = tuple(2 * c for c in bracket_eval(alg, [u, v, w]))
     assert lhs == rhs
     assert bracket_eval(alg, [u, u, w]) == vec_zero(4)
+
+
+def test_bracket_eval_matches_dense_expansion():
+    """The sparse evaluator against the sum over every index tuple."""
+    rng = random.Random(2718)
+    for alg in (levi_civita_bracket(), sl2(), rand_bracket(rng, 3, 5),
+                rand_bracket(rng, 4, 5, density=0.5)):
+        n, m = alg.arity, alg.dim
+        for _ in range(15):
+            args = [rand_sparse_vector(rng, m) for _ in range(n)]
+            if rng.random() < 0.3:
+                args[-1] = args[0]
+            want = vec_zero(m)
+            for idx in itertools.product(range(m), repeat=n):
+                coeff = F(1)
+                for v, i in zip(args, idx):
+                    coeff *= v[i]
+                want = tuple(a + coeff * b for a, b in
+                             zip(want, bracket_on_basis(alg, idx)))
+            assert bracket_eval(alg, args) == want
+        assert bracket_eval(alg, [vec_zero(m)] * n) == vec_zero(m)
 
 
 def test_fundamental_identity_catalog():

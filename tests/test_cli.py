@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import nlie
 from nlie.algebroid import make_poly_algebroid
 from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
                           zero_algebra)
@@ -80,6 +83,27 @@ def test_malformed_json_reports_location(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "line 1" in err and "invalid JSON" in err
+
+
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, "check", str(deep))
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {deep}: JSON nested too deeply"]
+    assert "Traceback" not in err
+
+
+def test_package_has_no_assert_guards():
+    """Guards must survive ``python -O``, which strips assert statements."""
+    package = pathlib.Path(nlie.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_dimension_error_is_input_error(capsys, tmp_path):
@@ -294,3 +318,74 @@ def test_threads_flag_accepted(capsys, eps):
     code, out, _ = run(capsys, "check", eps, "--threads", "4")
     assert code == 0
     assert "fundamental identity: holds" in out
+
+
+
+def _lifted_semidirect(tmp_path, name, tmap):
+    """The adjoint semidirect product of the Levi-Civita bracket and the
+    strictly upper-triangular lift of T: Q^4 -> Q^4, as two input files."""
+    from nlie.algebra import adjoint_representation, semidirect_product
+
+    lc = levi_civita_bracket()
+    sd = semidirect_product(lc, adjoint_representation(lc))
+    rows = [[0] * 8 for _ in range(8)]
+    for i in range(4):
+        rows[i][4:] = tmap[i]
+    return (write(tmp_path, "sd.json", algebra_to_json(sd)),
+            write(tmp_path, name, matrix_to_json(Matrix.from_rows(rows))))
+
+
+# sha256 of stdout with the temporary directory written as "TMP".  Pinned
+# so that refactors of the evaluation kernels keep every byte of output.
+GOLDEN_STDOUT = {
+    "check":
+        "91bc0baed647a1382ce95963807915d70f19d9884f7667dda3aeba8bd5a163a0",
+    "cohomology-2":
+        "daa55a9c6474072b4aef280394638404e37a8f1612f10de406c510f0ee3cb905",
+    "cohomology-1-json":
+        "9ef4020b683eb8ca0deb48f12f2add26cd5a4afed272d14ac6690a452701d786",
+    "nijenhuis-lift-holds":
+        "8cce28952139cb600d67b0c690656016d60d3bfee510e440a4ed47014eecefa0",
+    "nijenhuis-lift-fails":
+        "1ac952b7091c7a7eb6b867a27c6e8f7d3226df25c4d9a91dee45fe1ddee5069a",
+    "nijenhuis-path":
+        "942db7cde42a07ab3607fb25ffc774ce06a86225565eb83cf1f2a050204b085b",
+    "rigidity-sl2":
+        "750233569077b2b96378878db359b093cd35bc7be27ecea27b42c90f0d549e90",
+    "rigidity-lc":
+        "edf7a14fb3270ac48d797a933a076b18c94f149cd1624de49b25db8a66045180",
+    "example-fc":
+        "b931c303eb6a76886af4714c1881b8af67a5fbc54532d67fc2b9bc9c625d8e9e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, tmp_path, eps, sl2_file, name):
+    u, v = (1, -1, 2, 1), (1, 2, -1, 1)
+    sd, good = _lifted_semidirect(tmp_path, "good.json",
+                                  [[a * b for b in v] for a in u])
+    _, bad = _lifted_semidirect(tmp_path, "bad.json",
+                                [[1, 2, -1, 1], [2, -1, 1, 1],
+                                 [-1, 1, 2, 2], [1, 1, -2, 1]])
+    diag = write(tmp_path, "diag.json", matrix_to_json(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])))
+    want_code, argv = {
+        "check": (0, ["check", eps]),
+        "cohomology-2": (0, ["cohomology", eps, "--degree", "2"]),
+        "cohomology-1-json": (0, ["--format", "json", "cohomology",
+                                  sl2_file, "--degree", "1"]),
+        "nijenhuis-lift-holds": (0, ["nijenhuis", sd, good]),
+        "nijenhuis-lift-fails": (1, ["nijenhuis", sd, bad]),
+        "nijenhuis-path": (0, ["nijenhuis", eps, diag, "--generate-path"]),
+        "rigidity-sl2": (0, ["--seed", "11", "deform", "rigidity", sl2_file,
+                             "--trials", "4"]),
+        "rigidity-lc": (0, ["--seed", "11", "deform", "rigidity", eps,
+                            "--trials", "4", "--max-order", "2"]),
+        "example-fc": (0, ["algebroid", "example-fc", sl2_file,
+                           "--f", "x1"]),
+    }[name]
+    code, out, _ = run(capsys, *argv)
+    assert code == want_code
+    digest = hashlib.sha256(
+        out.replace(str(tmp_path), "TMP").encode()).hexdigest()
+    assert digest == GOLDEN_STDOUT[name]

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_bracket, rand_cochain, rand_matrix, rand_valid_algebra
-from nlie.algebra import ad_map, basis_wedge, check_fundamental_identity
+from helpers import (rand_bracket, rand_cochain, rand_matrix,
+                     rand_sparse_vector, rand_valid_algebra)
+from nlie.algebra import (ad_map, basis_wedge, check_fundamental_identity,
+                          make_wedge)
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (Cochain, _circle_raw, basis_cochains, circle,
@@ -52,6 +54,32 @@ def test_evaluate_indicator_signs():
     # final pair sorts (0,2,1) -> (0,1,2) with one transposition
     swapped = evaluate(d, [basis_wedge(2, 4, (0, 2))], basis_vec(4, 1))
     assert swapped == tuple(-c for c in basis_vec(4, 3))
+
+
+def test_evaluate_expands_wedge_blocks():
+    """Multi-term blocks give the coefficient-weighted sum of the values on
+    basis wedges and basis vectors."""
+    rng = random.Random(1618)
+    for n, m, degree in ((3, 4, 1), (3, 4, 2), (2, 3, 3), (3, 5, 2)):
+        d = rand_cochain(rng, n, m, degree)
+        keys = list(itertools.combinations(range(m), n - 1))
+        for _ in range(6):
+            blocks = []
+            for _ in range(degree):
+                coeffs = rand_sparse_vector(rng, len(keys), density=0.5)
+                blocks.append(make_wedge(n - 1, m, dict(zip(keys, coeffs))))
+            z = rand_sparse_vector(rng, m)
+            want = vec_zero(m)
+            for combo in itertools.product(*(b.coords.items()
+                                             for b in blocks)):
+                for j, cz in enumerate(z):
+                    coeff = cz
+                    for _, c in combo:
+                        coeff *= c
+                    basis = [basis_wedge(n - 1, m, key) for key, _ in combo]
+                    val = evaluate(d, basis, basis_vec(m, j))
+                    want = tuple(a + coeff * b for a, b in zip(want, val))
+            assert evaluate(d, blocks, z) == want
 
 
 def test_evaluate_shape_errors():
