@@ -18,6 +18,7 @@ counted from the right.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -48,12 +49,12 @@ def sort_with_sign(idx: Sequence[int]) -> Optional[tuple[int, Key]]:
 
 
 def merge_index(block: Key, z: int) -> Optional[tuple[int, Key]]:
-    """Sign and sorted key of the wedge block ∧ e_z (z appended last)."""
-    if z in block:
+    """Sign and sorted key of the wedge block ∧ e_z (z appended last);
+    ``block`` is strictly increasing."""
+    pos = bisect_left(block, z)
+    if pos < len(block) and block[pos] == z:
         return None
-    greater = sum(1 for b in block if b > z)
-    sign = -1 if greater % 2 else 1
-    pos = len(block) - greater
+    sign = -1 if (len(block) - pos) % 2 else 1
     return sign, block[:pos] + (z,) + block[pos:]
 
 

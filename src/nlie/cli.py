@@ -3,7 +3,8 @@
 Exit codes form the CI contract: 0 when the checked property holds (or a
 computation succeeded), 1 when a mathematical property fails (the report
 carries a witness), 2 on input errors (malformed JSON, missing fields,
-dimension mismatches, violated preconditions).
+dimension mismatches, violated preconditions, numbers past the
+interpreter's digit limit for int/str conversion, in or out).
 
 Stdout is byte-stable for a fixed input and tool version; wall-clock
 timing goes to stderr.  Checker verbs print a small text report (or a
@@ -34,7 +35,7 @@ from .cohomology import DEFAULT_DEGREE_CAP, cohomology, differential_matrix
 from .deformations import (check_deformation, check_equivalence,
                            check_nijenhuis, deformation_from_nijenhuis,
                            extend, obstruction, rigidity_probe)
-from .errors import DimensionMismatch, InvalidStructure
+from .errors import DimensionMismatch, InvalidStructure, OutputTooLarge
 from .io import (InputFormatError, algebra_from_json, algebroid_from_json,
                  algebroid_to_json, cochain_to_json,
                  cohomology_report_to_json, emap_from_json, load_document,
@@ -414,22 +415,30 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     try:
         args.run(args, report)
-    except InputFormatError as exc:
+        # render before writing, so a failed render prints nothing
+        text = report.render(args.format)
+    except (InputFormatError, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DimensionMismatch, InvalidStructure) as exc:
-        detail = ""
-        witness = getattr(exc, "witness", None)
-        if witness is not None:
-            detail = " witness: " + json.dumps(report_value(witness),
-                                               sort_keys=True)
-        print(f"error: {exc}{detail}", file=sys.stderr)
+        print(f"error: {exc}{_witness_detail(exc)}", file=sys.stderr)
         return 2
     finally:
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
-    sys.stdout.write(report.render(args.format))
+    sys.stdout.write(text)
     return report.exit_code
+
+
+def _witness_detail(exc: Exception) -> str:
+    witness = getattr(exc, "witness", None)
+    if witness is None:
+        return ""
+    try:
+        return " witness: " + json.dumps(report_value(witness),
+                                         sort_keys=True)
+    except OutputTooLarge as big:
+        return f" (witness not shown: {big})"
 
 
 if __name__ == "__main__":

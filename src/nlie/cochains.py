@@ -38,11 +38,12 @@ orders run through the same routine with the roles swapped.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
                       bracket_on_basis, fundamental_bracket, make_algebra,
@@ -52,6 +53,7 @@ from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
                      vec_is_zero, vec_scale, vec_zero)
 
 CochainKey = tuple[tuple[Key, ...], Key]
+Row = dict[int, Fraction]  # one sparse matrix row: column -> coefficient
 
 
 @dataclass(frozen=True)
@@ -378,61 +380,107 @@ def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
       + sum_i (-1)^(i+1) [X_i-action on psi(.., X̂_i, .., z)]
       + (-1)^p sum_s [X_{p+1}^1, .., psi(X_1..X_p, X_{p+1}^s), .., z]
 
-    with i, j counted from 1.  Independent route from ``differential`` (no
-    circle products); the two must agree on every cochain.
+    with i, j counted from 1.  Applies ``coboundary_rows`` to psi's
+    coordinates.  Independent route from ``differential`` (no circle
+    products); the two must agree on every cochain.
     """
     n, m = alg.arity, alg.dim
     if psi.arity != n or psi.dim != m:
         raise DimensionMismatch("cochain does not match the algebra")
     p = psi.degree
+    x: dict[int, Fraction] = {}
+    for t, key in enumerate(space_keys(m, n, p)):
+        for i, c in support(psi.entries.get(key, ())):
+            x[t * m + i] = c
+    rows = coboundary_rows(alg, p)
     entries: dict[CochainKey, Vector] = {}
-    for key in space_keys(m, n, p + 1):
-        blocks, last = key
+    for t, key in enumerate(space_keys(m, n, p + 1)):
+        vec = tuple(sum((c * x[j] for j, c in rows[t * m + i].items()
+                         if j in x), Fraction(0))
+                    for i in range(m))
+        if not vec_is_zero(vec):
+            entries[key] = vec
+    return Cochain(n, m, p + 1, entries)
+
+
+def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
+    """The four sums of ``coboundary_explicit`` in transposed form: the
+    matrix of the differential on degree-p cochains, one sparse row per
+    coordinate of degree p+1 (output key index * m + component).
+
+    One pass over the output keys; wherever the sums read psi through
+    ``eval_keys_z``, the coefficient of that coordinate of psi is recorded
+    instead, under column (key index in ``space_keys(m, n, p)``) * m +
+    component, the order of ``cohomology.cochain_to_vec``.
+    """
+    n, m = alg.arity, alg.dim
+    base_of = {key: t * m for t, key in enumerate(space_keys(m, n, p))}
+    supports: dict[Key, list[tuple[int, Fraction]]] = {}
+    moves: dict[tuple[Key, Key], dict[Key, Fraction]] = {}
+
+    def bracket(idx: Key) -> list[tuple[int, Fraction]]:
+        if idx not in supports:
+            supports[idx] = support(bracket_on_basis(alg, idx))
+        return supports[idx]
+
+    def read(blocks: tuple[Key, ...], z: int) -> Optional[tuple[int, int]]:
+        # (sign, first column) of the entry eval_keys_z(psi, blocks, z) reads
+        if p == 0:
+            return 1, base_of[((), (z,))]
+        mi = merge_index(blocks[-1], z)
+        if mi is None:
+            return None
+        return mi[0], base_of[(blocks[:-1], mi[1])]
+
+    rows: list[Row] = []
+    for blocks, last in space_keys(m, n, p + 1):
         args = blocks + (last[:n - 1],)
         z = last[n - 1]
-        total = [Fraction(0)] * m
+        out: list[Row] = [defaultdict(int) for _ in range(m)]
 
-        def accumulate(c: Fraction | int, v: Vector) -> None:
-            if c == 0 or vec_is_zero(v):
-                return
-            for i, vi in enumerate(v):
-                if vi:
-                    total[i] += c * vi
+        def same(sign: int, c: Fraction,
+                 at: Optional[tuple[int, int]]) -> None:
+            # sign * c * psi(at): psi's value lands component by component
+            if at is not None:
+                c = c if sign * at[0] == 1 else -c
+                for i in range(m):
+                    out[i][at[1] + i] += c
+
+        def acted(sign: int, at: Optional[tuple[int, int]], slot: Key,
+                  pos: int) -> None:
+            # sign * sum_j psi(at)_j [slot with e_j at pos]
+            if at is not None:
+                sign *= at[0]
+                for j in range(m):
+                    for i, c in bracket(slot[:pos] + (j,) + slot[pos + 1:]):
+                        out[i][at[1] + j] += c if sign == 1 else -c
 
         for i0 in range(p + 1):
             rem = args[:i0] + args[i0 + 1:]
             sign = -1 if (i0 + 1) % 2 else 1
             # first sum: z replaced by the X_i action on it
-            w = bracket_on_basis(alg, args[i0] + (z,))
-            accumulate(sign, eval_keys_vec(psi, rem, w))
+            for j, c in bracket(args[i0] + (z,)):
+                same(sign, c, read(rem, j))
             # third sum: X_i acts on the value
-            inner = eval_keys_z(psi, rem, z)
-            accumulate(-sign, multilinear(
-                [support(inner)],
-                lambda j: bracket_on_basis(alg, args[i0] + j), m))
-        for i0 in range(p + 1):
-            sign = -1 if (i0 + 1) % 2 else 1
-            acting = basis_wedge(n - 1, m, args[i0])
+            acted(-sign, read(rem, z), args[i0] + (z,), n - 1)
+            # second sum: wedge-bracket of X_i into the X_j slot
             for j0 in range(i0 + 1, p + 1):
-                # second sum: wedge-bracket of X_i into the X_j slot
-                moved = fundamental_bracket(alg, acting,
-                                            basis_wedge(n - 1, m, args[j0]))
-                for skey, c in moved.coords.items():
+                pair = (args[i0], args[j0])
+                if pair not in moves:
+                    moves[pair] = fundamental_bracket(
+                        alg, basis_wedge(n - 1, m, pair[0]),
+                        basis_wedge(n - 1, m, pair[1])).coords
+                for skey, c in moves[pair].items():
                     reduced = (args[:i0] + args[i0 + 1:j0] + (skey,)
                                + args[j0 + 1:])
-                    accumulate(sign * c, eval_keys_z(psi, reduced, z))
+                    same(sign, c, read(reduced, z))
+        # fourth sum: psi's value replaces slot s of the last block
         lastblock = args[p]
-        sign0 = -1 if p % 2 else 1
         for s in range(n - 1):
-            w = eval_keys_z(psi, args[:p], lastblock[s])
-            accumulate(sign0, multilinear(
-                [support(w)],
-                lambda j: bracket_on_basis(
-                    alg, lastblock[:s] + j + lastblock[s + 1:] + (z,)), m))
-        vec = tuple(total)
-        if not vec_is_zero(vec):
-            entries[key] = vec
-    return Cochain(n, m, p + 1, entries)
+            acted(-1 if p % 2 else 1, read(args[:p], lastblock[s]),
+                  lastblock + (z,), s)
+        rows.extend(out)
+    return rows
 
 
 def is_filippov_derivation(alg: NLieAlgebra, mat: Matrix) -> bool:

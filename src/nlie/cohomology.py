@@ -21,11 +21,10 @@ from typing import Union
 
 from .algebra import (NLieAlgebra, WedgeElement, basis_wedge,
                       check_fundamental_identity)
-from .cochains import (Cochain, basis_cochains, from_bracket, gla_bracket,
-                       space_keys, to_matrix, wedge_differential)
+from .cochains import (Cochain, coboundary_rows, from_bracket, space_keys,
+                       to_matrix, wedge_differential)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, vec_is_zero,
-                     vec_zero)
+from .linalg import Matrix, Vector, rank_nullspace, vec_is_zero, vec_zero
 
 DEFAULT_DEGREE_CAP = 3
 
@@ -72,26 +71,26 @@ def _mat_from_cols(cols: list[Vector], nrows: int) -> Matrix:
 
 def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
     """Matrix of the differential C^k -> C^(k+1); requires the fundamental
-    identity (checked once, not per column)."""
+    identity (checked once, before assembly).  For k >= 1 the rows are the
+    transposed four-sum formula, ``cochains.coboundary_rows``."""
     if k < 0:
         raise DimensionMismatch("the complex starts at degree 0")
     phi = _require_fi(alg)
     n, m = alg.arity, alg.dim
-    nrows = len(space_keys(m, n, k)) * m
-    cols: list[Vector] = []
     if k == 0:
-        for key in itertools.combinations(range(m), n - 1):
-            cols.append(cochain_to_vec(
-                wedge_differential(phi, basis_wedge(n - 1, m, key))))
-    else:
-        if k == 1:
-            domain = [Cochain(n, m, 0, {key: basis_vec(m, i)})
-                      for key in space_keys(m, n, 0) for i in range(m)]
-        else:
-            domain = basis_cochains(m, n, k - 1)
-        for psi in domain:
-            cols.append(cochain_to_vec(gla_bracket(phi, psi)))
-    return _mat_from_cols(cols, nrows)
+        cols = [cochain_to_vec(wedge_differential(phi,
+                                                  basis_wedge(n - 1, m, key)))
+                for key in itertools.combinations(range(m), n - 1)]
+        return _mat_from_cols(cols, len(space_keys(m, n, 0)) * m)
+    ncols = complex_dim(alg, k)
+    zero = vec_zero(ncols)
+    entries = []
+    for row in coboundary_rows(alg, k - 1):
+        dense = list(zero)
+        for j, c in row.items():
+            dense[j] = c
+        entries.append(tuple(dense))
+    return Matrix(len(entries), ncols, tuple(entries))
 
 
 @dataclass(frozen=True)

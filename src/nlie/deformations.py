@@ -429,10 +429,11 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
     _require_base_fi(DeformationPath(alg, 0, ()))
     rng = random.Random(seed)
     n, m = alg.arity, alg.dim
-    betti = cohomology(alg, 2).betti
     d21 = differential_matrix(alg, 2)
     d10 = differential_matrix(alg, 1)
     cocycles = rank_nullspace(d21).nullspace
+    # dim C^2 - rank d_2 - rank d_1, as ``cohomology`` counts it
+    betti = len(cocycles) - rank_nullspace(d10).rank
     results = []
     for t in range(max(0, trials)):
         if t % 2 == 0 and cocycles:

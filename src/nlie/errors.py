@@ -16,3 +16,8 @@ class InvalidStructure(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class OutputTooLarge(ValueError):
+    """A rational in the output has more digits than the interpreter will
+    convert to a string (``sys.get_int_max_str_digits()``)."""

@@ -9,7 +9,11 @@ Conventions, fixed once here so all documents agree:
   component index (as a string) to a rational;
 * polynomials serialize as term lists [{"exponents": [..], "coeff": "p/q"}]
   with one exponent per variable;
-* matrices serialize as dense row lists of rationals.
+* matrices serialize as dense row lists of rationals;
+* integers are kept within the interpreter's limit for int/str conversion
+  (``sys.get_int_max_str_digits()``, 4300 digits by default), which is not
+  raised: a longer input literal is an input error, and a result that
+  needs a longer one raises ``OutputTooLarge`` before anything is printed.
 
 Parsers raise ``InputFormatError`` carrying the path to the offending
 field, so the command line can report the location and exit with the
@@ -19,6 +23,7 @@ input-error code instead of a traceback.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -30,7 +35,7 @@ from .cochains import Cochain, CochainKey, make_cochain
 from .cohomology import CohomologyReport
 from .deformations import (DeformationPath, EquivalenceMap,
                            make_deformation_path, make_equivalence_map)
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, OutputTooLarge
 from .linalg import Matrix, Vector
 from .poly import MultiPoly, PolyVectorField, poly_from_terms
 
@@ -56,11 +61,30 @@ def load_document(path: str) -> Any:
             location=f"{path}: line {exc.lineno} column {exc.colno}")
     except RecursionError:
         raise InputFormatError("JSON nested too deeply", location=path)
+    except ValueError:
+        # json parses integer literals with int(), which refuses literals
+        # longer than the interpreter's digit limit
+        raise InputFormatError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} "
+            "digits", location=path)
 
 
 def fraction_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else \
-        f"{c.numerator}/{c.denominator}"
+    try:
+        return str(c.numerator) if c.denominator == 1 else \
+            f"{c.numerator}/{c.denominator}"
+    except ValueError:
+        raise OutputTooLarge(
+            "output needs a rational with more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+            "limit for int/str conversion") from None
+
+
+def _clip(text: str) -> str:
+    """An input literal short enough to echo in an error message."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
 
 
 def parse_fraction(value: Any, where: str) -> Fraction:
@@ -73,7 +97,8 @@ def parse_fraction(value: Any, where: str) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise InputFormatError(f"cannot parse rational {value!r}", where)
+            raise InputFormatError(f"cannot parse rational {_clip(value)}",
+                                   where)
     raise InputFormatError(
         f"expected a rational string or integer, got {type(value).__name__}",
         where)
@@ -134,7 +159,7 @@ def vector_from_json(obj: Any, dim: int, where: str) -> tuple[Fraction, ...]:
             component = int(raw_key)
         except ValueError:
             raise InputFormatError(
-                f"component key {raw_key!r} is not an integer", where)
+                f"component key {_clip(raw_key)} is not an integer", where)
         i = _index(component, dim, where)
         out[i] = parse_fraction(raw_val, f"{where}.{raw_key}")
     return tuple(out)

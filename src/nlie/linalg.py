@@ -39,6 +39,9 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
 
 
 def vec_scale(c: Fraction | int, a: Vector) -> Vector:
+    if c == -1:
+        # negation skips the gcd a Fraction product pays
+        return tuple(-x for x in a)
     return tuple(c * x for x in a)
 
 

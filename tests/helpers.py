@@ -95,6 +95,36 @@ def rand_cochain(rng: random.Random, arity: int, dim: int, degree: int,
     return Cochain(arity, dim, degree, entries)
 
 
+def circle_differential_matrix(alg, k: int) -> Matrix:
+    """Matrix of the differential C^k -> C^(k+1) by the circle route: one
+    ``gla_bracket(phi, psi)`` per basis cochain psi (the wedge differential
+    at k = 0), columns in the order of ``cochain_to_vec``.  Oracle for the
+    transposed four-sum assembly in ``differential_matrix``."""
+    import itertools
+
+    from nlie.algebra import basis_wedge
+    from nlie.cochains import (Cochain, basis_cochains, from_bracket,
+                               gla_bracket, space_keys, wedge_differential)
+    from nlie.cohomology import cochain_to_vec
+    from nlie.linalg import basis_vec
+
+    phi = from_bracket(alg)
+    n, m = alg.arity, alg.dim
+    if k == 0:
+        images = [wedge_differential(phi, basis_wedge(n - 1, m, key))
+                  for key in itertools.combinations(range(m), n - 1)]
+    elif k == 1:
+        images = [gla_bracket(phi, Cochain(n, m, 0, {key: basis_vec(m, i)}))
+                  for key in space_keys(m, n, 0) for i in range(m)]
+    else:
+        images = [gla_bracket(phi, psi)
+                  for psi in basis_cochains(m, n, k - 1)]
+    cols = [cochain_to_vec(d) for d in images]
+    nrows = len(space_keys(m, n, k)) * m
+    return Matrix(nrows, len(cols),
+                  tuple(tuple(col[r] for col in cols) for r in range(nrows)))
+
+
 def ce_betti(alg, k: int) -> int:
     """Betti number of the classical adjoint complex, ranks by the naive
     Gauss oracle (independent of the package's elimination)."""

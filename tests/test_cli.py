@@ -2,11 +2,13 @@ import ast
 import hashlib
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
 
 import nlie
+from nlie.algebra import make_algebra
 from nlie.algebroid import make_poly_algebroid
 from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
                           zero_algebra)
@@ -94,6 +96,55 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: {deep}: JSON nested too deeply"]
     assert "Traceback" not in err
+
+
+def _single_error(err):
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert len(errors[0]) < 200
+    assert "Traceback" not in err
+    return errors[0]
+
+
+def test_output_over_digit_limit_is_input_error(capsys, eps, tmp_path):
+    # the path of N = 10^2200 I carries N^2, over the default digit limit
+    big = 10 ** 2200
+    nmat = write(tmp_path, "big.json", matrix_to_json(Matrix.from_rows(
+        [[big if i == j else 0 for j in range(4)] for i in range(4)])))
+    code, out, err = run(capsys, "nijenhuis", eps, nmat, "--generate-path")
+    assert code == 2
+    assert out == ""
+    assert f"{sys.get_int_max_str_digits()} digits" in _single_error(err)
+    # a fundamental-identity witness multiplies two huge constants, both in
+    # a report (check) and in a failed precondition (cohomology)
+    broken = broken_ternary_bracket()
+    scaled = write(tmp_path, "scaled.json", algebra_to_json(make_algebra(
+        broken.arity, broken.dim, {key: [c * big for c in val] for key, val
+                                   in broken.structure.items()})))
+    for argv in (["check", scaled], ["cohomology", scaled, "--degree", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{sys.get_int_max_str_digits()} digits" in _single_error(err)
+
+
+def test_huge_literals_are_input_errors(capsys, tmp_path):
+    doc = algebra_to_json(levi_civita_bracket())
+    value = doc["brackets"][0]["value"]
+    value[next(iter(value))] = "7" * 5000
+    as_string = write(tmp_path, "string.json", doc)
+    code, out, err = run(capsys, "check", as_string)
+    assert code == 2
+    assert out == ""
+    assert "(5000 characters)" in _single_error(err)
+    # a bare JSON integer that long fails inside the JSON parser
+    as_int = tmp_path / "int.json"
+    as_int.write_text(pathlib.Path(as_string).read_text().replace(
+        '"' + "7" * 5000 + '"', "7" * 5000))
+    code, out, err = run(capsys, "check", str(as_int))
+    assert code == 2
+    assert out == ""
+    assert f"{sys.get_int_max_str_digits()} digits" in _single_error(err)
 
 
 def test_package_has_no_assert_guards():

@@ -279,6 +279,20 @@ def test_coboundary_explicit_matches_differential_degree2():
             gla_bracket(phi, psi).entries
 
 
+def test_coboundary_explicit_matches_differential_dense():
+    # dense random cochains, not only basis cochains
+    rng = random.Random(71)
+    algebras = (levi_civita_bracket(), sl2(),
+                rand_valid_algebra(rng, levi_civita_bracket()))
+    for alg in algebras:
+        phi = from_bracket(alg)
+        for degree in (0, 1, 2):
+            psi = rand_cochain(rng, alg.arity, alg.dim, degree, density=0.9)
+            assert psi.entries
+            assert coboundary_explicit(alg, psi).entries == \
+                gla_bracket(phi, psi).entries
+
+
 def test_coboundary_explicit_trivial_cases():
     alg = levi_civita_bracket()
     assert cochain_is_zero(coboundary_explicit(alg, cochain_zero(3, 4, 1)))

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ce_betti, gauss_rank
+from helpers import (ce_betti, circle_differential_matrix, gauss_rank,
+                     rand_valid_algebra)
 from nlie.algebra import ad_map, basis_wedge, bracket_on_basis, make_algebra
-from nlie.catalog import (conjugated_algebra, levi_civita_bracket, sl2,
-                          zero_algebra)
+from nlie.catalog import (conjugated_algebra, heisenberg3,
+                          levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (basis_cochains, from_bracket,
                            from_matrix, gla_bracket)
 from nlie.cohomology import (cochain_to_vec, cohomology,
@@ -69,6 +70,23 @@ def test_differential_matrix_columns_match_pointwise():
     for col_idx in (0, 7, 15):
         assert mat2.column(col_idx) == \
             cochain_to_vec(gla_bracket(phi, basis[col_idx]))
+
+
+def test_differential_matrix_matches_circle_oracle():
+    # the transposed four-sum assembly against one gla_bracket per column
+    for alg in (levi_civita_bracket(), sl2(), heisenberg3()):
+        for k in (1, 2, 3):
+            assert differential_matrix(alg, k).entries == \
+                circle_differential_matrix(alg, k).entries
+    rng = random.Random(73)
+    conjugates = [rand_valid_algebra(rng, levi_civita_bracket())
+                  for _ in range(2)]
+    for alg in conjugates:
+        for k in (1, 2):
+            assert differential_matrix(alg, k).entries == \
+                circle_differential_matrix(alg, k).entries
+    assert differential_matrix(conjugates[0], 3).entries == \
+        circle_differential_matrix(conjugates[0], 3).entries
 
 
 def test_differential_matrix_k0_is_ad():

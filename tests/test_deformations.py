@@ -4,12 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from nlie.algebra import adjoint_representation, bracket_eval
-from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
-                          zero_algebra)
+from nlie.catalog import (broken_ternary_bracket, heisenberg3,
+                          levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (cochain_add, cochain_is_zero, cochain_scale,
                            cochain_sub, differential, from_bracket,
                            from_matrix, gla_bracket, make_cochain)
-from nlie.cohomology import cochain_to_vec
+from nlie.cohomology import cochain_to_vec, cohomology
 from nlie.deformations import (DeformationPath, EquivalenceMap,
                                check_deformation, check_equivalence,
                                check_homomorphism_family, check_nijenhuis,
@@ -333,6 +333,13 @@ def test_rigidity_probe_nonvanishing_h2():
     assert stuck and all(t.kind == "cocycle" for t in stuck)
     assert all(t.stuck_order == 1 for t in stuck)
     assert all(t.trivialized for t in rep.trials if t.kind == "conjugated")
+
+
+def test_rigidity_probe_betti_matches_cohomology():
+    for alg in (sl2(), heisenberg3(), zero_algebra(2, 2),
+                levi_civita_bracket()):
+        assert rigidity_probe(alg, 1, 0).betti_h2 == \
+            cohomology(alg, 2).betti
 
 
 def test_vec_to_mat_roundtrip():
