@@ -202,14 +202,6 @@ def wedge_add(a: WedgeElement, b: WedgeElement) -> WedgeElement:
     return WedgeElement(a.grade, a.dim, coords)
 
 
-def wedge_scale(c: Fraction | int, a: WedgeElement) -> WedgeElement:
-    c = Fraction(c)
-    if c == 0:
-        return WedgeElement(a.grade, a.dim, {})
-    return WedgeElement(a.grade, a.dim,
-                        {k: c * v for k, v in a.coords.items()})
-
-
 def fundamental_bracket(alg: NLieAlgebra, x: WedgeElement,
                         y: WedgeElement) -> WedgeElement:
     """Bracket on (n-1)-wedges induced by the action of x:

@@ -14,8 +14,13 @@ which yields the closed form
         sum_i (-1)^(n-i) (prod_{j != i} f_j) a(y_1 ^ .. ^_i .. ^ y_n)(f_i) y_i.
 
 Multiderivations of degree 0 and 1 carry a symbol (a vector-field-valued
-map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z; the
-graded bracket of two of them has the symbol
+map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z.  One
+Leibniz evaluator, ``_leibniz``, computes the closed form above for any
+table and symbol; the bracket is evaluated through it as the degree-1
+multiderivation whose symbol is the anchor, and a degree-0 one is the
+case of a single section.  One tensorial evaluator, ``_tensorial``, gives
+the C-infinity-multilinear extension of the anchor and of symbols.  The
+graded bracket of two multiderivations has the symbol
 
     sigma_[D1,D2] = (-1)^(pq) sigma_D1 (.) D2 - sigma_D2 (.) D1
                     + {sigma_D1, sigma_D2},
@@ -31,7 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (CheckResult, Key, NLieAlgebra, bracket_on_basis,
                       check_fundamental_identity, sort_with_sign)
@@ -133,19 +138,6 @@ def make_poly_algebroid(num_vars: int, rank: int, arity: int,
     return PolyFilippovAlgebroid(num_vars, rank, arity, brackets, anchors)
 
 
-def bracket_on_generators(abd: PolyFilippovAlgebroid,
-                          idx: Sequence[int]) -> PolySection:
-    ss = sort_with_sign(tuple(idx))
-    if ss is None:
-        return section_zero(abd.num_vars, abd.rank)
-    sign, key = ss
-    comps = abd.bracket_table.get(key)
-    if comps is None:
-        return section_zero(abd.num_vars, abd.rank)
-    return PolySection(abd.num_vars, abd.rank,
-                       tuple(p * Fraction(sign) for p in comps))
-
-
 def anchor_on_generators(abd: PolyFilippovAlgebroid,
                          idx: Sequence[int]) -> PolyVectorField:
     ss = sort_with_sign(tuple(idx))
@@ -163,60 +155,83 @@ def _supports(sections: Sequence[PolySection]):
             for s in sections]
 
 
+def _prod(polys: Sequence[MultiPoly], m: int) -> MultiPoly:
+    out = poly_const(m, 1)
+    for p in polys:
+        out = out * p
+    return out
+
+
+_Symbol = Callable[[Key], Optional[PolyVectorField]]
+
+
+def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
+             m: int, r: int, sections: Sequence[PolySection]) -> PolySection:
+    """The closed form of the module docstring on any number of sections.
+
+    ``table`` holds the values on sorted generator tuples; ``symbol(w)`` is
+    the vector field on the sorted wedge w of the other generators, or
+    None where it vanishes.
+    """
+    n = len(sections)
+    out = [poly_zero(m)] * r
+    for combo in itertools.product(*_supports(sections)):
+        idx = tuple(j for j, _ in combo)
+        polys = [p for _, p in combo]
+        ss = sort_with_sign(idx)
+        comps = table.get(ss[1]) if ss is not None else None
+        if comps is not None:
+            coeff = _prod(polys, m) * ss[0]
+            out = [o if c.is_zero else o + coeff * c
+                   for o, c in zip(out, comps)]
+        for s in range(n):
+            ws = sort_with_sign(idx[:s] + idx[s + 1:])
+            sigma = symbol(ws[1]) if ws is not None else None
+            if sigma is None:
+                continue
+            action = vf_apply(sigma, polys[s])
+            if action.is_zero:
+                continue
+            sign = ws[0] * (-1 if (n - 1 - s) % 2 else 1)
+            out[idx[s]] = out[idx[s]] + action * _prod(
+                polys[:s] + polys[s + 1:], m) * sign
+    return PolySection(m, r, tuple(out))
+
+
+def _tensorial(symbol: _Symbol, m: int,
+               sections: Sequence[PolySection]) -> PolyVectorField:
+    """C-infinity-multilinear extension of ``symbol`` (None where it
+    vanishes) to a wedge of polynomial sections."""
+    out = vf_zero(m)
+    for combo in itertools.product(*_supports(sections)):
+        ss = sort_with_sign(tuple(j for j, _ in combo))
+        field = symbol(ss[1]) if ss is not None else None
+        if field is not None:
+            out = out + field.scale(_prod([p for _, p in combo], m) * ss[0])
+    return out
+
+
 def anchor_eval(abd: PolyFilippovAlgebroid,
                 sections: Sequence[PolySection]) -> PolyVectorField:
     """C-infinity-multilinear extension of the anchor to a wedge of
     polynomial sections."""
     if len(sections) != abd.arity - 1:
         raise DimensionMismatch("anchor takes arity-1 sections")
-    out = vf_zero(abd.num_vars)
-    for combo in itertools.product(*_supports(sections)):
-        coeff = poly_const(abd.num_vars, 1)
-        for _, p in combo:
-            coeff = coeff * p
-        field = anchor_on_generators(abd, tuple(j for j, _ in combo))
-        if not field.is_zero:
-            out = out + field.scale(coeff)
-    return out
+    return _tensorial(abd.anchor_table.get, abd.num_vars, sections)
 
 
 def section_bracket(abd: PolyFilippovAlgebroid,
                     sections: Sequence[PolySection]) -> PolySection:
-    """Closed-form bracket of n polynomial sections."""
+    """Bracket of n polynomial sections: the degree-1 multiderivation with
+    the bracket table and the anchor as its symbol."""
     n = abd.arity
     if len(sections) != n:
         raise DimensionMismatch(f"bracket takes {n} sections")
     for s in sections:
         if s.rank != abd.rank or s.num_vars != abd.num_vars:
             raise DimensionMismatch("section over the wrong bundle")
-    out = section_zero(abd.num_vars, abd.rank)
-    for combo in itertools.product(*_supports(sections)):
-        idx = tuple(j for j, _ in combo)
-        polys = [p for _, p in combo]
-        prod_all = poly_const(abd.num_vars, 1)
-        for p in polys:
-            prod_all = prod_all * p
-        table = bracket_on_generators(abd, idx)
-        if not table.is_zero:
-            out = section_add(out, section_scale(prod_all, table))
-        for s in range(n):
-            others = idx[:s] + idx[s + 1:]
-            field = anchor_on_generators(abd, others)
-            if field.is_zero:
-                continue
-            action = vf_apply(field, polys[s])
-            if action.is_zero:
-                continue
-            rest = poly_const(abd.num_vars, 1)
-            for t, p in enumerate(polys):
-                if t != s:
-                    rest = rest * p
-            sign = -1 if (n - 1 - s) % 2 else 1
-            out = section_add(
-                out, section_scale(action * rest * Fraction(sign),
-                                   generator_section(abd.num_vars, abd.rank,
-                                                     idx[s])))
-    return out
+    return _leibniz(abd.bracket_table, abd.anchor_table.get, abd.num_vars,
+                    abd.rank, sections)
 
 
 def poly_family(num_vars: int, max_degree: int) -> list[MultiPoly]:
@@ -247,6 +262,21 @@ def _fi_defect(abd: PolyFilippovAlgebroid,
     return section_sub(lhs, rhs)
 
 
+def _weighted(gens: Sequence[PolySection], nx: int, ny: int,
+              fam: Sequence[MultiPoly]):
+    """Frames of nx + ny consecutive generators (cyclically, from shift 0
+    or 1) with one slot weighted by a polynomial of ``fam``, each with its
+    witness tag."""
+    r = len(gens)
+    for slot in range(nx + ny):
+        for f in fam:
+            for c in range(min(2, r)):
+                frame = [gens[(c + t) % r] for t in range(nx + ny)]
+                frame[slot] = section_scale(f, frame[slot])
+                yield frame[:nx], frame[nx:], {"slot": slot, "f": str(f),
+                                               "shift": c}
+
+
 def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                            sections_degree: int = 0) -> CheckResult:
     """Fundamental identity on sections, anchor compatibility (a), and the
@@ -269,20 +299,10 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                                            "x": xk, "y": yk, "f": None})
 
     fam = [f for f in poly_family(m, max_degree) if f.terms]
-    for slot in range(2 * n - 1):
-        for f in fam:
-            for c in range(min(2, r)):
-                xs = [gens[(c + t) % r] for t in range(n - 1)]
-                ys = [gens[(c + n - 1 + t) % r] for t in range(n)]
-                if slot < n - 1:
-                    xs[slot] = section_scale(f, xs[slot])
-                else:
-                    ys[slot - (n - 1)] = section_scale(f, ys[slot - (n - 1)])
-                if not _fi_defect(abd, xs, ys).is_zero:
-                    return CheckResult(False,
-                                       {"axiom": "fundamental identity",
-                                        "slot": slot, "f": str(f),
-                                        "shift": c})
+    for xs, ys, tag in _weighted(gens, n - 1, n, fam):
+        if not _fi_defect(abd, xs, ys).is_zero:
+            return CheckResult(False, {"axiom": "fundamental identity",
+                                       **tag})
 
     def axiom_a(xsec, ysec, tag):
         lhs = vf_bracket(anchor_eval(abd, xsec), anchor_eval(abd, ysec))
@@ -304,20 +324,10 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                 return bad
     if sections_degree > 0:
         wide = [f for f in poly_family(m, sections_degree) if f.terms]
-        for slot in range(2 * (n - 1)):
-            for f in wide:
-                for c in range(min(2, r)):
-                    xs = [gens[(c + t) % r] for t in range(n - 1)]
-                    ys = [gens[(c + n - 1 + t) % r] for t in range(n - 1)]
-                    if slot < n - 1:
-                        xs[slot] = section_scale(f, xs[slot])
-                    else:
-                        ys[slot - (n - 1)] = section_scale(
-                            f, ys[slot - (n - 1)])
-                    bad = axiom_a(xs, ys, {"slot": slot, "f": str(f),
-                                           "shift": c})
-                    if bad is not None:
-                        return bad
+        for xs, ys, tag in _weighted(gens, n - 1, n - 1, wide):
+            bad = axiom_a(xs, ys, tag)
+            if bad is not None:
+                return bad
 
     for xk in itertools.combinations(range(r), n - 1):
         field = anchor_on_generators(abd, xk)
@@ -468,73 +478,20 @@ def bracket_derivation(abd: PolyFilippovAlgebroid) -> PolyMultiderivation:
         {(key,): field for key, field in abd.anchor_table.items()})
 
 
-def _symbol_at(d: PolyMultiderivation,
-               skey: tuple[Key, ...]) -> PolyVectorField:
-    field = d.symbol.get(skey)
-    return field if field is not None else vf_zero(d.num_vars)
-
-
 def md_eval(d: PolyMultiderivation, blocks: tuple[Key, ...],
             final: Sequence[PolySection]) -> PolySection:
     """Evaluate on generator wedge blocks and a final tuple of polynomial
     sections, expanding by the Leibniz rule in each final slot."""
-    m, r = d.num_vars, d.rank
     if len(blocks) != max(0, d.degree - 1):
         raise DimensionMismatch("wrong number of block arguments")
     if d.degree == 0:
         if len(final) != 1:
             raise DimensionMismatch("degree 0 takes a single section")
-        s = final[0]
-        out = section_zero(m, r)
-        sigma = _symbol_at(d, ())
-        for j, g in enumerate(s.comps):
-            if g.is_zero:
-                continue
-            comps = d.table.get((j,))
-            if comps is not None:
-                out = section_add(out, section_scale(
-                    g, PolySection(m, r, comps)))
-            action = vf_apply(sigma, g)
-            if not action.is_zero:
-                out = section_add(out, section_scale(
-                    action, generator_section(m, r, j)))
-        return out
-    n = d.arity
-    if len(final) != n:
-        raise DimensionMismatch(f"degree 1 takes {n} final sections")
-    out = section_zero(m, r)
-    for combo in itertools.product(*_supports(final)):
-        idx = tuple(j for j, _ in combo)
-        polys = [p for _, p in combo]
-        ss = sort_with_sign(idx)
-        if ss is not None:
-            sign, key = ss
-            comps = d.table.get(key)
-            if comps is not None:
-                prod_all = poly_const(m, 1)
-                for p in polys:
-                    prod_all = prod_all * p
-                out = section_add(out, section_scale(
-                    prod_all * Fraction(sign), PolySection(m, r, comps)))
-        for s in range(n):
-            others = idx[:s] + idx[s + 1:]
-            ws = sort_with_sign(others)
-            if ws is None:
-                continue
-            wsign, wkey = ws
-            sigma = _symbol_at(d, blocks + (wkey,))
-            action = vf_apply(sigma, polys[s])
-            if action.is_zero:
-                continue
-            rest = poly_const(m, 1)
-            for t, p in enumerate(polys):
-                if t != s:
-                    rest = rest * p
-            sign = wsign * (-1 if (n - 1 - s) % 2 else 1)
-            out = section_add(out, section_scale(
-                action * rest * Fraction(sign),
-                generator_section(m, r, idx[s])))
-    return out
+        return _leibniz(d.table, d.symbol.get, d.num_vars, d.rank, final)
+    if len(final) != d.arity:
+        raise DimensionMismatch(f"degree 1 takes {d.arity} final sections")
+    return _leibniz(d.table, lambda w: d.symbol.get(blocks + (w,)),
+                    d.num_vars, d.rank, final)
 
 
 def _gen_wedge(d: PolyMultiderivation, key: Key) -> list[PolySection]:
@@ -554,45 +511,47 @@ def _check_pair(d1: PolyMultiderivation, d2: PolyMultiderivation) -> None:
         raise DimensionMismatch("operands live on different bundles")
 
 
+def _insertions(d1: PolyMultiderivation, d2: PolyMultiderivation,
+                keys: tuple[Key, ...]):
+    """Shuffle-signed insertions of d2 into one generator of a wedge
+    argument of d1: yields (sign, head, block, slot, w) where d2 applied to
+    its share of keys and block[slot] gives w, head is d1's share before
+    block, and sign is the Koszul sign times the shuffle sign."""
+    p, q = d1.degree, d2.degree
+    m, r = d1.num_vars, d1.rank
+    for k in range(p):
+        base_sign = -1 if (k * q) % 2 else 1
+        for perm, sh_sign in shuffles(k, q):
+            head = tuple(keys[i] for i in perm[:k])
+            mid = tuple(keys[i] for i in perm[k:])
+            block = keys[k + q]
+            for s in range(d1.arity - 1):
+                w = _md_apply(d2, mid, generator_section(m, r, block[s]))
+                if not w.is_zero:
+                    yield base_sign * sh_sign, head, block, s, w
+
+
 def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
                    keys: tuple[Key, ...], z: PolySection) -> PolySection:
     """Circle product evaluated on generator wedge keys and a final
     section; mirrors the point-base formula with polynomial coefficients."""
     _check_pair(d1, d2)
     p, q = d1.degree, d2.degree
-    n, m, r = d1.arity, d1.num_vars, d1.rank
     if len(keys) != p + q:
         raise DimensionMismatch(f"expected {p + q} wedge arguments")
-    if p + q == 0:
-        return md_eval(d1, (), (md_eval(d2, (), (z,)),))
-    out = section_zero(m, r)
-    for k in range(p):
-        base_sign = -1 if (k * q) % 2 else 1
-        for perm, sh_sign in shuffles(k, q):
-            head = tuple(keys[i] for i in perm[:k])
-            mid = tuple(keys[i] for i in perm[k:])
-            ins = keys[k + q]
-            for s in range(n - 1):
-                w = _md_apply(d2, mid, generator_section(m, r, ins[s]))
-                if w.is_zero:
-                    continue
-                final = (_gen_wedge(d1, ins[:s]) + [w]
-                         + _gen_wedge(d1, ins[s + 1:]) + [z])
-                val = md_eval(d1, head, final)
-                if not val.is_zero:
-                    out = section_add(out, section_scale(
-                        Fraction(base_sign * sh_sign), val))
+    out = section_zero(d1.num_vars, d1.rank)
+    for sign, head, block, s, w in _insertions(d1, d2, keys):
+        final = (_gen_wedge(d1, block[:s]) + [w]
+                 + _gen_wedge(d1, block[s + 1:]) + [z])
+        val = md_eval(d1, head, final)
+        if not val.is_zero:
+            out = section_add(out, section_scale(Fraction(sign), val))
     base_sign = -1 if (p * q) % 2 else 1
     for perm, sh_sign in shuffles(p, q):
-        head = tuple(keys[i] for i in perm[:p])
-        mid = tuple(keys[i] for i in perm[p:])
-        w = _md_apply(d2, mid, z)
+        w = _md_apply(d2, tuple(keys[i] for i in perm[p:]), z)
         if w.is_zero:
             continue
-        if p == 0:
-            val = md_eval(d1, (), (w,))
-        else:
-            val = md_eval(d1, head[:-1], _gen_wedge(d1, head[-1]) + [w])
+        val = _md_apply(d1, tuple(keys[i] for i in perm[:p]), w)
         if not val.is_zero:
             out = section_add(out, section_scale(
                 Fraction(base_sign * sh_sign), val))
@@ -612,31 +571,13 @@ def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
           keys: tuple[Key, ...]) -> PolyVectorField:
     """(sigma_D1 (.) D2)(keys): insert D2's value into one wedge factor of
     sigma_D1's arguments."""
-    p, q = sig_owner.degree, other.degree
-    n, m, r = sig_owner.arity, sig_owner.num_vars, sig_owner.rank
-    out = vf_zero(m)
-    for k in range(p):
-        base_sign = -1 if (k * q) % 2 else 1
-        for perm, sh_sign in shuffles(k, q):
-            head = tuple(keys[i] for i in perm[:k])
-            mid = tuple(keys[i] for i in perm[k:])
-            ins = keys[k + q]
-            for s in range(n - 1):
-                w = _md_apply(other, mid, generator_section(m, r, ins[s]))
-                if w.is_zero:
-                    continue
-                for j, g in enumerate(w.comps):
-                    if g.is_zero:
-                        continue
-                    ws = sort_with_sign(ins[:s] + (j,) + ins[s + 1:])
-                    if ws is None:
-                        continue
-                    wsign, wkey = ws
-                    sigma = _symbol_at(sig_owner, head + (wkey,))
-                    if sigma.is_zero:
-                        continue
-                    coeff = g * Fraction(base_sign * sh_sign * wsign)
-                    out = out + sigma.scale(coeff)
+    out = vf_zero(sig_owner.num_vars)
+    for sign, head, block, s, w in _insertions(sig_owner, other, keys):
+        wedge = (_gen_wedge(sig_owner, block[:s]) + [w]
+                 + _gen_wedge(sig_owner, block[s + 1:]))
+        field = _tensorial(lambda v: sig_owner.symbol.get(head + (v,)),
+                           sig_owner.num_vars, wedge)
+        out = out + field.scale(Fraction(sign))
     return out
 
 
@@ -650,13 +591,15 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
     sign = -1 if (p * q) % 2 else 1
     out = {}
     wedges = list(itertools.combinations(range(r), n - 1))
+    zero = vf_zero(m)
     for keys in itertools.product(wedges, repeat=p + q):
         total = _odot(d1, d2, keys).scale(Fraction(sign)) \
             - _odot(d2, d1, keys)
         for perm, sh_sign in shuffles(p, q):
             head = tuple(keys[i] for i in perm[:p])
             tail = tuple(keys[i] for i in perm[p:])
-            comm = vf_bracket(_symbol_at(d1, head), _symbol_at(d2, tail))
+            comm = vf_bracket(d1.symbol.get(head, zero),
+                              d2.symbol.get(tail, zero))
             total = total + comm.scale(Fraction(sh_sign))
         out[keys] = total
     return out

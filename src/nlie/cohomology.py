@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .algebra import (NLieAlgebra, WedgeElement, basis_wedge,
                       check_fundamental_identity)
@@ -116,14 +116,21 @@ def cohomology(alg: NLieAlgebra, k: int,
         raise DimensionMismatch(
             f"degree {k} above cap {max_degree_cap}; raise the cap to force")
     d_out = differential_matrix(alg, k)
+    d_in = differential_matrix(alg, k - 1) if k else None
+    return _report(alg, k, d_out, d_in)
+
+
+def _report(alg: NLieAlgebra, k: int, d_out: Matrix,
+            d_in: Optional[Matrix]) -> CohomologyReport:
+    """Betti number and representatives of H^k from d_k and d_(k-1)
+    (None at k = 0)."""
     dim_k = d_out.cols
     out = rank_nullspace(d_out)
     cocycles = out.nullspace
-    if k == 0:
+    if d_in is None:
         rank_in = 0
         cob_cols: list[Vector] = []
     else:
-        d_in = differential_matrix(alg, k - 1)
         inn = rank_nullspace(d_in)
         rank_in = inn.rank
         cob_cols = [d_in.column(j) for j in inn.pivots]

@@ -31,8 +31,8 @@ from .algebra import (CheckResult, NLieAlgebra, Representation, bracket_eval,
                       check_o_operator, semidirect_product)
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
                        cochain_zero, from_bracket, gla_bracket, to_algebra)
-from .cohomology import (cochain_to_vec, cohomology, differential_matrix,
-                         vec_to_cochain)
+from .cohomology import (_mat_from_cols, _report, cochain_to_vec,
+                         differential_matrix, vec_to_cochain)
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, solve_linear,
                      vec_add, vec_is_zero, vec_scale, vec_zero)
@@ -135,26 +135,23 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
             witness={"first_failing_power": res.first_failing_power})
     lead = next((i + 1 for i, t in enumerate(path.terms)
                  if not cochain_is_zero(t)), None)
-    report = cohomology(path.base, 2)
+    d_out = differential_matrix(path.base, 2)
+    d_in = differential_matrix(path.base, 1)
+    report = _report(path.base, 2, d_out, d_in)
     if lead is None:
         return InfinitesimalClass(None, True, report.betti,
                                   (Fraction(0),) * report.betti, True)
-    phi_m = path.terms[lead - 1]
-    d_out = differential_matrix(path.base, 2)
-    target = cochain_to_vec(phi_m)
+    target = cochain_to_vec(path.terms[lead - 1])
     is_cocycle = vec_is_zero(d_out.apply(target))
-    d_in = differential_matrix(path.base, 1)
-    piv = rank_nullspace(d_in).pivots
-    cols = [d_in.column(j) for j in piv]
+    # the representatives are independent modulo im d_1, so the
+    # representative coordinates of any solution are the class
+    cols = [d_in.column(j) for j in range(d_in.cols)]
     cols += [cochain_to_vec(r) for r in report.representatives]
-    basis = Matrix(len(target), len(cols),
-                   tuple(tuple(col[r] for col in cols)
-                         for r in range(len(target))))
-    sol = solve_linear(basis, target)
+    sol = solve_linear(_mat_from_cols(cols, len(target)), target)
     if sol is None:
         raise InvalidStructure("cocycle not spanned by coboundaries and "
                                "representatives; rank bookkeeping is wrong")
-    coords = tuple(sol[len(piv):])
+    coords = tuple(sol[d_in.cols:])
     return InfinitesimalClass(lead, is_cocycle, report.betti, coords,
                               vec_is_zero(coords))
 

@@ -80,12 +80,6 @@ def multilinear(supports: Sequence[Iterable[tuple[Hashable, Fraction | int]]],
     return tuple(acc.get(i, _ZERO) for i in range(m))
 
 
-def as_vector(values: Sequence[Fraction | int], m: int) -> Vector:
-    if len(values) != m:
-        raise DimensionMismatch(f"expected vector of length {m}")
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable rational matrix; rows are tuples of Fractions."""

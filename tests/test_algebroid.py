@@ -1,11 +1,14 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from helpers import rand_invertible, rand_poly
+
 from nlie.algebroid import (PolyVectorField, anchor_eval,
                             anchor_on_generators, bracket_derivation,
-                            bracket_on_generators, check_algebroid_axioms,
+                            check_algebroid_axioms,
                             check_poly_nijenhuis, check_symbol_leibniz,
                             constant_bundle_map, example_tangent_fc,
                             example_tangent_topform, generator_section,
@@ -16,7 +19,8 @@ from nlie.algebroid import (PolyVectorField, anchor_eval,
                             poly_family, section_add, section_bracket,
                             section_scale, section_sub, section_zero,
                             symbol_bracket)
-from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
+from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
+                          levi_civita_bracket, sl2)
 from nlie.cochains import eval_keys_z, from_bracket, gla_bracket
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.poly import (poly_const, poly_var, poly_zero, vf_apply, vf_bracket,
@@ -72,16 +76,115 @@ def test_make_poly_algebroid_validation():
 
 def test_generator_lookup_signs():
     abd = sl2_fc()
-    plus = bracket_on_generators(abd, (0, 1))
-    minus = bracket_on_generators(abd, (1, 0))
+    g = [generator_section(3, 3, j) for j in range(3)]
+    plus = section_bracket(abd, [g[0], g[1]])
+    minus = section_bracket(abd, [g[1], g[0]])
+    assert not plus.is_zero
     assert section_add(plus, minus).is_zero
-    assert bracket_on_generators(abd, (1, 1)).is_zero
+    assert section_bracket(abd, [g[1], g[1]]).is_zero
     top = example_tangent_topform(3, 2)
     a = anchor_on_generators(top, (0, 1))
     b = anchor_on_generators(top, (1, 0))
     assert (a + b).is_zero
     assert anchor_on_generators(top, (2, 2)).is_zero
     assert anchor_on_generators(top, (0, 2)).is_zero
+
+
+# seeded kernel properties on one zero-anchor and two anchored models
+KERNEL_MODELS = {
+    "fc": lambda: example_tangent_fc(
+        conjugated_algebra(sl2(), rand_invertible(random.Random(41), 3)),
+        x(3, 0)),
+    "top32": lambda: example_tangent_topform(3, 2),
+    "top43": lambda: example_tangent_topform(4, 3),
+}
+
+
+def rand_section(rng, abd):
+    return make_section(abd.num_vars, abd.rank,
+                        [rand_poly(rng, abd.num_vars, 2, 2)
+                         for _ in range(abd.rank)])
+
+
+def rand_weight(rng, m):
+    """Random polynomial plus x_0 * .. * x_(m-1), which every coordinate
+    field moves."""
+    f = rand_poly(rng, m, 2, 2)
+    mono = poly_const(m, 1)
+    for v in range(m):
+        mono = mono * x(m, v)
+    return f + mono
+
+
+@pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
+def test_section_bracket_skew_random(model):
+    abd = KERNEL_MODELS[model]()
+    rng = random.Random(101)
+    for _ in range(3):
+        secs = [rand_section(rng, abd) for _ in range(abd.arity)]
+        ref = section_bracket(abd, secs)
+        for i, j in itertools.combinations(range(abd.arity), 2):
+            swapped = list(secs)
+            swapped[i], swapped[j] = secs[j], secs[i]
+            assert section_add(section_bracket(abd, swapped), ref).is_zero
+
+
+@pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
+def test_section_bracket_anchored_leibniz_random(model):
+    # [.., f y_i, ..] = f [..] + (-1)^(n-1-i) a(y_1 ^ .. ^_i .. ^ y_n)(f) y_i
+    abd = KERNEL_MODELS[model]()
+    n = abd.arity
+    rng = random.Random(103)
+    for _ in range(2):
+        secs = [rand_section(rng, abd) for _ in range(n)]
+        f = rand_weight(rng, abd.num_vars)
+        plain = section_bracket(abd, secs)
+        for i in range(n):
+            weighted = list(secs)
+            weighted[i] = section_scale(f, secs[i])
+            action = vf_apply(anchor_eval(abd, secs[:i] + secs[i + 1:]), f)
+            sign = -1 if (n - 1 - i) % 2 else 1
+            expect = section_add(section_scale(f, plain),
+                                 section_scale(action * sign, secs[i]))
+            assert section_sub(section_bracket(abd, weighted),
+                               expect).is_zero
+
+
+@pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
+def test_anchor_eval_function_linear_random(model):
+    abd = KERNEL_MODELS[model]()
+    rng = random.Random(107)
+    for _ in range(2):
+        secs = [rand_section(rng, abd) for _ in range(abd.arity - 1)]
+        extra = rand_section(rng, abd)
+        f = rand_weight(rng, abd.num_vars)
+        base = anchor_eval(abd, secs)
+        for i in range(abd.arity - 1):
+            args, alt = list(secs), list(secs)
+            args[i] = section_add(section_scale(f, secs[i]), extra)
+            alt[i] = extra
+            expect = base.scale(f) + anchor_eval(abd, alt)
+            assert (anchor_eval(abd, args) - expect).is_zero
+
+
+@pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
+def test_md_eval_degree_zero_leibniz_random(model):
+    # D(f y) = f D(y) + sigma(f) y
+    abd = KERNEL_MODELS[model]()
+    m, r = abd.num_vars, abd.rank
+    rng = random.Random(109)
+    table = {(j,): tuple(rand_poly(rng, m, 1, 2) for _ in range(r))
+             for j in range(r)}
+    sigma = PolyVectorField(m, tuple(rand_poly(rng, m, 1, 2) + x(m, v)
+                                     for v in range(m)))
+    d = make_poly_multiderivation(m, r, abd.arity, 0, table, {(): sigma})
+    for _ in range(3):
+        y = rand_section(rng, abd)
+        f = rand_weight(rng, m)
+        lhs = md_eval(d, (), (section_scale(f, y),))
+        rhs = section_add(section_scale(f, md_eval(d, (), (y,))),
+                          section_scale(vf_apply(sigma, f), y))
+        assert section_sub(lhs, rhs).is_zero
 
 
 def test_anchor_eval_multilinearity():

@@ -9,7 +9,7 @@ import pytest
 
 import nlie
 from nlie.algebra import make_algebra
-from nlie.algebroid import make_poly_algebroid
+from nlie.algebroid import example_tangent_topform, make_poly_algebroid
 from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
                           zero_algebra)
 from nlie.cli import main
@@ -20,7 +20,7 @@ from nlie.io import (algebra_to_json, algebroid_to_json, cochain_from_json,
                      emap_to_json, matrix_to_json, path_from_json,
                      path_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import PolyVectorField, poly_var, vf_coordinate
+from nlie.poly import PolyVectorField, poly_const, poly_var, vf_coordinate
 
 F = Fraction
 
@@ -407,6 +407,14 @@ GOLDEN_STDOUT = {
         "edf7a14fb3270ac48d797a933a076b18c94f149cd1624de49b25db8a66045180",
     "example-fc":
         "b931c303eb6a76886af4714c1881b8af67a5fbc54532d67fc2b9bc9c625d8e9e",
+    "algebroid-check-topform":
+        "3c1555bd73734c9db108e855f5366ab117f78801a37d3fdb7d3de7bcef3df1a7",
+    "algebroid-check-anchor-json":
+        "ad66bdd24c05f64686626b46e6476d617916ed2967b914b2e351453aa59675c1",
+    "algebroid-check-weighted-fi-json":
+        "e452cf15ade61ab433502ce66b68b68442a463e02ecd7aa9c1a240a7f8f8d4a9",
+    "example-topform":
+        "d08871a6699dfb275fa7032d70851c57c6dcf8a8b376123ebcee97d9ec1da6e2",
 }
 
 
@@ -420,6 +428,19 @@ def test_golden_stdout(capsys, tmp_path, eps, sl2_file, name):
                                  [-1, 1, 2, 2], [1, 1, -2, 1]])
     diag = write(tmp_path, "diag.json", matrix_to_json(Matrix.from_rows(
         [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])))
+    top = write(tmp_path, "top.json",
+                algebroid_to_json(example_tangent_topform(5, 3)))
+    # noncommuting anchor fields over a zero bracket: axiom (a) fails
+    anchor_bad = write(tmp_path, "anchor.json", algebroid_to_json(
+        make_poly_algebroid(1, 2, 2, {},
+                            {(0,): vf_coordinate(1, 0),
+                             (1,): PolyVectorField(1, (poly_var(1, 0),))})))
+    # [e1, e2] = x0 e1 with a(e1) = d/dx0: the identity fails only once a
+    # slot carries a polynomial weight
+    weighted = write(tmp_path, "weighted.json", algebroid_to_json(
+        make_poly_algebroid(1, 2, 2,
+                            {(0, 1): (poly_var(1, 0), poly_const(1, 0))},
+                            {(0,): vf_coordinate(1, 0)})))
     want_code, argv = {
         "check": (0, ["check", eps]),
         "cohomology-2": (0, ["cohomology", eps, "--degree", "2"]),
@@ -434,6 +455,16 @@ def test_golden_stdout(capsys, tmp_path, eps, sl2_file, name):
                             "--trials", "4", "--max-order", "2"]),
         "example-fc": (0, ["algebroid", "example-fc", sl2_file,
                            "--f", "x1"]),
+        "algebroid-check-topform": (0, ["algebroid", "check", top,
+                                        "--max-degree", "2",
+                                        "--sections-degree", "2"]),
+        "algebroid-check-anchor-json": (1, ["--format", "json", "algebroid",
+                                            "check", anchor_bad,
+                                            "--max-degree", "0"]),
+        "algebroid-check-weighted-fi-json": (1, ["--format", "json",
+                                                 "algebroid", "check",
+                                                 weighted]),
+        "example-topform": (0, ["algebroid", "example-topform", "3", "2"]),
     }[name]
     code, out, _ = run(capsys, *argv)
     assert code == want_code

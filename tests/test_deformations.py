@@ -22,7 +22,7 @@ from nlie.deformations import (DeformationPath, EquivalenceMap,
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec
 
-from helpers import rand_matrix
+from helpers import rand_fraction, rand_matrix
 
 
 def diag(*vals):
@@ -294,6 +294,44 @@ def test_infinitesimal_class_reports():
     forced = DeformationPath(bad.base, 2, bad.terms + bad.terms)
     with pytest.raises(InvalidStructure):
         infinitesimal_class(forced)
+
+
+def test_infinitesimal_class_builds_each_matrix_once(monkeypatch):
+    import nlie.cohomology
+    import nlie.deformations
+
+    builds = []
+    real = nlie.cohomology.differential_matrix
+
+    def counted(alg, k):
+        builds.append(k)
+        return real(alg, k)
+
+    monkeypatch.setattr(nlie.cohomology, "differential_matrix", counted)
+    monkeypatch.setattr(nlie.deformations, "differential_matrix", counted)
+    path = deformation_from_nijenhuis(levi_civita_bracket(),
+                                      diag(1, 2, 1, 2))
+    rep = infinitesimal_class(path)
+    assert sorted(builds) == [1, 2]
+    assert rep.leading_order == 1
+    assert rep.is_cocycle and rep.is_trivial_class
+
+
+def test_infinitesimal_class_recovers_known_coordinates():
+    # a combination of the H^2 representatives plus a coboundary: the class
+    # coordinates are the combination's coefficients
+    rng = random.Random(29)
+    alg = heisenberg3()
+    phi0 = from_bracket(alg)
+    reps = cohomology(alg, 2).representatives
+    for _ in range(3):
+        coeffs = tuple(rand_fraction(rng) for _ in reps)
+        term = differential(phi0, from_matrix(rand_matrix(rng, 3, 3), 2))
+        for c, r in zip(coeffs, reps):
+            term = cochain_add(term, cochain_scale(c, r))
+        rep = infinitesimal_class(make_deformation_path(alg, [term]))
+        assert rep.class_coords == coeffs
+        assert rep.is_trivial_class == all(c == 0 for c in coeffs)
 
 
 def test_o_operator_lift_agreement():
