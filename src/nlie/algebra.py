@@ -412,5 +412,4 @@ def ad_map(alg: NLieAlgebra, x: WedgeElement) -> Matrix:
     cols = [multilinear([x.coords.items()],
                         lambda key: bracket_on_basis(alg, key[0] + (j,)), m)
             for j in range(m)]
-    return Matrix(m, m, tuple(tuple(cols[j][i] for j in range(m))
-                              for i in range(m)))
+    return Matrix.from_cols(cols, m)

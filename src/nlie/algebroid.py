@@ -86,11 +86,16 @@ def section_add(a: PolySection, b: PolySection) -> PolySection:
 
 
 def section_scale(f: MultiPoly | Fraction | int, s: PolySection) -> PolySection:
-    return PolySection(s.num_vars, s.rank, tuple(p * f for p in s.comps))
+    # a product costs a Fraction operation per term, even by 1 or into zero
+    if f == 1:
+        return s
+    return PolySection(s.num_vars, s.rank,
+                       tuple(p * f if p.terms else p for p in s.comps))
 
 
 def section_sub(a: PolySection, b: PolySection) -> PolySection:
-    return section_add(a, section_scale(-1, b))
+    return PolySection(a.num_vars, a.rank,
+                       tuple(x - y for x, y in zip(a.comps, b.comps)))
 
 
 @dataclass(frozen=True)

@@ -172,8 +172,4 @@ def ce_differential_matrix(alg: NLieAlgebra, degree: int) -> Matrix:
     else:
         for psi in ce_basis(m, degree):
             cols.append(ce_to_vec(ce_differential(alg, psi)))
-    nrows = ce_dim(m, degree + 1)
-    if not cols:
-        return Matrix(nrows, 0, tuple(() for _ in range(nrows)))
-    return Matrix(nrows, len(cols),
-                  tuple(tuple(col[r] for col in cols) for r in range(nrows)))
+    return Matrix.from_cols(cols, ce_dim(m, degree + 1))

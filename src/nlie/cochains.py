@@ -329,8 +329,7 @@ def to_matrix(d: Cochain) -> Matrix:
         raise DimensionMismatch("only degree-0 cochains are linear maps")
     m = d.dim
     cols = [d.entries.get(((), (j,)), vec_zero(m)) for j in range(m)]
-    return Matrix(m, m, tuple(tuple(cols[j][i] for j in range(m))
-                              for i in range(m)))
+    return Matrix.from_cols(cols, m)
 
 
 def differential(phi: Cochain,

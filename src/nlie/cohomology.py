@@ -64,11 +64,6 @@ def _require_fi(alg: NLieAlgebra) -> Cochain:
     return from_bracket(alg)
 
 
-def _mat_from_cols(cols: list[Vector], nrows: int) -> Matrix:
-    return Matrix(nrows, len(cols),
-                  tuple(tuple(col[r] for col in cols) for r in range(nrows)))
-
-
 def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
     """Matrix of the differential C^k -> C^(k+1); requires the fundamental
     identity (checked once, before assembly).  For k >= 1 the rows are the
@@ -81,7 +76,7 @@ def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
         cols = [cochain_to_vec(wedge_differential(phi,
                                                   basis_wedge(n - 1, m, key)))
                 for key in itertools.combinations(range(m), n - 1)]
-        return _mat_from_cols(cols, len(space_keys(m, n, 0)) * m)
+        return Matrix.from_cols(cols, len(space_keys(m, n, 0)) * m)
     ncols = complex_dim(alg, k)
     zero = vec_zero(ncols)
     entries = []
@@ -137,7 +132,7 @@ def _report(alg: NLieAlgebra, k: int, d_out: Matrix,
     betti = dim_k - out.rank - rank_in
     reps: list[Vector] = []
     if betti > 0:
-        combined = _mat_from_cols(cob_cols + list(cocycles), dim_k)
+        combined = Matrix.from_cols(cob_cols + list(cocycles), dim_k)
         piv = rank_nullspace(combined).pivots
         base = len(cob_cols)
         reps = [cocycles[j - base] for j in piv if j >= base]

@@ -31,7 +31,7 @@ from .algebra import (CheckResult, NLieAlgebra, Representation, bracket_eval,
                       check_o_operator, semidirect_product)
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
                        cochain_zero, from_bracket, gla_bracket, to_algebra)
-from .cohomology import (_mat_from_cols, _report, cochain_to_vec,
+from .cohomology import (_report, _require_fi, cochain_to_vec,
                          differential_matrix, vec_to_cochain)
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, solve_linear,
@@ -147,7 +147,7 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
     # representative coordinates of any solution are the class
     cols = [d_in.column(j) for j in range(d_in.cols)]
     cols += [cochain_to_vec(r) for r in report.representatives]
-    sol = solve_linear(_mat_from_cols(cols, len(target)), target)
+    sol = solve_linear(Matrix.from_cols(cols, len(target)), target)
     if sol is None:
         raise InvalidStructure("cocycle not spanned by coboundaries and "
                                "representatives; rank bookkeeping is wrong")
@@ -288,10 +288,7 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
 def check_nijenhuis(alg: NLieAlgebra, nmap: Matrix) -> CheckResult:
     """Closure test: the bracket of operator images must equal the operator
     applied to the top deformed bracket, on every sorted basis tuple."""
-    res = check_fundamental_identity(alg)
-    if not res.holds:
-        raise InvalidStructure("bracket fails the fundamental identity",
-                               witness=res.witness)
+    _require_fi(alg)
     n, m = alg.arity, alg.dim
     if nmap.rows != m or nmap.cols != m:
         raise DimensionMismatch("operator must be a square matrix of size m")
@@ -479,5 +476,4 @@ def vec_to_mat(vec: Vector, m: int) -> Matrix:
     """Inverse of the column-major degree-0 vectorization."""
     if len(vec) != m * m:
         raise DimensionMismatch("vector length must be m^2")
-    return Matrix(m, m, tuple(tuple(vec[j * m + i] for j in range(m))
-                              for i in range(m)))
+    return Matrix.from_cols([vec[j * m:(j + 1) * m] for j in range(m)], m)

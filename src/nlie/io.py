@@ -128,6 +128,9 @@ def _int_field(obj: dict, name: str, where: str) -> int:
     value = _field(obj, name, where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputFormatError(f"field {name!r} must be an integer", where)
+    # sizes and degrees index Python sequences, which cap at sys.maxsize
+    if abs(value) > sys.maxsize:
+        raise InputFormatError(f"field {name!r} is out of range", where)
     return value
 
 

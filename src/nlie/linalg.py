@@ -1,10 +1,15 @@
-"""Exact rational vectors, matrices and fraction-free elimination.
+"""Exact rational vectors, matrices and sparse fraction-free elimination.
 
-Rank and nullspace run Bareiss-style fraction-free elimination: rows are
-scaled to integers, the two-determinant update rule keeps every intermediate
-entry an exact integer minor, and only the final back-substitution returns to
-rationals.  Nullspace vectors are canonical: one per free column, with that
-free coordinate set to 1 and all other free coordinates 0.
+Rank, nullspace and solve share one elimination over sparse integer rows
+({column: int}, scaled by the lcm of the row's denominators; a right side
+rides as one more column).  Columns go leftmost first, the pivot is the
+shortest row with an entry in the column, and only rows with an entry
+there are updated, to the gcd-reduced integer row piv*r - h*p.  These
+pivots are those of the reduced row echelon form, so the nullspace (one
+vector per free column, that coordinate 1, other free coordinates 0) and
+the solution (free coordinates 0) are canonical.  Every vector returned is
+checked exactly against the integer rows (M·v = 0, M·x = b); a failure
+raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -20,6 +25,7 @@ from .errors import DimensionMismatch
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def vec_zero(m: int) -> Vector:
@@ -103,6 +109,11 @@ class Matrix:
         return Matrix(len(ent), len(ent[0]), ent)
 
     @staticmethod
+    def from_cols(cols: Sequence[Vector], nrows: int) -> Matrix:
+        return Matrix(nrows, len(cols), tuple(tuple(col[r] for col in cols)
+                                              for r in range(nrows)))
+
+    @staticmethod
     def identity(n: int) -> Matrix:
         return Matrix(n, n, tuple(tuple(Fraction(1 if i == j else 0)
                                         for j in range(n))
@@ -148,9 +159,6 @@ class Matrix:
                       tuple(tuple(a + b for a, b in zip(ra, rb))
                             for ra, rb in zip(self.entries, other.entries)))
 
-    def sub(self, other: Matrix) -> Matrix:
-        return self.add(other.scale(-1))
-
     def scale(self, c: Fraction | int) -> Matrix:
         c = Fraction(c)
         return Matrix(self.rows, self.cols,
@@ -161,49 +169,6 @@ class Matrix:
         return tuple(row[j] for row in self.entries)
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    out = []
-    for row in m.entries:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
-
-
-def _bareiss(rows: list[list[int]], ncols: int,
-             pivot_limit: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free elimination in place; returns echelon rows and pivot
-    column indices.  Only columns < pivot_limit are eligible as pivots (the
-    rest ride along, which is how the linear solver carries its right side).
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(pivot_limit):
-        p = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            head = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            for j in range(c + 1, ncols):
-                num = piv * ri[j] - head * rr[j]
-                quo, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError(
-                        "fraction-free update must divide exactly")
-                ri[j] = quo
-            ri[c] = 0
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 @dataclass(frozen=True)
 class RankNullspace:
     rank: int
@@ -211,31 +176,107 @@ class RankNullspace:
     pivots: tuple[int, ...]
 
 
-def _back_substitute(ech: list[list[int]], pivots: list[int],
-                     x: list[Fraction], rhs: Sequence[int]) -> Vector:
-    """Solve the echelon rows for the pivot coordinates of x, whose free
-    coordinates are already set; rhs[i] is the right side of row i."""
-    ncols = len(x)
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        s = sum((Fraction(ech[i][j]) * x[j]
-                 for j in range(pc + 1, ncols) if x[j]), Fraction(0))
-        x[pc] = (rhs[i] - s) / ech[i][pc]
-    return tuple(x)
+Row = dict[int, int]
+
+
+def _sparse_rows(m: Matrix, rhs: Vector | None = None) -> list[Row]:
+    """The nonzero rows of m as {column: int}, each scaled by the lcm of its
+    denominators; rhs[i], when given, rides in column m.cols."""
+    out = []
+    for i, row in enumerate(m.entries):
+        # identity with the shared zero (dense builds reuse it) is cheaper
+        # to test than Fraction.__bool__
+        items = [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
+        if rhs is not None and rhs[i]:
+            items.append((m.cols, rhs[i]))
+        if items:
+            mult = lcm(*(x.denominator for _, x in items))
+            out.append({j: x.numerator * (mult // x.denominator)
+                        for j, x in items})
+    return out
+
+
+def _cancel(r: Row, p: Row, c: int) -> Row:
+    """The primitive integer row of p[c]*r - r[c]*p; column c cancels."""
+    g = gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
+    for j, y in p.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def _rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int], bool]:
+    """Reduced echelon rows (up to scale) and pivot columns of the rows,
+    pivoting on columns < ncols only, and whether a row is left with
+    entries at columns >= ncols alone (a solve's inconsistent right side).
+
+    Rows wait in groups by leading column; at column c the shortest row of
+    its group is the pivot and only the rest of that group is updated.
+    """
+    heads: dict[int, list[Row]] = {}
+    for r in rows:
+        heads.setdefault(min(r), []).append(r)
+    red: list[Row] = []
+    pivots: list[int] = []
+    for c in range(ncols):
+        group = heads.pop(c, None)
+        if group is None:
+            continue
+        p = min(group, key=len)
+        for r in group:
+            if r is not p:
+                r = _cancel(r, p, c)
+                if r:
+                    heads.setdefault(min(r), []).append(r)
+        red.append(p)
+        pivots.append(c)
+    # back-substitution: clear each pivot column above its row, last first
+    where = {c: i for i, c in enumerate(pivots)}
+    for i in range(len(red) - 1, -1, -1):
+        for c in [j for j in red[i] if where.get(j, i) > i]:
+            red[i] = _cancel(red[i], red[where[c]], c)
+    return red, pivots, bool(heads)
+
+
+def _certify(rows: list[Row], vectors: list[dict[int, Fraction]]) -> None:
+    """Raise ArithmeticError unless the integer rows annihilate every
+    vector, checked exactly with the vector's denominators cleared."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for k, v in enumerate(vectors):
+        mult = lcm(*(x.denominator for x in v.values()))
+        for j, x in v.items():
+            by_col.setdefault(j, []).append(
+                (k, x.numerator * (mult // x.denominator)))
+    for r in rows:
+        acc = [0] * len(vectors)
+        for j, a in r.items():
+            for k, x in by_col.get(j, ()):
+                acc[k] += a * x
+        if any(acc):
+            raise ArithmeticError("elimination result fails the exact "
+                                  "M·x check")
 
 
 def rank_nullspace(m: Matrix) -> RankNullspace:
     """Exact rank and canonical nullspace basis of a rational matrix."""
-    rows = _integer_rows(m)
-    ech, pivots = _bareiss(rows, m.cols, m.cols)
-    rank = len(pivots)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        basis.append(_back_substitute(ech, pivots, x, [0] * rank))
-    return RankNullspace(rank, tuple(basis), tuple(pivots))
+    rows = _sparse_rows(m)
+    red, pivots, _ = _rref(rows, m.cols)
+    pivot_set = set(pivots)
+    kernel = {f: {f: _ONE} for f in range(m.cols) if f not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j != pc:
+                kernel[j][pc] = Fraction(-x, row[pc])
+    _certify(rows, list(kernel.values()))
+    return RankNullspace(len(pivots), tuple(
+        tuple(v.get(j, _ZERO) for j in range(m.cols))
+        for v in kernel.values()), tuple(pivots))
 
 
 def solve_linear(m: Matrix, b: Vector) -> Vector | None:
@@ -245,13 +286,12 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     """
     if len(b) != m.rows:
         raise DimensionMismatch("right side has wrong length")
-    aug = Matrix(m.rows, m.cols + 1,
-                 tuple(row + (b[i],) for i, row in enumerate(m.entries)))
-    rows = _integer_rows(aug)
-    ech, pivots = _bareiss(rows, m.cols + 1, m.cols)
-    rank = len(pivots)
-    for i in range(rank, m.rows):
-        if ech[i][m.cols] != 0:
-            return None
-    return _back_substitute(ech, pivots, [Fraction(0)] * m.cols,
-                            [row[m.cols] for row in ech[:rank]])
+    rows = _sparse_rows(m, b)
+    red, pivots, inconsistent = _rref(rows, m.cols)
+    if inconsistent:
+        return None
+    x = {pc: Fraction(row[m.cols], row[pc])
+         for row, pc in zip(red, pivots) if m.cols in row}
+    # [m | b] annihilates (x, -1)
+    _certify(rows, [{**x, m.cols: -_ONE}])
+    return tuple(x.get(j, _ZERO) for j in range(m.cols))

@@ -1,8 +1,8 @@
 """Shared generators and independent test oracles.
 
-The rank oracle here is deliberately a different algorithm from the
-package's Bareiss elimination (naive dense Gauss over Fraction), so rank
-assertions in the tests cross two implementations.
+The elimination oracle here is deliberately a different algorithm from
+the package's sparse integer elimination (naive dense Gauss-Jordan over
+Fraction), so rank and nullspace assertions cross two implementations.
 """
 
 from __future__ import annotations
@@ -135,11 +135,20 @@ def ce_betti(alg, k: int) -> int:
     return ce_dim(alg.dim, k) - rank_out - rank_in
 
 
-def gauss_rank(m: Matrix) -> int:
-    """Naive dense Gaussian elimination rank, independent of nlie.linalg."""
+def gauss_jordan(m: Matrix) -> tuple[int, tuple[int, ...],
+                                     tuple[tuple[Fraction, ...], ...]]:
+    """Rank, pivot columns and canonical nullspace by naive dense
+    Gauss-Jordan over Fraction, independent of nlie.linalg.
+
+    The rows are brought to reduced row echelon form; the nullspace has one
+    vector per free column, with that coordinate 1, the other free
+    coordinates 0 and each pivot coordinate minus the RREF entry in the
+    free column.
+    """
     rows = [list(r) for r in m.entries]
-    rank = 0
+    pivots = []
     for c in range(m.cols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0),
                    None)
         if piv is None:
@@ -151,5 +160,17 @@ def gauss_rank(m: Matrix) -> int:
             if i != rank and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][free]
+        basis.append(tuple(v))
+    return len(pivots), tuple(pivots), tuple(basis)
+
+
+def gauss_rank(m: Matrix) -> int:
+    """Rank by the naive Gauss-Jordan oracle above."""
+    return gauss_jordan(m)[0]

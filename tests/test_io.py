@@ -80,6 +80,7 @@ def test_algebra_parse_errors():
     for mutate in (
         lambda d: d.pop("arity"),
         lambda d: d.__setitem__("dim", "three"),
+        lambda d: d.__setitem__("dim", 10**30),
         lambda d: d["brackets"][0].__setitem__("on", [1, 4]),
         lambda d: d["brackets"][0].__setitem__("value", {"1": "1/0"}),
         lambda d: d.__setitem__("brackets", {}),

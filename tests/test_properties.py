@@ -1,11 +1,19 @@
-"""Property tests over random basis changes of catalog algebras.
+"""Property tests over random basis changes of catalog algebras, and of
+the CLI exit contract on mutated catalog documents.
 
-Each example transports a valid bracket along a small invertible basis
-change P (a signed permutation, a few integer shears and a diagonal
-rescaling), so the fundamental identity holds while every structure
-constant moves.  Needs hypothesis; the module is skipped without it.
+Each basis-change example transports a valid bracket along a small
+invertible basis change P (a signed permutation, a few integer shears and
+a diagonal rescaling), so the fundamental identity holds while every
+structure constant moves.  Needs hypothesis; the module is skipped
+without it.
 """
 
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -16,9 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import circle_differential_matrix
-from nlie.catalog import conjugated_algebra, levi_civita_bracket, sl2
+from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
+                          heisenberg3, levi_civita_bracket, sl2)
 from nlie.chevalley import ce_differential_matrix
+from nlie.cli import main
 from nlie.cohomology import differential_matrix
+from nlie.io import algebra_to_json
 from nlie.linalg import Matrix
 
 # fixed examples, so the suite reruns the same inputs every time
@@ -75,3 +86,88 @@ def test_binary_differential_matches_chevalley_eilenberg(alg):
     for k in (0, 1):
         assert differential_matrix(alg, k).entries == \
             ce_differential_matrix(alg, k).entries
+
+
+CATALOG_DOCUMENTS = [algebra_to_json(alg) for alg in (
+    levi_civita_bracket(), sl2(), heisenberg3(), broken_ternary_bracket())]
+
+# Wrong types, out-of-range indices and huge or malformed rationals.  The
+# integers stay small: a large "dim" is a valid input whose cost grows
+# with it (bounding that is the work-preflight item, not this contract).
+ODD_VALUES = st.sampled_from([
+    None, True, 1.5, "", "x", [], {}, [1, 2], {"1": "1"},
+    -1, 0, 1, 2, 5, 10**30, "1/0", "1e400", "0x10", "1/2/3", " 3", "NaN",
+    "9" * 5000, "1/" + "9" * 4000, "-" + "7" * 300 + "/" + "3" * 300]
+).map(copy.deepcopy)
+ODD_KEYS = st.sampled_from(["0", "-1", "99", "x", "1.5", "", "on",
+                            "value", "dim"])
+
+
+def _slots(doc, out):
+    """Every (container, key) location inside a JSON document."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        return out
+    for key, value in items:
+        out.append((doc, key))
+        _slots(value, out)
+    return out
+
+
+@st.composite
+def mutated_documents(draw) -> str:
+    """A catalog algebra document after a few seeded mutations: a key
+    dropped, renamed or duplicated, a value swapped for an odd one, a list
+    entry repeated, and now and then the text truncated."""
+    doc = copy.deepcopy(draw(st.sampled_from(CATALOG_DOCUMENTS)))
+    duplicates = []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        op = draw(st.sampled_from(["drop", "swap", "rename", "repeat"]))
+        if op == "drop":
+            del parent[key]
+        elif op == "swap":
+            parent[key] = draw(ODD_VALUES)
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif op == "rename":
+            parent[draw(ODD_KEYS)] = parent.pop(key)
+        else:
+            # written after the original pair, so the odd value wins
+            marker = f"@dup{len(duplicates)}@"
+            pairs = list(parent.items())
+            spot = [k for k, _ in pairs].index(key) + 1
+            pairs.insert(spot, (marker, draw(ODD_VALUES)))
+            parent.clear()
+            parent.update(pairs)
+            duplicates.append((marker, key))
+    text = json.dumps(doc)
+    for marker, key in duplicates:
+        text = text.replace(json.dumps(marker), json.dumps(key))
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@PROFILE
+@given(mutated_documents())
+def test_cli_exit_contract_on_mutated_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "alg.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in (["check", path], ["cohomology", path, "--degree", "1"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert out.getvalue() == ""
