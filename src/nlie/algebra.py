@@ -26,6 +26,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
                      vec_is_zero, vec_scale, vec_sub, vec_zero)
+from .trace import traced
 
 Key = tuple[int, ...]
 
@@ -134,6 +135,7 @@ class CheckResult:
     witness: Optional[dict] = None
 
 
+@traced("algebra.check_fundamental_identity")
 def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
     """Exhaustive fundamental-identity check on sorted basis tuples.
 

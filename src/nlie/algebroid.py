@@ -44,6 +44,7 @@ from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
 from .poly import (MultiPoly, PolyVectorField, poly_const, poly_var,
                    poly_zero, vf_apply, vf_bracket, vf_zero)
+from .trace import span, traced
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,7 @@ def _tensorial(symbol: _Symbol, m: int,
     return out
 
 
+@traced("algebroid.anchor_eval")
 def anchor_eval(abd: PolyFilippovAlgebroid,
                 sections: Sequence[PolySection]) -> PolyVectorField:
     """C-infinity-multilinear extension of the anchor to a wedge of
@@ -225,6 +227,7 @@ def anchor_eval(abd: PolyFilippovAlgebroid,
     return _tensorial(abd.anchor_table.get, abd.num_vars, sections)
 
 
+@traced("algebroid.section_bracket")
 def section_bracket(abd: PolyFilippovAlgebroid,
                     sections: Sequence[PolySection]) -> PolySection:
     """Bracket of n polynomial sections: the degree-1 multiderivation with
@@ -254,6 +257,56 @@ def poly_family(num_vars: int, max_degree: int) -> list[MultiPoly]:
     return fam
 
 
+def _pad(p: MultiPoly, k: int = 0) -> MultiPoly:
+    """t^k p over one more variable t, appended after the others."""
+    return MultiPoly(p.num_vars + 1, {e + (k,): c for e, c in p.terms.items()})
+
+
+def _pad_field(v: PolyVectorField) -> PolyVectorField:
+    """v over one more variable t, with a zero t-component, so that t is
+    a constant for v."""
+    return PolyVectorField(v.num_vars + 1, tuple(_pad(p) for p in v.components)
+                           + (poly_zero(v.num_vars + 1),))
+
+
+def _pad_tables(table: Mapping, fields: Mapping) -> tuple[dict, dict]:
+    return ({key: tuple(_pad(p) for p in comps)
+             for key, comps in table.items()},
+            {key: _pad_field(v) for key, v in fields.items()})
+
+
+def _lift(abd: PolyFilippovAlgebroid) -> PolyFilippovAlgebroid:
+    """The same algebroid over one more variable t that every bracket and
+    anchor treats as a constant."""
+    return PolyFilippovAlgebroid(abd.num_vars + 1, abd.rank, abd.arity,
+                                 *_pad_tables(abd.bracket_table,
+                                              abd.anchor_table))
+
+
+def _generic(fam: Sequence[MultiPoly]) -> MultiPoly:
+    """The generic weight g = sum_k t^k fam[k] over the lifted variables."""
+    terms = {}
+    for k, f in enumerate(fam):
+        terms.update(_pad(f, k).terms)
+    return MultiPoly(fam[0].num_vars + 1, terms)
+
+
+def _weight_index(polys: Sequence[MultiPoly]) -> Optional[int]:
+    """Smallest t-exponent over the terms of lifted polynomials: the index
+    in the family of the first weight whose defect is nonzero, or None
+    when there is none."""
+    return min((e[-1] for p in polys for e in p.terms), default=None)
+
+
+def _leibniz_weight(op: Callable[[PolySection], PolySection], g: MultiPoly,
+                    action: MultiPoly, gen: PolySection) -> Optional[int]:
+    """Weight index of the first f for which op(f gen) differs from
+    f op(gen) + a(f) gen, where ``action`` is a(g); None when none does."""
+    defect = section_sub(op(section_scale(g, gen)), section_add(
+        section_scale(g, op(gen)), section_scale(action, gen)))
+    return _weight_index(defect.comps)
+
+
 def _fi_defect(abd: PolyFilippovAlgebroid,
                xs: Sequence[PolySection],
                ys: Sequence[PolySection]) -> PolySection:
@@ -267,21 +320,43 @@ def _fi_defect(abd: PolyFilippovAlgebroid,
     return section_sub(lhs, rhs)
 
 
-def _weighted(gens: Sequence[PolySection], nx: int, ny: int,
-              fam: Sequence[MultiPoly]):
+def _anchor_defect(abd: PolyFilippovAlgebroid,
+                   xs: Sequence[PolySection],
+                   ys: Sequence[PolySection]) -> PolyVectorField:
+    lhs = vf_bracket(anchor_eval(abd, xs), anchor_eval(abd, ys))
+    rhs = vf_zero(abd.num_vars)
+    for i in range(abd.arity - 1):
+        w = section_bracket(abd, list(xs) + [ys[i]])
+        rhs = rhs + anchor_eval(abd, list(ys[:i]) + [w] + list(ys[i + 1:]))
+    return lhs - rhs
+
+
+def _weighted(gens: Sequence[PolySection], nx: int, ny: int, g: MultiPoly):
     """Frames of nx + ny consecutive generators (cyclically, from shift 0
-    or 1) with one slot weighted by a polynomial of ``fam``, each with its
-    witness tag."""
+    or 1) with one slot weighted by g: yields (slot, shift, xs, ys)."""
     r = len(gens)
     for slot in range(nx + ny):
-        for f in fam:
-            for c in range(min(2, r)):
-                frame = [gens[(c + t) % r] for t in range(nx + ny)]
-                frame[slot] = section_scale(f, frame[slot])
-                yield frame[:nx], frame[nx:], {"slot": slot, "f": str(f),
-                                               "shift": c}
+        for c in range(min(2, r)):
+            frame = [gens[(c + t) % r] for t in range(nx + ny)]
+            frame[slot] = section_scale(g, frame[slot])
+            yield slot, c, frame[:nx], frame[nx:]
 
 
+def _first_weighted(frames, defect) -> Optional[tuple[int, int, int]]:
+    """(slot, k, shift) of the first failing frame in the order slot, then
+    weight index k, then shift; None when every frame holds.  ``defect``
+    maps a frame to the polynomials of its lifted defect."""
+    best = None
+    for slot, shift, xs, ys in frames:
+        if best is not None and slot != best[0]:
+            break
+        k = _weight_index(defect(xs, ys))
+        if k is not None and (best is None or k < best[1]):
+            best = (slot, k, shift)
+    return best
+
+
+@traced("algebroid.check_algebroid_axioms")
 def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                            sections_degree: int = 0) -> CheckResult:
     """Fundamental identity on sections, anchor compatibility (a), and the
@@ -291,62 +366,83 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
     with one slot at a time carrying a polynomial from the deterministic
     family.  Axiom (a) runs on generator wedges by default; a positive
     sections_degree widens it to single polynomial-weighted factors.
+
+    Linearity lemma.  Each defect (the FI defect, the anchor defect, the
+    Leibniz defect) is Q-linear in the polynomial f that weights its one
+    weighted slot: every term of the closed Leibniz form, of the
+    tensorial anchor and of a vector-field bracket holds exactly one factor
+    f or one derivative of f.  Lift the algebroid to one more variable t,
+    appended with exponent 0 to the bracket table and the anchor fields,
+    each of which gets a zero t-component.  Then no anchor field
+    differentiates t, so bracket, anchor and commutator are R[t]-linear,
+    and the defect at the generic weight g = sum_k t^k fam[k] is
+    sum_k t^k defect(fam[k]), where defect(fam[k]) has no t.  Its t^k
+    coefficient is exactly the defect at fam[k], so one evaluation per
+    frame decides the whole family, and the first failing weight is
+    fam[k] for the smallest t-exponent k among the terms of the lifted
+    defect.  Weighted frames are searched by slot, then k, then shift.
+
+    Axiom (b) holds by construction of ``_leibniz``, which is the closed
+    Leibniz form; it stays as a check of that evaluator.
     """
     n, r, m = abd.arity, abd.rank, abd.num_vars
     gens = [generator_section(m, r, j) for j in range(r)]
 
-    for xk in itertools.combinations(range(r), n - 1):
-        for yk in itertools.combinations(range(r), n):
-            defect = _fi_defect(abd, [gens[j] for j in xk],
-                                [gens[j] for j in yk])
-            if not defect.is_zero:
-                return CheckResult(False, {"axiom": "fundamental identity",
-                                           "x": xk, "y": yk, "f": None})
+    with span("algebroid.axioms.fi"):
+        for xk in itertools.combinations(range(r), n - 1):
+            for yk in itertools.combinations(range(r), n):
+                defect = _fi_defect(abd, [gens[j] for j in xk],
+                                    [gens[j] for j in yk])
+                if not defect.is_zero:
+                    return CheckResult(False,
+                                       {"axiom": "fundamental identity",
+                                        "x": xk, "y": yk, "f": None})
 
+    lift = _lift(abd)
+    tgens = [generator_section(m + 1, r, j) for j in range(r)]
     fam = [f for f in poly_family(m, max_degree) if f.terms]
-    for xs, ys, tag in _weighted(gens, n - 1, n, fam):
-        if not _fi_defect(abd, xs, ys).is_zero:
-            return CheckResult(False, {"axiom": "fundamental identity",
-                                       **tag})
+    g = _generic(fam)
+    with span("algebroid.axioms.fi_weighted"):
+        bad = _first_weighted(_weighted(tgens, n - 1, n, g),
+                              lambda xs, ys: _fi_defect(lift, xs, ys).comps)
+    if bad is not None:
+        slot, k, shift = bad
+        return CheckResult(False, {"axiom": "fundamental identity",
+                                   "slot": slot, "f": str(fam[k]),
+                                   "shift": shift})
 
-    def axiom_a(xsec, ysec, tag):
-        lhs = vf_bracket(anchor_eval(abd, xsec), anchor_eval(abd, ysec))
-        rhs = vf_zero(m)
-        for i in range(n - 1):
-            w = section_bracket(abd, list(xsec) + [ysec[i]])
-            rhs = rhs + anchor_eval(abd,
-                                    list(ysec[:i]) + [w] + list(ysec[i + 1:]))
-        if (lhs - rhs).is_zero:
-            return None
-        return CheckResult(False, {"axiom": "anchor compatibility",
-                                   **tag})
-
-    for xk in itertools.combinations(range(r), n - 1):
-        for yk in itertools.combinations(range(r), n - 1):
-            bad = axiom_a([gens[j] for j in xk], [gens[j] for j in yk],
-                          {"x": xk, "y": yk, "f": None})
-            if bad is not None:
-                return bad
+    with span("algebroid.axioms.anchor"):
+        for xk in itertools.combinations(range(r), n - 1):
+            for yk in itertools.combinations(range(r), n - 1):
+                defect = _anchor_defect(abd, [gens[j] for j in xk],
+                                        [gens[j] for j in yk])
+                if not defect.is_zero:
+                    return CheckResult(False,
+                                       {"axiom": "anchor compatibility",
+                                        "x": xk, "y": yk, "f": None})
     if sections_degree > 0:
         wide = [f for f in poly_family(m, sections_degree) if f.terms]
-        for xs, ys, tag in _weighted(gens, n - 1, n - 1, wide):
-            bad = axiom_a(xs, ys, tag)
-            if bad is not None:
-                return bad
+        with span("algebroid.axioms.anchor_weighted"):
+            bad = _first_weighted(
+                _weighted(tgens, n - 1, n - 1, _generic(wide)),
+                lambda xs, ys: _anchor_defect(lift, xs, ys).components)
+        if bad is not None:
+            slot, k, shift = bad
+            return CheckResult(False, {"axiom": "anchor compatibility",
+                                       "slot": slot, "f": str(wide[k]),
+                                       "shift": shift})
 
-    for xk in itertools.combinations(range(r), n - 1):
-        field = anchor_on_generators(abd, xk)
-        for j in range(r):
-            for f in fam:
-                lhs = section_bracket(abd, [gens[i] for i in xk]
-                                      + [section_scale(f, gens[j])])
-                rhs = section_add(
-                    section_scale(f, section_bracket(
-                        abd, [gens[i] for i in xk] + [gens[j]])),
-                    section_scale(vf_apply(field, f), gens[j]))
-                if not section_sub(lhs, rhs).is_zero:
+    with span("algebroid.axioms.leibniz"):
+        for xk in itertools.combinations(range(r), n - 1):
+            xs = [tgens[i] for i in xk]
+            action = vf_apply(anchor_on_generators(lift, xk), g)
+            for j in range(r):
+                k = _leibniz_weight(lambda s: section_bracket(lift, xs + [s]),
+                                    g, action, tgens[j])
+                if k is not None:
                     return CheckResult(False, {"axiom": "leibniz rule",
-                                               "x": xk, "z": j, "f": str(f)})
+                                               "x": xk, "z": j,
+                                               "f": str(fam[k])})
     return CheckResult(True, None)
 
 
@@ -610,31 +706,40 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
     return out
 
 
+def _lift_md(d: PolyMultiderivation) -> PolyMultiderivation:
+    """The same multiderivation over one more variable t that its table
+    and symbol treat as a constant (see ``_lift``)."""
+    return PolyMultiderivation(d.num_vars + 1, d.rank, d.arity, d.degree,
+                               *_pad_tables(d.table, d.symbol))
+
+
+@traced("algebroid.check_symbol_leibniz")
 def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
                          d1: PolyMultiderivation, d2: PolyMultiderivation,
                          max_degree: int = 2) -> CheckResult:
     """Verify that the bracket of two multiderivations obeys the Leibniz
-    rule with the symbol produced by the symbol-bracket formula."""
+    rule with the symbol produced by the symbol-bracket formula.
+
+    The defect is linear in the weight, so it is evaluated once per frame
+    on the generic weight, as in ``check_algebroid_axioms``."""
     _check_pair(d1, d2)
     if (abd.num_vars, abd.rank, abd.arity) != (d1.num_vars, d1.rank,
                                                d1.arity):
         raise DimensionMismatch("operands do not match the algebroid")
     n, m, r = d1.arity, d1.num_vars, d1.rank
     fam = poly_family(m, max_degree)
-    symbols = symbol_bracket(d1, d2)
+    g = _generic(fam)
+    t1, t2 = _lift_md(d1), _lift_md(d2)
+    symbols = symbol_bracket(t1, t2)
     wedges = list(itertools.combinations(range(r), n - 1))
     for keys in itertools.product(wedges, repeat=d1.degree + d2.degree):
-        sigma = symbols[keys]
+        action = vf_apply(symbols[keys], g)
         for j in range(r):
-            gen = generator_section(m, r, j)
-            plain = md_bracket_eval(d1, d2, keys, gen)
-            for f in fam:
-                lhs = md_bracket_eval(d1, d2, keys, section_scale(f, gen))
-                rhs = section_add(section_scale(f, plain),
-                                  section_scale(vf_apply(sigma, f), gen))
-                if not section_sub(lhs, rhs).is_zero:
-                    return CheckResult(False, {"wedges": keys, "z": j,
-                                               "f": str(f)})
+            k = _leibniz_weight(lambda s: md_bracket_eval(t1, t2, keys, s),
+                                g, action, generator_section(m + 1, r, j))
+            if k is not None:
+                return CheckResult(False, {"wedges": keys, "z": j,
+                                           "f": str(fam[k])})
     return CheckResult(True, None)
 
 
@@ -681,7 +786,10 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
     operator inserted into k wedge slots, for every k.
 
     The actual symbol action is read off as the Leibniz defect of the
-    deformed bracket on a polynomial-weighted generator.
+    deformed bracket on a polynomial-weighted generator; that defect is
+    linear in the weight, so it is evaluated once per frame on the generic
+    weight, as in ``check_algebroid_axioms``, with the bundle map's entries
+    lifted like the bracket.
     """
     res = check_poly_nijenhuis(abd, nmap)
     if not res.holds:
@@ -689,27 +797,25 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
                                witness=res.witness)
     n, r, m = abd.arity, abd.rank, abd.num_vars
     fam = poly_family(m, max_degree)
+    g = _generic(fam)
+    lift = _lift(abd)
+    tmap = PolyLinearBundleMap(m + 1, r, tuple(tuple(_pad(p) for p in row)
+                                               for row in nmap.entries))
     for k in range(1, n):
         for xk in itertools.combinations(range(r), n - 1):
-            gens = [generator_section(m, r, j) for j in xk]
+            gens = [generator_section(m + 1, r, j) for j in xk]
+            claimed = vf_zero(m + 1)
+            for slots in itertools.combinations(range(n - 1), k):
+                claimed = claimed + anchor_eval(
+                    lift, [tmap.apply(x) if t in slots else x
+                           for t, x in enumerate(gens)])
+            action = vf_apply(claimed, g)
             for j in range(r):
-                gen = generator_section(m, r, j)
-                plain = nijenhuis_section_bracket(abd, nmap, k,
-                                                  gens + [gen])
-                for f in fam:
-                    deformed = nijenhuis_section_bracket(
-                        abd, nmap, k, gens + [section_scale(f, gen)])
-                    defect = section_sub(deformed,
-                                         section_scale(f, plain))
-                    claimed = poly_zero(m)
-                    for slots in itertools.combinations(range(n - 1), k):
-                        args = [nmap.apply(g) if t in slots else g
-                                for t, g in enumerate(gens)]
-                        claimed = claimed + vf_apply(
-                            anchor_eval(abd, args), f)
-                    expected = section_scale(claimed, gen)
-                    if not section_sub(defect, expected).is_zero:
-                        return CheckResult(False,
-                                           {"k": k, "x": xk, "z": j,
-                                            "f": str(f)})
+                idx = _leibniz_weight(
+                    lambda s: nijenhuis_section_bracket(lift, tmap, k,
+                                                        gens + [s]),
+                    g, action, generator_section(m + 1, r, j))
+                if idx is not None:
+                    return CheckResult(False, {"k": k, "x": xk, "z": j,
+                                               "f": str(fam[idx])})
     return CheckResult(True, None)

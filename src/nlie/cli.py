@@ -15,6 +15,8 @@ piped straight into the next command.
 
 ``--threads`` is accepted for interface compatibility; all computations
 run single-threaded, which is what keeps the outputs byte-stable.
+``--trace`` writes spans and work counters to stderr as JSON lines
+(``nlie.trace``); stdout and the exit code stay the same.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 import time
 from typing import Any, Optional
 
-from . import __version__
+from . import __version__, trace
 from .algebra import check_fundamental_identity
 from .algebroid import (check_algebroid_axioms, example_tangent_fc,
                         example_tangent_topform)
@@ -71,6 +73,8 @@ class Report:
         if line is not None:
             self.lines.append(line)
 
+    @trace.traced("cli.render",
+                  lambda args, text: {"bytes": len(text.encode())})
     def render(self, fmt: str) -> str:
         if self.artifact is not None:
             return json.dumps(self.artifact, indent=2) + "\n"
@@ -308,6 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "models")
     parser.set_defaults(format="text", seed=0, threads=1)
     _add_common(parser)
+    # before the verb only: each flag added to every subparser costs the
+    # argument parser's construction time on every run
+    parser.add_argument("--trace", action="store_true",
+                        help="write spans and work counters to stderr as "
+                             "JSON lines")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("check", help="fundamental identity of an algebra")
@@ -413,10 +422,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                            if getattr(args, "subverb", None) else "")
     report = Report(command)
     started = time.perf_counter()
+    if args.trace:
+        trace.enable(sys.stderr)
     try:
-        args.run(args, report)
-        # render before writing, so a failed render prints nothing
-        text = report.render(args.format)
+        with trace.span("cli.main"):
+            args.run(args, report)
+            # render before writing, so a failed render prints nothing
+            text = report.render(args.format)
     except (InputFormatError, OutputTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -424,6 +436,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}{_witness_detail(exc)}", file=sys.stderr)
         return 2
     finally:
+        if args.trace:
+            trace.finish()
         elapsed = time.perf_counter() - started
         print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     sys.stdout.write(text)

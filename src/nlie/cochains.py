@@ -51,6 +51,7 @@ from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
                      vec_is_zero, vec_scale, vec_zero)
+from .trace import traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
 Row = dict[int, Fraction]  # one sparse matrix row: column -> coefficient
@@ -268,6 +269,14 @@ def _circle_raw(d1: Cochain, d2: Cochain, args: tuple[Key, ...],
     return tuple(total)
 
 
+def _visited(args, d: Cochain) -> dict[str, int]:
+    """Output keys a circle product walks, and how many it stores."""
+    keys = d.dim if d.degree == 0 else \
+        comb(d.dim, d.arity - 1) ** (d.degree - 1) * comb(d.dim, d.arity)
+    return {"keys": keys, "nonzero": len(d.entries)}
+
+
+@traced("cochains.circle", _visited)
 def circle(d1: Cochain, d2: Cochain) -> Cochain:
     """The circle product D1 ∘ D2 of degree p+q (insertion plus composition
     terms over signed shuffles; see the module docstring for the signs)."""
@@ -287,6 +296,7 @@ def circle(d1: Cochain, d2: Cochain) -> Cochain:
     return Cochain(n, m, p + q, entries)
 
 
+@traced("cochains.gla_bracket", _visited)
 def gla_bracket(d1: Cochain, d2: Cochain) -> Cochain:
     """Graded bracket [D1, D2] = (-1)^(pq) D1∘D2 - D2∘D1."""
     sign = -1 if (d1.degree * d2.degree) % 2 else 1

@@ -25,6 +25,7 @@ from .cochains import (Cochain, coboundary_rows, from_bracket, space_keys,
                        to_matrix, wedge_differential)
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import Matrix, Vector, rank_nullspace, vec_is_zero, vec_zero
+from .trace import matrix_counters, traced
 
 DEFAULT_DEGREE_CAP = 3
 
@@ -64,6 +65,8 @@ def _require_fi(alg: NLieAlgebra) -> Cochain:
     return from_bracket(alg)
 
 
+@traced("cohomology.differential_matrix",
+        lambda args, mat: matrix_counters(mat))
 def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
     """Matrix of the differential C^k -> C^(k+1); requires the fundamental
     identity (checked once, before assembly).  For k >= 1 the rows are the

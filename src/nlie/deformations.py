@@ -36,6 +36,7 @@ from .cohomology import (_report, _require_fi, cochain_to_vec,
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, solve_linear,
                      vec_add, vec_is_zero, vec_scale, vec_zero)
+from .trace import traced
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,7 @@ def _series_matrices(emap: EquivalenceMap, dim: int,
     return fwd, inv
 
 
+@traced("deformations.conjugate_path")
 def conjugate_path(path: DeformationPath,
                    emap: EquivalenceMap) -> DeformationPath:
     """The path Phi_t^{-1} phi_t(Phi_t .., Phi_t ..) modulo t^(order+1)."""

@@ -23,6 +23,7 @@ input-error code instead of a traceback.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,7 @@ from .deformations import (DeformationPath, EquivalenceMap,
 from .errors import DimensionMismatch, OutputTooLarge
 from .linalg import Matrix, Vector
 from .poly import MultiPoly, PolyVectorField, poly_from_terms
+from .trace import traced
 
 
 class InputFormatError(ValueError):
@@ -48,6 +50,7 @@ class InputFormatError(ValueError):
         self.location = location
 
 
+@traced("io.load", lambda args, doc: {"bytes": os.path.getsize(args[0])})
 def load_document(path: str) -> Any:
     try:
         text = Path(path).read_text()

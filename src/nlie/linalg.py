@@ -21,6 +21,7 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import DimensionMismatch
+from .trace import matrix_counters, traced
 
 Vector = tuple[Fraction, ...]
 
@@ -263,6 +264,20 @@ def _certify(rows: list[Row], vectors: list[dict[int, Fraction]]) -> None:
                                   "M·x check")
 
 
+def _bits(x: Fraction) -> int:
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _rank_counters(args, res: RankNullspace) -> dict[str, int]:
+    mat = args[0]
+    return {**matrix_counters(mat), "rank": res.rank,
+            "max_input_bits": max((_bits(x) for row in mat.entries
+                                   for x in row), default=0),
+            "max_nullspace_bits": max((_bits(x) for v in res.nullspace
+                                       for x in v), default=0)}
+
+
+@traced("linalg.rank_nullspace", _rank_counters)
 def rank_nullspace(m: Matrix) -> RankNullspace:
     """Exact rank and canonical nullspace basis of a rational matrix."""
     rows = _sparse_rows(m)
@@ -279,6 +294,9 @@ def rank_nullspace(m: Matrix) -> RankNullspace:
         for v in kernel.values()), tuple(pivots))
 
 
+@traced("linalg.solve_linear",
+        lambda args, x: {**matrix_counters(args[0]),
+                         "solved": int(x is not None)})
 def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     """One exact solution of m @ x = b, or None if inconsistent.
 

@@ -174,3 +174,246 @@ def gauss_jordan(m: Matrix) -> tuple[int, tuple[int, ...],
 def gauss_rank(m: Matrix) -> int:
     """Rank by the naive Gauss-Jordan oracle above."""
     return gauss_jordan(m)[0]
+
+
+# ------------------------------------------------------------------
+# Per-weight reference for the algebroid checks: the loops that evaluate
+# every frame once for each polynomial of ``poly_family``, kept as the
+# oracle for the generic-weight evaluation in ``nlie.algebroid``.  Kernels
+# are looked up on the module at call time, so a test that monkeypatches
+# one patches the reference too.
+
+def _ref_fi_defect(abd, xs, ys):
+    import nlie.algebroid as A
+
+    inner = A.section_bracket(abd, ys)
+    lhs = A.section_bracket(abd, list(xs) + [inner])
+    rhs = A.section_zero(abd.num_vars, abd.rank)
+    for i in range(abd.arity):
+        sub = A.section_bracket(abd, list(xs) + [ys[i]])
+        rhs = A.section_add(rhs, A.section_bracket(
+            abd, list(ys[:i]) + [sub] + list(ys[i + 1:])))
+    return A.section_sub(lhs, rhs)
+
+
+def _ref_weighted(gens, nx, ny, fam):
+    import nlie.algebroid as A
+
+    r = len(gens)
+    for slot in range(nx + ny):
+        for f in fam:
+            for c in range(min(2, r)):
+                frame = [gens[(c + t) % r] for t in range(nx + ny)]
+                frame[slot] = A.section_scale(f, frame[slot])
+                yield frame[:nx], frame[nx:], {"slot": slot, "f": str(f),
+                                               "shift": c}
+
+
+def ref_check_algebroid_axioms(abd, max_degree=2, sections_degree=0):
+    """``check_algebroid_axioms`` with one evaluation per frame and
+    weight."""
+    import itertools
+
+    import nlie.algebroid as A
+    from nlie.algebra import CheckResult
+
+    n, r, m = abd.arity, abd.rank, abd.num_vars
+    gens = [A.generator_section(m, r, j) for j in range(r)]
+    for xk in itertools.combinations(range(r), n - 1):
+        for yk in itertools.combinations(range(r), n):
+            defect = _ref_fi_defect(abd, [gens[j] for j in xk],
+                                    [gens[j] for j in yk])
+            if not defect.is_zero:
+                return CheckResult(False, {"axiom": "fundamental identity",
+                                           "x": xk, "y": yk, "f": None})
+    fam = [f for f in A.poly_family(m, max_degree) if f.terms]
+    for xs, ys, tag in _ref_weighted(gens, n - 1, n, fam):
+        if not _ref_fi_defect(abd, xs, ys).is_zero:
+            return CheckResult(False, {"axiom": "fundamental identity",
+                                       **tag})
+
+    def axiom_a(xsec, ysec, tag):
+        lhs = A.vf_bracket(A.anchor_eval(abd, xsec), A.anchor_eval(abd, ysec))
+        rhs = A.vf_zero(m)
+        for i in range(n - 1):
+            w = A.section_bracket(abd, list(xsec) + [ysec[i]])
+            rhs = rhs + A.anchor_eval(
+                abd, list(ysec[:i]) + [w] + list(ysec[i + 1:]))
+        if (lhs - rhs).is_zero:
+            return None
+        return CheckResult(False, {"axiom": "anchor compatibility", **tag})
+
+    for xk in itertools.combinations(range(r), n - 1):
+        for yk in itertools.combinations(range(r), n - 1):
+            bad = axiom_a([gens[j] for j in xk], [gens[j] for j in yk],
+                          {"x": xk, "y": yk, "f": None})
+            if bad is not None:
+                return bad
+    if sections_degree > 0:
+        wide = [f for f in A.poly_family(m, sections_degree) if f.terms]
+        for xs, ys, tag in _ref_weighted(gens, n - 1, n - 1, wide):
+            bad = axiom_a(xs, ys, tag)
+            if bad is not None:
+                return bad
+    for xk in itertools.combinations(range(r), n - 1):
+        field = A.anchor_on_generators(abd, xk)
+        for j in range(r):
+            for f in fam:
+                lhs = A.section_bracket(abd, [gens[i] for i in xk]
+                                        + [A.section_scale(f, gens[j])])
+                rhs = A.section_add(
+                    A.section_scale(f, A.section_bracket(
+                        abd, [gens[i] for i in xk] + [gens[j]])),
+                    A.section_scale(A.vf_apply(field, f), gens[j]))
+                if not A.section_sub(lhs, rhs).is_zero:
+                    return CheckResult(False, {"axiom": "leibniz rule",
+                                               "x": xk, "z": j, "f": str(f)})
+    return CheckResult(True, None)
+
+
+def ref_check_symbol_leibniz(abd, d1, d2, max_degree=2):
+    """``check_symbol_leibniz`` with one evaluation per frame and
+    weight."""
+    import itertools
+
+    import nlie.algebroid as A
+    from nlie.algebra import CheckResult
+
+    n, m, r = d1.arity, d1.num_vars, d1.rank
+    fam = A.poly_family(m, max_degree)
+    symbols = A.symbol_bracket(d1, d2)
+    wedges = list(itertools.combinations(range(r), n - 1))
+    for keys in itertools.product(wedges, repeat=d1.degree + d2.degree):
+        sigma = symbols[keys]
+        for j in range(r):
+            gen = A.generator_section(m, r, j)
+            plain = A.md_bracket_eval(d1, d2, keys, gen)
+            for f in fam:
+                lhs = A.md_bracket_eval(d1, d2, keys, A.section_scale(f, gen))
+                rhs = A.section_add(A.section_scale(f, plain),
+                                    A.section_scale(A.vf_apply(sigma, f),
+                                                    gen))
+                if not A.section_sub(lhs, rhs).is_zero:
+                    return CheckResult(False, {"wedges": keys, "z": j,
+                                               "f": str(f)})
+    return CheckResult(True, None)
+
+
+def ref_nijenhuis_symbol_check(abd, nmap, max_degree=2):
+    """``nijenhuis_symbol_check`` with one evaluation per frame and
+    weight."""
+    import itertools
+
+    import nlie.algebroid as A
+    from nlie.algebra import CheckResult
+    from nlie.errors import InvalidStructure
+
+    res = A.check_poly_nijenhuis(abd, nmap)
+    if not res.holds:
+        raise InvalidStructure("bundle map fails the Nijenhuis condition",
+                               witness=res.witness)
+    n, r, m = abd.arity, abd.rank, abd.num_vars
+    fam = A.poly_family(m, max_degree)
+    for k in range(1, n):
+        for xk in itertools.combinations(range(r), n - 1):
+            gens = [A.generator_section(m, r, j) for j in xk]
+            for j in range(r):
+                gen = A.generator_section(m, r, j)
+                plain = A.nijenhuis_section_bracket(abd, nmap, k,
+                                                    gens + [gen])
+                for f in fam:
+                    deformed = A.nijenhuis_section_bracket(
+                        abd, nmap, k, gens + [A.section_scale(f, gen)])
+                    defect = A.section_sub(deformed,
+                                           A.section_scale(f, plain))
+                    claimed = A.poly_zero(m)
+                    for slots in itertools.combinations(range(n - 1), k):
+                        args = [nmap.apply(g) if t in slots else g
+                                for t, g in enumerate(gens)]
+                        claimed = claimed + A.vf_apply(
+                            A.anchor_eval(abd, args), f)
+                    expected = A.section_scale(claimed, gen)
+                    if not A.section_sub(defect, expected).is_zero:
+                        return CheckResult(False, {"k": k, "x": xk, "z": j,
+                                                   "f": str(f)})
+    return CheckResult(True, None)
+
+
+def rand_low_poly(rng: random.Random, num_vars: int, terms: int = 1):
+    """Random polynomial of degree at most 1 (a constant on a point)."""
+    return rand_poly(rng, num_vars, 1 if num_vars else 0, terms)
+
+
+def rand_field(rng: random.Random, num_vars: int):
+    from nlie.poly import PolyVectorField, poly_zero
+
+    return PolyVectorField(num_vars, tuple(
+        rand_low_poly(rng, num_vars) if rng.random() < 0.5
+        else poly_zero(num_vars) for _ in range(num_vars)))
+
+
+def rand_poly_algebroid(rng: random.Random, m: int, r: int, n: int):
+    """Random algebroid on R^m of rank r and arity n: a sparse bracket
+    table, random anchor fields, or both (bracket only on a point)."""
+    import itertools
+
+    from nlie.algebroid import make_poly_algebroid
+    from nlie.poly import poly_zero
+
+    kind = rng.choice(["anchor", "anchor", "both", "bracket"]) if m \
+        else "bracket"
+    table, anchor = {}, {}
+    if kind != "anchor":
+        for key in itertools.combinations(range(r), n):
+            if rng.random() < 0.4:
+                comps = [poly_zero(m)] * r
+                comps[rng.randrange(r)] = rand_low_poly(rng, m)
+                table[key] = tuple(comps)
+    if kind != "bracket":
+        for w in itertools.combinations(range(r), n - 1):
+            if rng.random() < 0.4:
+                anchor[w] = rand_field(rng, m)
+    return make_poly_algebroid(m, r, n, table, anchor)
+
+
+def rand_multiderivation(rng: random.Random, m: int, r: int, n: int,
+                         degree: int):
+    """Random degree-0 or degree-1 multiderivation with random symbol."""
+    import itertools
+
+    from nlie.algebroid import make_poly_multiderivation
+    from nlie.poly import poly_zero
+
+    def comps():
+        return tuple(rand_low_poly(rng, m) if rng.random() < 0.4
+                     else poly_zero(m) for _ in range(r))
+
+    if degree == 0:
+        table = {(j,): comps() for j in range(r) if rng.random() < 0.6}
+        symbol = {(): rand_field(rng, m)} if m else {}
+    else:
+        table = {key: comps() for key in itertools.combinations(range(r), n)
+                 if rng.random() < 0.5}
+        symbol = {(w,): rand_field(rng, m)
+                  for w in itertools.combinations(range(r), n - 1)
+                  if m and rng.random() < 0.5}
+    return make_poly_multiderivation(m, r, n, degree, table, symbol)
+
+
+def rand_bundle_map(rng: random.Random, m: int, r: int):
+    """A constant diagonal map, a polynomial multiple of the identity, or
+    a sparse random map (which usually fails the Nijenhuis condition)."""
+    from nlie.algebroid import make_bundle_map
+    from nlie.poly import poly_const, poly_zero
+
+    kind = rng.choice(["diagonal", "scalar", "random"])
+    if kind == "diagonal":
+        diag = [poly_const(m, rng.randint(-2, 2)) for _ in range(r)]
+    elif kind == "scalar":
+        diag = [rand_low_poly(rng, m, 2)] * r
+    else:
+        return make_bundle_map(m, r, [
+            [rand_low_poly(rng, m) if rng.random() < 0.3 else poly_zero(m)
+             for _ in range(r)] for _ in range(r)])
+    return make_bundle_map(m, r, [[diag[i] if i == j else poly_zero(m)
+                                   for j in range(r)] for i in range(r)])

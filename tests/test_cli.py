@@ -418,8 +418,8 @@ GOLDEN_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
-def test_golden_stdout(capsys, tmp_path, eps, sl2_file, name):
+def _golden_argv(tmp_path, eps, sl2_file, name):
+    """Expected exit code and argv of the golden run ``name``."""
     u, v = (1, -1, 2, 1), (1, 2, -1, 1)
     sd, good = _lifted_semidirect(tmp_path, "good.json",
                                   [[a * b for b in v] for a in u])
@@ -466,8 +466,63 @@ def test_golden_stdout(capsys, tmp_path, eps, sl2_file, name):
                                                  weighted]),
         "example-topform": (0, ["algebroid", "example-topform", "3", "2"]),
     }[name]
+    return want_code, argv
+
+
+def _golden_digest(out, tmp_path):
+    return hashlib.sha256(
+        out.replace(str(tmp_path), "TMP").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, tmp_path, eps, sl2_file, name):
+    want_code, argv = _golden_argv(tmp_path, eps, sl2_file, name)
     code, out, _ = run(capsys, *argv)
     assert code == want_code
-    digest = hashlib.sha256(
-        out.replace(str(tmp_path), "TMP").encode()).hexdigest()
-    assert digest == GOLDEN_STDOUT[name]
+    assert _golden_digest(out, tmp_path) == GOLDEN_STDOUT[name]
+
+
+def _trace_lines(err):
+    """The JSON lines of a traced run's stderr (the elapsed line aside)."""
+    lines = [line for line in err.splitlines()
+             if not line.startswith("elapsed: ")]
+    return [json.loads(line) for line in lines]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_golden_stdout_traced(capsys, tmp_path, eps, sl2_file, name):
+    # --trace writes to stderr only: same stdout, same exit code
+    want_code, argv = _golden_argv(tmp_path, eps, sl2_file, name)
+    code, out, err = run(capsys, "--trace", *argv)
+    assert code == want_code
+    assert _golden_digest(out, tmp_path) == GOLDEN_STDOUT[name]
+    lines = _trace_lines(err)
+    spans = [line for line in lines if "span" in line]
+    assert (spans[-1]["span"], spans[-1]["depth"]) == ("cli.main", 0)
+    summary = {line["summary"]: line for line in lines if "summary" in line}
+    assert summary["cli.main"]["calls"] == 1
+
+
+def test_trace_counters_repeat(capsys, sl2_file, eps):
+    def counters(*argv):
+        _, _, err = run(capsys, "--trace", *argv)
+        return [(line["summary"], line["calls"], line["counters"])
+                for line in _trace_lines(err) if "summary" in line]
+
+    for argv in (["--seed", "11", "deform", "rigidity", sl2_file,
+                  "--trials", "4"],
+                 ["cohomology", eps, "--degree", "2"]):
+        first = counters(*argv)
+        assert first == counters(*argv)
+    names = {name for name, _, _ in first}
+    assert {"cli.main", "io.load", "cli.render",
+            "cohomology.differential_matrix",
+            "linalg.rank_nullspace"} <= names
+    rank = next(c for name, _, c in first if name == "linalg.rank_nullspace")
+    assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
+
+
+def test_trace_off_by_default(capsys, eps):
+    _, _, err = run(capsys, "check", eps)
+    assert err.splitlines()[-1].startswith("elapsed: ")
+    assert len(err.splitlines()) == 1
