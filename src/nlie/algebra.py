@@ -21,14 +21,15 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
+from .linalg import (Matrix, Vector, densify, multilinear, support,
                      vec_is_zero, vec_scale, vec_sub, vec_zero)
 from .trace import traced
 
 Key = tuple[int, ...]
+Support = list[tuple[int, Fraction]]
 
 
 def sort_with_sign(idx: Sequence[int]) -> Optional[tuple[int, Key]]:
@@ -60,12 +61,37 @@ def merge_index(block: Key, z: int) -> Optional[tuple[int, Key]]:
 
 
 def replace_slots(key: Key,
-                  vecs: Sequence[Vector]) -> list[tuple[Key, Fraction]]:
-    """Support of sum_i key with slot i replaced by vecs[i]: the pairs
-    (key with e_k in slot i, k-th coordinate of vecs[i]).  This is how a
-    derivation acts on a tuple of basis vectors."""
+                  sups: Sequence[Support]) -> list[tuple[Key, Fraction]]:
+    """Support of sum_i key with slot i replaced by the vector whose
+    support is sups[i]: the pairs (key with e_k in slot i, coefficient of
+    e_k).  This is how a derivation acts on a tuple of basis vectors."""
     return [(key[:i] + (k,) + key[i + 1:], c)
-            for i, v in enumerate(vecs) for k, c in support(v)]
+            for i, sup in enumerate(sups) for k, c in sup]
+
+
+def basis_lookup(table: Mapping, module: bool = False
+                 ) -> Callable[[Key], Support]:
+    """Memoized map from a basis tuple in any order to the signed (index,
+    value) support of its image in ``table`` (empty on a repeated index).
+    With ``module`` the last index is a module index j and the key is
+    ``(sorted rest, j)``, as in a representation's action.  The memo lives
+    as long as the returned function: one per top-level call."""
+    memo: dict[Key, Support] = {}
+
+    def look(idx: Key) -> Support:
+        out = memo.get(idx)
+        if out is None:
+            ss = sort_with_sign(idx[:-1] if module else idx)
+            val = ss and table.get((ss[1], idx[-1]) if module else ss[1])
+            out = memo[idx] = [(k, c if ss[0] == 1 else -c)
+                               for k, c in enumerate(val or ()) if c]
+        return out
+
+    return look
+
+
+def _scaled(sign: int, sup: Support) -> Support:
+    return sup if sign == 1 else [(k, -c) for k, c in sup]
 
 
 @dataclass(frozen=True)
@@ -125,8 +151,8 @@ def bracket_eval(alg: NLieAlgebra, args: Sequence[Vector]) -> Vector:
     for v in args:
         if len(v) != m:
             raise DimensionMismatch("argument of wrong dimension")
-    return multilinear([support(v) for v in args],
-                       lambda idx: bracket_on_basis(alg, idx), m)
+    return densify(multilinear([support(v) for v in args],
+                               basis_lookup(alg.structure)), m)
 
 
 @dataclass(frozen=True)
@@ -141,16 +167,17 @@ def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
 
     Returns the lexicographically first failing pair of tuples as a witness:
     the (n-1)-tuple acting, the inner n-tuple, both sides and their defect.
+    The supports of ad_a = [a, e_j] are looked up once per acting tuple a
+    and reused for every inner tuple.
     """
     n, m = alg.arity, alg.dim
+    look = basis_lookup(alg.structure)
     for a in itertools.combinations(range(m), n - 1):
+        ad = [look(a + (j,)) for j in range(m)]
         for b in itertools.combinations(range(m), n):
-            inner = bracket_on_basis(alg, b)
-            lhs = multilinear([support(inner)],
-                              lambda k: bracket_on_basis(alg, a + k), m)
-            acted = [bracket_on_basis(alg, a + (y,)) for y in b]
-            rhs = multilinear([replace_slots(b, acted)],
-                              lambda key: bracket_on_basis(alg, key[0]), m)
+            lhs = densify(multilinear([look(b)], lambda k: ad[k[0]]), m)
+            rhs = densify(multilinear([replace_slots(b, [ad[y] for y in b])],
+                                      lambda key: look(key[0])), m)
             if lhs != rhs:
                 return CheckResult(False, {
                     "acting": a, "inner": b,
@@ -216,11 +243,12 @@ def fundamental_bracket(alg: NLieAlgebra, x: WedgeElement,
     n, m = alg.arity, alg.dim
     if x.grade != n - 1 or y.grade != n - 1 or x.dim != m or y.dim != m:
         raise DimensionMismatch("fundamental bracket needs (n-1)-wedges")
+    look = basis_lookup(alg.structure)
     coords: dict[Key, Fraction] = {}
     for xk, cx in x.coords.items():
         for yk, cy in y.coords.items():
             cxy = cx * cy
-            acted = [bracket_on_basis(alg, xk + (b,)) for b in yk]
+            acted = [look(xk + (b,)) for b in yk]
             for moved, c in replace_slots(yk, acted):
                 ss = sort_with_sign(moved)
                 if ss is None:
@@ -266,23 +294,6 @@ def make_representation(algebra_dim: int, module_dim: int, arity: int,
     return Representation(algebra_dim, module_dim, arity, table)
 
 
-def rho_on_basis(rho: Representation, idx: Sequence[int], j: int) -> Vector:
-    """rho(e_{i_1},..,e_{i_{n-1}}) applied to the j-th module basis vector."""
-    ss = sort_with_sign(idx)
-    if ss is None:
-        return vec_zero(rho.module_dim)
-    sign, key = ss
-    val = rho.action.get((key, j))
-    if val is None:
-        return vec_zero(rho.module_dim)
-    return val if sign == 1 else vec_scale(-1, val)
-
-
-def _rho_basis_vec(rho: Representation, idx: Key, xi: Vector) -> Vector:
-    return multilinear([support(xi)],
-                       lambda j: rho_on_basis(rho, idx, j[0]), rho.module_dim)
-
-
 def adjoint_representation(alg: NLieAlgebra) -> Representation:
     """The algebra acting on itself by its own bracket."""
     n, m = alg.arity, alg.dim
@@ -295,6 +306,7 @@ def adjoint_representation(alg: NLieAlgebra) -> Representation:
     return Representation(m, m, n, action)
 
 
+@traced("algebra.check_representation")
 def check_representation(alg: NLieAlgebra, rho: Representation) -> CheckResult:
     """Both representation conditions on all sorted basis tuples.
 
@@ -308,33 +320,35 @@ def check_representation(alg: NLieAlgebra, rho: Representation) -> CheckResult:
     n, m, r = alg.arity, alg.dim, rho.module_dim
     if rho.algebra_dim != m or rho.arity != n:
         raise DimensionMismatch("representation does not match the algebra")
+    look = basis_lookup(alg.structure)
+    act = basis_lookup(rho.action, module=True)
     for x in itertools.combinations(range(m), n - 1):
         for y in itertools.combinations(range(m), n - 1):
-            moves = replace_slots(
-                y, [bracket_on_basis(alg, x + (yi,)) for yi in y])
+            moves = replace_slots(y, [look(x + (yi,)) for yi in y])
             for j in range(r):
-                lhs = vec_sub(
-                    _rho_basis_vec(rho, x, rho_on_basis(rho, y, j)),
-                    _rho_basis_vec(rho, y, rho_on_basis(rho, x, j)))
-                rhs = multilinear([moves],
-                                  lambda key: rho_on_basis(rho, key[0], j), r)
+                lhs = multilinear([act(y + (j,))], lambda k: act(x + k))
+                multilinear([_scaled(-1, act(x + (j,)))],
+                            lambda k: act(y + k), lhs)
+                lhs = densify(lhs, r)
+                rhs = densify(multilinear(
+                    [moves], lambda key: act(key[0] + (j,))), r)
                 if lhs != rhs:
                     return CheckResult(False, {
                         "condition": 1, "x": x, "y": y, "xi": j,
                         "lhs": lhs, "rhs": rhs})
     for x in itertools.combinations(range(m), n - 2):
         for y in itertools.combinations(range(m), n):
-            inner = support(bracket_on_basis(alg, y))
+            inner = look(y)
             for j in range(r):
-                lhs = multilinear([inner],
-                                  lambda k: rho_on_basis(rho, x + k, j), r)
-                rhs = vec_zero(r)
+                lhs = densify(multilinear(
+                    [inner], lambda k: act(x + k + (j,))), r)
+                rhs: dict[int, Fraction] = {}
                 for i in range(n):
                     sign = -1 if (n - 1 - i) % 2 else 1
-                    moved = _rho_basis_vec(
-                        rho, y[:i] + y[i + 1:],
-                        rho_on_basis(rho, x + (y[i],), j))
-                    rhs = vec_add(rhs, vec_scale(sign, moved))
+                    rest = y[:i] + y[i + 1:]
+                    multilinear([_scaled(sign, act(x + (y[i], j)))],
+                                lambda k: act(rest + k), rhs)
+                rhs = densify(rhs, r)
                 if lhs != rhs:
                     return CheckResult(False, {
                         "condition": 2, "x": x, "y": y, "xi": j,
@@ -363,12 +377,13 @@ def semidirect_product(alg: NLieAlgebra, rho: Representation) -> NLieAlgebra:
         table[key] = val + vec_zero(r)
     for key in itertools.combinations(range(m), n - 1):
         for j in range(r):
-            val = rho_on_basis(rho, key, j)
-            if not vec_is_zero(val):
+            val = rho.action.get((key, j))
+            if val is not None and not vec_is_zero(val):
                 table[key + (m + j,)] = vec_zero(m) + val
     return NLieAlgebra(n, total, table)
 
 
+@traced("algebra.check_o_operator")
 def check_o_operator(alg: NLieAlgebra, rho: Representation,
                      t: Matrix) -> CheckResult:
     """Checks the O-operator identity for T: module -> algebra:
@@ -376,34 +391,35 @@ def check_o_operator(alg: NLieAlgebra, rho: Representation,
         [T xi_1,..,T xi_n] =
             sum_i (-1)^(n-i) T( rho(T xi_1,..,T̂ xi_i,..,T xi_n) xi_i )
 
-    on every n-tuple of module basis vectors (repetitions included; both
-    sides are multilinear, so this decides the identity).
+    on every strictly increasing n-tuple of module basis vectors.  Both
+    sides are multilinear and alternating in xi: the left because the
+    bracket is skew, the right because it is the alternation
+    sum_i (-1)^(n-i) f(xi_1..ξ̂_i..xi_n, xi_i) of a map f that is skew in
+    its first n-1 slots, as rho is.  So a tuple with a repeat has zero
+    defect and a reordering only flips the defect's sign: the sorted
+    tuples decide the identity, and the lexicographically first failing
+    ordered tuple is itself sorted, so the witness is the one a scan of
+    all r^n ordered tuples reports.  T is applied once, to the summed
+    rho-terms.
     """
     n, m, r = alg.arity, alg.dim, rho.module_dim
     if t.rows != m or t.cols != r:
         raise DimensionMismatch("operator must map the module to the algebra")
-    t_cols = [t.column(j) for j in range(r)]
-    for xi in itertools.product(range(r), repeat=n):
-        lhs = bracket_eval(alg, [t_cols[j] for j in xi])
-        rhs = vec_zero(m)
+    look = basis_lookup(alg.structure)
+    act = basis_lookup(rho.action, module=True)
+    t_sups = [support(t.column(j)) for j in range(r)]
+    for xi in itertools.combinations(range(r), n):
+        lhs = densify(multilinear([t_sups[j] for j in xi], look), m)
+        acted: dict[int, Fraction] = {}
         for i in range(n):
-            others = xi[:i] + xi[i + 1:]
-            acted = _rho_multi(rho, [t_cols[j] for j in others],
-                               basis_vec(r, xi[i]))
             sign = -1 if (n - 1 - i) % 2 else 1
-            rhs = vec_add(rhs, vec_scale(sign, t.apply(acted)))
+            multilinear([t_sups[j] for j in xi[:i] + xi[i + 1:]]
+                        + [[(xi[i], sign)]], act, acted)
+        rhs = t.apply(densify(acted, r))
         if lhs != rhs:
             return CheckResult(False, {"xi": xi, "lhs": lhs, "rhs": rhs,
                                        "defect": vec_sub(lhs, rhs)})
     return CheckResult(True)
-
-
-def _rho_multi(rho: Representation, args: Sequence[Vector],
-               xi: Vector) -> Vector:
-    """rho evaluated on arbitrary algebra vectors, multilinear expansion."""
-    return multilinear([support(v) for v in args] + [support(xi)],
-                       lambda idx: rho_on_basis(rho, idx[:-1], idx[-1]),
-                       rho.module_dim)
 
 
 def ad_map(alg: NLieAlgebra, x: WedgeElement) -> Matrix:
@@ -411,7 +427,8 @@ def ad_map(alg: NLieAlgebra, x: WedgeElement) -> Matrix:
     n, m = alg.arity, alg.dim
     if x.grade != n - 1 or x.dim != m:
         raise DimensionMismatch("ad needs an (n-1)-wedge")
-    cols = [multilinear([x.coords.items()],
-                        lambda key: bracket_on_basis(alg, key[0] + (j,)), m)
+    look = basis_lookup(alg.structure)
+    cols = [densify(multilinear([x.coords.items()],
+                                lambda key: look(key[0] + (j,))), m)
             for j in range(m)]
     return Matrix.from_cols(cols, m)

@@ -49,8 +49,8 @@ from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
                       bracket_on_basis, fundamental_bracket, make_algebra,
                       merge_index, replace_slots, sort_with_sign)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, basis_vec, multilinear, support, vec_add,
-                     vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Vector, basis_vec, densify, multilinear, support,
+                     vec_add, vec_is_zero, vec_scale, vec_zero)
 from .trace import traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
@@ -185,8 +185,9 @@ def eval_keys_z(d: Cochain, blocks: tuple[Key, ...], z: int) -> Vector:
 
 
 def eval_keys_vec(d: Cochain, blocks: tuple[Key, ...], w: Vector) -> Vector:
-    return multilinear([support(w)],
-                       lambda j: eval_keys_z(d, blocks, j[0]), d.dim)
+    return densify(multilinear(
+        [support(w)], lambda j: enumerate(eval_keys_z(d, blocks, j[0]))),
+        d.dim)
 
 
 def evaluate(d: Cochain, blocks: Sequence[WedgeElement], z: Vector) -> Vector:
@@ -200,8 +201,9 @@ def evaluate(d: Cochain, blocks: Sequence[WedgeElement], z: Vector) -> Vector:
             raise DimensionMismatch("blocks must be (n-1)-wedges")
     if len(z) != m:
         raise DimensionMismatch("final vector has wrong length")
-    return multilinear([b.coords.items() for b in blocks] + [support(z)],
-                       lambda keys: eval_keys_z(d, keys[:-1], keys[-1]), m)
+    return densify(multilinear(
+        [b.coords.items() for b in blocks] + [support(z)],
+        lambda keys: enumerate(eval_keys_z(d, keys[:-1], keys[-1]))), m)
 
 
 @lru_cache(maxsize=None)
@@ -372,8 +374,9 @@ def wedge_differential(phi: Cochain, x: WedgeElement) -> Cochain:
         raise DimensionMismatch("degree -1 argument must be an (n-1)-wedge")
     entries: dict[CochainKey, Vector] = {}
     for z in range(m):
-        col = multilinear([x.coords.items()],
-                          lambda blocks: eval_keys_z(phi, blocks, z), m)
+        col = densify(multilinear(
+            [x.coords.items()],
+            lambda blocks: enumerate(eval_keys_z(phi, blocks, z))), m)
         if not vec_is_zero(col):
             entries[((), (z,))] = col
     return Cochain(n, m, 0, entries)
@@ -498,11 +501,12 @@ def is_filippov_derivation(alg: NLieAlgebra, mat: Matrix) -> bool:
     n, m = alg.arity, alg.dim
     if mat.rows != m or mat.cols != m:
         raise DimensionMismatch("derivation candidate must be m x m")
-    cols = [mat.column(j) for j in range(m)]
+    cols = [support(mat.column(j)) for j in range(m)]
     for key in itertools.combinations(range(m), n):
         lhs = mat.apply(bracket_on_basis(alg, key))
-        rhs = multilinear([replace_slots(key, [cols[j] for j in key])],
-                          lambda moved: bracket_on_basis(alg, moved[0]), m)
+        rhs = densify(multilinear(
+            [replace_slots(key, [cols[j] for j in key])],
+            lambda moved: enumerate(bracket_on_basis(alg, moved[0]))), m)
         if lhs != rhs:
             return False
     return True

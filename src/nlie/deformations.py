@@ -26,16 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import (CheckResult, NLieAlgebra, Representation, bracket_eval,
-                      bracket_on_basis, check_fundamental_identity,
+from .algebra import (CheckResult, NLieAlgebra, Representation, Support,
+                      basis_lookup, bracket_eval, check_fundamental_identity,
                       check_o_operator, semidirect_product)
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
                        cochain_zero, from_bracket, gla_bracket, to_algebra)
 from .cohomology import (_report, _require_fi, cochain_to_vec,
                          differential_matrix, vec_to_cochain)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, basis_vec, rank_nullspace, solve_linear,
-                     vec_add, vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Vector, densify, multilinear, rank_nullspace,
+                     solve_linear, support, vec_add, vec_is_zero, vec_scale,
+                     vec_zero)
 from .trace import traced
 
 
@@ -175,29 +176,42 @@ def _series_matrices(emap: EquivalenceMap, dim: int,
     return fwd, inv
 
 
+def _col_supports(mat: Matrix) -> list[Support]:
+    return [support(mat.column(j)) for j in range(mat.cols)]
+
+
 @traced("deformations.conjugate_path")
 def conjugate_path(path: DeformationPath,
                    emap: EquivalenceMap) -> DeformationPath:
-    """The path Phi_t^{-1} phi_t(Phi_t .., Phi_t ..) modulo t^(order+1)."""
+    """The path Phi_t^{-1} phi_t(Phi_t .., Phi_t ..) modulo t^(order+1).
+
+    The column supports of the powers of Phi_t and of its inverse are
+    taken once; for each inverse power a the brackets are summed first
+    and inv[a] is applied once to the sum."""
     n, m = path.base.arity, path.base.dim
     k = path.order
     fwd, inv = _series_matrices(emap, m, k)
-    brackets = [path.base, *map(to_algebra, path.terms)]
+    fwd_sups = [_col_supports(mat) for mat in fwd]
+    inv_sups = [_col_supports(mat) for mat in inv]
+    looks = [basis_lookup(alg.structure)
+             for alg in (path.base, *map(to_algebra, path.terms))]
+    # the ways to spread rem powers of t over the n slots
+    spreads = [[bs for bs in itertools.product(range(rem + 1), repeat=n)
+                if sum(bs) == rem] for rem in range(k + 1)]
     new_terms = []
     for r in range(1, k + 1):
         entries = {}
         for key in itertools.combinations(range(m), n):
-            total = vec_zero(m)
+            total: dict[int, Fraction] = {}
             for a in range(r + 1):
+                inner: dict[int, Fraction] = {}
                 for i in range(min(k, r - a) + 1):
-                    rem = r - a - i
-                    for bs in itertools.product(range(rem + 1), repeat=n):
-                        if sum(bs) != rem:
-                            continue
-                        args = [fwd[bs[t]].column(key[t]) for t in range(n)]
-                        val = bracket_eval(brackets[i], args)
-                        if not vec_is_zero(val):
-                            total = vec_add(total, inv[a].apply(val))
+                    for bs in spreads[r - a - i]:
+                        multilinear([fwd_sups[b][j] for b, j in zip(bs, key)],
+                                    looks[i], inner)
+                multilinear([[(j, c) for j, c in inner.items() if c]],
+                            lambda j: inv_sups[a][j[0]], total)
+            total = densify(total, m)
             if not vec_is_zero(total):
                 entries[((), key)] = total
         new_terms.append(Cochain(n, m, 1, entries))
@@ -258,6 +272,7 @@ def check_homomorphism_family(path: DeformationPath,
     return CheckResult(True, None)
 
 
+@traced("deformations.nijenhuis_bracket")
 def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
     """The k-th deformed bracket: insert the operator into k slots, then
     subtract the operator applied to the (k-1)-st deformed bracket."""
@@ -266,38 +281,40 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
         raise DimensionMismatch("operator must be a square matrix of size m")
     if not 1 <= k <= n - 1:
         raise DimensionMismatch("deformed brackets exist for 1 <= k <= n-1")
-    ncols = [nmap.column(j) for j in range(m)]
-    prev: dict = {((), key): bracket_on_basis(alg, key)
-                  for key in itertools.combinations(range(m), n)}
-    prev = {kk: v for kk, v in prev.items() if not vec_is_zero(v)}
+    look = basis_lookup(alg.structure)
+    nsups = _col_supports(nmap)
+    units = [[(j, Fraction(1))] for j in range(m)]
+    prev = {((), key): val for key, val in alg.structure.items()
+            if not vec_is_zero(val)}
     for step in range(1, k + 1):
         entries = {}
         for key in itertools.combinations(range(m), n):
-            total = vec_zero(m)
+            total: dict[int, Fraction] = {}
             for slots in itertools.combinations(range(n), step):
-                args = [ncols[key[t]] if t in slots
-                        else basis_vec(m, key[t]) for t in range(n)]
-                total = vec_add(total, bracket_eval(alg, args))
+                multilinear([nsups[key[t]] if t in slots else units[key[t]]
+                             for t in range(n)], look, total)
             pv = prev.get(((), key))
             if pv is not None:
-                total = vec_add(total, vec_scale(-1, nmap.apply(pv)))
+                multilinear([[(j, -c) for j, c in enumerate(pv) if c]],
+                            lambda j: nsups[j[0]], total)
+            total = densify(total, m)
             if not vec_is_zero(total):
                 entries[((), key)] = total
         prev = entries
     return Cochain(n, m, 1, prev)
 
 
+@traced("deformations.check_nijenhuis")
 def check_nijenhuis(alg: NLieAlgebra, nmap: Matrix) -> CheckResult:
     """Closure test: the bracket of operator images must equal the operator
     applied to the top deformed bracket, on every sorted basis tuple."""
     _require_fi(alg)
     n, m = alg.arity, alg.dim
-    if nmap.rows != m or nmap.cols != m:
-        raise DimensionMismatch("operator must be a square matrix of size m")
-    ncols = [nmap.column(j) for j in range(m)]
     top = nijenhuis_bracket(alg, nmap, n - 1)
+    look = basis_lookup(alg.structure)
+    nsups = _col_supports(nmap)
     for key in itertools.combinations(range(m), n):
-        lhs = bracket_eval(alg, [ncols[j] for j in key])
+        lhs = densify(multilinear([nsups[j] for j in key], look), m)
         tv = top.entries.get(((), key), vec_zero(m))
         rhs = nmap.apply(tv)
         if lhs != rhs:
@@ -327,6 +344,7 @@ class OOperatorLift:
         return self.o_operator_holds == self.lifted_nijenhuis_holds
 
 
+@traced("deformations.o_operator_lift")
 def o_operator_lift(alg: NLieAlgebra, rho: Representation,
                     tmap: Matrix) -> OOperatorLift:
     """Compare the intertwining condition for T with the Nijenhuis
@@ -412,6 +430,7 @@ _PROBE_NOTE = ("sampling probe: success on all sampled paths does not "
                "prove rigidity; a vanishing second cohomology does")
 
 
+@traced("deformations.rigidity_probe")
 def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
                    seed: int = 0) -> RigidityReport:
     """Try to trivialize sampled valid deformations by the inductive

@@ -62,16 +62,21 @@ def support(v: Vector) -> list[tuple[int, Fraction]]:
 
 
 def multilinear(supports: Sequence[Iterable[tuple[Hashable, Fraction | int]]],
-                term: Callable[[tuple], Vector], m: int) -> Vector:
+                term: Callable[[tuple], Iterable[tuple[int, Fraction]]],
+                acc: dict[int, Fraction] | None = None) -> dict[int, Fraction]:
     """Expand a multilinear map over its arguments' coordinates.
 
     ``supports`` gives, per argument, its nonzero (label, coefficient)
-    pairs, such as ``support(v)`` or a wedge's ``coords.items()``.  Returns
-    the length-m sum of c_1 * .. * c_k * term((label_1, .., label_k)) over
-    the product of the supports, so only products of nonzero coordinates
-    are visited.
+    pairs, such as ``support(v)`` or a wedge's ``coords.items()``;
+    ``term(labels)`` gives the (index, value) pairs of the image of one
+    tuple of labels, zero values skipped, so a dense vector passes as
+    ``enumerate(v)``.  Adds c_1 * .. * c_k * term((label_1, .., label_k))
+    over the product of the supports into ``acc`` (a new dict if None) and
+    returns it, so only products of nonzero coordinates are visited.
+    Entries may cancel to zero; ``densify`` gives the vector.
     """
-    acc: dict[int, Fraction] = {}
+    if acc is None:
+        acc = {}
     for combo in itertools.product(*supports):
         labels = []
         coeff = 1
@@ -79,11 +84,16 @@ def multilinear(supports: Sequence[Iterable[tuple[Hashable, Fraction | int]]],
         for label, c in combo:
             labels.append(label)
             coeff = c if coeff == 1 else coeff * c
-        for i, x in enumerate(term(tuple(labels))):
+        for i, x in term(tuple(labels)):
             if x:
                 if coeff != 1:
                     x = coeff * x
                 acc[i] = acc[i] + x if i in acc else x
+    return acc
+
+
+def densify(acc: dict[int, Fraction], m: int) -> Vector:
+    """The length-m vector of a sparse {index: value} accumulator."""
     return tuple(acc.get(i, _ZERO) for i in range(m))
 
 

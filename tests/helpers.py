@@ -33,10 +33,12 @@ def rand_sparse_vector(rng: random.Random, m: int,
 
 def rand_poly(rng: random.Random, num_vars: int, max_deg: int = 2,
               terms: int = 3) -> MultiPoly:
+    """Random polynomial of degree at most max_deg; a constant when there
+    are no variables."""
     tbl = {}
     for _ in range(terms):
         exps = [0] * num_vars
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(0, max_deg if num_vars else 0)):
             exps[rng.randrange(num_vars)] += 1
         tbl[tuple(exps)] = tbl.get(tuple(exps), Fraction(0)) + rand_fraction(rng)
     return poly_from_terms(num_vars, tbl)
@@ -341,7 +343,7 @@ def ref_nijenhuis_symbol_check(abd, nmap, max_degree=2):
 
 def rand_low_poly(rng: random.Random, num_vars: int, terms: int = 1):
     """Random polynomial of degree at most 1 (a constant on a point)."""
-    return rand_poly(rng, num_vars, 1 if num_vars else 0, terms)
+    return rand_poly(rng, num_vars, 1, terms)
 
 
 def rand_field(rng: random.Random, num_vars: int):
@@ -417,3 +419,205 @@ def rand_bundle_map(rng: random.Random, m: int, r: int):
              for _ in range(r)] for _ in range(r)])
     return make_bundle_map(m, r, [[diag[i] if i == j else poly_zero(m)
                                    for j in range(r)] for i in range(r)])
+
+
+# ------------------------------------------------------------------
+# Dense references for the n-Lie kernels: the loops that evaluate every
+# basis bracket through ``bracket_on_basis``/``_ref_rho`` and expand
+# products of coordinates here, kept as the oracle for the memoized
+# sparse lookups in ``nlie.algebra`` and ``nlie.deformations``.
+
+def _ref_expand(args, term, m):
+    """sum of c_1 * .. * c_k * term(i_1, .., i_k) over the nonzero
+    coordinates c_t = args[t][i_t], as a dense length-m vector."""
+    import itertools
+
+    out = [Fraction(0)] * m
+    nonzero = [[(i, c) for i, c in enumerate(v) if c] for v in args]
+    for combo in itertools.product(*nonzero):
+        coeff = Fraction(1)
+        for _, c in combo:
+            coeff *= c
+        for k, x in enumerate(term(tuple(i for i, _ in combo))):
+            out[k] += coeff * x
+    return tuple(out)
+
+
+def _ref_bracket(alg, args):
+    from nlie.algebra import bracket_on_basis
+
+    return _ref_expand(args, lambda idx: bracket_on_basis(alg, idx),
+                       alg.dim)
+
+
+def _ref_rho(rho, idx, j):
+    """rho(e_{i_1},..,e_{i_{n-1}}) applied to the j-th module basis
+    vector."""
+    from nlie.algebra import sort_with_sign
+
+    ss = sort_with_sign(idx)
+    val = ss and rho.action.get((ss[1], j))
+    if not val:
+        return (Fraction(0),) * rho.module_dim
+    return val if ss[0] == 1 else tuple(-c for c in val)
+
+
+def _unit(m, i):
+    return tuple(Fraction(1 if j == i else 0) for j in range(m))
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_check_fundamental_identity(alg):
+    """``check_fundamental_identity`` with every bracket of basis vectors
+    evaluated afresh for every pair of tuples."""
+    import itertools
+
+    from nlie.algebra import CheckResult, bracket_on_basis
+
+    n, m = alg.arity, alg.dim
+    for a in itertools.combinations(range(m), n - 1):
+        for b in itertools.combinations(range(m), n):
+            inner = bracket_on_basis(alg, b)
+            lhs = _ref_expand([inner],
+                              lambda k: bracket_on_basis(alg, a + k), m)
+            rhs = (Fraction(0),) * m
+            for i, y in enumerate(b):
+                acted = bracket_on_basis(alg, a + (y,))
+                moved = _ref_expand(
+                    [acted],
+                    lambda k: bracket_on_basis(alg, b[:i] + k + b[i + 1:]), m)
+                rhs = tuple(x + z for x, z in zip(rhs, moved))
+            if lhs != rhs:
+                return CheckResult(False, {
+                    "acting": a, "inner": b,
+                    "lhs": lhs, "rhs": rhs, "defect": _sub(lhs, rhs)})
+    return CheckResult(True)
+
+
+def ref_check_o_operator(alg, rho, t):
+    """``check_o_operator`` on all r^n ordered tuples, applying T to each
+    rho-term separately."""
+    import itertools
+
+    from nlie.algebra import CheckResult
+
+    n, m, r = alg.arity, alg.dim, rho.module_dim
+    t_cols = [t.column(j) for j in range(r)]
+    for xi in itertools.product(range(r), repeat=n):
+        lhs = _ref_bracket(alg, [t_cols[j] for j in xi])
+        rhs = (Fraction(0),) * m
+        for i in range(n):
+            others = xi[:i] + xi[i + 1:]
+            acted = _ref_expand(
+                [t_cols[j] for j in others] + [_unit(r, xi[i])],
+                lambda idx: _ref_rho(rho, idx[:-1], idx[-1]), r)
+            sign = -1 if (n - 1 - i) % 2 else 1
+            rhs = tuple(x + sign * y for x, y in zip(rhs, t.apply(acted)))
+        if lhs != rhs:
+            return CheckResult(False, {"xi": xi, "lhs": lhs, "rhs": rhs,
+                                       "defect": _sub(lhs, rhs)})
+    return CheckResult(True)
+
+
+def ref_nijenhuis_bracket(alg, nmap, k):
+    """``nijenhuis_bracket`` with one dense bracket per choice of slots."""
+    import itertools
+
+    from nlie.algebra import bracket_on_basis
+    from nlie.cochains import Cochain
+
+    n, m = alg.arity, alg.dim
+    ncols = [nmap.column(j) for j in range(m)]
+    prev = {((), key): bracket_on_basis(alg, key)
+            for key in itertools.combinations(range(m), n)}
+    prev = {kk: v for kk, v in prev.items() if any(v)}
+    for step in range(1, k + 1):
+        entries = {}
+        for key in itertools.combinations(range(m), n):
+            total = (Fraction(0),) * m
+            for slots in itertools.combinations(range(n), step):
+                args = [ncols[key[t]] if t in slots else _unit(m, key[t])
+                        for t in range(n)]
+                total = tuple(x + y for x, y in
+                              zip(total, _ref_bracket(alg, args)))
+            pv = prev.get(((), key))
+            if pv is not None:
+                total = _sub(total, nmap.apply(pv))
+            if any(total):
+                entries[((), key)] = total
+        prev = entries
+    return Cochain(n, m, 1, prev)
+
+
+def ref_check_nijenhuis(alg, nmap):
+    """``check_nijenhuis`` on the dense references."""
+    import itertools
+
+    from nlie.algebra import CheckResult
+    from nlie.errors import InvalidStructure
+
+    res = ref_check_fundamental_identity(alg)
+    if not res.holds:
+        raise InvalidStructure("bracket fails the fundamental identity",
+                               witness=res.witness)
+    n, m = alg.arity, alg.dim
+    ncols = [nmap.column(j) for j in range(m)]
+    top = ref_nijenhuis_bracket(alg, nmap, n - 1)
+    for key in itertools.combinations(range(m), n):
+        lhs = _ref_bracket(alg, [ncols[j] for j in key])
+        rhs = nmap.apply(top.entries.get(((), key), (Fraction(0),) * m))
+        if lhs != rhs:
+            return CheckResult(False, {"tuple": key, "lhs": lhs, "rhs": rhs})
+    return CheckResult(True, None)
+
+
+def ref_conjugate_path(path, emap):
+    """``conjugate_path`` with one dense bracket and one application of
+    the inverse series per spread of the powers of t."""
+    import itertools
+
+    from nlie.cochains import Cochain, to_algebra
+    from nlie.deformations import DeformationPath, _series_matrices
+
+    n, m = path.base.arity, path.base.dim
+    k = path.order
+    fwd, inv = _series_matrices(emap, m, k)
+    brackets = [path.base, *map(to_algebra, path.terms)]
+    new_terms = []
+    for r in range(1, k + 1):
+        entries = {}
+        for key in itertools.combinations(range(m), n):
+            total = (Fraction(0),) * m
+            for a in range(r + 1):
+                for i in range(min(k, r - a) + 1):
+                    rem = r - a - i
+                    for bs in itertools.product(range(rem + 1), repeat=n):
+                        if sum(bs) != rem:
+                            continue
+                        args = [fwd[bs[t]].column(key[t]) for t in range(n)]
+                        val = _ref_bracket(brackets[i], args)
+                        total = tuple(x + y for x, y in
+                                      zip(total, inv[a].apply(val)))
+            if any(total):
+                entries[((), key)] = total
+        new_terms.append(Cochain(n, m, 1, entries))
+    return DeformationPath(path.base, k, tuple(new_terms))
+
+
+def rand_action(rng: random.Random, alg, module_dim: int,
+                density: float = 0.5):
+    """Random skew action of (n-1)-tuples on Q^module_dim, not checked
+    against the representation conditions."""
+    import itertools
+
+    from nlie.algebra import make_representation
+
+    action = {}
+    for key in itertools.combinations(range(alg.dim), alg.arity - 1):
+        for j in range(module_dim):
+            if rng.random() < density:
+                action[(key, j)] = rand_sparse_vector(rng, module_dim, 0.6)
+    return make_representation(alg.dim, module_dim, alg.arity, action)

@@ -503,21 +503,27 @@ def test_golden_stdout_traced(capsys, tmp_path, eps, sl2_file, name):
     assert summary["cli.main"]["calls"] == 1
 
 
-def test_trace_counters_repeat(capsys, sl2_file, eps):
+def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     def counters(*argv):
         _, _, err = run(capsys, "--trace", *argv)
         return [(line["summary"], line["calls"], line["counters"])
                 for line in _trace_lines(err) if "summary" in line]
 
+    diag = write(tmp_path, "diag.json", matrix_to_json(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])))
+    names = set()
     for argv in (["--seed", "11", "deform", "rigidity", sl2_file,
                   "--trials", "4"],
+                 ["--seed", "11", "nijenhuis", eps, diag, "--generate-path"],
                  ["cohomology", eps, "--degree", "2"]):
         first = counters(*argv)
         assert first == counters(*argv)
-    names = {name for name, _, _ in first}
+        names |= {name for name, _, _ in first}
     assert {"cli.main", "io.load", "cli.render",
-            "cohomology.differential_matrix",
-            "linalg.rank_nullspace"} <= names
+            "cohomology.differential_matrix", "linalg.rank_nullspace",
+            "deformations.rigidity_probe", "deformations.conjugate_path",
+            "deformations.check_nijenhuis",
+            "deformations.nijenhuis_bracket"} <= names
     rank = next(c for name, _, c in first if name == "linalg.rank_nullspace")
     assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
 

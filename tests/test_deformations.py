@@ -348,6 +348,28 @@ def test_o_operator_lift_agreement():
             assert o_operator_lift(alg, rho, t).agree
 
 
+def test_o_operator_lift_spans():
+    import io
+    import json
+
+    from nlie import trace
+
+    alg = sl2()
+    out = io.StringIO()
+    trace.enable(out)
+    try:
+        o_operator_lift(alg, adjoint_representation(alg), Matrix.zero(3, 3))
+    finally:
+        trace.finish()
+    calls = {line["summary"]: line["calls"]
+             for line in map(json.loads, out.getvalue().splitlines())
+             if "summary" in line}
+    assert calls["deformations.o_operator_lift"] == 1
+    assert calls["algebra.check_o_operator"] == 1
+    assert calls["algebra.check_representation"] == 1
+    assert calls["deformations.check_nijenhuis"] == 1
+
+
 def test_o_operator_lift_shape_check():
     alg = sl2()
     rho = adjoint_representation(alg)

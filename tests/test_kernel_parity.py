@@ -1,0 +1,146 @@
+"""The memoized sparse n-Lie kernels against the dense reference loops in
+``helpers``.
+
+Parity: equal results (verdict, witness and every cochain entry, in
+order) on seeded random inputs.  The references evaluate each basis
+bracket through ``bracket_on_basis`` (``_ref_rho`` for rho) and expand
+coordinates by their own loop, so they share neither the lookup memo nor
+``linalg.multilinear`` with the package; the O-operator reference scans
+all r^n ordered tuples.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from helpers import (rand_action, rand_bracket, rand_cochain, rand_matrix,
+                     rand_sparse_vector, rand_valid_algebra,
+                     ref_check_fundamental_identity, ref_check_nijenhuis,
+                     ref_check_o_operator, ref_conjugate_path,
+                     ref_nijenhuis_bracket)
+
+from nlie.algebra import (adjoint_representation, check_fundamental_identity,
+                          check_o_operator)
+from nlie.catalog import heisenberg3, levi_civita_bracket, sl2
+from nlie.deformations import (EquivalenceMap, check_nijenhuis,
+                               conjugate_path, make_deformation_path,
+                               nijenhuis_bracket)
+from nlie.errors import InvalidStructure
+from nlie.linalg import Matrix
+
+
+def _bracket(rng):
+    """Arity 2-4, dimension n-6; dense brackets mostly fail FI, sparse
+    ones often hold it."""
+    n = rng.randint(2, 4)
+    return rand_bracket(rng, n, rng.randint(n, 6),
+                        rng.choice([0.1, 0.3, 0.7]))
+
+
+def _sparse_matrix(rng, rows, cols):
+    return Matrix.from_rows([rand_sparse_vector(rng, cols, 0.5)
+                             for _ in range(rows)])
+
+
+def _outcome(fn, *args):
+    """Result, or the witness of the InvalidStructure raised."""
+    try:
+        return fn(*args)
+    except InvalidStructure as exc:
+        return ("raised", exc.witness)
+
+
+def test_fundamental_identity_parity():
+    rng = random.Random(101)
+    algs = [_bracket(rng) for _ in range(60)]
+    algs += [rand_valid_algebra(rng, base)
+             for base in (levi_civita_bracket(), sl2(), heisenberg3())]
+    verdicts = set()
+    for alg in algs:
+        got = check_fundamental_identity(alg)
+        assert got == ref_check_fundamental_identity(alg)
+        verdicts.add(got.holds)
+    assert verdicts == {True, False}
+
+
+def test_o_operator_parity():
+    rng = random.Random(202)
+    verdicts = set()
+    for trial in range(30):
+        alg = _bracket(rng)
+        r = rng.randint(1, 4)
+        rho = rand_action(rng, alg, r)
+        t = (Matrix.zero(alg.dim, r) if trial % 10 == 0
+             else _sparse_matrix(rng, alg.dim, r))
+        got = check_o_operator(alg, rho, t)
+        assert got == ref_check_o_operator(alg, rho, t)
+        verdicts.add((got.holds, r < alg.arity))
+    # rank-one maps into the Levi-Civita adjoint module: a mix of verdicts
+    lc = levi_civita_bracket()
+    rho = adjoint_representation(lc)
+    for _ in range(5):
+        u = [rng.randint(-2, 2) for _ in range(4)]
+        v = [rng.randint(-2, 2) for _ in range(4)]
+        t = Matrix.from_rows([[a * b for b in v] for a in u])
+        got = check_o_operator(lc, rho, t)
+        assert got == ref_check_o_operator(lc, rho, t)
+        verdicts.add((got.holds, False))
+    # failing witnesses and the n > r case (always holds) both occur
+    assert {(False, False), (True, False), (True, True)} <= verdicts
+
+
+def test_nijenhuis_bracket_parity():
+    rng = random.Random(303)
+    for _ in range(40):
+        alg = _bracket(rng)
+        nmap = _sparse_matrix(rng, alg.dim, alg.dim)
+        for k in range(1, alg.arity):
+            got = nijenhuis_bracket(alg, nmap, k)
+            want = ref_nijenhuis_bracket(alg, nmap, k)
+            assert list(got.entries.items()) == list(want.entries.items())
+            assert got == want
+
+
+def test_check_nijenhuis_parity():
+    rng = random.Random(404)
+    cases = []
+    for base in (levi_civita_bracket(), sl2(), heisenberg3()):
+        m = base.dim
+        cases.append((base, Matrix.zero(m, m)))
+        cases.append((base, Matrix.from_rows(
+            [[F(rng.randint(-2, 2), 1) if i == j else 0 for j in range(m)]
+             for i in range(m)])))
+        for _ in range(4):
+            cases.append((base, _sparse_matrix(rng, m, m)))
+            cases.append((rand_valid_algebra(rng, base),
+                          _sparse_matrix(rng, m, m)))
+    # an algebra failing FI: both raise with the same witness
+    bad = rand_bracket(rng, 3, 4)
+    cases.append((bad, _sparse_matrix(rng, 4, 4)))
+    verdicts = []
+    for alg, nmap in cases:
+        got = _outcome(check_nijenhuis, alg, nmap)
+        assert got == _outcome(ref_check_nijenhuis, alg, nmap)
+        verdicts.append(got[0] if isinstance(got, tuple) else got.holds)
+    assert {True, False, "raised"} <= set(verdicts)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_conjugate_path_parity(order):
+    rng = random.Random(500 + order)
+    for _ in range(6):
+        base = rng.choice([sl2(), heisenberg3(), levi_civita_bracket(),
+                           rand_bracket(rng, 2, 3)])
+        n, m = base.arity, base.dim
+        terms = [rand_cochain(rng, n, m, 1, 0.4)
+                 for _ in range(order)]
+        path = make_deformation_path(base, terms)
+        maps = tuple(rand_matrix(rng, m, m)
+                     for _ in range(rng.randint(1, order)))
+        emap = EquivalenceMap(order, maps)
+        got = conjugate_path(path, emap)
+        want = ref_conjugate_path(path, emap)
+        for g, w in zip(got.terms, want.terms):
+            assert list(g.entries.items()) == list(w.entries.items())
+        assert got == want

@@ -24,6 +24,15 @@ def test_product_difference_of_squares():
                                                              (0, 0): -1})
 
 
+def test_rand_poly_on_a_point_is_constant():
+    # with no variables every degree bound gives a constant
+    rng = random.Random(5)
+    for max_deg in (0, 1, 3):
+        for _ in range(10):
+            p = rand_poly(rng, 0, max_deg)
+            assert p.num_vars == 0 and set(p.terms) <= {()}
+
+
 def test_scale_by_zero_annihilates():
     rng = random.Random(7)
     for _ in range(20):
