@@ -9,16 +9,21 @@ entries are stored on keys
 with each B_i a strictly increasing (n-1)-tuple and W a strictly increasing
 n-tuple.  Degree 0 is a plain linear map, keyed by ((), (j,)).  Degree -1
 (a single (n-1)-wedge) lives as ``algebra.WedgeElement`` and only shows up
-in ``differential``.
+in ``differential``.  One rule, ``_locate``, finds the entry a cochain
+takes on sorted basis blocks and e_z: the last block wedges with e_z (sign
+from sorting, zero on a repeat), and degree 0 reads ((), (z,)).
+``eval_keys_z``, ``coboundary_rows`` and ``circle`` all read through it.
 
-The circle product composes D1 (degree p) with D2 (degree q) in two ways:
-
-* insertion: for 0 <= k <= p-1 and a (k,q)-shuffle s of the first k+q
-  arguments, D2 swallows the arguments s selects for it plus one factor of
-  block number k+q+1, and its output is wedged back into that factor slot;
-  the term carries sign(s) * (-1)^(k*q);
-* composition: for k = p, D2 swallows its selected arguments plus the final
-  vector, with sign(s) * (-1)^(p*q).
+The circle product composes D1 (degree p) with D2 (degree q).  With the
+final vector appended to the arguments as a one-slot block (z), for
+0 <= k <= p and a (k,q)-shuffle s of the first k+q arguments, D2 swallows
+the arguments s selects for it plus one slot of block number k+q+1, its
+output e_j fills that slot, and D1 reads the rest; the term carries
+sign(s) * (-1)^(k*q).  For k < p this inserts into a wedge block; k = p is
+the composition term, where the slot is the final vector itself.
+``circle`` reads each operand once as sparse supports built inside the
+call, and adds each output key's terms into one {index: value} dict that
+is densified only when nonzero.
 
 Summing over k and shuffles gives D1 ∘ D2, and
 
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
                       bracket_on_basis, fundamental_bracket, make_algebra,
@@ -169,25 +174,24 @@ def _compatible(a: Cochain, b: Cochain, same_degree: bool = False) -> None:
         raise DimensionMismatch("cochains of different degree")
 
 
-def eval_keys_z(d: Cochain, blocks: tuple[Key, ...], z: int) -> Vector:
-    """Evaluate on sorted basis blocks and a basis vector index: the last
-    block wedges with e_z (sign from sorting, zero on repeats)."""
-    if d.degree == 0:
-        return d.entries.get(((), (z,)), vec_zero(d.dim))
+def _locate(degree: int, blocks: tuple[Key, ...],
+            z: int) -> Optional[tuple[int, CochainKey]]:
+    """Sign and storage key of the entry a cochain of this degree takes on
+    sorted basis blocks and e_z: the last block wedges with e_z (sign from
+    sorting, None on a repeat); degree 0 is keyed ((), (z,))."""
+    if degree == 0:
+        return 1, ((), (z,))
     mi = merge_index(blocks[-1], z)
-    if mi is None:
-        return vec_zero(d.dim)
-    sign, wedge = mi
-    val = d.entries.get((blocks[:-1], wedge))
-    if val is None:
-        return vec_zero(d.dim)
-    return val if sign == 1 else vec_scale(-1, val)
+    return mi and (mi[0], (blocks[:-1], mi[1]))
 
 
-def eval_keys_vec(d: Cochain, blocks: tuple[Key, ...], w: Vector) -> Vector:
-    return densify(multilinear(
-        [support(w)], lambda j: enumerate(eval_keys_z(d, blocks, j[0]))),
-        d.dim)
+def eval_keys_z(d: Cochain, blocks: tuple[Key, ...], z: int) -> Vector:
+    """Evaluate on sorted basis blocks and a basis vector index."""
+    at = _locate(d.degree, blocks, z)
+    val = at and d.entries.get(at[1])
+    if not val:
+        return vec_zero(d.dim)
+    return val if at[0] == 1 else vec_scale(-1, val)
 
 
 def evaluate(d: Cochain, blocks: Sequence[WedgeElement], z: Vector) -> Vector:
@@ -224,51 +228,42 @@ def shuffles(k: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def _circle_raw(d1: Cochain, d2: Cochain, args: tuple[Key, ...],
-                z: int) -> Vector:
-            # args: p+q sorted blocks; z: basis index
+def _circle_point(d1: Cochain, d2: Cochain
+                  ) -> Callable[[tuple[Key, ...], int], dict[int, Fraction]]:
+    """(args, z) -> {index: value} of D1 ∘ D2 on p+q sorted basis blocks and
+    a basis index: the shuffle loop of the module docstring, on supports of
+    both operands read once for the life of the returned function."""
     p, q = d1.degree, d2.degree
-    n, m = d1.arity, d1.dim
-    total = [Fraction(0)] * m
-    for k in range(p):
-        base_sign = -1 if (k * q) % 2 else 1
-        ins = args[k + q]
-        tail = args[k + q + 1:]
-        for pos, sgn in shuffles(k, q):
-            head = tuple(args[i] for i in pos[:k])
-            mid = tuple(args[i] for i in pos[k:])
-            coeff0 = base_sign * sgn
-            for s in range(n - 1):
-                w = eval_keys_z(d2, mid, ins[s])
-                if vec_is_zero(w):
-                    continue
-                for j, wj in enumerate(w):
-                    if wj == 0:
-                        continue
-                    ss = sort_with_sign(ins[:s] + (j,) + ins[s + 1:])
-                    if ss is None:
-                        continue
-                    sub_sign, sub = ss
-                    v = eval_keys_z(d1, head + (sub,) + tail, z)
-                    if vec_is_zero(v):
-                        continue
-                    c = coeff0 * sub_sign * wj
-                    for i, vi in enumerate(v):
-                        if vi:
-                            total[i] += c * vi
-    base_sign = -1 if (p * q) % 2 else 1
-    for pos, sgn in shuffles(p, q):
-        head = tuple(args[i] for i in pos[:p])
-        mid = tuple(args[i] for i in pos[p:])
-        w = eval_keys_z(d2, mid, z)
-        if vec_is_zero(w):
-            continue
-        v = eval_keys_vec(d1, head, w)
-        c = base_sign * sgn
-        for i, vi in enumerate(v):
-            if vi:
-                total[i] += c * vi
-    return tuple(total)
+    s1, s2 = ({key: support(v) for key, v in d.entries.items()}
+              for d in (d1, d2))
+
+    def read(sups, degree, blocks, z):
+        at = _locate(degree, blocks, z)
+        sup = at and sups.get(at[1])
+        return (at[0], sup) if sup else (0, ())
+
+    def point(args: tuple[Key, ...], z: int) -> dict[int, Fraction]:
+        acc: dict[int, Fraction] = {}
+        full = args + ((z,),)
+        for k in range(p + 1):
+            ins, tail = full[k + q], full[k + q + 1:]
+            for pos, sgn in shuffles(k, q):
+                head = tuple(args[i] for i in pos[:k])
+                mid = tuple(args[i] for i in pos[k:])
+                sign = -sgn if (k * q) % 2 else sgn
+                for s, x in enumerate(ins):
+                    sign2, w = read(s2, q, mid, x)
+                    for j, wj in w:
+                        ss = sort_with_sign(ins[:s] + (j,) + ins[s + 1:])
+                        if ss is None:
+                            continue
+                        outer = head + (ss[1],) + tail
+                        sign1, v = read(s1, p, outer[:-1], outer[-1][0])
+                        c = wj if sign * sign2 * ss[0] * sign1 == 1 else -wj
+                        for i, vi in v:
+                            acc[i] = acc.get(i, 0) + c * vi
+        return acc
+    return point
 
 
 def _visited(args, d: Cochain) -> dict[str, int]:
@@ -285,16 +280,13 @@ def circle(d1: Cochain, d2: Cochain) -> Cochain:
     _compatible(d1, d2)
     p, q = d1.degree, d2.degree
     n, m = d1.arity, d1.dim
+    point = _circle_point(d1, d2)
     entries: dict[CochainKey, Vector] = {}
     for key in space_keys(m, n, p + q):
         blocks, last = key
-        if p + q == 0:
-            val = eval_keys_vec(d1, (), eval_keys_z(d2, (), last[0]))
-        else:
-            args = blocks + (last[:n - 1],)
-            val = _circle_raw(d1, d2, args, last[n - 1])
-        if not vec_is_zero(val):
-            entries[key] = val
+        acc = point(blocks + (last[:-1],) if p + q else (), last[-1])
+        if any(acc.values()):
+            entries[key] = densify(acc, m)
     return Cochain(n, m, p + q, entries)
 
 
@@ -328,12 +320,8 @@ def from_matrix(mat: Matrix, arity: int) -> Cochain:
     """A linear map as a degree-0 cochain."""
     if mat.rows != mat.cols:
         raise DimensionMismatch("degree-0 cochains are square maps")
-    entries: dict[CochainKey, Vector] = {}
-    for j in range(mat.cols):
-        col = mat.column(j)
-        if not vec_is_zero(col):
-            entries[((), (j,))] = col
-    return Cochain(arity, mat.rows, 0, entries)
+    return make_cochain(arity, mat.rows, 0, {((), (j,)): mat.column(j)
+                                             for j in range(mat.cols)})
 
 
 def to_matrix(d: Cochain) -> Matrix:
@@ -437,12 +425,8 @@ def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
 
     def read(blocks: tuple[Key, ...], z: int) -> Optional[tuple[int, int]]:
         # (sign, first column) of the entry eval_keys_z(psi, blocks, z) reads
-        if p == 0:
-            return 1, base_of[((), (z,))]
-        mi = merge_index(blocks[-1], z)
-        if mi is None:
-            return None
-        return mi[0], base_of[(blocks[:-1], mi[1])]
+        at = _locate(p, blocks, z)
+        return at and (at[0], base_of[at[1]])
 
     rows: list[Row] = []
     for blocks, last in space_keys(m, n, p + 1):

@@ -621,3 +621,114 @@ def rand_action(rng: random.Random, alg, module_dim: int,
             if rng.random() < density:
                 action[(key, j)] = rand_sparse_vector(rng, module_dim, 0.6)
     return make_representation(alg.dim, module_dim, alg.arity, action)
+
+
+# ------------------------------------------------------------------
+# Dense reference for the circle product: the walk that evaluated every
+# output key on dense Fraction vectors, kept as the oracle for the sparse
+# walk in ``nlie.cochains``.  It has its own storage-key reads, so the
+# two share no lookup code.
+
+def _ref_eval_keys_z(d, blocks, z):
+    from nlie.algebra import merge_index
+    from nlie.linalg import vec_scale, vec_zero
+
+    if d.degree == 0:
+        return d.entries.get(((), (z,)), vec_zero(d.dim))
+    mi = merge_index(blocks[-1], z)
+    if mi is None:
+        return vec_zero(d.dim)
+    sign, wedge = mi
+    val = d.entries.get((blocks[:-1], wedge))
+    if val is None:
+        return vec_zero(d.dim)
+    return val if sign == 1 else vec_scale(-1, val)
+
+
+def _ref_eval_keys_vec(d, blocks, w):
+    from nlie.linalg import densify, multilinear, support
+
+    return densify(multilinear(
+        [support(w)], lambda j: enumerate(_ref_eval_keys_z(d, blocks, j[0]))),
+        d.dim)
+
+
+def _ref_circle_raw(d1, d2, args, z):
+    from nlie.algebra import sort_with_sign
+    from nlie.cochains import shuffles
+    from nlie.linalg import vec_is_zero
+
+    p, q = d1.degree, d2.degree
+    n, m = d1.arity, d1.dim
+    total = [Fraction(0)] * m
+    for k in range(p):
+        base_sign = -1 if (k * q) % 2 else 1
+        ins = args[k + q]
+        tail = args[k + q + 1:]
+        for pos, sgn in shuffles(k, q):
+            head = tuple(args[i] for i in pos[:k])
+            mid = tuple(args[i] for i in pos[k:])
+            coeff0 = base_sign * sgn
+            for s in range(n - 1):
+                w = _ref_eval_keys_z(d2, mid, ins[s])
+                if vec_is_zero(w):
+                    continue
+                for j, wj in enumerate(w):
+                    if wj == 0:
+                        continue
+                    ss = sort_with_sign(ins[:s] + (j,) + ins[s + 1:])
+                    if ss is None:
+                        continue
+                    sub_sign, sub = ss
+                    v = _ref_eval_keys_z(d1, head + (sub,) + tail, z)
+                    if vec_is_zero(v):
+                        continue
+                    c = coeff0 * sub_sign * wj
+                    for i, vi in enumerate(v):
+                        if vi:
+                            total[i] += c * vi
+    base_sign = -1 if (p * q) % 2 else 1
+    for pos, sgn in shuffles(p, q):
+        head = tuple(args[i] for i in pos[:p])
+        mid = tuple(args[i] for i in pos[p:])
+        w = _ref_eval_keys_z(d2, mid, z)
+        if vec_is_zero(w):
+            continue
+        v = _ref_eval_keys_vec(d1, head, w)
+        c = base_sign * sgn
+        for i, vi in enumerate(v):
+            if vi:
+                total[i] += c * vi
+    return tuple(total)
+
+
+def ref_circle(d1, d2):
+    """``cochains.circle`` as a dense walk: a length-m total per output
+    key, with the composition term as its own loop."""
+    from nlie.cochains import Cochain, space_keys
+    from nlie.linalg import vec_is_zero
+
+    p, q = d1.degree, d2.degree
+    n, m = d1.arity, d1.dim
+    entries = {}
+    for key in space_keys(m, n, p + q):
+        blocks, last = key
+        if p + q == 0:
+            val = _ref_eval_keys_vec(d1, (), _ref_eval_keys_z(d2, (), last[0]))
+        else:
+            args = blocks + (last[:n - 1],)
+            val = _ref_circle_raw(d1, d2, args, last[n - 1])
+        if not vec_is_zero(val):
+            entries[key] = val
+    return Cochain(n, m, p + q, entries)
+
+
+def simple_4lie():
+    """The simple 4-Lie algebra on Q^5: [e_0..ê_l..e_4] = (-1)^(4-l) e_l,
+    the bracket of the four basis vectors other than e_l."""
+    table = {}
+    for l in range(5):
+        key = tuple(i for i in range(5) if i != l)
+        table[key] = tuple(Fraction((-1) ** (4 - l) if i == l else 0)
+                           for i in range(5))
+    return make_algebra(4, 5, table)

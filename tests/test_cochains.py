@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (rand_bracket, rand_cochain, rand_matrix,
-                     rand_sparse_vector, rand_valid_algebra)
+                     rand_sparse_vector, rand_valid_algebra, simple_4lie)
 from nlie.algebra import (ad_map, basis_wedge, check_fundamental_identity,
                           make_wedge)
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
-from nlie.cochains import (Cochain, _circle_raw, basis_cochains, circle,
+from nlie.cochains import (Cochain, _circle_point, basis_cochains, circle,
                            cochain_add, cochain_dim, cochain_is_zero,
                            cochain_scale, cochain_zero,
                            coboundary_explicit, differential, eval_keys_z,
@@ -19,7 +19,7 @@ from nlie.cochains import (Cochain, _circle_raw, basis_cochains, circle,
                            maurer_cartan_defect, shuffles, space_keys,
                            to_algebra, to_matrix)
 from nlie.errors import DimensionMismatch, InvalidStructure
-from nlie.linalg import Matrix, basis_vec, vec_zero
+from nlie.linalg import Matrix, basis_vec, densify, vec_zero
 
 F = Fraction
 
@@ -110,6 +110,16 @@ def test_circle_with_zero_operand():
     z1 = cochain_zero(3, 4, 1)
     assert cochain_is_zero(circle(d, z1))
     assert cochain_is_zero(circle(z1, d))
+
+
+def test_circle_degree_zero_is_matrix_product():
+    # p + q = 0: the composition term alone, D1 ∘ D2 = D1 D2
+    rng = random.Random(13)
+    for m in (1, 3, 4):
+        for n in (2, 3):
+            a, b = rand_matrix(rng, m, m), rand_matrix(rng, m, m)
+            prod = circle(from_matrix(a, n), from_matrix(b, n))
+            assert to_matrix(prod) == a.mul(b)
 
 
 def test_structure_cochain_squares_to_zero_iff_fi():
@@ -258,7 +268,7 @@ def test_differential_squares_to_zero_n2():
 
 
 def test_coboundary_explicit_matches_differential():
-    for alg in (levi_civita_bracket(), sl2(), heisenberg3()):
+    for alg in (levi_civita_bracket(), sl2(), heisenberg3(), simple_4lie()):
         phi = from_bracket(alg)
         m, n = alg.dim, alg.arity
         units = [from_matrix(Matrix.from_rows(
@@ -311,12 +321,13 @@ def test_circle_closes_on_final_wedge():
         d1 = rand_cochain(rng, n, m, p, density=0.7)
         d2 = rand_cochain(rng, n, m, q, density=0.7)
         comp = circle(d1, d2)
+        point = _circle_point(d1, d2)
         for blocks, last in space_keys(m, n, p + q):
             stored = comp.entries.get((blocks, last), vec_zero(m))
             for t in range(n):
                 alt_block = last[:t] + last[t + 1:]
                 sign = -1 if (n - 1 - t) % 2 else 1
-                raw = _circle_raw(d1, d2, blocks + (alt_block,), last[t])
+                raw = densify(point(blocks + (alt_block,), last[t]), m)
                 assert raw == tuple(sign * c for c in stored)
 
 

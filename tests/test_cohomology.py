@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (ce_betti, circle_differential_matrix, gauss_rank,
-                     rand_valid_algebra)
-from nlie.algebra import ad_map, basis_wedge, bracket_on_basis, make_algebra
+                     rand_valid_algebra, simple_4lie)
+from nlie.algebra import (ad_map, basis_wedge, bracket_on_basis,
+                          check_fundamental_identity, make_algebra)
 from nlie.catalog import (conjugated_algebra, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (basis_cochains, from_bracket,
@@ -87,6 +88,17 @@ def test_differential_matrix_matches_circle_oracle():
                 circle_differential_matrix(alg, k).entries
     assert differential_matrix(conjugates[0], 3).entries == \
         circle_differential_matrix(conjugates[0], 3).entries
+    # arity 4: three slots per block in every insertion
+    four = simple_4lie()
+    for k in (1, 2):
+        assert differential_matrix(four, k).entries == \
+            circle_differential_matrix(four, k).entries
+
+
+def test_simple_4lie_low_cohomology_vanishes():
+    four = simple_4lie()
+    assert check_fundamental_identity(four).holds
+    assert [cohomology(four, k).betti for k in range(3)] == [0, 0, 0]
 
 
 def test_differential_matrix_k0_is_ad():

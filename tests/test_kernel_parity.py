@@ -6,7 +6,8 @@ order) on seeded random inputs.  The references evaluate each basis
 bracket through ``bracket_on_basis`` (``_ref_rho`` for rho) and expand
 coordinates by their own loop, so they share neither the lookup memo nor
 ``linalg.multilinear`` with the package; the O-operator reference scans
-all r^n ordered tuples.
+all r^n ordered tuples.  The circle reference is the dense walk with its
+own storage-key reads and a separate composition loop.
 """
 
 import random
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from helpers import (rand_action, rand_bracket, rand_cochain, rand_matrix,
-                     rand_sparse_vector, rand_valid_algebra,
+                     rand_sparse_vector, rand_valid_algebra, ref_circle,
                      ref_check_fundamental_identity, ref_check_nijenhuis,
                      ref_check_o_operator, ref_conjugate_path,
                      ref_nijenhuis_bracket)
@@ -23,6 +24,7 @@ from helpers import (rand_action, rand_bracket, rand_cochain, rand_matrix,
 from nlie.algebra import (adjoint_representation, check_fundamental_identity,
                           check_o_operator)
 from nlie.catalog import heisenberg3, levi_civita_bracket, sl2
+from nlie.cochains import circle, cochain_zero
 from nlie.deformations import (EquivalenceMap, check_nijenhuis,
                                conjugate_path, make_deformation_path,
                                nijenhuis_bracket)
@@ -144,3 +146,27 @@ def test_conjugate_path_parity(order):
         for g, w in zip(got.terms, want.terms):
             assert list(g.entries.items()) == list(w.entries.items())
         assert got == want
+
+
+def test_circle_parity():
+    rng = random.Random(606)
+    seen = set()
+    for trial in range(72):
+        n = 2 + trial % 3
+        m = rng.randint(n, n + 1)
+        p, q = trial // 3 % 3, trial // 9 % 3
+        density = rng.choice([0.1, 0.3, 0.7])
+        d1 = (cochain_zero(n, m, p) if trial % 8 == 2
+              else rand_cochain(rng, n, m, p, density))
+        d2 = (cochain_zero(n, m, q) if trial % 8 == 5
+              else rand_cochain(rng, n, m, q, density))
+        if trial % 11 == 0 and p == q:
+            d2 = d1
+        got, want = circle(d1, d2), ref_circle(d1, d2)
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got == want
+        seen.add((n, p, q, not got.entries))
+    # every arity and degree pair, with zero and nonzero products
+    assert {(n, p, q) for n, p, q, _ in seen} == {
+        (n, p, q) for n in (2, 3, 4) for p in range(3) for q in range(3)}
+    assert {zero for *_, zero in seen} == {True, False}
