@@ -24,12 +24,12 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, densify, multilinear, support,
-                     vec_is_zero, vec_scale, vec_sub, vec_zero)
+from .linalg import (Matrix, Support, Vector, column_supports, densify,
+                     multilinear, support, vec_is_zero, vec_scale, vec_sub,
+                     vec_zero)
 from .trace import traced
 
 Key = tuple[int, ...]
-Support = list[tuple[int, Fraction]]
 
 
 def sort_with_sign(idx: Sequence[int]) -> Optional[tuple[int, Key]]:
@@ -183,6 +183,15 @@ def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
                     "acting": a, "inner": b,
                     "lhs": lhs, "rhs": rhs, "defect": vec_sub(lhs, rhs)})
     return CheckResult(True)
+
+
+def require_fi(alg: NLieAlgebra) -> None:
+    """Raise InvalidStructure with the witness of a failing
+    ``check_fundamental_identity``."""
+    res = check_fundamental_identity(alg)
+    if not res.holds:
+        raise InvalidStructure("bracket fails the fundamental identity",
+                               witness=res.witness)
 
 
 @dataclass(frozen=True)
@@ -407,7 +416,7 @@ def check_o_operator(alg: NLieAlgebra, rho: Representation,
         raise DimensionMismatch("operator must map the module to the algebra")
     look = basis_lookup(alg.structure)
     act = basis_lookup(rho.action, module=True)
-    t_sups = [support(t.column(j)) for j in range(r)]
+    t_sups = column_supports(t)
     for xi in itertools.combinations(range(r), n):
         lhs = densify(multilinear([t_sups[j] for j in xi], look), m)
         acted: dict[int, Fraction] = {}

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (CheckResult, Key, NLieAlgebra, bracket_on_basis,
-                      check_fundamental_identity, sort_with_sign)
+                      require_fi, sort_with_sign)
 from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
 from .poly import (MultiPoly, PolyVectorField, poly_const, poly_var,
@@ -453,10 +453,7 @@ def example_tangent_fc(algebra: NLieAlgebra, f: MultiPoly,
     m = algebra.dim
     if f.num_vars != m:
         raise DimensionMismatch("rescaling function must live on R^dim")
-    res = check_fundamental_identity(algebra)
-    if not res.holds:
-        raise InvalidStructure("input bracket fails the fundamental "
-                               "identity", witness=res.witness)
+    require_fi(algebra)
     table = {}
     for key in itertools.combinations(range(m), algebra.arity):
         vec = bracket_on_basis(algebra, key)

@@ -254,8 +254,8 @@ def run_reduce_lie(args, report: Report) -> None:
     agreement: dict[str, bool] = {}
     for k in (0, 1, 2):
         if k < 2:
-            same = differential_matrix(alg, k).entries == \
-                ce_differential_matrix(alg, k).entries
+            same = differential_matrix(alg, k) == \
+                ce_differential_matrix(alg, k)
         else:
             same = _ce_agrees_by_evaluation(alg)
         agreement[str(k)] = same

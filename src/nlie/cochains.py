@@ -54,8 +54,9 @@ from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
                       bracket_on_basis, fundamental_bracket, make_algebra,
                       merge_index, replace_slots, sort_with_sign)
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, basis_vec, densify, multilinear, support,
-                     vec_add, vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
+                     multilinear, support, vec_add, vec_is_zero, vec_scale,
+                     vec_zero)
 from .trace import traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
@@ -103,6 +104,27 @@ def basis_cochains(dim: int, arity: int, degree: int) -> list[Cochain]:
         for i in range(dim):
             out.append(Cochain(arity, dim, degree, {key: basis_vec(dim, i)}))
     return out
+
+
+def cochain_to_vec(d: Cochain) -> Vector:
+    """Coordinates of d: ``space_keys`` order, then vector components."""
+    out: list[Fraction] = []
+    for key in space_keys(d.dim, d.arity, d.degree):
+        out.extend(d.entries.get(key, vec_zero(d.dim)))
+    return tuple(out)
+
+
+def vec_to_cochain(vec: Vector, arity: int, dim: int, degree: int) -> Cochain:
+    """Inverse of ``cochain_to_vec``."""
+    keys = space_keys(dim, arity, degree)
+    if len(vec) != len(keys) * dim:
+        raise DimensionMismatch("vector length does not match the space")
+    entries = {}
+    for t, key in enumerate(keys):
+        chunk = tuple(vec[t * dim:(t + 1) * dim])
+        if not vec_is_zero(chunk):
+            entries[key] = chunk
+    return Cochain(arity, dim, degree, entries)
 
 
 def make_cochain(arity: int, dim: int, degree: int,
@@ -380,27 +402,17 @@ def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
       + sum_i (-1)^(i+1) [X_i-action on psi(.., X̂_i, .., z)]
       + (-1)^p sum_s [X_{p+1}^1, .., psi(X_1..X_p, X_{p+1}^s), .., z]
 
-    with i, j counted from 1.  Applies ``coboundary_rows`` to psi's
-    coordinates.  Independent route from ``differential`` (no circle
+    with i, j counted from 1.  Applies the matrix of ``coboundary_rows`` to
+    psi's coordinates.  Independent route from ``differential`` (no circle
     products); the two must agree on every cochain.
     """
     n, m = alg.arity, alg.dim
     if psi.arity != n or psi.dim != m:
         raise DimensionMismatch("cochain does not match the algebra")
     p = psi.degree
-    x: dict[int, Fraction] = {}
-    for t, key in enumerate(space_keys(m, n, p)):
-        for i, c in support(psi.entries.get(key, ())):
-            x[t * m + i] = c
-    rows = coboundary_rows(alg, p)
-    entries: dict[CochainKey, Vector] = {}
-    for t, key in enumerate(space_keys(m, n, p + 1)):
-        vec = tuple(sum((c * x[j] for j, c in rows[t * m + i].items()
-                         if j in x), Fraction(0))
-                    for i in range(m))
-        if not vec_is_zero(vec):
-            entries[key] = vec
-    return Cochain(n, m, p + 1, entries)
+    x = cochain_to_vec(psi)
+    rows = Matrix.from_sparse_rows(coboundary_rows(alg, p), len(x))
+    return vec_to_cochain(rows.apply(x), n, m, p + 1)
 
 
 def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
@@ -411,7 +423,8 @@ def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
     One pass over the output keys; wherever the sums read psi through
     ``eval_keys_z``, the coefficient of that coordinate of psi is recorded
     instead, under column (key index in ``space_keys(m, n, p)``) * m +
-    component, the order of ``cohomology.cochain_to_vec``.
+    component, the order of ``cochain_to_vec``.  Entries that cancel stay
+    stored as zeros; ``Matrix.from_sparse_rows`` drops them.
     """
     n, m = alg.arity, alg.dim
     base_of = {key: t * m for t, key in enumerate(space_keys(m, n, p))}
@@ -485,7 +498,7 @@ def is_filippov_derivation(alg: NLieAlgebra, mat: Matrix) -> bool:
     n, m = alg.arity, alg.dim
     if mat.rows != m or mat.cols != m:
         raise DimensionMismatch("derivation candidate must be m x m")
-    cols = [support(mat.column(j)) for j in range(m)]
+    cols = column_supports(mat)
     for key in itertools.combinations(range(m), n):
         lhs = mat.apply(bracket_on_basis(alg, key))
         rhs = densify(multilinear(

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Optional, Union
 
-from .algebra import (NLieAlgebra, WedgeElement, basis_wedge,
-                      check_fundamental_identity)
-from .cochains import (Cochain, coboundary_rows, from_bracket, space_keys,
-                       to_matrix, wedge_differential)
-from .errors import DimensionMismatch, InvalidStructure
-from .linalg import Matrix, Vector, rank_nullspace, vec_is_zero, vec_zero
+from .algebra import NLieAlgebra, WedgeElement, basis_wedge, require_fi
+from .cochains import (Cochain, coboundary_rows, cochain_to_vec,
+                       from_bracket, space_keys, to_matrix, vec_to_cochain,
+                       wedge_differential)
+from .errors import DimensionMismatch
+from .linalg import Matrix, Vector, rank_nullspace
 from .trace import matrix_counters, traced
 
 DEFAULT_DEGREE_CAP = 3
@@ -34,35 +34,7 @@ def complex_dim(alg: NLieAlgebra, k: int) -> int:
     if k < 0:
         raise DimensionMismatch("the complex starts at degree 0")
     return len(space_keys(alg.dim, alg.arity, k - 1)) * alg.dim if k >= 1 \
-        else len(list(itertools.combinations(range(alg.dim),
-                                             alg.arity - 1)))
-
-
-def cochain_to_vec(d: Cochain) -> Vector:
-    out: list[Fraction] = []
-    for key in space_keys(d.dim, d.arity, d.degree):
-        out.extend(d.entries.get(key, vec_zero(d.dim)))
-    return tuple(out)
-
-
-def vec_to_cochain(vec: Vector, arity: int, dim: int, degree: int) -> Cochain:
-    keys = space_keys(dim, arity, degree)
-    if len(vec) != len(keys) * dim:
-        raise DimensionMismatch("vector length does not match the space")
-    entries = {}
-    for t, key in enumerate(keys):
-        chunk = tuple(vec[t * dim:(t + 1) * dim])
-        if not vec_is_zero(chunk):
-            entries[key] = chunk
-    return Cochain(arity, dim, degree, entries)
-
-
-def _require_fi(alg: NLieAlgebra) -> Cochain:
-    res = check_fundamental_identity(alg)
-    if not res.holds:
-        raise InvalidStructure("bracket fails the fundamental identity",
-                               witness=res.witness)
-    return from_bracket(alg)
+        else comb(alg.dim, alg.arity - 1)
 
 
 @traced("cohomology.differential_matrix",
@@ -73,22 +45,16 @@ def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
     transposed four-sum formula, ``cochains.coboundary_rows``."""
     if k < 0:
         raise DimensionMismatch("the complex starts at degree 0")
-    phi = _require_fi(alg)
+    require_fi(alg)
     n, m = alg.arity, alg.dim
     if k == 0:
+        phi = from_bracket(alg)
         cols = [cochain_to_vec(wedge_differential(phi,
                                                   basis_wedge(n - 1, m, key)))
                 for key in itertools.combinations(range(m), n - 1)]
         return Matrix.from_cols(cols, len(space_keys(m, n, 0)) * m)
-    ncols = complex_dim(alg, k)
-    zero = vec_zero(ncols)
-    entries = []
-    for row in coboundary_rows(alg, k - 1):
-        dense = list(zero)
-        for j, c in row.items():
-            dense[j] = c
-        entries.append(tuple(dense))
-    return Matrix(len(entries), ncols, tuple(entries))
+    return Matrix.from_sparse_rows(coboundary_rows(alg, k - 1),
+                                   complex_dim(alg, k))
 
 
 @dataclass(frozen=True)
@@ -108,8 +74,6 @@ def cohomology(alg: NLieAlgebra, k: int,
     Degrees above the cap are refused (the cochain spaces grow as
     C(m,n-1)^(k-2) * C(m,n) * m); raise the cap explicitly when needed.
     """
-    if k < 0:
-        raise DimensionMismatch("the complex starts at degree 0")
     if k > max_degree_cap:
         raise DimensionMismatch(
             f"degree {k} above cap {max_degree_cap}; raise the cap to force")

@@ -26,17 +26,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import (CheckResult, NLieAlgebra, Representation, Support,
-                      basis_lookup, bracket_eval, check_fundamental_identity,
-                      check_o_operator, semidirect_product)
+from .algebra import (CheckResult, NLieAlgebra, Representation,
+                      basis_lookup, bracket_eval, check_o_operator,
+                      require_fi, semidirect_product)
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
-                       cochain_zero, from_bracket, gla_bracket, to_algebra)
-from .cohomology import (_report, _require_fi, cochain_to_vec,
-                         differential_matrix, vec_to_cochain)
+                       cochain_to_vec, cochain_zero, from_bracket,
+                       gla_bracket, to_algebra, vec_to_cochain)
+from .cohomology import _report, differential_matrix
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, densify, multilinear, rank_nullspace,
-                     solve_linear, support, vec_add, vec_is_zero, vec_scale,
-                     vec_zero)
+from .linalg import (Matrix, Vector, column_supports, densify, multilinear,
+                     rank_nullspace, solve_linear, vec_add, vec_is_zero,
+                     vec_scale, vec_zero)
 from .trace import traced
 
 
@@ -85,13 +85,6 @@ def _phi_list(path: DeformationPath) -> list[Cochain]:
     return [from_bracket(path.base), *path.terms]
 
 
-def _require_base_fi(path: DeformationPath) -> None:
-    res = check_fundamental_identity(path.base)
-    if not res.holds:
-        raise InvalidStructure("base bracket fails the fundamental identity",
-                               witness=res.witness)
-
-
 @dataclass(frozen=True)
 class DeformationCheck:
     holds: bool
@@ -105,7 +98,7 @@ def check_deformation(path: DeformationPath,
     1..k, full mode 1..2k (power 0 is the base, checked up front)."""
     if mode not in ("truncated", "full"):
         raise ValueError(f"unknown mode {mode!r}")
-    _require_base_fi(path)
+    require_fi(path.base)
     phis = _phi_list(path)
     k = path.order
     top = k if mode == "truncated" else 2 * k
@@ -161,12 +154,8 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
 def _series_matrices(emap: EquivalenceMap, dim: int,
                      top: int) -> tuple[list[Matrix], list[Matrix]]:
     """Powers of Phi_t and of its truncated inverse up to t^top."""
-    fwd = [Matrix.identity(dim)]
-    for b in range(1, top + 1):
-        if b <= len(emap.maps):
-            fwd.append(emap.maps[b - 1])
-        else:
-            fwd.append(Matrix.zero(dim, dim))
+    fwd = [Matrix.identity(dim), *emap.maps[:top]]
+    fwd += [Matrix.zero(dim, dim)] * (top + 1 - len(fwd))
     inv = [Matrix.identity(dim)]
     for b in range(1, top + 1):
         acc = Matrix.zero(dim, dim)
@@ -174,10 +163,6 @@ def _series_matrices(emap: EquivalenceMap, dim: int,
             acc = acc.add(fwd[j].mul(inv[b - j]))
         inv.append(acc.scale(Fraction(-1)))
     return fwd, inv
-
-
-def _col_supports(mat: Matrix) -> list[Support]:
-    return [support(mat.column(j)) for j in range(mat.cols)]
 
 
 @traced("deformations.conjugate_path")
@@ -191,8 +176,8 @@ def conjugate_path(path: DeformationPath,
     n, m = path.base.arity, path.base.dim
     k = path.order
     fwd, inv = _series_matrices(emap, m, k)
-    fwd_sups = [_col_supports(mat) for mat in fwd]
-    inv_sups = [_col_supports(mat) for mat in inv]
+    fwd_sups = [column_supports(mat) for mat in fwd]
+    inv_sups = [column_supports(mat) for mat in inv]
     looks = [basis_lookup(alg.structure)
              for alg in (path.base, *map(to_algebra, path.terms))]
     # the ways to spread rem powers of t over the n slots
@@ -282,7 +267,7 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
     if not 1 <= k <= n - 1:
         raise DimensionMismatch("deformed brackets exist for 1 <= k <= n-1")
     look = basis_lookup(alg.structure)
-    nsups = _col_supports(nmap)
+    nsups = column_supports(nmap)
     units = [[(j, Fraction(1))] for j in range(m)]
     prev = {((), key): val for key, val in alg.structure.items()
             if not vec_is_zero(val)}
@@ -308,11 +293,11 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
 def check_nijenhuis(alg: NLieAlgebra, nmap: Matrix) -> CheckResult:
     """Closure test: the bracket of operator images must equal the operator
     applied to the top deformed bracket, on every sorted basis tuple."""
-    _require_fi(alg)
+    require_fi(alg)
     n, m = alg.arity, alg.dim
     top = nijenhuis_bracket(alg, nmap, n - 1)
     look = basis_lookup(alg.structure)
-    nsups = _col_supports(nmap)
+    nsups = column_supports(nmap)
     for key in itertools.combinations(range(m), n):
         lhs = densify(multilinear([nsups[j] for j in key], look), m)
         tv = top.entries.get(((), key), vec_zero(m))
@@ -354,12 +339,9 @@ def o_operator_lift(alg: NLieAlgebra, rho: Representation,
     if tmap.rows != m or tmap.cols != r:
         raise DimensionMismatch("lift expects an m x r map")
     sd = semidirect_product(alg, rho)
-    size = m + r
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(r):
-            rows[i][m + j] = tmap.entries[i][j]
-    n_tilde = Matrix.from_rows(rows)
+    n_tilde = Matrix.from_sparse_rows(
+        [{m + j: x for j, x in row.items()} for row in tmap.data] + [{}] * r,
+        m + r)
     o_res = check_o_operator(alg, rho, tmap)
     nij_res = check_nijenhuis(sd, n_tilde)
     return OOperatorLift(n_tilde, o_res.holds, nij_res.holds)
@@ -441,7 +423,7 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
     A step with no solution records the order where the sample is stuck
     (its class in the second cohomology is nonzero).
     """
-    _require_base_fi(DeformationPath(alg, 0, ()))
+    require_fi(alg)
     rng = random.Random(seed)
     n, m = alg.arity, alg.dim
     d21 = differential_matrix(alg, 2)
@@ -452,10 +434,8 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
     results = []
     for t in range(max(0, trials)):
         if t % 2 == 0 and cocycles:
-            combo = vec_zero(d21.cols)
-            for v in cocycles:
-                combo = vec_add(combo, vec_scale(
-                    Fraction(rng.randint(-2, 2)), v))
+            coeffs = [Fraction(rng.randint(-2, 2)) for _ in cocycles]
+            combo = Matrix.from_cols(cocycles, d21.cols).apply(coeffs)
             lead = vec_to_cochain(combo, n, m, 1)
             zero = cochain_zero(n, m, 1)
             path = DeformationPath(

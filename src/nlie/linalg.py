@@ -1,5 +1,8 @@
 """Exact rational vectors, matrices and sparse fraction-free elimination.
 
+Vectors are dense tuples of Fractions; a ``Matrix`` stores sparse rows,
+so a differential assembled as sparse rows is eliminated with no dense copy.
+
 Rank, nullspace and solve share one elimination over sparse integer rows
 ({column: int}, scaled by the lcm of the row's denominators; a right side
 rides as one more column).  Columns go leftmost first, the pivot is the
@@ -18,12 +21,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .trace import matrix_counters, traced
 
 Vector = tuple[Fraction, ...]
+Support = list[tuple[int, Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -56,7 +60,7 @@ def vec_is_zero(a: Vector) -> bool:
     return not any(a)
 
 
-def support(v: Vector) -> list[tuple[int, Fraction]]:
+def support(v: Vector) -> Support:
     """The nonzero coordinates of v as (index, value) pairs."""
     return [(i, c) for i, c in enumerate(v) if c]
 
@@ -97,20 +101,46 @@ def densify(acc: dict[int, Fraction], m: int) -> Vector:
     return tuple(acc.get(i, _ZERO) for i in range(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable rational matrix; rows are tuples of Fractions."""
+    """Immutable rational matrix.  Row i is stored as ``data[i]``, a dict
+    {column: Fraction} with zeros absent and keys ascending; the
+    constructor, ``from_rows`` and ``from_cols`` take dense input, and
+    ``entries`` is a dense view built on each read."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    data: tuple[dict[int, Fraction], ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __init__(self, rows: int, cols: int,
+                 entries: Sequence[Sequence[Fraction | int]]):
+        if len(entries) != rows:
             raise DimensionMismatch("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise DimensionMismatch("column count mismatch")
+        if any(len(r) != cols for r in entries):
+            raise DimensionMismatch("column count mismatch")
+        self._store(rows, cols, tuple(
+            {j: x for j, x in enumerate(r) if x} for r in entries))
+
+    def _store(self, rows: int, cols: int, data: tuple) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols,
+                     tuple(tuple(r.items()) for r in self.data)))
+
+    @staticmethod
+    def from_sparse_rows(rows: Iterable[Mapping[int, Fraction]],
+                         ncols: int) -> Matrix:
+        """The matrix of rows {column: value}, zeros dropped, keys sorted."""
+        data = tuple({j: x for j, x in sorted(r.items()) if x} for r in rows)
+        if any(r and (next(iter(r)) < 0 or next(reversed(r)) >= ncols)
+               for r in data):
+            raise DimensionMismatch("column index out of range")
+        mat = Matrix.__new__(Matrix)
+        mat._store(len(data), ncols, data)
+        return mat
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Fraction | int]]) -> Matrix:
@@ -121,63 +151,70 @@ class Matrix:
 
     @staticmethod
     def from_cols(cols: Sequence[Vector], nrows: int) -> Matrix:
-        return Matrix(nrows, len(cols), tuple(tuple(col[r] for col in cols)
-                                              for r in range(nrows)))
+        if any(len(col) != nrows for col in cols):
+            raise DimensionMismatch("column length mismatch")
+        data: list[dict[int, Fraction]] = [{} for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in support(col):
+                data[i][j] = x
+        return Matrix.from_sparse_rows(data, len(cols))
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix(n, n, tuple(tuple(Fraction(1 if i == j else 0)
-                                        for j in range(n))
-                                  for i in range(n)))
+        return Matrix.from_sparse_rows(({i: _ONE} for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, cols, tuple((Fraction(0),) * cols
-                                        for _ in range(rows)))
+        return Matrix.from_sparse_rows([{}] * rows, cols)
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        return tuple(densify(r, self.cols) for r in self.data)
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.data)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix/vector size mismatch")
-        return tuple(sum((row[j] * v[j] for j in range(self.cols) if v[j]),
-                         Fraction(0))
-                     for row in self.entries)
+        return tuple(sum((x * v[j] for j, x in row.items() if v[j]), _ZERO)
+                     for row in self.data)
 
     def mul(self, other: Matrix) -> Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product size mismatch")
-        ocols = other.cols
-        out = []
-        for row in self.entries:
-            acc = [Fraction(0)] * ocols
-            for k, a in enumerate(row):
-                if a == 0:
-                    continue
-                orow = other.entries[k]
-                for j in range(ocols):
-                    if orow[j]:
-                        acc[j] += a * orow[j]
-            out.append(tuple(acc))
-        return Matrix(self.rows, ocols, tuple(out))
+        return Matrix.from_sparse_rows(
+            [multilinear([row.items()], lambda k: other.data[k[0]].items())
+             for row in self.data], other.cols)
 
     def add(self, other: Matrix) -> Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix sum size mismatch")
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.entries, other.entries)))
+        out = [dict(r) for r in self.data]
+        for acc, row in zip(out, other.data):
+            for j, b in row.items():
+                acc[j] = acc.get(j, 0) + b
+        return Matrix.from_sparse_rows(out, self.cols)
 
     def scale(self, c: Fraction | int) -> Matrix:
         c = Fraction(c)
-        return Matrix(self.rows, self.cols,
-                      tuple(tuple(c * a for a in row)
-                            for row in self.entries))
+        return Matrix.from_sparse_rows(
+            ({j: c * a for j, a in row.items()} for row in self.data),
+            self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        return tuple(row.get(j, _ZERO) for row in self.data)
+
+
+def column_supports(mat: Matrix) -> list[Support]:
+    """``support(mat.column(j))`` for every column j, in one pass over the
+    stored rows."""
+    out: list[Support] = [[] for _ in range(mat.cols)]
+    for i, row in enumerate(mat.data):
+        for j, x in row.items():
+            out[j].append((i, x))
+    return out
 
 
 @dataclass(frozen=True)
@@ -194,10 +231,8 @@ def _sparse_rows(m: Matrix, rhs: Vector | None = None) -> list[Row]:
     """The nonzero rows of m as {column: int}, each scaled by the lcm of its
     denominators; rhs[i], when given, rides in column m.cols."""
     out = []
-    for i, row in enumerate(m.entries):
-        # identity with the shared zero (dense builds reuse it) is cheaper
-        # to test than Fraction.__bool__
-        items = [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
+    for i, row in enumerate(m.data):
+        items = list(row.items())
         if rhs is not None and rhs[i]:
             items.append((m.cols, rhs[i]))
         if items:
@@ -281,8 +316,8 @@ def _bits(x: Fraction) -> int:
 def _rank_counters(args, res: RankNullspace) -> dict[str, int]:
     mat = args[0]
     return {**matrix_counters(mat), "rank": res.rank,
-            "max_input_bits": max((_bits(x) for row in mat.entries
-                                   for x in row), default=0),
+            "max_input_bits": max((_bits(x) for row in mat.data
+                                   for x in row.values()), default=0),
             "max_nullspace_bits": max((_bits(x) for v in res.nullspace
                                        for x in v), default=0)}
 
@@ -300,8 +335,7 @@ def rank_nullspace(m: Matrix) -> RankNullspace:
                 kernel[j][pc] = Fraction(-x, row[pc])
     _certify(rows, list(kernel.values()))
     return RankNullspace(len(pivots), tuple(
-        tuple(v.get(j, _ZERO) for j in range(m.cols))
-        for v in kernel.values()), tuple(pivots))
+        densify(v, m.cols) for v in kernel.values()), tuple(pivots))
 
 
 @traced("linalg.solve_linear",
@@ -322,4 +356,4 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
          for row, pc in zip(red, pivots) if m.cols in row}
     # [m | b] annihilates (x, -1)
     _certify(rows, [{**x, m.cols: -_ONE}])
-    return tuple(x.get(j, _ZERO) for j in range(m.cols))
+    return densify(x, m.cols)

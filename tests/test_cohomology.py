@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,13 +12,14 @@ from nlie.algebra import (ad_map, basis_wedge, bracket_on_basis,
                           check_fundamental_identity, make_algebra)
 from nlie.catalog import (conjugated_algebra, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
-from nlie.cochains import (basis_cochains, from_bracket,
+from nlie.cochains import (basis_cochains, coboundary_rows, from_bracket,
                            from_matrix, gla_bracket)
 from nlie.cohomology import (cochain_to_vec, cohomology,
                              complex_dim, differential_matrix,
                              outer_derivations, vec_to_cochain)
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, rank_nullspace, vec_is_zero
+from nlie.trace import matrix_counters
 
 F = Fraction
 
@@ -116,6 +119,35 @@ def test_matrix_complex_composes_to_zero():
     mats = {k: differential_matrix(alg, k) for k in range(4)}
     for k in range(3):
         assert mats[k + 1].mul(mats[k]).is_zero
+
+
+def test_differential_matrix_nnz_counts_nonzero_cells():
+    """The nnz counter reads the stored rows; the cancelled zeros that
+    ``coboundary_rows`` keeps must not reach them."""
+    alg = levi_civita_bracket()
+    assert any(x == 0 for row in coboundary_rows(alg, 1)
+               for x in row.values())
+    for k in (1, 2):
+        mat = differential_matrix(alg, k)
+        assert matrix_counters(mat)["nnz"] == \
+            sum(1 for row in mat.entries for x in row if x)
+
+
+def test_differential_matrix_is_held_sparse():
+    """Levi-Civita d_4 (3456 x 576) must take well under the pointer array
+    of its dense form, counted as rows * cols * 8 bytes."""
+    alg = levi_civita_bracket()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mat = differential_matrix(alg, 4)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (mat.rows, mat.cols) == (3456, 576)
+    assert held < mat.rows * mat.cols * 8 / 4
 
 
 def test_differential_matrix_requires_fi():

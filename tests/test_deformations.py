@@ -3,13 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from nlie.algebra import adjoint_representation, bracket_eval
+from nlie.algebra import (adjoint_representation, bracket_eval,
+                          check_fundamental_identity)
+from nlie.algebroid import example_tangent_fc
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (cochain_add, cochain_is_zero, cochain_scale,
                            cochain_sub, differential, from_bracket,
                            from_matrix, gla_bracket, make_cochain)
-from nlie.cohomology import cochain_to_vec, cohomology
+from nlie.cohomology import cochain_to_vec, cohomology, differential_matrix
 from nlie.deformations import (DeformationPath, EquivalenceMap,
                                check_deformation, check_equivalence,
                                check_homomorphism_family, check_nijenhuis,
@@ -21,6 +23,7 @@ from nlie.deformations import (DeformationPath, EquivalenceMap,
                                vec_to_mat)
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec
+from nlie.poly import poly_const
 
 from helpers import rand_fraction, rand_matrix
 
@@ -59,6 +62,21 @@ def test_check_deformation_requires_base_fi():
     path = constant_path(broken_ternary_bracket(), 1)
     with pytest.raises(InvalidStructure):
         check_deformation(path)
+
+
+@pytest.mark.parametrize("call", [
+    lambda alg: differential_matrix(alg, 1),
+    lambda alg: check_deformation(constant_path(alg, 1)),
+    lambda alg: check_nijenhuis(alg, Matrix.identity(alg.dim)),
+    lambda alg: rigidity_probe(alg, 1, 0),
+    lambda alg: example_tangent_fc(alg, poly_const(alg.dim, 1)),
+], ids=["differential_matrix", "check_deformation", "check_nijenhuis",
+        "rigidity_probe", "example_tangent_fc"])
+def test_fi_guards_raise_the_fi_witness(call):
+    alg = broken_ternary_bracket()
+    with pytest.raises(InvalidStructure) as exc:
+        call(alg)
+    assert exc.value.witness == check_fundamental_identity(alg).witness
 
 
 def test_truncated_passes_where_full_fails():

@@ -18,7 +18,8 @@ from nlie import linalg
 from nlie.catalog import heisenberg3, levi_civita_bracket, sl2
 from nlie.cohomology import differential_matrix
 from nlie.errors import DimensionMismatch
-from nlie.linalg import Matrix, rank_nullspace, solve_linear
+from nlie.linalg import (Matrix, column_supports, rank_nullspace,
+                         solve_linear, support)
 
 F = Fraction
 
@@ -182,3 +183,69 @@ def test_corrupted_elimination_fails_the_certificate(monkeypatch):
         rank_nullspace(m)
     with pytest.raises(ArithmeticError):
         solve_linear(Matrix.from_rows([[1, 2], [3, 4]]), (F(1), F(1)))
+
+
+def _dense_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_matrix_stores_sparse_rows():
+    m = Matrix.from_rows([[0, F(2, 3), 0, -1], [0, 0, 0, 0], [5, 0, 0, 0]])
+    assert m.data == ({1: F(2, 3), 3: F(-1)}, {}, {0: F(5)})
+    assert m.entries == ((0, F(2, 3), 0, -1), (0, 0, 0, 0), (5, 0, 0, 0))
+    assert Matrix(3, 4, m.entries) == m
+    assert Matrix.from_cols([m.column(j) for j in range(4)], 3) == m
+    # stored form in, zeros dropped and keys sorted
+    built = Matrix.from_sparse_rows([{3: F(-1), 0: F(0), 1: F(2, 3)}, {},
+                                     {0: F(5), 2: F(0)}], 4)
+    assert built == m
+    assert list(built.data[0]) == [1, 3]
+    assert hash(built) == hash(m)
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_sparse_rows([{4: F(1)}], 4)
+    with pytest.raises(DimensionMismatch):
+        Matrix(2, 2, ((F(1), F(0)), (F(1),)))
+    with pytest.raises(DimensionMismatch):
+        Matrix(3, 1, ((F(1),), (F(0),)))
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_cols([(F(1), F(0)), (F(1),)], 2)
+
+
+def test_matrix_operations_match_dense_arithmetic():
+    rng = random.Random(17)
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(1, 5) for _ in range(3))
+        density = rng.choice((0.0, 0.3, 1.0))
+        a = _sparse_matrix(rng, rows, inner, density)
+        b = _sparse_matrix(rng, inner, cols, density)
+        c = _sparse_matrix(rng, rows, inner, density)
+        v = rand_sparse_vector(rng, inner, 0.6)
+        dense_a = [list(r) for r in a.entries]
+        assert a.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0))
+                                   for r in dense_a)
+        assert a.mul(b).entries == tuple(
+            tuple(r) for r in _dense_mul(dense_a, b.entries))
+        assert a.add(c).entries == tuple(
+            tuple(x + y for x, y in zip(ra, rc))
+            for ra, rc in zip(a.entries, c.entries))
+        assert a.scale(F(-3, 2)).entries == tuple(
+            tuple(F(-3, 2) * x for x in r) for r in a.entries)
+        assert a.scale(0).is_zero
+        assert a.is_zero == all(x == 0 for r in a.entries for x in r)
+        for j in range(inner):
+            assert a.column(j) == tuple(r[j] for r in a.entries)
+        # the stored rows hold exactly the nonzero cells, keys ascending
+        for stored, dense in zip(a.add(c).data, a.add(c).entries):
+            assert list(stored.items()) == support(dense)
+
+
+def test_column_supports_match_dense_columns():
+    rng = random.Random(19)
+    for _ in range(40):
+        m = _sparse_matrix(rng, rng.randint(1, 6), rng.randint(1, 6),
+                           rng.choice((0.1, 0.4, 1.0)))
+        assert column_supports(m) == [support(m.column(j))
+                                      for j in range(m.cols)]
