@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .algebra import NLieAlgebra, bracket_eval, make_algebra
-from .linalg import Matrix
+from .linalg import Matrix, rank_nullspace, solve_linear
 
 
 def levi_civita_bracket() -> NLieAlgebra:
@@ -48,14 +50,10 @@ def conjugated_algebra(alg: NLieAlgebra, p: Matrix) -> NLieAlgebra:
     """Transport of structure along an invertible basis change P:
     [x_1..x_n]' = P^-1 [P x_1,..,P x_n].  Preserves the fundamental
     identity, so this is how the tests mass-produce valid algebras."""
-    from .linalg import rank_nullspace, solve_linear
-
     if p.rows != alg.dim or p.cols != alg.dim:
         raise ValueError("basis change must be square of the algebra's size")
     if rank_nullspace(p).rank != alg.dim:
         raise ValueError("basis change must be invertible")
-    import itertools
-
     n, m = alg.arity, alg.dim
     cols = [p.column(j) for j in range(m)]
     table = {}

@@ -23,16 +23,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import __version__, trace
 from .algebra import check_fundamental_identity
 from .algebroid import (check_algebroid_axioms, example_tangent_fc,
                         example_tangent_topform)
-from .chevalley import ce_differential_matrix
+from .chevalley import (CECochain, ce_differential, ce_differential_matrix,
+                        ce_eval)
+from .cochains import basis_cochains, eval_keys_z, from_bracket, gla_bracket
 from .cohomology import DEFAULT_DEGREE_CAP, cohomology, differential_matrix
 from .deformations import (check_deformation, check_equivalence,
                            check_nijenhuis, deformation_from_nijenhuis,
@@ -89,40 +92,39 @@ class Report:
         return "\n".join(head + self.lines) + "\n"
 
 
-def _witness_lines(report: Report, witness: Any) -> None:
-    encoded = report_value(witness)
-    report.fields["witness"] = encoded
-    report.lines.append("witness: " + json.dumps(encoded, sort_keys=True))
-
-
-def _load_algebra(report: Report, path: str):
+def _load(report: Report, path: str, parse: Callable) -> Any:
+    """Record ``path`` as an input of the run and parse its document."""
     report.add_input(path)
-    return algebra_from_json(load_document(path), where=path)
+    return parse(load_document(path), where=path)
 
 
-def _load_path(report: Report, path: str):
-    report.add_input(path)
-    return path_from_json(load_document(path), where=path)
+def _verdict(report: Report, label: str, holds: bool,
+             witness: Any = None) -> bool:
+    """Report ``label: holds`` or ``label: fails``; a failure exits 1 and
+    carries its witness, if it has one."""
+    status = "holds" if holds else "fails"
+    report.set("status", status, f"{label}: {status}")
+    if not holds:
+        report.exit_code = 1
+        if witness is not None:
+            encoded = report_value(witness)
+            report.set("witness", encoded,
+                       "witness: " + json.dumps(encoded, sort_keys=True))
+    return holds
 
 
 # ------------------------------------------------------------------ verbs
 
 def run_check(args, report: Report) -> None:
-    alg = _load_algebra(report, args.algebra)
+    alg = _load(report, args.algebra, algebra_from_json)
     res = check_fundamental_identity(alg)
-    status = "holds" if res.holds else "fails"
-    report.set("status", status, f"fundamental identity: {status}")
-    if not res.holds:
-        _witness_lines(report, res.witness)
-        report.exit_code = 1
+    _verdict(report, "fundamental identity", res.holds, res.witness)
 
 
 def run_cohomology(args, report: Report) -> None:
-    alg = _load_algebra(report, args.algebra)
+    alg = _load(report, args.algebra, algebra_from_json)
     rep = cohomology(alg, args.degree, max_degree_cap=args.max_degree_cap)
-    doc = cohomology_report_to_json(rep)
-    report.fields["status"] = "ok"
-    report.fields.update(doc)
+    report.fields.update(status="ok", **cohomology_report_to_json(rep))
     report.lines += [
         f"degree: {rep.degree}",
         f"dim cochains: {rep.dim_cochains}",
@@ -134,35 +136,26 @@ def run_cohomology(args, report: Report) -> None:
 
 
 def run_nijenhuis(args, report: Report) -> None:
-    alg = _load_algebra(report, args.algebra)
-    report.add_input(args.operator)
-    nmat = matrix_from_json(load_document(args.operator),
-                            where=args.operator)
+    alg = _load(report, args.algebra, algebra_from_json)
+    nmat = _load(report, args.operator, matrix_from_json)
     res = check_nijenhuis(alg, nmat)
-    status = "holds" if res.holds else "fails"
-    report.set("status", status, f"nijenhuis condition: {status}")
-    if not res.holds:
-        _witness_lines(report, res.witness)
-        report.exit_code = 1
-    elif args.generate_path:
+    if _verdict(report, "nijenhuis condition", res.holds, res.witness) \
+            and args.generate_path:
         report.artifact = path_to_json(deformation_from_nijenhuis(alg, nmat))
 
 
 def run_deform_check(args, report: Report) -> None:
-    path = _load_path(report, args.path)
+    path = _load(report, args.path, path_from_json)
     res = check_deformation(path, mode=args.mode)
-    status = "holds" if res.holds else "fails"
     report.set("mode", res.mode)
-    report.set("status", status,
-               f"deformation equations ({res.mode}): {status}")
-    if not res.holds:
+    if not _verdict(report, f"deformation equations ({res.mode})",
+                    res.holds):
         report.set("first_failing_power", res.first_failing_power,
                    f"first failing power: {res.first_failing_power}")
-        report.exit_code = 1
 
 
 def run_deform_extend(args, report: Report) -> None:
-    path = _load_path(report, args.path)
+    path = _load(report, args.path, path_from_json)
     res = extend(path)
     if res.success:
         report.artifact = cochain_to_json(res.term)
@@ -174,21 +167,17 @@ def run_deform_extend(args, report: Report) -> None:
 
 
 def run_deform_equiv(args, report: Report) -> None:
-    path1 = _load_path(report, args.path1)
-    path2 = _load_path(report, args.path2)
-    report.add_input(args.map)
-    emap = emap_from_json(load_document(args.map), where=args.map)
+    path1 = _load(report, args.path1, path_from_json)
+    path2 = _load(report, args.path2, path_from_json)
+    emap = _load(report, args.map, emap_from_json)
     res = check_equivalence(path1, path2, emap)
-    status = "holds" if res.holds else "fails"
-    report.set("status", status, f"equivalence: {status}")
-    if not res.holds:
+    if not _verdict(report, "equivalence", res.holds):
         report.set("first_failing_power", res.first_failing_power,
                    f"first failing power: {res.first_failing_power}")
-        report.exit_code = 1
 
 
 def run_deform_rigidity(args, report: Report) -> None:
-    alg = _load_algebra(report, args.algebra)
+    alg = _load(report, args.algebra, algebra_from_json)
     rep = rigidity_probe(alg, args.max_order, args.trials, seed=args.seed)
     status = "holds" if rep.all_trivialized else "fails"
     report.set("note", rep.note, f"note: {rep.note}")
@@ -203,27 +192,19 @@ def run_deform_rigidity(args, report: Report) -> None:
         report.lines.append(f"trial {i} ({t.kind}): {verdict}")
     word = "yes" if rep.all_trivialized else "no"
     report.set("status", status, f"all trivialized: {word}")
-    if not rep.all_trivialized:
-        report.exit_code = 1
+    report.exit_code = 0 if rep.all_trivialized else 1
 
 
 def run_obstruction(args, report: Report) -> None:
-    path = _load_path(report, args.path)
-    theta = obstruction(path)
-    report.artifact = cochain_to_json(theta)
+    path = _load(report, args.path, path_from_json)
+    report.artifact = cochain_to_json(obstruction(path))
 
 
 def run_algebroid_check(args, report: Report) -> None:
-    report.add_input(args.algebroid)
-    abd = algebroid_from_json(load_document(args.algebroid),
-                              where=args.algebroid)
+    abd = _load(report, args.algebroid, algebroid_from_json)
     res = check_algebroid_axioms(abd, max_degree=args.max_degree,
                                  sections_degree=args.sections_degree)
-    status = "holds" if res.holds else "fails"
-    report.set("status", status, f"algebroid axioms: {status}")
-    if not res.holds:
-        _witness_lines(report, res.witness)
-        report.exit_code = 1
+    _verdict(report, "algebroid axioms", res.holds, res.witness)
 
 
 _FC_POLYS = {
@@ -234,7 +215,7 @@ _FC_POLYS = {
 
 
 def run_algebroid_fc(args, report: Report) -> None:
-    alg = _load_algebra(report, args.algebra)
+    alg = _load(report, args.algebra, algebra_from_json)
     f = _FC_POLYS[args.f](alg.dim)
     report.artifact = algebroid_to_json(example_tangent_fc(alg, f))
 
@@ -245,7 +226,7 @@ def run_algebroid_topform(args, report: Report) -> None:
 
 
 def run_reduce_lie(args, report: Report) -> None:
-    alg = _load_algebra(report, args.algebra)
+    alg = _load(report, args.algebra, algebra_from_json)
     if alg.arity != 2:
         raise InputFormatError("reduce-lie needs a binary bracket "
                                f"(arity {alg.arity} given)", args.algebra)
@@ -265,17 +246,10 @@ def run_reduce_lie(args, report: Report) -> None:
     report.fields["agreement"] = agreement
     report.set("status", "holds" if all_agree else "fails",
                f"reduction: {'agree' if all_agree else 'disagree'}")
-    if not all_agree:
-        report.exit_code = 1
+    report.exit_code = 0 if all_agree else 1
 
 
 def _ce_agrees_by_evaluation(alg) -> bool:
-    import itertools
-
-    from .chevalley import CECochain, ce_differential, ce_eval
-    from .cochains import basis_cochains, eval_keys_z, from_bracket, \
-        gla_bracket
-
     phi = from_bracket(alg)
     m = alg.dim
     for psi in basis_cochains(m, 2, 1):
@@ -293,131 +267,113 @@ def _ce_agrees_by_evaluation(alg) -> bool:
 
 # ------------------------------------------------------------- arg parsing
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"),
+def _shared_flags() -> argparse.ArgumentParser:
+    """Flags of the top parser and every leaf verb.  The top parser needs its
+    own instance: its ``set_defaults`` rewrites the defaults of the actions it
+    holds, and a leaf's ``SUPPRESS`` keeps a flag given before the verb."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS,
                         help="report format (default: text)")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized sampling verbs")
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; runs are "
                              "single-threaded")
+    return shared
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nlie",
+        prog="nlie", parents=[_shared_flags()],
         description="exact checkers for skew n-ary brackets, their "
                     "deformation cohomology, and polynomial algebroid "
                     "models")
     parser.set_defaults(format="text", seed=0, threads=1)
-    _add_common(parser)
-    # before the verb only: each flag added to every subparser costs the
-    # argument parser's construction time on every run
+    # before the verb only, as the README documents
     parser.add_argument("--trace", action="store_true",
                         help="write spans and work counters to stderr as "
                              "JSON lines")
+    shared = [_shared_flags()]
+
+    def verb(sub, name: str, run: Callable, summary: str):
+        p = sub.add_parser(name, help=summary, parents=shared)
+        p.set_defaults(run=run)
+        return p
+
     sub = parser.add_subparsers(dest="verb", required=True)
+    verb(sub, "check", run_check,
+         "fundamental identity of an algebra").add_argument("algebra")
 
-    p = sub.add_parser("check", help="fundamental identity of an algebra")
-    _add_common(p)
-    p.add_argument("algebra")
-    p.set_defaults(run=run_check)
-
-    p = sub.add_parser("cohomology", help="betti numbers of the "
-                                          "deformation complex")
-    _add_common(p)
+    p = verb(sub, "cohomology", run_cohomology,
+             "betti numbers of the deformation complex")
     p.add_argument("algebra")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-degree-cap", type=int,
                    default=DEFAULT_DEGREE_CAP)
-    p.set_defaults(run=run_cohomology)
 
-    p = sub.add_parser("nijenhuis", help="check an operator and "
-                                         "optionally emit its path")
-    _add_common(p)
+    p = verb(sub, "nijenhuis", run_nijenhuis,
+             "check an operator and optionally emit its path")
     p.add_argument("algebra")
     p.add_argument("operator", help="square matrix JSON")
     p.add_argument("--generate-path", action="store_true")
-    p.set_defaults(run=run_nijenhuis)
 
     deform = sub.add_parser("deform", help="deformation path calculus")
     dsub = deform.add_subparsers(dest="subverb", required=True)
 
-    p = dsub.add_parser("check", help="power-by-power deformation "
-                                      "equations")
-    _add_common(p)
+    p = verb(dsub, "check", run_deform_check,
+             "power-by-power deformation equations")
     p.add_argument("path")
     p.add_argument("--mode", choices=("truncated", "full"),
                    default="truncated")
-    p.set_defaults(run=run_deform_check)
 
-    p = dsub.add_parser("extend", help="solve for the next term or "
-                                       "certify the obstruction")
-    _add_common(p)
-    p.add_argument("path")
-    p.set_defaults(run=run_deform_extend)
+    verb(dsub, "extend", run_deform_extend,
+         "solve for the next term or certify the obstruction"
+         ).add_argument("path")
 
-    p = dsub.add_parser("equiv", help="conjugate path1 and compare with "
-                                      "path2")
-    _add_common(p)
+    p = verb(dsub, "equiv", run_deform_equiv,
+             "conjugate path1 and compare with path2")
     p.add_argument("path1")
     p.add_argument("path2")
     p.add_argument("map", help="equivalence map JSON")
-    p.set_defaults(run=run_deform_equiv)
 
-    p = dsub.add_parser("rigidity", help="sampling probe for rigidity")
-    _add_common(p)
+    p = verb(dsub, "rigidity", run_deform_rigidity,
+             "sampling probe for rigidity")
     p.add_argument("algebra")
     p.add_argument("--max-order", type=int, default=2)
     p.add_argument("--trials", type=int, default=6)
-    p.set_defaults(run=run_deform_rigidity)
 
-    p = sub.add_parser("obstruction", help="emit the obstruction cochain "
-                                           "of a path")
-    _add_common(p)
-    p.add_argument("path")
-    p.set_defaults(run=run_obstruction)
+    verb(sub, "obstruction", run_obstruction,
+         "emit the obstruction cochain of a path").add_argument("path")
 
     algebroid = sub.add_parser("algebroid", help="polynomial algebroid "
                                                  "models")
     asub = algebroid.add_subparsers(dest="subverb", required=True)
 
-    p = asub.add_parser("check", help="algebroid axioms")
-    _add_common(p)
+    p = verb(asub, "check", run_algebroid_check, "algebroid axioms")
     p.add_argument("algebroid")
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--sections-degree", type=int, default=0)
-    p.set_defaults(run=run_algebroid_check)
 
-    p = asub.add_parser("example-fc", help="scaled tangent-model "
-                                           "algebroid over an algebra")
-    _add_common(p)
+    p = verb(asub, "example-fc", run_algebroid_fc,
+             "scaled tangent-model algebroid over an algebra")
     p.add_argument("algebra")
     p.add_argument("--f", choices=sorted(_FC_POLYS), default="x1",
                    help="scaling polynomial")
-    p.set_defaults(run=run_algebroid_fc)
 
-    p = asub.add_parser("example-topform", help="top-form tangent "
-                                                "algebroid")
-    _add_common(p)
+    p = verb(asub, "example-topform", run_algebroid_topform,
+             "top-form tangent algebroid")
     p.add_argument("base_dim", type=int)
     p.add_argument("wedge_degree", type=int)
-    p.set_defaults(run=run_algebroid_topform)
 
-    p = sub.add_parser("reduce-lie", help="compare the generic "
-                                          "differential with the "
-                                          "Chevalley-Eilenberg one")
-    _add_common(p)
-    p.add_argument("algebra")
-    p.set_defaults(run=run_reduce_lie)
-
+    verb(sub, "reduce-lie", run_reduce_lie,
+         "compare the generic differential with the Chevalley-Eilenberg "
+         "one").add_argument("algebra")
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command = args.verb + (f" {args.subverb}"
                            if getattr(args, "subverb", None) else "")
     report = Report(command)
@@ -438,8 +394,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     finally:
         if args.trace:
             trace.finish()
-        elapsed = time.perf_counter() - started
-        print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
+        print(f"elapsed: {time.perf_counter() - started:.3f}s",
+              file=sys.stderr)
     sys.stdout.write(text)
     return report.exit_code
 

@@ -423,32 +423,35 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
     A step with no solution records the order where the sample is stuck
     (its class in the second cohomology is nonzero).
     """
-    require_fi(alg)
+    if max_order < 1:
+        raise DimensionMismatch("max_order must be at least 1 "
+                                f"({max_order} given)")
+    if trials < 0:
+        raise DimensionMismatch(f"trials must be at least 0 ({trials} given)")
     rng = random.Random(seed)
     n, m = alg.arity, alg.dim
+    # differential_matrix raises the fundamental-identity witness
     d21 = differential_matrix(alg, 2)
     d10 = differential_matrix(alg, 1)
     cocycles = rank_nullspace(d21).nullspace
     # dim C^2 - rank d_2 - rank d_1, as ``cohomology`` counts it
     betti = len(cocycles) - rank_nullspace(d10).rank
     results = []
-    for t in range(max(0, trials)):
+    for t in range(trials):
         if t % 2 == 0 and cocycles:
             coeffs = [Fraction(rng.randint(-2, 2)) for _ in cocycles]
             combo = Matrix.from_cols(cocycles, d21.cols).apply(coeffs)
             lead = vec_to_cochain(combo, n, m, 1)
             zero = cochain_zero(n, m, 1)
-            path = DeformationPath(
-                alg, max(1, max_order),
-                (lead,) + (zero,) * (max(1, max_order) - 1))
+            path = DeformationPath(alg, max_order,
+                                   (lead,) + (zero,) * (max_order - 1))
             kind = "cocycle"
         else:
             maps = [Matrix.from_rows([[rng.randint(-1, 1) for _ in range(m)]
                                       for _ in range(m)])
-                    for _ in range(max(1, max_order))]
-            emap = EquivalenceMap(max(1, max_order), tuple(maps))
-            path = conjugate_path(constant_path(alg, max(1, max_order)),
-                                  emap)
+                    for _ in range(max_order)]
+            emap = EquivalenceMap(max_order, tuple(maps))
+            path = conjugate_path(constant_path(alg, max_order), emap)
             kind = "conjugated"
         results.append(_trivialize(alg, path, d10, kind))
     return RigidityReport(betti, max_order, tuple(results),

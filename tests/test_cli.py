@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import nlie
+from nlie import cli
 from nlie.algebra import make_algebra
 from nlie.algebroid import example_tangent_topform, make_poly_algebroid
 from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
@@ -157,6 +158,19 @@ def test_package_has_no_assert_guards():
     assert found == []
 
 
+def test_package_imports_only_at_module_top():
+    """A module's imports sit at its top, where every reader sees what it
+    loads; none hides in a function body."""
+    package = pathlib.Path(nlie.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text()))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
 def test_dimension_error_is_input_error(capsys, tmp_path):
     doc = algebra_to_json(sl2())
     doc["brackets"][0]["on"] = [1, 9]
@@ -296,6 +310,15 @@ def test_deform_rigidity(capsys, sl2_file, tmp_path):
     assert "stuck at order 1" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--max-order", "0"),
+                                         ("--trials", "-3")])
+def test_deform_rigidity_range_is_input_error(capsys, sl2_file, flag, value):
+    code, out, err = run(capsys, "deform", "rigidity", sl2_file, flag, value)
+    assert code == 2
+    assert out == ""
+    assert f"({value} given)" in _single_error(err)
+
+
 def test_obstruction_emits_cochain(capsys, tmp_path):
     base = zero_algebra(3, 2)
     term = make_cochain(2, 3, 1, {((), (0, 1)): (0, 0, 1),
@@ -371,6 +394,44 @@ def test_threads_flag_accepted(capsys, eps):
     assert "fundamental identity: holds" in out
 
 
+# every leaf verb with its required positionals, and the runner it selects
+LEAF_VERBS = [
+    (["check", "a.json"], cli.run_check),
+    (["cohomology", "a.json", "--degree", "1"], cli.run_cohomology),
+    (["nijenhuis", "a.json", "n.json"], cli.run_nijenhuis),
+    (["deform", "check", "p.json"], cli.run_deform_check),
+    (["deform", "extend", "p.json"], cli.run_deform_extend),
+    (["deform", "equiv", "p.json", "q.json", "m.json"],
+     cli.run_deform_equiv),
+    (["deform", "rigidity", "a.json"], cli.run_deform_rigidity),
+    (["obstruction", "p.json"], cli.run_obstruction),
+    (["algebroid", "check", "b.json"], cli.run_algebroid_check),
+    (["algebroid", "example-fc", "a.json"], cli.run_algebroid_fc),
+    (["algebroid", "example-topform", "3", "2"], cli.run_algebroid_topform),
+    (["reduce-lie", "a.json"], cli.run_reduce_lie),
+]
+
+
+@pytest.mark.parametrize("verb, runner", LEAF_VERBS,
+                         ids=[run.__name__ for _, run in LEAF_VERBS])
+def test_shared_flags_parse_anywhere(verb, runner):
+    """--format, --seed and --threads mean the same before the verb, after
+    it, or after --trace; without them the defaults are text, 0 and 1."""
+    def parse(*argv):
+        args = vars(cli.build_parser().parse_args(list(argv)))
+        assert args.pop("run") is runner
+        return args
+
+    flags = ["--format", "json", "--seed", "9", "--threads", "2"]
+    plain = parse(*verb)
+    assert (plain["format"], plain["seed"], plain["threads"]) == \
+        ("text", 0, 1)
+    before, after = parse(*flags, *verb), parse(*verb, *flags)
+    traced = parse("--trace", *flags, *verb)
+    assert traced.pop("trace") is True
+    assert before == after == dict(traced, trace=False) == \
+        dict(plain, format="json", seed=9, threads=2)
+
 
 def _lifted_semidirect(tmp_path, name, tmap):
     """The adjoint semidirect product of the Levi-Civita bracket and the
@@ -415,6 +476,28 @@ GOLDEN_STDOUT = {
         "e452cf15ade61ab433502ce66b68b68442a463e02ecd7aa9c1a240a7f8f8d4a9",
     "example-topform":
         "d08871a6699dfb275fa7032d70851c57c6dcf8a8b376123ebcee97d9ec1da6e2",
+    "check-fails":
+        "e8db555763aa104ba93fd46f423f76bbdd9cac3be0675770269b6eeb776d84be",
+    "check-fails-json":
+        "50833d3c5747db55f1f138886ccd61397e258c2be9593495e814a52074d638e0",
+    "nijenhuis-lift-fails-json":
+        "9c8a4ccc4d18eae4f144c0a7c0cbafab0f964b4bf3d2cd8a8cfb0ee275ea77dc",
+    "deform-check-truncated":
+        "a9056dcc1c4e7fa0ca71f72270049c92ce480d47bc46ac8d2147cf05d35d0391",
+    "deform-check-full-json":
+        "c4793a4e56a2d21f9b337fde913c89ea7fc226aa558e1b9f53206c15d8df4f78",
+    "deform-equiv-holds":
+        "04fbc9598cc1e5573206c57e80229b5dd16b884639f62d20dd90fbba4a95473c",
+    "deform-equiv-fails":
+        "ed49834ea51c7bc00a54c5f551ca80426ae514f37ea922274c230f9a9e78d4d5",
+    "deform-extend":
+        "f1c4c552b4a283ee27c86b8f0425a8eef58ffaedc92b286120aac53a75674e9f",
+    "deform-extend-obstructed":
+        "942fc2aec040fe681c36d9ca5fa9a1ccb481f03a8f33f266334ff88507352dce",
+    "obstruction":
+        "ac1900f009a995cb0a9b168ab3d802f4ab15f1dab06b6d8f31e91f0a527541b0",
+    "reduce-lie-sl2":
+        "7025b95578491a1f85476f70c7781c9026a3b259750cdf0cec90b22f76d4ed19",
 }
 
 
@@ -441,8 +524,38 @@ def _golden_argv(tmp_path, eps, sl2_file, name):
         make_poly_algebroid(1, 2, 2,
                             {(0, 1): (poly_var(1, 0), poly_const(1, 0))},
                             {(0,): vf_coordinate(1, 0)})))
+    broken = write(tmp_path, "broken.json",
+                   algebra_to_json(broken_ternary_bracket()))
+    # the zero bracket on Q^3 with one quadratic term: truncated holds,
+    # full fails at power 2, and extension is obstructed
+    zero_path = write(tmp_path, "zero-path.json", path_to_json(
+        make_deformation_path(zero_algebra(3, 2), [make_cochain(
+            2, 3, 1, {((), (0, 1)): (0, 0, 1), ((), (1, 2)): (0, 1, 0)})])))
+    lc = levi_civita_bracket()
+    nmat = Matrix.from_rows([[1, 0, 0, 0], [0, 2, 0, 0],
+                             [0, 0, 1, 0], [0, 0, 0, 2]])
+    lifted = write(tmp_path, "lifted.json",
+                   path_to_json(deformation_from_nijenhuis(lc, nmat)))
+    const = write(tmp_path, "const.json",
+                  path_to_json(constant_path(lc, 2)))
+    emap = write(tmp_path, "emap.json",
+                 emap_to_json(make_equivalence_map(4, 2, [nmat]), 4))
     want_code, argv = {
         "check": (0, ["check", eps]),
+        "check-fails": (1, ["check", broken]),
+        "check-fails-json": (1, ["--format", "json", "check", broken]),
+        "nijenhuis-lift-fails-json": (1, ["nijenhuis", sd, bad,
+                                          "--format", "json"]),
+        "deform-check-truncated": (0, ["deform", "check", zero_path]),
+        "deform-check-full-json": (1, ["--format", "json", "deform",
+                                       "check", zero_path, "--mode",
+                                       "full"]),
+        "deform-equiv-holds": (0, ["deform", "equiv", const, lifted, emap]),
+        "deform-equiv-fails": (1, ["deform", "equiv", lifted, const, emap]),
+        "deform-extend": (0, ["deform", "extend", lifted]),
+        "deform-extend-obstructed": (1, ["deform", "extend", zero_path]),
+        "obstruction": (0, ["obstruction", zero_path]),
+        "reduce-lie-sl2": (0, ["reduce-lie", sl2_file]),
         "cohomology-2": (0, ["cohomology", eps, "--degree", "2"]),
         "cohomology-1-json": (0, ["--format", "json", "cohomology",
                                   sl2_file, "--degree", "1"]),

@@ -413,6 +413,12 @@ def test_rigidity_probe_nonvanishing_h2():
     assert all(t.trivialized for t in rep.trials if t.kind == "conjugated")
 
 
+@pytest.mark.parametrize("max_order, trials", [(0, 2), (-1, 2), (2, -3)])
+def test_rigidity_probe_range_errors(max_order, trials):
+    with pytest.raises(DimensionMismatch):
+        rigidity_probe(sl2(), max_order, trials)
+
+
 def test_rigidity_probe_betti_matches_cohomology():
     for alg in (sl2(), heisenberg3(), zero_algebra(2, 2),
                 levi_civita_bracket()):
