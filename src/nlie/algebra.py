@@ -69,14 +69,17 @@ def replace_slots(key: Key,
             for i, sup in enumerate(sups) for k, c in sup]
 
 
-def basis_lookup(table: Mapping, module: bool = False
+def basis_lookup(table: Mapping, module: bool = False,
+                 memo: Optional[dict[Key, Support]] = None,
                  ) -> Callable[[Key], Support]:
     """Memoized map from a basis tuple in any order to the signed (index,
     value) support of its image in ``table`` (empty on a repeated index).
     With ``module`` the last index is a module index j and the key is
     ``(sorted rest, j)``, as in a representation's action.  The memo lives
-    as long as the returned function: one per top-level call."""
-    memo: dict[Key, Support] = {}
+    as long as the returned function: one per top-level call.  A caller
+    that passes ``memo`` (an empty dict) can read the entries filled."""
+    if memo is None:
+        memo = {}
 
     def look(idx: Key) -> Support:
         out = memo.get(idx)

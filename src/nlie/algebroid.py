@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .algebra import (CheckResult, Key, NLieAlgebra, bracket_on_basis,
-                      require_fi, sort_with_sign)
+from .algebra import (CheckResult, Key, NLieAlgebra, basis_lookup,
+                      bracket_on_basis, require_fi, sort_with_sign)
 from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
 from .poly import (MultiPoly, PolyVectorField, poly_const, poly_var,
@@ -356,6 +356,80 @@ def _first_weighted(frames, defect) -> Optional[tuple[int, int, int]]:
     return best
 
 
+def _generator_lookups(abd: PolyFilippovAlgebroid):
+    """The signed lookups of one check: B(idx), the support of the bracket
+    table on generators idx in any order, and A(idx), the anchor field on
+    them, None where it vanishes; with a count of their memo entries."""
+    brackets: dict = {}
+    B = basis_lookup(abd.bracket_table, memo=brackets)
+    anchors: dict[Key, Optional[PolyVectorField]] = {}
+
+    def A(idx: Key) -> Optional[PolyVectorField]:
+        if idx not in anchors:
+            ss = sort_with_sign(idx)
+            field = ss and abd.anchor_table.get(ss[1])
+            anchors[idx] = field and (field if ss[0] == 1 else -field)
+        return anchors[idx]
+
+    return B, A, lambda: len(brackets) + len(anchors)
+
+
+def _add_last_slot(B, A, w: Key, sup, sign: int,
+                   out: list[MultiPoly]) -> None:
+    """out += sign L(w, sum_k p_k e_k), the bracket of the generators w
+    with one section in the last slot:
+    sum_k p_k B(w + (k,)) + sum_k a(w)(p_k) e_k."""
+    field = A(w)
+    for k, p in sup:
+        terms = [(j, c * p) for j, c in B(w + (k,))]
+        if field is not None:
+            terms.append((k, vf_apply(field, p)))
+        for j, q in terms:
+            out[j] = out[j] + q if sign == 1 else out[j] - q
+
+
+def _fi_generator_holds(B, A, out: list[MultiPoly], x: Key, y: Key) -> bool:
+    """Whether the FI defect on generators x, y vanishes; ``out`` is a
+    zero section to accumulate it in."""
+    n = len(y)
+    _add_last_slot(B, A, x, B(y), 1, out)
+    for i in range(n):
+        _add_last_slot(B, A, y[:i] + y[i + 1:], B(x + (y[i],)),
+                       -1 if (n - i) % 2 else 1, out)
+    return not any(out)
+
+
+def _anchor_generator_holds(B, A, out: PolyVectorField, x: Key,
+                            y: Key) -> bool:
+    """Whether the anchor defect on generators x, y vanishes; ``out`` is
+    the zero field."""
+    fx, fy = A(x), A(y)
+    if fx is not None and fy is not None:
+        out = vf_bracket(fx, fy)
+    for i, yi in enumerate(y):
+        for k, q in B(x + (yi,)):
+            field = A(y[:i] + (k,) + y[i + 1:])
+            if field is not None:
+                out = out - field.scale(q)
+    return out.is_zero
+
+
+def _first_failing(sp, filled: Callable[[], int], pairs,
+                   holds: Callable[[Key, Key], bool],
+                   ) -> Optional[tuple[Key, Key]]:
+    """First pair (x, y) of generator tuples on which ``holds`` fails, or
+    None; counts on ``sp`` the pairs evaluated and the lookup memo entries
+    filled."""
+    start, frames, bad = filled(), 0, None
+    for x, y in pairs:
+        frames += 1
+        if not holds(x, y):
+            bad = (x, y)
+            break
+    sp.count(frames=frames, lookups=filled() - start)
+    return bad
+
+
 @traced("algebroid.check_algebroid_axioms")
 def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                            sections_degree: int = 0) -> CheckResult:
@@ -382,21 +456,45 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
     fam[k] for the smallest t-exponent k among the terms of the lifted
     defect.  Weighted frames are searched by slot, then k, then shift.
 
+    Generator phases by lookup.  On generators the bracket is the table:
+    with B(idx) the signed support of the bracket table and A(idx) the
+    signed anchor field on generators idx in any order, the closed form
+    with every slot but the last a generator is
+
+        L(w, sum_k p_k e_k) = sum_k p_k B(w + (k,)) + sum_k a(w)(p_k) e_k,
+
+    since a constant weight has no derivative.  The defects on sorted
+    generator tuples x, y are then
+
+        FI:  L(x, B(y)) - sum_i (-1)^(n-1-i) L(y^i, B(x + (y_i,)))
+        (a): [A(x), A(y)] - sum_i sum_{(k,q) in B(x + (y_i,))}
+                 q A(y with k in slot i),
+
+    with y^i the tuple y without y_i and slots counted from 0.
+
+    They equal the section route term by term: the bracket with the
+    section [x, y_i] in slot i is, by skew symmetry, (-1)^(n-1-i) times
+    the bracket with it moved past the n-1-i slots after it into the
+    last, and ``_leibniz`` gives that sign to both the table term and the
+    anchor term; the tensorial anchor of a wedge with one section in slot
+    i is the sum over its support.  So no section is built and neither
+    ``section_bracket`` nor ``anchor_eval`` is called there.
+
     Axiom (b) holds by construction of ``_leibniz``, which is the closed
     Leibniz form; it stays as a check of that evaluator.
     """
     n, r, m = abd.arity, abd.rank, abd.num_vars
-    gens = [generator_section(m, r, j) for j in range(r)]
+    B, A, filled = _generator_lookups(abd)
+    wedges = list(itertools.combinations(range(r), n - 1))
 
-    with span("algebroid.axioms.fi"):
-        for xk in itertools.combinations(range(r), n - 1):
-            for yk in itertools.combinations(range(r), n):
-                defect = _fi_defect(abd, [gens[j] for j in xk],
-                                    [gens[j] for j in yk])
-                if not defect.is_zero:
-                    return CheckResult(False,
-                                       {"axiom": "fundamental identity",
-                                        "x": xk, "y": yk, "f": None})
+    with span("algebroid.axioms.fi") as sp:
+        bad = _first_failing(
+            sp, filled, itertools.product(
+                wedges, itertools.combinations(range(r), n)),
+            lambda x, y: _fi_generator_holds(B, A, [poly_zero(m)] * r, x, y))
+    if bad is not None:
+        return CheckResult(False, {"axiom": "fundamental identity",
+                                   "x": bad[0], "y": bad[1], "f": None})
 
     lift = _lift(abd)
     tgens = [generator_section(m + 1, r, j) for j in range(r)]
@@ -411,15 +509,13 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                                    "slot": slot, "f": str(fam[k]),
                                    "shift": shift})
 
-    with span("algebroid.axioms.anchor"):
-        for xk in itertools.combinations(range(r), n - 1):
-            for yk in itertools.combinations(range(r), n - 1):
-                defect = _anchor_defect(abd, [gens[j] for j in xk],
-                                        [gens[j] for j in yk])
-                if not defect.is_zero:
-                    return CheckResult(False,
-                                       {"axiom": "anchor compatibility",
-                                        "x": xk, "y": yk, "f": None})
+    with span("algebroid.axioms.anchor") as sp:
+        bad = _first_failing(
+            sp, filled, itertools.product(wedges, wedges),
+            lambda x, y: _anchor_generator_holds(B, A, vf_zero(m), x, y))
+    if bad is not None:
+        return CheckResult(False, {"axiom": "anchor compatibility",
+                                   "x": bad[0], "y": bad[1], "f": None})
     if sections_degree > 0:
         wide = [f for f in poly_family(m, sections_degree) if f.terms]
         with span("algebroid.axioms.anchor_weighted"):
@@ -433,7 +529,7 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
                                        "shift": shift})
 
     with span("algebroid.axioms.leibniz"):
-        for xk in itertools.combinations(range(r), n - 1):
+        for xk in wedges:
             xs = [tgens[i] for i in xk]
             action = vf_apply(anchor_on_generators(lift, xk), g)
             for j in range(r):

@@ -53,9 +53,15 @@ class InputFormatError(ValueError):
 @traced("io.load", lambda args, doc: {"bytes": os.path.getsize(args[0])})
 def load_document(path: str) -> Any:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputFormatError(str(exc), location=path)
+    try:
+        # JSON exchanged between systems is UTF-8 (RFC 8259)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"not UTF-8: {exc.reason} at byte offset "
+                               f"{exc.start}", location=path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

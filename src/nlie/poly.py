@@ -43,6 +43,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        # false on zero, as for a Fraction, so signed supports skip it
+        return bool(self.terms)
+
     def __add__(self, other: MultiPoly) -> MultiPoly:
         _same_vars(self, other)
         terms = dict(self.terms)

@@ -2,16 +2,17 @@
 
 Tracing is off unless ``enable`` is called; the CLI does that under
 ``--trace`` and reports to stderr, so stdout never changes.  A span is a
-named, timed region: ``with span(name):`` around a phase of a function, or
+named, timed region: ``with span(name) as sp:`` around a phase of a
+function, which may report its counters with ``sp.count(name=value)``, or
 ``@traced(name, counter)`` on a layer entry.  While tracing is off, either
-costs one test of the module's active recorder.
+costs one test of the module's active recorder, and ``count`` does nothing.
 
 While tracing is on, each span name gathers ``calls``, ``busy_s``,
 ``self_s`` (busy time not spent in nested spans) and the integer counters
-that ``counter(args, result)`` returns for each call, summed, or the
-maximum for counters whose name starts with ``max_``.  A span opened while
-one of the same name is open (a recursive call) is folded into the outer
-one.  Counters are deterministic work counts; times are not.
+that ``counter(args, result)`` or ``count`` gives for each call, summed,
+or the maximum for counters whose name starts with ``max_``.  A span
+opened while one of the same name is open (a recursive call) is folded
+into the outer one.  Counters are deterministic work counts; times are not.
 
 Output, one JSON object per line: one ``{"span": ...}`` line for each
 closed span opened at depth below ``STREAM_DEPTH`` (the verb, its layer
@@ -75,11 +76,14 @@ _active: Optional[Recorder] = None
 
 
 class _Null:
-    def __enter__(self) -> None:
-        return None
+    def __enter__(self) -> _Null:
+        return self
 
     def __exit__(self, *exc) -> bool:
         return False
+
+    def count(self, **counters: int) -> None:
+        pass
 
 
 _NULL = _Null()
@@ -109,6 +113,9 @@ class _Span:
             rec.stack[-1].child += busy
         rec.record(self, busy)
         return False
+
+    def count(self, **counters: int) -> None:
+        self.counters.update(counters)
 
 
 def span(name: str):

@@ -1,9 +1,12 @@
-"""The generic-weight evaluation of the algebroid checks against the
-per-weight reference loops in ``helpers``.
+"""The generic-weight evaluation of the algebroid checks, and their
+generator phases read off the bracket and anchor tables, against the
+per-weight reference loops in ``helpers``, which push generator sections
+through ``section_bracket`` and ``anchor_eval``.
 
 Parity: equal ``CheckResult``s (verdict and witness) on seeded random
 algebroids, multiderivations and bundle maps.  Planted defects: one input
-per witness kind, each of which must fail with the reference's witness.
+per witness kind, each of which must fail with the reference's witness,
+and the action algebroids of sl(2) and of the Levi-Civita bracket.
 The Leibniz rule (b) and the two symbol checks hold by construction of the
 evaluator, so their defects are planted by monkeypatching a kernel of
 ``nlie.algebroid`` to drop the terms of degree 2 and up in the base
@@ -11,7 +14,9 @@ variables; the reference looks its kernels up on the module, so it sees
 the same patch.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -26,10 +31,11 @@ from nlie.algebroid import (PolySection, bracket_derivation,
                             example_tangent_topform, make_bundle_map,
                             make_poly_algebroid, make_poly_multiderivation,
                             nijenhuis_symbol_check)
-from nlie.catalog import broken_ternary_bracket
+from nlie.algebra import bracket_on_basis
+from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
-from nlie.poly import (MultiPoly, PolyVectorField, poly_const, poly_var,
-                       poly_zero, vf_coordinate)
+from nlie.poly import (MultiPoly, PolyVectorField, poly_const,
+                       poly_from_terms, poly_var, poly_zero, vf_coordinate)
 
 AXIOM_DEGREES = [(0, 0), (1, 0), (2, 2), (3, 1)]
 
@@ -62,6 +68,22 @@ def test_axioms_match_reference_random(max_degree, sections_degree):
     assert ("fundamental identity", False) in kinds
     if max_degree > 0:
         assert ("fundamental identity", True) in kinds
+
+
+def test_generator_phases_match_reference_random():
+    # degrees (0, 0) leave only the generator phases able to fail; the
+    # reference evaluates them through section_bracket and anchor_eval
+    kinds = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        abd = rand_poly_algebroid(rng, *_shape(rng))
+        res = check_algebroid_axioms(abd, 0, 0)
+        assert res == ref_check_algebroid_axioms(abd, 0, 0), seed
+        if not res.holds:
+            assert set(res.witness) == {"axiom", "x", "y", "f"}
+            kinds[res.witness["axiom"]] += 1
+    assert kinds["fundamental identity"] >= 10
+    assert kinds["anchor compatibility"] >= 10
 
 
 def test_symbol_leibniz_matches_reference_random():
@@ -169,6 +191,55 @@ def test_planted_anchor_weighted():
     _fails_like_reference(check_algebroid_axioms(abd, 2, 2),
                           ref_check_algebroid_axioms(abd, 2, 2),
                           {"axiom": "anchor compatibility", "slot": 0,
+                           "f": "x0", "shift": 1})
+
+
+def _action_algebroid(alg):
+    """The constant bracket of ``alg`` on the trivial bundle of rank dim
+    over R^dim, anchored on each generator wedge w by the linear field
+    x -> -ad(w) x, with ad(w) = [w, -]."""
+    m, n = alg.dim, alg.arity
+    table = {key: tuple(poly_const(m, c) for c in vec)
+             for key, vec in alg.structure.items()}
+    anchor = {}
+    for w in itertools.combinations(range(m), n - 1):
+        ad = [bracket_on_basis(alg, w + (col,)) for col in range(m)]
+        anchor[w] = PolyVectorField(m, tuple(
+            poly_from_terms(m, {tuple(int(v == col) for v in range(m)):
+                                -ad[col][row] for col in range(m)})
+            for row in range(m)))
+    return make_poly_algebroid(m, m, n, table, anchor)
+
+
+def test_sl2_action_algebroid_holds():
+    # -ad is a Lie algebra map into the linear vector fields, so the
+    # action algebroid is a Lie algebroid
+    abd = _action_algebroid(sl2())
+    assert check_algebroid_axioms(abd, 2, 2).holds
+    assert ref_check_algebroid_axioms(abd, 2, 2).holds
+
+
+def test_planted_anchor_rescaled_action_algebroid():
+    # a(h) doubled: a([h, e]) = 2 a(e) while [a(h), a(e)] = 4 a(e); the
+    # bracket is constant, so only the anchor phase can see it
+    abd = _action_algebroid(sl2())
+    anchor = dict(abd.anchor_table)
+    anchor[(0,)] = anchor[(0,)].scale(2)
+    planted = make_poly_algebroid(3, 3, 2, abd.bracket_table, anchor)
+    _fails_like_reference(check_algebroid_axioms(planted, 0),
+                          ref_check_algebroid_axioms(planted, 0),
+                          {"axiom": "anchor compatibility", "x": (0,),
+                           "y": (1,), "f": None})
+
+
+def test_levi_civita_action_algebroid():
+    # the identity and axiom (a) hold on generators, and the identity
+    # fails once a slot carries the weight x0
+    abd = _action_algebroid(levi_civita_bracket())
+    assert check_algebroid_axioms(abd, 0).holds
+    _fails_like_reference(check_algebroid_axioms(abd),
+                          ref_check_algebroid_axioms(abd),
+                          {"axiom": "fundamental identity", "slot": 0,
                            "f": "x0", "shift": 1})
 
 

@@ -99,6 +99,21 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("data,offset", [
+    (b'\xff\xfe{"arity": 3}', 0),
+    (b'{"arity": "\xc3\x28"}', 11),
+])
+def test_non_utf8_input_is_input_error(capsys, tmp_path, data, offset):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert out == ""
+    error = _single_error(err)
+    assert error.startswith(f"error: {bad}: not UTF-8: ")
+    assert error.endswith(f" at byte offset {offset}")
+
+
 def _single_error(err):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
@@ -639,6 +654,32 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
             "deformations.nijenhuis_bracket"} <= names
     rank = next(c for name, _, c in first if name == "linalg.rank_nullspace")
     assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
+
+
+def test_trace_algebroid_generator_phases(capsys, tmp_path):
+    # the generator phases read the bracket and anchor tables: of the
+    # parent's 1,076 section brackets and 560 anchor evaluations, the
+    # 800 and 500 that pushed generator sections through them are gone
+    top = write(tmp_path, "top.json",
+                algebroid_to_json(example_tangent_topform(5, 3)))
+    argv = ["--trace", "algebroid", "check", top, "--max-degree", "2",
+            "--sections-degree", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv[1:])[1] == out
+    summary = {line["summary"]: line for line in _trace_lines(err)
+               if "summary" in line}
+    assert summary["algebroid.section_bracket"]["calls"] == 276
+    assert summary["algebroid.anchor_eval"]["calls"] == 60
+    phases = {name: summary[name]["counters"]
+              for name in ("algebroid.axioms.fi", "algebroid.axioms.anchor")}
+    assert phases == {"algebroid.axioms.fi": {"frames": 50, "lookups": 60},
+                      "algebroid.axioms.anchor": {"frames": 100,
+                                                  "lookups": 0}}
+    _, _, again = run(capsys, *argv)
+    assert [(line["summary"], line["counters"])
+            for line in _trace_lines(again) if "summary" in line] == \
+        [(name, line["counters"]) for name, line in summary.items()]
 
 
 def test_trace_off_by_default(capsys, eps):

@@ -249,6 +249,20 @@ def test_load_document_errors(tmp_path):
     assert algebra_from_json(load_document(str(target))) == sl2()
 
 
+@pytest.mark.parametrize("data,offset,reason", [
+    (b'\xff\xfe{"arity": 3}', 0, "invalid start byte"),
+    (b'{"arity": "\xc3\x28"}', 11, "invalid continuation byte"),
+])
+def test_load_document_rejects_non_utf8(tmp_path, data, offset, reason):
+    target = tmp_path / "alg.json"
+    target.write_bytes(data)
+    with pytest.raises(InputFormatError) as err:
+        load_document(str(target))
+    assert err.value.location == str(target)
+    assert str(err.value) == (f"{target}: not UTF-8: {reason} at byte "
+                              f"offset {offset}")
+
+
 def test_wedge_to_json_shape():
     w = basis_wedge(2, 4, (1, 3))
     assert wedge_to_json(w) == {
