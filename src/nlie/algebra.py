@@ -21,6 +21,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidStructure
@@ -164,6 +165,16 @@ class CheckResult:
     witness: Optional[dict] = None
 
 
+def integral_table(alg: NLieAlgebra) -> tuple[int, dict[Key, tuple[int, ...]]]:
+    """(L, T): L the least common denominator of the structure constants
+    and T the structure table times L, in integers.  A quantity linear in
+    the bracket is L times its value on T; a quadratic one, L^2 times."""
+    scale = lcm(*(x.denominator for v in alg.structure.values() for x in v))
+    return scale, {key: tuple(x.numerator * (scale // x.denominator)
+                              for x in v)
+                   for key, v in alg.structure.items()}
+
+
 @traced("algebra.check_fundamental_identity")
 def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
     """Exhaustive fundamental-identity check on sorted basis tuples.
@@ -171,10 +182,13 @@ def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
     Returns the lexicographically first failing pair of tuples as a witness:
     the (n-1)-tuple acting, the inner n-tuple, both sides and their defect.
     The supports of ad_a = [a, e_j] are looked up once per acting tuple a
-    and reused for every inner tuple.
+    and reused for every inner tuple.  Both sides are quadratic in the
+    bracket, so they are computed in integers on ``integral_table`` and a
+    witness divides them by L^2.
     """
     n, m = alg.arity, alg.dim
-    look = basis_lookup(alg.structure)
+    scale, table = integral_table(alg)
+    look = basis_lookup(table)
     for a in itertools.combinations(range(m), n - 1):
         ad = [look(a + (j,)) for j in range(m)]
         for b in itertools.combinations(range(m), n):
@@ -182,6 +196,8 @@ def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
             rhs = densify(multilinear([replace_slots(b, [ad[y] for y in b])],
                                       lambda key: look(key[0])), m)
             if lhs != rhs:
+                lhs, rhs = (tuple(Fraction(x, scale * scale) for x in side)
+                            for side in (lhs, rhs))
                 return CheckResult(False, {
                     "acting": a, "inner": b,
                     "lhs": lhs, "rhs": rhs, "defect": vec_sub(lhs, rhs)})

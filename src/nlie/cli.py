@@ -36,7 +36,7 @@ from .algebroid import (check_algebroid_axioms, example_tangent_fc,
 from .chevalley import (CECochain, ce_differential, ce_differential_matrix,
                         ce_eval)
 from .cochains import basis_cochains, eval_keys_z, from_bracket, gla_bracket
-from .cohomology import DEFAULT_DEGREE_CAP, cohomology, differential_matrix
+from .cohomology import DEFAULT_DEGREE_CAP, Complex, cohomology
 from .deformations import (check_deformation, check_equivalence,
                            check_nijenhuis, deformation_from_nijenhuis,
                            extend, obstruction, rigidity_probe)
@@ -233,10 +233,10 @@ def run_reduce_lie(args, report: Report) -> None:
     methods = {0: "matrix identity", 1: "matrix identity",
                2: "evaluation identity"}
     agreement: dict[str, bool] = {}
+    cx = Complex(alg)
     for k in (0, 1, 2):
         if k < 2:
-            same = differential_matrix(alg, k) == \
-                ce_differential_matrix(alg, k)
+            same = cx.matrix(k) == ce_differential_matrix(alg, k)
         else:
             same = _ce_agrees_by_evaluation(alg)
         agreement[str(k)] = same

@@ -43,16 +43,15 @@ orders run through the same routine with the roles swapped.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .algebra import (Key, NLieAlgebra, WedgeElement, basis_wedge,
-                      bracket_on_basis, fundamental_bracket, make_algebra,
-                      merge_index, replace_slots, sort_with_sign)
+from .algebra import (Key, NLieAlgebra, WedgeElement, basis_lookup,
+                      bracket_on_basis, make_algebra, merge_index,
+                      replace_slots, sort_with_sign)
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
                      multilinear, support, vec_add, vec_is_zero, vec_scale,
@@ -60,7 +59,8 @@ from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
 from .trace import traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
-Row = dict[int, Fraction]  # one sparse matrix row: column -> coefficient
+# one sparse matrix row: column -> coefficient (int on an integer table)
+Row = dict[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -415,26 +415,48 @@ def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
     return vec_to_cochain(rows.apply(x), n, m, p + 1)
 
 
-def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
+@traced("cochains.coboundary_rows")
+def coboundary_rows(alg: NLieAlgebra, p: int,
+                    table: Optional[Mapping] = None) -> list[Row]:
     """The four sums of ``coboundary_explicit`` in transposed form: the
     matrix of the differential on degree-p cochains, one sparse row per
-    coordinate of degree p+1 (output key index * m + component).
+    coordinate of degree p+1 (output key index * m + component), each row
+    sorted by column with zeros absent.
 
     One pass over the output keys; wherever the sums read psi through
     ``eval_keys_z``, the coefficient of that coordinate of psi is recorded
     instead, under column (key index in ``space_keys(m, n, p)``) * m +
-    component, the order of ``cochain_to_vec``.  Entries that cancel stay
-    stored as zeros; ``Matrix.from_sparse_rows`` drops them.
+    component, the order of ``cochain_to_vec``.  At p = -1 the column of an
+    (n-1)-wedge X is ``wedge_differential``: z -> [X, z].
+
+    Brackets are read from ``table`` (``alg.structure`` by default)
+    through one signed lookup, the wedge-bracket moves [X_i, X_j] too.
+    Every entry is linear in the bracket, so on ``integral_table``'s
+    integer table, L times the structure, the rows are those of L·d in
+    integers.
     """
     n, m = alg.arity, alg.dim
+    look = basis_lookup(alg.structure if table is None else table)
+    if p == -1:
+        ad: list[Row] = [{} for _ in range(m * m)]
+        for t, x in enumerate(itertools.combinations(range(m), n - 1)):
+            for z in range(m):
+                for i, c in look(x + (z,)):
+                    ad[z * m + i][t] = c
+        return ad
     base_of = {key: t * m for t, key in enumerate(space_keys(m, n, p))}
-    supports: dict[Key, list[tuple[int, Fraction]]] = {}
-    moves: dict[tuple[Key, Key], dict[Key, Fraction]] = {}
+    moves: dict[tuple[Key, Key], dict[Key, int]] = {}
 
-    def bracket(idx: Key) -> list[tuple[int, Fraction]]:
-        if idx not in supports:
-            supports[idx] = support(bracket_on_basis(alg, idx))
-        return supports[idx]
+    def move(xk: Key, yk: Key) -> dict[Key, int]:
+        # [X, Y] = sum_i y_1 ∧ .. ∧ [X, y_i] ∧ .. ∧ y_(n-1), on basis wedges
+        if (xk, yk) not in moves:
+            acc: dict[Key, int] = {}
+            for moved, c in replace_slots(yk, [look(xk + (y,)) for y in yk]):
+                ss = sort_with_sign(moved)
+                if ss is not None:
+                    acc[ss[1]] = acc.get(ss[1], 0) + (c if ss[0] == 1 else -c)
+            moves[xk, yk] = {key: c for key, c in acc.items() if c}
+        return moves[xk, yk]
 
     def read(blocks: tuple[Key, ...], z: int) -> Optional[tuple[int, int]]:
         # (sign, first column) of the entry eval_keys_z(psi, blocks, z) reads
@@ -445,15 +467,15 @@ def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
     for blocks, last in space_keys(m, n, p + 1):
         args = blocks + (last[:n - 1],)
         z = last[n - 1]
-        out: list[Row] = [defaultdict(int) for _ in range(m)]
+        out: list[Row] = [{} for _ in range(m)]
 
-        def same(sign: int, c: Fraction,
-                 at: Optional[tuple[int, int]]) -> None:
+        def same(sign: int, c, at: Optional[tuple[int, int]]) -> None:
             # sign * c * psi(at): psi's value lands component by component
             if at is not None:
                 c = c if sign * at[0] == 1 else -c
                 for i in range(m):
-                    out[i][at[1] + i] += c
+                    col = at[1] + i
+                    out[i][col] = out[i].get(col, 0) + c
 
         def acted(sign: int, at: Optional[tuple[int, int]], slot: Key,
                   pos: int) -> None:
@@ -461,25 +483,22 @@ def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
             if at is not None:
                 sign *= at[0]
                 for j in range(m):
-                    for i, c in bracket(slot[:pos] + (j,) + slot[pos + 1:]):
-                        out[i][at[1] + j] += c if sign == 1 else -c
+                    col = at[1] + j
+                    for i, c in look(slot[:pos] + (j,) + slot[pos + 1:]):
+                        out[i][col] = out[i].get(col, 0) + \
+                            (c if sign == 1 else -c)
 
         for i0 in range(p + 1):
             rem = args[:i0] + args[i0 + 1:]
             sign = -1 if (i0 + 1) % 2 else 1
             # first sum: z replaced by the X_i action on it
-            for j, c in bracket(args[i0] + (z,)):
+            for j, c in look(args[i0] + (z,)):
                 same(sign, c, read(rem, j))
             # third sum: X_i acts on the value
             acted(-sign, read(rem, z), args[i0] + (z,), n - 1)
             # second sum: wedge-bracket of X_i into the X_j slot
             for j0 in range(i0 + 1, p + 1):
-                pair = (args[i0], args[j0])
-                if pair not in moves:
-                    moves[pair] = fundamental_bracket(
-                        alg, basis_wedge(n - 1, m, pair[0]),
-                        basis_wedge(n - 1, m, pair[1])).coords
-                for skey, c in moves[pair].items():
+                for skey, c in move(args[i0], args[j0]).items():
                     reduced = (args[:i0] + args[i0 + 1:j0] + (skey,)
                                + args[j0 + 1:])
                     same(sign, c, read(reduced, z))
@@ -488,7 +507,7 @@ def coboundary_rows(alg: NLieAlgebra, p: int) -> list[Row]:
         for s in range(n - 1):
             acted(-1 if p % 2 else 1, read(args[:p], lastblock[s]),
                   lastblock + (z,), s)
-        rows.extend(out)
+        rows.extend({j: x for j, x in sorted(r.items()) if x} for r in out)
     return rows
 
 

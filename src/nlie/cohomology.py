@@ -6,6 +6,17 @@ multiderivation cochains.  ``differential_matrix(A, k)`` is the map
 C^k -> C^(k+1) in the elementary bases (lexicographic keys, then vector
 components), which makes every matrix byte-stable for golden tests.
 
+One ``Complex`` serves one call: it checks the fundamental identity once,
+builds each d_k once and eliminates each once.  It works on integers.  Let
+L be the least common denominator of the structure constants.  Every entry
+of d_k is linear in the bracket, so L·d_k is an integer matrix, assembled
+by ``cochains.coboundary_rows`` on the structure table times L.  Scaling a
+row by L > 0 changes neither the rows' span nor the shortest-row pivot
+choice of ``linalg.kernel``.  So rank, pivots and canonical nullspace of
+L·d_k are those of d_k, and d x = b is solved as (L·d) x = L·b.  The
+fundamental identity is quadratic in the bracket; its integer witness is
+divided by L^2.
+
 Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
 coboundary columns in a combined elimination.  Each kept vector is a cocycle
@@ -16,16 +27,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
-from typing import Optional, Union
+from typing import Sequence, Union
 
-from .algebra import NLieAlgebra, WedgeElement, basis_wedge, require_fi
-from .cochains import (Cochain, coboundary_rows, cochain_to_vec,
-                       from_bracket, space_keys, to_matrix, vec_to_cochain,
-                       wedge_differential)
+from .algebra import NLieAlgebra, WedgeElement, integral_table, require_fi
+# cochain_to_vec is re-exported beside vec_to_cochain
+from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
+                       to_matrix, vec_to_cochain)
 from .errors import DimensionMismatch
-from .linalg import Matrix, Vector, rank_nullspace
-from .trace import matrix_counters, traced
+from .linalg import (Matrix, RankNullspace, Row, Vector, integer_row,
+                     kernel, solve_rows)
+from .trace import row_counters, traced
 
 DEFAULT_DEGREE_CAP = 3
 
@@ -33,28 +46,9 @@ DEFAULT_DEGREE_CAP = 3
 def complex_dim(alg: NLieAlgebra, k: int) -> int:
     if k < 0:
         raise DimensionMismatch("the complex starts at degree 0")
-    return len(space_keys(alg.dim, alg.arity, k - 1)) * alg.dim if k >= 1 \
-        else comb(alg.dim, alg.arity - 1)
-
-
-@traced("cohomology.differential_matrix",
-        lambda args, mat: matrix_counters(mat))
-def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
-    """Matrix of the differential C^k -> C^(k+1); requires the fundamental
-    identity (checked once, before assembly).  For k >= 1 the rows are the
-    transposed four-sum formula, ``cochains.coboundary_rows``."""
-    if k < 0:
-        raise DimensionMismatch("the complex starts at degree 0")
-    require_fi(alg)
     n, m = alg.arity, alg.dim
-    if k == 0:
-        phi = from_bracket(alg)
-        cols = [cochain_to_vec(wedge_differential(phi,
-                                                  basis_wedge(n - 1, m, key)))
-                for key in itertools.combinations(range(m), n - 1)]
-        return Matrix.from_cols(cols, len(space_keys(m, n, 0)) * m)
-    return Matrix.from_sparse_rows(coboundary_rows(alg, k - 1),
-                                   complex_dim(alg, k))
+    return comb(m, n - 1) if k == 0 else \
+        m * m if k == 1 else cochain_dim(m, n, k - 1)
 
 
 @dataclass(frozen=True)
@@ -67,6 +61,103 @@ class CohomologyReport:
     representatives: tuple[Union[Cochain, WedgeElement], ...]
 
 
+class Complex:
+    """The deformation complex of one algebra, for the length of one call.
+
+    Construction checks the fundamental identity (raising its witness) and
+    clears the structure table to (L, integers); each d_k is built as the
+    integer rows of L·d_k on first use, and eliminated at most once.
+    """
+
+    def __init__(self, alg: NLieAlgebra):
+        require_fi(alg)
+        self.alg = alg
+        self.scale, self.table = integral_table(alg)
+        self._rows: dict[int, list[Row]] = {}
+        self._kernels: dict[int, RankNullspace] = {}
+
+    def rows(self, k: int) -> list[Row]:
+        """The integer rows of L·d_k: C^k -> C^(k+1)."""
+        if k not in self._rows:
+            self._rows[k] = self._build(k)
+        return self._rows[k]
+
+    @traced("cohomology.differential_matrix",
+            lambda args, rows: row_counters(rows,
+                                            complex_dim(args[0].alg, args[1])))
+    def _build(self, k: int) -> list[Row]:
+        complex_dim(self.alg, k)
+        return coboundary_rows(self.alg, k - 1, self.table)
+
+    def kernel(self, k: int) -> RankNullspace:
+        """Rank, pivots and canonical nullspace of d_k."""
+        if k not in self._kernels:
+            self._kernels[k] = kernel(self.rows(k), complex_dim(self.alg, k))
+        return self._kernels[k]
+
+    def solve(self, k: int, b: Vector) -> Vector | None:
+        """The canonical solution of d_k x = b, or None: (L·d_k) x = L·b."""
+        ncols = complex_dim(self.alg, k)
+        return solve_rows([integer_row({**r, ncols: self.scale * x})
+                           if x else r for r, x in zip(self.rows(k), b)],
+                          ncols)
+
+    def matrix(self, k: int) -> Matrix:
+        """The rational matrix of d_k: entries Fraction(x, L)."""
+        return Matrix.from_sparse_rows(
+            ({j: Fraction(x, self.scale) for j, x in r.items()}
+             for r in self.rows(k)), complex_dim(self.alg, k))
+
+    def beside(self, k: int, cols: Sequence[int],
+               vectors: Sequence[Vector]) -> list[Row]:
+        """Integer rows of the matrix whose columns are columns ``cols`` of
+        L·d_k, then ``vectors``.  Scaling the first block by L moves no
+        pivot and no coordinate of a solution in the second."""
+        base = len(cols)
+        return [integer_row({**{t: r[j] for t, j in enumerate(cols)
+                                if j in r},
+                             **{base + s: v[i] for s, v in enumerate(vectors)
+                                if v[i]}})
+                for i, r in enumerate(self.rows(k))]
+
+    def report(self, k: int) -> CohomologyReport:
+        """Betti number and representatives of H^k."""
+        alg = self.alg
+        dim_k = complex_dim(alg, k)
+        out = self.kernel(k)
+        cocycles = out.nullspace
+        inn = self.kernel(k - 1) if k else RankNullspace(0, (), ())
+        betti = dim_k - out.rank - inn.rank
+        reps: list[Vector] = []
+        if betti > 0 and k == 0:
+            reps = list(cocycles)  # C^0 has no coboundaries
+        elif betti > 0:
+            combined = self.beside(k - 1, inn.pivots, cocycles)
+            piv = kernel(combined, inn.rank + len(cocycles)).pivots
+            reps = [cocycles[j - inn.rank] for j in piv if j >= inn.rank]
+        if len(reps) != betti:
+            raise ArithmeticError("representative count differs from the "
+                                  "betti number; rank bookkeeping is wrong")
+        if k == 0:
+            keys = list(itertools.combinations(range(alg.dim),
+                                               alg.arity - 1))
+            packed = tuple(
+                WedgeElement(alg.arity - 1, alg.dim,
+                             {key: c for key, c in zip(keys, r) if c != 0})
+                for r in reps)
+        else:
+            packed = tuple(vec_to_cochain(r, alg.arity, alg.dim, k - 1)
+                           for r in reps)
+        return CohomologyReport(k, dim_k, out.rank, inn.rank, betti, packed)
+
+
+def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:
+    """Matrix of the differential C^k -> C^(k+1): ``Complex(alg).matrix``,
+    after the degree and the fundamental identity are checked."""
+    complex_dim(alg, k)
+    return Complex(alg).matrix(k)
+
+
 def cohomology(alg: NLieAlgebra, k: int,
                max_degree_cap: int = DEFAULT_DEGREE_CAP) -> CohomologyReport:
     """Betti number and representatives of the k-th cohomology.
@@ -77,49 +168,10 @@ def cohomology(alg: NLieAlgebra, k: int,
     if k > max_degree_cap:
         raise DimensionMismatch(
             f"degree {k} above cap {max_degree_cap}; raise the cap to force")
-    d_out = differential_matrix(alg, k)
-    d_in = differential_matrix(alg, k - 1) if k else None
-    return _report(alg, k, d_out, d_in)
-
-
-def _report(alg: NLieAlgebra, k: int, d_out: Matrix,
-            d_in: Optional[Matrix]) -> CohomologyReport:
-    """Betti number and representatives of H^k from d_k and d_(k-1)
-    (None at k = 0)."""
-    dim_k = d_out.cols
-    out = rank_nullspace(d_out)
-    cocycles = out.nullspace
-    if d_in is None:
-        rank_in = 0
-        cob_cols: list[Vector] = []
-    else:
-        inn = rank_nullspace(d_in)
-        rank_in = inn.rank
-        cob_cols = [d_in.column(j) for j in inn.pivots]
-    betti = dim_k - out.rank - rank_in
-    reps: list[Vector] = []
-    if betti > 0:
-        combined = Matrix.from_cols(cob_cols + list(cocycles), dim_k)
-        piv = rank_nullspace(combined).pivots
-        base = len(cob_cols)
-        reps = [cocycles[j - base] for j in piv if j >= base]
-    if len(reps) != betti:
-        raise ArithmeticError("representative count differs from the betti "
-                              "number; rank bookkeeping is wrong")
-    if k == 0:
-        n, m = alg.arity, alg.dim
-        keys = list(itertools.combinations(range(m), n - 1))
-        packed = tuple(
-            WedgeElement(n - 1, m,
-                         {key: c for key, c in zip(keys, r) if c != 0})
-            for r in reps)
-    else:
-        packed = tuple(vec_to_cochain(r, alg.arity, alg.dim, k - 1)
-                       for r in reps)
-    return CohomologyReport(k, dim_k, out.rank, rank_in, betti, packed)
+    complex_dim(alg, k)
+    return Complex(alg).report(k)
 
 
 def outer_derivations(alg: NLieAlgebra) -> list[Matrix]:
     """Basis of derivations modulo inner ones, as matrices."""
-    report = cohomology(alg, 1)
-    return [to_matrix(r) for r in report.representatives]
+    return [to_matrix(r) for r in Complex(alg).report(1).representatives]

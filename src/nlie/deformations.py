@@ -32,11 +32,10 @@ from .algebra import (CheckResult, NLieAlgebra, Representation,
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
                        cochain_to_vec, cochain_zero, from_bracket,
                        gla_bracket, to_algebra, vec_to_cochain)
-from .cohomology import _report, differential_matrix
+from .cohomology import Complex, complex_dim
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, column_supports, densify, multilinear,
-                     rank_nullspace, solve_linear, vec_add, vec_is_zero,
-                     vec_scale, vec_zero)
+                     solve_rows, vec_add, vec_is_zero, vec_scale, vec_zero)
 from .trace import traced
 
 
@@ -99,6 +98,11 @@ def check_deformation(path: DeformationPath,
     if mode not in ("truncated", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     require_fi(path.base)
+    return _check_powers(path, mode)
+
+
+def _check_powers(path: DeformationPath, mode: str) -> DeformationCheck:
+    """``check_deformation`` on a base whose FI the caller has checked."""
     phis = _phi_list(path)
     k = path.order
     top = k if mode == "truncated" else 2 * k
@@ -123,30 +127,27 @@ class InfinitesimalClass:
 def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
     """Locate the first nonzero term and express its cohomology class in
     the representative basis of the second cohomology."""
-    res = check_deformation(path, "truncated")
-    if not res.holds:
-        raise InvalidStructure(
-            "path fails the deformation equations",
-            witness={"first_failing_power": res.first_failing_power})
+    cx = Complex(path.base)
+    _require_valid(path)
     lead = next((i + 1 for i, t in enumerate(path.terms)
                  if not cochain_is_zero(t)), None)
-    d_out = differential_matrix(path.base, 2)
-    d_in = differential_matrix(path.base, 1)
-    report = _report(path.base, 2, d_out, d_in)
+    report = cx.report(2)
     if lead is None:
         return InfinitesimalClass(None, True, report.betti,
                                   (Fraction(0),) * report.betti, True)
     target = cochain_to_vec(path.terms[lead - 1])
-    is_cocycle = vec_is_zero(d_out.apply(target))
+    is_cocycle = not any(sum(a * target[j] for j, a in r.items())
+                         for r in cx.rows(2))
     # the representatives are independent modulo im d_1, so the
     # representative coordinates of any solution are the class
-    cols = [d_in.column(j) for j in range(d_in.cols)]
-    cols += [cochain_to_vec(r) for r in report.representatives]
-    sol = solve_linear(Matrix.from_cols(cols, len(target)), target)
+    n1 = complex_dim(path.base, 1)
+    reps = [cochain_to_vec(r) for r in report.representatives]
+    sol = solve_rows(cx.beside(1, range(n1), reps + [target]),
+                     n1 + len(reps))
     if sol is None:
         raise InvalidStructure("cocycle not spanned by coboundaries and "
                                "representatives; rank bookkeeping is wrong")
-    coords = tuple(sol[d_in.cols:])
+    coords = tuple(sol[n1:])
     return InfinitesimalClass(lead, is_cocycle, report.betti, coords,
                               vec_is_zero(coords))
 
@@ -350,11 +351,23 @@ def o_operator_lift(alg: NLieAlgebra, rho: Representation,
 def obstruction(path: DeformationPath) -> Cochain:
     """Theta = -1/2 sum_{i+j=k+1, i,j>=1} [phi_i, phi_j]; always a cocycle
     for a valid path (verified here, not assumed)."""
-    res = check_deformation(path, "truncated")
+    require_fi(path.base)
+    return _obstruction(path)
+
+
+def _require_valid(path: DeformationPath) -> None:
+    """Raise unless the path satisfies the deformation equations through its
+    order; the caller has checked the base's FI."""
+    res = _check_powers(path, "truncated")
     if not res.holds:
         raise InvalidStructure(
             "path fails the deformation equations",
             witness={"first_failing_power": res.first_failing_power})
+
+
+def _obstruction(path: DeformationPath) -> Cochain:
+    """``obstruction`` on a base whose FI the caller has checked."""
+    _require_valid(path)
     k = path.order
     n, m = path.base.arity, path.base.dim
     acc = cochain_zero(n, m, 2)
@@ -381,9 +394,8 @@ class ExtensionResult:
 def extend(path: DeformationPath) -> ExtensionResult:
     """Solve the coboundary equation for the next term; a solution extends
     the path one order, absence certifies a nonzero obstruction class."""
-    theta = obstruction(path)
-    mat = differential_matrix(path.base, 2)
-    sol = solve_linear(mat, cochain_to_vec(theta))
+    cx = Complex(path.base)
+    sol = cx.solve(2, cochain_to_vec(_obstruction(path)))
     if sol is None:
         return ExtensionResult(False, None,
                                "obstruction class is nonzero: Theta is not "
@@ -430,17 +442,17 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
         raise DimensionMismatch(f"trials must be at least 0 ({trials} given)")
     rng = random.Random(seed)
     n, m = alg.arity, alg.dim
-    # differential_matrix raises the fundamental-identity witness
-    d21 = differential_matrix(alg, 2)
-    d10 = differential_matrix(alg, 1)
-    cocycles = rank_nullspace(d21).nullspace
+    # Complex raises the fundamental-identity witness
+    cx = Complex(alg)
+    cocycles = cx.kernel(2).nullspace
     # dim C^2 - rank d_2 - rank d_1, as ``cohomology`` counts it
-    betti = len(cocycles) - rank_nullspace(d10).rank
+    betti = len(cocycles) - cx.kernel(1).rank
     results = []
     for t in range(trials):
         if t % 2 == 0 and cocycles:
             coeffs = [Fraction(rng.randint(-2, 2)) for _ in cocycles]
-            combo = Matrix.from_cols(cocycles, d21.cols).apply(coeffs)
+            combo = Matrix.from_cols(cocycles,
+                                     complex_dim(alg, 2)).apply(coeffs)
             lead = vec_to_cochain(combo, n, m, 1)
             zero = cochain_zero(n, m, 1)
             path = DeformationPath(alg, max_order,
@@ -453,12 +465,12 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
             emap = EquivalenceMap(max_order, tuple(maps))
             path = conjugate_path(constant_path(alg, max_order), emap)
             kind = "conjugated"
-        results.append(_trivialize(alg, path, d10, kind))
+        results.append(_trivialize(alg, path, cx, kind))
     return RigidityReport(betti, max_order, tuple(results),
                           all(r.trivialized for r in results), _PROBE_NOTE)
 
 
-def _trivialize(alg: NLieAlgebra, path: DeformationPath, d10: Matrix,
+def _trivialize(alg: NLieAlgebra, path: DeformationPath, cx: Complex,
                 kind: str) -> RigidityTrial:
     cur = path
     while True:
@@ -467,7 +479,7 @@ def _trivialize(alg: NLieAlgebra, path: DeformationPath, d10: Matrix,
         if lead is None:
             return RigidityTrial(kind, True, None)
         target = vec_scale(-1, cochain_to_vec(cur.terms[lead - 1]))
-        sol = solve_linear(d10, target)
+        sol = cx.solve(1, target)
         if sol is None:
             return RigidityTrial(kind, False, lead)
         psi = vec_to_mat(sol, alg.dim)

@@ -4,15 +4,23 @@ Vectors are dense tuples of Fractions; a ``Matrix`` stores sparse rows,
 so a differential assembled as sparse rows is eliminated with no dense copy.
 
 Rank, nullspace and solve share one elimination over sparse integer rows
-({column: int}, scaled by the lcm of the row's denominators; a right side
-rides as one more column).  Columns go leftmost first, the pivot is the
-shortest row with an entry in the column, and only rows with an entry
-there are updated, to the gcd-reduced integer row piv*r - h*p.  These
-pivots are those of the reduced row echelon form, so the nullspace (one
-vector per free column, that coordinate 1, other free coordinates 0) and
-the solution (free coordinates 0) are canonical.  Every vector returned is
-checked exactly against the integer rows (M·v = 0, M·x = b); a failure
-raises ArithmeticError.
+({column: int}; a right side rides as one more column): ``kernel`` and
+``solve_rows`` take such rows, and ``rank_nullspace`` and ``solve_linear``
+first scale each row of a rational matrix by the lcm of its denominators.
+Columns go leftmost first, the pivot is the shortest row with an entry in
+the column, and only rows with an entry there are updated, to the
+gcd-reduced integer row piv*r - h*p.  These pivots are those of the
+reduced row echelon form, so the nullspace (one vector per free column,
+that coordinate 1, other free coordinates 0) and the solution (free
+coordinates 0) are canonical.  Every vector returned is checked exactly
+against the integer rows (M·v = 0, M·x = b); a failure raises
+ArithmeticError.
+
+Scaling lemma: multiplying a row by a constant L > 0 keeps its length, so
+the pivot choice, and ``_cancel`` of a positive multiple is the same
+primitive row.  So the rows of L·M give the rank, pivots and nullspace of
+M, and the rows of L·[M | b] its solution; ``cohomology.Complex`` hands
+over L·d_k, assembled in integers, with no rational copy in between.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .trace import matrix_counters, traced
+from .trace import row_counters, traced
 
 Vector = tuple[Fraction, ...]
 Support = list[tuple[int, Fraction]]
@@ -227,19 +235,10 @@ class RankNullspace:
 Row = dict[int, int]
 
 
-def _sparse_rows(m: Matrix, rhs: Vector | None = None) -> list[Row]:
-    """The nonzero rows of m as {column: int}, each scaled by the lcm of its
-    denominators; rhs[i], when given, rides in column m.cols."""
-    out = []
-    for i, row in enumerate(m.data):
-        items = list(row.items())
-        if rhs is not None and rhs[i]:
-            items.append((m.cols, rhs[i]))
-        if items:
-            mult = lcm(*(x.denominator for _, x in items))
-            out.append({j: x.numerator * (mult // x.denominator)
-                        for j, x in items})
-    return out
+def integer_row(row: Mapping[int, Fraction | int]) -> Row:
+    """The row as {column: int}, scaled by the lcm of its denominators."""
+    mult = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (mult // x.denominator) for j, x in row.items()}
 
 
 def _cancel(r: Row, p: Row, c: int) -> Row:
@@ -313,34 +312,56 @@ def _bits(x: Fraction) -> int:
     return max(x.numerator.bit_length(), x.denominator.bit_length())
 
 
-def _rank_counters(args, res: RankNullspace) -> dict[str, int]:
-    mat = args[0]
-    return {**matrix_counters(mat), "rank": res.rank,
-            "max_input_bits": max((_bits(x) for row in mat.data
+def _kernel_counters(args, res: RankNullspace) -> dict[str, int]:
+    rows = args[0]
+    return {**row_counters(*args), "rank": res.rank,
+            "max_input_bits": max((x.bit_length() for row in rows
                                    for x in row.values()), default=0),
             "max_nullspace_bits": max((_bits(x) for v in res.nullspace
                                        for x in v), default=0)}
 
 
-@traced("linalg.rank_nullspace", _rank_counters)
-def rank_nullspace(m: Matrix) -> RankNullspace:
-    """Exact rank and canonical nullspace basis of a rational matrix."""
-    rows = _sparse_rows(m)
-    red, pivots, _ = _rref(rows, m.cols)
+@traced("linalg.rank_nullspace", _kernel_counters)
+def kernel(rows: Sequence[Row], ncols: int) -> RankNullspace:
+    """Rank, pivots and canonical nullspace basis of the matrix with these
+    integer rows (empty rows allowed).  Scaling a row by a nonzero constant
+    changes none of them, so the rows of L·M give the answer for M."""
+    rows = [r for r in rows if r]
+    red, pivots, _ = _rref(rows, ncols)
     pivot_set = set(pivots)
-    kernel = {f: {f: _ONE} for f in range(m.cols) if f not in pivot_set}
+    null = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
     for row, pc in zip(red, pivots):
         for j, x in row.items():
             if j != pc:
-                kernel[j][pc] = Fraction(-x, row[pc])
-    _certify(rows, list(kernel.values()))
+                null[j][pc] = Fraction(-x, row[pc])
+    _certify(rows, list(null.values()))
     return RankNullspace(len(pivots), tuple(
-        densify(v, m.cols) for v in kernel.values()), tuple(pivots))
+        densify(v, ncols) for v in null.values()), tuple(pivots))
 
 
 @traced("linalg.solve_linear",
-        lambda args, x: {**matrix_counters(args[0]),
-                         "solved": int(x is not None)})
+        lambda args, x: {**row_counters(*args), "solved": int(x is not None)})
+def solve_rows(rows: Sequence[Row], ncols: int) -> Vector | None:
+    """One exact solution of M x = b, or None if inconsistent, from the
+    integer rows of [M | b] (b in column ncols; empty rows allowed).  The
+    solution is canonical: all free coordinates are 0.  Scaling a row by a
+    nonzero constant changes nothing, so the rows of L·[M | b] serve."""
+    rows = [r for r in rows if r]
+    red, pivots, inconsistent = _rref(rows, ncols)
+    if inconsistent:
+        return None
+    x = {pc: Fraction(row[ncols], row[pc])
+         for row, pc in zip(red, pivots) if ncols in row}
+    # [M | b] annihilates (x, -1)
+    _certify(rows, [{**x, ncols: -_ONE}])
+    return densify(x, ncols)
+
+
+def rank_nullspace(m: Matrix) -> RankNullspace:
+    """Exact rank and canonical nullspace basis of a rational matrix."""
+    return kernel([integer_row(r) for r in m.data], m.cols)
+
+
 def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     """One exact solution of m @ x = b, or None if inconsistent.
 
@@ -348,12 +369,5 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     """
     if len(b) != m.rows:
         raise DimensionMismatch("right side has wrong length")
-    rows = _sparse_rows(m, b)
-    red, pivots, inconsistent = _rref(rows, m.cols)
-    if inconsistent:
-        return None
-    x = {pc: Fraction(row[m.cols], row[pc])
-         for row, pc in zip(red, pivots) if m.cols in row}
-    # [m | b] annihilates (x, -1)
-    _certify(rows, [{**x, m.cols: -_ONE}])
-    return densify(x, m.cols)
+    return solve_rows([integer_row({**r, m.cols: x} if x else r)
+                       for r, x in zip(m.data, b)], m.cols)

@@ -158,8 +158,7 @@ def finish() -> None:
         rec.summary()
 
 
-def matrix_counters(mat) -> dict[str, int]:
-    """Shape and nonzero count of a ``linalg.Matrix``, read off its stored
-    sparse rows."""
-    return {"rows": mat.rows, "cols": mat.cols,
-            "nnz": sum(map(len, mat.data))}
+def row_counters(rows, cols: int) -> dict[str, int]:
+    """Shape and nonzero count of a matrix held as sparse rows with zeros
+    absent, such as ``linalg.Matrix.data``."""
+    return {"rows": len(rows), "cols": cols, "nnz": sum(map(len, rows))}

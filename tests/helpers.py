@@ -732,3 +732,122 @@ def simple_4lie():
         table[key] = tuple(Fraction((-1) ** (4 - l) if i == l else 0)
                            for i in range(5))
     return make_algebra(4, 5, table)
+
+
+def rand_rational_algebra(rng: random.Random, base):
+    """Transport a known-valid algebra along a random rational basis change
+    (a unimodular matrix times a diagonal of random fractions), so its
+    structure constants carry denominators."""
+    m = base.dim
+    diag = Matrix.from_rows([[Fraction(rng.choice((1, -1)) * rng.randint(1, 4),
+                                       rng.randint(1, 5)) if i == j else 0
+                              for j in range(m)] for i in range(m)])
+    return conjugated_algebra(base, rand_invertible(rng, m).mul(diag))
+
+
+def ref_differential(alg, k: int) -> Matrix:
+    """d_k assembled in Fractions on the structure table itself (no FI
+    check): the rational route that ``Complex`` runs on L times the table,
+    in integers."""
+    from nlie.cochains import coboundary_rows
+    from nlie.cohomology import complex_dim
+
+    return Matrix.from_sparse_rows(coboundary_rows(alg, k - 1),
+                                   complex_dim(alg, k))
+
+
+def ref_report(alg, k: int):
+    """``cohomology(alg, k)`` on the rational matrices of
+    ``ref_differential``, eliminated as rational matrices: coboundary
+    columns at d_(k-1)'s pivots, then the cocycles, in one combined
+    elimination."""
+    import itertools
+
+    from nlie.algebra import WedgeElement
+    from nlie.cohomology import CohomologyReport, vec_to_cochain
+    from nlie.linalg import rank_nullspace
+
+    d_out = ref_differential(alg, k)
+    out = rank_nullspace(d_out)
+    cob_cols, rank_in = [], 0
+    if k:
+        d_in = ref_differential(alg, k - 1)
+        inn = rank_nullspace(d_in)
+        rank_in = inn.rank
+        cob_cols = [d_in.column(j) for j in inn.pivots]
+    betti = d_out.cols - out.rank - rank_in
+    reps = []
+    if betti > 0:
+        combined = Matrix.from_cols(cob_cols + list(out.nullspace),
+                                    d_out.cols)
+        base = len(cob_cols)
+        reps = [out.nullspace[j - base]
+                for j in rank_nullspace(combined).pivots if j >= base]
+    n, m = alg.arity, alg.dim
+    if k == 0:
+        keys = list(itertools.combinations(range(m), n - 1))
+        packed = tuple(WedgeElement(n - 1, m, {key: c for key, c
+                                               in zip(keys, r) if c})
+                       for r in reps)
+    else:
+        packed = tuple(vec_to_cochain(r, n, m, k - 1) for r in reps)
+    return CohomologyReport(k, d_out.cols, out.rank, rank_in, betti, packed)
+
+
+def ref_extend(path):
+    """``extend`` by a rational solve against ``ref_differential``:
+    the next term, or None when the obstruction is not a coboundary."""
+    from nlie.cochains import cochain_to_vec, vec_to_cochain
+    from nlie.deformations import obstruction
+    from nlie.linalg import solve_linear
+
+    sol = solve_linear(ref_differential(path.base, 2),
+                       cochain_to_vec(obstruction(path)))
+    return sol and vec_to_cochain(sol, path.base.arity, path.base.dim, 1)
+
+
+def ref_rigidity_probe(alg, max_order: int, trials: int, seed: int = 0):
+    """``rigidity_probe`` by rational eliminations and solves against
+    ``ref_differential``: (betti_h2, trials)."""
+    from nlie.cochains import (cochain_is_zero, cochain_to_vec, cochain_zero,
+                               vec_to_cochain)
+    from nlie.deformations import (DeformationPath, EquivalenceMap,
+                                   RigidityTrial, conjugate_path,
+                                   constant_path, vec_to_mat)
+    from nlie.linalg import rank_nullspace, solve_linear, vec_scale
+
+    rng = random.Random(seed)
+    n, m = alg.arity, alg.dim
+    d21, d10 = ref_differential(alg, 2), ref_differential(alg, 1)
+    cocycles = rank_nullspace(d21).nullspace
+    betti = len(cocycles) - rank_nullspace(d10).rank
+    results = []
+    for t in range(trials):
+        if t % 2 == 0 and cocycles:
+            coeffs = [Fraction(rng.randint(-2, 2)) for _ in cocycles]
+            lead = vec_to_cochain(
+                Matrix.from_cols(cocycles, d21.cols).apply(coeffs), n, m, 1)
+            cur = DeformationPath(alg, max_order, (lead,) + (
+                cochain_zero(n, m, 1),) * (max_order - 1))
+            kind = "cocycle"
+        else:
+            maps = [Matrix.from_rows([[rng.randint(-1, 1) for _ in range(m)]
+                                      for _ in range(m)])
+                    for _ in range(max_order)]
+            cur = conjugate_path(constant_path(alg, max_order),
+                                 EquivalenceMap(max_order, tuple(maps)))
+            kind = "conjugated"
+        while True:
+            lead = next((i + 1 for i, term in enumerate(cur.terms)
+                         if not cochain_is_zero(term)), None)
+            if lead is None:
+                results.append(RigidityTrial(kind, True, None))
+                break
+            sol = solve_linear(d10, vec_scale(
+                -1, cochain_to_vec(cur.terms[lead - 1])))
+            if sol is None:
+                results.append(RigidityTrial(kind, False, lead))
+                break
+            maps = [Matrix.zero(m, m)] * (lead - 1) + [vec_to_mat(sol, m)]
+            cur = conjugate_path(cur, EquivalenceMap(cur.order, tuple(maps)))
+    return betti, tuple(results)

@@ -656,6 +656,24 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
 
 
+def test_trace_one_fi_check_per_verb(capsys, eps, sl2_file):
+    # one Complex per verb: FI checked once, each d_k built and eliminated
+    # once (the parent checked FI twice in each of these)
+    for argv, builds in ((["cohomology", eps, "--degree", "3"], 2),
+                         (["reduce-lie", sl2_file], 2),
+                         (["deform", "rigidity", sl2_file, "--trials", "2"],
+                          2)):
+        code, _, err = run(capsys, "--trace", *argv)
+        assert code == 0
+        summary = {line["summary"]: line for line in _trace_lines(err)
+                   if "summary" in line}
+        assert summary["algebra.check_fundamental_identity"]["calls"] == 1
+        for name in ("cohomology.differential_matrix",
+                     "cochains.coboundary_rows"):
+            assert summary[name]["calls"] == builds
+    assert summary["linalg.rank_nullspace"]["calls"] == 2
+
+
 def test_trace_algebroid_generator_phases(capsys, tmp_path):
     # the generator phases read the bracket and anchor tables: of the
     # parent's 1,076 section brackets and 560 anchor evaluations, the

@@ -316,17 +316,16 @@ def test_infinitesimal_class_reports():
 
 def test_infinitesimal_class_builds_each_matrix_once(monkeypatch):
     import nlie.cohomology
-    import nlie.deformations
 
+    # a Complex builds d_k as coboundary_rows(alg, k - 1, table)
     builds = []
-    real = nlie.cohomology.differential_matrix
+    real = nlie.cohomology.coboundary_rows
 
-    def counted(alg, k):
-        builds.append(k)
-        return real(alg, k)
+    def counted(alg, p, table=None):
+        builds.append(p + 1)
+        return real(alg, p, table)
 
-    monkeypatch.setattr(nlie.cohomology, "differential_matrix", counted)
-    monkeypatch.setattr(nlie.deformations, "differential_matrix", counted)
+    monkeypatch.setattr(nlie.cohomology, "coboundary_rows", counted)
     path = deformation_from_nijenhuis(levi_civita_bracket(),
                                       diag(1, 2, 1, 2))
     rep = infinitesimal_class(path)
