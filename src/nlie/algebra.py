@@ -28,7 +28,7 @@ from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Support, Vector, column_supports, densify,
                      multilinear, support, vec_is_zero, vec_scale, vec_sub,
                      vec_zero)
-from .trace import traced
+from .trace import span, traced
 
 Key = tuple[int, ...]
 
@@ -175,32 +175,53 @@ def integral_table(alg: NLieAlgebra) -> tuple[int, dict[Key, tuple[int, ...]]]:
                    for key, v in alg.structure.items()}
 
 
-@traced("algebra.check_fundamental_identity")
 def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
     """Exhaustive fundamental-identity check on sorted basis tuples.
 
     Returns the lexicographically first failing pair of tuples as a witness:
     the (n-1)-tuple acting, the inner n-tuple, both sides and their defect.
-    The supports of ad_a = [a, e_j] are looked up once per acting tuple a
-    and reused for every inner tuple.  Both sides are quadratic in the
-    bracket, so they are computed in integers on ``integral_table`` and a
-    witness divides them by L^2.
+    Both sides are quadratic in the bracket, so they are summed in integers
+    on ``integral_table`` and a witness divides them by L^2.
+
+    The supports of ad_a = [a, e_j] are looked up once per acting tuple a.
+    Both sides vanish where ad_a is zero, and on an inner tuple b whose own
+    bracket is zero and whose entries ad_a all kills; such pairs are
+    skipped, and the others are scanned in the same lexicographic order.
+    The span counts the pairs evaluated as ``pairs``.
     """
     n, m = alg.arity, alg.dim
     scale, table = integral_table(alg)
     look = basis_lookup(table)
-    for a in itertools.combinations(range(m), n - 1):
-        ad = [look(a + (j,)) for j in range(m)]
-        for b in itertools.combinations(range(m), n):
-            lhs = densify(multilinear([look(b)], lambda k: ad[k[0]]), m)
-            rhs = densify(multilinear([replace_slots(b, [ad[y] for y in b])],
-                                      lambda key: look(key[0])), m)
-            if lhs != rhs:
-                lhs, rhs = (tuple(Fraction(x, scale * scale) for x in side)
-                            for side in (lhs, rhs))
-                return CheckResult(False, {
-                    "acting": a, "inner": b,
-                    "lhs": lhs, "rhs": rhs, "defect": vec_sub(lhs, rhs)})
+    inners = [(b, look(b)) for b in itertools.combinations(range(m), n)]
+    pairs = 0
+    with span("algebra.check_fundamental_identity") as sp:
+        for a in itertools.combinations(range(m), n - 1):
+            ad = [look(a + (j,)) for j in range(m)]
+            active = {j for j in range(m) if ad[j]}
+            if not active:
+                continue
+            for b, inner in inners:
+                if not inner and active.isdisjoint(b):
+                    continue
+                pairs += 1
+                lhs = [0] * m
+                for k, c in inner:
+                    for j, x in ad[k]:
+                        lhs[j] += c * x
+                rhs = [0] * m
+                for i, y in enumerate(b):
+                    for k, c in ad[y]:
+                        for j, x in look(b[:i] + (k,) + b[i + 1:]):
+                            rhs[j] += c * x
+                if lhs != rhs:
+                    sp.count(pairs=pairs)
+                    lhs, rhs = (tuple(Fraction(x, scale * scale)
+                                      for x in side) for side in (lhs, rhs))
+                    return CheckResult(False, {
+                        "acting": a, "inner": b,
+                        "lhs": lhs, "rhs": rhs,
+                        "defect": vec_sub(lhs, rhs)})
+        sp.count(pairs=pairs)
     return CheckResult(True)
 
 

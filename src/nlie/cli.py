@@ -38,23 +38,14 @@ from .chevalley import (CECochain, ce_differential, ce_differential_matrix,
 from .cochains import basis_cochains, eval_keys_z, from_bracket, gla_bracket
 from .cohomology import DEFAULT_DEGREE_CAP, Complex, cohomology
 from .deformations import (check_deformation, check_equivalence,
-                           check_nijenhuis, deformation_from_nijenhuis,
-                           extend, obstruction, rigidity_probe)
+                           check_nijenhuis, extend, nijenhuis_path,
+                           obstruction, rigidity_probe)
 from .errors import DimensionMismatch, InvalidStructure, OutputTooLarge
 from .io import (InputFormatError, algebra_from_json, algebroid_from_json,
                  algebroid_to_json, cochain_to_json,
-                 cohomology_report_to_json, emap_from_json, load_document,
-                 matrix_from_json, path_from_json, path_to_json,
-                 report_value)
+                 cohomology_report_to_json, emap_from_json, matrix_from_json,
+                 path_from_json, path_to_json, read_document, report_value)
 from .poly import poly_const, poly_var
-
-
-def _sha256(path: str) -> str:
-    try:
-        data = open(path, "rb").read()
-    except OSError as exc:
-        raise InputFormatError(str(exc), location=path)
-    return hashlib.sha256(data).hexdigest()
 
 
 class Report:
@@ -68,8 +59,9 @@ class Report:
         self.artifact: Optional[dict] = None
         self.exit_code = 0
 
-    def add_input(self, path: str) -> None:
-        self.inputs.append({"path": path, "sha256": _sha256(path)})
+    def add_input(self, path: str, data: bytes) -> None:
+        self.inputs.append({"path": path,
+                            "sha256": hashlib.sha256(data).hexdigest()})
 
     def set(self, key: str, value: Any, line: Optional[str] = None) -> None:
         self.fields[key] = value
@@ -93,9 +85,11 @@ class Report:
 
 
 def _load(report: Report, path: str, parse: Callable) -> Any:
-    """Record ``path`` as an input of the run and parse its document."""
-    report.add_input(path)
-    return parse(load_document(path), where=path)
+    """Record ``path`` as an input of the run and parse its document; the
+    file is read once, for both its digest and its document."""
+    data, doc = read_document(path)
+    report.add_input(path, data)
+    return parse(doc, where=path)
 
 
 def _verdict(report: Report, label: str, holds: bool,
@@ -138,10 +132,12 @@ def run_cohomology(args, report: Report) -> None:
 def run_nijenhuis(args, report: Report) -> None:
     alg = _load(report, args.algebra, algebra_from_json)
     nmat = _load(report, args.operator, matrix_from_json)
-    res = check_nijenhuis(alg, nmat)
+    # the path is read off the tower the check builds
+    res, path = (nijenhuis_path(alg, nmat) if args.generate_path
+                 else (check_nijenhuis(alg, nmat), None))
     if _verdict(report, "nijenhuis condition", res.holds, res.witness) \
             and args.generate_path:
-        report.artifact = path_to_json(deformation_from_nijenhuis(alg, nmat))
+        report.artifact = path_to_json(path)
 
 
 def run_deform_check(args, report: Report) -> None:

@@ -24,11 +24,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import (CheckResult, NLieAlgebra, Representation,
                       basis_lookup, bracket_eval, check_o_operator,
-                      require_fi, semidirect_product)
+                      integral_table, require_fi, semidirect_product)
 from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
                        cochain_to_vec, cochain_zero, from_bracket,
                        gla_bracket, to_algebra, vec_to_cochain)
@@ -258,65 +259,115 @@ def check_homomorphism_family(path: DeformationPath,
     return CheckResult(True, None)
 
 
+Level = dict[tuple[int, ...], list[int]]
+
+
 @traced("deformations.nijenhuis_bracket")
-def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
-    """The k-th deformed bracket: insert the operator into k slots, then
-    subtract the operator applied to the (k-1)-st deformed bracket."""
+def _tower(alg: NLieAlgebra, nmap: Matrix, k: int) -> list[tuple[int, Level]]:
+    """(L·D^i, B_i) for i = 0..k: the integer tower of
+    ``check_nijenhuis``, B_i holding the nonzero vector of each sorted
+    n-tuple."""
     n, m = alg.arity, alg.dim
     if nmap.rows != m or nmap.cols != m:
         raise DimensionMismatch("operator must be a square matrix of size m")
-    if not 1 <= k <= n - 1:
-        raise DimensionMismatch("deformed brackets exist for 1 <= k <= n-1")
-    look = basis_lookup(alg.structure)
-    nsups = column_supports(nmap)
-    units = [[(j, Fraction(1))] for j in range(m)]
-    prev = {((), key): val for key, val in alg.structure.items()
-            if not vec_is_zero(val)}
+    scale, table = integral_table(alg)
+    look = basis_lookup(table)
+    den = lcm(*(x.denominator for row in nmap.data for x in row.values()))
+    # the columns of D·N
+    cols = [[(i, x.numerator * (den // x.denominator)) for i, x in col]
+            for col in column_supports(nmap)]
+    tower = [(scale, {key: list(v) for key, v in table.items()})]
     for step in range(1, k + 1):
-        entries = {}
+        prev, level = tower[-1][1], {}
         for key in itertools.combinations(range(m), n):
-            total: dict[int, Fraction] = {}
+            total: dict[int, int] = {}
             for slots in itertools.combinations(range(n), step):
-                multilinear([nsups[key[t]] if t in slots else units[key[t]]
-                             for t in range(n)], look, total)
-            pv = prev.get(((), key))
-            if pv is not None:
-                multilinear([[(j, -c) for j, c in enumerate(pv) if c]],
-                            lambda j: nsups[j[0]], total)
-            total = densify(total, m)
-            if not vec_is_zero(total):
-                entries[((), key)] = total
-        prev = entries
-    return Cochain(n, m, 1, prev)
+                multilinear([cols[j] if t in slots else [(j, 1)]
+                             for t, j in enumerate(key)], look, total)
+            vec = [total.get(i, 0) for i in range(m)]
+            for j, y in enumerate(prev.get(key, ())):
+                if y:
+                    for i, c in cols[j]:
+                        vec[i] -= c * y
+            if any(vec):
+                level[key] = vec
+        tower.append((scale * den ** step, level))
+    return tower
+
+
+def _cochain(alg: NLieAlgebra, div: int, level: Level) -> Cochain:
+    """The deformed bracket B_i / (L·D^i) of a ``_tower`` entry."""
+    return Cochain(alg.arity, alg.dim, 1, {
+        ((), key): tuple(Fraction(x, div) for x in vec)
+        for key, vec in level.items()})
+
+
+def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
+    """The k-th deformed bracket: insert the operator into k slots, then
+    subtract the operator applied to the (k-1)-st deformed bracket;
+    computed in integers by ``_tower``."""
+    if not 1 <= k <= alg.arity - 1:
+        raise DimensionMismatch("deformed brackets exist for 1 <= k <= n-1")
+    return _cochain(alg, *_tower(alg, nmap, k)[k])
 
 
 @traced("deformations.check_nijenhuis")
 def check_nijenhuis(alg: NLieAlgebra, nmap: Matrix) -> CheckResult:
     """Closure test: the bracket of operator images must equal the operator
-    applied to the top deformed bracket, on every sorted basis tuple."""
+    applied to the top deformed bracket, on every sorted basis tuple.
+
+    Both sides are compared in integers.  Let L be the common denominator
+    of the structure constants and D that of N.  The term of [.]^k with N
+    in the slots S (|S| = k) has degree k in N and 1 in the bracket, so
+    with D·N in those slots, on the table times L, it is L·D^k times its
+    value.  Hence B_k = L·D^k·[.]^k_N is integral: B_0 is the table times
+    L, and B_k = sum_{|S|=k} [D·N in S] - (D·N)·B_(k-1) (``_tower``).
+    Times L·D^n, the closure [N x_1..N x_n] = N·[.]^(n-1)_N says that
+    B_n = 0: its one term, D·N in all n slots, is L·D^n [N x_1..N x_n],
+    and (D·N)·B_(n-1) = L·D^n N·[.]^(n-1)_N.  The witness is the first
+    tuple where B_n is not zero, both sides divided by L·D^n: the
+    rational ones."""
     require_fi(alg)
-    n, m = alg.arity, alg.dim
-    top = nijenhuis_bracket(alg, nmap, n - 1)
-    look = basis_lookup(alg.structure)
-    nsups = column_supports(nmap)
-    for key in itertools.combinations(range(m), n):
-        lhs = densify(multilinear([nsups[j] for j in key], look), m)
-        tv = top.entries.get(((), key), vec_zero(m))
-        rhs = nmap.apply(tv)
-        if lhs != rhs:
-            return CheckResult(False, {"tuple": key, "lhs": lhs, "rhs": rhs})
-    return CheckResult(True, None)
+    return _closure(alg, nmap)[0]
+
+
+@traced("deformations.check_nijenhuis")
+def _closure(alg: NLieAlgebra, nmap: Matrix
+             ) -> tuple[CheckResult, list[tuple[int, Level]]]:
+    """``check_nijenhuis`` on a base whose FI the caller has checked, with
+    the tower it built."""
+    n = alg.arity
+    tower = _tower(alg, nmap, n)
+    (prev_div, prev), (div, top) = tower[n - 1:]
+    bad = next(iter(top), None)
+    if bad is None:
+        return CheckResult(True, None), tower
+    rhs = nmap.apply(tuple(Fraction(x, prev_div)
+                           for x in prev.get(bad, [0] * alg.dim)))
+    lhs = tuple(y + Fraction(x, div) for x, y in zip(top[bad], rhs))
+    return CheckResult(False, {"tuple": bad, "lhs": lhs, "rhs": rhs}), tower
+
+
+def nijenhuis_path(alg: NLieAlgebra, nmap: Matrix
+                   ) -> tuple[CheckResult, Optional[DeformationPath]]:
+    """The verdict of ``check_nijenhuis`` and, when it holds, the path
+    phi_t = [.] + sum t^k [.]^k_N read off the same tower."""
+    require_fi(alg)
+    res, tower = _closure(alg, nmap)
+    if not res.holds:
+        return res, None
+    n = alg.arity
+    return res, DeformationPath(alg, n - 1, tuple(
+        _cochain(alg, *tower[k]) for k in range(1, n)))
 
 
 def deformation_from_nijenhuis(alg: NLieAlgebra,
                                nmap: Matrix) -> DeformationPath:
-    res = check_nijenhuis(alg, nmap)
-    if not res.holds:
+    res, path = nijenhuis_path(alg, nmap)
+    if path is None:
         raise InvalidStructure("operator fails the Nijenhuis condition",
                                witness=res.witness)
-    n = alg.arity
-    terms = [nijenhuis_bracket(alg, nmap, i) for i in range(1, n)]
-    return DeformationPath(alg, n - 1, tuple(terms))
+    return path
 
 
 @dataclass(frozen=True)
@@ -335,7 +386,27 @@ def o_operator_lift(alg: NLieAlgebra, rho: Representation,
                     tmap: Matrix) -> OOperatorLift:
     """Compare the intertwining condition for T with the Nijenhuis
     condition for its strictly upper-triangular lift on the semidirect
-    product."""
+    product.
+
+    The fundamental identity of g ⋉ V is decided on g.  Lemma: if rho
+    satisfies conditions (1) and (2) of ``check_representation``, which
+    ``semidirect_product`` checks, then g ⋉ V satisfies FI exactly when
+    g does.  Split FI on basis tuples a (acting) and b (inner) by the
+    number of module entries in a and b together.
+      None: it is FI on g.
+      Two or more: every term of either side brackets a tuple with two
+        module entries, which is zero.
+      One, in b: by skewness b = (y_1..y_(n-1), xi), and FI reads
+        rho(a)rho(y)xi = sum_i rho(y_1..[a, y_i]..y_(n-1))xi
+        + rho(y)rho(a)xi, which is (1).
+      One, in a: a = (x_1..x_(n-2), xi), so [x, xi, z] = -rho(x, z)xi,
+        and xi' in slot i of b gives [b_1..xi'..b_n] =
+        (-1)^(n-i) rho(b_1..b̂_i..b_n)xi'; FI reads -rho(x, [b])xi =
+        -sum_i (-1)^(n-i) rho(b_1..b̂_i..b_n)rho(x, b_i)xi, which is (2).
+    So FI is checked once, on the base, after the representation, and
+    the closure runs on the product with no second FI check.  A base
+    failing FI raises the base's witness.
+    """
     m, r = alg.dim, rho.module_dim
     if tmap.rows != m or tmap.cols != r:
         raise DimensionMismatch("lift expects an m x r map")
@@ -344,7 +415,8 @@ def o_operator_lift(alg: NLieAlgebra, rho: Representation,
         [{m + j: x for j, x in row.items()} for row in tmap.data] + [{}] * r,
         m + r)
     o_res = check_o_operator(alg, rho, tmap)
-    nij_res = check_nijenhuis(sd, n_tilde)
+    require_fi(alg)
+    nij_res, _ = _closure(sd, n_tilde)
     return OOperatorLift(n_tilde, o_res.holds, nij_res.holds)
 
 
@@ -472,12 +544,17 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
 
 def _trivialize(alg: NLieAlgebra, path: DeformationPath, cx: Complex,
                 kind: str) -> RigidityTrial:
-    cur = path
+    cur, cleared = path, 0
+    # the lead power rises on every step, so at most ``order`` steps run
     while True:
         lead = next((i + 1 for i, t in enumerate(cur.terms)
                      if not cochain_is_zero(t)), None)
         if lead is None:
             return RigidityTrial(kind, True, None)
+        if lead <= cleared:
+            raise ArithmeticError(f"conjugation left power {lead} nonzero; "
+                                  "the coboundary solve is wrong")
+        cleared = lead
         target = vec_scale(-1, cochain_to_vec(cur.terms[lead - 1]))
         sol = cx.solve(1, target)
         if sol is None:

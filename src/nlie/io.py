@@ -23,7 +23,6 @@ input-error code instead of a traceback.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -50,8 +49,15 @@ class InputFormatError(ValueError):
         self.location = location
 
 
-@traced("io.load", lambda args, doc: {"bytes": os.path.getsize(args[0])})
 def load_document(path: str) -> Any:
+    """The JSON document in the file at ``path``."""
+    return read_document(path)[1]
+
+
+@traced("io.load", lambda args, loaded: {"bytes": len(loaded[0])})
+def read_document(path: str) -> tuple[bytes, Any]:
+    """The bytes of the file at ``path`` and the JSON document they hold,
+    from one read, so a digest of the bytes is of the document parsed."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -63,7 +69,7 @@ def load_document(path: str) -> Any:
         raise InputFormatError(f"not UTF-8: {exc.reason} at byte offset "
                                f"{exc.start}", location=path)
     try:
-        return json.loads(text)
+        return data, json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"invalid JSON: {exc.msg}",

@@ -1,5 +1,7 @@
 import ast
+import builtins
 import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -672,6 +674,41 @@ def test_trace_one_fi_check_per_verb(capsys, eps, sl2_file):
                      "cochains.coboundary_rows"):
             assert summary[name]["calls"] == builds
     assert summary["linalg.rank_nullspace"]["calls"] == 2
+
+
+def test_trace_one_fi_check_per_generated_path(capsys, eps, tmp_path):
+    # the path is read off the tower the check builds: one FI check and
+    # one tower (the parent ran FI twice and the tower three times)
+    diag = write(tmp_path, "diag.json", matrix_to_json(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])))
+    argv = ["nijenhuis", eps, diag, "--generate-path"]
+    code, out, err = run(capsys, "--trace", *argv)
+    assert code == 0
+    assert run(capsys, *argv)[1] == out
+    summary = {line["summary"]: line for line in _trace_lines(err)
+               if "summary" in line}
+    for name in ("algebra.check_fundamental_identity",
+                 "deformations.check_nijenhuis",
+                 "deformations.nijenhuis_bracket"):
+        assert summary[name]["calls"] == 1
+
+
+def test_each_input_read_once(capsys, eps, monkeypatch):
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    code, out, _ = run(capsys, "--format", "json", "check", eps)
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(eps) == 1
+    digest = hashlib.sha256(pathlib.Path(eps).read_bytes()).hexdigest()
+    assert json.loads(out)["inputs"] == [{"path": eps, "sha256": digest}]
 
 
 def test_trace_algebroid_generator_phases(capsys, tmp_path):

@@ -11,7 +11,8 @@ from nlie.catalog import (broken_ternary_bracket, heisenberg3,
 from nlie.cochains import (cochain_add, cochain_is_zero, cochain_scale,
                            cochain_sub, differential, from_bracket,
                            from_matrix, gla_bracket, make_cochain)
-from nlie.cohomology import cochain_to_vec, cohomology, differential_matrix
+from nlie.cohomology import (Complex, cochain_to_vec, cohomology,
+                             complex_dim, differential_matrix)
 from nlie.deformations import (DeformationPath, EquivalenceMap,
                                check_deformation, check_equivalence,
                                check_homomorphism_family, check_nijenhuis,
@@ -385,6 +386,27 @@ def test_o_operator_lift_spans():
     assert calls["algebra.check_o_operator"] == 1
     assert calls["algebra.check_representation"] == 1
     assert calls["deformations.check_nijenhuis"] == 1
+    # FI is checked once, on the base: C(3,1)·C(3,2) = 9 pairs at most,
+    # not the 6-dim product's C(6,1)·C(6,2) = 90
+    def summary(fn, *args):
+        out = io.StringIO()
+        trace.enable(out)
+        try:
+            fn(*args)
+        finally:
+            trace.finish()
+        return {line["summary"]: line
+                for line in map(json.loads, out.getvalue().splitlines())
+                if "summary" in line}
+
+    lifts = [summary(o_operator_lift, alg, adjoint_representation(alg),
+                     Matrix.zero(3, 3))["algebra.check_fundamental_identity"]
+             for _ in range(2)]
+    base = summary(check_fundamental_identity,
+                   alg)["algebra.check_fundamental_identity"]
+    assert lifts[0]["calls"] == 1
+    assert lifts[0]["counters"]["pairs"] == base["counters"]["pairs"] <= 9
+    assert lifts[0]["counters"] == lifts[1]["counters"]
 
 
 def test_o_operator_lift_shape_check():
@@ -416,6 +438,14 @@ def test_rigidity_probe_nonvanishing_h2():
 def test_rigidity_probe_range_errors(max_order, trials):
     with pytest.raises(DimensionMismatch):
         rigidity_probe(sl2(), max_order, trials)
+
+
+def test_trivialize_raises_when_a_step_clears_nothing(monkeypatch):
+    # a solve that returns zero conjugates by Id: the lead power stays
+    monkeypatch.setattr(Complex, "solve", lambda self, k, b: (
+        (F(0),) * complex_dim(self.alg, k)))
+    with pytest.raises(ArithmeticError, match="left power"):
+        rigidity_probe(sl2(), 2, 4, seed=5)
 
 
 def test_rigidity_probe_betti_matches_cohomology():

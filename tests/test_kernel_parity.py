@@ -15,19 +15,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (rand_action, rand_bracket, rand_cochain, rand_matrix,
+from helpers import (rand_action, rand_bracket, rand_cochain,
+                     rand_fraction, rand_matrix, rand_rational_algebra,
                      rand_sparse_vector, rand_valid_algebra, ref_circle,
                      ref_check_fundamental_identity, ref_check_nijenhuis,
                      ref_check_o_operator, ref_conjugate_path,
                      ref_nijenhuis_bracket)
 
 from nlie.algebra import (adjoint_representation, check_fundamental_identity,
-                          check_o_operator)
-from nlie.catalog import heisenberg3, levi_civita_bracket, sl2
+                          check_o_operator, make_representation,
+                          semidirect_product)
+from nlie.catalog import (broken_ternary_bracket, heisenberg3,
+                          levi_civita_bracket, sl2)
 from nlie.cochains import circle, cochain_zero
 from nlie.deformations import (EquivalenceMap, check_nijenhuis,
                                conjugate_path, make_deformation_path,
-                               nijenhuis_bracket)
+                               nijenhuis_bracket, o_operator_lift)
 from nlie.errors import InvalidStructure
 from nlie.linalg import Matrix
 
@@ -126,6 +129,80 @@ def test_check_nijenhuis_parity():
         assert got == _outcome(ref_check_nijenhuis, alg, nmap)
         verdicts.append(got[0] if isinstance(got, tuple) else got.holds)
     assert {True, False, "raised"} <= set(verdicts)
+
+
+def _den(mat):
+    return max((x.denominator for row in mat.data for x in row.values()),
+               default=1)
+
+
+def test_fundamental_identity_parity_on_semidirect_products():
+    # adjoint modules of the catalog algebras and of dense conjugates, and
+    # a base failing FI with the zero action
+    rng = random.Random(707)
+    bases = [levi_civita_bracket(), sl2(), heisenberg3()]
+    bases += [rand_valid_algebra(rng, base) for base in bases]
+    cases = [(base, adjoint_representation(base)) for base in bases]
+    bad = broken_ternary_bracket()
+    cases.append((bad, make_representation(bad.dim, 2, bad.arity, {})))
+    verdicts = set()
+    for base, rho in cases:
+        sd = semidirect_product(base, rho)
+        got = check_fundamental_identity(sd)
+        assert got == ref_check_fundamental_identity(sd)
+        # the lemma of o_operator_lift: FI on sd is FI on the base; a
+        # failure is the base's witness, padded with the module's zeros
+        want = check_fundamental_identity(base)
+        assert got.holds == want.holds
+        if not got.holds:
+            pad = (0,) * rho.module_dim
+            assert got.witness == {
+                **want.witness, **{key: want.witness[key] + pad
+                                   for key in ("lhs", "rhs", "defect")}}
+        verdicts.add(got.holds)
+    assert verdicts == {True, False}
+
+
+def test_check_nijenhuis_parity_on_lifts():
+    # N_T of seeded T, with denominators: rank-one T are O-operators for
+    # the Levi-Civita adjoint module, dense ones are not
+    rng = random.Random(808)
+    cases = []
+    for base in (levi_civita_bracket(), sl2(), heisenberg3()):
+        m = base.dim
+        u = [rand_fraction(rng, 2, 3) for _ in range(m)]
+        v = [rand_fraction(rng, 2, 3) for _ in range(m)]
+        cases.append((base, Matrix.from_rows([[a * b for b in v]
+                                              for a in u])))
+        cases.append((base, _sparse_matrix(rng, m, m)))
+    seen = set()
+    for base, t in cases:
+        rho = adjoint_representation(base)
+        lift = o_operator_lift(base, rho, t)
+        sd = semidirect_product(base, rho)
+        got = check_nijenhuis(sd, lift.n_tilde)
+        assert got == ref_check_nijenhuis(sd, lift.n_tilde)
+        assert got.holds == lift.lifted_nijenhuis_holds
+        seen.add((got.holds, _den(t) > 1))
+    assert {(True, True), (False, True)} <= seen
+
+
+def test_nijenhuis_bracket_parity_rational():
+    # rational brackets and operators: L > 1 and D > 1
+    rng = random.Random(909)
+    dens = set()
+    for base in (levi_civita_bracket(), sl2(), heisenberg3()):
+        alg = rand_rational_algebra(rng, base)
+        m = alg.dim
+        nmap = Matrix.from_rows([[rand_fraction(rng, 3, 5)
+                                  for _ in range(m)] for _ in range(m)])
+        dens.add(_den(nmap) > 1)
+        for k in range(1, alg.arity):
+            got = nijenhuis_bracket(alg, nmap, k)
+            want = ref_nijenhuis_bracket(alg, nmap, k)
+            assert list(got.entries.items()) == list(want.entries.items())
+        assert check_nijenhuis(alg, nmap) == ref_check_nijenhuis(alg, nmap)
+    assert dens == {True}
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
