@@ -70,32 +70,26 @@ def replace_slots(key: Key,
             for i, sup in enumerate(sups) for k, c in sup]
 
 
-def basis_lookup(table: Mapping, module: bool = False,
-                 memo: Optional[dict[Key, Support]] = None,
+def basis_lookup(table: Mapping, memo: Optional[dict[Key, Support]] = None,
                  ) -> Callable[[Key], Support]:
     """Memoized map from a basis tuple in any order to the signed (index,
     value) support of its image in ``table`` (empty on a repeated index).
-    With ``module`` the last index is a module index j and the key is
-    ``(sorted rest, j)``, as in a representation's action.  The memo lives
-    as long as the returned function: one per top-level call.  A caller
-    that passes ``memo`` (an empty dict) can read the entries filled."""
+    The memo lives as long as the returned function: one per top-level
+    call.  A caller that passes ``memo`` (an empty dict) can read the
+    entries filled."""
     if memo is None:
         memo = {}
 
     def look(idx: Key) -> Support:
         out = memo.get(idx)
         if out is None:
-            ss = sort_with_sign(idx[:-1] if module else idx)
-            val = ss and table.get((ss[1], idx[-1]) if module else ss[1])
+            ss = sort_with_sign(idx)
+            val = ss and table.get(ss[1])
             out = memo[idx] = [(k, c if ss[0] == 1 else -c)
                                for k, c in enumerate(val or ()) if c]
         return out
 
     return look
-
-
-def _scaled(sign: int, sup: Support) -> Support:
-    return sup if sign == 1 else [(k, -c) for k, c in sup]
 
 
 @dataclass(frozen=True)
@@ -180,48 +174,63 @@ def check_fundamental_identity(alg: NLieAlgebra) -> CheckResult:
 
     Returns the lexicographically first failing pair of tuples as a witness:
     the (n-1)-tuple acting, the inner n-tuple, both sides and their defect.
-    Both sides are quadratic in the bracket, so they are summed in integers
-    on ``integral_table`` and a witness divides them by L^2.
-
-    The supports of ad_a = [a, e_j] are looked up once per acting tuple a.
-    Both sides vanish where ad_a is zero, and on an inner tuple b whose own
-    bracket is zero and whose entries ad_a all kills; such pairs are
-    skipped, and the others are scanned in the same lexicographic order.
     The span counts the pairs evaluated as ``pairs``.
+    """
+    with span("algebra.check_fundamental_identity") as sp:
+        return _fi_scan(alg, sp)
+
+
+def _fi_scan(alg: NLieAlgebra, sp,
+             degree: Callable[[Key], int] = lambda key: 0,
+             total: int = 0) -> CheckResult:
+    """FI on the pairs (a, b) of sorted basis tuples, a acting and b inner,
+    with degree(a) + degree(b) == total (all pairs by default), in
+    lexicographic order.  The inner tuples are grouped by degree once, so
+    each acting tuple walks one list.  The pairs evaluated are counted
+    into ``sp`` as ``pairs``.
+
+    Both sides are quadratic in the bracket, so they are summed in integers
+    on ``integral_table`` and a witness divides them by L^2.  The supports
+    of ad_a = [a, e_j] are looked up once per acting tuple a.  Both sides
+    vanish where ad_a is zero, and on an inner tuple b whose own bracket is
+    zero and whose entries ad_a all kills; such pairs are skipped.
     """
     n, m = alg.arity, alg.dim
     scale, table = integral_table(alg)
     look = basis_lookup(table)
-    inners = [(b, look(b)) for b in itertools.combinations(range(m), n)]
+    inners: dict[int, list[tuple[Key, Support]]] = {}
+    for b in itertools.combinations(range(m), n):
+        inners.setdefault(degree(b), []).append((b, look(b)))
     pairs = 0
-    with span("algebra.check_fundamental_identity") as sp:
-        for a in itertools.combinations(range(m), n - 1):
-            ad = [look(a + (j,)) for j in range(m)]
-            active = {j for j in range(m) if ad[j]}
-            if not active:
+    for a in itertools.combinations(range(m), n - 1):
+        walk = inners.get(total - degree(a))
+        if not walk:
+            continue
+        ad = [look(a + (j,)) for j in range(m)]
+        active = {j for j in range(m) if ad[j]}
+        if not active:
+            continue
+        for b, inner in walk:
+            if not inner and active.isdisjoint(b):
                 continue
-            for b, inner in inners:
-                if not inner and active.isdisjoint(b):
-                    continue
-                pairs += 1
-                lhs = [0] * m
-                for k, c in inner:
-                    for j, x in ad[k]:
-                        lhs[j] += c * x
-                rhs = [0] * m
-                for i, y in enumerate(b):
-                    for k, c in ad[y]:
-                        for j, x in look(b[:i] + (k,) + b[i + 1:]):
-                            rhs[j] += c * x
-                if lhs != rhs:
-                    sp.count(pairs=pairs)
-                    lhs, rhs = (tuple(Fraction(x, scale * scale)
-                                      for x in side) for side in (lhs, rhs))
-                    return CheckResult(False, {
-                        "acting": a, "inner": b,
-                        "lhs": lhs, "rhs": rhs,
-                        "defect": vec_sub(lhs, rhs)})
-        sp.count(pairs=pairs)
+            pairs += 1
+            lhs = [0] * m
+            for k, c in inner:
+                for j, x in ad[k]:
+                    lhs[j] += c * x
+            rhs = [0] * m
+            for i, y in enumerate(b):
+                for k, c in ad[y]:
+                    for j, x in look(b[:i] + (k,) + b[i + 1:]):
+                        rhs[j] += c * x
+            if lhs != rhs:
+                sp.count(pairs=pairs)
+                lhs, rhs = (tuple(Fraction(x, scale * scale) for x in side)
+                            for side in (lhs, rhs))
+                return CheckResult(False, {
+                    "acting": a, "inner": b, "lhs": lhs, "rhs": rhs,
+                    "defect": vec_sub(lhs, rhs)})
+    sp.count(pairs=pairs)
     return CheckResult(True)
 
 
@@ -293,22 +302,11 @@ def fundamental_bracket(alg: NLieAlgebra, x: WedgeElement,
     if x.grade != n - 1 or y.grade != n - 1 or x.dim != m or y.dim != m:
         raise DimensionMismatch("fundamental bracket needs (n-1)-wedges")
     look = basis_lookup(alg.structure)
-    coords: dict[Key, Fraction] = {}
-    for xk, cx in x.coords.items():
-        for yk, cy in y.coords.items():
-            cxy = cx * cy
-            acted = [look(xk + (b,)) for b in yk]
-            for moved, c in replace_slots(yk, acted):
-                ss = sort_with_sign(moved)
-                if ss is None:
-                    continue
-                sign, skey = ss
-                acc = coords.get(skey, Fraction(0)) + sign * cxy * c
-                if acc == 0:
-                    coords.pop(skey, None)
-                else:
-                    coords[skey] = acc
-    return WedgeElement(n - 1, m, coords)
+    # keys come out unsorted; make_wedge sorts, signs and sums them
+    return make_wedge(n - 1, m, multilinear(
+        [x.coords.items(), y.coords.items()],
+        lambda keys: replace_slots(keys[1], [look(keys[0] + (b,))
+                                             for b in keys[1]])))
 
 
 @dataclass(frozen=True)
@@ -355,54 +353,52 @@ def adjoint_representation(alg: NLieAlgebra) -> Representation:
     return Representation(m, m, n, action)
 
 
-@traced("algebra.check_representation")
 def check_representation(alg: NLieAlgebra, rho: Representation) -> CheckResult:
-    """Both representation conditions on all sorted basis tuples.
+    """Both representation conditions on all sorted basis tuples,
 
     (1)  rho(X)rho(Y) - rho(Y)rho(X) = sum_i rho(y_1,..,[X,y_i],..,y_{n-1})
     (2)  rho(x_1..x_{n-2}, [y_1..y_n]) =
              sum_i (-1)^(n-i) rho(y_1..ŷ_i..y_n) rho(x_1..x_{n-2}, y_i)
 
-    applied to every module basis vector.  The insertion signs in (2) are
-    the same (-1)^(n-i) weights that drive the semidirect product.
+    on every module basis vector, decided by FI on the unvalidated table
+    of g ⋉ V.  Lemma: split FI on basis tuples a (acting) and b (inner) of
+    g ⋉ V by the number of module entries in a and b together.
+      None: it is FI on g.
+      Two or more: every term of either side brackets a tuple with two
+        module entries, which is zero.
+      One, in b: by skewness b = (y_1..y_(n-1), xi), and FI reads
+        rho(a)rho(y)xi = sum_i rho(y_1..[a, y_i]..y_(n-1))xi
+        + rho(y)rho(a)xi, which is (1).
+      One, in a: a = (x_1..x_(n-2), xi), so [x, xi, z] = -rho(x, z)xi,
+        and xi' in slot i of b gives [b_1..xi'..b_n] =
+        (-1)^(n-i) rho(b_1..b̂_i..b_n)xi'; FI reads -rho(x, [b])xi =
+        -sum_i (-1)^(n-i) rho(b_1..b̂_i..b_n)rho(x, b_i)xi, which is (2).
+    So the pairs with one module index decide (1) and (2), and then FI on
+    g ⋉ V is FI on g.  The witness is FI's, in g ⋉ V indices (module basis
+    vector j at dim + j); the span counts the pairs evaluated.
     """
+    return _checked_product(alg, rho)[1]
+
+
+def _product(alg: NLieAlgebra, rho: Representation) -> NLieAlgebra:
+    """The table of ``semidirect_product``, not validated."""
     n, m, r = alg.arity, alg.dim, rho.module_dim
     if rho.algebra_dim != m or rho.arity != n:
         raise DimensionMismatch("representation does not match the algebra")
-    look = basis_lookup(alg.structure)
-    act = basis_lookup(rho.action, module=True)
-    for x in itertools.combinations(range(m), n - 1):
-        for y in itertools.combinations(range(m), n - 1):
-            moves = replace_slots(y, [look(x + (yi,)) for yi in y])
-            for j in range(r):
-                lhs = multilinear([act(y + (j,))], lambda k: act(x + k))
-                multilinear([_scaled(-1, act(x + (j,)))],
-                            lambda k: act(y + k), lhs)
-                lhs = densify(lhs, r)
-                rhs = densify(multilinear(
-                    [moves], lambda key: act(key[0] + (j,))), r)
-                if lhs != rhs:
-                    return CheckResult(False, {
-                        "condition": 1, "x": x, "y": y, "xi": j,
-                        "lhs": lhs, "rhs": rhs})
-    for x in itertools.combinations(range(m), n - 2):
-        for y in itertools.combinations(range(m), n):
-            inner = look(y)
-            for j in range(r):
-                lhs = densify(multilinear(
-                    [inner], lambda k: act(x + k + (j,))), r)
-                rhs: dict[int, Fraction] = {}
-                for i in range(n):
-                    sign = -1 if (n - 1 - i) % 2 else 1
-                    rest = y[:i] + y[i + 1:]
-                    multilinear([_scaled(sign, act(x + (y[i], j)))],
-                                lambda k: act(rest + k), rhs)
-                rhs = densify(rhs, r)
-                if lhs != rhs:
-                    return CheckResult(False, {
-                        "condition": 2, "x": x, "y": y, "xi": j,
-                        "lhs": lhs, "rhs": rhs})
-    return CheckResult(True)
+    table = {key: val + vec_zero(r) for key, val in alg.structure.items()}
+    for (key, j), val in sorted(rho.action.items()):
+        if not vec_is_zero(val):
+            table[key + (m + j,)] = vec_zero(m) + val
+    return NLieAlgebra(n, m + r, table)
+
+
+def _checked_product(alg: NLieAlgebra, rho: Representation,
+                     ) -> tuple[NLieAlgebra, CheckResult]:
+    """The table of g ⋉ V and ``check_representation`` on it."""
+    with span("algebra.check_representation") as sp:
+        sd, m = _product(alg, rho), alg.dim
+        return sd, _fi_scan(
+            sd, sp, lambda key: len(key) - bisect_left(key, m), 1)
 
 
 def semidirect_product(alg: NLieAlgebra, rho: Representation) -> NLieAlgebra:
@@ -412,24 +408,14 @@ def semidirect_product(alg: NLieAlgebra, rho: Representation) -> NLieAlgebra:
             + sum_i (-1)^(n-i) rho(x_1,..,x̂_i,..,x_n) xi_i
 
     Module basis vectors sit at indices dim..dim+module_dim-1.  Tuples with
-    two or more module entries bracket to zero.  The representation is
-    validated first.
+    two or more module entries bracket to zero.  The table is built once
+    and returned after ``check_representation`` holds on it.
     """
-    rep_check = check_representation(alg, rho)
+    sd, rep_check = _checked_product(alg, rho)
     if not rep_check.holds:
         raise InvalidStructure("representation conditions fail",
                                witness=rep_check.witness)
-    n, m, r = alg.arity, alg.dim, rho.module_dim
-    total = m + r
-    table: dict[Key, Vector] = {}
-    for key, val in alg.structure.items():
-        table[key] = val + vec_zero(r)
-    for key in itertools.combinations(range(m), n - 1):
-        for j in range(r):
-            val = rho.action.get((key, j))
-            if val is not None and not vec_is_zero(val):
-                table[key + (m + j,)] = vec_zero(m) + val
-    return NLieAlgebra(n, total, table)
+    return sd
 
 
 @traced("algebra.check_o_operator")
@@ -440,31 +426,23 @@ def check_o_operator(alg: NLieAlgebra, rho: Representation,
         [T xi_1,..,T xi_n] =
             sum_i (-1)^(n-i) T( rho(T xi_1,..,T̂ xi_i,..,T xi_n) xi_i )
 
-    on every strictly increasing n-tuple of module basis vectors.  Both
-    sides are multilinear and alternating in xi: the left because the
-    bracket is skew, the right because it is the alternation
-    sum_i (-1)^(n-i) f(xi_1..ξ̂_i..xi_n, xi_i) of a map f that is skew in
-    its first n-1 slots, as rho is.  So a tuple with a repeat has zero
-    defect and a reordering only flips the defect's sign: the sorted
-    tuples decide the identity, and the lexicographically first failing
-    ordered tuple is itself sorted, so the witness is the one a scan of
-    all r^n ordered tuples reports.  T is applied once, to the summed
-    rho-terms.
+    on every strictly increasing n-tuple of module basis vectors: both
+    sides are alternating in xi (the right as the alternation of a map
+    skew in its first n-1 slots, as rho is), so the sorted tuples decide
+    the identity and the first failing ordered tuple is sorted.  Both
+    sides are read off one bracket of the graph vectors T xi_j + xi_j in
+    the unvalidated table of g ⋉ V, where two module entries bracket to
+    zero: its algebra part is the left side, T of its module part the
+    right.
     """
-    n, m, r = alg.arity, alg.dim, rho.module_dim
+    m, r = alg.dim, rho.module_dim
     if t.rows != m or t.cols != r:
         raise DimensionMismatch("operator must map the module to the algebra")
-    look = basis_lookup(alg.structure)
-    act = basis_lookup(rho.action, module=True)
-    t_sups = column_supports(t)
-    for xi in itertools.combinations(range(r), n):
-        lhs = densify(multilinear([t_sups[j] for j in xi], look), m)
-        acted: dict[int, Fraction] = {}
-        for i in range(n):
-            sign = -1 if (n - 1 - i) % 2 else 1
-            multilinear([t_sups[j] for j in xi[:i] + xi[i + 1:]]
-                        + [[(xi[i], sign)]], act, acted)
-        rhs = t.apply(densify(acted, r))
+    look = basis_lookup(_product(alg, rho).structure)
+    graph = [sup + [(m + j, 1)] for j, sup in enumerate(column_supports(t))]
+    for xi in itertools.combinations(range(r), alg.arity):
+        both = densify(multilinear([graph[j] for j in xi], look), m + r)
+        lhs, rhs = both[:m], t.apply(both[m:])
         if lhs != rhs:
             return CheckResult(False, {"xi": xi, "lhs": lhs, "rhs": rhs,
                                        "defect": vec_sub(lhs, rhs)})

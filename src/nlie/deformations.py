@@ -388,24 +388,8 @@ def o_operator_lift(alg: NLieAlgebra, rho: Representation,
     condition for its strictly upper-triangular lift on the semidirect
     product.
 
-    The fundamental identity of g ⋉ V is decided on g.  Lemma: if rho
-    satisfies conditions (1) and (2) of ``check_representation``, which
-    ``semidirect_product`` checks, then g ⋉ V satisfies FI exactly when
-    g does.  Split FI on basis tuples a (acting) and b (inner) by the
-    number of module entries in a and b together.
-      None: it is FI on g.
-      Two or more: every term of either side brackets a tuple with two
-        module entries, which is zero.
-      One, in b: by skewness b = (y_1..y_(n-1), xi), and FI reads
-        rho(a)rho(y)xi = sum_i rho(y_1..[a, y_i]..y_(n-1))xi
-        + rho(y)rho(a)xi, which is (1).
-      One, in a: a = (x_1..x_(n-2), xi), so [x, xi, z] = -rho(x, z)xi,
-        and xi' in slot i of b gives [b_1..xi'..b_n] =
-        (-1)^(n-i) rho(b_1..b̂_i..b_n)xi'; FI reads -rho(x, [b])xi =
-        -sum_i (-1)^(n-i) rho(b_1..b̂_i..b_n)rho(x, b_i)xi, which is (2).
-    So FI is checked once, on the base, after the representation, and
-    the closure runs on the product with no second FI check.  A base
-    failing FI raises the base's witness.
+    FI of g ⋉ V is FI of g (the lemma of ``check_representation``), so FI
+    is checked once, on the base, and a base failing FI raises its witness.
     """
     m, r = alg.dim, rho.module_dim
     if tmap.rows != m or tmap.cols != r:

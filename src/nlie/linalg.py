@@ -84,19 +84,21 @@ def multilinear(supports: Sequence[Iterable[tuple[Hashable, Fraction | int]]],
     tuple of labels, zero values skipped, so a dense vector passes as
     ``enumerate(v)``.  Adds c_1 * .. * c_k * term((label_1, .., label_k))
     over the product of the supports into ``acc`` (a new dict if None) and
-    returns it, so only products of nonzero coordinates are visited.
+    returns it, so only products of nonzero coordinates are visited, and
+    their coefficient is multiplied out only where the image is not empty.
     Entries may cancel to zero; ``densify`` gives the vector.
     """
     if acc is None:
         acc = {}
     for combo in itertools.product(*supports):
-        labels = []
+        image = term(tuple([label for label, _ in combo]))
+        if not image:
+            continue
         coeff = 1
         # a product with 1 still costs a full Fraction operation: skip it
-        for label, c in combo:
-            labels.append(label)
+        for _, c in combo:
             coeff = c if coeff == 1 else coeff * c
-        for i, x in term(tuple(labels)):
+        for i, x in image:
             if x:
                 if coeff != 1:
                     x = coeff * x

@@ -470,31 +470,95 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def ref_fi_sides(alg, a, b):
+    """Both sides of the fundamental identity at the acting tuple a and
+    the inner tuple b, every bracket of basis vectors evaluated afresh."""
+    from nlie.algebra import bracket_on_basis
+
+    m = alg.dim
+    inner = bracket_on_basis(alg, b)
+    lhs = _ref_expand([inner], lambda k: bracket_on_basis(alg, a + k), m)
+    rhs = (Fraction(0),) * m
+    for i, y in enumerate(b):
+        acted = bracket_on_basis(alg, a + (y,))
+        moved = _ref_expand(
+            [acted], lambda k: bracket_on_basis(alg, b[:i] + k + b[i + 1:]), m)
+        rhs = tuple(x + z for x, z in zip(rhs, moved))
+    return lhs, rhs
+
+
 def ref_check_fundamental_identity(alg):
     """``check_fundamental_identity`` with every bracket of basis vectors
     evaluated afresh for every pair of tuples."""
     import itertools
 
-    from nlie.algebra import CheckResult, bracket_on_basis
+    from nlie.algebra import CheckResult
 
     n, m = alg.arity, alg.dim
     for a in itertools.combinations(range(m), n - 1):
         for b in itertools.combinations(range(m), n):
-            inner = bracket_on_basis(alg, b)
-            lhs = _ref_expand([inner],
-                              lambda k: bracket_on_basis(alg, a + k), m)
-            rhs = (Fraction(0),) * m
-            for i, y in enumerate(b):
-                acted = bracket_on_basis(alg, a + (y,))
-                moved = _ref_expand(
-                    [acted],
-                    lambda k: bracket_on_basis(alg, b[:i] + k + b[i + 1:]), m)
-                rhs = tuple(x + z for x, z in zip(rhs, moved))
+            lhs, rhs = ref_fi_sides(alg, a, b)
             if lhs != rhs:
                 return CheckResult(False, {
                     "acting": a, "inner": b,
                     "lhs": lhs, "rhs": rhs, "defect": _sub(lhs, rhs)})
     return CheckResult(True)
+
+
+def ref_check_representation(alg, rho):
+    """Conditions (1) and (2) of ``check_representation`` as written, on
+    every module basis vector, each rho-term expanded densely through
+    ``_ref_rho``.  The witness names the condition and its tuples."""
+    import itertools
+
+    from nlie.algebra import CheckResult, bracket_on_basis
+
+    n, m, r = alg.arity, alg.dim, rho.module_dim
+
+    def act(idx, v):
+        """rho(e_idx) applied to the module vector v."""
+        return _ref_expand([v], lambda k: _ref_rho(rho, idx, k[0]), r)
+
+    for x in itertools.combinations(range(m), n - 1):
+        for y in itertools.combinations(range(m), n - 1):
+            for j in range(r):
+                lhs = _sub(act(x, _ref_rho(rho, y, j)),
+                           act(y, _ref_rho(rho, x, j)))
+                rhs = (Fraction(0),) * r
+                for i in range(n - 1):
+                    term = _ref_expand(
+                        [bracket_on_basis(alg, x + (y[i],))],
+                        lambda k: _ref_rho(rho, y[:i] + k + y[i + 1:], j), r)
+                    rhs = tuple(a + b for a, b in zip(rhs, term))
+                if lhs != rhs:
+                    return CheckResult(False, {"condition": 1, "x": x,
+                                               "y": y, "xi": j})
+    for x in itertools.combinations(range(m), n - 2):
+        for y in itertools.combinations(range(m), n):
+            for j in range(r):
+                lhs = _ref_expand([bracket_on_basis(alg, y)],
+                                  lambda k: _ref_rho(rho, x + k, j), r)
+                rhs = (Fraction(0),) * r
+                for i in range(n):
+                    sign = -1 if (n - 1 - i) % 2 else 1
+                    term = act(y[:i] + y[i + 1:], _ref_rho(rho, x + (y[i],), j))
+                    rhs = tuple(a + sign * b for a, b in zip(rhs, term))
+                if lhs != rhs:
+                    return CheckResult(False, {"condition": 2, "x": x,
+                                               "y": y, "xi": j})
+    return CheckResult(True)
+
+
+def ref_semidirect_table(alg, rho):
+    """The table of g ⋉ V, unvalidated: the bracket padded with the
+    module's zeros, and rho(key) e_j at key + (dim + j,)."""
+    from nlie.algebra import make_algebra
+
+    m, r = alg.dim, rho.module_dim
+    brackets = {key: tuple(v) + (0,) * r for key, v in alg.structure.items()}
+    for (key, j), v in rho.action.items():
+        brackets[key + (m + j,)] = (0,) * m + tuple(v)
+    return make_algebra(alg.arity, m + r, brackets)
 
 
 def ref_check_o_operator(alg, rho, t):

@@ -188,8 +188,13 @@ def test_semidirect_rejects_bad_representation():
     rho = adjoint_representation(alg)
     doubled = make_representation(
         4, 4, 3, {k: tuple(2 * c for c in v) for k, v in rho.action.items()})
-    with pytest.raises(InvalidStructure):
+    with pytest.raises(InvalidStructure) as info:
         semidirect_product(alg, doubled)
+    # the FI witness of g ⋉ V at a pair with one module index (>= 4)
+    w = info.value.witness
+    assert set(w) == {"acting", "inner", "lhs", "rhs", "defect"}
+    assert sum(i >= 4 for i in w["acting"] + w["inner"]) == 1
+    assert len(w["defect"]) == 8 and any(w["defect"])
 
 
 def test_o_operator_zero_and_identity():

@@ -407,6 +407,14 @@ def test_o_operator_lift_spans():
     assert lifts[0]["calls"] == 1
     assert lifts[0]["counters"]["pairs"] == base["counters"]["pairs"] <= 9
     assert lifts[0]["counters"] == lifts[1]["counters"]
+    # the representation is decided on the pairs of sl(2) ⋉ sl(2) with one
+    # module index: 3·(3·3) with it inner plus 3·C(3,2) with it acting
+    reps = [summary(o_operator_lift, alg, adjoint_representation(alg),
+                    Matrix.zero(3, 3))["algebra.check_representation"]
+            for _ in range(2)]
+    assert reps[0]["calls"] == 1
+    assert 0 < reps[0]["counters"]["pairs"] <= 36
+    assert reps[0]["counters"] == reps[1]["counters"]
 
 
 def test_o_operator_lift_shape_check():

@@ -19,12 +19,13 @@ from helpers import (rand_action, rand_bracket, rand_cochain,
                      rand_fraction, rand_matrix, rand_rational_algebra,
                      rand_sparse_vector, rand_valid_algebra, ref_circle,
                      ref_check_fundamental_identity, ref_check_nijenhuis,
-                     ref_check_o_operator, ref_conjugate_path,
-                     ref_nijenhuis_bracket)
+                     ref_check_o_operator, ref_check_representation,
+                     ref_conjugate_path, ref_fi_sides, ref_nijenhuis_bracket,
+                     ref_semidirect_table)
 
 from nlie.algebra import (adjoint_representation, check_fundamental_identity,
-                          check_o_operator, make_representation,
-                          semidirect_product)
+                          check_o_operator, check_representation,
+                          make_representation, semidirect_product)
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2)
 from nlie.cochains import circle, cochain_zero
@@ -93,6 +94,45 @@ def test_o_operator_parity():
         verdicts.add((got.holds, False))
     # failing witnesses and the n > r case (always holds) both occur
     assert {(False, False), (True, False), (True, True)} <= verdicts
+
+
+def test_check_representation_parity():
+    # verdicts against conditions (1) and (2) written out; a failure is
+    # the FI witness of the unvalidated g ⋉ V at a pair with one module
+    # index, and replays there
+    rng = random.Random(1212)
+    cases = []
+    for base in (levi_civita_bracket(), sl2(), heisenberg3()):
+        for alg in (base, rand_valid_algebra(rng, base)):
+            cases.append((alg, adjoint_representation(alg)))
+    lc = levi_civita_bracket()
+    cases.append((lc, make_representation(4, 4, 3, {
+        k: tuple(2 * c for c in v)
+        for k, v in adjoint_representation(lc).action.items()})))
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        alg = rand_bracket(rng, n, rng.randint(n, 5),
+                           rng.choice([0.1, 0.3, 0.7]))
+        cases.append((alg, rand_action(rng, alg, rng.randint(1, 3),
+                                       rng.choice([0.1, 0.5]))))
+    bad = broken_ternary_bracket()
+    cases.append((bad, make_representation(bad.dim, 2, bad.arity, {})))
+    seen = set()
+    for alg, rho in cases:
+        got = check_representation(alg, rho)
+        assert got.holds == ref_check_representation(alg, rho).holds
+        seen.add((got.holds, check_fundamental_identity(alg).holds))
+        if got.holds:
+            continue
+        w, m = got.witness, alg.dim
+        assert sum(i >= m for i in w["acting"] + w["inner"]) == 1
+        lhs, rhs = ref_fi_sides(ref_semidirect_table(alg, rho),
+                                w["acting"], w["inner"])
+        assert (w["lhs"], w["rhs"]) == (lhs, rhs)
+        assert w["defect"] == tuple(x - y for x, y in zip(lhs, rhs))
+    # both verdicts, and a representation of a base failing FI
+    assert {(True, True), (False, True), (True, False),
+            (False, False)} <= seen
 
 
 def test_nijenhuis_bracket_parity():
