@@ -226,18 +226,14 @@ def run_reduce_lie(args, report: Report) -> None:
     if alg.arity != 2:
         raise InputFormatError("reduce-lie needs a binary bracket "
                                f"(arity {alg.arity} given)", args.algebra)
-    methods = {0: "matrix identity", 1: "matrix identity",
-               2: "evaluation identity"}
-    agreement: dict[str, bool] = {}
     cx = Complex(alg)
-    for k in (0, 1, 2):
-        if k < 2:
-            same = cx.matrix(k) == ce_differential_matrix(alg, k)
-        else:
-            same = _ce_agrees_by_evaluation(alg)
-        agreement[str(k)] = same
+    agreement = {str(k): cx.matrix(k) == ce_differential_matrix(alg, k)
+                 for k in (0, 1)}
+    agreement["2"] = _ce_agrees_by_evaluation(alg)
+    for k, same in agreement.items():
         word = "agree" if same else "disagree"
-        report.lines.append(f"degree {k}: {word} ({methods[k]})")
+        method = "evaluation" if k == "2" else "matrix"
+        report.lines.append(f"degree {k}: {word} ({method} identity)")
     all_agree = all(agreement.values())
     report.fields["agreement"] = agreement
     report.set("status", "holds" if all_agree else "fails",
@@ -253,11 +249,10 @@ def _ce_agrees_by_evaluation(alg) -> bool:
         ce = ce_differential(
             alg, CECochain(m, 2, {key: val for (_, key), val
                                   in psi.entries.items()}))
-        for i in range(m):
-            for j, k in itertools.combinations(range(m), 2):
-                if eval_keys_z(generic, ((i,), (j,)), k) != \
-                        ce_eval(ce, (i, j, k)):
-                    return False
+        if any(eval_keys_z(generic, ((i,), (j,)), k) != ce_eval(ce, (i, j, k))
+               for i in range(m)
+               for j, k in itertools.combinations(range(m), 2)):
+            return False
     return True
 
 

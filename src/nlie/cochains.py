@@ -12,7 +12,7 @@ n-tuple.  Degree 0 is a plain linear map, keyed by ((), (j,)).  Degree -1
 in ``differential``.  One rule, ``_locate``, finds the entry a cochain
 takes on sorted basis blocks and e_z: the last block wedges with e_z (sign
 from sorting, zero on a repeat), and degree 0 reads ((), (z,)).
-``eval_keys_z``, ``coboundary_rows`` and ``circle`` all read through it.
+``eval_keys_z`` and ``coboundary_rows`` read through it.
 
 The circle product composes D1 (degree p) with D2 (degree q).  With the
 final vector appended to the arguments as a one-slot block (z), for
@@ -21,9 +21,9 @@ the arguments s selects for it plus one slot of block number k+q+1, its
 output e_j fills that slot, and D1 reads the rest; the term carries
 sign(s) * (-1)^(k*q).  For k < p this inserts into a wedge block; k = p is
 the composition term, where the slot is the final vector itself.
-``circle`` reads each operand once as sparse supports built inside the
-call, and adds each output key's terms into one {index: value} dict that
-is densified only when nonzero.
+``circle`` scatters these terms from the operands' nonzero entries, and
+keeps a term only at the split of its final wedge that the output key
+stores.
 
 Summing over k and shuffles gives D1 ∘ D2, and
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import (Key, NLieAlgebra, WedgeElement, basis_lookup,
                       bracket_on_basis, make_algebra, merge_index,
@@ -56,7 +56,7 @@ from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
                      multilinear, support, vec_add, vec_is_zero, vec_scale,
                      vec_zero)
-from .trace import traced
+from .trace import span, traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
 # one sparse matrix row: column -> coefficient (int on an integer table)
@@ -241,78 +241,88 @@ def shuffles(k: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     both runs are increasing.  Sign is the parity of that arrangement.
     """
     out = []
-    universe = range(k + q)
-    for head in itertools.combinations(universe, k):
-        tail = tuple(i for i in universe if i not in head)
-        inversions = sum(1 for h in head for t in tail if t < h)
-        sign = -1 if inversions % 2 else 1
-        out.append((head + tail, sign))
+    for head in itertools.combinations(range(k + q), k):
+        tail = tuple(i for i in range(k + q) if i not in head)
+        inversions = sum(t < h for h in head for t in tail)
+        out.append((head + tail, -1 if inversions % 2 else 1))
     return tuple(out)
 
 
-def _circle_point(d1: Cochain, d2: Cochain
-                  ) -> Callable[[tuple[Key, ...], int], dict[int, Fraction]]:
-    """(args, z) -> {index: value} of D1 ∘ D2 on p+q sorted basis blocks and
-    a basis index: the shuffle loop of the module docstring, on supports of
-    both operands read once for the life of the returned function."""
+def _splits(d: Cochain):
+    """(blocks, y, above, value) per split of each entry's final wedge W
+    into a last block and e_y, where above counts the indices of W above
+    y: (-1)^above is the sign of the move, and above = 0 is the stored
+    split.  A degree-0 entry ((), (y,)) has the one split ((), y, 0)."""
+    for (blocks, w), v in d.entries.items():
+        for t, y in enumerate(w):
+            yield (blocks + (w[:t] + w[t + 1:],) if d.degree else (), y,
+                   len(w) - 1 - t, v)
+
+
+def _scatter(d1: Cochain, d2: Cochain):
+    """The terms of D1 ∘ D2 as (output key, coefficient, support of a value
+    of D1): D1 is read on its blocks and final vector (y) as one list
+    ``full``, and the value of D2 at output index j fills slot s of
+    ``full[k]``, k <= p."""
     p, q = d1.degree, d2.degree
-    s1, s2 = ({key: support(v) for key, v in d.entries.items()}
-              for d in (d1, d2))
-
-    def read(sups, degree, blocks, z):
-        at = _locate(degree, blocks, z)
-        sup = at and sups.get(at[1])
-        return (at[0], sup) if sup else (0, ())
-
-    def point(args: tuple[Key, ...], z: int) -> dict[int, Fraction]:
-        acc: dict[int, Fraction] = {}
-        full = args + ((z,),)
-        for k in range(p + 1):
-            ins, tail = full[k + q], full[k + q + 1:]
-            for pos, sgn in shuffles(k, q):
-                head = tuple(args[i] for i in pos[:k])
-                mid = tuple(args[i] for i in pos[k:])
-                sign = -sgn if (k * q) % 2 else sgn
-                for s, x in enumerate(ins):
-                    sign2, w = read(s2, q, mid, x)
-                    for j, wj in w:
-                        ss = sort_with_sign(ins[:s] + (j,) + ins[s + 1:])
-                        if ss is None:
+    # D2's values by output index j, as (mid, x, (c, -c)) per split
+    by_j: dict[int, list[tuple[tuple[Key, ...], int, tuple]]] = {}
+    for mid, x, above, w in _splits(d2):
+        for j, wj in support(w):
+            cs = (-wj, wj) if above % 2 else (wj, -wj)
+            by_j.setdefault(j, []).append((mid, x, cs))
+    # block i of a shuffle is block order[i] of D1's head + D2's blocks
+    orders = [[(tuple(sorted(range(k + q), key=pos.__getitem__)),
+                -s if (k * q) % 2 else s) for pos, s in shuffles(k, q)]
+              for k in range(p + 1)]
+    for blocks, y, above, v in _splits(d1):
+        sign1, sup, full = -1 if above % 2 else 1, support(v), blocks + ((y,),)
+        # for k < p the output's final vector y must top the last block:
+        # D1's own for k < p-1 (the stored split only), the new one for
+        # k = p-1; at k = p it is x, checked per shuffle
+        for k in range(0 if not above else p - 1 if above == 1 else p, p + 1):
+            blk = full[k]
+            for s in range(len(blk)):
+                for mid, x, cs in by_j.get(blk[s], ()):
+                    ss = sort_with_sign(blk[:s] + (x,) + blk[s + 1:])
+                    if ss is None or k == p - 1 and ss[1][-1] >= y:
+                        continue
+                    src = full[:k] + mid
+                    for order, sign in orders[k]:
+                        if k == p and p + q and x <= src[order[-1]][-1]:
                             continue
-                        outer = head + (ss[1],) + tail
-                        sign1, v = read(s1, p, outer[:-1], outer[-1][0])
-                        c = wj if sign * sign2 * ss[0] * sign1 == 1 else -wj
-                        for i, vi in v:
-                            acc[i] = acc.get(i, 0) + c * vi
-        return acc
-    return point
+                        out = (tuple(src[i] for i in order) + (ss[1],)
+                               + full[k + 1:])
+                        yield ((out[:-2], sum(out[-2:], ())),
+                               cs[sign * ss[0] * sign1 < 0], sup)
 
 
-def _visited(args, d: Cochain) -> dict[str, int]:
-    """Output keys a circle product walks, and how many it stores."""
-    keys = d.dim if d.degree == 0 else \
-        comb(d.dim, d.arity - 1) ** (d.degree - 1) * comb(d.dim, d.arity)
-    return {"keys": keys, "nonzero": len(d.entries)}
-
-
-@traced("cochains.circle", _visited)
 def circle(d1: Cochain, d2: Cochain) -> Cochain:
     """The circle product D1 ∘ D2 of degree p+q (insertion plus composition
-    terms over signed shuffles; see the module docstring for the signs)."""
+    terms over signed shuffles; see the module docstring for the signs),
+    scattered from the operands' nonzero entries.  A term at arguments
+    (args, z) is placed only where e_z is last in its output key's final
+    wedge, the split the key stores: every other split holds the same value
+    up to the sign of the move, so placing it there would count it twice."""
     _compatible(d1, d2)
-    p, q = d1.degree, d2.degree
-    n, m = d1.arity, d1.dim
-    point = _circle_point(d1, d2)
-    entries: dict[CochainKey, Vector] = {}
-    for key in space_keys(m, n, p + q):
-        blocks, last = key
-        acc = point(blocks + (last[:-1],) if p + q else (), last[-1])
-        if any(acc.values()):
-            entries[key] = densify(acc, m)
-    return Cochain(n, m, p + q, entries)
+    m = d1.dim
+    with span("cochains.circle") as sp:
+        acc: dict[CochainKey, dict[int, Fraction]] = {}
+        terms = 0
+        for key, c, sup in _scatter(d1, d2):
+            terms += 1
+            vals = acc.setdefault(key, {})
+            for i, vi in sup:
+                vals[i] = vals[i] + c * vi if i in vals else c * vi
+        entries = {key: densify(acc[key], m) for key in sorted(acc)
+                   if any(acc[key].values())}
+        sp.count(operands=len(d1.entries) + len(d2.entries), terms=terms,
+                 nonzero=len(entries))
+    return Cochain(d1.arity, m, d1.degree + d2.degree, entries)
 
 
-@traced("cochains.gla_bracket", _visited)
+@traced("cochains.gla_bracket", lambda args, d: {
+    "operands": sum(len(a.entries) for a in args), "nonzero": len(d.entries)})
 def gla_bracket(d1: Cochain, d2: Cochain) -> Cochain:
     """Graded bracket [D1, D2] = (-1)^(pq) D1∘D2 - D2∘D1."""
     sign = -1 if (d1.degree * d2.degree) % 2 else 1

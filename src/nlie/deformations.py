@@ -3,9 +3,11 @@
 A deformation path is phi_t = phi_0 + t phi_1 + .. + t^k phi_k with each
 phi_i a degree-1 cochain.  Validity means [phi_t, phi_t] = 0 coefficient by
 coefficient: through power k in truncated mode ("modulo t^(k+1)"), through
-power 2k in full mode.  Since degree-1 brackets are symmetric in their two
-slots, the power-r coefficient is 2 delta(phi_r) + sum of the lower cross
-terms, which gives the familiar cocycle condition at the first power.
+power 2k in full mode.  On degree-1 cochains [a, b] = -(a∘b + b∘a), so the
+power-r coefficient is -2 sum_{i+j=r} phi_i ∘ phi_j over ordered pairs,
+one circle product each; its phi_0 ∘ phi_r + phi_r ∘ phi_0 part is
+-delta(phi_r), which gives the familiar cocycle condition at the first
+power.
 
 Equivalences are families Phi_t = Id + t M_1 + .. + t^k M_k acting by
 conjugation; the inverse is the truncated geometric series.  Conjugating by
@@ -30,7 +32,7 @@ from typing import Optional, Sequence
 from .algebra import (CheckResult, NLieAlgebra, Representation,
                       basis_lookup, bracket_eval, check_o_operator,
                       integral_table, require_fi, semidirect_product)
-from .cochains import (Cochain, cochain_add, cochain_is_zero, cochain_scale,
+from .cochains import (Cochain, circle, cochain_add, cochain_is_zero,
                        cochain_to_vec, cochain_zero, from_bracket,
                        gla_bracket, to_algebra, vec_to_cochain)
 from .cohomology import Complex, complex_dim
@@ -105,15 +107,22 @@ def check_deformation(path: DeformationPath,
 def _check_powers(path: DeformationPath, mode: str) -> DeformationCheck:
     """``check_deformation`` on a base whose FI the caller has checked."""
     phis = _phi_list(path)
-    k = path.order
-    top = k if mode == "truncated" else 2 * k
+    top = path.order if mode == "truncated" else 2 * path.order
     for r in range(1, top + 1):
-        acc = cochain_zero(path.base.arity, path.base.dim, 2)
-        for i in range(max(0, r - k), min(r, k) + 1):
-            acc = cochain_add(acc, gla_bracket(phis[i], phis[r - i]))
-        if not cochain_is_zero(acc):
+        if not cochain_is_zero(_circle_sum(phis, r, 0)):
             return DeformationCheck(False, mode, r)
     return DeformationCheck(True, mode, None)
+
+
+def _circle_sum(phis: list[Cochain], r: int, low: int) -> Cochain:
+    """sum phis[i] ∘ phis[r-i] over ordered pairs with both indices in
+    low..len(phis)-1; at low = 0, -1/2 the t^r coefficient of
+    [phi_t, phi_t]."""
+    top = len(phis) - 1
+    acc = cochain_zero(phis[0].arity, phis[0].dim, 2)
+    for i in range(max(low, r - top), min(r - low, top) + 1):
+        acc = cochain_add(acc, circle(phis[i], phis[r - i]))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -241,14 +250,12 @@ def check_homomorphism_family(path: DeformationPath,
     for key in itertools.combinations(range(m), n):
         for r in range(top + 1):
             lhs = vec_zero(m)
-            for a in range(min(r, len(fwd) - 1) + 1):
-                i = r - a
-                if i <= k:
-                    val = phis[i].entries.get(((), key))
-                    if val is not None:
-                        lhs = vec_add(lhs, fwd[a].apply(val))
+            for a in range(max(0, r - k), r + 1):
+                val = phis[r - a].entries.get(((), key))
+                if val is not None:
+                    lhs = vec_add(lhs, fwd[a].apply(val))
             rhs = vec_zero(m)
-            for bs in itertools.product(range(min(r, top) + 1), repeat=n):
+            for bs in itertools.product(range(r + 1), repeat=n):
                 if sum(bs) != r:
                     continue
                 args = [fwd[bs[t]].column(key[t]) for t in range(n)]
@@ -405,8 +412,9 @@ def o_operator_lift(alg: NLieAlgebra, rho: Representation,
 
 
 def obstruction(path: DeformationPath) -> Cochain:
-    """Theta = -1/2 sum_{i+j=k+1, i,j>=1} [phi_i, phi_j]; always a cocycle
-    for a valid path (verified here, not assumed)."""
+    """Theta = sum_{i+j=k+1, i,j>=1} phi_i ∘ phi_j, which is -1/2 the
+    bracket sum; always a cocycle for a valid path (verified here, not
+    assumed)."""
     require_fi(path.base)
     return _obstruction(path)
 
@@ -424,17 +432,9 @@ def _require_valid(path: DeformationPath) -> None:
 def _obstruction(path: DeformationPath) -> Cochain:
     """``obstruction`` on a base whose FI the caller has checked."""
     _require_valid(path)
-    k = path.order
-    n, m = path.base.arity, path.base.dim
-    acc = cochain_zero(n, m, 2)
-    for i in range(1, k + 1):
-        j = k + 1 - i
-        if 1 <= j <= k:
-            acc = cochain_add(acc, gla_bracket(path.terms[i - 1],
-                                               path.terms[j - 1]))
-    theta = cochain_scale(Fraction(-1, 2), acc)
-    phi0 = from_bracket(path.base)
-    if not cochain_is_zero(gla_bracket(phi0, theta)):
+    phis = _phi_list(path)
+    theta = _circle_sum(phis, path.order + 1, 1)
+    if not cochain_is_zero(gla_bracket(phis[0], theta)):
         raise InvalidStructure("obstruction failed the cocycle identity; "
                                "the path data is inconsistent")
     return theta

@@ -139,6 +139,14 @@ def _field(obj: dict, name: str, where: str) -> Any:
     return obj[name]
 
 
+def _items(doc: dict, name: str, where: str):
+    """(location, object) for each entry of the list field ``name``."""
+    items = _expect_list(_field(doc, name, where), f"{where}.{name}")
+    for t, entry in enumerate(items):
+        here = f"{where}.{name}[{t}]"
+        yield here, _expect_object(entry, here)
+
+
 def _int_field(obj: dict, name: str, where: str) -> int:
     value = _field(obj, name, where)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -214,10 +222,7 @@ def algebra_from_json(obj: Any, where: str = "algebra") -> NLieAlgebra:
     if arity < 2 or dim < 1:
         raise InputFormatError("need arity >= 2 and dim >= 1", where)
     brackets: dict[Key, tuple[Fraction, ...]] = {}
-    entries = _expect_list(_field(doc, "brackets", where), f"{where}.brackets")
-    for t, entry in enumerate(entries):
-        here = f"{where}.brackets[{t}]"
-        item = _expect_object(entry, here)
+    for here, item in _items(doc, "brackets", where):
         key = _index_tuple(_field(item, "on", here), dim, f"{here}.on")
         if list(key) != sorted(set(key)):
             raise InputFormatError(
@@ -254,10 +259,7 @@ def representation_from_json(obj: Any,
         raise InputFormatError("need arity >= 2 and positive dimensions",
                                where)
     action: dict[tuple[Key, int], tuple[Fraction, ...]] = {}
-    entries = _expect_list(_field(doc, "action", where), f"{where}.action")
-    for t, entry in enumerate(entries):
-        here = f"{where}.action[{t}]"
-        item = _expect_object(entry, here)
+    for here, item in _items(doc, "action", where):
         key = _index_tuple(_field(item, "on", here), m, f"{here}.on")
         if list(key) != sorted(set(key)):
             raise InputFormatError(
@@ -293,10 +295,7 @@ def cochain_from_json(obj: Any, where: str = "cochain") -> Cochain:
         raise InputFormatError(
             "need arity >= 2, dim >= 1 and degree >= 0", where)
     table: dict[CochainKey, tuple[Fraction, ...]] = {}
-    entries = _expect_list(_field(doc, "entries", where), f"{where}.entries")
-    for t, entry in enumerate(entries):
-        here = f"{where}.entries[{t}]"
-        item = _expect_object(entry, here)
+    for here, item in _items(doc, "entries", where):
         raw_blocks = _expect_list(_field(item, "tensor_blocks", here),
                                   f"{here}.tensor_blocks")
         blocks = tuple(
@@ -461,20 +460,14 @@ def algebroid_from_json(obj: Any,
         raise InputFormatError(
             "need num_vars >= 0, rank >= 1 and arity >= 2", where)
     brackets: dict[Key, tuple[MultiPoly, ...]] = {}
-    entries = _expect_list(_field(doc, "brackets", where), f"{where}.brackets")
-    for t, entry in enumerate(entries):
-        here = f"{where}.brackets[{t}]"
-        item = _expect_object(entry, here)
+    for here, item in _items(doc, "brackets", where):
         key = _index_tuple(_field(item, "on", here), rank, f"{here}.on")
         if key in brackets:
             raise InputFormatError("duplicate bracket key", f"{here}.on")
         brackets[key] = _poly_list_from_json(
             _field(item, "value", here), rank, num_vars, f"{here}.value")
     anchors: dict[Key, PolyVectorField] = {}
-    entries = _expect_list(_field(doc, "anchor", where), f"{where}.anchor")
-    for t, entry in enumerate(entries):
-        here = f"{where}.anchor[{t}]"
-        item = _expect_object(entry, here)
+    for here, item in _items(doc, "anchor", where):
         key = _index_tuple(_field(item, "on", here), rank, f"{here}.on")
         if key in anchors:
             raise InputFormatError("duplicate anchor key", f"{here}.on")

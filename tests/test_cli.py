@@ -188,6 +188,40 @@ def test_package_imports_only_at_module_top():
     assert found == []
 
 
+def test_three_routes_stay_independent():
+    """The circle route, the four-sum rows and the Chevalley-Eilenberg
+    complex are each other's oracles, so none reaches another: the
+    circle-route functions name no four-sum or Chevalley function, and
+    ``coboundary_rows`` names no circle product, directly or through the
+    ``cochains`` helpers they call."""
+    package = pathlib.Path(nlie.__file__).parent
+    chevalley = {"chevalley"} | {
+        node.name for node in ast.parse((package / "chevalley.py")
+                                        .read_text()).body
+        if isinstance(node, ast.FunctionDef)}
+    funcs = {node.name: node for node in ast.parse((package / "cochains.py")
+                                                   .read_text()).body
+             if isinstance(node, ast.FunctionDef)}
+
+    def names(root):
+        seen, todo = set(), [root]
+        while todo:
+            for node in ast.walk(funcs[todo.pop()]):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) \
+                        and name not in seen:
+                    seen.add(name)
+                    if name in funcs:
+                        todo.append(name)
+        return seen
+
+    four_sum = {"coboundary_rows", "coboundary_explicit"}
+    for root in ("circle", "gla_bracket", "differential",
+                 "wedge_differential"):
+        assert names(root) & (four_sum | chevalley) == set(), root
+    assert names("coboundary_rows") & {"circle", "gla_bracket"} == set()
+
+
 def test_dimension_error_is_input_error(capsys, tmp_path):
     doc = algebra_to_json(sl2())
     doc["brackets"][0]["on"] = [1, 9]
@@ -656,6 +690,17 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
             "deformations.nijenhuis_bracket"} <= names
     rank = next(c for name, _, c in first if name == "linalg.rank_nullspace")
     assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
+    # one circle product per ordered pair: full mode on an order-2 path
+    # checks powers 1..4, 2 + 3 + 2 + 1 = 8 pairs, with no graded bracket
+    _, out, _ = run(capsys, "nijenhuis", eps, diag, "--generate-path")
+    path = write(tmp_path, "path.json", json.loads(out))
+    argv = ["deform", "check", path, "--mode", "full"]
+    first = counters(*argv)
+    assert first == counters(*argv)
+    spans = {name: (calls, c) for name, calls, c in first}
+    assert "cochains.gla_bracket" not in spans
+    calls, circle = spans["cochains.circle"]
+    assert calls == 8 and set(circle) == {"operands", "terms", "nonzero"}
 
 
 def test_trace_one_fi_check_per_verb(capsys, eps, sl2_file):

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (rand_bracket, rand_cochain, rand_matrix,
-                     rand_sparse_vector, rand_valid_algebra, simple_4lie)
+from helpers import (_ref_circle_raw, rand_bracket, rand_cochain,
+                     rand_matrix, rand_sparse_vector, rand_valid_algebra,
+                     simple_4lie)
 from nlie.algebra import (ad_map, basis_wedge, check_fundamental_identity,
                           make_wedge)
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
-from nlie.cochains import (Cochain, _circle_point, basis_cochains, circle,
-                           cochain_add, cochain_dim, cochain_is_zero,
+from nlie.cochains import (Cochain, basis_cochains, circle, cochain_add,
+                           cochain_dim, cochain_is_zero,
                            cochain_scale, cochain_zero,
                            coboundary_explicit, differential, eval_keys_z,
                            evaluate, from_bracket, from_matrix, gla_bracket,
@@ -19,7 +20,7 @@ from nlie.cochains import (Cochain, _circle_point, basis_cochains, circle,
                            maurer_cartan_defect, shuffles, space_keys,
                            to_algebra, to_matrix)
 from nlie.errors import DimensionMismatch, InvalidStructure
-from nlie.linalg import Matrix, basis_vec, densify, vec_zero
+from nlie.linalg import Matrix, basis_vec, vec_zero
 
 F = Fraction
 
@@ -321,13 +322,12 @@ def test_circle_closes_on_final_wedge():
         d1 = rand_cochain(rng, n, m, p, density=0.7)
         d2 = rand_cochain(rng, n, m, q, density=0.7)
         comp = circle(d1, d2)
-        point = _circle_point(d1, d2)
         for blocks, last in space_keys(m, n, p + q):
             stored = comp.entries.get((blocks, last), vec_zero(m))
             for t in range(n):
                 alt_block = last[:t] + last[t + 1:]
                 sign = -1 if (n - 1 - t) % 2 else 1
-                raw = densify(point(blocks + (alt_block,), last[t]), m)
+                raw = _ref_circle_raw(d1, d2, blocks + (alt_block,), last[t])
                 assert raw == tuple(sign * c for c in stored)
 
 
