@@ -284,7 +284,19 @@ def _lift(abd: PolyFilippovAlgebroid) -> PolyFilippovAlgebroid:
 
 
 def _generic(fam: Sequence[MultiPoly]) -> MultiPoly:
-    """The generic weight g = sum_k t^k fam[k] over the lifted variables."""
+    """The generic weight g = sum_k t^k fam[k] over the lifted variables.
+
+    Linearity lemma.  A Leibniz defect is Q-linear in the polynomial f
+    that weights its one weighted slot: f enters each term of the closed
+    Leibniz form and of the tensorial anchor once, as a factor or under
+    vector fields.  On the lift (``_lift``) no anchor field
+    differentiates t, so bracket and anchor are R[t]-linear, and the
+    defect at g is sum_k t^k defect(fam[k]), where defect(fam[k]) has no
+    t.  Its t^k coefficient is exactly the defect at fam[k], so one
+    evaluation per frame decides the whole family, and the first failing
+    weight is fam[k] for the smallest t-exponent k among the terms of the
+    lifted defect (``_weight_index``).
+    """
     terms = {}
     for k, f in enumerate(fam):
         terms.update(_pad(f, k).terms)
@@ -305,55 +317,6 @@ def _leibniz_weight(op: Callable[[PolySection], PolySection], g: MultiPoly,
     defect = section_sub(op(section_scale(g, gen)), section_add(
         section_scale(g, op(gen)), section_scale(action, gen)))
     return _weight_index(defect.comps)
-
-
-def _fi_defect(abd: PolyFilippovAlgebroid,
-               xs: Sequence[PolySection],
-               ys: Sequence[PolySection]) -> PolySection:
-    inner = section_bracket(abd, ys)
-    lhs = section_bracket(abd, list(xs) + [inner])
-    rhs = section_zero(abd.num_vars, abd.rank)
-    for i in range(abd.arity):
-        sub = section_bracket(abd, list(xs) + [ys[i]])
-        rhs = section_add(rhs, section_bracket(
-            abd, list(ys[:i]) + [sub] + list(ys[i + 1:])))
-    return section_sub(lhs, rhs)
-
-
-def _anchor_defect(abd: PolyFilippovAlgebroid,
-                   xs: Sequence[PolySection],
-                   ys: Sequence[PolySection]) -> PolyVectorField:
-    lhs = vf_bracket(anchor_eval(abd, xs), anchor_eval(abd, ys))
-    rhs = vf_zero(abd.num_vars)
-    for i in range(abd.arity - 1):
-        w = section_bracket(abd, list(xs) + [ys[i]])
-        rhs = rhs + anchor_eval(abd, list(ys[:i]) + [w] + list(ys[i + 1:]))
-    return lhs - rhs
-
-
-def _weighted(gens: Sequence[PolySection], nx: int, ny: int, g: MultiPoly):
-    """Frames of nx + ny consecutive generators (cyclically, from shift 0
-    or 1) with one slot weighted by g: yields (slot, shift, xs, ys)."""
-    r = len(gens)
-    for slot in range(nx + ny):
-        for c in range(min(2, r)):
-            frame = [gens[(c + t) % r] for t in range(nx + ny)]
-            frame[slot] = section_scale(g, frame[slot])
-            yield slot, c, frame[:nx], frame[nx:]
-
-
-def _first_weighted(frames, defect) -> Optional[tuple[int, int, int]]:
-    """(slot, k, shift) of the first failing frame in the order slot, then
-    weight index k, then shift; None when every frame holds.  ``defect``
-    maps a frame to the polynomials of its lifted defect."""
-    best = None
-    for slot, shift, xs, ys in frames:
-        if best is not None and slot != best[0]:
-            break
-        k = _weight_index(defect(xs, ys))
-        if k is not None and (best is None or k < best[1]):
-            best = (slot, k, shift)
-    return best
 
 
 def _generator_lookups(abd: PolyFilippovAlgebroid):
@@ -388,21 +351,26 @@ def _add_last_slot(B, A, w: Key, sup, sign: int,
             out[j] = out[j] + q if sign == 1 else out[j] - q
 
 
-def _fi_generator_holds(B, A, out: list[MultiPoly], x: Key, y: Key) -> bool:
-    """Whether the FI defect on generators x, y vanishes; ``out`` is a
-    zero section to accumulate it in."""
+# The defect of each phase on a frame (x, y) returns None where the frame
+# holds, or the witness fields of its first failing weight.
+_UNWEIGHTED = {"f": None}
+
+
+def _fi_generator(B, A, out: list[MultiPoly], x: Key,
+                  y: Key) -> Optional[dict]:
+    """F(x; y) on generators; ``out`` is a zero section to accumulate it
+    in."""
     n = len(y)
     _add_last_slot(B, A, x, B(y), 1, out)
     for i in range(n):
         _add_last_slot(B, A, y[:i] + y[i + 1:], B(x + (y[i],)),
                        -1 if (n - i) % 2 else 1, out)
-    return not any(out)
+    return _UNWEIGHTED if any(out) else None
 
 
-def _anchor_generator_holds(B, A, out: PolyVectorField, x: Key,
-                            y: Key) -> bool:
-    """Whether the anchor defect on generators x, y vanishes; ``out`` is
-    the zero field."""
+def _anchor_generator(B, A, out: PolyVectorField, x: Key,
+                      y: Key) -> Optional[dict]:
+    """A(x; y') on generators; ``out`` is the zero field."""
     fx, fy = A(x), A(y)
     if fx is not None and fy is not None:
         out = vf_bracket(fx, fy)
@@ -411,50 +379,170 @@ def _anchor_generator_holds(B, A, out: PolyVectorField, x: Key,
             field = A(y[:i] + (k,) + y[i + 1:])
             if field is not None:
                 out = out - field.scale(q)
-    return out.is_zero
+    return None if out.is_zero else _UNWEIGHTED
 
 
-def _first_failing(sp, filled: Callable[[], int], pairs,
-                   holds: Callable[[Key, Key], bool],
-                   ) -> Optional[tuple[Key, Key]]:
-    """First pair (x, y) of generator tuples on which ``holds`` fails, or
-    None; counts on ``sp`` the pairs evaluated and the lookup memo entries
-    filled."""
-    start, frames, bad = filled(), 0, None
-    for x, y in pairs:
-        frames += 1
-        if not holds(x, y):
-            bad = (x, y)
+def _coordinate(x: Key, u: int, m: int) -> dict:
+    """Witness fields of the weight x_u on the last slot of x."""
+    return {"slot": len(x) - 1, "f": str(poly_var(m, u))}
+
+
+def _anchor_weighted(A, m: int, x: Key, y: Key) -> Optional[dict]:
+    """E(x_u) = -A(y')[u] A(x) + sum_i A(x' + (y_i,))[u] A(y' with y_i ->
+    b) on the frame x = x' + (b,), y' = y, for u = 0, 1, ..; a frame on
+    which every term has a vanishing anchor factor holds at once."""
+    xp, b, fx = x[:-1], x[-1], A(x)
+    terms = [(A(y), fx and -fx)] + [
+        (A(xp + (yi,)), A(y[:i] + (b,) + y[i + 1:]))
+        for i, yi in enumerate(y)]
+    terms = [(c, v) for c, v in terms if c is not None and v is not None]
+    for u in range(m if terms else 0):
+        out = vf_zero(m)
+        for c, v in terms:
+            out = out + v.scale(c.components[u])
+        if not out.is_zero:
+            return _coordinate(x, u, m)
+    return None
+
+
+def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
+    """D(x_u) on the frame x = x' + (b,), y, for u = 0, 1, ..:
+
+        - sum_{(k,q) in B(y)} q A(x' + (k,))[u] e_b
+        - sum_i s_i A(y^i)[u] B(x + (y_i,))
+        + sum_i A(x' + (y_i,))[u] B(y with y_i -> b)
+        + sum_i s_i A(y^i)(A(x' + (y_i,))[u]) e_b,
+
+    where s_i = (-1)^(n-1-i) with slots counted from 0; a frame on which
+    every term has a vanishing anchor factor holds at once."""
+    xp, b = x[:-1], x[-1]
+    n = len(y)
+    flat = []    # (c, s, support): the term s c[u] support
+    nested = []  # (v, w, s): the term s v(w[u]) e_b
+    for k, q in B(y):
+        field = A(xp + (k,))
+        if field is not None:
+            flat.append((field, -1, [(b, q)]))
+    for i, yi in enumerate(y):
+        s = -1 if (n - 1 - i) % 2 else 1
+        outer, inner = A(y[:i] + y[i + 1:]), A(xp + (yi,))
+        if outer is not None:
+            flat.append((outer, -s, B(x + (yi,))))
+        if inner is not None:
+            flat.append((inner, 1, B(y[:i] + (b,) + y[i + 1:])))
+            if outer is not None:
+                nested.append((outer, inner, s))
+    for u in range(m if flat or nested else 0):
+        out = [poly_zero(m)] * r
+        for c, s, sup in flat:
+            p = c.components[u] * s
+            for j, q in sup if p else ():
+                out[j] = out[j] + p * q
+        for v, w, s in nested:
+            out[b] = out[b] + vf_apply(v, w.components[u]) * s
+        if any(out):
+            return _coordinate(x, u, m)
+    return None
+
+
+def _weighted_frames(r: int, n: int, ny: int):
+    """Frames (x, y) of a weighted phase: x is a sorted (n-2)-tuple x'
+    followed by the weighted generator b, any of the r, and y is a sorted
+    ny-tuple."""
+    for xp in itertools.combinations(range(r), n - 2):
+        for b in range(r):
+            for y in itertools.combinations(range(r), ny):
+                yield xp + (b,), y
+
+
+def _first_failing(sp, filled: Callable[[], int], frames,
+                   defect: Callable[[Key, Key], Optional[dict]],
+                   ) -> Optional[dict]:
+    """Witness fields of the first frame (x, y) on which ``defect`` fails,
+    or None; counts on ``sp`` the frames evaluated and the lookup memo
+    entries filled."""
+    start, count, bad = filled(), 0, None
+    for x, y in frames:
+        count += 1
+        fields = defect(x, y)
+        if fields is not None:
+            bad = {"x": x, "y": y, **fields}
             break
-    sp.count(frames=frames, lookups=filled() - start)
+    sp.count(frames=count, lookups=filled() - start)
     return bad
 
 
 @traced("algebroid.check_algebroid_axioms")
-def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
-                           sections_degree: int = 0) -> CheckResult:
-    """Fundamental identity on sections, anchor compatibility (a), and the
-    anchored Leibniz rule (b).
+def check_algebroid_axioms(abd: PolyFilippovAlgebroid,
+                           max_degree: int = 2) -> CheckResult:
+    """Fundamental identity (FI) and anchor compatibility (a) on all
+    sections, decided by finitely many conditions on the bracket and
+    anchor tables, and the anchored Leibniz rule (b) as a self-check.
 
-    The identity is checked on all generator tuples and then re-checked
-    with one slot at a time carrying a polynomial from the deterministic
-    family.  Axiom (a) runs on generator wedges by default; a positive
-    sections_degree widens it to single polynomial-weighted factors.
+    Notation.  L is the bracket, a the anchor, x = (x', x_{n-1}) the n-1
+    acting sections, y = (y_1, .., y_n), y' = (y_1, .., y_{n-1}), y^i is
+    y without y_i and s_i = (-1)^(n-i), with i from 1.  The defects are
 
-    Linearity lemma.  Each defect (the FI defect, the anchor defect, the
-    Leibniz defect) is Q-linear in the polynomial f that weights its one
-    weighted slot: every term of the closed Leibniz form, of the
-    tensorial anchor and of a vector-field bracket holds exactly one factor
-    f or one derivative of f.  Lift the algebroid to one more variable t,
-    appended with exponent 0 to the bracket table and the anchor fields,
-    each of which gets a zero t-component.  Then no anchor field
-    differentiates t, so bracket, anchor and commutator are R[t]-linear,
-    and the defect at the generic weight g = sum_k t^k fam[k] is
-    sum_k t^k defect(fam[k]), where defect(fam[k]) has no t.  Its t^k
-    coefficient is exactly the defect at fam[k], so one evaluation per
-    frame decides the whole family, and the first failing weight is
-    fam[k] for the smallest t-exponent k among the terms of the lifted
-    defect.  Weighted frames are searched by slot, then k, then shift.
+        F(x; y)  = L(x, L(y)) - sum_i L(y_1, .., L(x, y_i), .., y_n),
+        A(x; y') = [a(x), a(y')] - sum_i a(y_1, .., L(x, y_i), .., y_{n-1}).
+
+    Lemma.  From the Leibniz rule L(x, f z) = f L(x, z) + a(x)(f) z, skew
+    symmetry and the tensoriality of a:
+
+    1. F(x; y', f y_n) = f F(x; y) + A(x; y')(f) y_n, and A is tensorial
+       in its y slots.
+    2. A(x', f x_{n-1}; y') = f A(x; y') + E(f), with
+       E(f) = -a(y')(f) a(x) + sum_i a(x', y_i)(f) a(y' with y_i -> x_{n-1}).
+    3. F(x', f x_{n-1}; y) = f F(x; y) + D(f), with
+       D(f) = -a(x', L(y))(f) x_{n-1} - sum_i s_i a(y^i)(f) L(x, y_i)
+              + sum_i a(x', y_i)(f) L(y with y_i -> x_{n-1})
+              + sum_i s_i a(y^i)(a(x', y_i)(f)) x_{n-1}.
+    4. The cross term of F between f on x_{n-1} and g on y_n is
+       E(f)(g) y_n.
+    5. For n >= 3 the cross term of F between g on x_{n-2} and f on
+       x_{n-1} is Q_{x'}(g, f) x_{n-1} - Q_{(x'', x_{n-1})}(f, g) x_{n-2},
+       with Q_{x'}(g, f) = sum_i s_i a(y^i)(g) a(x', y_i)(f) and
+       x' = (x'', x_{n-2}).
+    6. There are no other terms: each bracket differentiates one of its
+       slots at most once, F nests two brackets, and two y weights meet
+       only in A, which is tensorial; A has no cross terms at all.
+
+    Every term is a product of derivatives of single weights.  So on
+    sections written as sums of weighted generators, F is the sum over
+    sets S of at most two weighted slots of the weights off S times the
+    term of S, and setting the weights off S to 1 isolates that term.
+    With skew symmetry moving a weighted x slot last, FI holds on all
+    sections exactly when F, A, E, D and the cross terms vanish on
+    generator frames, and (a) exactly when A and E do.  Three of these
+    conditions follow from the others:
+
+    - E is a derivation in f, so E = 0 once E(x_u) = 0 for every
+      coordinate x_u.  So is D once its second-order part is gone.
+    - If E = 0 on every frame and n >= 3, then Q_{x'} = 0.  E = 0 on the
+      frame (x', y_j; y^j), applied to g, reads
+
+          a(y^j)(f) a(x', y_j)(g)
+              = -s_j sum_{i != j} s_i a(y^i)(g) a(x', y_i)(f),
+
+      since y^j with y_i -> y_j is y^i up to the sign -s_i s_j.  Multiply
+      by s_j and sum over j: Q(f, g) = -(n-1) Q(g, f).  Swapping f and g
+      gives Q(g, f) = (n-1)^2 Q(g, f), and (n-1)^2 != 1.  So the cross
+      term 5 vanishes.
+    - The second-order part of D is sum_{u,v} Q_{x'}(x_v, x_u) d_v d_u.
+      It vanishes for n >= 3 by the last point.  For n = 2, x' is empty
+      and Q(g, f) = -Q(f, g), so the symmetric sum vanishes.  (For n = 2,
+      E vanishes identically too.)
+
+    So FI and (a) hold on all sections exactly when F and A vanish on
+    sorted generator tuples (phases ``fi`` and ``anchor``), then E(x_u)
+    (``anchor_weighted``), then D(x_u) (``fi_weighted``), on every frame
+    x = x' + (b,) with x' sorted, b any generator, repeats included, y
+    sorted and u any variable.  The phases run in that order, so D is
+    checked where E = 0 holds.  Every term of A, E and D has an anchor
+    factor, so a frame whose anchors vanish holds, and with no anchor only
+    the FI generator phase runs.  The first failing frame, in the order
+    of x, then y, then u, is reported with x, y and, on weighted frames,
+    the weighted slot of x and f = x_u.
 
     Generator phases by lookup.  On generators the bracket is the table:
     with B(idx) the signed support of the bracket table and A(idx) the
@@ -470,75 +558,60 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid, max_degree: int = 2,
         (a): [A(x), A(y)] - sum_i sum_{(k,q) in B(x + (y_i,))}
                  q A(y with k in slot i),
 
-    with y^i the tuple y without y_i and slots counted from 0.
-
-    They equal the section route term by term: the bracket with the
-    section [x, y_i] in slot i is, by skew symmetry, (-1)^(n-1-i) times
-    the bracket with it moved past the n-1-i slots after it into the
-    last, and ``_leibniz`` gives that sign to both the table term and the
-    anchor term; the tensorial anchor of a wedge with one section in slot
-    i is the sum over its support.  So no section is built and neither
-    ``section_bracket`` nor ``anchor_eval`` is called there.
+    with slots counted from 0.  They equal the section route term by
+    term: the bracket with the section [x, y_i] in slot i is, by skew
+    symmetry, (-1)^(n-1-i) times the bracket with it moved past the n-1-i
+    slots after it into the last, and ``_leibniz`` gives that sign to both
+    the table term and the anchor term; the tensorial anchor of a wedge
+    with one section in slot i is the sum over its support.  E and D read
+    the same lookups, so no phase builds a section.
 
     Axiom (b) holds by construction of ``_leibniz``, which is the closed
-    Leibniz form; it stays as a check of that evaluator.
+    Leibniz form; it stays as a check of that evaluator, on the weights
+    of ``poly_family(m, max_degree)`` (see ``_generic``).
     """
     n, r, m = abd.arity, abd.rank, abd.num_vars
     B, A, filled = _generator_lookups(abd)
     wedges = list(itertools.combinations(range(r), n - 1))
-
-    with span("algebroid.axioms.fi") as sp:
-        bad = _first_failing(
-            sp, filled, itertools.product(
-                wedges, itertools.combinations(range(r), n)),
-            lambda x, y: _fi_generator_holds(B, A, [poly_zero(m)] * r, x, y))
-    if bad is not None:
-        return CheckResult(False, {"axiom": "fundamental identity",
-                                   "x": bad[0], "y": bad[1], "f": None})
+    phases = [("fi", "fundamental identity",
+               itertools.product(wedges, itertools.combinations(range(r), n)),
+               lambda x, y: _fi_generator(B, A, [poly_zero(m)] * r, x, y))]
+    if abd.anchor_table:
+        phases += [
+            ("anchor", "anchor compatibility",
+             itertools.product(wedges, wedges),
+             lambda x, y: _anchor_generator(B, A, vf_zero(m), x, y)),
+            ("anchor_weighted", "anchor compatibility",
+             _weighted_frames(r, n, n - 1),
+             lambda x, y: _anchor_weighted(A, m, x, y)),
+            ("fi_weighted", "fundamental identity",
+             _weighted_frames(r, n, n),
+             lambda x, y: _fi_weighted(B, A, m, r, x, y))]
+    for name, axiom, frames, defect in phases:
+        with span(f"algebroid.axioms.{name}") as sp:
+            bad = _first_failing(sp, filled, frames, defect)
+        if bad is not None:
+            return CheckResult(False, {"axiom": axiom, **bad})
 
     lift = _lift(abd)
     tgens = [generator_section(m + 1, r, j) for j in range(r)]
     fam = [f for f in poly_family(m, max_degree) if f.terms]
     g = _generic(fam)
-    with span("algebroid.axioms.fi_weighted"):
-        bad = _first_weighted(_weighted(tgens, n - 1, n, g),
-                              lambda xs, ys: _fi_defect(lift, xs, ys).comps)
-    if bad is not None:
-        slot, k, shift = bad
-        return CheckResult(False, {"axiom": "fundamental identity",
-                                   "slot": slot, "f": str(fam[k]),
-                                   "shift": shift})
-
-    with span("algebroid.axioms.anchor") as sp:
-        bad = _first_failing(
-            sp, filled, itertools.product(wedges, wedges),
-            lambda x, y: _anchor_generator_holds(B, A, vf_zero(m), x, y))
-    if bad is not None:
-        return CheckResult(False, {"axiom": "anchor compatibility",
-                                   "x": bad[0], "y": bad[1], "f": None})
-    if sections_degree > 0:
-        wide = [f for f in poly_family(m, sections_degree) if f.terms]
-        with span("algebroid.axioms.anchor_weighted"):
-            bad = _first_weighted(
-                _weighted(tgens, n - 1, n - 1, _generic(wide)),
-                lambda xs, ys: _anchor_defect(lift, xs, ys).components)
-        if bad is not None:
-            slot, k, shift = bad
-            return CheckResult(False, {"axiom": "anchor compatibility",
-                                       "slot": slot, "f": str(wide[k]),
-                                       "shift": shift})
-
-    with span("algebroid.axioms.leibniz"):
+    with span("algebroid.axioms.leibniz") as sp:
+        count = 0
         for xk in wedges:
             xs = [tgens[i] for i in xk]
             action = vf_apply(anchor_on_generators(lift, xk), g)
             for j in range(r):
+                count += 1
                 k = _leibniz_weight(lambda s: section_bracket(lift, xs + [s]),
                                     g, action, tgens[j])
                 if k is not None:
+                    sp.count(frames=count)
                     return CheckResult(False, {"axiom": "leibniz rule",
                                                "x": xk, "z": j,
                                                "f": str(fam[k])})
+        sp.count(frames=count)
     return CheckResult(True, None)
 
 
@@ -814,7 +887,7 @@ def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
     rule with the symbol produced by the symbol-bracket formula.
 
     The defect is linear in the weight, so it is evaluated once per frame
-    on the generic weight, as in ``check_algebroid_axioms``."""
+    on the generic weight (see ``_generic``)."""
     _check_pair(d1, d2)
     if (abd.num_vars, abd.rank, abd.arity) != (d1.num_vars, d1.rank,
                                                d1.arity):
@@ -881,7 +954,7 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
     The actual symbol action is read off as the Leibniz defect of the
     deformed bracket on a polynomial-weighted generator; that defect is
     linear in the weight, so it is evaluated once per frame on the generic
-    weight, as in ``check_algebroid_axioms``, with the bundle map's entries
+    weight (see ``_generic``), with the bundle map's entries
     lifted like the bracket.
     """
     res = check_poly_nijenhuis(abd, nmap)

@@ -15,6 +15,8 @@ piped straight into the next command.
 
 ``--threads`` is accepted for interface compatibility; all computations
 run single-threaded, which is what keeps the outputs byte-stable.
+``algebroid check --sections-degree`` is accepted for compatibility too:
+the check decides the axioms on all sections (``check_algebroid_axioms``).
 ``--trace`` writes spans and work counters to stderr as JSON lines
 (``nlie.trace``); stdout and the exit code stay the same.
 """
@@ -198,8 +200,7 @@ def run_obstruction(args, report: Report) -> None:
 
 def run_algebroid_check(args, report: Report) -> None:
     abd = _load(report, args.algebroid, algebroid_from_json)
-    res = check_algebroid_axioms(abd, max_degree=args.max_degree,
-                                 sections_degree=args.sections_degree)
+    res = check_algebroid_axioms(abd, max_degree=args.max_degree)
     _verdict(report, "algebroid axioms", res.holds, res.witness)
 
 
@@ -343,8 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb(asub, "check", run_algebroid_check, "algebroid axioms")
     p.add_argument("algebroid")
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--sections-degree", type=int, default=0)
+    p.add_argument("--max-degree", type=int, default=2,
+                   help="degree of the weights of the Leibniz self-check")
+    p.add_argument("--sections-degree", type=int, default=argparse.SUPPRESS,
+                   help="accepted for compatibility; the axioms are decided "
+                        "on all sections")
 
     p = verb(asub, "example-fc", run_algebroid_fc,
              "scaled tangent-model algebroid over an algebra")

@@ -55,7 +55,7 @@ from .algebra import (Key, NLieAlgebra, WedgeElement, basis_lookup,
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
                      multilinear, support, vec_add, vec_is_zero, vec_scale,
-                     vec_zero)
+                     vec_sub, vec_zero)
 from .trace import span, traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
@@ -165,16 +165,22 @@ def cochain_is_zero(d: Cochain) -> bool:
     return not d.entries
 
 
-def cochain_add(a: Cochain, b: Cochain) -> Cochain:
+def _combine(a: Cochain, b: Cochain, op) -> Cochain:
+    """Entry by entry op(a, b), with op a vector sum or difference."""
     _compatible(a, b, same_degree=True)
     entries = dict(a.entries)
+    zero = vec_zero(a.dim)
     for k, v in b.entries.items():
-        acc = vec_add(entries.get(k, vec_zero(a.dim)), v)
+        acc = op(entries.get(k, zero), v)
         if vec_is_zero(acc):
             entries.pop(k, None)
         else:
             entries[k] = acc
     return Cochain(a.arity, a.dim, a.degree, entries)
+
+
+def cochain_add(a: Cochain, b: Cochain) -> Cochain:
+    return _combine(a, b, vec_add)
 
 
 def cochain_scale(c: Fraction | int, d: Cochain) -> Cochain:
@@ -186,7 +192,7 @@ def cochain_scale(c: Fraction | int, d: Cochain) -> Cochain:
 
 
 def cochain_sub(a: Cochain, b: Cochain) -> Cochain:
-    return cochain_add(a, cochain_scale(-1, b))
+    return _combine(a, b, vec_sub)
 
 
 def _compatible(a: Cochain, b: Cochain, same_degree: bool = False) -> None:

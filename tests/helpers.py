@@ -179,13 +179,14 @@ def gauss_rank(m: Matrix) -> int:
 
 
 # ------------------------------------------------------------------
-# Per-weight reference for the algebroid checks: the loops that evaluate
-# every frame once for each polynomial of ``poly_family``, kept as the
-# oracle for the generic-weight evaluation in ``nlie.algebroid``.  Kernels
-# are looked up on the module at call time, so a test that monkeypatches
-# one patches the reference too.
+# Per-weight references for the algebroid checks: loops that push every
+# frame through ``section_bracket`` and ``anchor_eval``, once for each
+# weight, kept as the oracle for the table lookups and the generic-weight
+# evaluation in ``nlie.algebroid``.  Kernels are looked up on the module
+# at call time, so a test that monkeypatches one patches the reference too.
 
-def _ref_fi_defect(abd, xs, ys):
+def ref_fi_defect(abd, xs, ys):
+    """F(xs; ys) on sections."""
     import nlie.algebroid as A
 
     inner = A.section_bracket(abd, ys)
@@ -198,22 +199,38 @@ def _ref_fi_defect(abd, xs, ys):
     return A.section_sub(lhs, rhs)
 
 
-def _ref_weighted(gens, nx, ny, fam):
+def ref_anchor_defect(abd, xs, ys):
+    """A(xs; ys) on sections."""
     import nlie.algebroid as A
 
-    r = len(gens)
-    for slot in range(nx + ny):
-        for f in fam:
-            for c in range(min(2, r)):
-                frame = [gens[(c + t) % r] for t in range(nx + ny)]
-                frame[slot] = A.section_scale(f, frame[slot])
-                yield frame[:nx], frame[nx:], {"slot": slot, "f": str(f),
-                                               "shift": c}
+    lhs = A.vf_bracket(A.anchor_eval(abd, xs), A.anchor_eval(abd, ys))
+    rhs = A.vf_zero(abd.num_vars)
+    for i in range(abd.arity - 1):
+        w = A.section_bracket(abd, list(xs) + [ys[i]])
+        rhs = rhs + A.anchor_eval(abd, list(ys[:i]) + [w] + list(ys[i + 1:]))
+    return lhs - rhs
 
 
-def ref_check_algebroid_axioms(abd, max_degree=2, sections_degree=0):
-    """``check_algebroid_axioms`` with one evaluation per frame and
-    weight."""
+def weighted_frame(abd, x, weights):
+    """Generator sections of the tuple x, with slot s scaled by f for each
+    (s, f) in ``weights``."""
+    import nlie.algebroid as A
+
+    secs = [A.generator_section(abd.num_vars, abd.rank, j) for j in x]
+    for s, f in weights:
+        secs[s] = A.section_scale(f, secs[s])
+    return secs
+
+
+def ref_check_algebroid_axioms(abd, max_degree=2, implied=True):
+    """``check_algebroid_axioms`` by the conditions of its lemma, each
+    evaluated on generator sections: F and A on sorted tuples, and E(f)
+    and D(f) for f = x_u.  With ``implied``, also D(f) for f = x_u x_v
+    and, for n >= 3, the cross term of two x slots at (x_u, x_v): the
+    conditions that the lemma shows to follow from the others, so that
+    parity with the package tests that proof too.  Every term of E, D and
+    the cross term has an anchor factor (``test_lemma_identities``), so
+    with no anchor only F, A and the Leibniz rule are evaluated."""
     import itertools
 
     import nlie.algebroid as A
@@ -221,42 +238,61 @@ def ref_check_algebroid_axioms(abd, max_degree=2, sections_degree=0):
 
     n, r, m = abd.arity, abd.rank, abd.num_vars
     gens = [A.generator_section(m, r, j) for j in range(r)]
-    for xk in itertools.combinations(range(r), n - 1):
-        for yk in itertools.combinations(range(r), n):
-            defect = _ref_fi_defect(abd, [gens[j] for j in xk],
-                                    [gens[j] for j in yk])
-            if not defect.is_zero:
-                return CheckResult(False, {"axiom": "fundamental identity",
-                                           "x": xk, "y": yk, "f": None})
+    coords = [A.poly_var(m, u) for u in range(m)]
+    quads = [coords[u] * coords[v] for u in range(m) for v in range(u, m)
+             if implied]
+
+    def polys(defect):
+        return getattr(defect, "comps", None) or defect.components
+
+    def fails(axiom, x, y, **fields):
+        return CheckResult(False, {"axiom": axiom, "x": x, "y": y, **fields})
+
+    phases = [("fundamental identity", ref_fi_defect, n, coords + quads),
+              ("anchor compatibility", ref_anchor_defect, n - 1, coords)]
+    for axiom, defect, ny, _ in phases:
+        for x, y in itertools.product(itertools.combinations(range(r), n - 1),
+                                      itertools.combinations(range(r), ny)):
+            if any(polys(defect(abd, weighted_frame(abd, x, ()),
+                                weighted_frame(abd, y, ())))):
+                return fails(axiom, x, y, f=None)
+    for axiom, defect, ny, weights in reversed(
+            phases if abd.anchor_table else []):
+        for xp, b, y in itertools.product(
+                itertools.combinations(range(r), n - 2), range(r),
+                itertools.combinations(range(r), ny)):
+            x, ys = xp + (b,), weighted_frame(abd, y, ())
+            base = polys(defect(abd, weighted_frame(abd, x, ()), ys))
+            for f in weights:
+                weighted = polys(defect(
+                    abd, weighted_frame(abd, x, [(n - 2, f)]), ys))
+                if any(p - f * q for p, q in zip(weighted, base)):
+                    return fails(axiom, x, y, slot=n - 2, f=str(f))
+    # the cross term is skew under swapping the two weighted slots with
+    # their weights, so x_{n-2} <= x_{n-1} covers every frame
+    cross = itertools.product(
+        itertools.combinations(range(r), n - 3),
+        itertools.combinations_with_replacement(range(r), 2),
+        itertools.combinations(range(r), n)) \
+        if implied and n >= 3 and abd.anchor_table else ()
+    for xpp, pair, y in cross:
+        x, ys = xpp + pair, weighted_frame(abd, y, ())
+
+        def fi(*weights):
+            return polys(ref_fi_defect(abd, weighted_frame(abd, x, weights),
+                                       ys))
+
+        neither = fi()
+        for (g, only_g), (f, only_f) in itertools.product(
+                [(g, fi((n - 3, g))) for g in coords],
+                [(f, fi((n - 2, f))) for f in coords]):
+            both = fi((n - 3, g), (n - 2, f))
+            if any(pb - f * pg - g * pf + g * f * p0 for pb, pg, pf, p0
+                   in zip(both, only_g, only_f, neither)):
+                return fails("fundamental identity", x, y,
+                             slot=(n - 3, n - 2), f=(str(g), str(f)))
+
     fam = [f for f in A.poly_family(m, max_degree) if f.terms]
-    for xs, ys, tag in _ref_weighted(gens, n - 1, n, fam):
-        if not _ref_fi_defect(abd, xs, ys).is_zero:
-            return CheckResult(False, {"axiom": "fundamental identity",
-                                       **tag})
-
-    def axiom_a(xsec, ysec, tag):
-        lhs = A.vf_bracket(A.anchor_eval(abd, xsec), A.anchor_eval(abd, ysec))
-        rhs = A.vf_zero(m)
-        for i in range(n - 1):
-            w = A.section_bracket(abd, list(xsec) + [ysec[i]])
-            rhs = rhs + A.anchor_eval(
-                abd, list(ysec[:i]) + [w] + list(ysec[i + 1:]))
-        if (lhs - rhs).is_zero:
-            return None
-        return CheckResult(False, {"axiom": "anchor compatibility", **tag})
-
-    for xk in itertools.combinations(range(r), n - 1):
-        for yk in itertools.combinations(range(r), n - 1):
-            bad = axiom_a([gens[j] for j in xk], [gens[j] for j in yk],
-                          {"x": xk, "y": yk, "f": None})
-            if bad is not None:
-                return bad
-    if sections_degree > 0:
-        wide = [f for f in A.poly_family(m, sections_degree) if f.terms]
-        for xs, ys, tag in _ref_weighted(gens, n - 1, n - 1, wide):
-            bad = axiom_a(xs, ys, tag)
-            if bad is not None:
-                return bad
     for xk in itertools.combinations(range(r), n - 1):
         field = A.anchor_on_generators(abd, xk)
         for j in range(r):
@@ -375,6 +411,35 @@ def rand_poly_algebroid(rng: random.Random, m: int, r: int, n: int):
         for w in itertools.combinations(range(r), n - 1):
             if rng.random() < 0.4:
                 anchor[w] = rand_field(rng, m)
+    return make_poly_algebroid(m, r, n, table, anchor)
+
+
+def rand_sparse_algebroid(rng: random.Random, m: int, r: int, n: int):
+    """Random algebroid on R^m of rank r and arity n with at most two
+    bracket entries, each one generator times a small constant or a
+    random polynomial of degree at most 1, and one or two anchor fields
+    with constant or degree-1 components; it often passes the generator
+    phases, so that the weighted phases decide it."""
+    import itertools
+
+    from nlie.algebroid import make_poly_algebroid
+    from nlie.poly import PolyVectorField, poly_const, poly_zero
+
+    def coeff(choices):
+        return rand_low_poly(rng, m) if rng.random() < 0.3 \
+            else poly_const(m, rng.choice(choices))
+
+    table, anchor = {}, {}
+    keys = list(itertools.combinations(range(r), n))
+    for key in rng.sample(keys, rng.randint(0, min(2, len(keys)))):
+        comps = [poly_zero(m)] * r
+        comps[rng.randrange(r)] = coeff([1, -1, 2])
+        table[key] = tuple(comps)
+    wedges = list(itertools.combinations(range(r), n - 1))
+    for w in rng.sample(wedges, rng.randint(1, min(2, len(wedges)))):
+        anchor[w] = PolyVectorField(m, tuple(
+            coeff([1, -1]) if rng.random() < 0.6 else poly_zero(m)
+            for _ in range(m)))
     return make_poly_algebroid(m, r, n, table, anchor)
 
 

@@ -250,8 +250,7 @@ def test_axioms_structure_constant_models():
 def test_axioms_topform_model():
     top = example_tangent_topform(3, 2)
     assert check_algebroid_axioms(top, max_degree=2).holds
-    assert check_algebroid_axioms(top, max_degree=2,
-                                  sections_degree=2).holds
+    assert check_algebroid_axioms(top, max_degree=3).holds
 
 
 def test_axioms_point_base_reduction():

@@ -1,17 +1,19 @@
-"""The generic-weight evaluation of the algebroid checks, and their
-generator phases read off the bracket and anchor tables, against the
-per-weight reference loops in ``helpers``, which push generator sections
-through ``section_bracket`` and ``anchor_eval``.
+"""The table conditions of the algebroid axiom check and the generic-weight
+evaluation of the symbol checks, against the per-weight reference loops in
+``helpers``, which push generator sections through ``section_bracket``
+and ``anchor_eval``.
 
 Parity: equal ``CheckResult``s (verdict and witness) on seeded random
-algebroids, multiderivations and bundle maps.  Planted defects: one input
-per witness kind, each of which must fail with the reference's witness,
-and the action algebroids of sl(2) and of the Levi-Civita bracket.
-The Leibniz rule (b) and the two symbol checks hold by construction of the
-evaluator, so their defects are planted by monkeypatching a kernel of
-``nlie.algebroid`` to drop the terms of degree 2 and up in the base
-variables; the reference looks its kernels up on the module, so it sees
-the same patch.
+algebroids, multiderivations and bundle maps.  The lemma of
+``check_algebroid_axioms``: its identities on random dense tables, and a
+witness of every failing kind replays with a nonzero defect.  Planted
+defects: one input per witness kind, each of which must fail with the
+reference's witness, and the action algebroids of sl(2) and of the
+Levi-Civita bracket.  The Leibniz rule (b) and the two symbol checks hold
+by construction of the evaluator, so their defects are planted by
+monkeypatching a kernel of ``nlie.algebroid`` to drop the terms of degree
+2 and up in the base variables; the reference looks its kernels up on the
+module, so it sees the same patch.
 """
 
 import itertools
@@ -21,23 +23,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (rand_bundle_map, rand_multiderivation,
-                     rand_poly_algebroid, ref_check_algebroid_axioms,
-                     ref_check_symbol_leibniz, ref_nijenhuis_symbol_check)
+from helpers import (rand_bundle_map, rand_multiderivation, rand_poly,
+                     rand_poly_algebroid, rand_sparse_algebroid,
+                     ref_anchor_defect, ref_check_algebroid_axioms,
+                     ref_check_symbol_leibniz, ref_fi_defect,
+                     ref_nijenhuis_symbol_check, weighted_frame)
 
 import nlie.algebroid as A
-from nlie.algebroid import (PolySection, bracket_derivation,
+from nlie.algebroid import (PolySection, anchor_eval, bracket_derivation,
                             check_algebroid_axioms, check_symbol_leibniz,
                             example_tangent_topform, make_bundle_map,
                             make_poly_algebroid, make_poly_multiderivation,
-                            nijenhuis_symbol_check)
+                            nijenhuis_symbol_check, section_add,
+                            section_bracket, section_scale, section_sub)
 from nlie.algebra import bracket_on_basis
 from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
 from nlie.poly import (MultiPoly, PolyVectorField, poly_const,
-                       poly_from_terms, poly_var, poly_zero, vf_coordinate)
-
-AXIOM_DEGREES = [(0, 0), (1, 0), (2, 2), (3, 1)]
+                       poly_from_terms, poly_var, poly_zero, vf_apply,
+                       vf_coordinate)
 
 
 def _shape(rng):
@@ -53,37 +57,78 @@ def _outcome(check, *args):
         return ("invalid", str(exc), exc.witness)
 
 
-@pytest.mark.parametrize("max_degree,sections_degree", AXIOM_DEGREES)
-def test_axioms_match_reference_random(max_degree, sections_degree):
-    kinds = set()
-    for seed in range(30):
+def _kind(res):
+    """(axiom, weighted) of a failing check, None when it holds."""
+    return None if res.holds else (res.witness["axiom"],
+                                   "slot" in res.witness)
+
+
+def _planted_fi_weighted(n):
+    """[e_0, .., e_{n-1}] = e_0 with a(e_1, .., e_{n-2}, e_n) = d/dx0 over
+    R^1: the identity and (a) hold on generators and (a) on every weighted
+    frame, but D(x0) does not."""
+    comps = [poly_zero(1)] * (n + 1)
+    comps[0] = poly_const(1, 1)
+    return make_poly_algebroid(1, n + 1, n, {tuple(range(n)): tuple(comps)},
+                               {tuple(range(1, n - 1)) + (n,):
+                                vf_coordinate(1, 0)})
+
+
+def _planted_anchor_weighted_sections():
+    """Zero bracket of arity 3 on rank 3 over R^2, with the constant fields
+    a(e0, e2) = d/dx0 and a(e1, e2) = d/dx0 - d/dx1."""
+    return make_poly_algebroid(
+        2, 3, 3, {}, {(0, 2): vf_coordinate(2, 0),
+                      (1, 2): vf_coordinate(2, 0) - vf_coordinate(2, 1)})
+
+
+# every failing kind of each arity; with n = 2 the weighted conditions
+# follow from the generator ones, so they cannot fail first
+KINDS = {2: {("fundamental identity", False),
+             ("anchor compatibility", False)}}
+KINDS[3] = KINDS[4] = KINDS[2] | {("fundamental identity", True),
+                                  ("anchor compatibility", True)}
+
+
+def _sparse(n, seeds):
+    """Seeded sparse algebroids of arity n: rank n or n + 1, base
+    dimension 1 or 2."""
+    for seed in seeds:
         rng = random.Random(seed)
-        abd = rand_poly_algebroid(rng, *_shape(rng))
-        res = check_algebroid_axioms(abd, max_degree, sections_degree)
-        assert res == ref_check_algebroid_axioms(abd, max_degree,
-                                                 sections_degree), seed
-        kinds.add(None if res.holds else
-                  (res.witness["axiom"], "slot" in res.witness))
-    assert None in kinds
-    assert ("fundamental identity", False) in kinds
-    if max_degree > 0:
-        assert ("fundamental identity", True) in kinds
+        m, r = rng.randint(1, 2), n + rng.randint(0, 1)
+        yield seed, rand_sparse_algebroid(rng, m, r, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_axioms_match_reference_random(n):
+    # the implied conditions of the reference cost most at n = 4, so they
+    # run at n = 2 and 3; the planted inputs complete the failing kinds
+    seeds, implied = {2: (40, True), 3: (30, True), 4: (12, False)}[n]
+    planted = {3: [_planted_fi_weighted(3),
+                   _planted_anchor_weighted_sections()],
+               4: [_planted_fi_weighted(4)]}
+    kinds = Counter()
+    for seed, abd in itertools.chain(
+            _sparse(n, range(seeds)),
+            enumerate(planted.get(n, []), start=seeds)):
+        res = check_algebroid_axioms(abd, 1)
+        assert res == ref_check_algebroid_axioms(abd, 1, implied), seed
+        kinds[_kind(res)] += 1
+    assert set(kinds) == KINDS[n] | {None}, kinds
 
 
 def test_generator_phases_match_reference_random():
-    # degrees (0, 0) leave only the generator phases able to fail; the
-    # reference evaluates them through section_bracket and anchor_eval
+    # rand_poly_algebroid fails mostly on generators; the reference
+    # evaluates every phase through section_bracket and anchor_eval
     kinds = Counter()
     for seed in range(200):
         rng = random.Random(seed)
         abd = rand_poly_algebroid(rng, *_shape(rng))
-        res = check_algebroid_axioms(abd, 0, 0)
-        assert res == ref_check_algebroid_axioms(abd, 0, 0), seed
-        if not res.holds:
-            assert set(res.witness) == {"axiom", "x", "y", "f"}
-            kinds[res.witness["axiom"]] += 1
-    assert kinds["fundamental identity"] >= 10
-    assert kinds["anchor compatibility"] >= 10
+        res = check_algebroid_axioms(abd, 0)
+        assert res == ref_check_algebroid_axioms(abd, 0, implied=False), seed
+        kinds[_kind(res)] += 1
+    assert kinds[("fundamental identity", False)] >= 10
+    assert kinds[("anchor compatibility", False)] >= 10
 
 
 def test_symbol_leibniz_matches_reference_random():
@@ -111,6 +156,174 @@ def test_nijenhuis_symbol_matches_reference_random():
                                max_degree), seed
         raised += isinstance(res, tuple)
     assert 0 < raised < 30
+
+
+# ------------------------------------------------------------ the lemma
+
+def _dense(rng, m, r, n):
+    """Every bracket entry and anchor component a random polynomial of
+    degree at most 1."""
+    def polys(k):
+        return tuple(rand_poly(rng, m, 1, 2) for _ in range(k))
+
+    keys = itertools.combinations(range(r), n)
+    wedges = itertools.combinations(range(r), n - 1)
+    return make_poly_algebroid(m, r, n, {key: polys(r) for key in keys},
+                               {w: PolyVectorField(m, polys(m))
+                                for w in wedges})
+
+
+def _gens(abd, idx):
+    return weighted_frame(abd, idx, ())
+
+
+def _a(abd, idx):
+    return anchor_eval(abd, _gens(abd, idx))
+
+
+def _bracket(abd, idx):
+    return section_bracket(abd, _gens(abd, idx))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lemma_identities(n):
+    # identities 1-6 of the check_algebroid_axioms docstring on random
+    # generator frames of dense random tables (x' and y in any order, the
+    # weighted generator b possibly in x'), with the weights random
+    # polynomials of degree up to 2
+    for seed in range(4):
+        rng = random.Random(seed)
+        m, r = 2, n
+        abd = _dense(rng, m, r, n)
+        f, g = rand_poly(rng, m, 2, 3), rand_poly(rng, m, 2, 3)
+        xp = tuple(rng.sample(range(r), n - 2))
+        y = tuple(rng.sample(range(r), n))
+        b = rng.randrange(r)
+        x, yp = xp + (b,), y[:-1]
+        e_b, e_yn = _gens(abd, (b, y[-1]))
+        s = [(-1) ** (n - 1 - i) for i in range(n)]
+
+        def fi(x_weights, y_weights=()):
+            return ref_fi_defect(abd, weighted_frame(abd, x, x_weights),
+                                 weighted_frame(abd, y, y_weights))
+
+        def anchor(x_weights, y_weights=()):
+            return ref_anchor_defect(abd, weighted_frame(abd, x, x_weights),
+                                     weighted_frame(abd, yp, y_weights))
+
+        def E(f):
+            out = -_a(abd, x).scale(vf_apply(_a(abd, yp), f))
+            for i, yi in enumerate(yp):
+                out = out + _a(abd, yp[:i] + (b,) + yp[i + 1:]).scale(
+                    vf_apply(_a(abd, xp + (yi,)), f))
+            return out
+
+        def D(f):
+            inner = anchor_eval(abd, _gens(abd, xp) + [_bracket(abd, y)])
+            out = section_scale(-vf_apply(inner, f), e_b)
+            for i, yi in enumerate(y):
+                outer, acting = _a(abd, y[:i] + y[i + 1:]), \
+                    _a(abd, xp + (yi,))
+                out = section_sub(out, section_scale(
+                    vf_apply(outer, f) * s[i], _bracket(abd, x + (yi,))))
+                out = section_add(out, section_scale(
+                    vf_apply(acting, f),
+                    _bracket(abd, y[:i] + (b,) + y[i + 1:])))
+                out = section_add(out, section_scale(
+                    vf_apply(outer, vf_apply(acting, f)) * s[i], e_b))
+            return out
+
+        def Q(w, g, f):
+            return sum((vf_apply(_a(abd, y[:i] + y[i + 1:]), g)
+                        * vf_apply(_a(abd, w + (yi,)), f) * s[i]
+                        for i, yi in enumerate(y)), poly_zero(m))
+
+        def cross(one, two):
+            """The part of F with both weights differentiated; ``one`` and
+            ``two`` are ((x weights, y weights), weight) pairs."""
+            (p, h), (q, k) = one, two
+            both = fi(*[sum(ws, []) for ws in zip(p, q)])
+            return section_add(
+                section_sub(both, section_add(section_scale(k, fi(*p)),
+                                              section_scale(h, fi(*q)))),
+                section_scale(h * k, plain_fi))
+
+        plain_fi, plain_anchor = fi([]), anchor([])
+        # 1. a weight on y_n; A is tensorial in its y slots
+        assert fi([], [(n - 1, f)]) == section_add(
+            section_scale(f, plain_fi),
+            section_scale(vf_apply(plain_anchor, f), e_yn))
+        assert anchor([], [(n - 2, f)]) == plain_anchor.scale(f)
+        # 2. and 3. a weight on x_{n-1}
+        assert anchor([(n - 2, f)]) == plain_anchor.scale(f) + E(f)
+        assert fi([(n - 2, f)]) == section_add(section_scale(f, plain_fi),
+                                               D(f))
+        # 4. f on x_{n-1} and g on y_n
+        assert cross((([(n - 2, f)], []), f), (([], [(n - 1, g)]), g)) == \
+            section_scale(vf_apply(E(f), g), e_yn)
+        # 5. g on x_{n-2} and f on x_{n-1}
+        e_a = _gens(abd, (x[-2],))[0]
+        assert cross((([(n - 3, g)], []), g), (([(n - 2, f)], []), f)) == \
+            section_sub(section_scale(Q(xp, g, f), e_b),
+                        section_scale(Q(xp[:-1] + (b,), f, g), e_a))
+        # 6. two y weights, and two x weights in A, have no cross term
+        assert cross((([], [(0, g)]), g),
+                     (([], [(n - 1, f)]), f)).is_zero
+        assert (anchor([(n - 3, g), (n - 2, f)])
+                - anchor([(n - 3, g)]).scale(f)
+                - anchor([(n - 2, f)]).scale(g)
+                + plain_anchor.scale(g * f)).is_zero
+
+
+def _replay(abd, witness):
+    """The defect of the witness's axiom on its frame: the generators x
+    and y, with f on x's weighted slot."""
+    f = witness["f"]
+    weights = [] if f is None else [
+        (witness["slot"], poly_var(abd.num_vars, int(f[1:])))]
+    defect = ref_fi_defect if witness["axiom"] == "fundamental identity" \
+        else ref_anchor_defect
+    return defect(abd, weighted_frame(abd, witness["x"], weights),
+                  _gens(abd, witness["y"]))
+
+
+def test_witnesses_replay():
+    # the generator defects vanish on sorted tuples before a weighted
+    # phase runs, so each witness's raw defect is its condition: nonzero
+    kinds = set()
+    for n in (2, 3, 4):
+        for seed, abd in _sparse(n, range(40)):
+            res = check_algebroid_axioms(abd)
+            if not res.holds:
+                assert not _replay(abd, res.witness).is_zero, (n, seed)
+                kinds.add(_kind(res))
+    assert kinds == KINDS[3]
+
+
+def test_holds_on_random_sections():
+    # "holds" is a statement about all sections: on arity-3 algebroids that
+    # pass, both defects vanish on random sections whose components are
+    # random polynomials on two generators each
+    held = 0
+    for seed, abd in _sparse(3, range(40)):
+        if not check_algebroid_axioms(abd, 0).holds:
+            continue
+        held += 1
+        rng = random.Random(seed)
+        m, r = abd.num_vars, abd.rank
+
+        def section():
+            comps = [poly_zero(m)] * r
+            for j in rng.sample(range(r), 2):
+                comps[j] = rand_poly(rng, m, 2, 2)
+            return PolySection(m, r, tuple(comps))
+
+        for _ in range(3):
+            xs, ys = [section() for _ in range(2)], [section()
+                                                     for _ in range(3)]
+            assert ref_fi_defect(abd, xs, ys).is_zero, seed
+            assert ref_anchor_defect(abd, xs, ys[:2]).is_zero, seed
+    assert held >= 10
 
 
 # ------------------------------------------------------ planted defects
@@ -155,15 +368,27 @@ def test_planted_fi_on_generators():
 
 
 def test_planted_fi_weighted():
-    # [e0, e1] = x0 e0 with a(e0) = d/dx0: the identity holds on
-    # generators and fails once a slot carries the weight x0
+    for n in (3, 4):
+        abd = _planted_fi_weighted(n)
+        _fails_like_reference(check_algebroid_axioms(abd),
+                              ref_check_algebroid_axioms(abd),
+                              {"axiom": "fundamental identity",
+                               "x": tuple(range(n - 1)),
+                               "y": tuple(range(1, n + 1)), "slot": n - 2,
+                               "f": "x0"})
+
+
+def test_arity_two_weighted_identity_is_the_anchor_axiom():
+    # [e0, e1] = x0 e0 with a(e0) = d/dx0: with n = 2, D(f) is
+    # A(y_1; y_2)(f) x_1, so the identity fails on weighted frames because
+    # (a) fails on the generators
     abd = make_poly_algebroid(1, 2, 2,
                               {(0, 1): (poly_var(1, 0), poly_const(1, 0))},
                               {(0,): vf_coordinate(1, 0)})
     _fails_like_reference(check_algebroid_axioms(abd),
                           ref_check_algebroid_axioms(abd),
-                          {"axiom": "fundamental identity", "slot": 0,
-                           "f": "x0", "shift": 0})
+                          {"axiom": "anchor compatibility", "x": (0,),
+                           "y": (1,), "f": None})
 
 
 def test_planted_anchor_on_generators():
@@ -177,9 +402,8 @@ def test_planted_anchor_on_generators():
 
 
 def test_planted_anchor_weighted():
-    # zero bracket, commuting anchor fields: (a) holds on generator
-    # wedges and the identity on every weighted frame, but (a) fails once
-    # a wedge factor carries the weight x0
+    # zero bracket, commuting anchor fields: (a) and the identity hold on
+    # generators, but (a) fails once the last x slot carries the weight x0
     x2 = poly_var(3, 2)
     anchor = {(0, 1): PolyVectorField(3, (poly_zero(3), x2 * 3,
                                           poly_zero(3))),
@@ -187,11 +411,25 @@ def test_planted_anchor_weighted():
                                           poly_const(3, F(-3, 2)),
                                           poly_zero(3)))}
     abd = make_poly_algebroid(3, 3, 3, {}, anchor)
-    assert check_algebroid_axioms(abd, 2, 0).holds
-    _fails_like_reference(check_algebroid_axioms(abd, 2, 2),
-                          ref_check_algebroid_axioms(abd, 2, 2),
-                          {"axiom": "anchor compatibility", "slot": 0,
-                           "f": "x0", "shift": 1})
+    _fails_like_reference(check_algebroid_axioms(abd),
+                          ref_check_algebroid_axioms(abd),
+                          {"axiom": "anchor compatibility", "x": (0, 1),
+                           "y": (1, 2), "slot": 1, "f": "x0"})
+
+
+def test_planted_anchor_weighted_sections():
+    # every generator condition holds, and A(e0, x0 e2; e1, e2) = -d/dx1
+    abd = _planted_anchor_weighted_sections()
+    witness = {"axiom": "anchor compatibility", "x": (0, 2), "y": (1, 2),
+               "slot": 1, "f": "x0"}
+    _fails_like_reference(check_algebroid_axioms(abd),
+                          ref_check_algebroid_axioms(abd), witness)
+    assert _replay(abd, witness) == -vf_coordinate(2, 1)
+    x0, x1 = poly_var(2, 0), poly_var(2, 1)
+    e0, e1, e2 = _gens(abd, (0, 1, 2))
+    assert ref_fi_defect(abd, [e0, section_scale(x0, e2)],
+                         [e1, e2, section_scale(x1, e0)]) == \
+        section_scale(poly_const(2, -1), e0)
 
 
 def _action_algebroid(alg):
@@ -215,8 +453,8 @@ def test_sl2_action_algebroid_holds():
     # -ad is a Lie algebra map into the linear vector fields, so the
     # action algebroid is a Lie algebroid
     abd = _action_algebroid(sl2())
-    assert check_algebroid_axioms(abd, 2, 2).holds
-    assert ref_check_algebroid_axioms(abd, 2, 2).holds
+    assert check_algebroid_axioms(abd).holds
+    assert ref_check_algebroid_axioms(abd).holds
 
 
 def test_planted_anchor_rescaled_action_algebroid():
@@ -233,14 +471,14 @@ def test_planted_anchor_rescaled_action_algebroid():
 
 
 def test_levi_civita_action_algebroid():
-    # the identity and axiom (a) hold on generators, and the identity
-    # fails once a slot carries the weight x0
+    # the identity and axiom (a) hold on generators, and (a) fails once
+    # the weight x1 sits on a repeated generator: E(x1) on the frame
+    # x = (e0, e0), y' = (e1, e2)
     abd = _action_algebroid(levi_civita_bracket())
-    assert check_algebroid_axioms(abd, 0).holds
     _fails_like_reference(check_algebroid_axioms(abd),
                           ref_check_algebroid_axioms(abd),
-                          {"axiom": "fundamental identity", "slot": 0,
-                           "f": "x0", "shift": 1})
+                          {"axiom": "anchor compatibility", "x": (0, 0),
+                           "y": (1, 2), "slot": 1, "f": "x1"})
 
 
 def test_planted_leibniz_rule(monkeypatch):

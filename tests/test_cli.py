@@ -12,7 +12,9 @@ import pytest
 import nlie
 from nlie import cli
 from nlie.algebra import make_algebra
-from nlie.algebroid import example_tangent_topform, make_poly_algebroid
+from nlie.algebroid import (anchor_eval, example_tangent_topform,
+                            generator_section, make_poly_algebroid,
+                            section_bracket, section_scale)
 from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
                           zero_algebra)
 from nlie.cli import main
@@ -23,7 +25,8 @@ from nlie.io import (algebra_to_json, algebroid_to_json, cochain_from_json,
                      emap_to_json, matrix_to_json, path_from_json,
                      path_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import PolyVectorField, poly_const, poly_var, vf_coordinate
+from nlie.poly import (PolyVectorField, poly_const, poly_var, vf_bracket,
+                       vf_coordinate, vf_zero)
 
 F = Fraction
 
@@ -417,6 +420,35 @@ def test_algebroid_check_detects_violation(capsys, tmp_path):
     assert "witness:" in out
 
 
+def test_algebroid_check_decides_sections(capsys, tmp_path):
+    # zero bracket, a(e0, e2) = d/dx0, a(e1, e2) = d/dx0 - d/dx1: every
+    # generator condition holds, and (a) fails on the sections e0, x0 e2;
+    # e1, e2, which the witness names and the library replays
+    abd = make_poly_algebroid(
+        2, 3, 3, {}, {(0, 2): vf_coordinate(2, 0),
+                      (1, 2): vf_coordinate(2, 0) - vf_coordinate(2, 1)})
+    target = write(tmp_path, "sections.json", algebroid_to_json(abd))
+    outs = []
+    for extra in ([], ["--sections-degree", "2"],
+                  ["--max-degree", "3", "--sections-degree", "3"]):
+        code, out, _ = run(capsys, "--format", "json", "algebroid", "check",
+                           target, *extra)
+        assert code == 1
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    witness = json.loads(outs[0])["witness"]
+    assert witness == {"axiom": "anchor compatibility", "x": [0, 2],
+                       "y": [1, 2], "slot": 1, "f": "x0"}
+    xs = [generator_section(2, 3, j) for j in witness["x"]]
+    xs[witness["slot"]] = section_scale(poly_var(2, 0), xs[witness["slot"]])
+    ys = [generator_section(2, 3, j) for j in witness["y"]]
+    lhs = vf_bracket(anchor_eval(abd, xs), anchor_eval(abd, ys))
+    rhs = sum((anchor_eval(abd, ys[:i] + [section_bracket(abd, xs + [yi])]
+                           + ys[i + 1:]) for i, yi in enumerate(ys)),
+              vf_zero(2))
+    assert lhs - rhs == -vf_coordinate(2, 1)
+
+
 def test_reduce_lie(capsys, sl2_file, eps):
     code, out, _ = run(capsys, "reduce-lie", sl2_file)
     assert code == 0
@@ -524,7 +556,7 @@ GOLDEN_STDOUT = {
     "algebroid-check-anchor-json":
         "ad66bdd24c05f64686626b46e6476d617916ed2967b914b2e351453aa59675c1",
     "algebroid-check-weighted-fi-json":
-        "e452cf15ade61ab433502ce66b68b68442a463e02ecd7aa9c1a240a7f8f8d4a9",
+        "6c3092bc27dcecb0f9f1dc4981e9269d9f49552071c1c4fe6c8ec8645035a802",
     "example-topform":
         "d08871a6699dfb275fa7032d70851c57c6dcf8a8b376123ebcee97d9ec1da6e2",
     "check-fails":
@@ -569,12 +601,11 @@ def _golden_argv(tmp_path, eps, sl2_file, name):
         make_poly_algebroid(1, 2, 2, {},
                             {(0,): vf_coordinate(1, 0),
                              (1,): PolyVectorField(1, (poly_var(1, 0),))})))
-    # [e1, e2] = x0 e1 with a(e1) = d/dx0: the identity fails only once a
-    # slot carries a polynomial weight
+    # [e0, e1, e2] = e0 with a(e1, e3) = d/dx0: the identity fails only
+    # once a slot carries a polynomial weight
     weighted = write(tmp_path, "weighted.json", algebroid_to_json(
-        make_poly_algebroid(1, 2, 2,
-                            {(0, 1): (poly_var(1, 0), poly_const(1, 0))},
-                            {(0,): vf_coordinate(1, 0)})))
+        make_poly_algebroid(1, 4, 3, {(0, 1, 2): (poly_const(1, 1),) + (
+            poly_const(1, 0),) * 3}, {(1, 3): vf_coordinate(1, 0)})))
     broken = write(tmp_path, "broken.json",
                    algebra_to_json(broken_ternary_bracket()))
     # the zero bracket on Q^3 with one quadratic term: truncated holds,
@@ -757,9 +788,9 @@ def test_each_input_read_once(capsys, eps, monkeypatch):
 
 
 def test_trace_algebroid_generator_phases(capsys, tmp_path):
-    # the generator phases read the bracket and anchor tables: of the
-    # parent's 1,076 section brackets and 560 anchor evaluations, the
-    # 800 and 500 that pushed generator sections through them are gone
+    # every axiom phase reads the bracket and anchor tables; only the
+    # Leibniz self-check pushes sections through section_bracket, two per
+    # frame, and nothing calls anchor_eval
     top = write(tmp_path, "top.json",
                 algebroid_to_json(example_tangent_topform(5, 3)))
     argv = ["--trace", "algebroid", "check", top, "--max-degree", "2",
@@ -769,13 +800,16 @@ def test_trace_algebroid_generator_phases(capsys, tmp_path):
     assert run(capsys, *argv[1:])[1] == out
     summary = {line["summary"]: line for line in _trace_lines(err)
                if "summary" in line}
-    assert summary["algebroid.section_bracket"]["calls"] == 276
-    assert summary["algebroid.anchor_eval"]["calls"] == 60
-    phases = {name: summary[name]["counters"]
-              for name in ("algebroid.axioms.fi", "algebroid.axioms.anchor")}
-    assert phases == {"algebroid.axioms.fi": {"frames": 50, "lookups": 60},
-                      "algebroid.axioms.anchor": {"frames": 100,
-                                                  "lookups": 0}}
+    assert summary["algebroid.section_bracket"]["calls"] == 100
+    assert "algebroid.anchor_eval" not in summary
+    phases = {name: line["counters"] for name, line in summary.items()
+              if name.startswith("algebroid.axioms.")}
+    assert phases == {
+        "algebroid.axioms.fi": {"frames": 50, "lookups": 60},
+        "algebroid.axioms.anchor": {"frames": 100, "lookups": 0},
+        "algebroid.axioms.anchor_weighted": {"frames": 500, "lookups": 66},
+        "algebroid.axioms.fi_weighted": {"frames": 250, "lookups": 99},
+        "algebroid.axioms.leibniz": {"frames": 50}}
     _, _, again = run(capsys, *argv)
     assert [(line["summary"], line["counters"])
             for line in _trace_lines(again) if "summary" in line] == \
