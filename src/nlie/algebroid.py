@@ -242,24 +242,17 @@ def section_bracket(abd: PolyFilippovAlgebroid,
                     abd.rank, sections)
 
 
-def poly_family(num_vars: int, max_degree: int) -> list[MultiPoly]:
-    """Fixed reproducible test functions: 1, the variables, pairwise
-    products, and one cubic."""
-    fam = [poly_const(num_vars, 1)]
-    if max_degree >= 1:
-        fam += [poly_var(num_vars, v) for v in range(num_vars)]
-    if max_degree >= 2:
-        fam += [poly_var(num_vars, v) * poly_var(num_vars, w)
-                for v in range(num_vars) for w in range(v, num_vars)]
-    if max_degree >= 3 and num_vars >= 1:
-        x0 = poly_var(num_vars, 0)
-        fam.append(x0 * x0 * x0)
-    return fam
+def poly_family(num_vars: int) -> list[MultiPoly]:
+    """The weights that decide a Leibniz-type check (see ``_generic``):
+    1, the variables x_u, and the products x_u x_v with u <= v."""
+    xs = [poly_var(num_vars, v) for v in range(num_vars)]
+    return [poly_const(num_vars, 1)] + xs + [
+        xs[v] * xs[w] for v in range(num_vars) for w in range(v, num_vars)]
 
 
-def _pad(p: MultiPoly, k: int = 0) -> MultiPoly:
-    """t^k p over one more variable t, appended after the others."""
-    return MultiPoly(p.num_vars + 1, {e + (k,): c for e, c in p.terms.items()})
+def _pad(p: MultiPoly) -> MultiPoly:
+    """p over one more variable t, appended after the others."""
+    return MultiPoly(p.num_vars + 1, {e + (0,): c for e, c in p.terms.items()})
 
 
 def _pad_field(v: PolyVectorField) -> PolyVectorField:
@@ -283,8 +276,9 @@ def _lift(abd: PolyFilippovAlgebroid) -> PolyFilippovAlgebroid:
                                               abd.anchor_table))
 
 
-def _generic(fam: Sequence[MultiPoly]) -> MultiPoly:
-    """The generic weight g = sum_k t^k fam[k] over the lifted variables.
+def _generic(m: int) -> tuple[list[MultiPoly], MultiPoly]:
+    """fam = ``poly_family(m)`` and the generic weight g = sum_k t^k fam[k]
+    over the lifted variables.
 
     Linearity lemma.  A Leibniz defect is Q-linear in the polynomial f
     that weights its one weighted slot: f enters each term of the closed
@@ -296,11 +290,21 @@ def _generic(fam: Sequence[MultiPoly]) -> MultiPoly:
     evaluation per frame decides the whole family, and the first failing
     weight is fam[k] for the smallest t-exponent k among the terms of the
     lifted defect (``_weight_index``).
+
+    Order lemma.  On a frame (X, z) each Leibniz defect
+    P(f) = Op(X, f z) - f Op(X, z) - sigma(X)(f) z is a differential
+    operator of order at most 2 in f: a ``_leibniz`` evaluation
+    differentiates a slot's weight at most once, anchor, symbols and
+    bundle maps are tensorial, and only the composition term of
+    ``md_circle_eval`` nests two evaluations.  So P(f) = c f +
+    sum_u a_u d_u f + sum_{u<=v} b_uv d_u d_v f, with P(1) = c,
+    P(x_u) = c x_u + a_u, and P(x_u x_v) adding b_uv (2 b_uu if u = v) to
+    the lower terms: P vanishes on all polynomials exactly when it
+    vanishes on fam, and a check that holds on fam holds for all weights.
     """
-    terms = {}
-    for k, f in enumerate(fam):
-        terms.update(_pad(f, k).terms)
-    return MultiPoly(fam[0].num_vars + 1, terms)
+    fam = poly_family(m)
+    return fam, MultiPoly(m + 1, {e + (k,): c for k, f in enumerate(fam)
+                                  for e, c in f.terms.items()})
 
 
 def _weight_index(polys: Sequence[MultiPoly]) -> Optional[int]:
@@ -473,8 +477,7 @@ def _first_failing(sp, filled: Callable[[], int], frames,
 
 
 @traced("algebroid.check_algebroid_axioms")
-def check_algebroid_axioms(abd: PolyFilippovAlgebroid,
-                           max_degree: int = 2) -> CheckResult:
+def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
     """Fundamental identity (FI) and anchor compatibility (a) on all
     sections, decided by finitely many conditions on the bracket and
     anchor tables, and the anchored Leibniz rule (b) as a self-check.
@@ -568,7 +571,7 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid,
 
     Axiom (b) holds by construction of ``_leibniz``, which is the closed
     Leibniz form; it stays as a check of that evaluator, on the weights
-    of ``poly_family(m, max_degree)`` (see ``_generic``).
+    of ``poly_family``, which decide it (see ``_generic``).
     """
     n, r, m = abd.arity, abd.rank, abd.num_vars
     B, A, filled = _generator_lookups(abd)
@@ -595,8 +598,7 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid,
 
     lift = _lift(abd)
     tgens = [generator_section(m + 1, r, j) for j in range(r)]
-    fam = [f for f in poly_family(m, max_degree) if f.terms]
-    g = _generic(fam)
+    fam, g = _generic(m)
     with span("algebroid.axioms.leibniz") as sp:
         count = 0
         for xk in wedges:
@@ -882,7 +884,7 @@ def _lift_md(d: PolyMultiderivation) -> PolyMultiderivation:
 @traced("algebroid.check_symbol_leibniz")
 def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
                          d1: PolyMultiderivation, d2: PolyMultiderivation,
-                         max_degree: int = 2) -> CheckResult:
+                         ) -> CheckResult:
     """Verify that the bracket of two multiderivations obeys the Leibniz
     rule with the symbol produced by the symbol-bracket formula.
 
@@ -893,8 +895,7 @@ def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
                                                d1.arity):
         raise DimensionMismatch("operands do not match the algebroid")
     n, m, r = d1.arity, d1.num_vars, d1.rank
-    fam = poly_family(m, max_degree)
-    g = _generic(fam)
+    fam, g = _generic(m)
     t1, t2 = _lift_md(d1), _lift_md(d2)
     symbols = symbol_bracket(t1, t2)
     wedges = list(itertools.combinations(range(r), n - 1))
@@ -946,8 +947,7 @@ def check_poly_nijenhuis(abd: PolyFilippovAlgebroid,
 
 
 def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
-                           nmap: PolyLinearBundleMap,
-                           max_degree: int = 2) -> CheckResult:
+                           nmap: PolyLinearBundleMap) -> CheckResult:
     """The symbol of the k-th deformed bracket must be the anchor with the
     operator inserted into k wedge slots, for every k.
 
@@ -962,8 +962,7 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
         raise InvalidStructure("bundle map fails the Nijenhuis condition",
                                witness=res.witness)
     n, r, m = abd.arity, abd.rank, abd.num_vars
-    fam = poly_family(m, max_degree)
-    g = _generic(fam)
+    fam, g = _generic(m)
     lift = _lift(abd)
     tmap = PolyLinearBundleMap(m + 1, r, tuple(tuple(_pad(p) for p in row)
                                                for row in nmap.entries))

@@ -15,8 +15,9 @@ piped straight into the next command.
 
 ``--threads`` is accepted for interface compatibility; all computations
 run single-threaded, which is what keeps the outputs byte-stable.
-``algebroid check --sections-degree`` is accepted for compatibility too:
-the check decides the axioms on all sections (``check_algebroid_axioms``).
+``algebroid check --sections-degree`` and ``--max-degree`` are accepted
+for compatibility too: the check decides the axioms on all sections, and
+the Leibniz rule on all weights (``check_algebroid_axioms``).
 ``--trace`` writes spans and work counters to stderr as JSON lines
 (``nlie.trace``); stdout and the exit code stay the same.
 """
@@ -200,7 +201,7 @@ def run_obstruction(args, report: Report) -> None:
 
 def run_algebroid_check(args, report: Report) -> None:
     abd = _load(report, args.algebroid, algebroid_from_json)
-    res = check_algebroid_axioms(abd, max_degree=args.max_degree)
+    res = check_algebroid_axioms(abd)
     _verdict(report, "algebroid axioms", res.holds, res.witness)
 
 
@@ -344,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verb(asub, "check", run_algebroid_check, "algebroid axioms")
     p.add_argument("algebroid")
-    p.add_argument("--max-degree", type=int, default=2,
-                   help="degree of the weights of the Leibniz self-check")
+    p.add_argument("--max-degree", type=int, default=argparse.SUPPRESS,
+                   help="accepted for compatibility; the Leibniz rule is "
+                        "decided on a fixed family of weights")
     p.add_argument("--sections-degree", type=int, default=argparse.SUPPRESS,
                    help="accepted for compatibility; the axioms are decided "
                         "on all sections")

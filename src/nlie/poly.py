@@ -8,6 +8,9 @@ Terms are stored sparsely as a map from exponent vectors (one entry per
 variable) to nonzero coefficients.  Exponent vectors compare
 lexicographically, which fixes the canonical term order used when
 serializing.
+
+Only ``poly_from_terms``, where raw terms enter, validates them; the
+arithmetic builds canonical terms from canonical operands unchecked.
 """
 
 from __future__ import annotations
@@ -25,19 +28,13 @@ Exponents = tuple[int, ...]
 class MultiPoly:
     """Sparse polynomial with rational coefficients.
 
-    ``terms`` never stores zero coefficients; build instances through the
-    module constructors or arithmetic so this stays true.
+    ``terms`` holds exponent vectors of ``num_vars`` ints >= 0 and no zero
+    coefficient.  Nothing here checks that: build raw terms through
+    ``poly_from_terms``, everything else by the constructors or arithmetic.
     """
 
     num_vars: int
     terms: dict[Exponents, Fraction]
-
-    def __post_init__(self):
-        for exps, c in self.terms.items():
-            if len(exps) != self.num_vars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r}")
-            if c == 0:
-                raise ValueError("zero coefficient stored in canonical form")
 
     @property
     def is_zero(self) -> bool:
@@ -72,12 +69,8 @@ class MultiPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(exps, _F0) + ca * cb
-                if acc == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = acc
-        return MultiPoly(self.num_vars, terms)
+                terms[exps] = terms.get(exps, _F0) + ca * cb
+        return _nonzero(self.num_vars, terms)
 
     def __rmul__(self, other: Fraction | int) -> MultiPoly:
         return self.scale(other)
@@ -92,18 +85,10 @@ class MultiPoly:
         """Partial derivative with respect to variable ``var`` (0-based)."""
         if not 0 <= var < self.num_vars:
             raise DimensionMismatch(f"no variable {var} in {self.num_vars} vars")
-        terms: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            k = exps[var]
-            if k == 0:
-                continue
-            lowered = exps[:var] + (k - 1,) + exps[var + 1:]
-            acc = terms.get(lowered, _F0) + c * k
-            if acc == 0:
-                terms.pop(lowered, None)
-            else:
-                terms[lowered] = acc
-        return MultiPoly(self.num_vars, terms)
+        # lowering one exponent is injective on the terms it keeps
+        return MultiPoly(self.num_vars, {
+            e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
+            for e, c in self.terms.items() if e[var]})
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         """Terms in the canonical (lexicographic exponent) order."""
@@ -125,6 +110,10 @@ class MultiPoly:
 
 
 _F0 = Fraction(0)
+
+
+def _nonzero(num_vars: int, terms: dict[Exponents, Fraction]) -> MultiPoly:
+    return MultiPoly(num_vars, {e: c for e, c in terms.items() if c})
 
 
 def _same_vars(a: MultiPoly, b: MultiPoly) -> None:
@@ -153,17 +142,16 @@ def poly_var(num_vars: int, var: int) -> MultiPoly:
 
 def poly_from_terms(num_vars: int,
                     terms: Mapping[Exponents, Fraction | int]) -> MultiPoly:
-    """Canonicalize an arbitrary exponent->coefficient mapping."""
+    """Canonicalize an arbitrary exponent->coefficient mapping; ValueError
+    on an exponent vector that is not ``num_vars`` ints >= 0."""
     out: dict[Exponents, Fraction] = {}
     for exps, c in terms.items():
-        c = Fraction(c)
         exps = tuple(exps)
-        acc = out.get(exps, _F0) + c
-        if acc == 0:
-            out.pop(exps, None)
-        else:
-            out[exps] = acc
-    return MultiPoly(num_vars, out)
+        if len(exps) != num_vars or not all(type(e) is int and e >= 0
+                                            for e in exps):
+            raise ValueError(f"bad exponent vector {exps!r}")
+        out[exps] = out.get(exps, _F0) + Fraction(c)
+    return _nonzero(num_vars, out)
 
 
 @dataclass(frozen=True)

@@ -111,21 +111,23 @@ def test_axioms_match_reference_random(n):
     for seed, abd in itertools.chain(
             _sparse(n, range(seeds)),
             enumerate(planted.get(n, []), start=seeds)):
-        res = check_algebroid_axioms(abd, 1)
-        assert res == ref_check_algebroid_axioms(abd, 1, implied), seed
+        res = check_algebroid_axioms(abd)
+        assert res == ref_check_algebroid_axioms(abd, implied), seed
         kinds[_kind(res)] += 1
     assert set(kinds) == KINDS[n] | {None}, kinds
 
 
 def test_generator_phases_match_reference_random():
     # rand_poly_algebroid fails mostly on generators; the reference
-    # evaluates every phase through section_bracket and anchor_eval
+    # evaluates every phase through section_bracket and anchor_eval, and
+    # the Leibniz rule, which holds by construction, on the weight 1 only
     kinds = Counter()
     for seed in range(200):
         rng = random.Random(seed)
         abd = rand_poly_algebroid(rng, *_shape(rng))
-        res = check_algebroid_axioms(abd, 0)
-        assert res == ref_check_algebroid_axioms(abd, 0, implied=False), seed
+        res = check_algebroid_axioms(abd)
+        assert res == ref_check_algebroid_axioms(abd, implied=False,
+                                                 degree=0), seed
         kinds[_kind(res)] += 1
     assert kinds[("fundamental identity", False)] >= 10
     assert kinds[("anchor compatibility", False)] >= 10
@@ -138,9 +140,8 @@ def test_symbol_leibniz_matches_reference_random():
         abd = rand_poly_algebroid(rng, m, r, n)
         d1 = rand_multiderivation(rng, m, r, n, rng.randint(0, 1))
         d2 = rand_multiderivation(rng, m, r, n, rng.randint(0, 1))
-        max_degree = rng.randint(0, 2)
-        assert check_symbol_leibniz(abd, d1, d2, max_degree) == \
-            ref_check_symbol_leibniz(abd, d1, d2, max_degree), seed
+        assert check_symbol_leibniz(abd, d1, d2) == \
+            ref_check_symbol_leibniz(abd, d1, d2, degree=3), seed
 
 
 def test_nijenhuis_symbol_matches_reference_random():
@@ -150,10 +151,9 @@ def test_nijenhuis_symbol_matches_reference_random():
         m, r, n = _shape(rng)
         abd = rand_poly_algebroid(rng, m, r, n)
         nmap = rand_bundle_map(rng, m, r)
-        max_degree = rng.randint(0, 2)
-        res = _outcome(nijenhuis_symbol_check, abd, nmap, max_degree)
-        assert res == _outcome(ref_nijenhuis_symbol_check, abd, nmap,
-                               max_degree), seed
+        res = _outcome(nijenhuis_symbol_check, abd, nmap)
+        # the reference on every monomial of degree <= 3
+        assert res == _outcome(ref_nijenhuis_symbol_check, abd, nmap, 3), seed
         raised += isinstance(res, tuple)
     assert 0 < raised < 30
 
@@ -306,7 +306,7 @@ def test_holds_on_random_sections():
     # random polynomials on two generators each
     held = 0
     for seed, abd in _sparse(3, range(40)):
-        if not check_algebroid_axioms(abd, 0).holds:
+        if not check_algebroid_axioms(abd).holds:
             continue
         held += 1
         rng = random.Random(seed)
@@ -395,8 +395,8 @@ def test_planted_anchor_on_generators():
     anchor = {(0,): vf_coordinate(2, 0),
               (1,): PolyVectorField(2, (poly_var(2, 0), poly_zero(2)))}
     abd = make_poly_algebroid(2, 2, 2, {}, anchor)
-    _fails_like_reference(check_algebroid_axioms(abd, 0),
-                          ref_check_algebroid_axioms(abd, 0),
+    _fails_like_reference(check_algebroid_axioms(abd),
+                          ref_check_algebroid_axioms(abd),
                           {"axiom": "anchor compatibility", "x": (0,),
                            "y": (1,), "f": None})
 
@@ -464,8 +464,8 @@ def test_planted_anchor_rescaled_action_algebroid():
     anchor = dict(abd.anchor_table)
     anchor[(0,)] = anchor[(0,)].scale(2)
     planted = make_poly_algebroid(3, 3, 2, abd.bracket_table, anchor)
-    _fails_like_reference(check_algebroid_axioms(planted, 0),
-                          ref_check_algebroid_axioms(planted, 0),
+    _fails_like_reference(check_algebroid_axioms(planted),
+                          ref_check_algebroid_axioms(planted),
                           {"axiom": "anchor compatibility", "x": (0,),
                            "y": (1,), "f": None})
 

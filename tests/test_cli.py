@@ -225,6 +225,26 @@ def test_three_routes_stay_independent():
     assert names("coboundary_rows") & {"circle", "gla_bracket"} == set()
 
 
+def test_polynomials_validated_where_they_enter():
+    """``poly_from_terms`` is the one place that checks raw terms, so
+    ``MultiPoly`` has no ``__post_init__`` and no other function of
+    ``nlie.poly`` calls ``poly_from_terms``: either would check every
+    arithmetic result again."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent / "poly.py")
+                     .read_text())
+    multipoly = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "MultiPoly")
+    assert "__post_init__" not in {node.name for node in multipoly.body
+                                   if isinstance(node, ast.FunctionDef)}
+    callers = {func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               and func.name != "poly_from_terms"
+               for node in ast.walk(func)
+               if isinstance(node, ast.Name) and node.id == "poly_from_terms"}
+    assert callers == set()
+
+
 def test_dimension_error_is_input_error(capsys, tmp_path):
     doc = algebra_to_json(sl2())
     doc["brackets"][0]["on"] = [1, 9]
@@ -429,13 +449,14 @@ def test_algebroid_check_decides_sections(capsys, tmp_path):
                       (1, 2): vf_coordinate(2, 0) - vf_coordinate(2, 1)})
     target = write(tmp_path, "sections.json", algebroid_to_json(abd))
     outs = []
-    for extra in ([], ["--sections-degree", "2"],
+    for extra in ([], ["--sections-degree", "2"], ["--max-degree", "0"],
+                  ["--max-degree", "2"],
                   ["--max-degree", "3", "--sections-degree", "3"]):
         code, out, _ = run(capsys, "--format", "json", "algebroid", "check",
                            target, *extra)
         assert code == 1
         outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs == [outs[0]] * 5
     witness = json.loads(outs[0])["witness"]
     assert witness == {"axiom": "anchor compatibility", "x": [0, 2],
                        "y": [1, 2], "slot": 1, "f": "x0"}

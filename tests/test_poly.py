@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_poly
+from helpers import rand_fraction, rand_poly
 from nlie.errors import DimensionMismatch
 from nlie.poly import (poly_const, poly_from_terms, poly_var,
                        poly_zero, vf_apply, vf_bracket, vf_coordinate,
@@ -46,6 +46,44 @@ def test_canonical_no_zero_terms():
     assert (0, 1) not in p.terms
     q = x(0) - x(0)
     assert q.is_zero and q.terms == {}
+
+
+def test_poly_from_terms_checks_exponent_vectors():
+    # raw terms are validated here and nowhere else
+    for exps in [(1,), (1, 0, 0), (), (-1, 0), (0, 1.5), (1.0, 0),
+                 ("1", 0), (True, 0)]:
+        with pytest.raises(ValueError):
+            poly_from_terms(2, {exps: 1})
+    p = poly_from_terms(2, {(1, 0): 0, (0, 1): Fraction(2, 3), (2, 2): 0})
+    assert p.terms == {(0, 1): Fraction(2, 3)}
+    assert poly_from_terms(2, {(1, 1): 0}).terms == {}
+    assert poly_from_terms(0, {(): 5}).terms == {(): 5}
+
+
+def _canonical(p, m):
+    return p.num_vars == m and all(
+        len(e) == m and all(type(k) is int and k >= 0 for k in e) and c != 0
+        for e, c in p.terms.items())
+
+
+def test_arithmetic_results_stay_canonical():
+    # the arithmetic trusts its operands, so pin the invariant that raw
+    # terms are checked for: every result, cancellations included, keeps
+    # nonzero coefficients on num_vars-long exponent vectors
+    rng = random.Random(23)
+    for _ in range(60):
+        m = rng.randint(0, 3)
+        a, c = rand_poly(rng, m, 3, 4), rand_poly(rng, m, 2, 2)
+        b = -a + c
+        v, w = (PolyVectorField(m, tuple(rand_poly(rng, m) for _ in range(m)))
+                for _ in range(2))
+        results = [a + b, a - b, a - a, b - c, a * b, (a + c) * (a - c),
+                   a.scale(rand_fraction(rng)), a * 0, vf_apply(v, a * b)]
+        results += [p.partial(u) for p in (a, a * c) for u in range(m)]
+        results += list(vf_bracket(v, w).components)
+        results += list(vf_bracket(v, v).components)
+        assert all(_canonical(p, m) for p in results)
+        assert (a + b) == c and (a - a).terms == {}
 
 
 def test_mixed_var_count_rejected():
