@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (CheckResult, Key, NLieAlgebra, basis_lookup,
                       bracket_on_basis, require_fi, sort_with_sign)
 from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
-from .poly import (MultiPoly, PolyVectorField, poly_const, poly_var,
+from .poly import (Coeff, MultiPoly, PolyVectorField, poly_const, poly_var,
                    poly_zero, vf_apply, vf_bracket, vf_zero)
 from .trace import span, traced
 
@@ -86,8 +85,8 @@ def section_add(a: PolySection, b: PolySection) -> PolySection:
                        tuple(x + y for x, y in zip(a.comps, b.comps)))
 
 
-def section_scale(f: MultiPoly | Fraction | int, s: PolySection) -> PolySection:
-    # a product costs a Fraction operation per term, even by 1 or into zero
+def section_scale(f: MultiPoly | Coeff, s: PolySection) -> PolySection:
+    # a product costs a coefficient operation per term, even by 1 or into zero
     if f == 1:
         return s
     return PolySection(s.num_vars, s.rank,
@@ -153,7 +152,7 @@ def anchor_on_generators(abd: PolyFilippovAlgebroid,
     field = abd.anchor_table.get(key)
     if field is None:
         return vf_zero(abd.num_vars)
-    return field.scale(Fraction(sign))
+    return field.scale(sign)
 
 
 def _supports(sections: Sequence[PolySection]):
@@ -307,6 +306,13 @@ def _generic(m: int) -> tuple[list[MultiPoly], MultiPoly]:
                                   for e, c in f.terms.items()})
 
 
+def _generators(m: int, r: int, g: MultiPoly,
+                ) -> tuple[list[PolySection], list[PolySection]]:
+    """The r generators over m variables, and each weighted by g."""
+    gens = [generator_section(m, r, j) for j in range(r)]
+    return gens, [section_scale(g, z) for z in gens]
+
+
 def _weight_index(polys: Sequence[MultiPoly]) -> Optional[int]:
     """Smallest t-exponent over the terms of lifted polynomials: the index
     in the family of the first weight whose defect is nonzero, or None
@@ -314,12 +320,13 @@ def _weight_index(polys: Sequence[MultiPoly]) -> Optional[int]:
     return min((e[-1] for p in polys for e in p.terms), default=None)
 
 
-def _leibniz_weight(op: Callable[[PolySection], PolySection], g: MultiPoly,
-                    action: MultiPoly, gen: PolySection) -> Optional[int]:
-    """Weight index of the first f for which op(f gen) differs from
-    f op(gen) + a(f) gen, where ``action`` is a(g); None when none does."""
-    defect = section_sub(op(section_scale(g, gen)), section_add(
-        section_scale(g, op(gen)), section_scale(action, gen)))
+def _leibniz_weight(op_gz: PolySection, op_z: PolySection, g: MultiPoly,
+                    action: MultiPoly, z: PolySection) -> Optional[int]:
+    """Weight index of the first f for which op(f z) differs from
+    f op(z) + a(f) z, given op_gz = op(g z), op_z = op(z) and
+    ``action`` = a(g); None when none does."""
+    defect = section_sub(op_gz, section_add(section_scale(g, op_z),
+                                            section_scale(action, z)))
     return _weight_index(defect.comps)
 
 
@@ -597,8 +604,8 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
             return CheckResult(False, {"axiom": axiom, **bad})
 
     lift = _lift(abd)
-    tgens = [generator_section(m + 1, r, j) for j in range(r)]
     fam, g = _generic(m)
+    tgens, gz = _generators(m + 1, r, g)
     with span("algebroid.axioms.leibniz") as sp:
         count = 0
         for xk in wedges:
@@ -606,7 +613,8 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
             action = vf_apply(anchor_on_generators(lift, xk), g)
             for j in range(r):
                 count += 1
-                k = _leibniz_weight(lambda s: section_bracket(lift, xs + [s]),
+                k = _leibniz_weight(section_bracket(lift, xs + [gz[j]]),
+                                    section_bracket(lift, xs + [tgens[j]]),
                                     g, action, tgens[j])
                 if k is not None:
                     sp.count(frames=count)
@@ -682,7 +690,7 @@ def make_bundle_map(num_vars: int, rank: int,
 
 
 def constant_bundle_map(num_vars: int, rank: int,
-                        scalars: Sequence[Sequence[Fraction | int]],
+                        scalars: Sequence[Sequence[Coeff]],
                         ) -> PolyLinearBundleMap:
     return make_bundle_map(
         num_vars, rank,
@@ -814,7 +822,7 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
                  + _gen_wedge(d1, block[s + 1:]) + [z])
         val = md_eval(d1, head, final)
         if not val.is_zero:
-            out = section_add(out, section_scale(Fraction(sign), val))
+            out = section_add(out, section_scale(sign, val))
     base_sign = -1 if (p * q) % 2 else 1
     for perm, sh_sign in shuffles(p, q):
         w = _md_apply(d2, tuple(keys[i] for i in perm[p:]), z)
@@ -822,8 +830,7 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
             continue
         val = _md_apply(d1, tuple(keys[i] for i in perm[:p]), w)
         if not val.is_zero:
-            out = section_add(out, section_scale(
-                Fraction(base_sign * sh_sign), val))
+            out = section_add(out, section_scale(base_sign * sh_sign, val))
     return out
 
 
@@ -832,7 +839,7 @@ def md_bracket_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
     p, q = d1.degree, d2.degree
     sign = -1 if (p * q) % 2 else 1
     return section_sub(
-        section_scale(Fraction(sign), md_circle_eval(d1, d2, keys, z)),
+        section_scale(sign, md_circle_eval(d1, d2, keys, z)),
         md_circle_eval(d2, d1, keys, z))
 
 
@@ -846,7 +853,7 @@ def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
                  + _gen_wedge(sig_owner, block[s + 1:]))
         field = _tensorial(lambda v: sig_owner.symbol.get(head + (v,)),
                            sig_owner.num_vars, wedge)
-        out = out + field.scale(Fraction(sign))
+        out = out + field.scale(sign)
     return out
 
 
@@ -862,14 +869,13 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
     wedges = list(itertools.combinations(range(r), n - 1))
     zero = vf_zero(m)
     for keys in itertools.product(wedges, repeat=p + q):
-        total = _odot(d1, d2, keys).scale(Fraction(sign)) \
-            - _odot(d2, d1, keys)
+        total = _odot(d1, d2, keys).scale(sign) - _odot(d2, d1, keys)
         for perm, sh_sign in shuffles(p, q):
             head = tuple(keys[i] for i in perm[:p])
             tail = tuple(keys[i] for i in perm[p:])
             comm = vf_bracket(d1.symbol.get(head, zero),
                               d2.symbol.get(tail, zero))
-            total = total + comm.scale(Fraction(sh_sign))
+            total = total + comm.scale(sh_sign)
         out[keys] = total
     return out
 
@@ -896,14 +902,16 @@ def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
         raise DimensionMismatch("operands do not match the algebroid")
     n, m, r = d1.arity, d1.num_vars, d1.rank
     fam, g = _generic(m)
+    tgens, gz = _generators(m + 1, r, g)
     t1, t2 = _lift_md(d1), _lift_md(d2)
     symbols = symbol_bracket(t1, t2)
     wedges = list(itertools.combinations(range(r), n - 1))
     for keys in itertools.product(wedges, repeat=d1.degree + d2.degree):
         action = vf_apply(symbols[keys], g)
         for j in range(r):
-            k = _leibniz_weight(lambda s: md_bracket_eval(t1, t2, keys, s),
-                                g, action, generator_section(m + 1, r, j))
+            k = _leibniz_weight(md_bracket_eval(t1, t2, keys, gz[j]),
+                                md_bracket_eval(t1, t2, keys, tgens[j]),
+                                g, action, tgens[j])
             if k is not None:
                 return CheckResult(False, {"wedges": keys, "z": j,
                                            "f": str(fam[k])})
@@ -917,18 +925,32 @@ def nijenhuis_section_bracket(abd: PolyFilippovAlgebroid,
     """k-th deformed bracket on sections: operator in k slots minus the
     operator applied to the previous deformed bracket; k = 0 is the
     bracket itself."""
-    n = abd.arity
-    if not 0 <= k <= n - 1:
+    if not 0 <= k <= abd.arity - 1:
         raise DimensionMismatch("deformed brackets exist for 0 <= k <= n-1")
-    if k == 0:
-        return section_bracket(abd, sections)
-    total = section_zero(abd.num_vars, abd.rank)
-    for slots in itertools.combinations(range(n), k):
-        args = [nmap.apply(s) if t in slots else s
-                for t, s in enumerate(sections)]
-        total = section_add(total, section_bracket(abd, args))
-    prev = nijenhuis_section_bracket(abd, nmap, k - 1, sections)
-    return section_sub(total, nmap.apply(prev))
+    return _deformed_brackets(abd, nmap, sections)(k)
+
+
+def _deformed_brackets(abd: PolyFilippovAlgebroid,
+                       nmap: PolyLinearBundleMap,
+                       sections: Sequence[PolySection],
+                       ) -> Callable[[int], PolySection]:
+    """k -> the k-th deformed bracket on ``sections``; the tower below k is
+    built on first use and kept, each bracket once from the one below."""
+    tower, mapped = [section_bracket(abd, sections)], []
+
+    def deformed(k: int) -> PolySection:
+        while len(tower) <= k:
+            if not mapped:
+                mapped.extend(nmap.apply(s) for s in sections)
+            total = section_zero(abd.num_vars, abd.rank)
+            for slots in itertools.combinations(range(abd.arity), len(tower)):
+                args = [mapped[t] if t in slots else s
+                        for t, s in enumerate(sections)]
+                total = section_add(total, section_bracket(abd, args))
+            tower.append(section_sub(total, nmap.apply(tower[-1])))
+        return tower[k]
+
+    return deformed
 
 
 def check_poly_nijenhuis(abd: PolyFilippovAlgebroid,
@@ -955,7 +977,8 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
     deformed bracket on a polynomial-weighted generator; that defect is
     linear in the weight, so it is evaluated once per frame on the generic
     weight (see ``_generic``), with the bundle map's entries
-    lifted like the bracket.
+    lifted like the bracket.  Each frame's tower of deformed brackets is
+    built once and read for every k.
     """
     res = check_poly_nijenhuis(abd, nmap)
     if not res.holds:
@@ -966,9 +989,20 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
     lift = _lift(abd)
     tmap = PolyLinearBundleMap(m + 1, r, tuple(tuple(_pad(p) for p in row)
                                                for row in nmap.entries))
+    tgens, gz = _generators(m + 1, r, g)
+    towers: dict[tuple[Key, int, bool], Callable[[int], PolySection]] = {}
+
+    def deformed(xk: Key, j: int, weighted: bool, k: int) -> PolySection:
+        frame = (xk, j, weighted)
+        if frame not in towers:
+            z = gz[j] if weighted else tgens[j]
+            towers[frame] = _deformed_brackets(
+                lift, tmap, [tgens[i] for i in xk] + [z])
+        return towers[frame](k)
+
     for k in range(1, n):
         for xk in itertools.combinations(range(r), n - 1):
-            gens = [generator_section(m + 1, r, j) for j in xk]
+            gens = [tgens[j] for j in xk]
             claimed = vf_zero(m + 1)
             for slots in itertools.combinations(range(n - 1), k):
                 claimed = claimed + anchor_eval(
@@ -976,10 +1010,9 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
                            for t, x in enumerate(gens)])
             action = vf_apply(claimed, g)
             for j in range(r):
-                idx = _leibniz_weight(
-                    lambda s: nijenhuis_section_bracket(lift, tmap, k,
-                                                        gens + [s]),
-                    g, action, generator_section(m + 1, r, j))
+                idx = _leibniz_weight(deformed(xk, j, True, k),
+                                      deformed(xk, j, False, k),
+                                      g, action, tgens[j])
                 if idx is not None:
                     return CheckResult(False, {"k": k, "x": xk, "z": j,
                                                "f": str(fam[idx])})

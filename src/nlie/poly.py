@@ -1,8 +1,14 @@
 """Exact sparse multivariate polynomials and polynomial vector fields.
 
 Polynomials stand in for the smooth functions on the base space, vector
-fields for its derivations.  Coefficients are arbitrary-precision rationals
-(``fractions.Fraction``), so identities are decided by exact equality.
+fields for its derivations.  Coefficients are exact rationals, so
+identities are decided by exact equality.  An integral coefficient is stored
+as an ``int`` and only a non-integral one as a ``fractions.Fraction``;
+``_coeff`` normalises each coefficient where it enters (``poly_from_terms``,
+``poly_const``, ``MultiPoly.scale``).  Nothing here divides, so on integral
+inputs the arithmetic adds and multiplies Python ints and never makes a
+Fraction.  An int and a Fraction of the same value compare and hash alike
+and print alike, so equality and rendering do not depend on the type.
 
 Terms are stored sparsely as a map from exponent vectors (one entry per
 variable) to nonzero coefficients.  Exponent vectors compare
@@ -22,6 +28,7 @@ from typing import Mapping
 from .errors import DimensionMismatch
 
 Exponents = tuple[int, ...]
+Coeff = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -29,12 +36,14 @@ class MultiPoly:
     """Sparse polynomial with rational coefficients.
 
     ``terms`` holds exponent vectors of ``num_vars`` ints >= 0 and no zero
-    coefficient.  Nothing here checks that: build raw terms through
-    ``poly_from_terms``, everything else by the constructors or arithmetic.
+    coefficient.  A coefficient is an int when integral at entry, else a
+    Fraction; a sum or product of Fractions may stay an integral Fraction.
+    Nothing here checks that: build raw terms through ``poly_from_terms``,
+    everything else by the constructors or arithmetic.
     """
 
     num_vars: int
-    terms: dict[Exponents, Fraction]
+    terms: dict[Exponents, Coeff]
 
     @property
     def is_zero(self) -> bool:
@@ -48,7 +57,7 @@ class MultiPoly:
         _same_vars(self, other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            acc = terms.get(exps, _F0) + c
+            acc = terms.get(exps, 0) + c
             if acc == 0:
                 terms.pop(exps, None)
             else:
@@ -61,22 +70,22 @@ class MultiPoly:
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         return self + (-other)
 
-    def __mul__(self, other: MultiPoly | Fraction | int) -> MultiPoly:
+    def __mul__(self, other: MultiPoly | Coeff) -> MultiPoly:
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         _same_vars(self, other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Coeff] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exps = tuple(x + y for x, y in zip(ea, eb))
-                terms[exps] = terms.get(exps, _F0) + ca * cb
-        return _nonzero(self.num_vars, terms)
+                terms[exps] = terms.get(exps, 0) + ca * cb
+        return MultiPoly(self.num_vars, {e: c for e, c in terms.items() if c})
 
-    def __rmul__(self, other: Fraction | int) -> MultiPoly:
+    def __rmul__(self, other: Coeff) -> MultiPoly:
         return self.scale(other)
 
-    def scale(self, c: Fraction | int) -> MultiPoly:
-        c = Fraction(c)
+    def scale(self, c: Coeff) -> MultiPoly:
+        c = _coeff(c)
         if c == 0:
             return poly_zero(self.num_vars)
         return MultiPoly(self.num_vars, {e: c * t for e, t in self.terms.items()})
@@ -90,7 +99,7 @@ class MultiPoly:
             e[:var] + (e[var] - 1,) + e[var + 1:]: c * e[var]
             for e, c in self.terms.items() if e[var]})
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coeff]]:
         """Terms in the canonical (lexicographic exponent) order."""
         return sorted(self.terms.items())
 
@@ -109,11 +118,13 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-_F0 = Fraction(0)
-
-
-def _nonzero(num_vars: int, terms: dict[Exponents, Fraction]) -> MultiPoly:
-    return MultiPoly(num_vars, {e: c for e, c in terms.items() if c})
+def _coeff(c: Coeff) -> Coeff:
+    """A coefficient as stored: an int stays an int, and any other rational
+    becomes a Fraction, or its numerator when the denominator is 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _same_vars(a: MultiPoly, b: MultiPoly) -> None:
@@ -126,8 +137,8 @@ def poly_zero(num_vars: int) -> MultiPoly:
     return MultiPoly(num_vars, {})
 
 
-def poly_const(num_vars: int, value: Fraction | int) -> MultiPoly:
-    value = Fraction(value)
+def poly_const(num_vars: int, value: Coeff) -> MultiPoly:
+    value = _coeff(value)
     if value == 0:
         return poly_zero(num_vars)
     return MultiPoly(num_vars, {(0,) * num_vars: value})
@@ -137,21 +148,21 @@ def poly_var(num_vars: int, var: int) -> MultiPoly:
     if not 0 <= var < num_vars:
         raise DimensionMismatch(f"no variable {var} in {num_vars} vars")
     exps = tuple(1 if i == var else 0 for i in range(num_vars))
-    return MultiPoly(num_vars, {exps: Fraction(1)})
+    return MultiPoly(num_vars, {exps: 1})
 
 
 def poly_from_terms(num_vars: int,
-                    terms: Mapping[Exponents, Fraction | int]) -> MultiPoly:
+                    terms: Mapping[Exponents, Coeff]) -> MultiPoly:
     """Canonicalize an arbitrary exponent->coefficient mapping; ValueError
     on an exponent vector that is not ``num_vars`` ints >= 0."""
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Coeff] = {}
     for exps, c in terms.items():
         exps = tuple(exps)
         if len(exps) != num_vars or not all(type(e) is int and e >= 0
                                             for e in exps):
             raise ValueError(f"bad exponent vector {exps!r}")
-        out[exps] = out.get(exps, _F0) + Fraction(c)
-    return _nonzero(num_vars, out)
+        out[exps] = out.get(exps, 0) + _coeff(c)
+    return MultiPoly(num_vars, {e: _coeff(c) for e, c in out.items() if c})
 
 
 @dataclass(frozen=True)
@@ -186,7 +197,7 @@ class PolyVectorField:
     def __sub__(self, other: PolyVectorField) -> PolyVectorField:
         return self + (-other)
 
-    def scale(self, f: MultiPoly | Fraction | int) -> PolyVectorField:
+    def scale(self, f: MultiPoly | Coeff) -> PolyVectorField:
         return PolyVectorField(self.num_vars,
                                tuple(p * f for p in self.components))
 

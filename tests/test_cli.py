@@ -245,6 +245,66 @@ def test_polynomials_validated_where_they_enter():
     assert callers == set()
 
 
+def test_fractions_made_only_where_coefficients_enter():
+    """An integral coefficient is an int: ``nlie.poly`` calls ``Fraction``
+    only in ``_coeff`` and ``poly_from_terms``, where coefficients enter,
+    and ``nlie.algebroid`` never, so integral inputs stay in ints."""
+    def callers(module):
+        tree = ast.parse((pathlib.Path(nlie.__file__).parent / module)
+                         .read_text())
+        return {func.name for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"}
+    assert "_coeff" in callers("poly.py") <= {"_coeff", "poly_from_terms"}
+    assert callers("algebroid.py") == set()
+
+
+# The same stdout at integral and rational coefficients: example-fc on sl(2)
+# scaled by 3/4, the check of its output, the top-form anchor scaled by 3/2,
+# and a failing anchor with a 3/2 coefficient.
+RATIONAL_STDOUT = {
+    "example-fc": (0, "e70a8b13d992ebad4ee984541f8e5427"
+                      "f8059c342d2191ec4bd54ef43cbd3dc5"),
+    "check-fc": (0, "23691e53480287479a2090ecdd0fa064"
+                    "136c7169c74b50687e844bee904656c5"),
+    "check-topform": (0, "c129bb9d76eb71e8084e20e9e0dd51eb"
+                         "9b5a561adb4eea06c8b95a9d66d63901"),
+    "check-anchor": (1, "7ce34b6a87b6a81b88dbc9235ec779a2"
+                        "26d2e82ca8c4323ea807de72f230cc4e"),
+}
+
+
+def test_algebroid_rational_coefficients_golden(capsys, tmp_path):
+    scaled = write(tmp_path, "scaled.json", {
+        "arity": 2, "dim": 3, "brackets": [
+            {"on": [1, 2], "value": {"2": "3/2"}},
+            {"on": [1, 3], "value": {"3": "-3/2"}},
+            {"on": [2, 3], "value": {"1": "3/4"}}]})
+    top = algebroid_to_json(example_tangent_topform(3, 2))
+    top["anchor"][0]["field"][0][0]["coeff"] = "3/2"
+    bad = algebroid_to_json(make_poly_algebroid(1, 2, 2, {}, {
+        (0,): vf_coordinate(1, 0),
+        (1,): PolyVectorField(1, (poly_var(1, 0).scale(F(3, 2)),))}))
+    outs = {}
+    code, outs["example-fc"], _ = run(capsys, "algebroid", "example-fc",
+                                      scaled, "--f", "x1sq")
+    assert code == 0 and '"coeff": "3/2"' in outs["example-fc"]
+    fc = tmp_path / "fc.json"
+    fc.write_text(outs["example-fc"])
+    for name, path in [("check-fc", str(fc)),
+                       ("check-topform", write(tmp_path, "top.json", top)),
+                       ("check-anchor", write(tmp_path, "bad.json", bad))]:
+        code, outs[name], _ = run(capsys, "--format", "json", "algebroid",
+                                  "check", path)
+        assert code == RATIONAL_STDOUT[name][0]
+    assert {name: _golden_digest(out, tmp_path)
+            for name, out in outs.items()} == {
+        name: digest for name, (_, digest) in RATIONAL_STDOUT.items()}
+
+
 def test_dimension_error_is_input_error(capsys, tmp_path):
     doc = algebra_to_json(sl2())
     doc["brackets"][0]["on"] = [1, 9]

@@ -1,11 +1,15 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from helpers import rand_fraction, rand_poly
+from nlie.algebroid import make_poly_algebroid, make_section, section_bracket
 from nlie.errors import DimensionMismatch
-from nlie.poly import (poly_const, poly_from_terms, poly_var,
+from nlie.io import poly_from_json, poly_to_json, report_value
+from nlie.poly import (MultiPoly, poly_const, poly_from_terms, poly_var,
                        poly_zero, vf_apply, vf_bracket, vf_coordinate,
                        vf_zero, PolyVectorField)
 
@@ -179,3 +183,108 @@ def test_str_forms():
     p = poly_from_terms(2, {(2, 1): Fraction(-3, 2), (0, 0): 1})
     assert str(p) == "1 + -3/2*x0^2*x1"
     assert str(poly_zero(2)) == "0"
+
+
+# ------------------------------------------------------------------
+# Integral coefficients are stored as ints, the others as Fractions.
+
+def _int_poly(rng, m, max_deg=2, terms=3):
+    return poly_from_terms(m, {
+        tuple(rng.randint(0, max_deg) for _ in range(m)): rng.randint(-3, 3)
+        for _ in range(terms)})
+
+
+def _forced(p):
+    """p with every coefficient a Fraction, built past the entry points."""
+    return MultiPoly(p.num_vars, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+def _forced_field(v):
+    return PolyVectorField(v.num_vars, tuple(map(_forced, v.components)))
+
+
+def _operations(polys, fields, sections, abd, c):
+    """Every operation of the polynomial layer on the given operands."""
+    a, b = polys
+    v, w = fields
+    out = [a + b, a - b, -a, a * b, a.scale(c), a * c, c * b,
+           vf_apply(v, a * b)]
+    out += [p.partial(u) for p in (a, a * b) for u in range(a.num_vars)]
+    out += vf_bracket(v, w).components
+    out += section_bracket(abd, sections).comps
+    return out
+
+
+def _case(rng, m, poly):
+    """Operands for ``_operations`` over m variables, drawn by ``poly``;
+    with them, the same operands with every coefficient a Fraction."""
+    r, n = 3, 2
+    polys = [poly(rng, m) for _ in range(2)]
+    fields = [PolyVectorField(m, tuple(poly(rng, m) for _ in range(m)))
+              for _ in range(2)]
+    table = {key: tuple(poly(rng, m) for _ in range(r))
+             for key in itertools.combinations(range(r), n)}
+    anchor = {(j,): PolyVectorField(m, tuple(poly(rng, m) for _ in range(m)))
+              for j in range(r)}
+    sections = [tuple(poly(rng, m) for _ in range(r)) for _ in range(n)]
+
+    def build(f, fv):
+        abd = make_poly_algebroid(m, r, n, {
+            k: tuple(map(f, comps)) for k, comps in table.items()},
+            {k: fv(v) for k, v in anchor.items()})
+        return ([f(p) for p in polys], [fv(v) for v in fields],
+                [make_section(m, r, tuple(map(f, s))) for s in sections],
+                abd)
+
+    return build(lambda p: p, lambda v: v), build(_forced, _forced_field)
+
+
+def test_integral_inputs_compute_in_ints():
+    rng = random.Random(29)
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        (polys, fields, sections, abd), _ = _case(rng, m, _int_poly)
+        for c in (rng.randint(-3, 3), Fraction(rng.randint(-6, 6), 2) * 2):
+            results = _operations(polys, fields, sections, abd, c)
+            assert all(type(k) is int for p in results
+                       for k in p.terms.values())
+    # the entry points normalise an integral Fraction to its numerator
+    assert type(poly_const(2, Fraction(6, 3)).terms[(0, 0)]) is int
+    assert type(poly_var(2, 1).terms[(0, 1)]) is int
+    assert [type(k) for k in x(0).scale(Fraction(4, 2)).terms.values()] \
+        == [int]
+    assert poly_from_terms(1, {(1,): Fraction(-4, 2), (0,): Fraction(1, 3),
+                               (2,): True}).terms == {(1,): -2,
+                                                      (0,): Fraction(1, 3),
+                                                      (2,): 1}
+    half = [{"exponents": [1], "coeff": "1/2"}] * 2
+    assert [type(k) for k in poly_from_json(half, 1).terms.values()] == [int]
+
+
+def test_rational_inputs_match_the_fraction_route():
+    # rand_poly draws coefficients k/1 and k/2, so ints and Fractions mix;
+    # the reference runs the same arithmetic on all-Fraction operands
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        mixed, forced = _case(rng, m, lambda rng, m: rand_poly(rng, m))
+        kinds |= {type(k) for p in mixed[0] for k in p.terms.values()}
+        c = rand_fraction(rng)
+        assert _operations(*mixed, c) == _operations(*forced, c)
+    assert kinds == {int, Fraction}
+
+
+def test_int_and_fraction_coefficients_render_alike():
+    rng = random.Random(37)
+    for _ in range(30):
+        p = rand_poly(rng, 2, 3, 4) + _int_poly(rng, 2)
+        q = _forced(p)
+        assert str(p) == str(q)
+        assert poly_to_json(p) == poly_to_json(q) == report_value(p)
+        # "coeff" is a JSON string for every coefficient, never a number
+        for doc in (poly_to_json(p), report_value(q)):
+            assert all(type(t["coeff"]) is str
+                       for t in json.loads(json.dumps(doc)))
+    assert poly_to_json(poly_from_terms(1, {(1,): 3})) == \
+        [{"exponents": [1], "coeff": "3"}]
