@@ -15,6 +15,8 @@ which yields the closed form
 
 Multiderivations of degree 0 and 1 carry a symbol (a vector-field-valued
 map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z.  One
+driver, ``_leibniz_failure``, decides that rule for every check of this
+form: axiom (b), the symbol bracket and the Nijenhuis symbols.  One
 Leibniz evaluator, ``_leibniz``, computes the closed form above for any
 table and symbol; the bracket is evaluated through it as the degree-1
 multiderivation whose symbol is the anchor, and a degree-0 one is the
@@ -155,15 +157,25 @@ def anchor_on_generators(abd: PolyFilippovAlgebroid,
     return field.scale(sign)
 
 
-def _supports(sections: Sequence[PolySection]):
+def _supports(m: int, r: int, sections: Sequence[PolySection]):
+    for s in sections:
+        if (s.num_vars, s.rank) != (m, r):
+            raise DimensionMismatch("section over the wrong bundle")
     return [[(j, p) for j, p in enumerate(s.comps) if not p.is_zero]
             for s in sections]
 
 
-def _prod(polys: Sequence[MultiPoly], m: int) -> MultiPoly:
-    out = poly_const(m, 1)
+def _times(p: MultiPoly, c: MultiPoly | int) -> MultiPoly:
+    return p if c == 1 else p * c
+
+
+def _prod(polys: Sequence[MultiPoly], sign: int) -> MultiPoly | int:
+    """sign times the product of ``polys``, with no product by a factor
+    equal to 1; the int sign when every factor is 1."""
+    out: MultiPoly | int = sign
     for p in polys:
-        out = out * p
+        if p.terms != {(0,) * p.num_vars: 1}:
+            out = _times(p, out)
     return out
 
 
@@ -180,14 +192,14 @@ def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
     """
     n = len(sections)
     out = [poly_zero(m)] * r
-    for combo in itertools.product(*_supports(sections)):
+    for combo in itertools.product(*_supports(m, r, sections)):
         idx = tuple(j for j, _ in combo)
         polys = [p for _, p in combo]
         ss = sort_with_sign(idx)
         comps = table.get(ss[1]) if ss is not None else None
         if comps is not None:
-            coeff = _prod(polys, m) * ss[0]
-            out = [o if c.is_zero else o + coeff * c
+            coeff = _prod(polys, ss[0])
+            out = [o if c.is_zero else o + _times(c, coeff)
                    for o, c in zip(out, comps)]
         for s in range(n):
             ws = sort_with_sign(idx[:s] + idx[s + 1:])
@@ -198,21 +210,22 @@ def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
             if action.is_zero:
                 continue
             sign = ws[0] * (-1 if (n - 1 - s) % 2 else 1)
-            out[idx[s]] = out[idx[s]] + action * _prod(
-                polys[:s] + polys[s + 1:], m) * sign
+            out[idx[s]] = out[idx[s]] + _times(
+                action, _prod(polys[:s] + polys[s + 1:], sign))
     return PolySection(m, r, tuple(out))
 
 
-def _tensorial(symbol: _Symbol, m: int,
+def _tensorial(symbol: _Symbol, m: int, r: int,
                sections: Sequence[PolySection]) -> PolyVectorField:
     """C-infinity-multilinear extension of ``symbol`` (None where it
     vanishes) to a wedge of polynomial sections."""
     out = vf_zero(m)
-    for combo in itertools.product(*_supports(sections)):
+    for combo in itertools.product(*_supports(m, r, sections)):
         ss = sort_with_sign(tuple(j for j, _ in combo))
         field = symbol(ss[1]) if ss is not None else None
         if field is not None:
-            out = out + field.scale(_prod([p for _, p in combo], m) * ss[0])
+            coeff = _prod([p for _, p in combo], ss[0])
+            out = out + (field if coeff == 1 else field.scale(coeff))
     return out
 
 
@@ -223,7 +236,7 @@ def anchor_eval(abd: PolyFilippovAlgebroid,
     polynomial sections."""
     if len(sections) != abd.arity - 1:
         raise DimensionMismatch("anchor takes arity-1 sections")
-    return _tensorial(abd.anchor_table.get, abd.num_vars, sections)
+    return _tensorial(abd.anchor_table.get, abd.num_vars, abd.rank, sections)
 
 
 @traced("algebroid.section_bracket")
@@ -234,9 +247,6 @@ def section_bracket(abd: PolyFilippovAlgebroid,
     n = abd.arity
     if len(sections) != n:
         raise DimensionMismatch(f"bracket takes {n} sections")
-    for s in sections:
-        if s.rank != abd.rank or s.num_vars != abd.num_vars:
-            raise DimensionMismatch("section over the wrong bundle")
     return _leibniz(abd.bracket_table, abd.anchor_table.get, abd.num_vars,
                     abd.rank, sections)
 
@@ -288,7 +298,7 @@ def _generic(m: int) -> tuple[list[MultiPoly], MultiPoly]:
     t.  Its t^k coefficient is exactly the defect at fam[k], so one
     evaluation per frame decides the whole family, and the first failing
     weight is fam[k] for the smallest t-exponent k among the terms of the
-    lifted defect (``_weight_index``).
+    lifted defect (``_leibniz_failure``).
 
     Order lemma.  On a frame (X, z) each Leibniz defect
     P(f) = Op(X, f z) - f Op(X, z) - sigma(X)(f) z is a differential
@@ -306,28 +316,39 @@ def _generic(m: int) -> tuple[list[MultiPoly], MultiPoly]:
                                   for e, c in f.terms.items()})
 
 
-def _generators(m: int, r: int, g: MultiPoly,
-                ) -> tuple[list[PolySection], list[PolySection]]:
-    """The r generators over m variables, and each weighted by g."""
-    gens = [generator_section(m, r, j) for j in range(r)]
-    return gens, [section_scale(g, z) for z in gens]
+def _leibniz_failure(m: int, r: int, frames: Callable, sp=None,
+                     ) -> Optional[dict]:
+    """Witness fields of the first frame and generator z on which
+    op(f z) = f op(z) + sigma(f) z fails for some weight f, or None.
 
-
-def _weight_index(polys: Sequence[MultiPoly]) -> Optional[int]:
-    """Smallest t-exponent over the terms of lifted polynomials: the index
-    in the family of the first weight whose defect is nonzero, or None
-    when there is none."""
-    return min((e[-1] for p in polys for e in p.terms), default=None)
-
-
-def _leibniz_weight(op_gz: PolySection, op_z: PolySection, g: MultiPoly,
-                    action: MultiPoly, z: PolySection) -> Optional[int]:
-    """Weight index of the first f for which op(f z) differs from
-    f op(z) + a(f) z, given op_gz = op(g z), op_z = op(z) and
-    ``action`` = a(g); None when none does."""
-    defect = section_sub(op_gz, section_add(section_scale(g, op_z),
-                                            section_scale(action, z)))
-    return _weight_index(defect.comps)
+    ``frames(gens)`` gets the generators over the m + 1 variables of
+    ``_lift`` and yields (fields, op, sigma): a frame's witness fields,
+    its operator op(z, (j, weighted)) on z = gens[j] or g gens[j], and its
+    lifted symbol.  Each defect is evaluated once, on the generic weight g
+    of ``_generic``; the failing f is fam[k] for the smallest t-exponent k
+    among its terms.  The (frame, z) pairs are counted on ``sp`` if given.
+    """
+    fam, g = _generic(m)
+    gens = [generator_section(m + 1, r, j) for j in range(r)]
+    weighted = [section_scale(g, z) for z in gens]
+    count = 0
+    try:
+        for fields, op, sigma in frames(gens):
+            action = vf_apply(sigma, g)
+            for j in range(r):
+                count += 1
+                lhs = op(weighted[j], (j, True))
+                rhs = section_scale(g, op(gens[j], (j, False)))
+                defect = [a - b for a, b in zip(lhs.comps, rhs.comps)]
+                defect[j] = defect[j] - action
+                k = min((e[-1] for p in defect for e in p.terms),
+                        default=None)
+                if k is not None:
+                    return {**fields, "z": j, "f": str(fam[k])}
+        return None
+    finally:
+        if sp is not None:
+            sp.count(frames=count)
 
 
 def _generator_lookups(abd: PolyFilippovAlgebroid):
@@ -577,8 +598,8 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
     the same lookups, so no phase builds a section.
 
     Axiom (b) holds by construction of ``_leibniz``, which is the closed
-    Leibniz form; it stays as a check of that evaluator, on the weights
-    of ``poly_family``, which decide it (see ``_generic``).
+    Leibniz form; it stays as a check of that evaluator, on all weights
+    (``_leibniz_failure``).
     """
     n, r, m = abd.arity, abd.rank, abd.num_vars
     B, A, filled = _generator_lookups(abd)
@@ -604,24 +625,17 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
             return CheckResult(False, {"axiom": axiom, **bad})
 
     lift = _lift(abd)
-    fam, g = _generic(m)
-    tgens, gz = _generators(m + 1, r, g)
-    with span("algebroid.axioms.leibniz") as sp:
-        count = 0
+
+    def frames(gens):
         for xk in wedges:
-            xs = [tgens[i] for i in xk]
-            action = vf_apply(anchor_on_generators(lift, xk), g)
-            for j in range(r):
-                count += 1
-                k = _leibniz_weight(section_bracket(lift, xs + [gz[j]]),
-                                    section_bracket(lift, xs + [tgens[j]]),
-                                    g, action, tgens[j])
-                if k is not None:
-                    sp.count(frames=count)
-                    return CheckResult(False, {"axiom": "leibniz rule",
-                                               "x": xk, "z": j,
-                                               "f": str(fam[k])})
-        sp.count(frames=count)
+            xs = [gens[i] for i in xk]
+            yield ({"x": xk}, lambda z, _: section_bracket(lift, xs + [z]),
+                   anchor_on_generators(lift, xk))
+
+    with span("algebroid.axioms.leibniz") as sp:
+        bad = _leibniz_failure(m, r, frames, sp)
+    if bad is not None:
+        return CheckResult(False, {"axiom": "leibniz rule", **bad})
     return CheckResult(True, None)
 
 
@@ -738,7 +752,8 @@ def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
                 raise DimensionMismatch("degree-0 symbol key must be ()")
         else:
             if len(skey) != 1 or len(skey[0]) != arity - 1 or \
-                    list(skey[0]) != sorted(set(skey[0])):
+                    list(skey[0]) != sorted(set(skey[0])) or \
+                    any(not 0 <= i < rank for i in skey[0]):
                 raise DimensionMismatch(f"bad symbol key {skey!r}")
         if field.num_vars != num_vars:
             raise DimensionMismatch("symbol field over wrong variable count")
@@ -852,7 +867,7 @@ def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
         wedge = (_gen_wedge(sig_owner, block[:s]) + [w]
                  + _gen_wedge(sig_owner, block[s + 1:]))
         field = _tensorial(lambda v: sig_owner.symbol.get(head + (v,)),
-                           sig_owner.num_vars, wedge)
+                           sig_owner.num_vars, sig_owner.rank, wedge)
         out = out + field.scale(sign)
     return out
 
@@ -892,30 +907,26 @@ def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
                          d1: PolyMultiderivation, d2: PolyMultiderivation,
                          ) -> CheckResult:
     """Verify that the bracket of two multiderivations obeys the Leibniz
-    rule with the symbol produced by the symbol-bracket formula.
-
-    The defect is linear in the weight, so it is evaluated once per frame
-    on the generic weight (see ``_generic``)."""
+    rule with the symbol produced by the symbol-bracket formula, on all
+    weights (``_leibniz_failure``)."""
     _check_pair(d1, d2)
     if (abd.num_vars, abd.rank, abd.arity) != (d1.num_vars, d1.rank,
                                                d1.arity):
         raise DimensionMismatch("operands do not match the algebroid")
     n, m, r = d1.arity, d1.num_vars, d1.rank
-    fam, g = _generic(m)
-    tgens, gz = _generators(m + 1, r, g)
     t1, t2 = _lift_md(d1), _lift_md(d2)
     symbols = symbol_bracket(t1, t2)
     wedges = list(itertools.combinations(range(r), n - 1))
-    for keys in itertools.product(wedges, repeat=d1.degree + d2.degree):
-        action = vf_apply(symbols[keys], g)
-        for j in range(r):
-            k = _leibniz_weight(md_bracket_eval(t1, t2, keys, gz[j]),
-                                md_bracket_eval(t1, t2, keys, tgens[j]),
-                                g, action, tgens[j])
-            if k is not None:
-                return CheckResult(False, {"wedges": keys, "z": j,
-                                           "f": str(fam[k])})
-    return CheckResult(True, None)
+
+    def frames(gens):
+        for keys in itertools.product(wedges,
+                                      repeat=d1.degree + d2.degree):
+            yield ({"wedges": keys},
+                   lambda z, _: md_bracket_eval(t1, t2, keys, z),
+                   symbols[keys])
+
+    bad = _leibniz_failure(m, r, frames)
+    return CheckResult(bad is None, bad)
 
 
 def nijenhuis_section_bracket(abd: PolyFilippovAlgebroid,
@@ -934,20 +945,21 @@ def _deformed_brackets(abd: PolyFilippovAlgebroid,
                        nmap: PolyLinearBundleMap,
                        sections: Sequence[PolySection],
                        ) -> Callable[[int], PolySection]:
-    """k -> the k-th deformed bracket on ``sections``; the tower below k is
+    """k -> the k-th deformed bracket on ``sections``; the tower up to k is
     built on first use and kept, each bracket once from the one below."""
-    tower, mapped = [section_bracket(abd, sections)], []
+    tower, mapped = [], []
 
     def deformed(k: int) -> PolySection:
         while len(tower) <= k:
-            if not mapped:
+            if tower and not mapped:
                 mapped.extend(nmap.apply(s) for s in sections)
             total = section_zero(abd.num_vars, abd.rank)
             for slots in itertools.combinations(range(abd.arity), len(tower)):
                 args = [mapped[t] if t in slots else s
                         for t, s in enumerate(sections)]
                 total = section_add(total, section_bracket(abd, args))
-            tower.append(section_sub(total, nmap.apply(tower[-1])))
+            tower.append(section_sub(total, nmap.apply(tower[-1]))
+                         if tower else total)
         return tower[k]
 
     return deformed
@@ -955,15 +967,14 @@ def _deformed_brackets(abd: PolyFilippovAlgebroid,
 
 def check_poly_nijenhuis(abd: PolyFilippovAlgebroid,
                          nmap: PolyLinearBundleMap) -> CheckResult:
-    """Closure condition on all sorted generator tuples."""
+    """Closure on all sorted generator tuples: the deformed bracket one
+    level above the top, [N x_1, .., N x_n] - N [x]^(n-1)_N, vanishes."""
     if (nmap.num_vars, nmap.rank) != (abd.num_vars, abd.rank):
         raise DimensionMismatch("bundle map over the wrong bundle")
     n, r = abd.arity, abd.rank
     for key in itertools.combinations(range(r), n):
         gens = [generator_section(abd.num_vars, r, j) for j in key]
-        lhs = section_bracket(abd, [nmap.apply(g) for g in gens])
-        rhs = nmap.apply(nijenhuis_section_bracket(abd, nmap, n - 1, gens))
-        if not section_sub(lhs, rhs).is_zero:
+        if not _deformed_brackets(abd, nmap, gens)(n).is_zero:
             return CheckResult(False, {"tuple": key})
     return CheckResult(True, None)
 
@@ -974,46 +985,33 @@ def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
     operator inserted into k wedge slots, for every k.
 
     The actual symbol action is read off as the Leibniz defect of the
-    deformed bracket on a polynomial-weighted generator; that defect is
-    linear in the weight, so it is evaluated once per frame on the generic
-    weight (see ``_generic``), with the bundle map's entries
-    lifted like the bracket.  Each frame's tower of deformed brackets is
-    built once and read for every k.
+    deformed bracket on a weighted generator (``_leibniz_failure``), with
+    the bundle map's entries lifted like the bracket.  Each tower of
+    deformed brackets on (x, z, weighted or not) is built once and read
+    for every k.
     """
     res = check_poly_nijenhuis(abd, nmap)
     if not res.holds:
         raise InvalidStructure("bundle map fails the Nijenhuis condition",
                                witness=res.witness)
     n, r, m = abd.arity, abd.rank, abd.num_vars
-    fam, g = _generic(m)
     lift = _lift(abd)
     tmap = PolyLinearBundleMap(m + 1, r, tuple(tuple(_pad(p) for p in row)
                                                for row in nmap.entries))
-    tgens, gz = _generators(m + 1, r, g)
     towers: dict[tuple[Key, int, bool], Callable[[int], PolySection]] = {}
 
-    def deformed(xk: Key, j: int, weighted: bool, k: int) -> PolySection:
-        frame = (xk, j, weighted)
-        if frame not in towers:
-            z = gz[j] if weighted else tgens[j]
-            towers[frame] = _deformed_brackets(
-                lift, tmap, [tgens[i] for i in xk] + [z])
-        return towers[frame](k)
+    def frames(gens):
+        for k in range(1, n):
+            for xk in itertools.combinations(range(r), n - 1):
+                xs = [gens[i] for i in xk]
+                claimed = vf_zero(m + 1)
+                for slots in itertools.combinations(range(n - 1), k):
+                    claimed = claimed + anchor_eval(lift, [
+                        tmap.apply(x) if t in slots else x
+                        for t, x in enumerate(xs)])
+                yield ({"k": k, "x": xk}, lambda z, key: towers.setdefault(
+                    (xk, *key), _deformed_brackets(lift, tmap, xs + [z]))(k),
+                    claimed)
 
-    for k in range(1, n):
-        for xk in itertools.combinations(range(r), n - 1):
-            gens = [tgens[j] for j in xk]
-            claimed = vf_zero(m + 1)
-            for slots in itertools.combinations(range(n - 1), k):
-                claimed = claimed + anchor_eval(
-                    lift, [tmap.apply(x) if t in slots else x
-                           for t, x in enumerate(gens)])
-            action = vf_apply(claimed, g)
-            for j in range(r):
-                idx = _leibniz_weight(deformed(xk, j, True, k),
-                                      deformed(xk, j, False, k),
-                                      g, action, tgens[j])
-                if idx is not None:
-                    return CheckResult(False, {"k": k, "x": xk, "z": j,
-                                               "f": str(fam[idx])})
-    return CheckResult(True, None)
+    bad = _leibniz_failure(m, r, frames)
+    return CheckResult(bad is None, bad)

@@ -14,7 +14,7 @@ from nlie.algebroid import (PolyVectorField, anchor_eval,
                             example_tangent_topform, generator_section,
                             make_bundle_map, make_poly_algebroid,
                             make_poly_multiderivation, make_section,
-                            md_bracket_eval, md_eval,
+                            md_bracket_eval, md_circle_eval, md_eval,
                             nijenhuis_section_bracket, nijenhuis_symbol_check,
                             poly_family, section_add, section_bracket,
                             section_scale, section_sub, section_zero,
@@ -347,6 +347,36 @@ def test_make_poly_multiderivation_validation():
     with pytest.raises(DimensionMismatch):
         make_poly_multiderivation(1, 2, 2, 1, {},
                                   {((1, 0),): vf_zero(1)})
+    # a symbol key names generators of the bundle, as an anchor key does
+    with pytest.raises(DimensionMismatch, match="bad symbol key"):
+        make_poly_multiderivation(2, 3, 3, 1, {},
+                                  {((0, 7),): vf_coordinate(2, 0)})
+
+
+_OTHER_BUNDLES = {"rank": generator_section(3, 5, 4),
+                  "num_vars": generator_section(4, 3, 0)}
+_EVALUATORS = {
+    "anchor_eval": lambda top, phi, e, z: anchor_eval(top, [e[0], z]),
+    "section_bracket": lambda top, phi, e, z: section_bracket(
+        top, [e[0], e[1], z]),
+    "md_eval": lambda top, phi, e, z: md_eval(phi, (), [e[0], e[1], z]),
+    "md_circle_eval": lambda top, phi, e, z: md_circle_eval(
+        phi, phi, ((0, 1), (0, 1)), z),
+    "md_bracket_eval": lambda top, phi, e, z: md_bracket_eval(
+        phi, phi, ((0, 1), (0, 1)), z),
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(_OTHER_BUNDLES))
+@pytest.mark.parametrize("evaluator", sorted(_EVALUATORS))
+def test_evaluators_reject_section_over_other_bundle(evaluator, bundle):
+    # every evaluator rejects a section over another bundle, whose
+    # components would otherwise be read against the wrong tables
+    top = example_tangent_topform(3, 2)
+    e = [generator_section(3, 3, j) for j in range(3)]
+    with pytest.raises(DimensionMismatch, match="wrong bundle"):
+        _EVALUATORS[evaluator](top, bracket_derivation(top), e,
+                               _OTHER_BUNDLES[bundle])
 
 
 def test_symbol_bracket_degree_zero_commutator():

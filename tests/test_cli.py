@@ -245,6 +245,29 @@ def test_polynomials_validated_where_they_enter():
     assert callers == set()
 
 
+def test_one_leibniz_driver():
+    """Every Leibniz-type check of ``nlie.algebroid`` goes through
+    ``_leibniz_failure``: it is the one function that reads the generic
+    weight of ``_generic``, and the per-check helpers it replaced are
+    gone."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent / "algebroid.py")
+                     .read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+
+    def callers(name):
+        return {func for func, node in funcs.items()
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and sub.id == name}
+
+    assert callers("_generic") == {"_leibniz_failure"}
+    assert callers("_leibniz_failure") == {
+        "check_algebroid_axioms", "check_symbol_leibniz",
+        "nijenhuis_symbol_check"}
+    assert not {"_leibniz_weight", "_generators",
+                "_weight_index"} & set(funcs)
+
+
 def test_fractions_made_only_where_coefficients_enter():
     """An integral coefficient is an int: ``nlie.poly`` calls ``Fraction``
     only in ``_coeff`` and ``poly_from_terms``, where coefficients enter,
