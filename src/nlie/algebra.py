@@ -13,6 +13,12 @@ exhaustively on basis tuples, which suffices by multilinearity.
 Representations, semidirect products and O-operators follow the usual n-ary
 conventions: the module insertion signs are (-1)^(n-i), with the module slot
 counted from the right.
+
+Every table in the package (brackets, actions, wedges, cochains and the
+algebroid tables) keys its entries by one rule, ``basis_key``: a tuple of
+strictly increasing int indices, 0-based, of a fixed length and below a
+fixed bound (``make_wedge`` first sorts a key with its sign, and drops it
+on a repeat); ``coeff_vector`` reads the values as Fraction vectors.
 """
 
 from __future__ import annotations
@@ -31,6 +37,28 @@ from .linalg import (Matrix, Support, Vector, column_supports, densify,
 from .trace import span, traced
 
 Key = tuple[int, ...]
+
+
+def basis_key(key: Sequence[int], length: int, bound: int, what: str) -> Key:
+    """``key`` as a tuple: ``length`` strictly increasing int indices in
+    0..bound-1 (a bool is not an index), else DimensionMismatch."""
+    key = tuple(key)
+    if (len(key) != length
+            or not all(type(i) is int and 0 <= i < bound for i in key)
+            or any(a >= b for a, b in zip(key, key[1:]))):
+        raise DimensionMismatch(
+            f"bad {what} key {key!r}: need {length} strictly increasing "
+            f"integer indices in 0..{bound - 1}")
+    return key
+
+
+def coeff_vector(value: Sequence[Fraction | int], dim: int,
+                 what: str) -> Vector:
+    """``value`` as a tuple of ``dim`` Fractions, else DimensionMismatch."""
+    vec = tuple(Fraction(c) for c in value)
+    if len(vec) != dim:
+        raise DimensionMismatch(f"{what} has length {len(vec)}, not {dim}")
+    return vec
 
 
 def sort_with_sign(idx: Sequence[int]) -> Optional[tuple[int, Key]]:
@@ -113,17 +141,8 @@ def make_algebra(arity: int, dim: int,
         raise DimensionMismatch("dimension must be positive")
     table: dict[Key, Vector] = {}
     for key, value in brackets.items():
-        key = tuple(key)
-        if len(key) != arity:
-            raise DimensionMismatch(f"bracket key {key!r} has wrong arity")
-        if any(not 0 <= i < dim for i in key):
-            raise DimensionMismatch(f"bracket key {key!r} out of range")
-        if list(key) != sorted(set(key)):
-            raise DimensionMismatch(
-                f"bracket key {key!r} must be strictly increasing")
-        vec = tuple(Fraction(c) for c in value)
-        if len(vec) != dim:
-            raise DimensionMismatch(f"value for {key!r} has wrong length")
+        key = basis_key(key, arity, dim, "bracket")
+        vec = coeff_vector(value, dim, "bracket value")
         if not vec_is_zero(vec):
             table[key] = vec
     return NLieAlgebra(arity, dim, table)
@@ -259,11 +278,7 @@ def make_wedge(grade: int, dim: int,
         ss = sort_with_sign(tuple(key))
         if ss is None:
             continue
-        sign, skey = ss
-        if len(skey) != grade:
-            raise DimensionMismatch(f"wedge key {key!r} has wrong grade")
-        if any(not 0 <= i < dim for i in skey):
-            raise DimensionMismatch(f"wedge key {key!r} out of range")
+        sign, skey = ss[0], basis_key(ss[1], grade, dim, "wedge")
         acc = out.get(skey, Fraction(0)) + sign * Fraction(c)
         if acc == 0:
             out.pop(skey, None)
@@ -328,14 +343,9 @@ def make_representation(algebra_dim: int, module_dim: int, arity: int,
                         ) -> Representation:
     table: dict[tuple[Key, int], Vector] = {}
     for (key, j), value in action.items():
-        key = tuple(key)
-        if len(key) != arity - 1 or list(key) != sorted(set(key)):
-            raise DimensionMismatch(f"action key {key!r} invalid")
-        if any(not 0 <= i < algebra_dim for i in key) or not 0 <= j < module_dim:
-            raise DimensionMismatch("action key out of range")
-        vec = tuple(Fraction(c) for c in value)
-        if len(vec) != module_dim:
-            raise DimensionMismatch("action value has wrong length")
+        key = basis_key(key, arity - 1, algebra_dim, "action")
+        (j,) = basis_key((j,), 1, module_dim, "module")
+        vec = coeff_vector(value, module_dim, "action value")
         if not vec_is_zero(vec):
             table[(key, j)] = vec
     return Representation(algebra_dim, module_dim, arity, table)

@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .algebra import (CheckResult, Key, NLieAlgebra, basis_lookup,
+from .algebra import (CheckResult, Key, NLieAlgebra, basis_key, basis_lookup,
                       bracket_on_basis, require_fi, sort_with_sign)
 from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
@@ -123,25 +123,17 @@ def make_poly_algebroid(num_vars: int, rank: int, arity: int,
         raise DimensionMismatch("rank must be positive, num_vars nonnegative")
     brackets = {}
     for key, comps in bracket_table.items():
-        if len(key) != arity or list(key) != sorted(set(key)):
-            raise DimensionMismatch(f"bracket key {key!r} must be a sorted "
-                                    "tuple of distinct indices")
-        if any(not 0 <= i < rank for i in key):
-            raise DimensionMismatch(f"bracket key {key!r} out of range")
+        key = basis_key(key, arity, rank, "bracket")
         sec = make_section(num_vars, rank, tuple(comps))
         if not sec.is_zero:
-            brackets[tuple(key)] = sec.comps
+            brackets[key] = sec.comps
     anchors = {}
     for key, field in anchor_table.items():
-        if len(key) != arity - 1 or list(key) != sorted(set(key)):
-            raise DimensionMismatch(f"anchor key {key!r} must be a sorted "
-                                    "tuple of distinct indices")
-        if any(not 0 <= i < rank for i in key):
-            raise DimensionMismatch(f"anchor key {key!r} out of range")
+        key = basis_key(key, arity - 1, rank, "anchor")
         if field.num_vars != num_vars:
             raise DimensionMismatch("anchor field over wrong variable count")
         if not field.is_zero:
-            anchors[tuple(key)] = field
+            anchors[key] = field
     return PolyFilippovAlgebroid(num_vars, rank, arity, brackets, anchors)
 
 
@@ -169,12 +161,16 @@ def _times(p: MultiPoly, c: MultiPoly | int) -> MultiPoly:
     return p if c == 1 else p * c
 
 
+def _is_one(p: MultiPoly) -> bool:
+    return p.terms == {(0,) * p.num_vars: 1}
+
+
 def _prod(polys: Sequence[MultiPoly], sign: int) -> MultiPoly | int:
     """sign times the product of ``polys``, with no product by a factor
     equal to 1; the int sign when every factor is 1."""
     out: MultiPoly | int = sign
     for p in polys:
-        if p.terms != {(0,) * p.num_vars: 1}:
+        if not _is_one(p):
             out = _times(p, out)
     return out
 
@@ -431,7 +427,8 @@ def _anchor_weighted(A, m: int, x: Key, y: Key) -> Optional[dict]:
     for u in range(m if terms else 0):
         out = vf_zero(m)
         for c, v in terms:
-            out = out + v.scale(c.components[u])
+            p = c.components[u]
+            out = out + (v if _is_one(p) else v.scale(p))
         if not out.is_zero:
             return _coordinate(x, u, m)
     return None
@@ -446,7 +443,8 @@ def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
         + sum_i s_i A(y^i)(A(x' + (y_i,))[u]) e_b,
 
     where s_i = (-1)^(n-1-i) with slots counted from 0; a frame on which
-    every term has a vanishing anchor factor holds at once."""
+    every term has a vanishing anchor factor or an empty bracket support
+    holds at once.  The signs choose between adding and subtracting."""
     xp, b = x[:-1], x[-1]
     n = len(y)
     flat = []    # (c, s, support): the term s c[u] support
@@ -464,14 +462,16 @@ def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
             flat.append((inner, 1, B(y[:i] + (b,) + y[i + 1:])))
             if outer is not None:
                 nested.append((outer, inner, s))
+    flat = [term for term in flat if term[2]]
     for u in range(m if flat or nested else 0):
         out = [poly_zero(m)] * r
         for c, s, sup in flat:
-            p = c.components[u] * s
+            p = c.components[u]
             for j, q in sup if p else ():
-                out[j] = out[j] + p * q
+                out[j] = out[j] + p * q if s == 1 else out[j] - p * q
         for v, w, s in nested:
-            out[b] = out[b] + vf_apply(v, w.components[u]) * s
+            q = vf_apply(v, w.components[u])
+            out[b] = out[b] + q if s == 1 else out[b] - q
         if any(out):
             return _coordinate(x, u, m)
     return None
@@ -739,22 +739,16 @@ def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
     keylen = 1 if degree == 0 else arity
     tab = {}
     for key, comps in table.items():
-        if len(key) != keylen or list(key) != sorted(set(key)) or \
-                any(not 0 <= i < rank for i in key):
-            raise DimensionMismatch(f"bad table key {key!r}")
+        key = basis_key(key, keylen, rank, "table")
         sec = make_section(num_vars, rank, tuple(comps))
         if not sec.is_zero:
-            tab[tuple(key)] = sec.comps
+            tab[key] = sec.comps
     sym = {}
     for skey, field in symbol.items():
-        if degree == 0:
-            if skey != ():
-                raise DimensionMismatch("degree-0 symbol key must be ()")
-        else:
-            if len(skey) != 1 or len(skey[0]) != arity - 1 or \
-                    list(skey[0]) != sorted(set(skey[0])) or \
-                    any(not 0 <= i < rank for i in skey[0]):
-                raise DimensionMismatch(f"bad symbol key {skey!r}")
+        if len(skey) != degree:
+            raise DimensionMismatch(f"bad symbol key {skey!r}: need () at "
+                                    "degree 0, (wedge,) at degree 1")
+        skey = tuple(basis_key(w, arity - 1, rank, "symbol") for w in skey)
         if field.num_vars != num_vars:
             raise DimensionMismatch("symbol field over wrong variable count")
         if not field.is_zero:

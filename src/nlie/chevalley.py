@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import NLieAlgebra, bracket_on_basis, sort_with_sign
+from .algebra import (NLieAlgebra, basis_key, bracket_on_basis, coeff_vector,
+                      sort_with_sign)
 from .errors import DimensionMismatch
 from .linalg import Matrix, Vector, vec_add, vec_is_zero, vec_scale, vec_zero
 
@@ -48,14 +49,8 @@ def make_ce_cochain(dim: int, degree: int,
         raise DimensionMismatch("degree must be >= 0")
     table: dict[CEKey, Vector] = {}
     for key, value in entries.items():
-        key = tuple(key)
-        if len(key) != degree or list(key) != sorted(set(key)):
-            raise DimensionMismatch(f"bad key {key!r} for degree {degree}")
-        if any(not 0 <= i < dim for i in key):
-            raise DimensionMismatch("key index out of range")
-        vec = tuple(Fraction(c) for c in value)
-        if len(vec) != dim:
-            raise DimensionMismatch("value vector has wrong length")
+        key = basis_key(key, degree, dim, "cochain")
+        vec = coeff_vector(value, dim, "value vector")
         if not vec_is_zero(vec):
             table[key] = vec
     return CECochain(dim, degree, table)

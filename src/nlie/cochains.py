@@ -49,9 +49,10 @@ from functools import lru_cache
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import (Key, NLieAlgebra, WedgeElement, basis_lookup,
-                      bracket_on_basis, make_algebra, merge_index,
-                      replace_slots, sort_with_sign)
+from .algebra import (Key, NLieAlgebra, WedgeElement, basis_key,
+                      basis_lookup, bracket_on_basis, coeff_vector,
+                      make_algebra, merge_index, replace_slots,
+                      sort_with_sign)
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
                      multilinear, support, vec_add, vec_is_zero, vec_scale,
@@ -133,25 +134,13 @@ def make_cochain(arity: int, dim: int, degree: int,
         raise DimensionMismatch("degree must be >= 0")
     table: dict[CochainKey, Vector] = {}
     for (blocks, last), value in entries.items():
-        blocks = tuple(tuple(b) for b in blocks)
-        last = tuple(last)
-        if degree == 0:
-            if blocks != () or len(last) != 1:
-                raise DimensionMismatch("degree-0 keys are ((), (j,))")
-        else:
-            if len(blocks) != degree - 1 or len(last) != arity:
-                raise DimensionMismatch("key has wrong shape for its degree")
-            for b in blocks:
-                if len(b) != arity - 1 or list(b) != sorted(set(b)):
-                    raise DimensionMismatch(f"bad tensor block {b!r}")
-            if list(last) != sorted(set(last)):
-                raise DimensionMismatch(f"bad final wedge {last!r}")
-        for idx in (*[i for b in blocks for i in b], *last):
-            if not 0 <= idx < dim:
-                raise DimensionMismatch("key index out of range")
-        vec = tuple(Fraction(c) for c in value)
-        if len(vec) != dim:
-            raise DimensionMismatch("entry vector has wrong length")
+        blocks = tuple(basis_key(b, arity - 1, dim, "tensor block")
+                       for b in blocks)
+        if len(blocks) != max(degree - 1, 0):
+            raise DimensionMismatch(
+                f"{len(blocks)} tensor blocks at degree {degree}")
+        last = basis_key(last, arity if degree else 1, dim, "final wedge")
+        vec = coeff_vector(value, dim, "entry vector")
         if not vec_is_zero(vec):
             table[(blocks, last)] = vec
     return Cochain(arity, dim, degree, table)
@@ -337,8 +326,12 @@ def gla_bracket(d1: Cochain, d2: Cochain) -> Cochain:
 
 def maurer_cartan_defect(d: Cochain) -> Cochain:
     """[D, D]; zero for a degree-1 cochain exactly when the n-ary bracket it
-    encodes satisfies the fundamental identity."""
-    return gla_bracket(d, d)
+    encodes satisfies the fundamental identity.  At degree p,
+    [D, D] = ((-1)^(p·p) - 1) D∘D: -2 D∘D at odd p, zero at even p, so
+    one circle product suffices."""
+    if d.degree % 2 == 0:
+        return cochain_zero(d.arity, d.dim, 2 * d.degree)
+    return cochain_scale(-2, circle(d, d))
 
 
 def from_bracket(alg: NLieAlgebra) -> Cochain:

@@ -12,10 +12,14 @@ from nlie.algebra import (adjoint_representation, ad_map, basis_wedge,
                           check_representation, fundamental_bracket,
                           make_algebra, make_representation, make_wedge,
                           semidirect_product, sort_with_sign, wedge_add)
+from nlie.algebroid import make_poly_algebroid, make_poly_multiderivation
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
+from nlie.chevalley import make_ce_cochain
+from nlie.cochains import make_cochain
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec, vec_zero
+from nlie.poly import poly_const, vf_coordinate
 
 
 F = Fraction
@@ -110,6 +114,64 @@ def test_make_algebra_validation():
         make_algebra(3, 4, {(2, 1, 0): (1, 0, 0, 0)})
     with pytest.raises(DimensionMismatch):
         make_algebra(1, 4, {})
+
+
+# Each table constructor by the kind of key it reads: (key length, the
+# constructor called with one key).  Every index bound is 4.
+_E = (1, 0, 0, 0)
+_P = [poly_const(1, 1)] * 4
+_KEYED = {
+    "make_algebra": (3, lambda k: make_algebra(3, 4, {k: _E})),
+    "make_representation": (
+        2, lambda k: make_representation(4, 2, 3, {(k, 0): (1, 0)})),
+    "make_wedge": (2, lambda k: make_wedge(2, 4, {k: 1})),
+    "make_cochain block": (
+        2, lambda k: make_cochain(3, 4, 2, {((k,), (0, 1, 2)): _E})),
+    "make_cochain wedge": (3, lambda k: make_cochain(3, 4, 1, {((), k): _E})),
+    "make_cochain degree 0": (
+        1, lambda k: make_cochain(3, 4, 0, {((), k): _E})),
+    "make_ce_cochain": (2, lambda k: make_ce_cochain(4, 2, {k: _E})),
+    "make_poly_algebroid bracket": (
+        3, lambda k: make_poly_algebroid(1, 4, 3, {k: _P}, {})),
+    "make_poly_algebroid anchor": (
+        2, lambda k: make_poly_algebroid(1, 4, 3, {},
+                                         {k: vf_coordinate(1, 0)})),
+    "make_poly_multiderivation table": (
+        3, lambda k: make_poly_multiderivation(1, 4, 3, 1, {k: _P}, {})),
+    "make_poly_multiderivation symbol": (
+        2, lambda k: make_poly_multiderivation(1, 4, 3, 1, {},
+                                               {(k,): vf_coordinate(1, 0)})),
+}
+
+
+def _bad_keys(length):
+    """Keys of ``length`` indices below 4 that break the key rule once
+    each; the float and the bool keep the order and the range."""
+    good = tuple(range(length))
+    keys = {"negative": (-1,) + good[1:], "out of range": good[:-1] + (4,),
+            "wrong length": good[:-1], "float": good[:-1] + (length - 0.5,),
+            "bool": (True,) + good[1:] if length == 1 else
+            (0, True) + good[2:]}
+    if length > 1:
+        keys.update(unsorted=good[::-1], repeated=good[:-1] + good[-2:-1])
+    return keys
+
+
+@pytest.mark.parametrize("build, good, bad", [
+    pytest.param(build, tuple(range(length)), bad, id=f"{name}: {kind}")
+    for name, (length, build) in _KEYED.items()
+    for kind, bad in _bad_keys(length).items()
+    # a wedge sorts its keys with their sign, and a repeat makes it zero
+    if not (name == "make_wedge" and kind in ("unsorted", "repeated"))] + [
+    pytest.param(lambda j: make_representation(
+        4, 2, 3, {((0, 1), j): (1, 0)}), 1, 1.5, id="module index: float")])
+def test_constructors_share_one_key_rule(build, good, bad):
+    """Every table constructor rejects a key that is not strictly
+    increasing ints in range, bools and floats included, and takes the
+    good key of the same shape."""
+    build(good)
+    with pytest.raises(DimensionMismatch):
+        build(bad)
 
 
 def test_fundamental_bracket_example():

@@ -268,6 +268,34 @@ def test_one_leibniz_driver():
                 "_weight_index"} & set(funcs)
 
 
+def test_one_basis_key_rule():
+    """Every table constructor checks its keys through
+    ``algebra.basis_key``; outside it only the located checks of ``io``
+    test a key by ``sorted(set(...))``."""
+    constructors = {
+        "algebra.py": {"make_algebra", "make_representation", "make_wedge"},
+        "cochains.py": {"make_cochain"}, "chevalley.py": {"make_ce_cochain"},
+        "algebroid.py": {"make_poly_algebroid", "make_poly_multiderivation"}}
+
+    def calls(node, name, arg=None):
+        return {sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+                and getattr(sub.func, "id", None) == name
+                and (arg is None or sub.args and getattr(
+                    getattr(sub.args[0], "func", None), "id", None) == arg)}
+
+    for path in pathlib.Path(nlie.__file__).parent.glob("*.py"):
+        if path.name == "io.py":
+            continue
+        tree = ast.parse(path.read_text())
+        funcs = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+        inside = calls(funcs["basis_key"], "sorted", "set") \
+            if path.name == "algebra.py" else set()
+        assert calls(tree, "sorted", "set") <= inside, path.name
+        for name in constructors.get(path.name, ()):
+            assert calls(funcs[name], "basis_key"), name
+
+
 def test_fractions_made_only_where_coefficients_enter():
     """An integral coefficient is an int: ``nlie.poly`` calls ``Fraction``
     only in ``_coeff`` and ``poly_from_terms``, where coefficients enter,
