@@ -17,8 +17,8 @@ counted from the right.
 Every table in the package (brackets, actions, wedges, cochains and the
 algebroid tables) keys its entries by one rule, ``basis_key``: a tuple of
 strictly increasing int indices, 0-based, of a fixed length and below a
-fixed bound (``make_wedge`` first sorts a key with its sign, and drops it
-on a repeat); ``coeff_vector`` reads the values as Fraction vectors.
+fixed bound (``make_wedge`` takes a key in any order, sorts it with its
+sign and drops it on a repeat); ``coeff_vector`` reads Fraction vectors.
 """
 
 from __future__ import annotations
@@ -39,16 +39,17 @@ from .trace import span, traced
 Key = tuple[int, ...]
 
 
-def basis_key(key: Sequence[int], length: int, bound: int, what: str) -> Key:
-    """``key`` as a tuple: ``length`` strictly increasing int indices in
-    0..bound-1 (a bool is not an index), else DimensionMismatch."""
+def basis_key(key: Sequence[int], length: int, bound: int, what: str,
+              ordered: bool = True) -> Key:
+    """``key`` as a tuple: ``length`` int indices (not bools) in
+    0..bound-1, strictly increasing if ``ordered``, else DimensionMismatch."""
     key = tuple(key)
     if (len(key) != length
             or not all(type(i) is int and 0 <= i < bound for i in key)
-            or any(a >= b for a, b in zip(key, key[1:]))):
-        raise DimensionMismatch(
-            f"bad {what} key {key!r}: need {length} strictly increasing "
-            f"integer indices in 0..{bound - 1}")
+            or ordered and any(a >= b for a, b in zip(key, key[1:]))):
+        order = "strictly increasing " if ordered else ""
+        raise DimensionMismatch(f"bad {what} key {key!r}: need {length} "
+                                f"{order}integer indices in 0..{bound - 1}")
     return key
 
 
@@ -275,10 +276,11 @@ def make_wedge(grade: int, dim: int,
                coords: Mapping[Key, Fraction | int]) -> WedgeElement:
     out: dict[Key, Fraction] = {}
     for key, c in coords.items():
-        ss = sort_with_sign(tuple(key))
+        # length, type and range first; a repeat then makes the key zero
+        ss = sort_with_sign(basis_key(key, grade, dim, "wedge", ordered=False))
         if ss is None:
             continue
-        sign, skey = ss[0], basis_key(ss[1], grade, dim, "wedge")
+        sign, skey = ss
         acc = out.get(skey, Fraction(0)) + sign * Fraction(c)
         if acc == 0:
             out.pop(skey, None)

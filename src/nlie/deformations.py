@@ -10,10 +10,10 @@ one circle product each; its phi_0 ∘ phi_r + phi_r ∘ phi_0 part is
 power.
 
 Equivalences are families Phi_t = Id + t M_1 + .. + t^k M_k acting by
-conjugation; the inverse is the truncated geometric series.  Conjugating by
-Id + t^m Psi shifts phi_m by the coboundary of Psi, which is both the
-equivalence-class statement for infinitesimals and the induction step the
-rigidity probe replays.
+conjugation; Phi_t^{-1} is applied by forward substitution in Phi_t psi = P,
+never built as a series.  Conjugating by Id + t^m Psi shifts phi_m by the
+coboundary of Psi, which is both the equivalence-class statement for
+infinitesimals and the induction step the rigidity probe replays.
 
 Nijenhuis operators deform the bracket through the iterated brackets
 [.]^k_N; the closure condition makes Phi_t = Id + tN intertwine the
@@ -29,16 +29,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .algebra import (CheckResult, NLieAlgebra, Representation,
-                      basis_lookup, bracket_eval, check_o_operator,
-                      integral_table, require_fi, semidirect_product)
+from .algebra import (CheckResult, Key, NLieAlgebra, Representation,
+                      basis_lookup, check_o_operator, integral_table,
+                      require_fi, semidirect_product)
 from .cochains import (Cochain, circle, cochain_add, cochain_is_zero,
                        cochain_to_vec, cochain_zero, from_bracket,
                        gla_bracket, to_algebra, vec_to_cochain)
 from .cohomology import Complex, complex_dim
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Vector, column_supports, densify, multilinear,
-                     solve_rows, vec_add, vec_is_zero, vec_scale, vec_zero)
+from .linalg import (Matrix, Support, Vector, column_supports, densify,
+                     multilinear, solve_rows, vec_is_zero, vec_scale)
 from .trace import traced
 
 
@@ -162,18 +162,30 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
                               vec_is_zero(coords))
 
 
-def _series_matrices(emap: EquivalenceMap, dim: int,
-                     top: int) -> tuple[list[Matrix], list[Matrix]]:
-    """Powers of Phi_t and of its truncated inverse up to t^top."""
-    fwd = [Matrix.identity(dim), *emap.maps[:top]]
-    fwd += [Matrix.zero(dim, dim)] * (top + 1 - len(fwd))
-    inv = [Matrix.identity(dim)]
-    for b in range(1, top + 1):
-        acc = Matrix.zero(dim, dim)
-        for j in range(1, b + 1):
-            acc = acc.add(fwd[j].mul(inv[b - j]))
-        inv.append(acc.scale(Fraction(-1)))
-    return fwd, inv
+def _coefficients(emap: EquivalenceMap, m: int,
+                  top: int) -> list[Optional[list[Support]]]:
+    """Column supports of F_0 = Id, F_1, .., F_top, the coefficients of
+    Phi_t; None where F_b = 0."""
+    mats = [Matrix.identity(m), *emap.maps[:top]]
+    sups = [None if mat.is_zero else column_supports(mat) for mat in mats]
+    return sups + [None] * (top + 1 - len(sups))
+
+
+def _pushed(looks: list, sups: list[Optional[list[Support]]], key: Key,
+            top: int) -> list[dict[int, Fraction]]:
+    """P_0..P_top of the pushed series P(t) = sum_i t^i phi_i(Phi_t e_k1,
+    .., Phi_t e_kn) on one sorted key, phi_i read through looks[i].
+
+    Each spread of powers of t over the n slots is expanded once, for every
+    phi_i at once; a spread that meets an F_b = 0 is never formed."""
+    out: list[dict[int, Fraction]] = [{} for _ in range(top + 1)]
+    powers = [b for b, sup in enumerate(sups) if sup is not None]
+    for bs in itertools.product(powers, repeat=len(key)):
+        s = sum(bs)
+        args = [sups[b][j] for b, j in zip(bs, key)]
+        for i in range(min(len(looks), top + 1 - s)):
+            multilinear(args, looks[i], out[s + i])
+    return out
 
 
 @traced("deformations.conjugate_path")
@@ -181,37 +193,27 @@ def conjugate_path(path: DeformationPath,
                    emap: EquivalenceMap) -> DeformationPath:
     """The path Phi_t^{-1} phi_t(Phi_t .., Phi_t ..) modulo t^(order+1).
 
-    The column supports of the powers of Phi_t and of its inverse are
-    taken once; for each inverse power a the brackets are summed first
-    and inv[a] is applied once to the sum."""
-    n, m = path.base.arity, path.base.dim
-    k = path.order
-    fwd, inv = _series_matrices(emap, m, k)
-    fwd_sups = [column_supports(mat) for mat in fwd]
-    inv_sups = [column_supports(mat) for mat in inv]
+    On each sorted key the pushed series P is expanded once
+    (``_pushed``), and Phi_t psi = P is solved by forward substitution,
+    psi_r = P_r - sum_{j=1..r} F_j psi_(r-j), so no inverse series is
+    built."""
+    n, m, k = path.base.arity, path.base.dim, path.order
+    sups = _coefficients(emap, m, k)
     looks = [basis_lookup(alg.structure)
              for alg in (path.base, *map(to_algebra, path.terms))]
-    # the ways to spread rem powers of t over the n slots
-    spreads = [[bs for bs in itertools.product(range(rem + 1), repeat=n)
-                if sum(bs) == rem] for rem in range(k + 1)]
-    new_terms = []
-    for r in range(1, k + 1):
-        entries = {}
-        for key in itertools.combinations(range(m), n):
-            total: dict[int, Fraction] = {}
-            for a in range(r + 1):
-                inner: dict[int, Fraction] = {}
-                for i in range(min(k, r - a) + 1):
-                    for bs in spreads[r - a - i]:
-                        multilinear([fwd_sups[b][j] for b, j in zip(bs, key)],
-                                    looks[i], inner)
-                multilinear([[(j, c) for j, c in inner.items() if c]],
-                            lambda j: inv_sups[a][j[0]], total)
-            total = densify(total, m)
-            if not vec_is_zero(total):
-                entries[((), key)] = total
-        new_terms.append(Cochain(n, m, 1, entries))
-    return DeformationPath(path.base, k, tuple(new_terms))
+    entries: list[dict] = [{} for _ in range(k)]
+    for key in itertools.combinations(range(m), n):
+        psi = _pushed(looks, sups, key, k)
+        for r in range(1, k + 1):
+            for j in range(1, r + 1):
+                if sups[j] is not None:
+                    back = [(c, -y) for c, y in psi[r - j].items() if y]
+                    multilinear([back], lambda c: sups[j][c[0]], psi[r])
+            vec = densify(psi[r], m)
+            if not vec_is_zero(vec):
+                entries[r - 1][((), key)] = vec
+    return DeformationPath(path.base, k, tuple(
+        Cochain(n, m, 1, table) for table in entries))
 
 
 @dataclass(frozen=True)
@@ -240,26 +242,22 @@ def check_equivalence(path1: DeformationPath, path2: DeformationPath,
 def check_homomorphism_family(path: DeformationPath,
                               emap: EquivalenceMap) -> CheckResult:
     """Exact (untruncated) intertwining: Phi_t phi_t(x..) equals the base
-    bracket of the Phi_t-images, as a polynomial identity in t on basis
-    tuples."""
-    n, m = path.base.arity, path.base.dim
-    k = path.order
+    bracket of the Phi_t-images, the pushed series of the base bracket
+    alone, as a polynomial identity in t on basis tuples."""
+    n, m, k = path.base.arity, path.base.dim, path.order
     top = k + len(emap.maps) * n
-    fwd, _ = _series_matrices(emap, m, top)
-    phis = _phi_list(path)
+    sups = _coefficients(emap, m, top)
+    looks = [basis_lookup(alg.structure)
+             for alg in (path.base, *map(to_algebra, path.terms))]
     for key in itertools.combinations(range(m), n):
+        pushed = _pushed(looks[:1], sups, key, top)
         for r in range(top + 1):
-            lhs = vec_zero(m)
+            lhs: dict[int, Fraction] = {}
             for a in range(max(0, r - k), r + 1):
-                val = phis[r - a].entries.get(((), key))
-                if val is not None:
-                    lhs = vec_add(lhs, fwd[a].apply(val))
-            rhs = vec_zero(m)
-            for bs in itertools.product(range(r + 1), repeat=n):
-                if sum(bs) != r:
-                    continue
-                args = [fwd[bs[t]].column(key[t]) for t in range(n)]
-                rhs = vec_add(rhs, bracket_eval(path.base, args))
+                if sups[a] is not None:
+                    multilinear([looks[r - a](key)],
+                                lambda c: sups[a][c[0]], lhs)
+            lhs, rhs = densify(lhs, m), densify(pushed[r], m)
             if lhs != rhs:
                 return CheckResult(False, {"tuple": key, "power": r,
                                            "lhs": lhs, "rhs": rhs})

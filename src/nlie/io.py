@@ -166,10 +166,16 @@ def _index(value: Any, bound: int, where: str) -> int:
     return value - 1
 
 
-def _index_tuple(value: Any, bound: int, where: str) -> Key:
+def _key(value: Any, bound: int, where: str) -> Key:
+    """A list of strictly increasing 1-based indices in 1..bound, as a
+    0-based key: the one key-order check of every keyed part."""
     items = _expect_list(value, where)
-    return tuple(_index(v, bound, f"{where}[{t}]")
-                 for t, v in enumerate(items))
+    key = tuple(_index(v, bound, f"{where}[{t}]")
+                for t, v in enumerate(items))
+    if any(a >= b for a, b in zip(key, key[1:])):
+        raise InputFormatError(
+            f"key {items} must be strictly increasing", where)
+    return key
 
 
 def vector_to_json(vec: Vector) -> dict[str, str]:
@@ -223,10 +229,7 @@ def algebra_from_json(obj: Any, where: str = "algebra") -> NLieAlgebra:
         raise InputFormatError("need arity >= 2 and dim >= 1", where)
     brackets: dict[Key, tuple[Fraction, ...]] = {}
     for here, item in _items(doc, "brackets", where):
-        key = _index_tuple(_field(item, "on", here), dim, f"{here}.on")
-        if list(key) != sorted(set(key)):
-            raise InputFormatError(
-                "'on' must be strictly increasing", f"{here}.on")
+        key = _key(_field(item, "on", here), dim, f"{here}.on")
         if key in brackets:
             raise InputFormatError("duplicate bracket key", f"{here}.on")
         brackets[key] = vector_from_json(
@@ -260,10 +263,7 @@ def representation_from_json(obj: Any,
                                where)
     action: dict[tuple[Key, int], tuple[Fraction, ...]] = {}
     for here, item in _items(doc, "action", where):
-        key = _index_tuple(_field(item, "on", here), m, f"{here}.on")
-        if list(key) != sorted(set(key)):
-            raise InputFormatError(
-                "'on' must be strictly increasing", f"{here}.on")
+        key = _key(_field(item, "on", here), m, f"{here}.on")
         j = _index(_field(item, "of", here), r, f"{here}.of")
         if (key, j) in action:
             raise InputFormatError("duplicate action key", here)
@@ -299,10 +299,9 @@ def cochain_from_json(obj: Any, where: str = "cochain") -> Cochain:
         raw_blocks = _expect_list(_field(item, "tensor_blocks", here),
                                   f"{here}.tensor_blocks")
         blocks = tuple(
-            _index_tuple(b, dim, f"{here}.tensor_blocks[{s}]")
+            _key(b, dim, f"{here}.tensor_blocks[{s}]")
             for s, b in enumerate(raw_blocks))
-        last = _index_tuple(_field(item, "wedge", here), dim,
-                            f"{here}.wedge")
+        last = _key(_field(item, "wedge", here), dim, f"{here}.wedge")
         if (blocks, last) in table:
             raise InputFormatError("duplicate cochain key", here)
         table[(blocks, last)] = vector_from_json(
@@ -461,14 +460,14 @@ def algebroid_from_json(obj: Any,
             "need num_vars >= 0, rank >= 1 and arity >= 2", where)
     brackets: dict[Key, tuple[MultiPoly, ...]] = {}
     for here, item in _items(doc, "brackets", where):
-        key = _index_tuple(_field(item, "on", here), rank, f"{here}.on")
+        key = _key(_field(item, "on", here), rank, f"{here}.on")
         if key in brackets:
             raise InputFormatError("duplicate bracket key", f"{here}.on")
         brackets[key] = _poly_list_from_json(
             _field(item, "value", here), rank, num_vars, f"{here}.value")
     anchors: dict[Key, PolyVectorField] = {}
     for here, item in _items(doc, "anchor", where):
-        key = _index_tuple(_field(item, "on", here), rank, f"{here}.on")
+        key = _key(_field(item, "on", here), rank, f"{here}.on")
         if key in anchors:
             raise InputFormatError("duplicate anchor key", f"{here}.on")
         comps = _poly_list_from_json(

@@ -718,17 +718,31 @@ def ref_check_nijenhuis(alg, nmap):
     return CheckResult(True, None)
 
 
+def ref_series(emap, m: int, top: int):
+    """The coefficients of Phi_t and of its truncated inverse series up to
+    t^top, by dense Matrix algebra: inv_b = -sum_{j=1..b} F_j inv_(b-j)."""
+    fwd = [Matrix.identity(m), *emap.maps[:top]]
+    fwd += [Matrix.zero(m, m)] * (top + 1 - len(fwd))
+    inv = [Matrix.identity(m)]
+    for b in range(1, top + 1):
+        acc = Matrix.zero(m, m)
+        for j in range(1, b + 1):
+            acc = acc.add(fwd[j].mul(inv[b - j]))
+        inv.append(acc.scale(Fraction(-1)))
+    return fwd, inv
+
+
 def ref_conjugate_path(path, emap):
     """``conjugate_path`` with one dense bracket and one application of
     the inverse series per spread of the powers of t."""
     import itertools
 
     from nlie.cochains import Cochain, to_algebra
-    from nlie.deformations import DeformationPath, _series_matrices
+    from nlie.deformations import DeformationPath
 
     n, m = path.base.arity, path.base.dim
     k = path.order
-    fwd, inv = _series_matrices(emap, m, k)
+    fwd, inv = ref_series(emap, m, k)
     brackets = [path.base, *map(to_algebra, path.terms)]
     new_terms = []
     for r in range(1, k + 1):

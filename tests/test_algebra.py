@@ -204,6 +204,15 @@ def test_make_wedge_antisymmetrizes():
     assert make_wedge(2, 4, {(1, 1): 5}).coords == {}
 
 
+@pytest.mark.parametrize("key", [(9, 9), (1.5, 1.5, 1.5), (True, True),
+                                 (8, 9)])
+def test_make_wedge_checks_a_key_before_a_repeat_drops_it(key):
+    """Length, int type and range are checked before a repeated index
+    makes the key zero, so a bad repeated key raises like (8, 9)."""
+    with pytest.raises(DimensionMismatch, match="bad wedge key"):
+        make_wedge(2, 4, {key: 1})
+
+
 def test_adjoint_representation_valid():
     for alg in (levi_civita_bracket(), sl2(), heisenberg3()):
         rho = adjoint_representation(alg)

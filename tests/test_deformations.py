@@ -179,12 +179,20 @@ def test_homomorphism_family_detects_failure():
     alg = sl2()
     nmap = diag(1, 2, 1)
     path = deformation_from_nijenhuis(alg, nmap)
-    bad = DeformationPath(alg, path.order,
-                          (cochain_scale(F(2), path.terms[0]),))
     emap = EquivalenceMap(path.order, (nmap,))
-    res = check_homomorphism_family(bad, emap)
-    assert not res.holds
-    assert res.witness["power"] == 1
+    # Phi_t = Id + tN, so on (e0, e1) the power-1 sides are
+    # N[e0, e1] + s·phi_1(e0, e1) and [Ne0, e1] + [e0, Ne1] = 6 e1
+    for scale, lhs1 in ((F(2), F(8)), (F(-1, 3), F(10, 3))):
+        bad = DeformationPath(alg, path.order,
+                              (cochain_scale(scale, path.terms[0]),))
+        res = check_homomorphism_family(bad, emap)
+        assert not res.holds
+        assert res.witness == {"tuple": (0, 1), "power": 1,
+                               "lhs": (F(0), lhs1, F(0)),
+                               "rhs": (F(0), F(6), F(0))}
+        # Fractions, so a report renders them as rational strings
+        assert {type(x) for x in res.witness["lhs"] + res.witness["rhs"]} \
+            == {F}
 
 
 def test_broken_operator_rejected_by_generator():

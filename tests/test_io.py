@@ -127,6 +127,61 @@ def test_cochain_wire_shape():
         cochain_from_json(bad)
 
 
+_KEYED_DOCS = {
+    "algebra": (algebra_from_json, lambda: algebra_to_json(sl2()),
+                ("brackets", 0, "on")),
+    "representation": (
+        representation_from_json,
+        lambda: representation_to_json(
+            adjoint_representation(levi_civita_bracket())),
+        ("action", 0, "on")),
+    "cochain block": (
+        cochain_from_json,
+        lambda: cochain_to_json(make_cochain(
+            3, 4, 2, {(((0, 1),), (0, 2, 3)): (1, 0, 0, 0)})),
+        ("entries", 0, "tensor_blocks", 0)),
+    "cochain wedge": (
+        cochain_from_json,
+        lambda: cochain_to_json(make_cochain(
+            3, 4, 2, {(((0, 1),), (0, 2, 3)): (1, 0, 0, 0)})),
+        ("entries", 0, "wedge")),
+    "path term wedge": (
+        path_from_json,
+        lambda: path_to_json(deformation_from_nijenhuis(
+            sl2(), Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]]))),
+        ("terms", 0, "entries", 0, "wedge")),
+    "algebroid bracket": (
+        algebroid_from_json,
+        lambda: algebroid_to_json(example_tangent_fc(
+            levi_civita_bracket(), poly_var(4, 0))),
+        ("brackets", 0, "on")),
+    "algebroid anchor": (
+        algebroid_from_json,
+        lambda: algebroid_to_json(example_tangent_topform(3, 2)),
+        ("anchor", 0, "on")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEYED_DOCS))
+def test_key_order_checked_where_the_key_is_read(name):
+    """Every keyed part of a document reports an unsorted key at the key
+    itself, 1-based."""
+    parse, build, path = _KEYED_DOCS[name]
+    doc = build()
+    parse(doc)
+    *parent, last = path
+    holder = doc
+    for step in parent:
+        holder = holder[step]
+    key = holder[last][::-1]
+    holder[last] = key
+    with pytest.raises(InputFormatError) as err:
+        parse(doc, "doc")
+    assert err.value.location == "doc" + "".join(
+        f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    assert str(err.value).endswith(f"key {key} must be strictly increasing")
+
+
 def test_matrix_codec():
     rng = random.Random(7)
     mat = rand_matrix(rng, 3, 2)

@@ -7,7 +7,9 @@ bracket through ``bracket_on_basis`` (``_ref_rho`` for rho) and expand
 coordinates by their own loop, so they share neither the lookup memo nor
 ``linalg.multilinear`` with the package; the O-operator reference scans
 all r^n ordered tuples.  The circle reference is the dense walk with its
-own storage-key reads and a separate composition loop.
+own storage-key reads and a separate composition loop.  The conjugation
+reference applies the inverse series of Phi_t, built by ``ref_series``;
+the package never builds it.
 """
 
 import random
@@ -21,7 +23,7 @@ from helpers import (rand_action, rand_bracket, rand_cochain,
                      ref_check_fundamental_identity, ref_check_nijenhuis,
                      ref_check_o_operator, ref_check_representation,
                      ref_conjugate_path, ref_fi_sides, ref_nijenhuis_bracket,
-                     ref_semidirect_table)
+                     ref_semidirect_table, ref_series)
 
 from nlie.algebra import (adjoint_representation, check_fundamental_identity,
                           check_o_operator, check_representation,
@@ -263,6 +265,26 @@ def test_conjugate_path_parity(order):
         for g, w in zip(got.terms, want.terms):
             assert list(g.entries.items()) == list(w.entries.items())
         assert got == want
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_conjugation_round_trip(order):
+    """Conjugating by Phi_t, then by its truncated inverse series, gives
+    the path back exactly."""
+    rng = random.Random(700 + order)
+    moved = 0
+    for base in (sl2(), heisenberg3(), levi_civita_bracket(), sl2()):
+        n, m = base.arity, base.dim
+        path = make_deformation_path(
+            base, [rand_cochain(rng, n, m, 1, 0.4) for _ in range(order)])
+        emap = EquivalenceMap(order, tuple(
+            rand_matrix(rng, m, m) for _ in range(rng.randint(1, order))))
+        _, inv = ref_series(emap, m, order)
+        inverse = EquivalenceMap(order, tuple(inv[1:]))
+        there = conjugate_path(path, emap)
+        moved += there != path
+        assert conjugate_path(there, inverse) == path
+    assert moved
 
 
 def test_circle_parity():

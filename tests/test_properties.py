@@ -1,5 +1,6 @@
 """Property tests over random basis changes of catalog algebras, and of
-the CLI exit contract on mutated catalog documents.
+the CLI exit contract on mutated catalog documents: algebras, deformation
+paths and equivalence maps.
 
 Each basis-change example transports a valid bracket along a small
 invertible basis change P (a signed permutation, a few integer shears and
@@ -29,7 +30,9 @@ from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
 from nlie.chevalley import ce_differential_matrix
 from nlie.cli import main
 from nlie.cohomology import differential_matrix
-from nlie.io import algebra_to_json
+from nlie.deformations import (EquivalenceMap, constant_path,
+                               deformation_from_nijenhuis)
+from nlie.io import algebra_to_json, emap_to_json, path_to_json
 from nlie.linalg import Matrix
 
 # fixed examples, so the suite reruns the same inputs every time
@@ -118,11 +121,11 @@ def _slots(doc, out):
 
 
 @st.composite
-def mutated_documents(draw) -> str:
-    """A catalog algebra document after a few seeded mutations: a key
-    dropped, renamed or duplicated, a value swapped for an odd one, a list
-    entry repeated, and now and then the text truncated."""
-    doc = copy.deepcopy(draw(st.sampled_from(CATALOG_DOCUMENTS)))
+def mutated_documents(draw, sources: list) -> str:
+    """One of ``sources`` after a few seeded mutations: a key dropped,
+    renamed or duplicated, a value swapped for an odd one, a list entry
+    repeated, and now and then the text truncated."""
+    doc = copy.deepcopy(draw(st.sampled_from(sources)))
     duplicates = []
     for _ in range(draw(st.integers(1, 3))):
         slots = _slots(doc, [])
@@ -155,19 +158,66 @@ def mutated_documents(draw) -> str:
     return text
 
 
+def _check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+
+
 @PROFILE
-@given(mutated_documents())
+@given(mutated_documents(CATALOG_DOCUMENTS))
 def test_cli_exit_contract_on_mutated_documents(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "alg.json")
         with open(path, "w") as fh:
             fh.write(text)
         for argv in (["check", path], ["cohomology", path, "--degree", "1"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2), (argv, code)
-            assert "Traceback" not in err.getvalue()
-            if code == 2:
-                assert out.getvalue() == ""
+            _check_exit_contract(argv)
+
+
+def _deform_case(alg, nmap):
+    """(constant path, Nijenhuis path, Id + tN): the map carries the first
+    path to the second, so ``deform equiv`` holds on the unmutated case."""
+    path = deformation_from_nijenhuis(alg, nmap)
+    return (path_to_json(constant_path(alg, path.order)), path_to_json(path),
+            emap_to_json(EquivalenceMap(path.order, (nmap,)), alg.dim))
+
+
+DEFORM_CASES = [
+    _deform_case(sl2(), Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 1]])),
+    _deform_case(levi_civita_bracket(), Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]]))]
+
+
+@st.composite
+def mutated_deform_inputs(draw) -> tuple[int, list[str]]:
+    """A case of ``DEFORM_CASES`` as three texts, the one at the drawn
+    slot (path1, path2 or the map) mutated like an algebra document."""
+    docs = [json.dumps(doc) for doc in draw(st.sampled_from(DEFORM_CASES))]
+    slot = draw(st.integers(0, 2))
+    docs[slot] = draw(mutated_documents([json.loads(docs[slot])]))
+    return slot, docs
+
+
+# most mutated paths are input errors: 40 examples also reach exit 0 and 1
+@settings(PROFILE, max_examples=40)
+@given(mutated_deform_inputs())
+def test_deform_exit_contract_on_mutated_documents(inputs):
+    slot, texts = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [os.path.join(tmp, f"{name}.json")
+                 for name in ("path1", "path2", "map")]
+        for name, text in zip(files, texts):
+            with open(name, "w") as fh:
+                fh.write(text)
+        argvs = [["deform", "equiv", *files]]
+        if slot < 2:
+            argvs += [["deform", "check", files[slot]],
+                      ["deform", "extend", files[slot]],
+                      ["obstruction", files[slot]]]
+        for argv in argvs:
+            _check_exit_contract(argv)
