@@ -21,16 +21,20 @@ Leibniz evaluator, ``_leibniz``, computes the closed form above for any
 table and symbol; the bracket is evaluated through it as the degree-1
 multiderivation whose symbol is the anchor, and a degree-0 one is the
 case of a single section.  One tensorial evaluator, ``_tensorial``, gives
-the C-infinity-multilinear extension of the anchor and of symbols.  The
+the C-infinity-multilinear extension of the anchor and of symbols.  Both
+take slot supports [(j, p)], a generator being [(j, 1)]; the public
+evaluators check the bundle of their sections once (``_supports``).  The
 graded bracket of two multiderivations has the symbol
 
     sigma_[D1,D2] = (-1)^(pq) sigma_D1 (.) D2 - sigma_D2 (.) D1
                     + {sigma_D1, sigma_D2},
 
-with (.) the shuffle-signed insertion of the other operator into a wedge
-slot and {,} the shuffle-signed commutator.  Degrees above 1 are not
-modeled here: their evaluation would need coefficient rules in block
-arguments that the structure does not determine.
+with (.) the insertion of the other operator into a wedge slot and {,}
+the shuffle-signed commutator.  Degrees above 1 are not modeled here:
+their evaluation would need coefficient rules in block arguments that the
+structure does not determine.  So insertion is k = 0 only: D2 enters the
+last wedge of a degree-1 D1, with the identity shuffle and sign 1, and on
+generators D2 is its table, read by lookup.
 """
 
 from __future__ import annotations
@@ -176,19 +180,20 @@ def _prod(polys: Sequence[MultiPoly], sign: int) -> MultiPoly | int:
 
 
 _Symbol = Callable[[Key], Optional[PolyVectorField]]
+_Slot = Sequence[tuple[int, MultiPoly]]
 
 
 def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
-             m: int, r: int, sections: Sequence[PolySection]) -> PolySection:
-    """The closed form of the module docstring on any number of sections.
+             m: int, r: int, slots: Sequence[_Slot]) -> PolySection:
+    """The closed form of the module docstring on slot supports [(j, p)].
 
     ``table`` holds the values on sorted generator tuples; ``symbol(w)`` is
     the vector field on the sorted wedge w of the other generators, or
     None where it vanishes.
     """
-    n = len(sections)
+    n = len(slots)
     out = [poly_zero(m)] * r
-    for combo in itertools.product(*_supports(m, r, sections)):
+    for combo in itertools.product(*slots):
         idx = tuple(j for j, _ in combo)
         polys = [p for _, p in combo]
         ss = sort_with_sign(idx)
@@ -211,12 +216,12 @@ def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
     return PolySection(m, r, tuple(out))
 
 
-def _tensorial(symbol: _Symbol, m: int, r: int,
-               sections: Sequence[PolySection]) -> PolyVectorField:
+def _tensorial(symbol: _Symbol, m: int,
+               slots: Sequence[_Slot]) -> PolyVectorField:
     """C-infinity-multilinear extension of ``symbol`` (None where it
-    vanishes) to a wedge of polynomial sections."""
+    vanishes) to a wedge of slot supports [(j, p)]."""
     out = vf_zero(m)
-    for combo in itertools.product(*_supports(m, r, sections)):
+    for combo in itertools.product(*slots):
         ss = sort_with_sign(tuple(j for j, _ in combo))
         field = symbol(ss[1]) if ss is not None else None
         if field is not None:
@@ -232,7 +237,8 @@ def anchor_eval(abd: PolyFilippovAlgebroid,
     polynomial sections."""
     if len(sections) != abd.arity - 1:
         raise DimensionMismatch("anchor takes arity-1 sections")
-    return _tensorial(abd.anchor_table.get, abd.num_vars, abd.rank, sections)
+    return _tensorial(abd.anchor_table.get, abd.num_vars,
+                      _supports(abd.num_vars, abd.rank, sections))
 
 
 @traced("algebroid.section_bracket")
@@ -244,7 +250,7 @@ def section_bracket(abd: PolyFilippovAlgebroid,
     if len(sections) != n:
         raise DimensionMismatch(f"bracket takes {n} sections")
     return _leibniz(abd.bracket_table, abd.anchor_table.get, abd.num_vars,
-                    abd.rank, sections)
+                    abd.rank, _supports(abd.num_vars, abd.rank, sections))
 
 
 def poly_family(num_vars: int) -> list[MultiPoly]:
@@ -764,32 +770,30 @@ def bracket_derivation(abd: PolyFilippovAlgebroid) -> PolyMultiderivation:
         {(key,): field for key, field in abd.anchor_table.items()})
 
 
+def _symbol(d: PolyMultiderivation) -> _Symbol:
+    """d's symbol as a map on the sorted wedge of the other generators."""
+    return d.symbol.get if d.degree == 0 else lambda w: d.symbol.get((w,))
+
+
 def md_eval(d: PolyMultiderivation, blocks: tuple[Key, ...],
             final: Sequence[PolySection]) -> PolySection:
-    """Evaluate on generator wedge blocks and a final tuple of polynomial
-    sections, expanding by the Leibniz rule in each final slot."""
-    if len(blocks) != max(0, d.degree - 1):
+    """Evaluate on a final tuple of polynomial sections by the Leibniz
+    rule in each slot; at degrees 0 and 1 there are no wedge ``blocks``."""
+    if blocks:
         raise DimensionMismatch("wrong number of block arguments")
-    if d.degree == 0:
-        if len(final) != 1:
-            raise DimensionMismatch("degree 0 takes a single section")
-        return _leibniz(d.table, d.symbol.get, d.num_vars, d.rank, final)
-    if len(final) != d.arity:
+    if d.degree == 0 and len(final) != 1:
+        raise DimensionMismatch("degree 0 takes a single section")
+    if d.degree == 1 and len(final) != d.arity:
         raise DimensionMismatch(f"degree 1 takes {d.arity} final sections")
-    return _leibniz(d.table, lambda w: d.symbol.get(blocks + (w,)),
-                    d.num_vars, d.rank, final)
+    return _leibniz(d.table, _symbol(d), d.num_vars, d.rank,
+                    _supports(d.num_vars, d.rank, final))
 
 
-def _gen_wedge(d: PolyMultiderivation, key: Key) -> list[PolySection]:
-    return [generator_section(d.num_vars, d.rank, j) for j in key]
-
-
-def _md_apply(d: PolyMultiderivation, keys: tuple[Key, ...],
-              z: PolySection) -> PolySection:
-    """D(X_1, .., X_degree, z) on generator wedges and one section."""
-    if d.degree == 0:
-        return md_eval(d, (), (z,))
-    return md_eval(d, keys[:-1], _gen_wedge(d, keys[-1]) + [z])
+def _md_apply(d: PolyMultiderivation, keys: tuple[Key, ...], z: _Slot,
+              one: MultiPoly) -> PolySection:
+    """D(X_1, .., X_degree, z) on generator wedges and a slot support z."""
+    gens = [[(j, one)] for key in keys for j in key]
+    return _leibniz(d.table, _symbol(d), d.num_vars, d.rank, gens + [z])
 
 
 def _check_pair(d1: PolyMultiderivation, d2: PolyMultiderivation) -> None:
@@ -798,23 +802,19 @@ def _check_pair(d1: PolyMultiderivation, d2: PolyMultiderivation) -> None:
 
 
 def _insertions(d1: PolyMultiderivation, d2: PolyMultiderivation,
-                keys: tuple[Key, ...]):
-    """Shuffle-signed insertions of d2 into one generator of a wedge
-    argument of d1: yields (sign, head, block, slot, w) where d2 applied to
-    its share of keys and block[slot] gives w, head is d1's share before
-    block, and sign is the Koszul sign times the shuffle sign."""
-    p, q = d1.degree, d2.degree
-    m, r = d1.num_vars, d1.rank
-    for k in range(p):
-        base_sign = -1 if (k * q) % 2 else 1
-        for perm, sh_sign in shuffles(k, q):
-            head = tuple(keys[i] for i in perm[:k])
-            mid = tuple(keys[i] for i in perm[k:])
-            block = keys[k + q]
-            for s in range(d1.arity - 1):
-                w = _md_apply(d2, mid, generator_section(m, r, block[s]))
-                if not w.is_zero:
-                    yield base_sign * sh_sign, head, block, s, w
+                keys: tuple[Key, ...], one: MultiPoly):
+    """The insertions of d2 into d1 (module docstring), each as the slot
+    supports of d1's last wedge keys[-1] with one generator b replaced by
+    d2(keys[:-1], b), the signed lookup of d2's table."""
+    if d1.degree == 0:
+        return
+    look = basis_lookup(d2.table)
+    head, block = sum(keys[:-1], ()), keys[-1]
+    gens = [[(j, one)] for j in block]
+    for s, b in enumerate(block):
+        w = look(head + (b,))
+        if w:
+            yield gens[:s] + [w] + gens[s + 1:]
 
 
 def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
@@ -823,21 +823,23 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
     section; mirrors the point-base formula with polynomial coefficients."""
     _check_pair(d1, d2)
     p, q = d1.degree, d2.degree
+    m, r = d1.num_vars, d1.rank
     if len(keys) != p + q:
         raise DimensionMismatch(f"expected {p + q} wedge arguments")
-    out = section_zero(d1.num_vars, d1.rank)
-    for sign, head, block, s, w in _insertions(d1, d2, keys):
-        final = (_gen_wedge(d1, block[:s]) + [w]
-                 + _gen_wedge(d1, block[s + 1:]) + [z])
-        val = md_eval(d1, head, final)
+    [zs] = _supports(m, r, [z])
+    one = poly_const(m, 1)
+    out = section_zero(m, r)
+    for wedge in _insertions(d1, d2, keys, one):
+        val = _leibniz(d1.table, _symbol(d1), m, r, wedge + [zs])
         if not val.is_zero:
-            out = section_add(out, section_scale(sign, val))
+            out = section_add(out, val)
     base_sign = -1 if (p * q) % 2 else 1
     for perm, sh_sign in shuffles(p, q):
-        w = _md_apply(d2, tuple(keys[i] for i in perm[p:]), z)
+        w = _md_apply(d2, tuple(keys[i] for i in perm[p:]), zs, one)
         if w.is_zero:
             continue
-        val = _md_apply(d1, tuple(keys[i] for i in perm[:p]), w)
+        val = _md_apply(d1, tuple(keys[i] for i in perm[:p]),
+                        [(j, c) for j, c in enumerate(w.comps) if c], one)
         if not val.is_zero:
             out = section_add(out, section_scale(base_sign * sh_sign, val))
     return out
@@ -856,13 +858,10 @@ def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
           keys: tuple[Key, ...]) -> PolyVectorField:
     """(sigma_D1 (.) D2)(keys): insert D2's value into one wedge factor of
     sigma_D1's arguments."""
-    out = vf_zero(sig_owner.num_vars)
-    for sign, head, block, s, w in _insertions(sig_owner, other, keys):
-        wedge = (_gen_wedge(sig_owner, block[:s]) + [w]
-                 + _gen_wedge(sig_owner, block[s + 1:]))
-        field = _tensorial(lambda v: sig_owner.symbol.get(head + (v,)),
-                           sig_owner.num_vars, sig_owner.rank, wedge)
-        out = out + field.scale(sign)
+    m = sig_owner.num_vars
+    out = vf_zero(m)
+    for wedge in _insertions(sig_owner, other, keys, poly_const(m, 1)):
+        out = out + _tensorial(_symbol(sig_owner), m, wedge)
     return out
 
 

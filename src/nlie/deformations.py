@@ -34,7 +34,7 @@ from .algebra import (CheckResult, Key, NLieAlgebra, Representation,
                       require_fi, semidirect_product)
 from .cochains import (Cochain, circle, cochain_add, cochain_is_zero,
                        cochain_to_vec, cochain_zero, from_bracket,
-                       gla_bracket, to_algebra, vec_to_cochain)
+                       gla_bracket, vec_to_cochain)
 from .cohomology import Complex, complex_dim
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Support, Vector, column_supports, densify,
@@ -199,8 +199,8 @@ def conjugate_path(path: DeformationPath,
     built."""
     n, m, k = path.base.arity, path.base.dim, path.order
     sups = _coefficients(emap, m, k)
-    looks = [basis_lookup(alg.structure)
-             for alg in (path.base, *map(to_algebra, path.terms))]
+    looks = [basis_lookup({w: v for (_, w), v in phi.entries.items()})
+             for phi in _phi_list(path)]
     entries: list[dict] = [{} for _ in range(k)]
     for key in itertools.combinations(range(m), n):
         psi = _pushed(looks, sups, key, k)
@@ -247,8 +247,8 @@ def check_homomorphism_family(path: DeformationPath,
     n, m, k = path.base.arity, path.base.dim, path.order
     top = k + len(emap.maps) * n
     sups = _coefficients(emap, m, top)
-    looks = [basis_lookup(alg.structure)
-             for alg in (path.base, *map(to_algebra, path.terms))]
+    looks = [basis_lookup({w: v for (_, w), v in phi.entries.items()})
+             for phi in _phi_list(path)]
     for key in itertools.combinations(range(m), n):
         pushed = _pushed(looks[:1], sups, key, top)
         for r in range(top + 1):

@@ -324,9 +324,119 @@ def ref_check_algebroid_axioms(abd, implied=True, degree=2):
     return CheckResult(True, None)
 
 
+def _ref_insertions(d1, d2, keys):
+    """Shuffle-signed insertions of d2 into one generator of a wedge
+    argument of d1, for any degrees: yields (sign, head, block, slot, w),
+    where w is d2 applied to its share of keys and the generator
+    block[slot], evaluated on generator sections through ``md_eval``, head
+    is d1's share before block, and sign is the Koszul sign times the
+    shuffle sign."""
+    from nlie.algebroid import generator_section
+    from nlie.cochains import shuffles
+
+    p, q = d1.degree, d2.degree
+    for k in range(p):
+        base_sign = -1 if (k * q) % 2 else 1
+        for perm, sh_sign in shuffles(k, q):
+            head = tuple(keys[i] for i in perm[:k])
+            mid = tuple(keys[i] for i in perm[k:])
+            block = keys[k + q]
+            for s in range(d1.arity - 1):
+                w = _ref_md_apply(d2, mid, generator_section(
+                    d1.num_vars, d1.rank, block[s]))
+                if not w.is_zero:
+                    yield base_sign * sh_sign, head, block, s, w
+
+
+def _ref_gens(d, key):
+    from nlie.algebroid import generator_section
+    return [generator_section(d.num_vars, d.rank, j) for j in key]
+
+
+def _ref_md_apply(d, keys, z):
+    """D(X_1, .., X_degree, z) through ``md_eval`` on generator sections."""
+    from nlie.algebroid import md_eval
+    if d.degree == 0:
+        return md_eval(d, (), (z,))
+    return md_eval(d, keys[:-1], _ref_gens(d, keys[-1]) + [z])
+
+
+def ref_md_circle_eval(d1, d2, keys, z):
+    """``md_circle_eval`` by the shuffle-general insertion over generator
+    sections, every value through ``md_eval``."""
+    import nlie.algebroid as A
+    from nlie.cochains import shuffles
+
+    p, q = d1.degree, d2.degree
+    out = A.section_zero(d1.num_vars, d1.rank)
+    for sign, head, block, s, w in _ref_insertions(d1, d2, keys):
+        final = (_ref_gens(d1, block[:s]) + [w]
+                 + _ref_gens(d1, block[s + 1:]) + [z])
+        out = A.section_add(out, A.section_scale(
+            sign, A.md_eval(d1, head, final)))
+    base_sign = -1 if (p * q) % 2 else 1
+    for perm, sh_sign in shuffles(p, q):
+        w = _ref_md_apply(d2, tuple(keys[i] for i in perm[p:]), z)
+        val = _ref_md_apply(d1, tuple(keys[i] for i in perm[:p]), w)
+        out = A.section_add(out, A.section_scale(base_sign * sh_sign, val))
+    return out
+
+
+def ref_md_bracket_eval(d1, d2, keys, z):
+    import nlie.algebroid as A
+
+    sign = -1 if (d1.degree * d2.degree) % 2 else 1
+    return A.section_sub(
+        A.section_scale(sign, ref_md_circle_eval(d1, d2, keys, z)),
+        ref_md_circle_eval(d2, d1, keys, z))
+
+
+def _ref_odot(sig_owner, other, keys):
+    """(sigma_D1 (.) D2)(keys), the symbol's tensorial extension taken as
+    ``anchor_eval`` of the algebroid whose anchor is that symbol."""
+    import nlie.algebroid as A
+
+    m, r, n = sig_owner.num_vars, sig_owner.rank, sig_owner.arity
+    out = A.vf_zero(m)
+    for sign, head, block, s, w in _ref_insertions(sig_owner, other, keys):
+        anchor = {key[-1]: field for key, field in sig_owner.symbol.items()
+                  if key[:-1] == head}
+        abd = A.make_poly_algebroid(m, r, n, {}, anchor)
+        wedge = (_ref_gens(sig_owner, block[:s]) + [w]
+                 + _ref_gens(sig_owner, block[s + 1:]))
+        out = out + A.anchor_eval(abd, wedge).scale(sign)
+    return out
+
+
+def ref_symbol_bracket(d1, d2):
+    """``symbol_bracket`` through ``_ref_odot``."""
+    import itertools
+
+    import nlie.algebroid as A
+    from nlie.cochains import shuffles
+
+    p, q = d1.degree, d2.degree
+    sign = -1 if (p * q) % 2 else 1
+    zero = A.vf_zero(d1.num_vars)
+    wedges = list(itertools.combinations(range(d1.rank), d1.arity - 1))
+    out = {}
+    for keys in itertools.product(wedges, repeat=p + q):
+        total = (_ref_odot(d1, d2, keys).scale(sign)
+                 - _ref_odot(d2, d1, keys))
+        for perm, sh_sign in shuffles(p, q):
+            head = tuple(keys[i] for i in perm[:p])
+            tail = tuple(keys[i] for i in perm[p:])
+            total = total + A.vf_bracket(d1.symbol.get(head, zero),
+                                         d2.symbol.get(tail, zero)
+                                         ).scale(sh_sign)
+        out[keys] = total
+    return out
+
+
 def ref_check_symbol_leibniz(abd, d1, d2, degree=2):
     """``check_symbol_leibniz`` with one evaluation per frame and
-    monomial weight of degree at most ``degree``."""
+    monomial weight of degree at most ``degree``, on the reference
+    products ``ref_md_bracket_eval`` and ``ref_symbol_bracket``."""
     import itertools
 
     import nlie.algebroid as A
@@ -334,15 +444,16 @@ def ref_check_symbol_leibniz(abd, d1, d2, degree=2):
 
     n, m, r = d1.arity, d1.num_vars, d1.rank
     fam = monomials(m, degree)
-    symbols = A.symbol_bracket(d1, d2)
+    symbols = ref_symbol_bracket(d1, d2)
     wedges = list(itertools.combinations(range(r), n - 1))
     for keys in itertools.product(wedges, repeat=d1.degree + d2.degree):
         sigma = symbols[keys]
         for j in range(r):
             gen = A.generator_section(m, r, j)
-            plain = A.md_bracket_eval(d1, d2, keys, gen)
+            plain = ref_md_bracket_eval(d1, d2, keys, gen)
             for f in fam:
-                lhs = A.md_bracket_eval(d1, d2, keys, A.section_scale(f, gen))
+                lhs = ref_md_bracket_eval(d1, d2, keys,
+                                          A.section_scale(f, gen))
                 rhs = A.section_add(A.section_scale(f, plain),
                                     A.section_scale(A.vf_apply(sigma, f),
                                                     gen))

@@ -23,19 +23,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (rand_bundle_map, rand_multiderivation, rand_poly,
-                     rand_poly_algebroid, rand_sparse_algebroid,
+from helpers import (rand_bundle_map, rand_low_poly, rand_multiderivation,
+                     rand_poly, rand_poly_algebroid, rand_sparse_algebroid,
                      ref_anchor_defect, ref_check_algebroid_axioms,
                      ref_check_symbol_leibniz, ref_fi_defect,
-                     ref_nijenhuis_symbol_check, weighted_frame)
+                     ref_md_circle_eval, ref_nijenhuis_symbol_check,
+                     ref_symbol_bracket, weighted_frame)
 
 import nlie.algebroid as A
 from nlie.algebroid import (PolySection, anchor_eval, bracket_derivation,
                             check_algebroid_axioms, check_symbol_leibniz,
-                            example_tangent_topform, make_bundle_map,
-                            make_poly_algebroid, make_poly_multiderivation,
-                            nijenhuis_symbol_check, section_add,
-                            section_bracket, section_scale, section_sub)
+                            example_tangent_topform, generator_section,
+                            make_bundle_map, make_poly_algebroid,
+                            make_poly_multiderivation, make_section,
+                            md_circle_eval, nijenhuis_symbol_check,
+                            section_add, section_bracket, section_scale,
+                            section_sub, symbol_bracket)
 from nlie.algebra import bracket_on_basis
 from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
@@ -131,6 +134,32 @@ def test_generator_phases_match_reference_random():
         kinds[_kind(res)] += 1
     assert kinds[("fundamental identity", False)] >= 10
     assert kinds[("anchor compatibility", False)] >= 10
+
+
+def test_products_match_reference_random():
+    # the lookup insertion of md_circle_eval and symbol_bracket against
+    # the shuffle-general insertion over generator sections in helpers,
+    # on generator and polynomial-weighted z
+    inserted = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, r, n = _shape(rng)
+        d1 = rand_multiderivation(rng, m, r, n, rng.randint(0, 1))
+        d2 = rand_multiderivation(rng, m, r, n, rng.randint(0, 1))
+        zs = [generator_section(m, r, j) for j in range(r)] + [make_section(
+            m, r, [rand_low_poly(rng, m, 2) for _ in range(r)])]
+        wedges = list(itertools.combinations(range(r), n - 1))
+        for a, b in ((d1, d2), (d2, d1), (d1, d1)):
+            for keys in itertools.product(wedges,
+                                          repeat=a.degree + b.degree):
+                for z in zs:
+                    val = md_circle_eval(a, b, keys, z)
+                    assert val == ref_md_circle_eval(a, b, keys, z), seed
+                    inserted[a.degree, b.degree] += not val.is_zero
+            sym = symbol_bracket(a, b)
+            assert sym == ref_symbol_bracket(a, b), seed
+            inserted["symbol"] += sum(not v.is_zero for v in sym.values())
+    assert min(inserted.values()) >= 20, inserted
 
 
 def test_symbol_leibniz_matches_reference_random():

@@ -268,6 +268,33 @@ def test_one_leibniz_driver():
                 "_weight_index"} & set(funcs)
 
 
+def test_products_take_supports():
+    """Sections enter the evaluators of ``nlie.algebroid`` as slot
+    supports: ``_supports``, the bundle check, runs only at the public
+    entry points, ``_leibniz`` and ``_tensorial`` take supports, and
+    ``_insertions`` reads the inserted operator from its table, with no
+    shuffle loop and no generator section."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent / "algebroid.py")
+                     .read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+
+    def names(func):
+        return {sub.id for sub in ast.walk(funcs[func])
+                if isinstance(sub, ast.Name)}
+
+    def callers(name):
+        return {func for func in funcs if name in names(func)}
+
+    assert callers("_supports") == {"section_bracket", "anchor_eval",
+                                    "md_eval", "md_circle_eval"}
+    assert not {"shuffles", "_md_apply", "generator_section"} \
+        & names("_insertions")
+    assert not {"md_eval", "_md_apply", "md_circle_eval", "_odot"} \
+        & callers("generator_section")
+    assert "_gen_wedge" not in funcs
+
+
 def test_one_basis_key_rule():
     """Every table constructor checks its keys through
     ``algebra.basis_key``; outside it only the located checks of ``io``

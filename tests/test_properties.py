@@ -1,6 +1,6 @@
 """Property tests over random basis changes of catalog algebras, and of
 the CLI exit contract on mutated catalog documents: algebras, deformation
-paths and equivalence maps.
+paths, equivalence maps and algebroids.
 
 Each basis-change example transports a valid bracket along a small
 invertible basis change P (a signed permutation, a few integer shears and
@@ -25,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import circle_differential_matrix
+from nlie.algebroid import (example_tangent_fc, example_tangent_topform,
+                            make_poly_algebroid)
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
                           heisenberg3, levi_civita_bracket, sl2)
 from nlie.chevalley import ce_differential_matrix
@@ -32,8 +34,10 @@ from nlie.cli import main
 from nlie.cohomology import differential_matrix
 from nlie.deformations import (EquivalenceMap, constant_path,
                                deformation_from_nijenhuis)
-from nlie.io import algebra_to_json, emap_to_json, path_to_json
+from nlie.io import (algebra_to_json, algebroid_to_json, emap_to_json,
+                     path_to_json)
 from nlie.linalg import Matrix
+from nlie.poly import PolyVectorField, poly_var, vf_coordinate
 
 # fixed examples, so the suite reruns the same inputs every time
 PROFILE = settings(derandomize=True, max_examples=12, deadline=None,
@@ -121,14 +125,16 @@ def _slots(doc, out):
 
 
 @st.composite
-def mutated_documents(draw, sources: list) -> str:
+def mutated_documents(draw, sources: list, fixed: tuple = ()) -> str:
     """One of ``sources`` after a few seeded mutations: a key dropped,
     renamed or duplicated, a value swapped for an odd one, a list entry
-    repeated, and now and then the text truncated."""
+    repeated, and now and then the text truncated.  The top-level keys in
+    ``fixed`` are left as they are."""
     doc = copy.deepcopy(draw(st.sampled_from(sources)))
     duplicates = []
     for _ in range(draw(st.integers(1, 3))):
-        slots = _slots(doc, [])
+        slots = [(parent, key) for parent, key in _slots(doc, [])
+                 if parent is not doc or key not in fixed]
         if not slots:
             break
         parent, key = draw(st.sampled_from(slots))
@@ -168,7 +174,9 @@ def _check_exit_contract(argv):
         assert out.getvalue() == ""
 
 
-@PROFILE
+# at 12 examples every mutated algebra is an input error: 40 also reach
+# exit 0 and 1
+@settings(PROFILE, max_examples=40)
 @given(mutated_documents(CATALOG_DOCUMENTS))
 def test_cli_exit_contract_on_mutated_documents(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -221,3 +229,26 @@ def test_deform_exit_contract_on_mutated_documents(inputs):
                       ["obstruction", files[slot]]]
         for argv in argvs:
             _check_exit_contract(argv)
+
+
+# the two examples and a zero-bracket algebroid whose anchor fields do not
+# commute, which fails axiom (a)
+ALGEBROID_DOCUMENTS = [algebroid_to_json(abd) for abd in (
+    example_tangent_fc(sl2(), poly_var(3, 0)),
+    example_tangent_topform(3, 2),
+    make_poly_algebroid(1, 2, 2, {}, {
+        (0,): vf_coordinate(1, 0),
+        (1,): PolyVectorField(1, (poly_var(1, 0),))}))]
+
+
+# nearly every mutation of a table is an input error; with the header
+# fields kept, 60 examples also reach exit 0 and 1
+@settings(PROFILE, max_examples=60)
+@given(mutated_documents(ALGEBROID_DOCUMENTS,
+                         fixed=("num_vars", "rank", "arity")))
+def test_algebroid_exit_contract_on_mutated_documents(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebroid.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _check_exit_contract(["algebroid", "check", path])
