@@ -6,9 +6,11 @@ the differential is the classical alternating-sum formula.  Nothing here
 touches the shuffle or circle machinery, which is the point: the generic
 differential must reproduce these maps when the arity is 2.
 
-Convention: the degree-0 differential sends v to ad_v (z -> [v, z]).  With
-the standard signs at higher degrees this still squares to zero, and it is
-the orientation under which the generic complex is matched degree by degree.
+Convention: the degree-0 differential sends v to ad_v (z -> [v, z]), the
+first sum of ``ce_differential`` at p = 0 with its sign flipped.  With the
+standard signs at higher degrees this still squares to zero, and it is the
+orientation under which the generic complex is matched degree by degree.
+``ce_zero`` and ``make_ce_cochain`` are the oracle's API, kept for tests.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .algebra import (NLieAlgebra, basis_key, bracket_on_basis, coeff_vector,
                       sort_with_sign)
 from .errors import DimensionMismatch
-from .linalg import Matrix, Vector, vec_add, vec_is_zero, vec_scale, vec_zero
+from .linalg import (Matrix, Vector, basis_vec, vec_add, vec_is_zero,
+                     vec_scale, vec_zero)
 
 CEKey = tuple[int, ...]
 
@@ -40,7 +44,7 @@ def ce_space_keys(dim: int, degree: int) -> list[CEKey]:
 
 
 def ce_dim(dim: int, degree: int) -> int:
-    return len(ce_space_keys(dim, degree)) * dim
+    return comb(dim, degree) * dim
 
 
 def make_ce_cochain(dim: int, degree: int,
@@ -64,8 +68,6 @@ def ce_eval(psi: CECochain, idx: tuple[int, ...]) -> Vector:
     """Evaluate on basis indices in any order (sign from sorting)."""
     if len(idx) != psi.degree:
         raise DimensionMismatch("wrong number of arguments")
-    if psi.degree == 0:
-        return psi.entries.get((), vec_zero(psi.dim))
     ss = sort_with_sign(idx)
     if ss is None:
         return vec_zero(psi.dim)
@@ -76,14 +78,6 @@ def ce_eval(psi: CECochain, idx: tuple[int, ...]) -> Vector:
     return val if sign == 1 else vec_scale(-1, val)
 
 
-def _bracket2(alg: NLieAlgebra, i: int, j: int) -> Vector:
-    if i == j:
-        return vec_zero(alg.dim)
-    if i < j:
-        return bracket_on_basis(alg, (i, j))
-    return vec_scale(-1, bracket_on_basis(alg, (j, i)))
-
-
 def ce_differential(alg: NLieAlgebra, psi: CECochain) -> CECochain:
     """Classical adjoint-module coboundary:
 
@@ -91,7 +85,7 @@ def ce_differential(alg: NLieAlgebra, psi: CECochain) -> CECochain:
                               + sum_{i<j} (-1)^(i+j) psi([x_i,x_j], .., x̂_i,
                                                          .., x̂_j, ..)
 
-    with the degree-0 case d(v) = ad_v.
+    with the degree-0 case d(v) = ad_v: the first sum with its sign flipped.
     """
     if alg.arity != 2:
         raise DimensionMismatch("classical complex needs a binary bracket")
@@ -99,32 +93,23 @@ def ce_differential(alg: NLieAlgebra, psi: CECochain) -> CECochain:
     if psi.dim != m:
         raise DimensionMismatch("cochain does not match the algebra")
     p = psi.degree
+    # d(v) = ad_v: at p = 0 the first sum reads [x_1, v], so flip its sign
+    flip = -1 if p == 0 else 1
     entries: dict[CEKey, Vector] = {}
-    if p == 0:
-        v = psi.entries.get((), vec_zero(m))
-        for x in range(m):
-            col = vec_zero(m)
-            for j, c in enumerate(v):
-                if c:
-                    col = vec_add(col, vec_scale(c, _bracket2(alg, j, x)))
-            if not vec_is_zero(col):
-                entries[(x,)] = col
-        return CECochain(m, 1, entries)
     for key in itertools.combinations(range(m), p + 1):
         total = vec_zero(m)
         for i0 in range(p + 1):
-            rest = key[:i0] + key[i0 + 1:]
-            inner = psi.entries.get(rest)
+            inner = psi.entries.get(key[:i0] + key[i0 + 1:])
             if inner is not None:
-                sign = -1 if i0 % 2 else 1
+                sign = -flip if i0 % 2 else flip
                 for l, c in enumerate(inner):
                     if c:
                         total = vec_add(total, vec_scale(
-                            sign * c, _bracket2(alg, key[i0], l)))
+                            sign * c, bracket_on_basis(alg, (key[i0], l))))
         for i0 in range(p + 1):
             for j0 in range(i0 + 1, p + 1):
                 sign = -1 if (i0 + j0) % 2 else 1
-                br = _bracket2(alg, key[i0], key[j0])
+                br = bracket_on_basis(alg, (key[i0], key[j0]))
                 rest = tuple(key[t] for t in range(p + 1)
                              if t not in (i0, j0))
                 for l, c in enumerate(br):
@@ -145,26 +130,13 @@ def ce_to_vec(psi: CECochain) -> Vector:
 
 
 def ce_basis(dim: int, degree: int) -> list[CECochain]:
-    out = []
-    for key in ce_space_keys(dim, degree):
-        for i in range(dim):
-            vec = tuple(Fraction(1) if j == i else Fraction(0)
-                        for j in range(dim))
-            out.append(CECochain(dim, degree, {key: vec}))
-    return out
+    return [CECochain(dim, degree, {key: basis_vec(dim, i)})
+            for key in ce_space_keys(dim, degree) for i in range(dim)]
 
 
 def ce_differential_matrix(alg: NLieAlgebra, degree: int) -> Matrix:
     """Matrix of the coboundary C^p -> C^(p+1) in the elementary bases."""
     m = alg.dim
-    cols = []
-    if degree == 0:
-        for i in range(m):
-            v = tuple(Fraction(1) if j == i else Fraction(0)
-                      for j in range(m))
-            cols.append(ce_to_vec(ce_differential(
-                alg, CECochain(m, 0, {(): v}))))
-    else:
-        for psi in ce_basis(m, degree):
-            cols.append(ce_to_vec(ce_differential(alg, psi)))
+    cols = [ce_to_vec(ce_differential(alg, psi))
+            for psi in ce_basis(m, degree)]
     return Matrix.from_cols(cols, ce_dim(m, degree + 1))

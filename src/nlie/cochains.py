@@ -386,19 +386,14 @@ def differential(phi: Cochain,
 
 
 def wedge_differential(phi: Cochain, x: WedgeElement) -> Cochain:
-    """The differential on degree -1: the degree-0 cochain z -> phi(x ∧ z).
-    Unlike ``differential`` it does not check phi's Maurer-Cartan defect."""
+    """The differential on degree -1: the degree-0 cochain z -> phi(x ∧ z),
+    read by ``evaluate``.  Unlike ``differential`` it does not check phi's
+    Maurer-Cartan defect."""
     n, m = phi.arity, phi.dim
     if x.grade != n - 1 or x.dim != m:
         raise DimensionMismatch("degree -1 argument must be an (n-1)-wedge")
-    entries: dict[CochainKey, Vector] = {}
-    for z in range(m):
-        col = densify(multilinear(
-            [x.coords.items()],
-            lambda blocks: enumerate(eval_keys_z(phi, blocks, z))), m)
-        if not vec_is_zero(col):
-            entries[((), (z,))] = col
-    return Cochain(n, m, 0, entries)
+    cols = [evaluate(phi, [x], basis_vec(m, z)) for z in range(m)]
+    return vec_to_cochain(sum(cols, ()), n, m, 0)
 
 
 def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:

@@ -225,6 +225,34 @@ def test_three_routes_stay_independent():
     assert names("coboundary_rows") & {"circle", "gla_bracket"} == set()
 
 
+def test_each_route_written_once():
+    """Inside each route one code path serves every degree: ``chevalley``
+    reads the bracket through ``bracket_on_basis`` with no helper of its
+    own, ``ce_differential`` and ``ce_differential_matrix`` return only at
+    their end (no early return for degree 0), and ``wedge_differential``
+    reads phi through ``evaluate``, with no ``multilinear`` of its own."""
+    package = pathlib.Path(nlie.__file__).parent
+
+    def funcs(module):
+        return {node.name: node for node in ast.parse(
+            (package / module).read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+
+    def names(func):
+        return {getattr(node, "id", getattr(node, "attr", None))
+                for node in ast.walk(func)}
+
+    chevalley = funcs("chevalley.py")
+    assert not [name for name in chevalley if "bracket" in name]
+    assert "bracket_on_basis" in names(chevalley["ce_differential"])
+    for name in ("ce_differential", "ce_differential_matrix"):
+        func = chevalley[name]
+        assert [node for node in ast.walk(func)
+                if isinstance(node, ast.Return)] == [func.body[-1]], name
+    wedge = names(funcs("cochains.py")["wedge_differential"])
+    assert "evaluate" in wedge and "multilinear" not in wedge
+
+
 def test_polynomials_validated_where_they_enter():
     """``poly_from_terms`` is the one place that checks raw terms, so
     ``MultiPoly`` has no ``__post_init__`` and no other function of

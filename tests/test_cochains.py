@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import (_ref_circle_raw, rand_bracket, rand_cochain,
-                     rand_matrix, rand_sparse_vector, rand_valid_algebra,
-                     simple_4lie)
+                     rand_fraction, rand_matrix, rand_sparse_vector,
+                     rand_valid_algebra, simple_4lie)
 from nlie.algebra import (ad_map, basis_wedge, check_fundamental_identity,
                           make_wedge)
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
@@ -225,10 +225,20 @@ def test_from_matrix_roundtrip():
 
 
 def test_differential_of_wedge_is_ad():
-    alg = levi_civita_bracket()
-    phi = from_bracket(alg)
-    x = basis_wedge(2, 4, (0, 1))
-    assert to_matrix(differential(phi, x)).entries == ad_map(alg, x).entries
+    """d x = ad_x on every basis wedge and one random wedge, over
+    Levi-Civita, sl(2) and a random basis change of each."""
+    rng = random.Random(29)
+    for base in (levi_civita_bracket(), sl2()):
+        for alg in (base, rand_valid_algebra(rng, base)):
+            n, m = alg.arity, alg.dim
+            phi = from_bracket(alg)
+            keys = list(itertools.combinations(range(m), n - 1))
+            wedges = [basis_wedge(n - 1, m, key) for key in keys]
+            wedges.append(make_wedge(n - 1, m, {
+                key: rand_fraction(rng) for key in keys}))
+            for x in wedges:
+                assert to_matrix(differential(phi, x)).entries == \
+                    ad_map(alg, x).entries
 
 
 def test_differential_rejects_broken_structure():
