@@ -14,6 +14,14 @@ takes on sorted basis blocks and e_z: the last block wedges with e_z (sign
 from sorting, zero on a repeat), and degree 0 reads ((), (z,)).
 ``eval_keys_z`` and ``coboundary_rows`` read through it.
 
+An integral entry is stored as an ``int`` and only a non-integral one as a
+``Fraction``, by the rule of ``poly._coeff``, applied where entries enter
+(``make_cochain``, ``vec_to_cochain``, ``from_bracket``,
+``cochain_scale``).  The circle products clear denominators once:
+``circle_sum`` scales the operands by the lcm of their entry denominators,
+sums the products in Python ints and divides each output entry once, so on
+integral operands nothing is divided and no Fraction is made.
+
 The circle product composes D1 (degree p) with D2 (degree q).  With the
 final vector appended to the arguments as a one-slot block (z), for
 0 <= k <= p and a (k,q)-shuffle s of the first k+q arguments, D2 swallows
@@ -46,7 +54,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import (Key, NLieAlgebra, WedgeElement, basis_key,
@@ -57,6 +65,7 @@ from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
                      multilinear, support, vec_add, vec_is_zero, vec_scale,
                      vec_sub, vec_zero)
+from .poly import _coeff
 from .trace import span, traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
@@ -66,7 +75,8 @@ Row = dict[int, Fraction]
 
 @dataclass(frozen=True)
 class Cochain:
-    """Sparse multiderivation cochain; absent keys are zero."""
+    """Sparse multiderivation cochain; absent keys are zero.  An entry
+    component is an int when integral at entry, else a Fraction."""
 
     arity: int
     dim: int
@@ -103,7 +113,8 @@ def basis_cochains(dim: int, arity: int, degree: int) -> list[Cochain]:
     out = []
     for key in space_keys(dim, arity, degree):
         for i in range(dim):
-            out.append(Cochain(arity, dim, degree, {key: basis_vec(dim, i)}))
+            out.append(Cochain(arity, dim, degree, {key: tuple(
+                int(j == i) for j in range(dim))}))
     return out
 
 
@@ -122,7 +133,7 @@ def vec_to_cochain(vec: Vector, arity: int, dim: int, degree: int) -> Cochain:
         raise DimensionMismatch("vector length does not match the space")
     entries = {}
     for t, key in enumerate(keys):
-        chunk = tuple(vec[t * dim:(t + 1) * dim])
+        chunk = tuple(map(_coeff, vec[t * dim:(t + 1) * dim]))
         if not vec_is_zero(chunk):
             entries[key] = chunk
     return Cochain(arity, dim, degree, entries)
@@ -140,7 +151,7 @@ def make_cochain(arity: int, dim: int, degree: int,
             raise DimensionMismatch(
                 f"{len(blocks)} tensor blocks at degree {degree}")
         last = basis_key(last, arity if degree else 1, dim, "final wedge")
-        vec = coeff_vector(value, dim, "entry vector")
+        vec = tuple(map(_coeff, coeff_vector(value, dim, "entry vector")))
         if not vec_is_zero(vec):
             table[(blocks, last)] = vec
     return Cochain(arity, dim, degree, table)
@@ -158,7 +169,7 @@ def _combine(a: Cochain, b: Cochain, op) -> Cochain:
     """Entry by entry op(a, b), with op a vector sum or difference."""
     _compatible(a, b, same_degree=True)
     entries = dict(a.entries)
-    zero = vec_zero(a.dim)
+    zero = (0,) * a.dim
     for k, v in b.entries.items():
         acc = op(entries.get(k, zero), v)
         if vec_is_zero(acc):
@@ -173,7 +184,7 @@ def cochain_add(a: Cochain, b: Cochain) -> Cochain:
 
 
 def cochain_scale(c: Fraction | int, d: Cochain) -> Cochain:
-    c = Fraction(c)
+    c = _coeff(c)
     if c == 0:
         return cochain_zero(d.arity, d.dim, d.degree)
     return Cochain(d.arity, d.dim, d.degree,
@@ -243,26 +254,40 @@ def shuffles(k: int, q: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def _splits(d: Cochain):
+def clear_denominators(
+        ds: Sequence[Cochain]) -> tuple[int, list[dict[CochainKey, Vector]]]:
+    """(L, tables): L the lcm of the denominators of every entry of ``ds``
+    (1 when all are integral), and per cochain its entries times L, in
+    ints.  A quantity linear in the cochains is L times its value on the
+    tables."""
+    den = lcm(*(x.denominator for d in ds for v in d.entries.values()
+                for x in v))
+    return den, [{key: tuple(x.numerator * (den // x.denominator)
+                             for x in v)
+                  for key, v in d.entries.items()} for d in ds]
+
+
+def _splits(degree: int, table: dict[CochainKey, Vector]):
     """(blocks, y, above, value) per split of each entry's final wedge W
     into a last block and e_y, where above counts the indices of W above
     y: (-1)^above is the sign of the move, and above = 0 is the stored
     split.  A degree-0 entry ((), (y,)) has the one split ((), y, 0)."""
-    for (blocks, w), v in d.entries.items():
+    for (blocks, w), v in table.items():
         for t, y in enumerate(w):
-            yield (blocks + (w[:t] + w[t + 1:],) if d.degree else (), y,
+            yield (blocks + (w[:t] + w[t + 1:],) if degree else (), y,
                    len(w) - 1 - t, v)
 
 
-def _scatter(d1: Cochain, d2: Cochain):
+def _scatter(p: int, t1: dict[CochainKey, Vector], q: int,
+             t2: dict[CochainKey, Vector]):
     """The terms of D1 ∘ D2 as (output key, coefficient, support of a value
-    of D1): D1 is read on its blocks and final vector (y) as one list
+    of D1), read from the entry tables t1 of D1 (degree p) and t2 of D2
+    (degree q): D1 is read on its blocks and final vector (y) as one list
     ``full``, and the value of D2 at output index j fills slot s of
     ``full[k]``, k <= p."""
-    p, q = d1.degree, d2.degree
     # D2's values by output index j, as (mid, x, (c, -c)) per split
     by_j: dict[int, list[tuple[tuple[Key, ...], int, tuple]]] = {}
-    for mid, x, above, w in _splits(d2):
+    for mid, x, above, w in _splits(q, t2):
         for j, wj in support(w):
             cs = (-wj, wj) if above % 2 else (wj, -wj)
             by_j.setdefault(j, []).append((mid, x, cs))
@@ -270,7 +295,7 @@ def _scatter(d1: Cochain, d2: Cochain):
     orders = [[(tuple(sorted(range(k + q), key=pos.__getitem__)),
                 -s if (k * q) % 2 else s) for pos, s in shuffles(k, q)]
               for k in range(p + 1)]
-    for blocks, y, above, v in _splits(d1):
+    for blocks, y, above, v in _splits(p, t1):
         sign1, sup, full = -1 if above % 2 else 1, support(v), blocks + ((y,),)
         # for k < p the output's final vector y must top the last block:
         # D1's own for k < p-1 (the stored split only), the new one for
@@ -299,29 +324,65 @@ def circle(d1: Cochain, d2: Cochain) -> Cochain:
     (args, z) is placed only where e_z is last in its output key's final
     wedge, the split the key stores: every other split holds the same value
     up to the sign of the move, so placing it there would count it twice."""
-    _compatible(d1, d2)
-    m = d1.dim
-    with span("cochains.circle") as sp:
-        acc: dict[CochainKey, dict[int, Fraction]] = {}
-        terms = 0
-        for key, c, sup in _scatter(d1, d2):
-            terms += 1
-            vals = acc.setdefault(key, {})
-            for i, vi in sup:
-                vals[i] = vals[i] + c * vi if i in vals else c * vi
-        entries = {key: densify(acc[key], m) for key in sorted(acc)
-                   if any(acc[key].values())}
-        sp.count(operands=len(d1.entries) + len(d2.entries), terms=terms,
-                 nonzero=len(entries))
-    return Cochain(d1.arity, m, d1.degree + d2.degree, entries)
+    return circle_sum(d1.arity, d1.dim, d1.degree + d2.degree, [(1, d1, d2)])
+
+
+def circle_sum(arity: int, dim: int, degree: int,
+               terms: Sequence[tuple[int, Cochain, Cochain]]) -> Cochain:
+    """sum c · D1 ∘ D2 over the (c, D1, D2) of ``terms``, c an int and
+    every product of degree ``degree``, summed into one integer table.
+
+    Each product is scattered in ints, under one ``cochains.circle`` span,
+    on its operands times their common denominator L
+    (``clear_denominators``), so at scale L^2.  The products are added
+    into one table at the lcm of their scales, and each output entry is
+    divided by it once; on integral operands every scale is 1 and nothing
+    is divided."""
+    products = []
+    for c, d1, d2 in terms:
+        if {(d.arity, d.dim) for d in (d1, d2)} != {(arity, dim)}:
+            raise DimensionMismatch("cochains over different algebras")
+        if d1.degree + d2.degree != degree:
+            raise DimensionMismatch(f"a product of degree "
+                                    f"{d1.degree + d2.degree} in a sum of "
+                                    f"degree {degree}")
+        den, (t1, t2) = clear_denominators([d1, d2])
+        with span("cochains.circle") as sp:
+            part: dict[CochainKey, dict[int, int]] = {}
+            count = 0
+            for key, x, sup in _scatter(d1.degree, t1, d2.degree, t2):
+                count += 1
+                vals = part.setdefault(key, {})
+                for i, vi in sup:
+                    vals[i] = vals[i] + x * vi if i in vals else x * vi
+            sp.count(operands=len(d1.entries) + len(d2.entries), terms=count,
+                     nonzero=sum(any(v.values()) for v in part.values()))
+        products.append((c, den * den, part))
+    scale = lcm(*(s for _, s, _ in products))
+    acc: dict[CochainKey, dict[int, int]] = {}
+    for c, s, part in products:
+        c *= scale // s
+        if not acc and c == 1:
+            acc = part
+            continue
+        for key, vals in part.items():
+            into = acc.setdefault(key, {})
+            for i, x in vals.items():
+                into[i] = into.get(i, 0) + c * x
+    entries = {key: tuple(_coeff(acc[key].get(i, 0), scale)
+                          for i in range(dim))
+               for key in sorted(acc) if any(acc[key].values())}
+    return Cochain(arity, dim, degree, entries)
 
 
 @traced("cochains.gla_bracket", lambda args, d: {
     "operands": sum(len(a.entries) for a in args), "nonzero": len(d.entries)})
 def gla_bracket(d1: Cochain, d2: Cochain) -> Cochain:
-    """Graded bracket [D1, D2] = (-1)^(pq) D1∘D2 - D2∘D1."""
+    """Graded bracket [D1, D2] = (-1)^(pq) D1∘D2 - D2∘D1, both products
+    summed into one table by ``circle_sum``, with no negated copy."""
     sign = -1 if (d1.degree * d2.degree) % 2 else 1
-    return cochain_sub(cochain_scale(sign, circle(d1, d2)), circle(d2, d1))
+    return circle_sum(d1.arity, d1.dim, d1.degree + d2.degree,
+                      [(sign, d1, d2), (-1, d2, d1)])
 
 
 def maurer_cartan_defect(d: Cochain) -> Cochain:
@@ -331,13 +392,14 @@ def maurer_cartan_defect(d: Cochain) -> Cochain:
     one circle product suffices."""
     if d.degree % 2 == 0:
         return cochain_zero(d.arity, d.dim, 2 * d.degree)
-    return cochain_scale(-2, circle(d, d))
+    return circle_sum(d.arity, d.dim, 2 * d.degree, [(-2, d, d)])
 
 
 def from_bracket(alg: NLieAlgebra) -> Cochain:
     """The structure constants as the canonical degree-1 cochain."""
     return Cochain(alg.arity, alg.dim, 1,
-                   {((), key): val for key, val in alg.structure.items()})
+                   {((), key): tuple(map(_coeff, val))
+                    for key, val in alg.structure.items()})
 
 
 def to_algebra(d: Cochain) -> NLieAlgebra:
@@ -379,7 +441,7 @@ def differential(phi: Cochain,
         key, val = next(iter(sorted(defect.entries.items())))
         raise InvalidStructure(
             "structure cochain fails the Maurer-Cartan equation",
-            witness={"key": key, "value": val})
+            witness={"key": key, "value": tuple(map(Fraction, val))})
     if isinstance(psi, WedgeElement):
         return wedge_differential(phi, psi)
     return gla_bracket(phi, psi)

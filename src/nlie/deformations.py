@@ -11,9 +11,11 @@ power.
 
 Equivalences are families Phi_t = Id + t M_1 + .. + t^k M_k acting by
 conjugation; Phi_t^{-1} is applied by forward substitution in Phi_t psi = P,
-never built as a series.  Conjugating by Id + t^m Psi shifts phi_m by the
-coboundary of Psi, which is both the equivalence-class statement for
-infinitesimals and the induction step the rigidity probe replays.
+never built as a series, in ints after t = D·u clears Phi_t's
+denominators (``_integral_series``).  Conjugating by Id + t^m Psi shifts
+phi_m by the coboundary of Psi, which is both the equivalence-class
+statement for infinitesimals and the induction step the rigidity probe
+replays.
 
 Nijenhuis operators deform the bracket through the iterated brackets
 [.]^k_N; the closure condition makes Phi_t = Id + tN intertwine the
@@ -32,13 +34,14 @@ from typing import Optional, Sequence
 from .algebra import (CheckResult, Key, NLieAlgebra, Representation,
                       basis_lookup, check_o_operator, integral_table,
                       require_fi, semidirect_product)
-from .cochains import (Cochain, circle, cochain_add, cochain_is_zero,
-                       cochain_to_vec, cochain_zero, from_bracket,
-                       gla_bracket, vec_to_cochain)
+from .cochains import (Cochain, circle_sum, clear_denominators,
+                       cochain_is_zero, cochain_to_vec, cochain_zero,
+                       from_bracket, gla_bracket, vec_to_cochain)
 from .cohomology import Complex, complex_dim
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Support, Vector, column_supports, densify,
+from .linalg import (Matrix, Support, Vector, column_supports,
                      multilinear, solve_rows, vec_is_zero, vec_scale)
+from .poly import _coeff
 from .trace import traced
 
 
@@ -116,13 +119,12 @@ def _check_powers(path: DeformationPath, mode: str) -> DeformationCheck:
 
 def _circle_sum(phis: list[Cochain], r: int, low: int) -> Cochain:
     """sum phis[i] ∘ phis[r-i] over ordered pairs with both indices in
-    low..len(phis)-1; at low = 0, -1/2 the t^r coefficient of
-    [phi_t, phi_t]."""
+    low..len(phis)-1, summed into one table; at low = 0, -1/2 the t^r
+    coefficient of [phi_t, phi_t]."""
     top = len(phis) - 1
-    acc = cochain_zero(phis[0].arity, phis[0].dim, 2)
-    for i in range(max(low, r - top), min(r - low, top) + 1):
-        acc = cochain_add(acc, circle(phis[i], phis[r - i]))
-    return acc
+    return circle_sum(phis[0].arity, phis[0].dim, 2, [
+        (1, phis[i], phis[r - i])
+        for i in range(max(low, r - top), min(r - low, top) + 1)])
 
 
 @dataclass(frozen=True)
@@ -162,23 +164,42 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
                               vec_is_zero(coords))
 
 
-def _coefficients(emap: EquivalenceMap, m: int,
-                  top: int) -> list[Optional[list[Support]]]:
-    """Column supports of F_0 = Id, F_1, .., F_top, the coefficients of
-    Phi_t; None where F_b = 0."""
-    mats = [Matrix.identity(m), *emap.maps[:top]]
-    sups = [None if mat.is_zero else column_supports(mat) for mat in mats]
-    return sups + [None] * (top + 1 - len(sups))
+def _integral_series(
+        path: DeformationPath, emap: EquivalenceMap, top: int,
+) -> tuple[list[int], list, list[Optional[list[Support]]]]:
+    """(scales, looks, sups): phi_t and Phi_t = sum t^b F_b (F_0 = Id,
+    b <= top) rewritten in ints by t = D·u.
+
+    D is the lcm of the denominators of the F_b and L that of the path's
+    entries.  In u, Phi is sum u^b D^b F_b and L·phi_t is
+    sum u^i L·D^i phi_i, both integral: sups[b] holds the column supports
+    of D^b F_b (None where F_b = 0) and looks[i] reads L·D^i phi_i.  A
+    quantity linear in phi_t, such as the conjugate or the two sides of
+    the intertwining identity, then has as its t^r coefficient the u^r
+    coefficient computed here divided by scales[r] = L·D^r."""
+    mats = [Matrix.identity(path.base.dim), *emap.maps[:top]]
+    den = lcm(*(x.denominator for mat in mats for row in mat.data
+                for x in row.values()))
+    sups = [None if mat.is_zero else
+            [[(i, x.numerator * (den ** b // x.denominator)) for i, x in col]
+             for col in column_supports(mat)]
+            for b, mat in enumerate(mats)]
+    scale, tables = clear_denominators(_phi_list(path))
+    looks = [basis_lookup({w: [x * den ** i for x in v]
+                           for (_, w), v in table.items()})
+             for i, table in enumerate(tables)]
+    return ([scale * den ** r for r in range(top + 1)], looks,
+            sups + [None] * (top + 1 - len(sups)))
 
 
 def _pushed(looks: list, sups: list[Optional[list[Support]]], key: Key,
-            top: int) -> list[dict[int, Fraction]]:
+            top: int) -> list[dict[int, int]]:
     """P_0..P_top of the pushed series P(t) = sum_i t^i phi_i(Phi_t e_k1,
     .., Phi_t e_kn) on one sorted key, phi_i read through looks[i].
 
     Each spread of powers of t over the n slots is expanded once, for every
     phi_i at once; a spread that meets an F_b = 0 is never formed."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(top + 1)]
+    out: list[dict[int, int]] = [{} for _ in range(top + 1)]
     powers = [b for b, sup in enumerate(sups) if sup is not None]
     for bs in itertools.product(powers, repeat=len(key)):
         s = sum(bs)
@@ -196,11 +217,11 @@ def conjugate_path(path: DeformationPath,
     On each sorted key the pushed series P is expanded once
     (``_pushed``), and Phi_t psi = P is solved by forward substitution,
     psi_r = P_r - sum_{j=1..r} F_j psi_(r-j), so no inverse series is
-    built."""
+    built.  Both steps are linear in the path, so they run in ints on
+    ``_integral_series``, and each psi_r is divided by its scale once at
+    the end."""
     n, m, k = path.base.arity, path.base.dim, path.order
-    sups = _coefficients(emap, m, k)
-    looks = [basis_lookup({w: v for (_, w), v in phi.entries.items()})
-             for phi in _phi_list(path)]
+    scales, looks, sups = _integral_series(path, emap, k)
     entries: list[dict] = [{} for _ in range(k)]
     for key in itertools.combinations(range(m), n):
         psi = _pushed(looks, sups, key, k)
@@ -209,7 +230,8 @@ def conjugate_path(path: DeformationPath,
                 if sups[j] is not None:
                     back = [(c, -y) for c, y in psi[r - j].items() if y]
                     multilinear([back], lambda c: sups[j][c[0]], psi[r])
-            vec = densify(psi[r], m)
+            vec = tuple(_coeff(psi[r].get(i, 0), scales[r])
+                        for i in range(m))
             if not vec_is_zero(vec):
                 entries[r - 1][((), key)] = vec
     return DeformationPath(path.base, k, tuple(
@@ -243,24 +265,26 @@ def check_homomorphism_family(path: DeformationPath,
                               emap: EquivalenceMap) -> CheckResult:
     """Exact (untruncated) intertwining: Phi_t phi_t(x..) equals the base
     bracket of the Phi_t-images, the pushed series of the base bracket
-    alone, as a polynomial identity in t on basis tuples."""
+    alone, as a polynomial identity in t on basis tuples, compared in
+    ints on ``_integral_series``."""
     n, m, k = path.base.arity, path.base.dim, path.order
     top = k + len(emap.maps) * n
-    sups = _coefficients(emap, m, top)
-    looks = [basis_lookup({w: v for (_, w), v in phi.entries.items()})
-             for phi in _phi_list(path)]
+    scales, looks, sups = _integral_series(path, emap, top)
     for key in itertools.combinations(range(m), n):
         pushed = _pushed(looks[:1], sups, key, top)
         for r in range(top + 1):
-            lhs: dict[int, Fraction] = {}
+            lhs: dict[int, int] = {}
             for a in range(max(0, r - k), r + 1):
                 if sups[a] is not None:
                     multilinear([looks[r - a](key)],
                                 lambda c: sups[a][c[0]], lhs)
-            lhs, rhs = densify(lhs, m), densify(pushed[r], m)
+            lhs = [lhs.get(i, 0) for i in range(m)]
+            rhs = [pushed[r].get(i, 0) for i in range(m)]
             if lhs != rhs:
-                return CheckResult(False, {"tuple": key, "power": r,
-                                           "lhs": lhs, "rhs": rhs})
+                return CheckResult(False, {
+                    "tuple": key, "power": r,
+                    "lhs": tuple(Fraction(x, scales[r]) for x in lhs),
+                    "rhs": tuple(Fraction(x, scales[r]) for x in rhs)})
     return CheckResult(True, None)
 
 
@@ -303,7 +327,7 @@ def _tower(alg: NLieAlgebra, nmap: Matrix, k: int) -> list[tuple[int, Level]]:
 def _cochain(alg: NLieAlgebra, div: int, level: Level) -> Cochain:
     """The deformed bracket B_i / (L·D^i) of a ``_tower`` entry."""
     return Cochain(alg.arity, alg.dim, 1, {
-        ((), key): tuple(Fraction(x, div) for x in vec)
+        ((), key): tuple(_coeff(x, div) for x in vec)
         for key, vec in level.items()})
 
 
@@ -501,12 +525,17 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
     cocycles = cx.kernel(2).nullspace
     # dim C^2 - rank d_2 - rank d_1, as ``cohomology`` counts it
     betti = len(cocycles) - cx.kernel(1).rank
+    # the cocycles' coordinates times their common denominator, in ints,
+    # so that a trial's combination sums ints and divides once
+    den = lcm(*(x.denominator for v in cocycles for x in v))
+    coords = list(zip(*([x.numerator * (den // x.denominator) for x in v]
+                        for v in cocycles)))
     results = []
     for t in range(trials):
         if t % 2 == 0 and cocycles:
-            coeffs = [Fraction(rng.randint(-2, 2)) for _ in cocycles]
-            combo = Matrix.from_cols(cocycles,
-                                     complex_dim(alg, 2)).apply(coeffs)
+            coeffs = [rng.randint(-2, 2) for _ in cocycles]
+            combo = [_coeff(sum(c * x for c, x in zip(coeffs, col)), den)
+                     for col in coords]
             lead = vec_to_cochain(combo, n, m, 1)
             zero = cochain_zero(n, m, 1)
             path = DeformationPath(alg, max_order,

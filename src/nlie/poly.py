@@ -5,10 +5,12 @@ fields for its derivations.  Coefficients are exact rationals, so
 identities are decided by exact equality.  An integral coefficient is stored
 as an ``int`` and only a non-integral one as a ``fractions.Fraction``;
 ``_coeff`` normalises each coefficient where it enters (``poly_from_terms``,
-``poly_const``, ``MultiPoly.scale``).  Nothing here divides, so on integral
-inputs the arithmetic adds and multiplies Python ints and never makes a
-Fraction.  An int and a Fraction of the same value compare and hash alike
-and print alike, so equality and rendering do not depend on the type.
+``poly_const``, ``MultiPoly.scale``), and ``nlie.cochains`` and
+``nlie.deformations`` store cochain entries by the same rule.  Nothing here
+divides, so on integral inputs the arithmetic adds and multiplies Python
+ints and never makes a Fraction.  An int and a Fraction of the same value
+compare and hash alike and print alike, so equality and rendering do not
+depend on the type.
 
 Terms are stored sparsely as a map from exponent vectors (one entry per
 variable) to nonzero coefficients.  Exponent vectors compare
@@ -118,12 +120,21 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def _coeff(c: Coeff) -> Coeff:
-    """A coefficient as stored: an int stays an int, and any other rational
-    becomes a Fraction, or its numerator when the denominator is 1."""
+def _coeff(c: Coeff, den: int = 1) -> Coeff:
+    """The coefficient c/den (den a positive int) as stored: an int when
+    integral, else a Fraction.  At den = 1 an int stays an int, and any
+    other rational becomes a Fraction, or its numerator when the
+    denominator is 1."""
     if type(c) is int:
-        return c
-    c = Fraction(c)
+        if den == 1:
+            return c
+        q, r = divmod(c, den)
+        if not r:
+            return q
+    if den != 1:
+        c = Fraction(c, den)
+    elif type(c) is not Fraction:
+        c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 

@@ -992,6 +992,25 @@ def ref_circle(d1, d2):
     return Cochain(n, m, p + q, entries)
 
 
+def ref_circle_sum(terms):
+    """sum c · D1 ∘ D2 over the (c, D1, D2) of ``terms``, all in Fractions:
+    each product by ``ref_circle``, whose totals start from Fraction(0),
+    and the sum taken entry by entry.  The all-Fraction reference for the
+    integer kernels behind ``circle``, ``gla_bracket``,
+    ``maurer_cartan_defect`` and the obstruction."""
+    from nlie.cochains import Cochain
+
+    _, d, e = terms[0]
+    n, m, degree = d.arity, d.dim, d.degree + e.degree
+    total = {}
+    for c, d1, d2 in terms:
+        for key, val in ref_circle(d1, d2).entries.items():
+            acc = total.get(key, (Fraction(0),) * m)
+            total[key] = tuple(a + Fraction(c) * x for a, x in zip(acc, val))
+    return Cochain(n, m, degree, {key: val for key, val in total.items()
+                                  if any(val)})
+
+
 def simple_4lie():
     """The simple 4-Lie algebra on Q^5: [e_0..ê_l..e_4] = (-1)^(4-l) e_l,
     the bracket of the four basis vectors other than e_l."""

@@ -368,6 +368,25 @@ def test_fractions_made_only_where_coefficients_enter():
     assert callers("algebroid.py") == set()
 
 
+def test_cochain_fractions_made_only_for_reports():
+    """Cochain entries enter through ``poly._coeff``, so an integral entry
+    is an int.  ``nlie.cochains`` and ``nlie.deformations`` make a
+    ``Fraction`` (a call, or ``map(Fraction, ...)``) only where a witness
+    or report vector is built, since ``io.report_value`` renders an int
+    as a JSON number but a Fraction as a rational string."""
+    def makers(module):
+        tree = ast.parse((pathlib.Path(nlie.__file__).parent / module)
+                         .read_text())
+        return {func.name for func in tree.body
+                if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func) if isinstance(node, ast.Call)
+                for name in [node.func, *node.args]
+                if isinstance(name, ast.Name) and name.id == "Fraction"}
+    assert makers("cochains.py") == {"differential"}
+    assert makers("deformations.py") == {
+        "infinitesimal_class", "check_homomorphism_family", "_closure"}
+
+
 # The same stdout at integral and rational coefficients: example-fc on sl(2)
 # scaled by 3/4, the check of its output, the top-form anchor scaled by 3/2,
 # and a failing anchor with a 3/2 coefficient.

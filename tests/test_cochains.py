@@ -5,20 +5,22 @@ from fractions import Fraction
 import pytest
 
 from helpers import (_ref_circle_raw, rand_bracket, rand_cochain,
-                     rand_fraction, rand_matrix, rand_sparse_vector,
-                     rand_valid_algebra, simple_4lie)
+                     rand_fraction, rand_matrix, rand_rational_algebra,
+                     rand_sparse_vector, rand_valid_algebra, ref_circle_sum,
+                     simple_4lie)
 from nlie.algebra import (ad_map, basis_wedge, check_fundamental_identity,
                           make_wedge)
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (Cochain, basis_cochains, circle, cochain_add,
                            cochain_dim, cochain_is_zero,
-                           cochain_scale, cochain_zero,
-                           coboundary_explicit, differential, eval_keys_z,
-                           evaluate, from_bracket, from_matrix, gla_bracket,
-                           is_filippov_derivation, make_cochain,
+                           cochain_scale, cochain_sub, cochain_to_vec,
+                           cochain_zero, circle_sum, coboundary_explicit,
+                           differential,
+                           eval_keys_z, evaluate, from_bracket, from_matrix,
+                           gla_bracket, is_filippov_derivation, make_cochain,
                            maurer_cartan_defect, shuffles, space_keys,
-                           to_algebra, to_matrix)
+                           to_algebra, to_matrix, vec_to_cochain)
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec, vec_zero
 
@@ -248,6 +250,16 @@ def test_differential_rejects_broken_structure():
         differential(phi, psi)
 
 
+def test_maurer_cartan_witness_value_is_fractions():
+    # the defect sums in ints, but the witness vector stays Fractions, so
+    # a report renders it as rational strings, not JSON numbers
+    phi = from_bracket(broken_ternary_bracket())
+    with pytest.raises(InvalidStructure) as info:
+        differential(phi, cochain_zero(3, 4, 1))
+    value = info.value.witness["value"]
+    assert any(value) and {type(x) for x in value} == {F}
+
+
 def test_differential_squares_to_zero():
     alg = levi_civita_bracket()
     phi = from_bracket(alg)
@@ -363,3 +375,77 @@ def test_derivation_predicate_equals_differential_kernel():
         direct = is_filippov_derivation(alg, mat)
         via_delta = cochain_is_zero(gla_bracket(phi, from_matrix(mat, 2)))
         assert direct == via_delta
+
+
+# ------------------------------------------------------------------
+# Integral entries are stored as ints, the others as Fractions.
+
+def _int_cochain(rng, n, m, degree):
+    return make_cochain(n, m, degree, {
+        key: [rng.randint(-2, 2) for _ in range(m)]
+        for key in space_keys(m, n, degree) if rng.random() < 0.5})
+
+
+def _types(*cochains):
+    return {type(x) for d in cochains for v in d.entries.values() for x in v}
+
+
+def test_integral_inputs_compute_in_ints():
+    rng = random.Random(41)
+    nonzero = set()
+    for base in (sl2(), heisenberg3(), levi_civita_bracket()):
+        # a unimodular basis change keeps the structure constants integral
+        alg = rand_valid_algebra(rng, base)
+        n, m = alg.arity, alg.dim
+        phi = from_bracket(alg)
+        d0 = from_matrix(Matrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]), n)
+        d1, e1 = (_int_cochain(rng, n, m, 1) for _ in range(2))
+        e1 = vec_to_cochain(tuple(map(F, cochain_to_vec(e1))), n, m, 1)
+        results = [phi, d0, d1, e1, cochain_add(d1, e1), cochain_sub(d1, e1),
+                   cochain_scale(3, d1), cochain_scale(F(-4, 2), d1),
+                   circle(d1, e1), circle(d0, d1), circle(d1, d0),
+                   gla_bracket(d1, e1), gla_bracket(d0, d1),
+                   maurer_cartan_defect(d1), differential(phi, d1),
+                   differential(phi, d0)]
+        nonzero |= {i for i, d in enumerate(results)
+                    if not cochain_is_zero(d)}
+        assert _types(*results) == {int}
+    assert nonzero == set(range(16))
+    # the entry points normalise an integral Fraction to its numerator
+    made = make_cochain(2, 3, 1, {((), (0, 1)): (F(6, 3), F(1, 2), True)})
+    assert made.entries == {((), (0, 1)): (2, F(1, 2), 1)}
+    assert [type(x) for x in made.entries[((), (0, 1))]] == [int, F, int]
+    assert _types(*basis_cochains(3, 2, 1)) == {int}
+
+
+def test_rational_operands_match_the_fraction_reference():
+    # rational conjugates carry denominators, and rand_cochain's entries
+    # k/1 and k/2 enter as ints and Fractions; the reference sums every
+    # product in Fractions
+    rng = random.Random(43)
+    kinds = set()
+    for base in (sl2(), heisenberg3(), levi_civita_bracket()):
+        alg = rand_rational_algebra(rng, base)
+        n, m = alg.arity, alg.dim
+        phi = from_bracket(alg)
+        d0 = from_matrix(rand_matrix(rng, m, m), n)
+        d1 = vec_to_cochain(cochain_to_vec(rand_cochain(rng, n, m, 1)),
+                            n, m, 1)
+        kinds |= _types(phi, d0, d1)
+        for got, terms in [
+                (circle(phi, d1), [(1, phi, d1)]),
+                (circle(d1, d0), [(1, d1, d0)]),
+                (gla_bracket(phi, d1), [(-1, phi, d1), (-1, d1, phi)]),
+                (gla_bracket(d0, d1), [(1, d0, d1), (-1, d1, d0)]),
+                (maurer_cartan_defect(d1), [(-2, d1, d1)]),
+                (maurer_cartan_defect(phi), [(-2, phi, phi)])]:
+            assert got.entries == ref_circle_sum(terms).entries
+            # an integral result entry is an int, not a Fraction
+            assert all(type(x) is int for x in cochain_to_vec(got)
+                       if x.denominator == 1 and x)
+        # products at different scales L1·L2, summed into one table
+        terms = [(1, phi, d1), (3, d1, d1), (-2, d1, phi), (1, phi, phi)]
+        assert circle_sum(n, m, 2, terms).entries == \
+            ref_circle_sum(terms).entries
+    assert kinds == {int, F}

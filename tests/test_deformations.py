@@ -10,7 +10,8 @@ from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (cochain_add, cochain_is_zero, cochain_scale,
                            cochain_sub, differential, from_bracket,
-                           from_matrix, gla_bracket, make_cochain)
+                           from_matrix, gla_bracket, make_cochain,
+                           vec_to_cochain)
 from nlie.cohomology import (Complex, cochain_to_vec, cohomology,
                              complex_dim, differential_matrix)
 from nlie.deformations import (DeformationPath, EquivalenceMap,
@@ -26,7 +27,8 @@ from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec
 from nlie.poly import poly_const
 
-from helpers import rand_fraction, rand_matrix
+from helpers import (rand_fraction, rand_matrix, rand_rational_algebra,
+                     ref_circle_sum, ref_conjugate_path)
 
 
 def diag(*vals):
@@ -464,6 +466,34 @@ def test_trivialize_raises_when_a_step_clears_nothing(monkeypatch):
         rigidity_probe(sl2(), 2, 4, seed=5)
 
 
+def test_rigidity_probe_samples_the_drawn_cocycle(monkeypatch):
+    # the cocycle trials start from sum c_i v_i over the nullspace of d_2,
+    # c_i the drawn ints; replayed here in Fractions with the same draws
+    import nlie.deformations as deformations
+
+    alg = rand_rational_algebra(random.Random(2), heisenberg3())
+    cocycles = Complex(alg).kernel(2).nullspace
+    assert any(x.denominator > 1 for v in cocycles for x in v)
+    leads = []
+
+    def record(alg, path, cx, kind):
+        leads.append((kind, path.terms[0]))
+        return deformations.RigidityTrial(kind, True, None)
+
+    monkeypatch.setattr(deformations, "_trivialize", record)
+    rigidity_probe(alg, 2, 5, seed=13)
+    draws, want = random.Random(13), []
+    for t in range(5):
+        if t % 2 == 0:
+            coeffs = [F(draws.randint(-2, 2)) for _ in cocycles]
+            combo = Matrix.from_cols(cocycles, len(cocycles[0])).apply(coeffs)
+            want.append(cochain_to_vec(vec_to_cochain(combo, 2, 3, 1)))
+        else:
+            [draws.randint(-1, 1) for _ in range(2 * 3 * 3)]
+    got = [cochain_to_vec(lead) for kind, lead in leads if kind == "cocycle"]
+    assert got == want and any(map(any, got))
+
+
 def test_rigidity_probe_betti_matches_cohomology():
     for alg in (sl2(), heisenberg3(), zero_algebra(2, 2),
                 levi_civita_bracket()):
@@ -479,3 +509,82 @@ def test_vec_to_mat_roundtrip():
     assert back.entries == mat.entries
     with pytest.raises(DimensionMismatch):
         vec_to_mat(vec[:-1], 4)
+
+
+# ------------------------------------------------------------------
+# Integral entries are stored as ints, the others as Fractions.
+
+def _types(*cochains):
+    return {type(x) for d in cochains for v in d.entries.values() for x in v}
+
+
+def test_integral_inputs_compute_in_ints():
+    rng = random.Random(53)
+    lc = levi_civita_bracket()
+    path = deformation_from_nijenhuis(lc, Matrix.identity(4).scale(2))
+    # Matrix.from_rows stores the integer maps as Fractions
+    maps = [Matrix.from_rows([[rng.randint(-1, 1) for _ in range(4)]
+                              for _ in range(4)]) for _ in range(2)]
+    conj = conjugate_path(path, make_equivalence_map(4, 2, maps))
+    results = [*path.terms, *conj.terms]
+    # a Nijenhuis path is exact, so its obstruction vanishes; on Heisenberg,
+    # draw cocycles until one's nonzero obstruction extends by a nonzero
+    # term
+    alg = heisenberg3()
+    cocycles = Complex(alg).kernel(2).nullspace
+    while True:
+        coeffs = [rng.randint(-1, 1) for _ in cocycles]
+        phi1 = vec_to_cochain([sum(c * x for c, x in zip(coeffs, col))
+                               for col in zip(*cocycles)], 2, 3, 1)
+        path = make_deformation_path(alg, [phi1])
+        res = extend(path)
+        if res.success and not cochain_is_zero(res.term):
+            break
+    results += [phi1, obstruction(path), res.term]
+    assert all(not cochain_is_zero(d) for d in results)
+    assert _types(*results) == {int}
+
+
+def _intertwined(path, emap, key, r):
+    """The t^r coefficient of Phi_t phi_t(e_key), in Fractions."""
+    m = path.base.dim
+    phis = [from_bracket(path.base), *path.terms]
+    mats = [Matrix.identity(m), *emap.maps]
+    total = (F(0),) * m
+    for a in range(max(0, r - path.order), min(r, len(mats) - 1) + 1):
+        val = phis[r - a].entries.get(((), key), (0,) * m)
+        total = tuple(x + y for x, y in
+                      zip(total, mats[a].apply(tuple(map(F, val)))))
+    return total
+
+
+def test_rational_paths_match_the_fraction_reference():
+    # a rational conjugate of Levi-Civita and (3/2)·Id, a Nijenhuis
+    # operator on every conjugate: path denominators L > 1, and Phi_t
+    # coefficients with denominators D > 1
+    rng = random.Random(59)
+    alg = rand_rational_algebra(rng, levi_civita_bracket())
+    nmap = Matrix.identity(4).scale(F(3, 2))
+    path = deformation_from_nijenhuis(alg, nmap)
+    phi0, phi1, phi2 = from_bracket(alg), *path.terms
+    assert F in _types(phi0, phi1, phi2)
+    assert obstruction(path).entries == ref_circle_sum(
+        [(1, phi1, phi2), (1, phi2, phi1)]).entries
+    for _ in range(3):
+        emap = make_equivalence_map(4, 2, [rand_matrix(rng, 4, 4)
+                                           for _ in range(2)])
+        assert conjugate_path(path, emap) == ref_conjugate_path(path, emap)
+    # Phi_t = Id + tN intertwines; a scaled first term breaks it, and the
+    # witness sides are the reference's, as Fractions
+    family = EquivalenceMap(path.order, (nmap,))
+    assert check_homomorphism_family(path, family).holds
+    bad = DeformationPath(alg, path.order,
+                          (cochain_scale(F(-1, 3), phi1), phi2))
+    res = check_homomorphism_family(bad, family)
+    assert not res.holds
+    key, r = res.witness["tuple"], res.witness["power"]
+    assert res.witness["lhs"] == _intertwined(bad, family, key, r)
+    assert res.witness["rhs"] == _intertwined(path, family, key, r)
+    assert res.witness["lhs"] != res.witness["rhs"]
+    assert {type(x) for x in res.witness["lhs"] + res.witness["rhs"]} \
+        == {F}
