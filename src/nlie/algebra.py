@@ -31,7 +31,7 @@ from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Support, Vector, column_supports, densify,
+from .linalg import (Matrix, Support, Vector, densify, integer_rows,
                      multilinear, support, vec_is_zero, vec_scale, vec_sub,
                      vec_zero)
 from .trace import span, traced
@@ -446,16 +446,33 @@ def check_o_operator(alg: NLieAlgebra, rho: Representation,
     the unvalidated table of g ⋉ V, where two module entries bracket to
     zero: its algebra part is the left side, T of its module part the
     right.
+
+    Both sides are homogeneous of degree n in T, so they are compared in
+    integers.  Let S clear the table's denominators and L those of T.  On
+    the table times S, with graph vectors (L·T) xi_j + xi_j, the algebra
+    part (T in all n slots) is S·L^n times the left side, and the module
+    part (T in n-1 slots) S·L^(n-1) times its value, so L·T of it is S·L^n
+    times the right side.  The witness divides both by S·L^n.
     """
     m, r = alg.dim, rho.module_dim
     if t.rows != m or t.cols != r:
         raise DimensionMismatch("operator must map the module to the algebra")
-    look = basis_lookup(_product(alg, rho).structure)
-    graph = [sup + [(m + j, 1)] for j, sup in enumerate(column_supports(t))]
+    scale, table = integral_table(_product(alg, rho))
+    look = basis_lookup(table)
+    den, rows = integer_rows(t)
+    graph = [[(m + j, 1)] for j in range(r)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            graph[j].append((i, a))
     for xi in itertools.combinations(range(r), alg.arity):
-        both = densify(multilinear([graph[j] for j in xi], look), m + r)
-        lhs, rhs = both[:m], t.apply(both[m:])
+        both = multilinear([graph[j] for j in xi], look)
+        lhs = [both.get(i, 0) for i in range(m)]
+        rhs = [sum(a * both.get(m + j, 0) for j, a in row.items())
+               for row in rows]
         if lhs != rhs:
+            div = scale * den ** alg.arity
+            lhs, rhs = (tuple(Fraction(x, div) for x in side)
+                        for side in (lhs, rhs))
             return CheckResult(False, {"xi": xi, "lhs": lhs, "rhs": rhs,
                                        "defect": vec_sub(lhs, rhs)})
     return CheckResult(True)

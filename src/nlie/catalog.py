@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 from .algebra import NLieAlgebra, bracket_eval, make_algebra
-from .linalg import Matrix, rank_nullspace, solve_linear
+from .linalg import Factorization, Matrix, Refusal, integer_rows
 
 
 def levi_civita_bracket() -> NLieAlgebra:
@@ -49,18 +49,24 @@ def broken_ternary_bracket() -> NLieAlgebra:
 def conjugated_algebra(alg: NLieAlgebra, p: Matrix) -> NLieAlgebra:
     """Transport of structure along an invertible basis change P:
     [x_1..x_n]' = P^-1 [P x_1,..,P x_n].  Preserves the fundamental
-    identity, so this is how the tests mass-produce valid algebras."""
+    identity, so this is how the tests mass-produce valid algebras.
+
+    P is factored once, as the integer matrix D·P (D the lcm of its
+    denominators), which checks its rank both ways, and each bracket
+    solves (D·P) x = D·[P x_1,..,P x_n] on it."""
     if p.rows != alg.dim or p.cols != alg.dim:
         raise ValueError("basis change must be square of the algebra's size")
-    if rank_nullspace(p).rank != alg.dim:
+    den, rows = integer_rows(p)
+    fac = Factorization(rows, p.cols)
+    if fac.rank != alg.dim:
         raise ValueError("basis change must be invertible")
     n, m = alg.arity, alg.dim
     cols = [p.column(j) for j in range(m)]
     table = {}
     for key in itertools.combinations(range(m), n):
         img = bracket_eval(alg, [cols[i] for i in key])
-        sol = solve_linear(p, img)
-        if sol is None:
+        sol = fac.solve([den * x for x in img])
+        if isinstance(sol, Refusal):
             raise ArithmeticError("invertible basis change left no solution")
         if any(c != 0 for c in sol):
             table[key] = sol

@@ -7,7 +7,11 @@ C^k -> C^(k+1) in the elementary bases (lexicographic keys, then vector
 components), which makes every matrix byte-stable for golden tests.
 
 One ``Complex`` serves one call: it checks the fundamental identity once,
-builds each d_k once and eliminates each once.  It works on integers.  Let
+builds each d_k once, eliminates it at most once for its kernel and
+solves on one ``linalg.Factorization`` per k: a first solve is one
+elimination of [L·d_k | L·b], and d_k is factored at most once, for its
+rank, a second solve or a refusal, which carries a checked left witness.
+It works on integers.  Let
 L be the least common denominator of the structure constants.  Every entry
 of d_k is linear in the bracket, so L·d_k is an integer matrix, assembled
 by ``cochains.coboundary_rows`` on the structure table times L.  Scaling a
@@ -36,8 +40,8 @@ from .algebra import NLieAlgebra, WedgeElement, integral_table, require_fi
 from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
                        to_matrix, vec_to_cochain)
 from .errors import DimensionMismatch
-from .linalg import (Matrix, RankNullspace, Row, Vector, integer_row,
-                     kernel, solve_rows)
+from .linalg import (Factorization, Matrix, RankNullspace, Refusal, Row,
+                     Vector, integer_row, kernel)
 from .trace import row_counters, traced
 
 DEFAULT_DEGREE_CAP = 3
@@ -66,7 +70,10 @@ class Complex:
 
     Construction checks the fundamental identity (raising its witness) and
     clears the structure table to (L, integers); each d_k is built as the
-    integer rows of L·d_k on first use, and eliminated at most once.
+    integer rows of L·d_k on first use, eliminated at most once for its
+    kernel and factored at most once for all its solves, however many
+    right sides follow.  A solve that returns None has a left witness y
+    with yᵀ(L·d_k) = 0 and yᵀ(L·b) != 0, checked exactly (``factor(k)``).
     """
 
     def __init__(self, alg: NLieAlgebra):
@@ -75,6 +82,7 @@ class Complex:
         self.scale, self.table = integral_table(alg)
         self._rows: dict[int, list[Row]] = {}
         self._kernels: dict[int, RankNullspace] = {}
+        self._factors: dict[int, Factorization] = {}
 
     def rows(self, k: int) -> list[Row]:
         """The integer rows of L·d_k: C^k -> C^(k+1)."""
@@ -95,12 +103,21 @@ class Complex:
             self._kernels[k] = kernel(self.rows(k), complex_dim(self.alg, k))
         return self._kernels[k]
 
+    def factor(self, k: int) -> Factorization:
+        """The ``linalg.Factorization`` of L·d_k that every solve uses."""
+        if k not in self._factors:
+            self._factors[k] = Factorization(self.rows(k),
+                                             complex_dim(self.alg, k))
+        return self._factors[k]
+
     def solve(self, k: int, b: Vector) -> Vector | None:
-        """The canonical solution of d_k x = b, or None: (L·d_k) x = L·b."""
-        ncols = complex_dim(self.alg, k)
-        return solve_rows([integer_row({**r, ncols: self.scale * x})
-                           if x else r for r, x in zip(self.rows(k), b)],
-                          ncols)
+        """The canonical solution of d_k x = b, or None when the
+        factorization refuses with a checked left witness: (L·d_k) x = L·b.
+        """
+        if self.scale != 1:
+            b = [self.scale * x for x in b]
+        sol = self.factor(k).solve(b)
+        return None if isinstance(sol, Refusal) else sol
 
     def matrix(self, k: int) -> Matrix:
         """The rational matrix of d_k: entries Fraction(x, L)."""

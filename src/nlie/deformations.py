@@ -39,8 +39,8 @@ from .cochains import (Cochain, circle_sum, clear_denominators,
                        from_bracket, gla_bracket, vec_to_cochain)
 from .cohomology import Complex, complex_dim
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Matrix, Support, Vector, column_supports,
-                     multilinear, solve_rows, vec_is_zero, vec_scale)
+from .linalg import (Factorization, Matrix, Refusal, Support, Vector,
+                     column_supports, multilinear, vec_is_zero, vec_scale)
 from .poly import _coeff
 from .trace import traced
 
@@ -154,9 +154,10 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
     # representative coordinates of any solution are the class
     n1 = complex_dim(path.base, 1)
     reps = [cochain_to_vec(r) for r in report.representatives]
-    sol = solve_rows(cx.beside(1, range(n1), reps + [target]),
-                     n1 + len(reps))
-    if sol is None:
+    rows = cx.beside(1, range(n1), reps + [target])
+    ncols = n1 + len(reps)
+    sol = Factorization(rows, ncols).solve([r.pop(ncols, 0) for r in rows])
+    if isinstance(sol, Refusal):
         raise InvalidStructure("cocycle not spanned by coboundaries and "
                                "representatives; rank bookkeeping is wrong")
     coords = tuple(sol[n1:])
@@ -523,8 +524,9 @@ def rigidity_probe(alg: NLieAlgebra, max_order: int, trials: int,
     # Complex raises the fundamental-identity witness
     cx = Complex(alg)
     cocycles = cx.kernel(2).nullspace
-    # dim C^2 - rank d_2 - rank d_1, as ``cohomology`` counts it
-    betti = len(cocycles) - cx.kernel(1).rank
+    # dim C^2 - rank d_2 - rank d_1, as ``cohomology`` counts it; the
+    # rank of d_1 comes from the factorization that every trial solves on
+    betti = len(cocycles) - cx.factor(1).rank
     # the cocycles' coordinates times their common denominator, in ints,
     # so that a trial's combination sums ints and divides once
     den = lcm(*(x.denominator for v in cocycles for x in v))

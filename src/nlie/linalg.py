@@ -4,17 +4,23 @@ Vectors are dense tuples of Fractions; a ``Matrix`` stores sparse rows,
 so a differential assembled as sparse rows is eliminated with no dense copy.
 
 Rank, nullspace and solve share one elimination over sparse integer rows
-({column: int}; a right side rides as one more column): ``kernel`` and
-``solve_rows`` take such rows, and ``rank_nullspace`` and ``solve_linear``
-first scale each row of a rational matrix by the lcm of its denominators.
-Columns go leftmost first, the pivot is the shortest row with an entry in
-the column, and only rows with an entry there are updated, to the
-gcd-reduced integer row piv*r - h*p.  These pivots are those of the
-reduced row echelon form, so the nullspace (one vector per free column,
-that coordinate 1, other free coordinates 0) and the solution (free
-coordinates 0) are canonical.  Every vector returned is checked exactly
-against the integer rows (M·v = 0, M·x = b); a failure raises
-ArithmeticError.
+({column: int}): ``kernel`` and ``Factorization`` take such rows, and
+``rank_nullspace`` and ``solve_linear`` first scale each row of a
+rational matrix by the lcm of its denominators.  Columns go leftmost
+first, the pivot is the shortest row with an entry in the column, and
+only rows with an entry there are updated, to the gcd-reduced integer row
+piv*r - h*p.  These pivots are those of the reduced row echelon form, so
+the nullspace (one vector per free column, that coordinate 1, other free
+coordinates 0) and the solution (free coordinates 0) are canonical.
+Every vector returned is checked exactly against the integer rows
+(M·v = 0, M·x = b); a failure raises ArithmeticError.
+
+``Factorization`` is the one solver.  A single right side rides as one
+more column of one elimination; from the second on, or for the rank, the
+matrix is eliminated once with its rows tagged by index, both rank bounds
+are checked exactly, and each solve is a product and the exact M·x = b
+check.  An inconsistent right side is refused only with a left witness y
+(yᵀM = 0, yᵀb != 0) checked exactly.
 
 Scaling lemma: multiplying a row by a constant L > 0 keeps its length, so
 the pivot choice, and ``_cancel`` of a positive multiple is the same
@@ -243,6 +249,14 @@ def integer_row(row: Mapping[int, Fraction | int]) -> Row:
     return {j: x.numerator * (mult // x.denominator) for j, x in row.items()}
 
 
+def integer_rows(m: Matrix) -> tuple[int, list[Row]]:
+    """(D, the rows of D·m as {column: int}), D the lcm of the
+    denominators of all of m's entries."""
+    den = lcm(*(x.denominator for row in m.data for x in row.values()))
+    return den, [{j: x.numerator * (den // x.denominator)
+                  for j, x in row.items()} for row in m.data]
+
+
 def _cancel(r: Row, p: Row, c: int) -> Row:
     """The primitive integer row of p[c]*r - r[c]*p; column c cancels."""
     g = gcd(p[c], r[c])
@@ -310,6 +324,19 @@ def _certify(rows: list[Row], vectors: list[dict[int, Fraction]]) -> None:
                                   "M·x check")
 
 
+def _nullspace(red: list[Row], pivots: list[int],
+               ncols: int) -> dict[int, dict[int, Fraction]]:
+    """The canonical nullspace of reduced rows: for each free column f,
+    the vector with coordinate 1 at f, 0 at the other free columns."""
+    pivot_set = set(pivots)
+    null = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j != pc:
+                null[j][pc] = Fraction(-x, row[pc])
+    return null
+
+
 def _bits(x: Fraction) -> int:
     return max(x.numerator.bit_length(), x.denominator.bit_length())
 
@@ -330,33 +357,161 @@ def kernel(rows: Sequence[Row], ncols: int) -> RankNullspace:
     changes none of them, so the rows of L·M give the answer for M."""
     rows = [r for r in rows if r]
     red, pivots, _ = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    null = {f: {f: _ONE} for f in range(ncols) if f not in pivot_set}
-    for row, pc in zip(red, pivots):
-        for j, x in row.items():
-            if j != pc:
-                null[j][pc] = Fraction(-x, row[pc])
+    null = _nullspace(red, pivots, ncols)
     _certify(rows, list(null.values()))
     return RankNullspace(len(pivots), tuple(
         densify(v, ncols) for v in null.values()), tuple(pivots))
 
 
-@traced("linalg.solve_linear",
-        lambda args, x: {**row_counters(*args), "solved": int(x is not None)})
-def solve_rows(rows: Sequence[Row], ncols: int) -> Vector | None:
-    """One exact solution of M x = b, or None if inconsistent, from the
-    integer rows of [M | b] (b in column ncols; empty rows allowed).  The
-    solution is canonical: all free coordinates are 0.  Scaling a row by a
-    nonzero constant changes nothing, so the rows of L·[M | b] serve."""
-    rows = [r for r in rows if r]
-    red, pivots, inconsistent = _rref(rows, ncols)
-    if inconsistent:
-        return None
-    x = {pc: Fraction(row[ncols], row[pc])
-         for row, pc in zip(red, pivots) if ncols in row}
-    # [M | b] annihilates (x, -1)
-    _certify(rows, [{**x, ncols: -_ONE}])
-    return densify(x, ncols)
+class Refusal:
+    """A certified inconsistent system M x = b: ``witness`` is the integer
+    left vector y, sparse over row indices, with yᵀM = 0 and yᵀb != 0
+    checked exactly.  (A plain class: a dataclass costs every process
+    about a millisecond at import.)"""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: dict[int, int]):
+        self.witness = witness
+
+
+def _factor_counters(args, _) -> dict[str, int]:
+    fac = args[0]
+    return {**row_counters(fac.rows, fac.ncols), "rank": len(fac._pivots)}
+
+
+class Factorization:
+    """Exact solves of M x = b on integer rows M (empty rows allowed;
+    right sides are indexed by row), with M eliminated once however many
+    right sides follow.
+
+    The first solve, if nothing has asked for the factorization yet, runs
+    the one-shot elimination of [M | b]: ``_rref`` with b as column
+    ncols, the solution read off and checked exactly, [M | b]·(x, −1) = 0.
+    The factorization is built on the first need for it: ``rank``,
+    ``pivots``, a second solve, or a refusal.  So one right side costs one
+    elimination of [M | b], as before, and many cost one elimination of M.
+
+    Factoring runs ``_rref`` on the nonzero rows of M, each tagged with its
+    own index i: 1 at column ncols + i.  Pivoting stops at ncols, so the
+    tags record each reduced row as an integer combination of the rows of
+    M: E·M = R, with R[:, J] = D diagonal on the r pivot columns J.  Both
+    rank bounds are checked exactly: E·M = R with D nonzero gives rank
+    >= r, and M annihilates the ncols − r nullspace vectors read off R,
+    which gives rank <= r.  A failed check raises ArithmeticError.  Only
+    this path pays for the tags; ``kernel`` eliminates untagged rows.
+
+    A factored solve sets x_J = D⁻¹E·b and every other coordinate 0 (the
+    canonical solution, since J are the reduced-echelon pivots), then
+    checks M·x = b on every row in integers.  If row i fails, M x = b has
+    no solution: y = e_i − M[i, J]·D⁻¹E has yᵀM = 0, since row i lies in
+    the span of R, and yᵀb = b_i − (M x)_i ≠ 0.  Both are checked exactly
+    before a ``Refusal`` carries y; a failed check raises ArithmeticError.
+    """
+
+    def __init__(self, rows: Sequence[Row], ncols: int):
+        self.rows = list(rows)
+        self.ncols = ncols
+        self._pivots: list[int] | None = None
+        self._fresh = True
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        if self._pivots is None:
+            self._factor()
+        return tuple(self._pivots)
+
+    @traced("linalg.factor", _factor_counters)
+    def _factor(self) -> None:
+        n = self.ncols
+        red, pivots, _ = _rref([{**r, n + i: 1}
+                                for i, r in enumerate(self.rows) if r], n)
+        rref = [{j: x for j, x in row.items() if j < n} for row in red]
+        self._elim = [[(j - n, x) for j, x in row.items() if j >= n]
+                      for row in red]
+        # rank >= r: E·M = R exactly, R diagonal and nonzero on the pivots
+        where = set(pivots)
+        for row, tags, pc in zip(rref, self._elim, pivots):
+            acc: Row = {}
+            for s, e in tags:
+                for j, a in self.rows[s].items():
+                    acc[j] = acc.get(j, 0) + e * a
+            if {j: v for j, v in acc.items() if v} != row \
+                    or where.intersection(row) != {pc}:
+                raise ArithmeticError("factorization fails the exact "
+                                      "E·M = R check")
+        # rank <= r: M annihilates the nullspace read off R
+        _certify(self.rows, list(_nullspace(rref, pivots, n).values()))
+        self._pivots = pivots
+        self._diag = [row[pc] for row, pc in zip(rref, pivots)]
+        self._den = lcm(*self._diag)
+
+    @traced("linalg.solve_linear",
+            lambda args, res: {**row_counters(args[0].rows, args[0].ncols),
+                               "solved": int(not isinstance(res, Refusal))})
+    def solve(self, b: Sequence[Fraction | int]) -> Vector | Refusal:
+        """The canonical solution of M x = b, or a certified ``Refusal``."""
+        if len(b) != len(self.rows):
+            raise DimensionMismatch("right side has wrong length")
+        # bb = B·b in ints, B the lcm of b's denominators
+        mult = lcm(*(x.denominator for x in b))
+        bb = [x.numerator * (mult // x.denominator) for x in b]
+        if self._fresh and self._pivots is None:
+            self._fresh = False
+            x = self._solve_once(bb)
+            if x is not None:
+                return densify({j: v / mult for j, v in x.items()}
+                               if mult != 1 else x, self.ncols)
+        pivots = self.pivots
+        # X = D_lcm·x_J in ints: M X = D_lcm·bb is the check
+        nums = [sum(e * bb[i] for i, e in row) for row in self._elim]
+        big = {pc: num * (self._den // d)
+               for pc, num, d in zip(pivots, nums, self._diag) if num}
+        for i, r in enumerate(self.rows):
+            if sum(a * big[j] for j, a in r.items() if j in big) \
+                    != self._den * bb[i]:
+                return self._refuse(i, bb)
+        return densify({pc: Fraction(num, d * mult) for pc, num, d
+                        in zip(pivots, nums, self._diag) if num}, self.ncols)
+
+    def _solve_once(self, bb: list[int]) -> dict[int, Fraction] | None:
+        """The canonical solution of M x = bb from one elimination of
+        [M | bb], checked exactly, or None if that elimination finds the
+        system inconsistent (a refusal then needs the factorization)."""
+        n = self.ncols
+        rows = [r for r in ({**r, n: v} if v else r
+                            for r, v in zip(self.rows, bb)) if r]
+        red, pivots, inconsistent = _rref(rows, n)
+        if inconsistent:
+            return None
+        x = {pc: Fraction(row[n], row[pc])
+             for row, pc in zip(red, pivots) if n in row}
+        # [M | bb] annihilates (x, -1)
+        _certify(rows, [{**x, n: -_ONE}])
+        return x
+
+    def _refuse(self, i: int, bb: list[int]) -> Refusal:
+        """The left witness of a failing row i, checked exactly."""
+        row = self.rows[i]
+        y = {i: self._den}
+        for pc, d, elim in zip(self._pivots, self._diag, self._elim):
+            if pc in row:
+                c = row[pc] * (self._den // d)
+                for s, e in elim:
+                    y[s] = y.get(s, 0) - c * e
+        y = {s: v for s, v in y.items() if v}
+        left: dict[int, int] = {}
+        for s, v in y.items():
+            for j, a in self.rows[s].items():
+                left[j] = left.get(j, 0) + v * a
+        if any(left.values()) or not sum(v * bb[s] for s, v in y.items()):
+            raise ArithmeticError("refusal fails the exact yᵀM = 0, "
+                                  "yᵀb != 0 check")
+        return Refusal(y)
 
 
 def rank_nullspace(m: Matrix) -> RankNullspace:
@@ -371,5 +526,7 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
     """
     if len(b) != m.rows:
         raise DimensionMismatch("right side has wrong length")
-    return solve_rows([integer_row({**r, m.cols: x} if x else r)
-                       for r, x in zip(m.data, b)], m.cols)
+    rows = [integer_row({**r, m.cols: x} if x else r)
+            for r, x in zip(m.data, b)]
+    sol = Factorization(rows, m.cols).solve([r.pop(m.cols, 0) for r in rows])
+    return None if isinstance(sol, Refusal) else sol

@@ -10,15 +10,16 @@ from fractions import Fraction
 import pytest
 
 import nlie
-from nlie import cli
+from nlie import cli, linalg
 from nlie.algebra import make_algebra
 from nlie.algebroid import (anchor_eval, example_tangent_topform,
                             generator_section, make_poly_algebroid,
                             section_bracket, section_scale)
-from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket, sl2,
-                          zero_algebra)
+from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
+                          levi_civita_bracket, sl2, zero_algebra)
 from nlie.cli import main
 from nlie.cochains import make_cochain
+from nlie.cohomology import Complex
 from nlie.deformations import (constant_path, deformation_from_nijenhuis,
                                make_deformation_path, make_equivalence_map)
 from nlie.io import (algebra_to_json, algebroid_to_json, cochain_from_json,
@@ -955,7 +956,43 @@ def test_trace_one_fi_check_per_verb(capsys, eps, sl2_file):
         for name in ("cohomology.differential_matrix",
                      "cochains.coboundary_rows"):
             assert summary[name]["calls"] == builds
-    assert summary["linalg.rank_nullspace"]["calls"] == 2
+    # rigidity: the kernel of d_2, and one factorization of d_1 that gives
+    # its rank and serves every trial's solves
+    assert summary["linalg.rank_nullspace"]["calls"] == 1
+    assert summary["linalg.factor"]["calls"] == 1
+
+
+def test_trace_rigidity_one_factorization_and_its_solves(capsys, tmp_path,
+                                                        monkeypatch):
+    # the dense Levi-Civita conjugate of the benchmark's heavy jobs
+    heavy = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
+        [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+    argv = ["deform", "rigidity", write(tmp_path, "heavy.json",
+                                        algebra_to_json(heavy)),
+            "--seed", "1"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    eliminations, solves = [], []
+    real_rref, real_solve = linalg._rref, Complex.solve
+    monkeypatch.setattr(linalg, "_rref", lambda *args: eliminations.append(
+        args[1]) or real_rref(*args))
+    monkeypatch.setattr(Complex, "solve", lambda self, k, b: solves.append(
+        k) or real_solve(self, k, b))
+    code, out, err = run(capsys, "--trace", *argv)
+    assert code == 0
+    assert out == plain
+    # the kernel of d_2 and one factorization of d_1 (16 columns each);
+    # eliminating [d_1 | b] per solve took 14 in all
+    assert eliminations == [16, 16]
+    assert len(solves) > 2 and set(solves) == {1}
+    summary = {line["summary"]: line for line in _trace_lines(err)
+               if "summary" in line}
+    fac = summary["linalg.factor"]
+    assert fac["calls"] == 1
+    assert {key: fac["counters"][key] for key in ("rows", "cols", "rank")} \
+        == {"rows": 16, "cols": 16, "rank": 10}
+    assert fac["counters"]["nnz"] > 0
+    assert summary["linalg.solve_linear"]["calls"] == len(solves)
 
 
 def test_trace_one_fi_check_per_generated_path(capsys, eps, tmp_path):

@@ -6,8 +6,9 @@ import pytest
 from nlie.algebra import (adjoint_representation, bracket_eval,
                           check_fundamental_identity)
 from nlie.algebroid import example_tangent_fc
-from nlie.catalog import (broken_ternary_bracket, heisenberg3,
-                          levi_civita_bracket, sl2, zero_algebra)
+from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
+                          heisenberg3, levi_civita_bracket, sl2,
+                          zero_algebra)
 from nlie.cochains import (cochain_add, cochain_is_zero, cochain_scale,
                            cochain_sub, differential, from_bracket,
                            from_matrix, gla_bracket, make_cochain,
@@ -343,6 +344,28 @@ def test_infinitesimal_class_builds_each_matrix_once(monkeypatch):
     assert sorted(builds) == [1, 2]
     assert rep.leading_order == 1
     assert rep.is_cocycle and rep.is_trivial_class
+
+
+def test_rigidity_probe_eliminates_each_matrix_once(monkeypatch):
+    import nlie.linalg
+
+    heavy = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
+        [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+    eliminations = []
+    real = nlie.linalg._rref
+
+    def counted(rows, ncols):
+        eliminations.append(ncols)
+        return real(rows, ncols)
+
+    monkeypatch.setattr(nlie.linalg, "_rref", counted)
+    for max_order, trials in ((1, 1), (2, 4), (3, 9)):
+        eliminations.clear()
+        rep = rigidity_probe(heavy, max_order, trials, seed=7)
+        assert rep.all_trivialized
+        # the kernel of d_2 and one factorization of d_1, whatever the
+        # number of trials and orders
+        assert len(eliminations) == 2
 
 
 def test_infinitesimal_class_recovers_known_coordinates():

@@ -4,22 +4,28 @@
 canonical nullspace (one vector per free column, free coordinate 1), and
 ``solve_linear`` the solution whose free coordinates are 0, on sparse and
 dense rational matrices of every shape and on the differential matrices of
-the catalog algebras.
+the catalog algebras.  A ``Factorization`` of the matrix must give the
+same pivots and solution for every right side, one-shot or factored, or
+a refusal whose left witness is re-checked here, and must raise when a
+faulty ``_cancel`` is planted.
 """
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from helpers import (gauss_jordan, rand_invertible, rand_matrix,
                      rand_sparse_vector, rand_vector)
 from nlie import linalg
-from nlie.catalog import heisenberg3, levi_civita_bracket, sl2
-from nlie.cohomology import differential_matrix
+from nlie.catalog import (conjugated_algebra, heisenberg3,
+                          levi_civita_bracket, sl2)
+from nlie.cohomology import Complex, complex_dim, differential_matrix
 from nlie.errors import DimensionMismatch
-from nlie.linalg import (Matrix, column_supports, rank_nullspace,
-                         solve_linear, support)
+from nlie.deformations import rigidity_probe
+from nlie.linalg import (Factorization, Matrix, Refusal, column_supports,
+                         integer_rows, rank_nullspace, solve_linear, support)
 
 F = Fraction
 
@@ -183,6 +189,280 @@ def test_corrupted_elimination_fails_the_certificate(monkeypatch):
         rank_nullspace(m)
     with pytest.raises(ArithmeticError):
         solve_linear(Matrix.from_rows([[1, 2], [3, 4]]), (F(1), F(1)))
+
+
+def _first_entry_gcd(r, p, c):
+    """``_cancel`` with a planted fault: the row is divided by the gcd of
+    its first entry only, so other entries are floored."""
+    g = gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    out = {j: a * x for j, x in r.items()}
+    for j, y in p.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            out.pop(j, None)
+    g = abs(next(iter(out.values()), 1))
+    return {j: x // g for j, x in out.items() if x // g}
+
+
+def _integer_system(m: Matrix, b):
+    """The integer rows of D·m and the right side D·b, D the lcm of m's
+    denominators."""
+    den, rows = integer_rows(m)
+    return rows, [den * x for x in b]
+
+
+def _assert_refusal(rows, b, res):
+    """The refusal's y is re-checked here: yᵀM = 0 and yᵀb != 0."""
+    assert isinstance(res, Refusal)
+    y = res.witness
+    assert y and all(y.values())
+    left = {}
+    for i, v in y.items():
+        for j, a in rows[i].items():
+            left[j] = left.get(j, 0) + v * a
+    assert not any(left.values())
+    assert sum(v * b[i] for i, v in y.items()) != 0
+
+
+def _check_factorization(m: Matrix, b) -> bool:
+    """Solve m x = b on a fresh ``Factorization`` (one elimination of
+    [m | b]) and on a factored one (rank asked first): both agree with the
+    Gauss-Jordan oracle, and a refusal's witness is re-checked.  True if
+    consistent."""
+    rank, pivots, _ = gauss_jordan(m)
+    expected = _canonical_solution(m, b)
+    rows, rhs = _integer_system(m, b)
+    fresh, factored = Factorization(rows, m.cols), Factorization(rows, m.cols)
+    assert (factored.rank, factored.pivots) == (rank, pivots)
+    for fac in (fresh, factored):
+        got = fac.solve(rhs)
+        if expected is None:
+            _assert_refusal(rows, rhs, got)
+        else:
+            assert got == expected
+    assert (fresh.rank, fresh.pivots) == (rank, pivots)
+    return expected is not None
+
+
+def _with_zero_rows(rng, m: Matrix) -> Matrix:
+    rows = list(m.data)
+    for _ in range(rng.randint(1, 3)):
+        rows.insert(rng.randint(0, len(rows)), {})
+    return Matrix.from_sparse_rows(rows, m.cols)
+
+
+def test_factorization_agrees_with_oracle():
+    rng = random.Random(25)
+    consistent = inconsistent = 0
+    for trial in range(250):
+        rows, cols = rng.randint(1, 8), rng.randint(0, 8)
+        shape = trial % 5
+        if shape == 0 and cols:
+            # full rank: invertible, or a slice of one
+            n = max(rows, cols)
+            full = rand_invertible(rng, n)
+            m = Matrix.from_sparse_rows(
+                [{j: x for j, x in r.items() if j < cols}
+                 for r in full.data[:rows]], cols)
+        elif shape == 1 and cols:
+            inner = rng.randint(1, min(rows, cols))
+            m = rand_matrix(rng, rows, inner).mul(rand_matrix(rng, inner, cols))
+        elif shape == 2:
+            m = Matrix.from_sparse_rows(
+                [{j: F(rng.randint(-3, 3)) for j in range(cols)
+                  if rng.random() < 0.5} for _ in range(rows)], cols)
+        elif shape == 3 and cols:
+            # tall and of low rank: more rows than columns
+            m = rand_matrix(rng, rng.randint(cols + 1, 9), 2).mul(
+                rand_matrix(rng, 2, cols))
+        else:
+            m = Matrix.from_sparse_rows(
+                [dict(support(rand_sparse_vector(rng, cols, 0.4)))
+                 for _ in range(rows)], cols)
+        if rng.random() < 0.4:
+            m = _with_zero_rows(rng, m)
+        image = m.apply(rand_vector(rng, m.cols))
+        assert _check_factorization(m, image)
+        consistent += 1
+        if _check_factorization(m, rand_vector(rng, m.rows)):
+            consistent += 1
+        else:
+            inconsistent += 1
+    assert inconsistent > 100 and consistent > 250
+
+
+def test_factorization_edge_cases():
+    for m in EDGE_CASES.values():
+        _check_factorization(m, (F(0),) * m.rows)
+        _check_factorization(m, (F(1),) * m.rows)
+    for m in (Matrix.zero(3, 0), Matrix.from_sparse_rows([], 4)):
+        _check_factorization(m, (F(0),) * m.rows)
+        _check_factorization(m, (F(2),) * m.rows)
+
+
+def _counted_rref(monkeypatch) -> list:
+    calls = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_factorization_eliminates_once_for_many_right_sides(monkeypatch):
+    rng = random.Random(17)
+    m = rand_matrix(rng, 5, 3).mul(rand_matrix(rng, 3, 6))
+    rows, _ = _integer_system(m, ())
+
+    def solve_images(fac, count):
+        for _ in range(count):
+            x = fac.solve(_integer_system(m, m.apply(rand_vector(rng, 6)))[1])
+            assert not isinstance(x, Refusal)
+
+    calls = _counted_rref(monkeypatch)
+    # one right side: one elimination of [M | b], no factorization
+    fac = Factorization(rows, 6)
+    solve_images(fac, 1)
+    assert len(calls) == 1
+    # from the second on: one factorization serves them all
+    solve_images(fac, 9)
+    assert len(calls) == 2 and fac.rank == 3
+    # rank asked first: the factorization serves every solve
+    calls.clear()
+    fac = Factorization(rows, 6)
+    assert fac.rank == 3
+    solve_images(fac, 10)
+    assert len(calls) == 1
+
+
+def test_factorization_refusal_after_one_shot_elimination(monkeypatch):
+    # the one-shot elimination finds [M | b] inconsistent; the refusal
+    # comes from the factorization, with its witness
+    calls = _counted_rref(monkeypatch)
+    rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
+    res = Factorization(rows, 2).solve([1, 3])
+    assert len(calls) == 2
+    _assert_refusal(rows, [1, 3], res)
+
+
+def test_factorization_wrong_length_right_side():
+    fac = Factorization([{0: 1}, {1: 1}], 2)
+    with pytest.raises(DimensionMismatch):
+        fac.solve([1])
+
+
+def _planted(fault: str):
+    return _first_entry_gcd if fault == "first_entry_gcd" else \
+        _corrupt_last_entry(linalg._cancel)
+
+
+FAULTS = ["first_entry_gcd", "last_entry"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_faulty_cancel_raises_never_refuses(monkeypatch, fault):
+    """With a faulty ``_cancel`` planted, an invertible system raises
+    ArithmeticError, on the one-shot and on the factored solve: neither
+    returns a refusal or a wrong vector.  ``Complex.solve`` raises or
+    returns the exact answer, which the one-shot check has certified."""
+    cx = Complex(sl2())
+    x = rand_vector(random.Random(3), complex_dim(sl2(), 1))
+    image = tuple(sum((F(a) * x[j] for j, a in r.items()), F(0))
+                  for r in cx.rows(1))
+    exact = Complex(sl2()).solve(1, image)
+    rows = [{0: 2, 1: 3, 2: 1}, {0: 4, 1: 1, 2: 7}, {0: 1, 1: 1, 2: 1}]
+    monkeypatch.setattr(linalg, "_cancel", _planted(fault))
+    with pytest.raises(ArithmeticError):
+        Factorization(rows, 3).solve([1, 1, 1])
+    with pytest.raises(ArithmeticError):
+        Factorization(rows, 3).rank
+    with pytest.raises(ArithmeticError):
+        cx.factor(1).rank
+    try:
+        assert Complex(sl2()).solve(1, image) == exact
+    except ArithmeticError:
+        pass
+
+
+def _plant_in_factorization(monkeypatch, fault: str) -> None:
+    """Plant a fault in the eliminations of tagged rows (an entry at
+    column >= ncols) only, so an untagged ``kernel`` stays exact: the
+    first-entry gcd ``_cancel``, or an ``_rref`` that loses its last pivot
+    row, so the rank reads low."""
+    real = linalg._rref
+
+    def planted(rows, ncols):
+        if not any(max(r) >= ncols for r in rows):
+            return real(rows, ncols)
+        if fault == "lost_pivot":
+            red, pivots, rest = real(rows, ncols)
+            return red[:-1], pivots[:-1], rest
+        with monkeypatch.context() as inner:
+            inner.setattr(linalg, "_cancel", _first_entry_gcd)
+            return real(rows, ncols)
+    monkeypatch.setattr(linalg, "_rref", planted)
+
+
+PLANTED = ["first_entry_gcd", "lost_pivot"]
+
+
+@pytest.mark.parametrize("fault", PLANTED)
+def test_faulty_factorization_never_decides_invertibility(monkeypatch,
+                                                          fault):
+    """The basis change's rank is checked both ways, so a faulty
+    elimination raises rather than call P singular or return a wrong
+    conjugate."""
+    p = Matrix.from_rows([[2, 1, 0], [0, F(1, 3), 1], [1, 0, 1]])
+    _plant_in_factorization(monkeypatch, fault)
+    with pytest.raises(ArithmeticError):
+        conjugated_algebra(sl2(), p)
+
+
+@pytest.mark.parametrize("fault", PLANTED)
+def test_faulty_factorization_never_gives_a_betti_number(monkeypatch, fault):
+    """With the kernel of d_2 exact and the factorization of d_1 faulty,
+    the rigidity probe raises instead of reading a wrong rank of d_1, with
+    no trial run."""
+    alg = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
+        [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+    _plant_in_factorization(monkeypatch, fault)
+    with pytest.raises(ArithmeticError):
+        rigidity_probe(alg, 2, 0)
+
+
+def test_refusal_of_a_corrupted_factorization_raises():
+    # E corrupted after the factorization's checks: a consistent right
+    # side fails the row check, and the witness built from the wrong E
+    # fails its own check, so no refusal is returned
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 3}, {0: 3, 1: 4}]
+    fac = Factorization(rows, 2)
+    assert fac.rank == 2
+    fac._elim[0] = [(s, e + 1) for s, e in fac._elim[0]]
+    with pytest.raises(ArithmeticError):
+        fac.solve([3, 4, 7])
+
+
+def test_complex_refusal_carries_a_checked_left_witness():
+    # a rational conjugate, so L > 1 and the system is L·d_k x = L·b
+    alg = conjugated_algebra(sl2(), Matrix.from_rows(
+        [[2, 1, 0], [0, F(1, 3), 1], [1, 0, 1]]))
+    cx = Complex(alg)
+    assert cx.scale > 1
+    rng = random.Random(8)
+    for k in (1, 2):
+        refused = 0
+        for _ in range(6):
+            b = rand_vector(rng, len(cx.rows(k)))
+            res = cx.factor(k).solve([cx.scale * x for x in b])
+            if isinstance(res, Refusal):
+                refused += 1
+                _assert_refusal(cx.rows(k), [cx.scale * x for x in b], res)
+                assert cx.solve(k, b) is None
+            else:
+                assert cx.solve(k, b) == res
+        assert refused
 
 
 def _dense_mul(a, b):
