@@ -165,16 +165,12 @@ def _times(p: MultiPoly, c: MultiPoly | int) -> MultiPoly:
     return p if c == 1 else p * c
 
 
-def _is_one(p: MultiPoly) -> bool:
-    return p.terms == {(0,) * p.num_vars: 1}
-
-
 def _prod(polys: Sequence[MultiPoly], sign: int) -> MultiPoly | int:
     """sign times the product of ``polys``, with no product by a factor
     equal to 1; the int sign when every factor is 1."""
     out: MultiPoly | int = sign
     for p in polys:
-        if not _is_one(p):
+        if not p.is_one:
             out = _times(p, out)
     return out
 
@@ -434,7 +430,7 @@ def _anchor_weighted(A, m: int, x: Key, y: Key) -> Optional[dict]:
         out = vf_zero(m)
         for c, v in terms:
             p = c.components[u]
-            out = out + (v if _is_one(p) else v.scale(p))
+            out = out + (v if p.is_one else v.scale(p))
         if not out.is_zero:
             return _coordinate(x, u, m)
     return None

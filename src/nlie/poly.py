@@ -51,6 +51,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def is_one(self) -> bool:
+        return self.terms == {(0,) * self.num_vars: 1}
+
     def __bool__(self) -> bool:
         # false on zero, as for a Fraction, so signed supports skip it
         return bool(self.terms)
@@ -231,15 +235,23 @@ def vf_coordinate(num_vars: int, var: int) -> PolyVectorField:
 
 
 def vf_apply(v: PolyVectorField, f: MultiPoly) -> MultiPoly:
-    """Apply the derivation: sum_i v_i * df/dx_i."""
+    """Apply the derivation: sum_i v_i * df/dx_i, summed into one dict,
+    with no product by a factor equal to 1."""
     if v.num_vars != f.num_vars:
         raise DimensionMismatch("field and function over different bases")
-    out = poly_zero(f.num_vars)
+    acc: dict[Exponents, Coeff] = {}
     for i, comp in enumerate(v.components):
         if comp.is_zero:
             continue
-        out = out + comp * f.partial(i)
-    return out
+        d = f.partial(i)
+        term = d if comp.is_one else comp if d.is_one else comp * d
+        for exps, c in term.terms.items():
+            c = acc.get(exps, 0) + c
+            if c:
+                acc[exps] = c
+            else:
+                acc.pop(exps, None)
+    return MultiPoly(f.num_vars, acc)
 
 
 def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:

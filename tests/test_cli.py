@@ -914,6 +914,7 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     diag = write(tmp_path, "diag.json", matrix_to_json(Matrix.from_rows(
         [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])))
     names = set()
+    runs = []
     for argv in (["--seed", "11", "deform", "rigidity", sl2_file,
                   "--trials", "4"],
                  ["--seed", "11", "nijenhuis", eps, diag, "--generate-path"],
@@ -921,6 +922,7 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
         first = counters(*argv)
         assert first == counters(*argv)
         names |= {name for name, _, _ in first}
+        runs.append(first)
     assert {"cli.main", "io.load", "cli.render",
             "cohomology.differential_matrix", "linalg.rank_nullspace",
             "deformations.rigidity_probe", "deformations.conjugate_path",
@@ -928,6 +930,11 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
             "deformations.nijenhuis_bracket"} <= names
     rank = next(c for name, _, c in first if name == "linalg.rank_nullspace")
     assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
+    # the sampled elimination's work: rows eliminated and rounds, for the
+    # kernels here and the rigidity probe's factorization
+    assert rank["rounds"] >= 1 and 0 < rank["sample_rows"] <= rank["rows"]
+    fac = next(c for name, _, c in runs[0] if name == "linalg.factor")
+    assert fac["rounds"] >= 1 and 0 < fac["sample_rows"] <= fac["rows"]
     # one circle product per ordered pair: full mode on an order-2 path
     # checks powers 1..4, 2 + 3 + 2 + 1 = 8 pairs, with no graded bracket
     _, out, _ = run(capsys, "nijenhuis", eps, diag, "--generate-path")

@@ -7,7 +7,10 @@ dense rational matrices of every shape and on the differential matrices of
 the catalog algebras.  A ``Factorization`` of the matrix must give the
 same pivots and solution for every right side, one-shot or factored, or
 a refusal whose left witness is re-checked here, and must raise when a
-faulty ``_cancel`` is planted.
+faulty ``_cancel`` is planted.  Both eliminate a seeded sample of a tall
+matrix's rows and certify on every row; they must agree with one
+elimination of every row, and a planted fault must end the sampled rounds
+in ArithmeticError.
 """
 
 import random
@@ -529,3 +532,138 @@ def test_column_supports_match_dense_columns():
                            rng.choice((0.1, 0.4, 1.0)))
         assert column_supports(m) == [support(m.column(j))
                                       for j in range(m.cols)]
+
+
+def _combination_rows(rng, rows, cols, rank, top=3):
+    """``rows`` integer rows, each a combination with coefficients in
+    -2..2 of ``rank`` random rows with entries in -top..top."""
+    basis = [[rng.randint(-top, top) for _ in range(cols)]
+             for _ in range(rank)]
+    out = []
+    for _ in range(rows):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        row = [sum(c * b[j] for c, b in zip(coeffs, basis))
+               for j in range(cols)]
+        out.append({j: x for j, x in enumerate(row) if x})
+    return out
+
+
+def _sampled_rows(cols: int) -> int:
+    """The fewest nonzero rows on which ``kernel`` eliminates a sample."""
+    return linalg._SAMPLE_RATIO * (int(linalg._SAMPLE_SLOPE * cols)
+                                   + linalg._SAMPLE_BASE)
+
+
+def _plant_in_kernel(monkeypatch, fault: str) -> list:
+    """Plant a fault in every elimination and count the ``_rref`` calls:
+    a ``_cancel`` fault, or an ``_rref`` that loses its last pivot row."""
+    calls = []
+    real = linalg._rref
+
+    def planted(rows, ncols):
+        calls.append(1)
+        red, pivots, rest = real(rows, ncols)
+        if fault == "lost_pivot":
+            return red[:-1], pivots[:-1], rest
+        return red, pivots, rest
+    monkeypatch.setattr(linalg, "_rref", planted)
+    if fault != "lost_pivot":
+        monkeypatch.setattr(linalg, "_cancel", _planted(fault))
+    return calls
+
+
+@pytest.mark.parametrize("fault", ["first_entry_gcd", "last_entry",
+                                   "lost_pivot"])
+def test_planted_fault_reaches_the_sampled_loop(monkeypatch, fault):
+    """On a matrix whose first round eliminates a sample, every planted
+    fault ends in ArithmeticError within rank + 1 eliminations: a round
+    that does not raise the rank raises, so the loop cannot spin.
+
+    ``kernel`` checks M·v = 0, which bounds the rank from above only, so
+    a fault that merely inflates the rank passes it; on most random tall
+    matrices the first-entry gcd fault does just that.  This seeded matrix
+    is one where each fault moves the nullspace off the kernel of M."""
+    rows = _combination_rows(random.Random(26), _sampled_rows(5), 5, 2, 9)
+    exact = linalg.kernel(rows, 5)
+    assert exact.rank == 2 and exact.sample_rows < len(rows)
+    calls = _plant_in_kernel(monkeypatch, fault)
+    with pytest.raises(ArithmeticError):
+        linalg.kernel(rows, 5)
+    assert 1 <= len(calls) <= exact.rank + 1
+
+
+def _full_elimination(rows, ncols):
+    """Rank, pivots and canonical nullspace of one ``_rref`` of every row."""
+    red, pivots, _ = linalg._rref([r for r in rows if r], ncols)
+    null = linalg._nullspace(red, pivots, ncols)
+    return len(pivots), tuple(pivots), tuple(
+        linalg.densify(v, ncols) for v in null.values())
+
+
+def _block_rows(rng, rows, cols, few):
+    """A tall block-diagonal matrix: ``rows`` combinations on the first
+    cols - 2 columns, and ``few`` rows on the last two, spread among
+    them, which a first sample is likely to miss."""
+    out = _combination_rows(rng, rows, cols - 2, rng.randint(1, cols - 2))
+    for _ in range(few):
+        out.insert(rng.randint(0, len(out)), {
+            cols - 2: rng.choice((-2, -1, 1, 3)),
+            cols - 1: rng.choice((-1, 1, 2))})
+    return out
+
+
+SAMPLING = {"as shipped": None, "small samples": (0.5, 1, 1)}
+
+
+@pytest.mark.parametrize("sampling", sorted(SAMPLING))
+def test_sampled_elimination_matches_full_elimination(monkeypatch,
+                                                      sampling):
+    """``kernel`` and ``Factorization`` agree with one ``_rref`` of every
+    row and with the Gauss-Jordan oracle on tall, square, wide,
+    rank-deficient and block-diagonal integer matrices; with the shipped
+    constants the tall ones eliminate a sample, and with small samples
+    every shape does, over several rounds."""
+    if SAMPLING[sampling]:
+        for name, value in zip(("_SAMPLE_SLOPE", "_SAMPLE_BASE",
+                                "_SAMPLE_RATIO"), SAMPLING[sampling]):
+            monkeypatch.setattr(linalg, name, value)
+    rng = random.Random(2026)
+    rounds = []
+    sampled = 0
+    for trial in range(40):
+        cols = rng.randint(3, 7)
+        tall = _sampled_rows(cols) + rng.randint(0, 10)
+        shape = trial % 5
+        if shape == 0:
+            rows = _combination_rows(rng, tall, cols, cols)
+        elif shape == 1:
+            rows = _combination_rows(rng, cols, cols, rng.randint(1, cols))
+        elif shape == 2:
+            rows = _combination_rows(rng, rng.randint(1, cols - 1), cols,
+                                     rng.randint(1, cols))
+        elif shape == 3:
+            rows = _combination_rows(rng, tall, cols,
+                                     rng.randint(1, cols - 1))
+        else:
+            rows = _block_rows(rng, tall, cols, rng.randint(1, 3))
+        if rng.random() < 0.3:
+            rows.insert(rng.randint(0, len(rows)), {})
+        got = linalg.kernel(rows, cols)
+        full = _full_elimination(rows, cols)
+        m = Matrix.from_sparse_rows(
+            [{j: F(x) for j, x in r.items()} for r in rows], cols)
+        assert (got.rank, got.pivots, got.nullspace) == full == gauss_jordan(m)
+        fac = Factorization(rows, cols)
+        assert (fac.rank, fac.pivots) == full[:2]
+        assert fac._work[1] == got.rounds
+        _check_factorization(m, m.apply(rand_vector(rng, cols)))
+        _check_factorization(m, rand_vector(rng, len(rows)))
+        nonzero = sum(1 for r in rows if r)
+        if not SAMPLING[sampling] and nonzero >= _sampled_rows(cols):
+            assert got.sample_rows < nonzero
+            sampled += 1
+        rounds.append(got.rounds)
+    if SAMPLING[sampling]:
+        assert sum(r >= 2 for r in rounds) >= 10
+    else:
+        assert sampled >= 12 and max(rounds) >= 2
