@@ -19,13 +19,14 @@ algebroid tables) keys its entries by one rule, ``basis_key``: a tuple of
 strictly increasing int indices, 0-based, of a fixed length and below a
 fixed bound (``make_wedge`` takes a key in any order, sorts it with its
 sign and drops it on a repeat); ``coeff_vector`` reads Fraction vectors.
+``fundamental_bracket`` (the Leibniz bracket on (n-1)-wedges), ``ad_map``
+and ``adjoint_representation`` are paper API that nothing here calls.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
@@ -34,6 +35,7 @@ from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Support, Vector, densify, integer_rows,
                      multilinear, support, vec_is_zero, vec_scale, vec_sub,
                      vec_zero)
+from .record import Record
 from .trace import span, traced
 
 Key = tuple[int, ...]
@@ -121,14 +123,14 @@ def basis_lookup(table: Mapping, memo: Optional[dict[Key, Support]] = None,
     return look
 
 
-@dataclass(frozen=True)
-class NLieAlgebra:
+class NLieAlgebra(Record):
     """Structure constants of a skew n-ary bracket.
 
     ``structure`` maps strictly increasing n-tuples (0-based) to coefficient
     vectors; absent keys mean a zero bracket.  Treat instances as immutable.
     """
 
+    __slots__ = ("arity", "dim", "structure")
     arity: int
     dim: int
     structure: dict[Key, Vector]
@@ -173,10 +175,13 @@ def bracket_eval(alg: NLieAlgebra, args: Sequence[Vector]) -> Vector:
                                basis_lookup(alg.structure)), m)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("holds", "witness")
     holds: bool
-    witness: Optional[dict] = None
+    witness: Optional[dict]
+
+    def __init__(self, holds, witness=None):
+        super().__init__(holds, witness)
 
 
 def integral_table(alg: NLieAlgebra) -> tuple[int, dict[Key, tuple[int, ...]]]:
@@ -263,10 +268,10 @@ def require_fi(alg: NLieAlgebra) -> None:
                                witness=res.witness)
 
 
-@dataclass(frozen=True)
-class WedgeElement:
+class WedgeElement(Record):
     """Element of the g-th exterior power, sparse over sorted basis tuples."""
 
+    __slots__ = ("grade", "dim", "coords")
     grade: int
     dim: int
     coords: dict[Key, Fraction]
@@ -289,23 +294,6 @@ def make_wedge(grade: int, dim: int,
     return WedgeElement(grade, dim, out)
 
 
-def basis_wedge(grade: int, dim: int, key: Key) -> WedgeElement:
-    return make_wedge(grade, dim, {tuple(key): Fraction(1)})
-
-
-def wedge_add(a: WedgeElement, b: WedgeElement) -> WedgeElement:
-    if (a.grade, a.dim) != (b.grade, b.dim):
-        raise DimensionMismatch("wedge grade/dim mismatch")
-    coords = dict(a.coords)
-    for k, c in b.coords.items():
-        acc = coords.get(k, Fraction(0)) + c
-        if acc == 0:
-            coords.pop(k, None)
-        else:
-            coords[k] = acc
-    return WedgeElement(a.grade, a.dim, coords)
-
-
 def fundamental_bracket(alg: NLieAlgebra, x: WedgeElement,
                         y: WedgeElement) -> WedgeElement:
     """Bracket on (n-1)-wedges induced by the action of x:
@@ -326,14 +314,14 @@ def fundamental_bracket(alg: NLieAlgebra, x: WedgeElement,
                                              for b in keys[1]])))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """Action rho of (n-1)-tuples of algebra basis vectors on a module.
 
     ``action`` maps (strictly increasing (n-1)-tuple, module index) to the
     image vector in module coordinates; absent keys act as zero.
     """
 
+    __slots__ = ("algebra_dim", "module_dim", "arity", "action")
     algebra_dim: int
     module_dim: int
     arity: int

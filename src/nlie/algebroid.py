@@ -34,13 +34,14 @@ the shuffle-signed commutator.  Degrees above 1 are not modeled here:
 their evaluation would need coefficient rules in block arguments that the
 structure does not determine.  So insertion is k = 0 only: D2 enters the
 last wedge of a degree-1 D1, with the identity shuffle and sign 1, and on
-generators D2 is its table, read by lookup.
+generators D2 is its table, read by lookup.  Paper API that nothing
+here calls: ``make_bundle_map``, ``md_eval``, ``make_poly_multiderivation``,
+``nijenhuis_section_bracket`` and ``nijenhuis_symbol_check``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (CheckResult, Key, NLieAlgebra, basis_key, basis_lookup,
@@ -49,14 +50,20 @@ from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
 from .poly import (Coeff, MultiPoly, PolyVectorField, poly_const, poly_var,
                    poly_zero, vf_apply, vf_bracket, vf_zero)
+from .record import Record, _set
 from .trace import span, traced
 
 
-@dataclass(frozen=True)
-class PolySection:
+class PolySection(Record):
+    __slots__ = ("num_vars", "rank", "comps")
     num_vars: int
     rank: int
     comps: tuple[MultiPoly, ...]
+
+    def __init__(self, num_vars, rank, comps):
+        _set(self, "num_vars", num_vars)
+        _set(self, "rank", rank)
+        _set(self, "comps", comps)
 
     @property
     def is_zero(self) -> bool:
@@ -104,11 +111,11 @@ def section_sub(a: PolySection, b: PolySection) -> PolySection:
                        tuple(x - y for x, y in zip(a.comps, b.comps)))
 
 
-@dataclass(frozen=True)
-class PolyFilippovAlgebroid:
+class PolyFilippovAlgebroid(Record):
     """Bracket table on sorted generator n-tuples, anchor table on sorted
     (n-1)-tuples; absent keys mean zero."""
 
+    __slots__ = ("num_vars", "rank", "arity", "bracket_table", "anchor_table")
     num_vars: int
     rank: int
     arity: int
@@ -670,10 +677,10 @@ def example_tangent_topform(m_base: int, n: int) -> PolyFilippovAlgebroid:
     return make_poly_algebroid(m_base, m_base, n + 1, {}, anchor)
 
 
-@dataclass(frozen=True)
-class PolyLinearBundleMap:
+class PolyLinearBundleMap(Record):
     """r x r matrix of polynomials acting on sections."""
 
+    __slots__ = ("num_vars", "rank", "entries")
     num_vars: int
     rank: int
     entries: tuple[tuple[MultiPoly, ...], ...]
@@ -705,16 +712,7 @@ def make_bundle_map(num_vars: int, rank: int,
                                tuple(tuple(row) for row in entries))
 
 
-def constant_bundle_map(num_vars: int, rank: int,
-                        scalars: Sequence[Sequence[Coeff]],
-                        ) -> PolyLinearBundleMap:
-    return make_bundle_map(
-        num_vars, rank,
-        [[poly_const(num_vars, c) for c in row] for row in scalars])
-
-
-@dataclass(frozen=True)
-class PolyMultiderivation:
+class PolyMultiderivation(Record):
     """Degree 0 or 1 multiderivation with its symbol.
 
     Degree 0: table keys are 1-tuples (j,), symbol key is ().
@@ -722,6 +720,7 @@ class PolyMultiderivation:
     holding a sorted (n-1)-wedge.
     """
 
+    __slots__ = ("num_vars", "rank", "arity", "degree", "table", "symbol")
     num_vars: int
     rank: int
     arity: int

@@ -16,7 +16,6 @@ orientation under which the generic complex is matched degree by degree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -26,14 +25,15 @@ from .algebra import (NLieAlgebra, basis_key, bracket_on_basis, coeff_vector,
 from .errors import DimensionMismatch
 from .linalg import (Matrix, Vector, basis_vec, vec_add, vec_is_zero,
                      vec_scale, vec_zero)
+from .record import Record
 
 CEKey = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CECochain:
+class CECochain(Record):
     """Skew p-multilinear map L -> L; absent keys are zero."""
 
+    __slots__ = ("dim", "degree", "entries")
     dim: int
     degree: int
     entries: dict[CEKey, Vector]

@@ -46,12 +46,13 @@ differential.
 The convention note that matters when reading the sums: the insertion block
 index k+q+1 is counted with q = deg(D2) for either operand order; both
 orders run through the same routine with the roles swapped.
+``from_matrix`` (a linear map as a degree-0 cochain) and
+``is_filippov_derivation`` are paper API that nothing here calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
@@ -59,13 +60,12 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import (Key, NLieAlgebra, WedgeElement, basis_key,
                       basis_lookup, bracket_on_basis, coeff_vector,
-                      make_algebra, merge_index, replace_slots,
-                      sort_with_sign)
+                      merge_index, replace_slots, sort_with_sign)
 from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Matrix, Vector, basis_vec, column_supports, densify,
-                     multilinear, support, vec_add, vec_is_zero, vec_scale,
-                     vec_sub, vec_zero)
+                     multilinear, support, vec_is_zero, vec_scale, vec_zero)
 from .poly import _coeff
+from .record import Record, _set
 from .trace import span, traced
 
 CochainKey = tuple[tuple[Key, ...], Key]
@@ -73,15 +73,21 @@ CochainKey = tuple[tuple[Key, ...], Key]
 Row = dict[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(Record):
     """Sparse multiderivation cochain; absent keys are zero.  An entry
     component is an int when integral at entry, else a Fraction."""
 
+    __slots__ = ("arity", "dim", "degree", "entries")
     arity: int
     dim: int
     degree: int
     entries: dict[CochainKey, Vector]
+
+    def __init__(self, arity, dim, degree, entries):
+        _set(self, "arity", arity)
+        _set(self, "dim", dim)
+        _set(self, "degree", degree)
+        _set(self, "entries", entries)
 
 
 def cochain_dim(dim: int, arity: int, degree: int) -> int:
@@ -165,41 +171,12 @@ def cochain_is_zero(d: Cochain) -> bool:
     return not d.entries
 
 
-def _combine(a: Cochain, b: Cochain, op) -> Cochain:
-    """Entry by entry op(a, b), with op a vector sum or difference."""
-    _compatible(a, b, same_degree=True)
-    entries = dict(a.entries)
-    zero = (0,) * a.dim
-    for k, v in b.entries.items():
-        acc = op(entries.get(k, zero), v)
-        if vec_is_zero(acc):
-            entries.pop(k, None)
-        else:
-            entries[k] = acc
-    return Cochain(a.arity, a.dim, a.degree, entries)
-
-
-def cochain_add(a: Cochain, b: Cochain) -> Cochain:
-    return _combine(a, b, vec_add)
-
-
 def cochain_scale(c: Fraction | int, d: Cochain) -> Cochain:
     c = _coeff(c)
     if c == 0:
         return cochain_zero(d.arity, d.dim, d.degree)
     return Cochain(d.arity, d.dim, d.degree,
                    {k: vec_scale(c, v) for k, v in d.entries.items()})
-
-
-def cochain_sub(a: Cochain, b: Cochain) -> Cochain:
-    return _combine(a, b, vec_sub)
-
-
-def _compatible(a: Cochain, b: Cochain, same_degree: bool = False) -> None:
-    if a.arity != b.arity or a.dim != b.dim:
-        raise DimensionMismatch("cochains over different algebras")
-    if same_degree and a.degree != b.degree:
-        raise DimensionMismatch("cochains of different degree")
 
 
 def _locate(degree: int, blocks: tuple[Key, ...],
@@ -400,13 +377,6 @@ def from_bracket(alg: NLieAlgebra) -> Cochain:
     return Cochain(alg.arity, alg.dim, 1,
                    {((), key): tuple(map(_coeff, val))
                     for key, val in alg.structure.items()})
-
-
-def to_algebra(d: Cochain) -> NLieAlgebra:
-    if d.degree != 1:
-        raise DimensionMismatch("only degree-1 cochains encode a bracket")
-    return make_algebra(d.arity, d.dim,
-                        {last: val for (_, last), val in d.entries.items()})
 
 
 def from_matrix(mat: Matrix, arity: int) -> Cochain:

@@ -25,12 +25,13 @@ Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
 coboundary columns in a combined elimination.  Each kept vector is a cocycle
 and no rational combination of kept vectors is a coboundary.
+``outer_derivations`` (H^1 as derivations modulo inner ones) is paper API
+that nothing here calls.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
@@ -42,6 +43,7 @@ from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
 from .errors import DimensionMismatch
 from .linalg import (Factorization, Matrix, RankNullspace, Refusal, Row,
                      Vector, integer_row, kernel)
+from .record import Record
 from .trace import row_counters, traced
 
 DEFAULT_DEGREE_CAP = 3
@@ -55,8 +57,9 @@ def complex_dim(alg: NLieAlgebra, k: int) -> int:
         m * m if k == 1 else cochain_dim(m, n, k - 1)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(Record):
+    __slots__ = ("degree", "dim_cochains", "rank_d_out", "rank_d_in", "betti",
+                 "representatives")
     degree: int
     dim_cochains: int
     rank_d_out: int

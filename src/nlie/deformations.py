@@ -20,13 +20,14 @@ replays.
 Nijenhuis operators deform the bracket through the iterated brackets
 [.]^k_N; the closure condition makes Phi_t = Id + tN intertwine the
 deformed and original brackets as an exact polynomial identity in t.
+Paper API that nothing here calls: ``infinitesimal_class``,
+``check_homomorphism_family`` and ``deformation_from_nijenhuis``.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -42,20 +43,21 @@ from .errors import DimensionMismatch, InvalidStructure
 from .linalg import (Factorization, Matrix, Refusal, Support, Vector,
                      column_supports, multilinear, vec_is_zero, vec_scale)
 from .poly import _coeff
+from .record import Record
 from .trace import traced
 
 
-@dataclass(frozen=True)
-class DeformationPath:
+class DeformationPath(Record):
+    __slots__ = ("base", "order", "terms")
     base: NLieAlgebra
     order: int
     terms: tuple[Cochain, ...]
 
 
-@dataclass(frozen=True)
-class EquivalenceMap:
+class EquivalenceMap(Record):
     """Phi_t = Id + sum t^b maps[b-1]; absent trailing maps are zero."""
 
+    __slots__ = ("order", "maps")
     order: int
     maps: tuple[Matrix, ...]
 
@@ -90,8 +92,8 @@ def _phi_list(path: DeformationPath) -> list[Cochain]:
     return [from_bracket(path.base), *path.terms]
 
 
-@dataclass(frozen=True)
-class DeformationCheck:
+class DeformationCheck(Record):
+    __slots__ = ("holds", "mode", "first_failing_power")
     holds: bool
     mode: str
     first_failing_power: Optional[int]
@@ -127,8 +129,9 @@ def _circle_sum(phis: list[Cochain], r: int, low: int) -> Cochain:
         for i in range(max(low, r - top), min(r - low, top) + 1)])
 
 
-@dataclass(frozen=True)
-class InfinitesimalClass:
+class InfinitesimalClass(Record):
+    __slots__ = ("leading_order", "is_cocycle", "betti", "class_coords",
+                 "is_trivial_class")
     leading_order: Optional[int]
     is_cocycle: bool
     betti: int
@@ -239,8 +242,8 @@ def conjugate_path(path: DeformationPath,
         Cochain(n, m, 1, table) for table in entries))
 
 
-@dataclass(frozen=True)
-class EquivalenceCheck:
+class EquivalenceCheck(Record):
+    __slots__ = ("holds", "first_failing_power")
     holds: bool
     first_failing_power: Optional[int]
 
@@ -400,8 +403,8 @@ def deformation_from_nijenhuis(alg: NLieAlgebra,
     return path
 
 
-@dataclass(frozen=True)
-class OOperatorLift:
+class OOperatorLift(Record):
+    __slots__ = ("n_tilde", "o_operator_holds", "lifted_nijenhuis_holds")
     n_tilde: Matrix
     o_operator_holds: bool
     lifted_nijenhuis_holds: bool
@@ -463,8 +466,8 @@ def _obstruction(path: DeformationPath) -> Cochain:
     return theta
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(Record):
+    __slots__ = ("success", "term", "certificate")
     success: bool
     term: Optional[Cochain]
     certificate: Optional[str]
@@ -483,15 +486,15 @@ def extend(path: DeformationPath) -> ExtensionResult:
     return ExtensionResult(True, term, None)
 
 
-@dataclass(frozen=True)
-class RigidityTrial:
+class RigidityTrial(Record):
+    __slots__ = ("kind", "trivialized", "stuck_order")
     kind: str
     trivialized: bool
     stuck_order: Optional[int]
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(Record):
+    __slots__ = ("betti_h2", "max_order", "trials", "all_trivialized", "note")
     betti_h2: int
     max_order: int
     trials: tuple[RigidityTrial, ...]

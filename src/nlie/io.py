@@ -17,7 +17,8 @@ Conventions, fixed once here so all documents agree:
 
 Parsers raise ``InputFormatError`` carrying the path to the offending
 field, so the command line can report the location and exit with the
-input-error code instead of a traceback.
+input-error code instead of a traceback.  No verb reads or writes a
+representation or calls ``load_document``: they are library API.
 """
 
 from __future__ import annotations

@@ -46,12 +46,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
+from .record import Record
 from .trace import row_counters, traced
 
 Vector = tuple[Fraction, ...]
@@ -131,13 +131,13 @@ def densify(acc: dict[int, Fraction], m: int) -> Vector:
     return tuple(acc.get(i, _ZERO) for i in range(m))
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class Matrix(Record):
     """Immutable rational matrix.  Row i is stored as ``data[i]``, a dict
     {column: Fraction} with zeros absent and keys ascending; the
     constructor, ``from_rows`` and ``from_cols`` take dense input, and
     ``entries`` is a dense view built on each read."""
 
+    __slots__ = ("rows", "cols", "data")
     rows: int
     cols: int
     data: tuple[dict[int, Fraction], ...]
@@ -148,13 +148,8 @@ class Matrix:
             raise DimensionMismatch("row count mismatch")
         if any(len(r) != cols for r in entries):
             raise DimensionMismatch("column count mismatch")
-        self._store(rows, cols, tuple(
+        super().__init__(rows, cols, tuple(
             {j: x for j, x in enumerate(r) if x} for r in entries))
-
-    def _store(self, rows: int, cols: int, data: tuple) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols,
@@ -169,7 +164,7 @@ class Matrix:
                for r in data):
             raise DimensionMismatch("column index out of range")
         mat = Matrix.__new__(Matrix)
-        mat._store(len(data), ncols, data)
+        Record.__init__(mat, len(data), ncols, data)
         return mat
 
     @staticmethod
@@ -218,21 +213,6 @@ class Matrix:
             [multilinear([row.items()], lambda k: other.data[k[0]].items())
              for row in self.data], other.cols)
 
-    def add(self, other: Matrix) -> Matrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix sum size mismatch")
-        out = [dict(r) for r in self.data]
-        for acc, row in zip(out, other.data):
-            for j, b in row.items():
-                acc[j] = acc.get(j, 0) + b
-        return Matrix.from_sparse_rows(out, self.cols)
-
-    def scale(self, c: Fraction | int) -> Matrix:
-        c = Fraction(c)
-        return Matrix.from_sparse_rows(
-            ({j: c * a for j, a in row.items()} for row in self.data),
-            self.cols)
-
     def column(self, j: int) -> Vector:
         return tuple(row.get(j, _ZERO) for row in self.data)
 
@@ -247,17 +227,21 @@ def column_supports(mat: Matrix) -> list[Support]:
     return out
 
 
-@dataclass(frozen=True)
-class RankNullspace:
+class RankNullspace(Record):
     """Rank, canonical nullspace and pivots; ``sample_rows`` and ``rounds``
     count the work of the elimination that found them (rows of M
     eliminated, ``_rref`` calls) and take no part in equality."""
 
+    __slots__ = ("rank", "nullspace", "pivots", "sample_rows", "rounds")
+    _fields = ("rank", "nullspace", "pivots")
     rank: int
     nullspace: tuple[Vector, ...]
     pivots: tuple[int, ...]
-    sample_rows: int = field(default=0, compare=False, repr=False)
-    rounds: int = field(default=0, compare=False, repr=False)
+    sample_rows: int
+    rounds: int
+
+    def __init__(self, rank, nullspace, pivots, sample_rows=0, rounds=0):
+        super().__init__(rank, nullspace, pivots, sample_rows, rounds)
 
 
 Row = dict[int, int]
@@ -385,6 +369,10 @@ _SAMPLE_SLOPE, _SAMPLE_BASE = 1.3, 16
 _SAMPLE_RATIO = 3
 
 
+# A lookup that a wrong update trips (KeyError, ValueError) fails the check.
+_LOST = "the elimination lost an entry it relies on"
+
+
 def _eliminate(rows: Sequence[Row], ncols: int, tagged: bool = False
                ) -> tuple[list[Row], list[int], dict[int, dict[int, Fraction]],
                           int, int]:
@@ -407,17 +395,20 @@ def _eliminate(rows: Sequence[Row], ncols: int, tagged: bool = False
     red: list[Row] = []
     rank, done, rounds = -1, 0, 0
     while True:
-        red, pivots, _ = _rref(red + [{**rows[i], ncols + i: 1} if tagged
-                                      else rows[i] for i in batch], ncols)
-        done += len(batch)
-        rounds += 1
-        if len(pivots) <= rank:
-            raise ArithmeticError("a round of the sampled elimination did "
-                                  "not raise the rank")
-        rank = len(pivots)
-        null = _nullspace([{j: x for j, x in row.items() if j < ncols}
-                           for row in red] if tagged else red, pivots, ncols)
-        batch = _failing(rows, list(null.values()))
+        try:
+            red, pivots, _ = _rref(red + [{**rows[i], ncols + i: 1} if tagged
+                                          else rows[i] for i in batch], ncols)
+            done += len(batch)
+            rounds += 1
+            if len(pivots) <= rank:
+                raise ArithmeticError("a round of the sampled elimination "
+                                      "did not raise the rank")
+            rank = len(pivots)
+            null = _nullspace([{j: x for j, x in r.items() if j < ncols}
+                               for r in red] if tagged else red, pivots, ncols)
+            batch = _failing(rows, list(null.values()))
+        except (KeyError, ValueError) as exc:
+            raise ArithmeticError(_LOST) from exc
         if not batch:
             return red, pivots, null, done, rounds
 
@@ -451,16 +442,14 @@ def kernel(rows: Sequence[Row], ncols: int) -> RankNullspace:
         done, rounds)
 
 
-class Refusal:
+class Refusal(Record):
     """A certified inconsistent system M x = b: ``witness`` is the integer
     left vector y, sparse over row indices, with yᵀM = 0 and yᵀb != 0
-    checked exactly.  (A plain class: a dataclass costs every process
-    about a millisecond at import.)"""
+    checked exactly.  A record like the package's other results, so it
+    is immutable once its checks have passed."""
 
     __slots__ = ("witness",)
-
-    def __init__(self, witness: dict[int, int]):
-        self.witness = witness
+    witness: dict[int, int]
 
 
 def _factor_counters(args, _) -> dict[str, int]:
@@ -575,7 +564,10 @@ class Factorization:
         system inconsistent (a refusal then needs the factorization)."""
         n = self.ncols
         rows = [{**r, n: v} if v else r for r, v in zip(self.rows, bb)]
-        red, pivots, inconsistent = _rref(rows, n)
+        try:
+            red, pivots, inconsistent = _rref(rows, n)
+        except (KeyError, ValueError) as exc:
+            raise ArithmeticError(_LOST) from exc
         if inconsistent:
             return None
         x = {pc: Fraction(row[n], row[pc])

@@ -23,18 +23,17 @@ arithmetic builds canonical terms from canonical operands unchecked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import DimensionMismatch
+from .record import Record, _set
 
 Exponents = tuple[int, ...]
 Coeff = int | Fraction
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(Record):
     """Sparse polynomial with rational coefficients.
 
     ``terms`` holds exponent vectors of ``num_vars`` ints >= 0 and no zero
@@ -44,8 +43,13 @@ class MultiPoly:
     everything else by the constructors or arithmetic.
     """
 
+    __slots__ = ("num_vars", "terms")
     num_vars: int
     terms: dict[Exponents, Coeff]
+
+    def __init__(self, num_vars, terms):
+        _set(self, "num_vars", num_vars)
+        _set(self, "terms", terms)
 
     @property
     def is_zero(self) -> bool:
@@ -180,19 +184,21 @@ def poly_from_terms(num_vars: int,
     return MultiPoly(num_vars, {e: _coeff(c) for e, c in out.items() if c})
 
 
-@dataclass(frozen=True)
-class PolyVectorField:
+class PolyVectorField(Record):
     """Vector field with polynomial components, acting as a derivation."""
 
+    __slots__ = ("num_vars", "components")
     num_vars: int
     components: tuple[MultiPoly, ...]
 
-    def __post_init__(self):
-        if len(self.components) != self.num_vars:
+    def __init__(self, num_vars, components):
+        if len(components) != num_vars:
             raise DimensionMismatch("one component per variable required")
-        for p in self.components:
-            if p.num_vars != self.num_vars:
+        for p in components:
+            if p.num_vars != num_vars:
                 raise DimensionMismatch("component over wrong variable count")
+        _set(self, "num_vars", num_vars)
+        _set(self, "components", components)
 
     @property
     def is_zero(self) -> bool:
@@ -225,13 +231,6 @@ class PolyVectorField:
 def vf_zero(num_vars: int) -> PolyVectorField:
     return PolyVectorField(num_vars, tuple(poly_zero(num_vars)
                                            for _ in range(num_vars)))
-
-
-def vf_coordinate(num_vars: int, var: int) -> PolyVectorField:
-    """The coordinate field d/dx_var."""
-    comps = [poly_zero(num_vars) for _ in range(num_vars)]
-    comps[var] = poly_const(num_vars, 1)
-    return PolyVectorField(num_vars, tuple(comps))
 
 
 def vf_apply(v: PolyVectorField, f: MultiPoly) -> MultiPoly:

@@ -10,10 +10,94 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from nlie.algebra import make_algebra
+from nlie.algebra import WedgeElement, make_algebra, make_wedge
+from nlie.algebroid import PolyLinearBundleMap, make_bundle_map
 from nlie.catalog import conjugated_algebra
-from nlie.linalg import Matrix
-from nlie.poly import MultiPoly, poly_from_terms
+from nlie.cochains import Cochain
+from nlie.errors import DimensionMismatch
+from nlie.linalg import Matrix, vec_add, vec_is_zero, vec_sub
+from nlie.poly import (MultiPoly, PolyVectorField, poly_const,
+                       poly_from_terms, poly_zero)
+
+
+# Constructors and arithmetic that only tests use, kept out of the package.
+
+def basis_wedge(grade: int, dim: int, key) -> WedgeElement:
+    return make_wedge(grade, dim, {tuple(key): Fraction(1)})
+
+
+def wedge_add(a: WedgeElement, b: WedgeElement) -> WedgeElement:
+    if (a.grade, a.dim) != (b.grade, b.dim):
+        raise DimensionMismatch("wedge grade/dim mismatch")
+    coords = dict(a.coords)
+    for k, c in b.coords.items():
+        acc = coords.get(k, Fraction(0)) + c
+        if acc == 0:
+            coords.pop(k, None)
+        else:
+            coords[k] = acc
+    return WedgeElement(a.grade, a.dim, coords)
+
+
+def _combine(a: Cochain, b: Cochain, op) -> Cochain:
+    """Entry by entry op(a, b), with op a vector sum or difference."""
+    if (a.arity, a.dim, a.degree) != (b.arity, b.dim, b.degree):
+        raise DimensionMismatch("cochains of different spaces")
+    entries = dict(a.entries)
+    zero = (0,) * a.dim
+    for k, v in b.entries.items():
+        acc = op(entries.get(k, zero), v)
+        if vec_is_zero(acc):
+            entries.pop(k, None)
+        else:
+            entries[k] = acc
+    return Cochain(a.arity, a.dim, a.degree, entries)
+
+
+def cochain_add(a: Cochain, b: Cochain) -> Cochain:
+    return _combine(a, b, vec_add)
+
+
+def cochain_sub(a: Cochain, b: Cochain) -> Cochain:
+    return _combine(a, b, vec_sub)
+
+
+def to_algebra(d: Cochain):
+    """The algebra whose bracket is the degree-1 cochain d."""
+    if d.degree != 1:
+        raise DimensionMismatch("only degree-1 cochains encode a bracket")
+    return make_algebra(d.arity, d.dim,
+                        {last: val for (_, last), val in d.entries.items()})
+
+
+def vf_coordinate(num_vars: int, var: int) -> PolyVectorField:
+    """The coordinate field d/dx_var."""
+    comps = [poly_zero(num_vars) for _ in range(num_vars)]
+    comps[var] = poly_const(num_vars, 1)
+    return PolyVectorField(num_vars, tuple(comps))
+
+
+def constant_bundle_map(num_vars: int, rank: int,
+                        scalars) -> PolyLinearBundleMap:
+    return make_bundle_map(
+        num_vars, rank,
+        [[poly_const(num_vars, c) for c in row] for row in scalars])
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise DimensionMismatch("matrix sum size mismatch")
+    out = [dict(r) for r in a.data]
+    for acc, row in zip(out, b.data):
+        for j, x in row.items():
+            acc[j] = acc.get(j, 0) + x
+    return Matrix.from_sparse_rows(out, a.cols)
+
+
+def mat_scale(c, a: Matrix) -> Matrix:
+    c = Fraction(c)
+    return Matrix.from_sparse_rows(
+        ({j: c * x for j, x in row.items()} for row in a.data), a.cols)
 
 
 def rand_fraction(rng: random.Random, num: int = 3, den: int = 2) -> Fraction:
@@ -118,7 +202,6 @@ def circle_differential_matrix(alg, k: int) -> Matrix:
     transposed four-sum assembly in ``differential_matrix``."""
     import itertools
 
-    from nlie.algebra import basis_wedge
     from nlie.cochains import (Cochain, basis_cochains, from_bracket,
                                gla_bracket, space_keys, wedge_differential)
     from nlie.cohomology import cochain_to_vec
@@ -838,8 +921,8 @@ def ref_series(emap, m: int, top: int):
     for b in range(1, top + 1):
         acc = Matrix.zero(m, m)
         for j in range(1, b + 1):
-            acc = acc.add(fwd[j].mul(inv[b - j]))
-        inv.append(acc.scale(Fraction(-1)))
+            acc = mat_add(acc, fwd[j].mul(inv[b - j]))
+        inv.append(mat_scale(-1, acc))
     return fwd, inv
 
 
@@ -848,7 +931,6 @@ def ref_conjugate_path(path, emap):
     the inverse series per spread of the powers of t."""
     import itertools
 
-    from nlie.cochains import Cochain, to_algebra
     from nlie.deformations import DeformationPath
 
     n, m = path.base.arity, path.base.dim

@@ -12,9 +12,10 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import ce_betti, rand_bracket, rand_cochain, rand_valid_algebra
-from nlie.algebra import (adjoint_representation, basis_wedge,
-                          check_fundamental_identity, check_o_operator)
+from helpers import (basis_wedge, ce_betti, cochain_add, rand_bracket,
+                     rand_cochain, rand_valid_algebra)
+from nlie.algebra import (adjoint_representation, check_fundamental_identity,
+                          check_o_operator)
 from nlie.algebroid import (bracket_derivation, check_algebroid_axioms,
                             check_symbol_leibniz, example_tangent_fc,
                             example_tangent_topform)
@@ -23,10 +24,9 @@ from nlie.catalog import (broken_ternary_bracket, levi_civita_bracket,
 from nlie.chevalley import (CECochain, ce_differential, ce_differential_matrix,
                             ce_eval)
 from nlie.cochains import (Cochain, basis_cochains, coboundary_explicit,
-                           cochain_add, cochain_is_zero, cochain_scale,
-                           differential, eval_keys_z, from_bracket,
-                           from_matrix, gla_bracket, maurer_cartan_defect,
-                           space_keys)
+                           cochain_is_zero, cochain_scale, differential,
+                           eval_keys_z, from_bracket, from_matrix, gla_bracket,
+                           maurer_cartan_defect, space_keys)
 from nlie.cohomology import (cohomology, complex_dim,
                              differential_matrix, vec_to_cochain)
 from nlie.deformations import (check_deformation, check_equivalence,

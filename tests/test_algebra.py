@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (rand_bracket, rand_matrix, rand_sparse_vector,
-                     rand_valid_algebra, rand_vector)
-from nlie.algebra import (adjoint_representation, ad_map, basis_wedge,
-                          bracket_eval, bracket_on_basis,
-                          check_fundamental_identity, check_o_operator,
-                          check_representation, fundamental_bracket,
-                          make_algebra, make_representation, make_wedge,
-                          semidirect_product, sort_with_sign, wedge_add)
+from helpers import (basis_wedge, rand_bracket, rand_matrix,
+                     rand_sparse_vector, rand_valid_algebra, rand_vector,
+                     vf_coordinate, wedge_add)
+from nlie.algebra import (adjoint_representation, ad_map, bracket_eval,
+                          bracket_on_basis, check_fundamental_identity,
+                          check_o_operator, check_representation,
+                          fundamental_bracket, make_algebra,
+                          make_representation, make_wedge, semidirect_product,
+                          sort_with_sign)
 from nlie.algebroid import make_poly_algebroid, make_poly_multiderivation
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
@@ -19,7 +20,7 @@ from nlie.chevalley import make_ce_cochain
 from nlie.cochains import make_cochain
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec, vec_zero
-from nlie.poly import poly_const, vf_coordinate
+from nlie.poly import poly_const
 
 
 F = Fraction

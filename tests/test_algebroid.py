@@ -4,27 +4,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import monomials, rand_invertible, rand_poly
+from helpers import (constant_bundle_map, monomials, rand_invertible,
+                     rand_poly, vf_coordinate)
 
-from nlie.algebroid import (PolyVectorField, anchor_eval,
-                            anchor_on_generators, bracket_derivation,
-                            check_algebroid_axioms,
+from nlie.algebroid import (PolyVectorField, anchor_eval, anchor_on_generators,
+                            bracket_derivation, check_algebroid_axioms,
                             check_poly_nijenhuis, check_symbol_leibniz,
-                            constant_bundle_map, example_tangent_fc,
-                            example_tangent_topform, generator_section,
-                            make_bundle_map, make_poly_algebroid,
-                            make_poly_multiderivation, make_section,
-                            md_bracket_eval, md_circle_eval, md_eval,
-                            nijenhuis_section_bracket, nijenhuis_symbol_check,
-                            poly_family, section_add, section_bracket,
-                            section_scale, section_sub, section_zero,
-                            symbol_bracket)
+                            example_tangent_fc, example_tangent_topform,
+                            generator_section, make_bundle_map,
+                            make_poly_algebroid, make_poly_multiderivation,
+                            make_section, md_bracket_eval, md_circle_eval,
+                            md_eval, nijenhuis_section_bracket,
+                            nijenhuis_symbol_check, poly_family, section_add,
+                            section_bracket, section_scale, section_sub,
+                            section_zero, symbol_bracket)
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
                           levi_civita_bracket, sl2)
 from nlie.cochains import eval_keys_z, from_bracket, gla_bracket
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.poly import (poly_const, poly_var, poly_zero, vf_apply, vf_bracket,
-                       vf_coordinate, vf_zero)
+                       vf_zero)
 
 
 def x(num_vars, v):

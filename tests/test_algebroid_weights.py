@@ -28,7 +28,7 @@ from helpers import (rand_bundle_map, rand_low_poly, rand_multiderivation,
                      ref_anchor_defect, ref_check_algebroid_axioms,
                      ref_check_symbol_leibniz, ref_fi_defect,
                      ref_md_circle_eval, ref_nijenhuis_symbol_check,
-                     ref_symbol_bracket, weighted_frame)
+                     ref_symbol_bracket, vf_coordinate, weighted_frame)
 
 import nlie.algebroid as A
 from nlie.algebroid import (PolySection, anchor_eval, bracket_derivation,
@@ -42,9 +42,8 @@ from nlie.algebroid import (PolySection, anchor_eval, bracket_derivation,
 from nlie.algebra import bracket_on_basis
 from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
-from nlie.poly import (MultiPoly, PolyVectorField, poly_const,
-                       poly_from_terms, poly_var, poly_zero, vf_apply,
-                       vf_coordinate)
+from nlie.poly import (MultiPoly, PolyVectorField, poly_const, poly_from_terms,
+                       poly_var, poly_zero, vf_apply)
 
 
 def _shape(rng):

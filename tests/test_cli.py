@@ -4,11 +4,13 @@ import hashlib
 import io
 import json
 import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from helpers import vf_coordinate
 import nlie
 from nlie import cli, linalg
 from nlie.algebra import make_algebra
@@ -27,7 +29,7 @@ from nlie.io import (algebra_to_json, algebroid_to_json, cochain_from_json,
                      path_to_json)
 from nlie.linalg import Matrix
 from nlie.poly import (PolyVectorField, poly_const, poly_var, vf_bracket,
-                       vf_coordinate, vf_zero)
+                       vf_zero)
 
 F = Fraction
 
@@ -190,6 +192,35 @@ def test_package_imports_only_at_module_top():
              for node in ast.walk(func)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_package_compiles_nothing_at_run_time():
+    """No module imports ``dataclasses`` or calls ``exec`` or ``compile``:
+    a process compiles the package's source once, on import, and no
+    method is generated from a string after that."""
+    package = pathlib.Path(nlie.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "dataclasses"
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("exec", "compile")]
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """``import nlie.cli`` in a fresh interpreter (no ``site``) leaves
+    ``dataclasses`` and ``inspect`` unloaded: every CLI process pays for
+    what it imports."""
+    src = str(pathlib.Path(nlie.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nlie.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
 def test_three_routes_stay_independent():

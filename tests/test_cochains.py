@@ -4,23 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (_ref_circle_raw, rand_bracket, rand_cochain,
-                     rand_fraction, rand_matrix, rand_rational_algebra,
-                     rand_sparse_vector, rand_valid_algebra, ref_circle_sum,
-                     simple_4lie)
-from nlie.algebra import (ad_map, basis_wedge, check_fundamental_identity,
-                          make_wedge)
+from helpers import (_ref_circle_raw, basis_wedge, cochain_add, cochain_sub,
+                     rand_bracket, rand_cochain, rand_fraction, rand_matrix,
+                     rand_rational_algebra, rand_sparse_vector,
+                     rand_valid_algebra, ref_circle_sum, simple_4lie,
+                     to_algebra)
+from nlie.algebra import ad_map, check_fundamental_identity, make_wedge
 from nlie.catalog import (broken_ternary_bracket, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
-from nlie.cochains import (Cochain, basis_cochains, circle, cochain_add,
-                           cochain_dim, cochain_is_zero,
-                           cochain_scale, cochain_sub, cochain_to_vec,
+from nlie.cochains import (Cochain, basis_cochains, circle, cochain_dim,
+                           cochain_is_zero, cochain_scale, cochain_to_vec,
                            cochain_zero, circle_sum, coboundary_explicit,
-                           differential,
-                           eval_keys_z, evaluate, from_bracket, from_matrix,
-                           gla_bracket, is_filippov_derivation, make_cochain,
-                           maurer_cartan_defect, shuffles, space_keys,
-                           to_algebra, to_matrix, vec_to_cochain)
+                           differential, eval_keys_z, evaluate, from_bracket,
+                           from_matrix, gla_bracket, is_filippov_derivation,
+                           make_cochain, maurer_cartan_defect, shuffles,
+                           space_keys, to_matrix, vec_to_cochain)
 from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec, vec_zero
 

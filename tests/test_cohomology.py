@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (ce_betti, circle_differential_matrix, gauss_rank,
-                     rand_valid_algebra, simple_4lie)
-from nlie.algebra import (ad_map, basis_wedge, bracket_on_basis,
-                          check_fundamental_identity, make_algebra)
+from helpers import (basis_wedge, ce_betti, circle_differential_matrix,
+                     gauss_rank, rand_valid_algebra, simple_4lie)
+from nlie.algebra import (ad_map, bracket_on_basis, check_fundamental_identity,
+                          make_algebra)
 from nlie.catalog import (conjugated_algebra, heisenberg3,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cochains import (basis_cochains, coboundary_rows, from_bracket,

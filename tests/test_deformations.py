@@ -9,10 +9,9 @@ from nlie.algebroid import example_tangent_fc
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
                           heisenberg3, levi_civita_bracket, sl2,
                           zero_algebra)
-from nlie.cochains import (cochain_add, cochain_is_zero, cochain_scale,
-                           cochain_sub, differential, from_bracket,
-                           from_matrix, gla_bracket, make_cochain,
-                           vec_to_cochain)
+from nlie.cochains import (cochain_is_zero, cochain_scale, differential,
+                           from_bracket, from_matrix, gla_bracket,
+                           make_cochain, vec_to_cochain)
 from nlie.cohomology import (Complex, cochain_to_vec, cohomology,
                              complex_dim, differential_matrix)
 from nlie.deformations import (DeformationPath, EquivalenceMap,
@@ -28,8 +27,9 @@ from nlie.errors import DimensionMismatch, InvalidStructure
 from nlie.linalg import Matrix, basis_vec
 from nlie.poly import poly_const
 
-from helpers import (rand_fraction, rand_matrix, rand_rational_algebra,
-                     ref_circle_sum, ref_conjugate_path)
+from helpers import (cochain_add, cochain_sub, mat_scale, rand_fraction,
+                     rand_matrix, rand_rational_algebra, ref_circle_sum,
+                     ref_conjugate_path)
 
 
 def diag(*vals):
@@ -109,7 +109,7 @@ def test_nijenhuis_bracket_range_errors():
 def test_scalar_operator_arity_two():
     alg = sl2()
     lam = F(5, 3)
-    nmap = Matrix.identity(3).scale(lam)
+    nmap = mat_scale(lam, Matrix.identity(3))
     phi0 = from_bracket(alg)
     b1 = nijenhuis_bracket(alg, nmap, 1)
     # two slot insertions minus one composition leaves one bracket
@@ -122,7 +122,7 @@ def test_scalar_operator_arity_three_direct_two_sided():
     # with N = 2*Id both sides must be 8 times the bracket
     alg = levi_civita_bracket()
     lam = F(2)
-    nmap = Matrix.identity(4).scale(lam)
+    nmap = mat_scale(lam, Matrix.identity(4))
     import itertools
     for key in itertools.combinations(range(4), 3):
         args = [tuple(lam * c for c in basis_vec(4, j)) for j in key]
@@ -160,9 +160,9 @@ def test_zero_operator_gives_constant_path():
 
 def test_nijenhuis_pipeline_properties():
     cases = [
-        (levi_civita_bracket(), Matrix.identity(4).scale(F(3, 2))),
+        (levi_civita_bracket(), mat_scale(F(3, 2), Matrix.identity(4))),
         (sl2(), diag(1, 2, 1)),
-        (sl2(), Matrix.identity(3).scale(F(-2))),
+        (sl2(), mat_scale(F(-2), Matrix.identity(3))),
     ]
     for alg, nmap in cases:
         path = deformation_from_nijenhuis(alg, nmap)
@@ -220,7 +220,8 @@ def test_conjugation_shifts_first_power_by_coboundary():
 def test_conjugation_preserves_validity():
     rng = random.Random(3)
     alg = levi_civita_bracket()
-    path = deformation_from_nijenhuis(alg, Matrix.identity(4).scale(F(2)))
+    path = deformation_from_nijenhuis(alg,
+                                      mat_scale(F(2), Matrix.identity(4)))
     maps = [rand_matrix(rng, 4, 4), rand_matrix(rng, 4, 4)]
     conj = conjugate_path(path, make_equivalence_map(4, 2, maps))
     assert check_deformation(conj, "truncated").holds
@@ -544,7 +545,7 @@ def _types(*cochains):
 def test_integral_inputs_compute_in_ints():
     rng = random.Random(53)
     lc = levi_civita_bracket()
-    path = deformation_from_nijenhuis(lc, Matrix.identity(4).scale(2))
+    path = deformation_from_nijenhuis(lc, mat_scale(2, Matrix.identity(4)))
     # Matrix.from_rows stores the integer maps as Fractions
     maps = [Matrix.from_rows([[rng.randint(-1, 1) for _ in range(4)]
                               for _ in range(4)]) for _ in range(2)]
@@ -587,7 +588,7 @@ def test_rational_paths_match_the_fraction_reference():
     # coefficients with denominators D > 1
     rng = random.Random(59)
     alg = rand_rational_algebra(rng, levi_civita_bracket())
-    nmap = Matrix.identity(4).scale(F(3, 2))
+    nmap = mat_scale(F(3, 2), Matrix.identity(4))
     path = deformation_from_nijenhuis(alg, nmap)
     phi0, phi1, phi2 = from_bracket(alg), *path.terms
     assert F in _types(phi0, phi1, phi2)

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_cochain, rand_matrix, rand_valid_algebra
-from nlie.algebra import adjoint_representation, basis_wedge
+from helpers import basis_wedge, rand_cochain, rand_matrix, rand_valid_algebra
+from nlie.algebra import adjoint_representation
 from nlie.algebroid import example_tangent_fc, example_tangent_topform
 from nlie.catalog import levi_civita_bracket, sl2, zero_algebra
 from nlie.cochains import make_cochain

@@ -19,8 +19,8 @@ from math import gcd
 
 import pytest
 
-from helpers import (gauss_jordan, rand_invertible, rand_matrix,
-                     rand_sparse_vector, rand_vector)
+from helpers import (gauss_jordan, mat_add, mat_scale, rand_invertible,
+                     rand_matrix, rand_sparse_vector, rand_vector)
 from nlie import linalg
 from nlie.catalog import (conjugated_algebra, heisenberg3,
                           levi_civita_bracket, sl2)
@@ -511,17 +511,17 @@ def test_matrix_operations_match_dense_arithmetic():
                                    for r in dense_a)
         assert a.mul(b).entries == tuple(
             tuple(r) for r in _dense_mul(dense_a, b.entries))
-        assert a.add(c).entries == tuple(
+        assert mat_add(a, c).entries == tuple(
             tuple(x + y for x, y in zip(ra, rc))
             for ra, rc in zip(a.entries, c.entries))
-        assert a.scale(F(-3, 2)).entries == tuple(
+        assert mat_scale(F(-3, 2), a).entries == tuple(
             tuple(F(-3, 2) * x for x in r) for r in a.entries)
-        assert a.scale(0).is_zero
+        assert mat_scale(0, a).is_zero
         assert a.is_zero == all(x == 0 for r in a.entries for x in r)
         for j in range(inner):
             assert a.column(j) == tuple(r[j] for r in a.entries)
         # the stored rows hold exactly the nonzero cells, keys ascending
-        for stored, dense in zip(a.add(c).data, a.add(c).entries):
+        for stored, dense in zip(mat_add(a, c).data, mat_add(a, c).entries):
             assert list(stored.items()) == support(dense)
 
 
@@ -590,6 +590,54 @@ def test_planted_fault_reaches_the_sampled_loop(monkeypatch, fault):
     with pytest.raises(ArithmeticError):
         linalg.kernel(rows, 5)
     assert 1 <= len(calls) <= exact.rank + 1
+
+
+def _tall_cases():
+    """32 seeded tall integer matrices, 4–6 columns and 63–69 rows, on
+    which ``kernel`` eliminates a sample, each with a consistent right
+    side."""
+    cases = []
+    for seed in range(32):
+        rng = random.Random(seed)
+        cols = rng.randint(4, 6)
+        rows = _combination_rows(rng, _sampled_rows(cols), cols,
+                                 rng.randint(1, cols - 1))
+        x = [rng.randint(-3, 3) for _ in range(cols)]
+        cases.append((rows, cols, [sum(a * x[j] for j, a in r.items())
+                                   for r in rows]))
+    return cases
+
+
+def _annihilates(rows, v) -> bool:
+    return all(sum(a * v[j] for j, a in r.items()) == 0 for r in rows)
+
+
+@pytest.mark.parametrize("fault", ["first_entry_gcd", "last_entry"])
+def test_planted_fault_returns_certified_or_raises(monkeypatch, fault):
+    """With a faulty ``_cancel`` planted, ``kernel`` on each tall matrix
+    returns a nullspace that M annihilates (its one-sided certificate, so
+    the rank may read high but never low) or raises ArithmeticError, and
+    a one-shot solve of a consistent system returns x with M x = b or
+    raises ArithmeticError.  A lookup the fault trips inside the
+    elimination (KeyError) is a failed check too."""
+    cases = _tall_cases()
+    ranks = [linalg.kernel(rows, cols).rank for rows, cols, _ in cases]
+    monkeypatch.setattr(linalg, "_cancel", _planted(fault))
+    raised = 0
+    for (rows, cols, b), rank in zip(cases, ranks):
+        try:
+            got = linalg.kernel(rows, cols)
+            assert got.rank >= rank
+            assert all(_annihilates(rows, v) for v in got.nullspace)
+        except ArithmeticError:
+            raised += 1
+        try:
+            x = Factorization(rows, cols).solve(b)
+            assert not isinstance(x, Refusal)
+            assert [sum(a * x[j] for j, a in r.items()) for r in rows] == b
+        except ArithmeticError:
+            raised += 1
+    assert raised
 
 
 def _full_elimination(rows, ncols):

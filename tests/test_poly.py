@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_fraction, rand_poly
+from helpers import rand_fraction, rand_poly, vf_coordinate
 from nlie.algebroid import make_poly_algebroid, make_section, section_bracket
 from nlie.errors import DimensionMismatch
 from nlie.io import poly_from_json, poly_to_json, report_value
 from nlie.poly import (MultiPoly, poly_const, poly_from_terms, poly_var,
-                       poly_zero, vf_apply, vf_bracket, vf_coordinate,
-                       vf_zero, PolyVectorField)
+                       poly_zero, vf_apply, vf_bracket, vf_zero,
+                       PolyVectorField)
 
 
 def x(i, v=2):

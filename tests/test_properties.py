@@ -25,7 +25,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import circle_differential_matrix
+from helpers import circle_differential_matrix, vf_coordinate
 from nlie.algebroid import (example_tangent_fc, example_tangent_topform,
                             make_poly_algebroid)
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
@@ -41,7 +41,7 @@ from nlie.deformations import (EquivalenceMap, constant_path,
 from nlie.io import (algebra_to_json, algebroid_to_json, emap_to_json,
                      matrix_to_json, path_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import PolyVectorField, poly_var, vf_coordinate
+from nlie.poly import PolyVectorField, poly_var
 
 # fixed examples, so the suite reruns the same inputs every time
 PROFILE = settings(derandomize=True, max_examples=12, deadline=None,
