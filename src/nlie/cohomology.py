@@ -8,10 +8,9 @@ components), which makes every matrix byte-stable for golden tests.
 
 One ``Complex`` serves one call: it checks the fundamental identity once,
 builds each d_k once, eliminates it at most once for its kernel and
-solves on one ``linalg.Factorization`` per k: a first solve is one
-elimination of [L·d_k | L·b], and d_k is factored at most once, for its
-rank, a second solve or a refusal, which carries a checked left witness.
-It works on integers.  Let
+solves on one ``linalg.Factorization`` per k, which factors d_k once for
+its rank and every solve; a refusal carries a checked left witness.  It
+works on integers.  Let
 L be the least common denominator of the structure constants.  Every entry
 of d_k is linear in the bracket, so L·d_k is an integer matrix, assembled
 by ``cochains.coboundary_rows`` on the structure table times L.  Scaling a
@@ -74,9 +73,10 @@ class Complex:
     Construction checks the fundamental identity (raising its witness) and
     clears the structure table to (L, integers); each d_k is built as the
     integer rows of L·d_k on first use, eliminated at most once for its
-    kernel and factored at most once for all its solves, however many
-    right sides follow.  A solve that returns None has a left witness y
-    with yᵀ(L·d_k) = 0 and yᵀ(L·b) != 0, checked exactly (``factor(k)``).
+    kernel and factored at most once, on the first ``factor(k)``, for its
+    rank and all its solves, however many right sides follow.  A solve
+    that returns None has a left witness y with yᵀ(L·d_k) = 0 and
+    yᵀ(L·b) != 0, checked exactly.
     """
 
     def __init__(self, alg: NLieAlgebra):

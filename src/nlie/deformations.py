@@ -159,7 +159,8 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
     reps = [cochain_to_vec(r) for r in report.representatives]
     rows = cx.beside(1, range(n1), reps + [target])
     ncols = n1 + len(reps)
-    sol = Factorization(rows, ncols).solve([r.pop(ncols, 0) for r in rows])
+    rhs = [r.pop(ncols, 0) for r in rows]
+    sol = Factorization(rows, ncols).solve(rhs)
     if isinstance(sol, Refusal):
         raise InvalidStructure("cocycle not spanned by coboundaries and "
                                "representatives; rank bookkeeping is wrong")

@@ -28,11 +28,10 @@ row.  A failing row lies outside the span of the reduced rows, so a
 correct round raises the rank; a round that does not raises
 ArithmeticError, so there are at most rank + 1 rounds.
 
-``Factorization`` is the one solver.  A single right side rides as one
-more column of one elimination; from the second on, or for the rank, the
-matrix is eliminated once with the rows it eliminates tagged by index,
-both rank bounds are checked exactly, and each solve is a product and
-the exact M·x = b check.  An inconsistent right side is refused only
+``Factorization`` is the one solver.  It eliminates the matrix once, at
+construction, with the rows it eliminates tagged by index, and checks
+both rank bounds exactly; each solve is then a product and the exact
+M·x = b check on every row.  An inconsistent right side is refused only
 with a left witness y (yᵀM = 0, yᵀb != 0) checked exactly.
 
 Scaling lemma: multiplying a row by a constant L > 0 keeps its length, so
@@ -276,11 +275,11 @@ def _cancel(r: Row, p: Row, c: int) -> Row:
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def _rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int], bool]:
+def _rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     """Reduced echelon rows (up to scale) and pivot columns of the rows
-    (empty rows skipped), pivoting on columns < ncols only, and whether a
-    row is left with entries at columns >= ncols alone (a solve's
-    inconsistent right side).
+    (empty rows skipped), pivoting on columns < ncols only; a row left
+    with entries at columns >= ncols alone (a tagged row's dependency) is
+    dropped.
 
     Rows wait in groups by leading column; at column c the shortest row of
     its group is the pivot and only the rest of that group is updated.
@@ -308,7 +307,7 @@ def _rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int], bool]:
     for i in range(len(red) - 1, -1, -1):
         for c in [j for j in red[i] if where.get(j, i) > i]:
             red[i] = _cancel(red[i], red[where[c]], c)
-    return red, pivots, bool(heads)
+    return red, pivots
 
 
 def _failing(rows: Sequence[Row],
@@ -331,15 +330,6 @@ def _failing(rows: Sequence[Row],
         if any(acc):
             out.append(i)
     return out
-
-
-def _certify(rows: Sequence[Row],
-             vectors: Sequence[Mapping[int, Fraction]]) -> None:
-    """Raise ArithmeticError unless the integer rows annihilate every
-    vector."""
-    if _failing(rows, vectors):
-        raise ArithmeticError("elimination result fails the exact "
-                              "M·x check")
 
 
 def _nullspace(red: list[Row], pivots: list[int],
@@ -396,8 +386,8 @@ def _eliminate(rows: Sequence[Row], ncols: int, tagged: bool = False
     rank, done, rounds = -1, 0, 0
     while True:
         try:
-            red, pivots, _ = _rref(red + [{**rows[i], ncols + i: 1} if tagged
-                                          else rows[i] for i in batch], ncols)
+            red, pivots = _rref(red + [{**rows[i], ncols + i: 1} if tagged
+                                       else rows[i] for i in batch], ncols)
             done += len(batch)
             rounds += 1
             if len(pivots) <= rank:
@@ -454,21 +444,14 @@ class Refusal(Record):
 
 def _factor_counters(args, _) -> dict[str, int]:
     fac = args[0]
-    return {**row_counters(fac.rows, fac.ncols), "rank": len(fac._pivots),
+    return {**row_counters(fac.rows, fac.ncols), "rank": fac.rank,
             "sample_rows": fac._work[0], "rounds": fac._work[1]}
 
 
 class Factorization:
     """Exact solves of M x = b on integer rows M (empty rows allowed;
-    right sides are indexed by row), with M eliminated once however many
-    right sides follow.
-
-    The first solve, if nothing has asked for the factorization yet, runs
-    the one-shot elimination of [M | b]: ``_rref`` with b as column
-    ncols, the solution read off and checked exactly, [M | b]·(x, −1) = 0.
-    The factorization is built on the first need for it: ``rank``,
-    ``pivots``, a second solve, or a refusal.  So one right side costs one
-    elimination of [M | b], as before, and many cost one elimination of M.
+    right sides are indexed by row): M is factored once, at construction,
+    and serves every right side that follows.
 
     Factoring runs the sampled elimination (see the module docstring) with
     each row it eliminates, a seeded sample S of M's rows and then the
@@ -483,33 +466,18 @@ class Factorization:
     pays for the tags, and only on the rows it eliminates; ``kernel``
     eliminates untagged rows.
 
-    A factored solve sets x_J = D⁻¹E·b and every other coordinate 0 (the
-    canonical solution, since J are the reduced-echelon pivots), then
-    checks M·x = b on every row in integers.  If row i fails, M x = b has
-    no solution: y = e_i − M[i, J]·D⁻¹E has yᵀM = 0, since row i lies in
-    the span of R, and yᵀb = b_i − (M x)_i ≠ 0.  Both are checked exactly
+    A solve sets x_J = D⁻¹E·b and every other coordinate 0 (the canonical
+    solution, since J are the reduced-echelon pivots), then checks
+    M·x = b on every row in integers.  If row i fails, M x = b has no
+    solution: y = e_i − M[i, J]·D⁻¹E has yᵀM = 0, since row i lies in the
+    span of R, and yᵀb = b_i − (M x)_i ≠ 0.  Both are checked exactly
     before a ``Refusal`` carries y; a failed check raises ArithmeticError.
     """
 
+    @traced("linalg.factor", _factor_counters)
     def __init__(self, rows: Sequence[Row], ncols: int):
         self.rows = list(rows)
-        self.ncols = ncols
-        self._pivots: list[int] | None = None
-        self._fresh = True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        if self._pivots is None:
-            self._factor()
-        return tuple(self._pivots)
-
-    @traced("linalg.factor", _factor_counters)
-    def _factor(self) -> None:
-        n = self.ncols
+        self.ncols = n = ncols
         # rank <= r: M annihilates the nullspace, checked on every row
         red, pivots, _, *self._work = _eliminate(self.rows, n, tagged=True)
         rref = [{j: x for j, x in row.items() if j < n} for row in red]
@@ -526,7 +494,8 @@ class Factorization:
                     or where.intersection(row) != {pc}:
                 raise ArithmeticError("factorization fails the exact "
                                       "E·M = R check")
-        self._pivots = pivots
+        self.pivots = tuple(pivots)
+        self.rank = len(pivots)
         self._diag = [row[pc] for row, pc in zip(rref, pivots)]
         self._den = lcm(*self._diag)
 
@@ -540,47 +509,23 @@ class Factorization:
         # bb = B·b in ints, B the lcm of b's denominators
         mult = lcm(*(x.denominator for x in b))
         bb = [x.numerator * (mult // x.denominator) for x in b]
-        if self._fresh and self._pivots is None:
-            self._fresh = False
-            x = self._solve_once(bb)
-            if x is not None:
-                return densify({j: v / mult for j, v in x.items()}
-                               if mult != 1 else x, self.ncols)
-        pivots = self.pivots
         # X = D_lcm·x_J in ints: M X = D_lcm·bb is the check
         nums = [sum(e * bb[i] for i, e in row) for row in self._elim]
         big = {pc: num * (self._den // d)
-               for pc, num, d in zip(pivots, nums, self._diag) if num}
+               for pc, num, d in zip(self.pivots, nums, self._diag) if num}
         for i, r in enumerate(self.rows):
             if sum(a * big[j] for j, a in r.items() if j in big) \
                     != self._den * bb[i]:
                 return self._refuse(i, bb)
         return densify({pc: Fraction(num, d * mult) for pc, num, d
-                        in zip(pivots, nums, self._diag) if num}, self.ncols)
-
-    def _solve_once(self, bb: list[int]) -> dict[int, Fraction] | None:
-        """The canonical solution of M x = bb from one elimination of
-        [M | bb], checked exactly, or None if that elimination finds the
-        system inconsistent (a refusal then needs the factorization)."""
-        n = self.ncols
-        rows = [{**r, n: v} if v else r for r, v in zip(self.rows, bb)]
-        try:
-            red, pivots, inconsistent = _rref(rows, n)
-        except (KeyError, ValueError) as exc:
-            raise ArithmeticError(_LOST) from exc
-        if inconsistent:
-            return None
-        x = {pc: Fraction(row[n], row[pc])
-             for row, pc in zip(red, pivots) if n in row}
-        # [M | bb] annihilates (x, -1)
-        _certify(rows, [{**x, n: -_ONE}])
-        return x
+                        in zip(self.pivots, nums, self._diag) if num},
+                       self.ncols)
 
     def _refuse(self, i: int, bb: list[int]) -> Refusal:
         """The left witness of a failing row i, checked exactly."""
         row = self.rows[i]
         y = {i: self._den}
-        for pc, d, elim in zip(self._pivots, self._diag, self._elim):
+        for pc, d, elim in zip(self.pivots, self._diag, self._elim):
             if pc in row:
                 c = row[pc] * (self._den // d)
                 for s, e in elim:
@@ -610,5 +555,6 @@ def solve_linear(m: Matrix, b: Vector) -> Vector | None:
         raise DimensionMismatch("right side has wrong length")
     rows = [integer_row({**r, m.cols: x} if x else r)
             for r, x in zip(m.data, b)]
-    sol = Factorization(rows, m.cols).solve([r.pop(m.cols, 0) for r in rows])
+    rhs = [r.pop(m.cols, 0) for r in rows]
+    sol = Factorization(rows, m.cols).solve(rhs)
     return None if isinstance(sol, Refusal) else sol

@@ -285,6 +285,23 @@ def test_each_route_written_once():
     assert "evaluate" in wedge and "multilinear" not in wedge
 
 
+def test_one_elimination_routine():
+    """``linalg._rref`` has one call site in the package, inside
+    ``_eliminate``: rank, nullspace and every solve share the sampled,
+    certified elimination, with no one-shot elimination beside it."""
+    sites = []
+    for path in sorted(pathlib.Path(nlie.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+        sites += [(path.name, [func.name for func in funcs
+                               if call in ast.walk(func)])
+                  for call in ast.walk(tree) if isinstance(call, ast.Call)
+                  and getattr(call.func, "id",
+                              getattr(call.func, "attr", None)) == "_rref"]
+    assert sites == [("linalg.py", ["_eliminate"])]
+
+
 def test_polynomials_validated_where_they_enter():
     """``poly_from_terms`` is the one place that checks raw terms, so
     ``MultiPoly`` has no ``__post_init__`` and no other function of
@@ -1031,6 +1048,32 @@ def test_trace_rigidity_one_factorization_and_its_solves(capsys, tmp_path,
         == {"rows": 16, "cols": 16, "rank": 10}
     assert fac["counters"]["nnz"] > 0
     assert summary["linalg.solve_linear"]["calls"] == len(solves)
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "obstructed"])
+def test_trace_extend_one_factorization_one_solve(capsys, tmp_path, flat):
+    # extending a path is one solve of d_2 x = -Theta on its one
+    # factorization, whether it solves or refuses with a witness
+    if flat:
+        path = deformation_from_nijenhuis(levi_civita_bracket(),
+                                          Matrix.from_rows([[1, 0, 0, 0],
+                                                            [0, 2, 0, 0],
+                                                            [0, 0, 1, 0],
+                                                            [0, 0, 0, 2]]))
+    else:
+        path = make_deformation_path(zero_algebra(3, 2), [make_cochain(
+            2, 3, 1, {((), (0, 1)): (0, 0, 1), ((), (1, 2)): (0, 1, 0)})])
+    argv = ["deform", "extend", write(tmp_path, "path.json",
+                                      path_to_json(path))]
+    code, plain, _ = run(capsys, *argv)
+    assert code == (0 if flat else 1)
+    traced_code, out, err = run(capsys, "--trace", *argv)
+    assert (traced_code, out) == (code, plain)
+    summary = {line["summary"]: line for line in _trace_lines(err)
+               if "summary" in line}
+    assert summary["linalg.factor"]["calls"] == 1
+    solves = summary["linalg.solve_linear"]
+    assert solves["calls"] == 1 and solves["counters"]["solved"] == int(flat)
 
 
 def test_trace_one_fi_check_per_generated_path(capsys, eps, tmp_path):

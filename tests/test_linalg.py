@@ -5,12 +5,12 @@ canonical nullspace (one vector per free column, free coordinate 1), and
 ``solve_linear`` the solution whose free coordinates are 0, on sparse and
 dense rational matrices of every shape and on the differential matrices of
 the catalog algebras.  A ``Factorization`` of the matrix must give the
-same pivots and solution for every right side, one-shot or factored, or
-a refusal whose left witness is re-checked here, and must raise when a
-faulty ``_cancel`` is planted.  Both eliminate a seeded sample of a tall
-matrix's rows and certify on every row; they must agree with one
-elimination of every row, and a planted fault must end the sampled rounds
-in ArithmeticError.
+same pivots and solution for every right side, whether the rank or a
+solve comes first, or a refusal whose left witness is re-checked here,
+and must raise when a faulty ``_cancel`` is planted.  Both eliminate a
+seeded sample of a tall matrix's rows and certify on every row; they must
+agree with one elimination of every row, and a planted fault must end the
+sampled rounds in ArithmeticError.
 """
 
 import random
@@ -231,22 +231,21 @@ def _assert_refusal(rows, b, res):
 
 
 def _check_factorization(m: Matrix, b) -> bool:
-    """Solve m x = b on a fresh ``Factorization`` (one elimination of
-    [m | b]) and on a factored one (rank asked first): both agree with the
-    Gauss-Jordan oracle, and a refusal's witness is re-checked.  True if
-    consistent."""
+    """Solve m x = b on a ``Factorization`` whose first use is the solve
+    and on one whose rank is asked first: both agree with the Gauss-Jordan
+    oracle, and a refusal's witness is re-checked.  True if consistent."""
     rank, pivots, _ = gauss_jordan(m)
     expected = _canonical_solution(m, b)
     rows, rhs = _integer_system(m, b)
-    fresh, factored = Factorization(rows, m.cols), Factorization(rows, m.cols)
-    assert (factored.rank, factored.pivots) == (rank, pivots)
-    for fac in (fresh, factored):
+    solved, ranked = Factorization(rows, m.cols), Factorization(rows, m.cols)
+    assert (ranked.rank, ranked.pivots) == (rank, pivots)
+    for fac in (solved, ranked):
         got = fac.solve(rhs)
         if expected is None:
             _assert_refusal(rows, rhs, got)
         else:
             assert got == expected
-    assert (fresh.rank, fresh.pivots) == (rank, pivots)
+    assert (solved.rank, solved.pivots) == (rank, pivots)
     return expected is not None
 
 
@@ -315,38 +314,39 @@ def _counted_rref(monkeypatch) -> list:
 
 
 def test_factorization_eliminates_once_for_many_right_sides(monkeypatch):
+    """Construction eliminates M once, whether the rank, a consistent
+    solve or a refusal comes first; no later solve eliminates again."""
     rng = random.Random(17)
     m = rand_matrix(rng, 5, 3).mul(rand_matrix(rng, 3, 6))
     rows, _ = _integer_system(m, ())
-
-    def solve_images(fac, count):
-        for _ in range(count):
-            x = fac.solve(_integer_system(m, m.apply(rand_vector(rng, 6)))[1])
-            assert not isinstance(x, Refusal)
-
+    inside = [_integer_system(m, m.apply(rand_vector(rng, 6)))[1]
+              for _ in range(5)]
+    outside = [_integer_system(m, rand_vector(rng, 5))[1] for _ in range(5)]
     calls = _counted_rref(monkeypatch)
-    # one right side: one elimination of [M | b], no factorization
-    fac = Factorization(rows, 6)
-    solve_images(fac, 1)
-    assert len(calls) == 1
-    # from the second on: one factorization serves them all
-    solve_images(fac, 9)
-    assert len(calls) == 2 and fac.rank == 3
-    # rank asked first: the factorization serves every solve
-    calls.clear()
-    fac = Factorization(rows, 6)
-    assert fac.rank == 3
-    solve_images(fac, 10)
-    assert len(calls) == 1
+    for first in ("rank", "solve", "refusal"):
+        calls.clear()
+        fac = Factorization(rows, 6)
+        assert len(calls) == 1
+        if first == "rank":
+            assert fac.rank == 3
+        elif first == "solve":
+            assert not isinstance(fac.solve(inside[0]), Refusal)
+        else:
+            _assert_refusal(rows, outside[0], fac.solve(outside[0]))
+        assert len(calls) == 1
+        for b, c in zip(inside, outside):
+            assert not isinstance(fac.solve(b), Refusal)
+            _assert_refusal(rows, c, fac.solve(c))
+        assert len(calls) == 1 and fac.rank == 3
 
 
-def test_factorization_refusal_after_one_shot_elimination(monkeypatch):
-    # the one-shot elimination finds [M | b] inconsistent; the refusal
-    # comes from the factorization, with its witness
+def test_factorization_cold_refusal_eliminates_once(monkeypatch):
+    # a refusal on a fresh factorization costs its one elimination and
+    # carries a witness that checks
     calls = _counted_rref(monkeypatch)
     rows = [{0: 1, 1: 1}, {0: 2, 1: 2}]
     res = Factorization(rows, 2).solve([1, 3])
-    assert len(calls) == 2
+    assert len(calls) == 1
     _assert_refusal(rows, [1, 3], res)
 
 
@@ -366,10 +366,10 @@ FAULTS = ["first_entry_gcd", "last_entry"]
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_faulty_cancel_raises_never_refuses(monkeypatch, fault):
-    """With a faulty ``_cancel`` planted, an invertible system raises
-    ArithmeticError, on the one-shot and on the factored solve: neither
-    returns a refusal or a wrong vector.  ``Complex.solve`` raises or
-    returns the exact answer, which the one-shot check has certified."""
+    """With a faulty ``_cancel`` planted, factoring an invertible system
+    raises ArithmeticError, whether a solve or the rank comes first: no
+    refusal or wrong vector is returned.  ``Complex.solve`` raises or
+    returns the exact answer, which the M·x = b check has certified."""
     cx = Complex(sl2())
     x = rand_vector(random.Random(3), complex_dim(sl2(), 1))
     image = tuple(sum((F(a) * x[j] for j, a in r.items()), F(0))
@@ -400,8 +400,8 @@ def _plant_in_factorization(monkeypatch, fault: str) -> None:
         if not any(max(r) >= ncols for r in rows):
             return real(rows, ncols)
         if fault == "lost_pivot":
-            red, pivots, rest = real(rows, ncols)
-            return red[:-1], pivots[:-1], rest
+            red, pivots = real(rows, ncols)
+            return red[:-1], pivots[:-1]
         with monkeypatch.context() as inner:
             inner.setattr(linalg, "_cancel", _first_entry_gcd)
             return real(rows, ncols)
@@ -562,10 +562,10 @@ def _plant_in_kernel(monkeypatch, fault: str) -> list:
 
     def planted(rows, ncols):
         calls.append(1)
-        red, pivots, rest = real(rows, ncols)
+        red, pivots = real(rows, ncols)
         if fault == "lost_pivot":
-            return red[:-1], pivots[:-1], rest
-        return red, pivots, rest
+            return red[:-1], pivots[:-1]
+        return red, pivots
     monkeypatch.setattr(linalg, "_rref", planted)
     if fault != "lost_pivot":
         monkeypatch.setattr(linalg, "_cancel", _planted(fault))
@@ -617,8 +617,8 @@ def test_planted_fault_returns_certified_or_raises(monkeypatch, fault):
     """With a faulty ``_cancel`` planted, ``kernel`` on each tall matrix
     returns a nullspace that M annihilates (its one-sided certificate, so
     the rank may read high but never low) or raises ArithmeticError, and
-    a one-shot solve of a consistent system returns x with M x = b or
-    raises ArithmeticError.  A lookup the fault trips inside the
+    a solve of a consistent system returns x with M x = b or raises
+    ArithmeticError.  A lookup the fault trips inside the
     elimination (KeyError) is a failed check too."""
     cases = _tall_cases()
     ranks = [linalg.kernel(rows, cols).rank for rows, cols, _ in cases]
@@ -642,7 +642,7 @@ def test_planted_fault_returns_certified_or_raises(monkeypatch, fault):
 
 def _full_elimination(rows, ncols):
     """Rank, pivots and canonical nullspace of one ``_rref`` of every row."""
-    red, pivots, _ = linalg._rref([r for r in rows if r], ncols)
+    red, pivots = linalg._rref([r for r in rows if r], ncols)
     null = linalg._nullspace(red, pivots, ncols)
     return len(pivots), tuple(pivots), tuple(
         linalg.densify(v, ncols) for v in null.values())
