@@ -2,8 +2,10 @@
 
 The base "manifold" is R^m with polynomial functions only, so every identity
 is decided exactly.  Sections of the rank-r bundle are r-vectors of
-polynomials; the bracket is stored on sorted generator tuples and extended
-to arbitrary sections by the anchored Leibniz rule
+polynomials.  A Filippov algebroid is its bracket: the degree-1
+multiderivation (``PolyMultiderivation``) whose table holds the bracket on
+sorted generator n-tuples and whose symbol is the anchor.  The bracket
+extends to arbitrary sections by the anchored Leibniz rule
 
     [x_1, .., x_{n-1}, f y] = f [x_1, .., x_{n-1}, y] + a(x_1 ^ .. ^ x_{n-1})(f) y
 
@@ -14,17 +16,20 @@ which yields the closed form
         sum_i (-1)^(n-i) (prod_{j != i} f_j) a(y_1 ^ .. ^_i .. ^ y_n)(f_i) y_i.
 
 Multiderivations of degree 0 and 1 carry a symbol (a vector-field-valued
-map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z.  One
-driver, ``_leibniz_failure``, decides that rule for every check of this
-form: axiom (b), the symbol bracket and the Nijenhuis symbols.  One
-Leibniz evaluator, ``_leibniz``, computes the closed form above for any
-table and symbol; the bracket is evaluated through it as the degree-1
-multiderivation whose symbol is the anchor, and a degree-0 one is the
-case of a single section.  One tensorial evaluator, ``_tensorial``, gives
-the C-infinity-multilinear extension of the anchor and of symbols.  Both
-take slot supports [(j, p)], a generator being [(j, 1)]; the public
-evaluators check the bundle of their sections once (``_supports``).  The
-graded bracket of two multiderivations has the symbol
+map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z, keyed
+by the sorted wedge X of the other generators: () at degree 0, an
+(n-1)-tuple at degree 1.  The algebroid entry points refuse a degree-0
+multiderivation (``_check_algebroid``).  One driver,
+``_leibniz_failure``, decides that rule for every check of this form:
+axiom (b), the symbol bracket and the Nijenhuis symbols.  One Leibniz
+evaluator, ``_leibniz``, computes the closed form above for any
+multiderivation; the bracket is its degree-1 case, and a degree-0 one is
+the case of a single section.  One tensorial evaluator, ``_tensorial``,
+gives the C-infinity-multilinear extension of a symbol, the anchor
+included.  Both take slot supports [(j, p)], a generator being [(j, 1)];
+the public evaluators check the bundle of their sections once
+(``_supports``).  The graded bracket of two multiderivations has the
+symbol
 
     sigma_[D1,D2] = (-1)^(pq) sigma_D1 (.) D2 - sigma_D2 (.) D1
                     + {sigma_D1, sigma_D2},
@@ -35,8 +40,8 @@ their evaluation would need coefficient rules in block arguments that the
 structure does not determine.  So insertion is k = 0 only: D2 enters the
 last wedge of a degree-1 D1, with the identity shuffle and sign 1, and on
 generators D2 is its table, read by lookup.  Paper API that nothing
-here calls: ``make_bundle_map``, ``md_eval``, ``make_poly_multiderivation``,
-``nijenhuis_section_bracket`` and ``nijenhuis_symbol_check``.
+here calls: ``make_bundle_map``, ``md_eval``, ``nijenhuis_section_bracket``
+and ``nijenhuis_symbol_check``.
 """
 
 from __future__ import annotations
@@ -111,50 +116,80 @@ def section_sub(a: PolySection, b: PolySection) -> PolySection:
                        tuple(x - y for x, y in zip(a.comps, b.comps)))
 
 
-class PolyFilippovAlgebroid(Record):
-    """Bracket table on sorted generator n-tuples, anchor table on sorted
-    (n-1)-tuples; absent keys mean zero."""
+class PolyMultiderivation(Record):
+    """Degree 0 or 1 multiderivation of the rank-r bundle of arity n with
+    its symbol; absent keys mean zero.
 
-    __slots__ = ("num_vars", "rank", "arity", "bracket_table", "anchor_table")
+    ``table`` holds the values on sorted generator tuples: 1-tuples (j,)
+    at degree 0, n-tuples at degree 1.  ``symbol`` holds the vector field
+    on the sorted wedge of the other generators: the key () at degree 0,
+    (n-1)-tuples at degree 1.  An algebroid is the degree-1 case: the
+    table is its bracket and the symbol its anchor.
+    """
+
+    __slots__ = ("num_vars", "rank", "arity", "degree", "table", "symbol")
     num_vars: int
     rank: int
     arity: int
-    bracket_table: Mapping[Key, tuple[MultiPoly, ...]]
-    anchor_table: Mapping[Key, PolyVectorField]
+    degree: int
+    table: Mapping[Key, tuple[MultiPoly, ...]]
+    symbol: Mapping[Key, PolyVectorField]
 
 
-def make_poly_algebroid(num_vars: int, rank: int, arity: int,
-                        bracket_table: Mapping[Key,
-                                               Sequence[MultiPoly]],
-                        anchor_table: Mapping[Key, PolyVectorField],
-                        ) -> PolyFilippovAlgebroid:
+def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
+                              degree: int,
+                              table: Mapping[Key, Sequence[MultiPoly]],
+                              symbol: Mapping[Key, PolyVectorField],
+                              ) -> PolyMultiderivation:
+    if degree not in (0, 1):
+        raise DimensionMismatch("only degrees 0 and 1 are modeled")
     if arity < 2:
         raise DimensionMismatch("arity must be at least 2")
     if rank < 1 or num_vars < 0:
         raise DimensionMismatch("rank must be positive, num_vars nonnegative")
-    brackets = {}
-    for key, comps in bracket_table.items():
-        key = basis_key(key, arity, rank, "bracket")
+    tab = {}
+    for key, comps in table.items():
+        key = basis_key(key, arity if degree else 1, rank, "table")
         sec = make_section(num_vars, rank, tuple(comps))
         if not sec.is_zero:
-            brackets[key] = sec.comps
-    anchors = {}
-    for key, field in anchor_table.items():
-        key = basis_key(key, arity - 1, rank, "anchor")
+            tab[key] = sec.comps
+    sym = {}
+    for key, field in symbol.items():
+        key = basis_key(key, degree * (arity - 1), rank, "symbol")
         if field.num_vars != num_vars:
-            raise DimensionMismatch("anchor field over wrong variable count")
+            raise DimensionMismatch("symbol field over wrong variable count")
         if not field.is_zero:
-            anchors[key] = field
-    return PolyFilippovAlgebroid(num_vars, rank, arity, brackets, anchors)
+            sym[key] = field
+    return PolyMultiderivation(num_vars, rank, arity, degree, tab, sym)
 
 
-def anchor_on_generators(abd: PolyFilippovAlgebroid,
+def make_poly_algebroid(num_vars: int, rank: int, arity: int,
+                        brackets: Mapping[Key, Sequence[MultiPoly]],
+                        anchor: Mapping[Key, PolyVectorField],
+                        ) -> PolyMultiderivation:
+    """The algebroid as its bracket: the degree-1 multiderivation with the
+    bracket on sorted n-tuples as its table and the anchor on sorted
+    (n-1)-tuples as its symbol."""
+    return make_poly_multiderivation(num_vars, rank, arity, 1, brackets,
+                                     anchor)
+
+
+def _check_algebroid(abd: PolyMultiderivation) -> None:
+    """An algebroid entry point takes the bracket, never a degree-0
+    multiderivation."""
+    if abd.degree != 1:
+        raise DimensionMismatch("an algebroid is a degree-1 "
+                                "multiderivation")
+
+
+def anchor_on_generators(abd: PolyMultiderivation,
                          idx: Sequence[int]) -> PolyVectorField:
+    _check_algebroid(abd)
     ss = sort_with_sign(tuple(idx))
     if ss is None:
         return vf_zero(abd.num_vars)
     sign, key = ss
-    field = abd.anchor_table.get(key)
+    field = abd.symbol.get(key)
     if field is None:
         return vf_zero(abd.num_vars)
     return field.scale(sign)
@@ -182,18 +217,14 @@ def _prod(polys: Sequence[MultiPoly], sign: int) -> MultiPoly | int:
     return out
 
 
-_Symbol = Callable[[Key], Optional[PolyVectorField]]
 _Slot = Sequence[tuple[int, MultiPoly]]
 
 
-def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
-             m: int, r: int, slots: Sequence[_Slot]) -> PolySection:
-    """The closed form of the module docstring on slot supports [(j, p)].
-
-    ``table`` holds the values on sorted generator tuples; ``symbol(w)`` is
-    the vector field on the sorted wedge w of the other generators, or
-    None where it vanishes.
-    """
+def _leibniz(d: PolyMultiderivation, slots: Sequence[_Slot]) -> PolySection:
+    """The closed form of the module docstring for d on slot supports
+    [(j, p)]: d's table on the sorted generator tuple, and its symbol on
+    the sorted wedge of the other generators."""
+    m, r, table, symbol = d.num_vars, d.rank, d.table, d.symbol.get
     n = len(slots)
     out = [poly_zero(m)] * r
     for combo in itertools.product(*slots):
@@ -219,14 +250,14 @@ def _leibniz(table: Mapping[Key, tuple[MultiPoly, ...]], symbol: _Symbol,
     return PolySection(m, r, tuple(out))
 
 
-def _tensorial(symbol: _Symbol, m: int,
+def _tensorial(d: PolyMultiderivation,
                slots: Sequence[_Slot]) -> PolyVectorField:
-    """C-infinity-multilinear extension of ``symbol`` (None where it
-    vanishes) to a wedge of slot supports [(j, p)]."""
-    out = vf_zero(m)
+    """C-infinity-multilinear extension of d's symbol to a wedge of slot
+    supports [(j, p)]."""
+    out = vf_zero(d.num_vars)
     for combo in itertools.product(*slots):
         ss = sort_with_sign(tuple(j for j, _ in combo))
-        field = symbol(ss[1]) if ss is not None else None
+        field = d.symbol.get(ss[1]) if ss is not None else None
         if field is not None:
             coeff = _prod([p for _, p in combo], ss[0])
             out = out + (field if coeff == 1 else field.scale(coeff))
@@ -234,26 +265,26 @@ def _tensorial(symbol: _Symbol, m: int,
 
 
 @traced("algebroid.anchor_eval")
-def anchor_eval(abd: PolyFilippovAlgebroid,
+def anchor_eval(abd: PolyMultiderivation,
                 sections: Sequence[PolySection]) -> PolyVectorField:
     """C-infinity-multilinear extension of the anchor to a wedge of
     polynomial sections."""
+    _check_algebroid(abd)
     if len(sections) != abd.arity - 1:
         raise DimensionMismatch("anchor takes arity-1 sections")
-    return _tensorial(abd.anchor_table.get, abd.num_vars,
-                      _supports(abd.num_vars, abd.rank, sections))
+    return _tensorial(abd, _supports(abd.num_vars, abd.rank, sections))
 
 
 @traced("algebroid.section_bracket")
-def section_bracket(abd: PolyFilippovAlgebroid,
+def section_bracket(abd: PolyMultiderivation,
                     sections: Sequence[PolySection]) -> PolySection:
-    """Bracket of n polynomial sections: the degree-1 multiderivation with
-    the bracket table and the anchor as its symbol."""
+    """Bracket of n polynomial sections: the algebroid evaluated as the
+    degree-1 multiderivation it is."""
+    _check_algebroid(abd)
     n = abd.arity
     if len(sections) != n:
         raise DimensionMismatch(f"bracket takes {n} sections")
-    return _leibniz(abd.bracket_table, abd.anchor_table.get, abd.num_vars,
-                    abd.rank, _supports(abd.num_vars, abd.rank, sections))
+    return _leibniz(abd, _supports(abd.num_vars, abd.rank, sections))
 
 
 def poly_family(num_vars: int) -> list[MultiPoly]:
@@ -276,18 +307,13 @@ def _pad_field(v: PolyVectorField) -> PolyVectorField:
                            + (poly_zero(v.num_vars + 1),))
 
 
-def _pad_tables(table: Mapping, fields: Mapping) -> tuple[dict, dict]:
-    return ({key: tuple(_pad(p) for p in comps)
-             for key, comps in table.items()},
-            {key: _pad_field(v) for key, v in fields.items()})
-
-
-def _lift(abd: PolyFilippovAlgebroid) -> PolyFilippovAlgebroid:
-    """The same algebroid over one more variable t that every bracket and
-    anchor treats as a constant."""
-    return PolyFilippovAlgebroid(abd.num_vars + 1, abd.rank, abd.arity,
-                                 *_pad_tables(abd.bracket_table,
-                                              abd.anchor_table))
+def _lift(d: PolyMultiderivation) -> PolyMultiderivation:
+    """The same multiderivation over one more variable t that its table
+    and symbol (an algebroid's bracket and anchor) treat as a constant."""
+    return PolyMultiderivation(
+        d.num_vars + 1, d.rank, d.arity, d.degree,
+        {key: tuple(_pad(p) for p in comps) for key, comps in d.table.items()},
+        {key: _pad_field(v) for key, v in d.symbol.items()})
 
 
 def _generic(m: int) -> tuple[list[MultiPoly], MultiPoly]:
@@ -356,18 +382,18 @@ def _leibniz_failure(m: int, r: int, frames: Callable, sp=None,
             sp.count(frames=count)
 
 
-def _generator_lookups(abd: PolyFilippovAlgebroid):
+def _generator_lookups(abd: PolyMultiderivation):
     """The signed lookups of one check: B(idx), the support of the bracket
     table on generators idx in any order, and A(idx), the anchor field on
     them, None where it vanishes; with a count of their memo entries."""
     brackets: dict = {}
-    B = basis_lookup(abd.bracket_table, memo=brackets)
+    B = basis_lookup(abd.table, memo=brackets)
     anchors: dict[Key, Optional[PolyVectorField]] = {}
 
     def A(idx: Key) -> Optional[PolyVectorField]:
         if idx not in anchors:
             ss = sort_with_sign(idx)
-            field = ss and abd.anchor_table.get(ss[1])
+            field = ss and abd.symbol.get(ss[1])
             anchors[idx] = field and (field if ss[0] == 1 else -field)
         return anchors[idx]
 
@@ -514,7 +540,7 @@ def _first_failing(sp, filled: Callable[[], int], frames,
 
 
 @traced("algebroid.check_algebroid_axioms")
-def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
+def check_algebroid_axioms(abd: PolyMultiderivation) -> CheckResult:
     """Fundamental identity (FI) and anchor compatibility (a) on all
     sections, decided by finitely many conditions on the bracket and
     anchor tables, and the anchored Leibniz rule (b) as a self-check.
@@ -610,13 +636,14 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
     Leibniz form; it stays as a check of that evaluator, on all weights
     (``_leibniz_failure``).
     """
+    _check_algebroid(abd)
     n, r, m = abd.arity, abd.rank, abd.num_vars
     B, A, filled = _generator_lookups(abd)
     wedges = list(itertools.combinations(range(r), n - 1))
     phases = [("fi", "fundamental identity",
                itertools.product(wedges, itertools.combinations(range(r), n)),
                lambda x, y: _fi_generator(B, A, [poly_zero(m)] * r, x, y))]
-    if abd.anchor_table:
+    if abd.symbol:
         phases += [
             ("anchor", "anchor compatibility",
              itertools.product(wedges, wedges),
@@ -649,7 +676,7 @@ def check_algebroid_axioms(abd: PolyFilippovAlgebroid) -> CheckResult:
 
 
 def example_tangent_fc(algebra: NLieAlgebra, f: MultiPoly,
-                       ) -> PolyFilippovAlgebroid:
+                       ) -> PolyMultiderivation:
     """Structure-constant bracket on the tangent bundle of R^m rescaled by
     one polynomial, with zero anchor."""
     m = algebra.dim
@@ -665,7 +692,7 @@ def example_tangent_fc(algebra: NLieAlgebra, f: MultiPoly,
     return make_poly_algebroid(m, m, algebra.arity, table, {})
 
 
-def example_tangent_topform(m_base: int, n: int) -> PolyFilippovAlgebroid:
+def example_tangent_topform(m_base: int, n: int) -> PolyMultiderivation:
     """Zero bracket of arity n+1 on the tangent bundle of R^m_base; the
     anchor is the top-form tensor dx_1 ^ .. ^ dx_n (x) d/dx_1, so it kills
     every generator wedge except the first n coordinates."""
@@ -712,62 +739,10 @@ def make_bundle_map(num_vars: int, rank: int,
                                tuple(tuple(row) for row in entries))
 
 
-class PolyMultiderivation(Record):
-    """Degree 0 or 1 multiderivation with its symbol.
-
-    Degree 0: table keys are 1-tuples (j,), symbol key is ().
-    Degree 1: table keys are sorted n-tuples, symbol keys are 1-tuples
-    holding a sorted (n-1)-wedge.
-    """
-
-    __slots__ = ("num_vars", "rank", "arity", "degree", "table", "symbol")
-    num_vars: int
-    rank: int
-    arity: int
-    degree: int
-    table: Mapping[Key, tuple[MultiPoly, ...]]
-    symbol: Mapping[tuple[Key, ...], PolyVectorField]
-
-
-def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
-                              degree: int,
-                              table: Mapping[Key, Sequence[MultiPoly]],
-                              symbol: Mapping[tuple[Key, ...],
-                                              PolyVectorField],
-                              ) -> PolyMultiderivation:
-    if degree not in (0, 1):
-        raise DimensionMismatch("only degrees 0 and 1 are modeled")
-    keylen = 1 if degree == 0 else arity
-    tab = {}
-    for key, comps in table.items():
-        key = basis_key(key, keylen, rank, "table")
-        sec = make_section(num_vars, rank, tuple(comps))
-        if not sec.is_zero:
-            tab[key] = sec.comps
-    sym = {}
-    for skey, field in symbol.items():
-        if len(skey) != degree:
-            raise DimensionMismatch(f"bad symbol key {skey!r}: need () at "
-                                    "degree 0, (wedge,) at degree 1")
-        skey = tuple(basis_key(w, arity - 1, rank, "symbol") for w in skey)
-        if field.num_vars != num_vars:
-            raise DimensionMismatch("symbol field over wrong variable count")
-        if not field.is_zero:
-            sym[skey] = field
-    return PolyMultiderivation(num_vars, rank, arity, degree, tab, sym)
-
-
-def bracket_derivation(abd: PolyFilippovAlgebroid) -> PolyMultiderivation:
-    """The bracket itself as a degree-1 multiderivation whose symbol is
-    the anchor."""
-    return PolyMultiderivation(
-        abd.num_vars, abd.rank, abd.arity, 1, dict(abd.bracket_table),
-        {(key,): field for key, field in abd.anchor_table.items()})
-
-
-def _symbol(d: PolyMultiderivation) -> _Symbol:
-    """d's symbol as a map on the sorted wedge of the other generators."""
-    return d.symbol.get if d.degree == 0 else lambda w: d.symbol.get((w,))
+def bracket_derivation(abd: PolyMultiderivation) -> PolyMultiderivation:
+    """The bracket as a degree-1 multiderivation whose symbol is the
+    anchor: the algebroid itself."""
+    return abd
 
 
 def md_eval(d: PolyMultiderivation, blocks: tuple[Key, ...],
@@ -780,15 +755,14 @@ def md_eval(d: PolyMultiderivation, blocks: tuple[Key, ...],
         raise DimensionMismatch("degree 0 takes a single section")
     if d.degree == 1 and len(final) != d.arity:
         raise DimensionMismatch(f"degree 1 takes {d.arity} final sections")
-    return _leibniz(d.table, _symbol(d), d.num_vars, d.rank,
-                    _supports(d.num_vars, d.rank, final))
+    return _leibniz(d, _supports(d.num_vars, d.rank, final))
 
 
 def _md_apply(d: PolyMultiderivation, keys: tuple[Key, ...], z: _Slot,
               one: MultiPoly) -> PolySection:
     """D(X_1, .., X_degree, z) on generator wedges and a slot support z."""
     gens = [[(j, one)] for key in keys for j in key]
-    return _leibniz(d.table, _symbol(d), d.num_vars, d.rank, gens + [z])
+    return _leibniz(d, gens + [z])
 
 
 def _check_pair(d1: PolyMultiderivation, d2: PolyMultiderivation) -> None:
@@ -825,7 +799,7 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
     one = poly_const(m, 1)
     out = section_zero(m, r)
     for wedge in _insertions(d1, d2, keys, one):
-        val = _leibniz(d1.table, _symbol(d1), m, r, wedge + [zs])
+        val = _leibniz(d1, wedge + [zs])
         if not val.is_zero:
             out = section_add(out, val)
     base_sign = -1 if (p * q) % 2 else 1
@@ -856,7 +830,7 @@ def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
     m = sig_owner.num_vars
     out = vf_zero(m)
     for wedge in _insertions(sig_owner, other, keys, poly_const(m, 1)):
-        out = out + _tensorial(_symbol(sig_owner), m, wedge)
+        out = out + _tensorial(sig_owner, wedge)
     return out
 
 
@@ -874,8 +848,9 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
     for keys in itertools.product(wedges, repeat=p + q):
         total = _odot(d1, d2, keys).scale(sign) - _odot(d2, d1, keys)
         for perm, sh_sign in shuffles(p, q):
-            head = tuple(keys[i] for i in perm[:p])
-            tail = tuple(keys[i] for i in perm[p:])
+            # the wedges of each share, joined: a symbol's key
+            head = sum((keys[i] for i in perm[:p]), ())
+            tail = sum((keys[i] for i in perm[p:]), ())
             comm = vf_bracket(d1.symbol.get(head, zero),
                               d2.symbol.get(tail, zero))
             total = total + comm.scale(sh_sign)
@@ -883,26 +858,18 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
     return out
 
 
-def _lift_md(d: PolyMultiderivation) -> PolyMultiderivation:
-    """The same multiderivation over one more variable t that its table
-    and symbol treat as a constant (see ``_lift``)."""
-    return PolyMultiderivation(d.num_vars + 1, d.rank, d.arity, d.degree,
-                               *_pad_tables(d.table, d.symbol))
-
-
 @traced("algebroid.check_symbol_leibniz")
-def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
+def check_symbol_leibniz(abd: PolyMultiderivation,
                          d1: PolyMultiderivation, d2: PolyMultiderivation,
                          ) -> CheckResult:
     """Verify that the bracket of two multiderivations obeys the Leibniz
     rule with the symbol produced by the symbol-bracket formula, on all
     weights (``_leibniz_failure``)."""
+    _check_algebroid(abd)
+    _check_pair(abd, d1)
     _check_pair(d1, d2)
-    if (abd.num_vars, abd.rank, abd.arity) != (d1.num_vars, d1.rank,
-                                               d1.arity):
-        raise DimensionMismatch("operands do not match the algebroid")
     n, m, r = d1.arity, d1.num_vars, d1.rank
-    t1, t2 = _lift_md(d1), _lift_md(d2)
+    t1, t2 = _lift(d1), _lift(d2)
     symbols = symbol_bracket(t1, t2)
     wedges = list(itertools.combinations(range(r), n - 1))
 
@@ -917,19 +884,20 @@ def check_symbol_leibniz(abd: PolyFilippovAlgebroid,
     return CheckResult(bad is None, bad)
 
 
-def nijenhuis_section_bracket(abd: PolyFilippovAlgebroid,
+def nijenhuis_section_bracket(abd: PolyMultiderivation,
                               nmap: PolyLinearBundleMap, k: int,
                               sections: Sequence[PolySection],
                               ) -> PolySection:
     """k-th deformed bracket on sections: operator in k slots minus the
     operator applied to the previous deformed bracket; k = 0 is the
-    bracket itself."""
+    bracket itself.  Every level is built by ``section_bracket``, which
+    refuses a degree-0 ``abd``."""
     if not 0 <= k <= abd.arity - 1:
         raise DimensionMismatch("deformed brackets exist for 0 <= k <= n-1")
     return _deformed_brackets(abd, nmap, sections)(k)
 
 
-def _deformed_brackets(abd: PolyFilippovAlgebroid,
+def _deformed_brackets(abd: PolyMultiderivation,
                        nmap: PolyLinearBundleMap,
                        sections: Sequence[PolySection],
                        ) -> Callable[[int], PolySection]:
@@ -953,10 +921,11 @@ def _deformed_brackets(abd: PolyFilippovAlgebroid,
     return deformed
 
 
-def check_poly_nijenhuis(abd: PolyFilippovAlgebroid,
+def check_poly_nijenhuis(abd: PolyMultiderivation,
                          nmap: PolyLinearBundleMap) -> CheckResult:
     """Closure on all sorted generator tuples: the deformed bracket one
     level above the top, [N x_1, .., N x_n] - N [x]^(n-1)_N, vanishes."""
+    _check_algebroid(abd)
     if (nmap.num_vars, nmap.rank) != (abd.num_vars, abd.rank):
         raise DimensionMismatch("bundle map over the wrong bundle")
     n, r = abd.arity, abd.rank
@@ -967,7 +936,7 @@ def check_poly_nijenhuis(abd: PolyFilippovAlgebroid,
     return CheckResult(True, None)
 
 
-def nijenhuis_symbol_check(abd: PolyFilippovAlgebroid,
+def nijenhuis_symbol_check(abd: PolyMultiderivation,
                            nmap: PolyLinearBundleMap) -> CheckResult:
     """The symbol of the k-th deformed bracket must be the anchor with the
     operator inserted into k wedge slots, for every k.

@@ -345,7 +345,6 @@ def nijenhuis_bracket(alg: NLieAlgebra, nmap: Matrix, k: int) -> Cochain:
     return _cochain(alg, *_tower(alg, nmap, k)[k])
 
 
-@traced("deformations.check_nijenhuis")
 def check_nijenhuis(alg: NLieAlgebra, nmap: Matrix) -> CheckResult:
     """Closure test: the bracket of operator images must equal the operator
     applied to the top deformed bracket, on every sorted basis tuple.

@@ -31,7 +31,7 @@ from typing import Any, Mapping
 
 from .algebra import (Key, NLieAlgebra, Representation, WedgeElement,
                       make_algebra, make_representation)
-from .algebroid import PolyFilippovAlgebroid, make_poly_algebroid
+from .algebroid import PolyMultiderivation, make_poly_algebroid
 from .cochains import Cochain, CochainKey, make_cochain
 from .cohomology import CohomologyReport
 from .deformations import (DeformationPath, EquivalenceMap,
@@ -432,7 +432,7 @@ def _poly_list_from_json(obj: Any, count: int, num_vars: int,
                  for s, p in enumerate(items))
 
 
-def algebroid_to_json(abd: PolyFilippovAlgebroid) -> dict:
+def algebroid_to_json(abd: PolyMultiderivation) -> dict:
     return {
         "num_vars": abd.num_vars,
         "rank": abd.rank,
@@ -440,18 +440,18 @@ def algebroid_to_json(abd: PolyFilippovAlgebroid) -> dict:
         "brackets": [
             {"on": [i + 1 for i in key],
              "value": [poly_to_json(p) for p in comps]}
-            for key, comps in sorted(abd.bracket_table.items())
+            for key, comps in sorted(abd.table.items())
         ],
         "anchor": [
             {"on": [i + 1 for i in key],
              "field": [poly_to_json(p) for p in field.components]}
-            for key, field in sorted(abd.anchor_table.items())
+            for key, field in sorted(abd.symbol.items())
         ],
     }
 
 
 def algebroid_from_json(obj: Any,
-                        where: str = "algebroid") -> PolyFilippovAlgebroid:
+                        where: str = "algebroid") -> PolyMultiderivation:
     doc = _expect_object(obj, where)
     num_vars = _int_field(doc, "num_vars", where)
     rank = _int_field(doc, "rank", where)

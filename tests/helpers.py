@@ -355,7 +355,7 @@ def ref_check_algebroid_axioms(abd, implied=True, degree=2):
                                 weighted_frame(abd, y, ())))):
                 return fails(axiom, x, y, f=None)
     for axiom, defect, ny, weights in reversed(
-            phases if abd.anchor_table else []):
+            phases if abd.symbol else []):
         for xp, b, y in itertools.product(
                 itertools.combinations(range(r), n - 2), range(r),
                 itertools.combinations(range(r), ny)):
@@ -372,7 +372,7 @@ def ref_check_algebroid_axioms(abd, implied=True, degree=2):
         itertools.combinations(range(r), n - 3),
         itertools.combinations_with_replacement(range(r), 2),
         itertools.combinations(range(r), n)) \
-        if implied and n >= 3 and abd.anchor_table else ()
+        if implied and n >= 3 and abd.symbol else ()
     for xpp, pair, y in cross:
         x, ys = xpp + pair, weighted_frame(abd, y, ())
 
@@ -482,8 +482,11 @@ def _ref_odot(sig_owner, other, keys):
     m, r, n = sig_owner.num_vars, sig_owner.rank, sig_owner.arity
     out = A.vf_zero(m)
     for sign, head, block, s, w in _ref_insertions(sig_owner, other, keys):
-        anchor = {key[-1]: field for key, field in sig_owner.symbol.items()
-                  if key[:-1] == head}
+        # a symbol key joins its wedges: the head's, then the last one
+        h = sum(head, ())
+        anchor = {key[len(h):]: field
+                  for key, field in sig_owner.symbol.items()
+                  if key[:len(h)] == h}
         abd = A.make_poly_algebroid(m, r, n, {}, anchor)
         wedge = (_ref_gens(sig_owner, block[:s]) + [w]
                  + _ref_gens(sig_owner, block[s + 1:]))
@@ -509,8 +512,8 @@ def ref_symbol_bracket(d1, d2):
         for perm, sh_sign in shuffles(p, q):
             head = tuple(keys[i] for i in perm[:p])
             tail = tuple(keys[i] for i in perm[p:])
-            total = total + A.vf_bracket(d1.symbol.get(head, zero),
-                                         d2.symbol.get(tail, zero)
+            total = total + A.vf_bracket(d1.symbol.get(sum(head, ()), zero),
+                                         d2.symbol.get(sum(tail, ()), zero)
                                          ).scale(sh_sign)
         out[keys] = total
     return out
@@ -670,7 +673,7 @@ def rand_multiderivation(rng: random.Random, m: int, r: int, n: int,
     else:
         table = {key: comps() for key in itertools.combinations(range(r), n)
                  if rng.random() < 0.5}
-        symbol = {(w,): rand_field(rng, m)
+        symbol = {w: rand_field(rng, m)
                   for w in itertools.combinations(range(r), n - 1)
                   if m and rng.random() < 0.5}
     return make_poly_multiderivation(m, r, n, degree, table, symbol)

@@ -141,7 +141,7 @@ _KEYED = {
         3, lambda k: make_poly_multiderivation(1, 4, 3, 1, {k: _P}, {})),
     "make_poly_multiderivation symbol": (
         2, lambda k: make_poly_multiderivation(1, 4, 3, 1, {},
-                                               {(k,): vf_coordinate(1, 0)})),
+                                               {k: vf_coordinate(1, 0)})),
 }
 
 

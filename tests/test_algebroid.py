@@ -70,7 +70,7 @@ def test_make_poly_algebroid_validation():
     # zero rows and zero fields are dropped
     abd = make_poly_algebroid(1, 3, 2, {(0, 1): [poly_zero(1)] * 3},
                               {(0,): vf_zero(1)})
-    assert abd.bracket_table == {} and abd.anchor_table == {}
+    assert abd.table == {} and abd.symbol == {}
 
 
 def test_generator_lookup_signs():
@@ -240,7 +240,7 @@ def test_axioms_structure_constant_models():
     for f in (poly_const(4, 1), x(4, 0), x(4, 0) * x(4, 0)):
         assert check_algebroid_axioms(example_tangent_fc(eps, f)).holds
     zero = example_tangent_fc(eps, poly_zero(4))
-    assert zero.bracket_table == {}
+    assert zero.table == {}
     assert check_algebroid_axioms(zero).holds
 
 
@@ -282,7 +282,7 @@ def test_example_fc_validation():
 def test_example_topform_shape():
     top = example_tangent_topform(4, 3)
     assert top.arity == 4 and top.rank == 4 and top.num_vars == 4
-    assert top.bracket_table == {}
+    assert top.table == {}
     field = anchor_on_generators(top, (0, 1, 2))
     assert field.components[0] == poly_const(4, 1)
     assert anchor_on_generators(top, (0, 1, 3)).is_zero
@@ -344,12 +344,50 @@ def test_make_poly_multiderivation_validation():
         make_poly_multiderivation(1, 2, 2, 0, {},
                                   {((0,),): vf_zero(1)})
     with pytest.raises(DimensionMismatch):
-        make_poly_multiderivation(1, 2, 2, 1, {},
-                                  {((1, 0),): vf_zero(1)})
+        make_poly_multiderivation(1, 2, 2, 1, {}, {(1, 0): vf_zero(1)})
     # a symbol key names generators of the bundle, as an anchor key does
     with pytest.raises(DimensionMismatch, match="bad symbol key"):
         make_poly_multiderivation(2, 3, 3, 1, {},
-                                  {((0, 7),): vf_coordinate(2, 0)})
+                                  {(0, 7): vf_coordinate(2, 0)})
+    # the sizes an algebroid of the same shape rejects: rank 0, arity 1,
+    # a negative variable count
+    for sizes in ((1, 0, 2), (1, 2, 1), (-1, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            make_poly_multiderivation(*sizes, 0, {}, {})
+        with pytest.raises(DimensionMismatch):
+            make_poly_multiderivation(*sizes, 1, {}, {})
+
+
+_ALGEBROID_ENTRY_POINTS = {
+    "section_bracket": lambda d, e, nmap: section_bracket(d, e[:3]),
+    "anchor_eval": lambda d, e, nmap: anchor_eval(d, e[:2]),
+    "anchor_on_generators": lambda d, e, nmap: anchor_on_generators(
+        d, (0, 1)),
+    "check_algebroid_axioms": lambda d, e, nmap: check_algebroid_axioms(d),
+    "check_symbol_leibniz": lambda d, e, nmap: check_symbol_leibniz(d, d, d),
+    "check_poly_nijenhuis": lambda d, e, nmap: check_poly_nijenhuis(d, nmap),
+    "nijenhuis_section_bracket": lambda d, e, nmap: nijenhuis_section_bracket(
+        d, nmap, 1, e[:3]),
+    "nijenhuis_symbol_check": lambda d, e, nmap: nijenhuis_symbol_check(
+        d, nmap),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ALGEBROID_ENTRY_POINTS))
+def test_algebroid_entry_points_refuse_degree_zero(entry):
+    # an algebroid is its degree-1 bracket multiderivation; a degree-0 one
+    # of the same bundle, whose symbol key is (), is not an algebroid
+    top = example_tangent_topform(3, 2)
+    assert bracket_derivation(top) is top
+    table = {(j,): tuple(poly_const(3, 2 if i == j else 0)
+                         for i in range(3)) for j in range(3)}
+    d0 = make_poly_multiderivation(3, 3, 3, 0, table,
+                                   {(): vf_coordinate(3, 0)})
+    e = [generator_section(3, 3, j) for j in range(3)]
+    nmap = constant_bundle_map(3, 3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    _ALGEBROID_ENTRY_POINTS[entry](top, e, nmap)
+    with pytest.raises(DimensionMismatch, match="degree-1"):
+        _ALGEBROID_ENTRY_POINTS[entry](d0, e, nmap)
 
 
 _OTHER_BUNDLES = {"rank": generator_section(3, 5, 4),

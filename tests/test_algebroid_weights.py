@@ -489,9 +489,9 @@ def test_planted_anchor_rescaled_action_algebroid():
     # a(h) doubled: a([h, e]) = 2 a(e) while [a(h), a(e)] = 4 a(e); the
     # bracket is constant, so only the anchor phase can see it
     abd = _action_algebroid(sl2())
-    anchor = dict(abd.anchor_table)
+    anchor = dict(abd.symbol)
     anchor[(0,)] = anchor[(0,)].scale(2)
-    planted = make_poly_algebroid(3, 3, 2, abd.bracket_table, anchor)
+    planted = make_poly_algebroid(3, 3, 2, abd.table, anchor)
     _fails_like_reference(check_algebroid_axioms(planted),
                           ref_check_algebroid_axioms(planted),
                           {"axiom": "anchor compatibility", "x": (0,),

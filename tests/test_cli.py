@@ -302,6 +302,31 @@ def test_one_elimination_routine():
     assert sites == [("linalg.py", ["_eliminate"])]
 
 
+def test_one_multiderivation_record():
+    """An algebroid is its degree-1 bracket multiderivation: ``algebroid``
+    defines one record class with a table and a symbol, has no second
+    lift or symbol key adapter, and no module reads the fields of the
+    deleted algebroid record."""
+    root = pathlib.Path(nlie.__file__).parent
+    tree = ast.parse((root / "algebroid.py").read_text())
+    tables = [node.name for node in tree.body
+              if isinstance(node, ast.ClassDef) and {"table", "symbol"} <= {
+                  sub.target.id for sub in node.body
+                  if isinstance(sub, ast.AnnAssign)}]
+    assert tables == ["PolyMultiderivation"]
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_lift_md", "_symbol", "_pad_tables",
+                "PolyFilippovAlgebroid"} & defined
+    here = pathlib.Path(__file__).parent
+    paths = [*root.glob("*.py"), *here.glob("*.py"),
+             *(here.parent / "perfbench").glob("*.py")]
+    for path in paths:
+        reads = {sub.attr for sub in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(sub, ast.Attribute)}
+        assert not {"bracket_table", "anchor_table"} & reads, path.name
+
+
 def test_polynomials_validated_where_they_enter():
     """``poly_from_terms`` is the one place that checks raw terms, so
     ``MultiPoly`` has no ``__post_init__`` and no other function of
@@ -375,11 +400,12 @@ def test_products_take_supports():
 def test_one_basis_key_rule():
     """Every table constructor checks its keys through
     ``algebra.basis_key``; outside it only the located checks of ``io``
-    test a key by ``sorted(set(...))``."""
+    test a key by ``sorted(set(...))``.  ``make_poly_algebroid`` is the
+    degree-1 call of ``make_poly_multiderivation``."""
     constructors = {
         "algebra.py": {"make_algebra", "make_representation", "make_wedge"},
         "cochains.py": {"make_cochain"}, "chevalley.py": {"make_ce_cochain"},
-        "algebroid.py": {"make_poly_algebroid", "make_poly_multiderivation"}}
+        "algebroid.py": {"make_poly_multiderivation"}}
 
     def calls(node, name, arg=None):
         return {sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
@@ -398,6 +424,9 @@ def test_one_basis_key_rule():
         assert calls(tree, "sorted", "set") <= inside, path.name
         for name in constructors.get(path.name, ()):
             assert calls(funcs[name], "basis_key"), name
+        if path.name == "algebroid.py":
+            assert calls(funcs["make_poly_algebroid"],
+                         "make_poly_multiderivation")
 
 
 def test_fractions_made_only_where_coefficients_enter():
@@ -1091,6 +1120,25 @@ def test_trace_one_fi_check_per_generated_path(capsys, eps, tmp_path):
                  "deformations.check_nijenhuis",
                  "deformations.nijenhuis_bracket"):
         assert summary[name]["calls"] == 1
+
+
+def test_trace_nijenhuis_spans_nest_alike(capsys, eps, tmp_path):
+    # the check and the generated path both run the fundamental identity
+    # outside the one Nijenhuis span, so it reports at the same depth
+    diag = write(tmp_path, "diag.json", matrix_to_json(Matrix.from_rows(
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]])))
+    depths = []
+    for extra in ([], ["--generate-path"]):
+        argv = ["nijenhuis", eps, diag, *extra]
+        code, out, err = run(capsys, "--trace", *argv)
+        assert (code, out) == run(capsys, *argv)[:2]
+        lines = _trace_lines(err)
+        depths.append([line["depth"] for line in lines if line.get("span")
+                       == "algebra.check_fundamental_identity"])
+        summary = {line["summary"]: line for line in lines
+                   if "summary" in line}
+        assert summary["deformations.check_nijenhuis"]["calls"] == 1
+    assert depths[0] == depths[1] == [1]
 
 
 def test_each_input_read_once(capsys, eps, monkeypatch):

@@ -435,6 +435,60 @@ def test_faulty_factorization_never_gives_a_betti_number(monkeypatch, fault):
         rigidity_probe(alg, 2, 0)
 
 
+def _wrong_tag(red, ncols):
+    """The first reduced row with a tag gets that tag off by one: E is
+    wrong, R is right."""
+    for r in red:
+        tags = [j for j in r if j >= ncols]
+        if tags:
+            r[tags[0]] += 1
+            return
+
+
+# Each fault passes every guard of a ``Factorization`` but one, named by
+# the message it raises.
+GUARDED = {
+    # a tag off by one: the reduced rows, so the certificate, are right,
+    # and only the exact E·M = R check sees it
+    "wrong_tag": "E·M = R",
+    # the last pivot row lost: E·M = R holds on the rows kept, and only
+    # the certificate on every row of M sees that the rank reads low (the
+    # next round loses a pivot again)
+    "lost_pivot": "did not raise the rank",
+    # a tag corrupted after every check of the factoring, on an
+    # inconsistent right side: only the check of the refusal's witness
+    # sees that y is not a left witness
+    "tag_after_checks": "refusal",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(GUARDED))
+def test_each_factorization_guard_catches_a_planted_fault(monkeypatch,
+                                                          fault):
+    """Removing any one guard of ``Factorization`` (the E·M = R check,
+    the last round's certificate, the check of a refusal's witness) lets
+    one of these faults through to a wrong rank or a wrong refusal."""
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 3}, {0: 3, 1: 4}]
+    if fault == "tag_after_checks":
+        fac = Factorization(rows, 2)
+        fac._elim[0] = [(s, e + 1) for s, e in fac._elim[0]]
+        with pytest.raises(ArithmeticError, match=GUARDED[fault]):
+            fac.solve([3, 4, 0])
+        return
+    real = linalg._rref
+
+    def planted(batch, ncols):
+        red, pivots = real(batch, ncols)
+        if fault == "lost_pivot":
+            return red[:-1], pivots[:-1]
+        _wrong_tag(red, ncols)
+        return red, pivots
+
+    monkeypatch.setattr(linalg, "_rref", planted)
+    with pytest.raises(ArithmeticError, match=GUARDED[fault]):
+        Factorization(rows, 2)
+
+
 def test_refusal_of_a_corrupted_factorization_raises():
     # E corrupted after the factorization's checks: a consistent right
     # side fails the row check, and the witness built from the wrong E
