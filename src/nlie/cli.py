@@ -20,6 +20,9 @@ for compatibility too: the check decides the axioms on all sections, and
 the Leibniz rule on all weights (``check_algebroid_axioms``).
 ``--trace`` writes spans and work counters to stderr as JSON lines
 (``nlie.trace``); stdout and the exit code stay the same.
+
+Each verb is declared once, in ``VERBS``.  Every ``main`` call builds a
+fresh parser that lists them all but builds only the one argv selects.
 """
 
 from __future__ import annotations
@@ -260,112 +263,119 @@ def _ce_agrees_by_evaluation(alg) -> bool:
 
 # ------------------------------------------------------------- arg parsing
 
-def _shared_flags() -> argparse.ArgumentParser:
-    """Flags of the top parser and every leaf verb.  The top parser needs its
-    own instance: its ``set_defaults`` rewrites the defaults of the actions it
-    holds, and a leaf's ``SUPPRESS`` keeps a flag given before the verb."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=("text", "json"),
+def _arg(*names: str, **options) -> tuple:
+    return names, options
+
+
+# name: (summary, runner, *arguments) for a leaf verb, (summary, verbs) for
+# a group of subverbs; each name is listed in declaration order
+VERBS = {
+    "check": ("fundamental identity of an algebra", run_check,
+              _arg("algebra")),
+    "cohomology": ("betti numbers of the deformation complex",
+                   run_cohomology, _arg("algebra"),
+                   _arg("--degree", type=int, required=True),
+                   _arg("--max-degree-cap", type=int,
+                        default=DEFAULT_DEGREE_CAP)),
+    "nijenhuis": ("check an operator and optionally emit its path",
+                  run_nijenhuis, _arg("algebra"),
+                  _arg("operator", help="square matrix JSON"),
+                  _arg("--generate-path", action="store_true")),
+    "deform": ("deformation path calculus", {
+        "check": ("power-by-power deformation equations", run_deform_check,
+                  _arg("path"), _arg("--mode", choices=("truncated", "full"),
+                                     default="truncated")),
+        "extend": ("solve for the next term or certify the obstruction",
+                   run_deform_extend, _arg("path")),
+        "equiv": ("conjugate path1 and compare with path2", run_deform_equiv,
+                  _arg("path1"), _arg("path2"),
+                  _arg("map", help="equivalence map JSON")),
+        "rigidity": ("sampling probe for rigidity", run_deform_rigidity,
+                     _arg("algebra"), _arg("--max-order", type=int, default=2),
+                     _arg("--trials", type=int, default=6)),
+    }),
+    "obstruction": ("emit the obstruction cochain of a path", run_obstruction,
+                    _arg("path")),
+    "algebroid": ("polynomial algebroid models", {
+        "check": ("algebroid axioms", run_algebroid_check, _arg("algebroid"),
+                  _arg("--max-degree", type=int, default=argparse.SUPPRESS,
+                       help="accepted for compatibility; the Leibniz rule "
+                            "is decided on a fixed family of weights"),
+                  _arg("--sections-degree", type=int,
+                       default=argparse.SUPPRESS,
+                       help="accepted for compatibility; the axioms are "
+                            "decided on all sections")),
+        "example-fc": ("scaled tangent-model algebroid over an algebra",
+                       run_algebroid_fc, _arg("algebra"),
+                       _arg("--f", choices=sorted(_FC_POLYS), default="x1",
+                            help="scaling polynomial")),
+        "example-topform": ("top-form tangent algebroid",
+                            run_algebroid_topform,
+                            _arg("base_dim", type=int),
+                            _arg("wedge_degree", type=int)),
+    }),
+    "reduce-lie": ("compare the generic differential with the "
+                   "Chevalley-Eilenberg one", run_reduce_lie,
+                   _arg("algebra")),
+}
+
+
+class _Verbs(argparse._SubParsersAction):
+    """Subparsers that list every verb in help, usage and errors, as
+    ``add_parser`` would, but build a verb's parser only when argv selects
+    it.  Until then its entry in the choices map is its ``VERBS`` spec."""
+
+    def add_verbs(self, verbs: dict) -> None:
+        for name, (summary, *spec) in verbs.items():
+            self._choices_actions.append(
+                self._ChoicesPseudoAction(name, (), summary))
+            self._name_parser_map[name] = spec
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        spec = self._name_parser_map[values[0]]
+        if isinstance(spec, list):
+            self._name_parser_map[values[0]] = chosen = self._parser_class(
+                prog=f"{self._prog_prefix} {values[0]}")
+            if isinstance(spec[0], dict):
+                chosen.add_subparsers(dest="subverb", required=True,
+                                      action=_Verbs).add_verbs(spec[0])
+            else:
+                _shared_flags(chosen)
+                chosen.set_defaults(run=spec[0])
+                for names, options in spec[1:]:
+                    chosen.add_argument(*names, **options)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _shared_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the flags of the top parser and every leaf verb.  Each parser gets
+    its own actions: the top parser's ``set_defaults`` rewrites the defaults
+    of the actions it holds, and a leaf's ``SUPPRESS`` keeps a flag given
+    before the verb."""
+    parser.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS,
                         help="report format (default: text)")
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized sampling verbs")
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="accepted for compatibility; runs are "
                              "single-threaded")
-    return shared
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nlie", parents=[_shared_flags()],
+        prog="nlie",
         description="exact checkers for skew n-ary brackets, their "
                     "deformation cohomology, and polynomial algebroid "
                     "models")
+    _shared_flags(parser)
     parser.set_defaults(format="text", seed=0, threads=1)
     # before the verb only, as the README documents
     parser.add_argument("--trace", action="store_true",
                         help="write spans and work counters to stderr as "
                              "JSON lines")
-    shared = [_shared_flags()]
-
-    def verb(sub, name: str, run: Callable, summary: str):
-        p = sub.add_parser(name, help=summary, parents=shared)
-        p.set_defaults(run=run)
-        return p
-
-    sub = parser.add_subparsers(dest="verb", required=True)
-    verb(sub, "check", run_check,
-         "fundamental identity of an algebra").add_argument("algebra")
-
-    p = verb(sub, "cohomology", run_cohomology,
-             "betti numbers of the deformation complex")
-    p.add_argument("algebra")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-degree-cap", type=int,
-                   default=DEFAULT_DEGREE_CAP)
-
-    p = verb(sub, "nijenhuis", run_nijenhuis,
-             "check an operator and optionally emit its path")
-    p.add_argument("algebra")
-    p.add_argument("operator", help="square matrix JSON")
-    p.add_argument("--generate-path", action="store_true")
-
-    deform = sub.add_parser("deform", help="deformation path calculus")
-    dsub = deform.add_subparsers(dest="subverb", required=True)
-
-    p = verb(dsub, "check", run_deform_check,
-             "power-by-power deformation equations")
-    p.add_argument("path")
-    p.add_argument("--mode", choices=("truncated", "full"),
-                   default="truncated")
-
-    verb(dsub, "extend", run_deform_extend,
-         "solve for the next term or certify the obstruction"
-         ).add_argument("path")
-
-    p = verb(dsub, "equiv", run_deform_equiv,
-             "conjugate path1 and compare with path2")
-    p.add_argument("path1")
-    p.add_argument("path2")
-    p.add_argument("map", help="equivalence map JSON")
-
-    p = verb(dsub, "rigidity", run_deform_rigidity,
-             "sampling probe for rigidity")
-    p.add_argument("algebra")
-    p.add_argument("--max-order", type=int, default=2)
-    p.add_argument("--trials", type=int, default=6)
-
-    verb(sub, "obstruction", run_obstruction,
-         "emit the obstruction cochain of a path").add_argument("path")
-
-    algebroid = sub.add_parser("algebroid", help="polynomial algebroid "
-                                                 "models")
-    asub = algebroid.add_subparsers(dest="subverb", required=True)
-
-    p = verb(asub, "check", run_algebroid_check, "algebroid axioms")
-    p.add_argument("algebroid")
-    p.add_argument("--max-degree", type=int, default=argparse.SUPPRESS,
-                   help="accepted for compatibility; the Leibniz rule is "
-                        "decided on a fixed family of weights")
-    p.add_argument("--sections-degree", type=int, default=argparse.SUPPRESS,
-                   help="accepted for compatibility; the axioms are decided "
-                        "on all sections")
-
-    p = verb(asub, "example-fc", run_algebroid_fc,
-             "scaled tangent-model algebroid over an algebra")
-    p.add_argument("algebra")
-    p.add_argument("--f", choices=sorted(_FC_POLYS), default="x1",
-                   help="scaling polynomial")
-
-    p = verb(asub, "example-topform", run_algebroid_topform,
-             "top-form tangent algebroid")
-    p.add_argument("base_dim", type=int)
-    p.add_argument("wedge_degree", type=int)
-
-    verb(sub, "reduce-lie", run_reduce_lie,
-         "compare the generic differential with the Chevalley-Eilenberg "
-         "one").add_argument("algebra")
+    parser.add_subparsers(dest="verb", required=True,
+                          action=_Verbs).add_verbs(VERBS)
     return parser
 
 

@@ -31,7 +31,8 @@ from typing import Any, Mapping
 
 from .algebra import (Key, NLieAlgebra, Representation, WedgeElement,
                       make_algebra, make_representation)
-from .algebroid import PolyMultiderivation, make_poly_algebroid
+from .algebroid import (PolyMultiderivation, _check_algebroid,
+                        make_poly_algebroid)
 from .cochains import Cochain, CochainKey, make_cochain
 from .cohomology import CohomologyReport
 from .deformations import (DeformationPath, EquivalenceMap,
@@ -433,6 +434,7 @@ def _poly_list_from_json(obj: Any, count: int, num_vars: int,
 
 
 def algebroid_to_json(abd: PolyMultiderivation) -> dict:
+    _check_algebroid(abd)
     return {
         "num_vars": abd.num_vars,
         "rank": abd.rank,

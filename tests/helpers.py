@@ -567,6 +567,10 @@ def ref_nijenhuis_symbol_check(abd, nmap, degree=2):
     for k in range(1, n):
         for xk in itertools.combinations(range(r), n - 1):
             gens = [A.generator_section(m, r, j) for j in xk]
+            # the anchors of the N-twisted frames depend on neither j nor f
+            anchors = [A.anchor_eval(abd, [nmap.apply(g) if t in slots else g
+                                           for t, g in enumerate(gens)])
+                       for slots in itertools.combinations(range(n - 1), k)]
             for j in range(r):
                 gen = A.generator_section(m, r, j)
                 plain = A.nijenhuis_section_bracket(abd, nmap, k,
@@ -577,11 +581,8 @@ def ref_nijenhuis_symbol_check(abd, nmap, degree=2):
                     defect = A.section_sub(deformed,
                                            A.section_scale(f, plain))
                     claimed = A.poly_zero(m)
-                    for slots in itertools.combinations(range(n - 1), k):
-                        args = [nmap.apply(g) if t in slots else g
-                                for t, g in enumerate(gens)]
-                        claimed = claimed + A.vf_apply(
-                            A.anchor_eval(abd, args), f)
+                    for anchor in anchors:
+                        claimed = claimed + A.vf_apply(anchor, f)
                     expected = A.section_scale(claimed, gen)
                     if not A.section_sub(defect, expected).is_zero:
                         return CheckResult(False, {"k": k, "x": xk, "z": j,

@@ -1,9 +1,11 @@
+import argparse
 import ast
 import builtins
 import hashlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -798,6 +800,157 @@ def test_shared_flags_parse_anywhere(verb, runner):
     assert traced.pop("trace") is True
     assert before == after == dict(traced, trace=False) == \
         dict(plain, format="json", seed=9, threads=2)
+
+
+def _verb_path(argv):
+    return argv[:2] if argv[0] in ("deform", "algebroid") else argv[:1]
+
+
+def _parser_exit(capsys, monkeypatch, *argv):
+    """Exit code, stdout and stderr of an argv that argparse ends, on a
+    terminal wide enough that no help line wraps."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def _listed_in_order(text, entries):
+    """Each ``(name, summary)`` has a help line of its own, in order."""
+    lines = text.splitlines()
+    found = [next((i for i, line in enumerate(lines)
+                   if line.split(None, 1) == [name, summary]), None)
+             for name, summary in entries]
+    return None not in found and found == sorted(found)
+
+
+def test_help_lists_every_verb_in_declaration_order(capsys, monkeypatch):
+    verbs = ["check", "cohomology", "nijenhuis", "deform", "obstruction",
+             "algebroid", "reduce-lie"]
+    assert list(cli.VERBS) == verbs
+    code, out, err = _parser_exit(capsys, monkeypatch, "--help")
+    assert (code, err) == (0, "")
+    assert "{" + ",".join(verbs) + "}" in out
+    assert _listed_in_order(out, [(name, spec[0])
+                                  for name, spec in cli.VERBS.items()])
+    for group, subverbs in (("deform", ["check", "extend", "equiv",
+                                        "rigidity"]),
+                            ("algebroid", ["check", "example-fc",
+                                           "example-topform"])):
+        code, out, err = _parser_exit(capsys, monkeypatch, group, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: nlie {group} [-h] "
+                              "{" + ",".join(subverbs) + "}")
+        table = cli.VERBS[group][1]
+        assert list(table) == subverbs
+        assert _listed_in_order(out, [(name, spec[0])
+                                      for name, spec in table.items()])
+
+
+COMPATIBILITY_FLAGS = {
+    "--threads": "accepted for compatibility; runs are single-threaded",
+    "--max-degree": "accepted for compatibility; the Leibniz rule is "
+                    "decided on a fixed family of weights",
+    "--sections-degree": "accepted for compatibility; the axioms are "
+                         "decided on all sections",
+}
+
+
+@pytest.mark.parametrize("verb, runner", LEAF_VERBS,
+                         ids=[run.__name__ for _, run in LEAF_VERBS])
+def test_leaf_help_lists_its_flags(capsys, monkeypatch, verb, runner):
+    path = _verb_path(verb)
+    code, out, err = _parser_exit(capsys, monkeypatch, *path, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: nlie {' '.join(path)} [-h] "
+                          "[--format {text,json}] [--seed SEED] "
+                          "[--threads THREADS]")
+    spec = cli.VERBS[path[0]]
+    spec = spec[1][path[1]] if len(path) == 2 else spec
+    assert spec[1] is runner
+    flags = [("--format", "report format (default: text)"),
+             ("--seed", "seed for randomized sampling verbs"),
+             ("--threads", COMPATIBILITY_FLAGS["--threads"])]
+    flags += [(names[0], options.get("help")) for names, options in spec[2:]]
+    # a long invocation puts its help on the next line
+    flat = " ".join(out.split())
+    for name, text in flags:
+        assert any(line.strip().startswith(name)
+                   for line in out.splitlines()), name
+        assert text is None or re.search(
+            re.escape(name) + r"(?: \S+)? " + re.escape(text), flat), name
+    for name in set(COMPATIBILITY_FLAGS) & {name for name, _ in flags}:
+        assert COMPATIBILITY_FLAGS[name] in out
+
+
+def test_parse_errors_name_every_choice(capsys, monkeypatch):
+    code, out, err = _parser_exit(capsys, monkeypatch, "bogus")
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err and "'bogus'" in err
+    assert all(f"'{name}'" in err.split("choose from")[1]
+               for name in cli.VERBS)
+    for group in ("deform", "algebroid"):
+        subverbs = ",".join(cli.VERBS[group][1])
+        code, out, err = _parser_exit(capsys, monkeypatch, group)
+        assert (code, out) == (2, "")
+        assert "{" + subverbs + "}" in err
+        assert err.endswith("the following arguments are required: "
+                            "subverb\n")
+        code, out, err = _parser_exit(capsys, monkeypatch, group, "bogus")
+        assert (code, out) == (2, "")
+        assert all(f"'{name}'" in err.split("choose from")[1]
+                   for name in cli.VERBS[group][1])
+    code, out, err = _parser_exit(capsys, monkeypatch, "deform", "rigidity",
+                                  "a.json", "--trials", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: nlie deform rigidity [-h]")
+    assert err.endswith("error: argument --trials: invalid int value: "
+                        "'x'\n")
+
+
+@pytest.mark.parametrize("verb, runner", LEAF_VERBS,
+                         ids=[run.__name__ for _, run in LEAF_VERBS])
+def test_each_call_builds_only_its_parsers(capsys, monkeypatch, verb, runner):
+    """``main`` builds the top parser, the verb's group if it has one, and
+    the verb's own parser, on every call: nothing is kept between calls and
+    no other verb is built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    path = _verb_path(verb)
+    for calls in (1, 2):
+        main(list(verb))
+        assert len(built) == calls * (1 + len(path)) <= calls * 5
+    assert built[:1 + len(path)] == [
+        "nlie", *(f"nlie {' '.join(path[:i])}" for i in
+                  range(1, 1 + len(path)))]
+    capsys.readouterr()
+
+
+def test_cli_keeps_no_parser_between_calls():
+    """No cache in ``nlie.cli`` and no parser at module level: a process
+    builds its parser once, in ``main``."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    caches = ("cache", "lru_cache", "cached_property")
+    cached = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Global)
+              or isinstance(node, ast.Name) and node.id in caches
+              or isinstance(node, ast.Attribute) and node.attr in caches
+              or isinstance(node, ast.alias)
+              and node.name.rsplit(".", 1)[-1] in caches]
+    assert cached == []
+    made = [node.lineno for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None))
+            in ("ArgumentParser", "build_parser", "add_subparsers")]
+    assert made == []
 
 
 def _lifted_semidirect(tmp_path, name, tmap):

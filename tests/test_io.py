@@ -6,12 +6,14 @@ import pytest
 
 from helpers import basis_wedge, rand_cochain, rand_matrix, rand_valid_algebra
 from nlie.algebra import adjoint_representation
-from nlie.algebroid import example_tangent_fc, example_tangent_topform
+from nlie.algebroid import (example_tangent_fc, example_tangent_topform,
+                            make_poly_multiderivation)
 from nlie.catalog import levi_civita_bracket, sl2, zero_algebra
 from nlie.cochains import make_cochain
 from nlie.cohomology import cohomology
 from nlie.deformations import (deformation_from_nijenhuis,
                                make_deformation_path, make_equivalence_map)
+from nlie.errors import DimensionMismatch
 from nlie.io import (InputFormatError, algebra_from_json, algebra_to_json,
                      algebroid_from_json, algebroid_to_json,
                      cochain_from_json, cochain_to_json,
@@ -23,7 +25,8 @@ from nlie.io import (InputFormatError, algebra_from_json, algebra_to_json,
                      representation_to_json, vector_from_json,
                      vector_to_json, wedge_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import poly_const, poly_from_terms, poly_var
+from nlie.poly import (PolyVectorField, poly_const, poly_from_terms, poly_var,
+                       poly_zero)
 
 F = Fraction
 
@@ -244,7 +247,20 @@ def test_algebroid_roundtrip():
     for abd in (example_tangent_fc(sl2(), f),
                 example_tangent_fc(sl2(), poly_const(3, 0)),
                 example_tangent_topform(3, 2)):
-        assert algebroid_from_json(algebroid_to_json(abd)) == abd
+        doc = algebroid_to_json(abd)
+        assert algebroid_from_json(doc) == abd
+        assert algebroid_to_json(algebroid_from_json(doc)) == doc
+
+
+def test_algebroid_to_json_refuses_degree_zero():
+    """A degree-0 multiderivation is not an algebroid: writing it would give
+    a document that ``algebroid_from_json`` rejects, so it is refused."""
+    vf = PolyVectorField(1, (poly_var(1, 0),))
+    md = make_poly_multiderivation(1, 2, 2, 0, {(1,): [poly_const(1, 1),
+                                                      poly_zero(1)]},
+                                   {(): vf})
+    with pytest.raises(DimensionMismatch, match="degree-1"):
+        algebroid_to_json(md)
 
 
 def test_algebroid_parse_errors():
