@@ -19,8 +19,9 @@ algebroid tables) keys its entries by one rule, ``basis_key``: a tuple of
 strictly increasing int indices, 0-based, of a fixed length and below a
 fixed bound (``make_wedge`` takes a key in any order, sorts it with its
 sign and drops it on a repeat); ``coeff_vector`` reads Fraction vectors.
-``fundamental_bracket`` (the Leibniz bracket on (n-1)-wedges), ``ad_map``
-and ``adjoint_representation`` are paper API that nothing here calls.
+``fundamental_bracket`` is the Leibniz bracket on (n-1)-wedges.
+Paper API that nothing here calls: ``fundamental_bracket``, ``ad_map`` and
+``adjoint_representation``.
 """
 
 from __future__ import annotations

@@ -19,9 +19,12 @@ Multiderivations of degree 0 and 1 carry a symbol (a vector-field-valued
 map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z, keyed
 by the sorted wedge X of the other generators: () at degree 0, an
 (n-1)-tuple at degree 1.  The algebroid entry points refuse a degree-0
-multiderivation (``_check_algebroid``).  One driver,
-``_leibniz_failure``, decides that rule for every check of this form:
-axiom (b), the symbol bracket and the Nijenhuis symbols.  One Leibniz
+multiderivation (``_check_algebroid``).  A bundle map N: A -> A, such as a
+Nijenhuis operator, is the degree-0 multiderivation with zero symbol whose
+table holds the columns N e_j; the Nijenhuis entry points refuse any other
+operand (``_check_bundle_map``) and apply N through ``md_eval``.  One
+driver, ``_leibniz_failure``, decides that rule for every check of this
+form: axiom (b), the symbol bracket and the Nijenhuis symbols.  One Leibniz
 evaluator, ``_leibniz``, computes the closed form above for any
 multiderivation; the bracket is its degree-1 case, and a degree-0 one is
 the case of a single section.  One tensorial evaluator, ``_tensorial``,
@@ -39,9 +42,9 @@ the shuffle-signed commutator.  Degrees above 1 are not modeled here:
 their evaluation would need coefficient rules in block arguments that the
 structure does not determine.  So insertion is k = 0 only: D2 enters the
 last wedge of a degree-1 D1, with the identity shuffle and sign 1, and on
-generators D2 is its table, read by lookup.  Paper API that nothing
-here calls: ``make_bundle_map``, ``md_eval``, ``nijenhuis_section_bracket``
-and ``nijenhuis_symbol_check``.
+generators D2 is its table, read by lookup.
+Paper API that nothing here calls: ``make_bundle_map``,
+``nijenhuis_section_bracket`` and ``nijenhuis_symbol_check``.
 """
 
 from __future__ import annotations
@@ -124,7 +127,8 @@ class PolyMultiderivation(Record):
     at degree 0, n-tuples at degree 1.  ``symbol`` holds the vector field
     on the sorted wedge of the other generators: the key () at degree 0,
     (n-1)-tuples at degree 1.  An algebroid is the degree-1 case: the
-    table is its bracket and the symbol its anchor.
+    table is its bracket and the symbol its anchor.  A bundle map is the
+    degree-0 case with zero symbol: the table holds its columns N e_j.
     """
 
     __slots__ = ("num_vars", "rank", "arity", "degree", "table", "symbol")
@@ -704,39 +708,17 @@ def example_tangent_topform(m_base: int, n: int) -> PolyMultiderivation:
     return make_poly_algebroid(m_base, m_base, n + 1, {}, anchor)
 
 
-class PolyLinearBundleMap(Record):
-    """r x r matrix of polynomials acting on sections."""
-
-    __slots__ = ("num_vars", "rank", "entries")
-    num_vars: int
-    rank: int
-    entries: tuple[tuple[MultiPoly, ...], ...]
-
-    def apply(self, s: PolySection) -> PolySection:
-        if s.rank != self.rank or s.num_vars != self.num_vars:
-            raise DimensionMismatch("section over the wrong bundle")
-        comps = []
-        for i in range(self.rank):
-            acc = poly_zero(self.num_vars)
-            for j in range(self.rank):
-                if not s.comps[j].is_zero and not self.entries[i][j].is_zero:
-                    acc = acc + self.entries[i][j] * s.comps[j]
-            comps.append(acc)
-        return PolySection(self.num_vars, self.rank, tuple(comps))
-
-
-def make_bundle_map(num_vars: int, rank: int,
+def make_bundle_map(num_vars: int, rank: int, arity: int,
                     entries: Sequence[Sequence[MultiPoly]],
-                    ) -> PolyLinearBundleMap:
+                    ) -> PolyMultiderivation:
+    """The bundle map N with rows ``entries``: the degree-0
+    multiderivation with zero symbol whose table holds the columns N e_j."""
     if len(entries) != rank or any(len(row) != rank for row in entries):
         raise DimensionMismatch("bundle map must be a square rank x rank "
                                 "array")
-    for row in entries:
-        for p in row:
-            if p.num_vars != num_vars:
-                raise DimensionMismatch("entry over wrong variable count")
-    return PolyLinearBundleMap(num_vars, rank,
-                               tuple(tuple(row) for row in entries))
+    return make_poly_multiderivation(
+        num_vars, rank, arity, 0,
+        {(j,): [row[j] for row in entries] for j in range(rank)}, {})
 
 
 def bracket_derivation(abd: PolyMultiderivation) -> PolyMultiderivation:
@@ -884,21 +866,32 @@ def check_symbol_leibniz(abd: PolyMultiderivation,
     return CheckResult(bad is None, bad)
 
 
+def _check_bundle_map(abd: PolyMultiderivation,
+                      nmap: PolyMultiderivation) -> None:
+    """A Nijenhuis entry point takes an algebroid and a bundle map of its
+    bundle: a degree-0 multiderivation with zero symbol."""
+    _check_algebroid(abd)
+    _check_pair(abd, nmap)
+    if nmap.degree != 0 or nmap.symbol:
+        raise DimensionMismatch("a bundle map is a degree-0 "
+                                "multiderivation with zero symbol")
+
+
 def nijenhuis_section_bracket(abd: PolyMultiderivation,
-                              nmap: PolyLinearBundleMap, k: int,
+                              nmap: PolyMultiderivation, k: int,
                               sections: Sequence[PolySection],
                               ) -> PolySection:
     """k-th deformed bracket on sections: operator in k slots minus the
     operator applied to the previous deformed bracket; k = 0 is the
-    bracket itself.  Every level is built by ``section_bracket``, which
-    refuses a degree-0 ``abd``."""
+    bracket itself."""
+    _check_bundle_map(abd, nmap)
     if not 0 <= k <= abd.arity - 1:
         raise DimensionMismatch("deformed brackets exist for 0 <= k <= n-1")
     return _deformed_brackets(abd, nmap, sections)(k)
 
 
 def _deformed_brackets(abd: PolyMultiderivation,
-                       nmap: PolyLinearBundleMap,
+                       nmap: PolyMultiderivation,
                        sections: Sequence[PolySection],
                        ) -> Callable[[int], PolySection]:
     """k -> the k-th deformed bracket on ``sections``; the tower up to k is
@@ -908,13 +901,13 @@ def _deformed_brackets(abd: PolyMultiderivation,
     def deformed(k: int) -> PolySection:
         while len(tower) <= k:
             if tower and not mapped:
-                mapped.extend(nmap.apply(s) for s in sections)
+                mapped.extend(md_eval(nmap, (), [s]) for s in sections)
             total = section_zero(abd.num_vars, abd.rank)
             for slots in itertools.combinations(range(abd.arity), len(tower)):
                 args = [mapped[t] if t in slots else s
                         for t, s in enumerate(sections)]
                 total = section_add(total, section_bracket(abd, args))
-            tower.append(section_sub(total, nmap.apply(tower[-1]))
+            tower.append(section_sub(total, md_eval(nmap, (), [tower[-1]]))
                          if tower else total)
         return tower[k]
 
@@ -922,12 +915,10 @@ def _deformed_brackets(abd: PolyMultiderivation,
 
 
 def check_poly_nijenhuis(abd: PolyMultiderivation,
-                         nmap: PolyLinearBundleMap) -> CheckResult:
+                         nmap: PolyMultiderivation) -> CheckResult:
     """Closure on all sorted generator tuples: the deformed bracket one
     level above the top, [N x_1, .., N x_n] - N [x]^(n-1)_N, vanishes."""
-    _check_algebroid(abd)
-    if (nmap.num_vars, nmap.rank) != (abd.num_vars, abd.rank):
-        raise DimensionMismatch("bundle map over the wrong bundle")
+    _check_bundle_map(abd, nmap)
     n, r = abd.arity, abd.rank
     for key in itertools.combinations(range(r), n):
         gens = [generator_section(abd.num_vars, r, j) for j in key]
@@ -937,24 +928,22 @@ def check_poly_nijenhuis(abd: PolyMultiderivation,
 
 
 def nijenhuis_symbol_check(abd: PolyMultiderivation,
-                           nmap: PolyLinearBundleMap) -> CheckResult:
+                           nmap: PolyMultiderivation) -> CheckResult:
     """The symbol of the k-th deformed bracket must be the anchor with the
     operator inserted into k wedge slots, for every k.
 
     The actual symbol action is read off as the Leibniz defect of the
     deformed bracket on a weighted generator (``_leibniz_failure``), with
-    the bundle map's entries lifted like the bracket.  Each tower of
-    deformed brackets on (x, z, weighted or not) is built once and read
-    for every k.
+    the bundle map lifted like the bracket.  Each tower of deformed
+    brackets on (x, z, weighted or not) is built once and read for every
+    k.
     """
     res = check_poly_nijenhuis(abd, nmap)
     if not res.holds:
         raise InvalidStructure("bundle map fails the Nijenhuis condition",
                                witness=res.witness)
     n, r, m = abd.arity, abd.rank, abd.num_vars
-    lift = _lift(abd)
-    tmap = PolyLinearBundleMap(m + 1, r, tuple(tuple(_pad(p) for p in row)
-                                               for row in nmap.entries))
+    lift, tmap = _lift(abd), _lift(nmap)
     towers: dict[tuple[Key, int, bool], Callable[[int], PolySection]] = {}
 
     def frames(gens):
@@ -964,7 +953,7 @@ def nijenhuis_symbol_check(abd: PolyMultiderivation,
                 claimed = vf_zero(m + 1)
                 for slots in itertools.combinations(range(n - 1), k):
                     claimed = claimed + anchor_eval(lift, [
-                        tmap.apply(x) if t in slots else x
+                        md_eval(tmap, (), [x]) if t in slots else x
                         for t, x in enumerate(xs)])
                 yield ({"k": k, "x": xk}, lambda z, key: towers.setdefault(
                     (xk, *key), _deformed_brackets(lift, tmap, xs + [z]))(k),

@@ -392,10 +392,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             args.run(args, report)
             # render before writing, so a failed render prints nothing
             text = report.render(args.format)
-    except (InputFormatError, OutputTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatch, InvalidStructure) as exc:
+    except (InputFormatError, OutputTooLarge, DimensionMismatch,
+            InvalidStructure) as exc:
         print(f"error: {exc}{_witness_detail(exc)}", file=sys.stderr)
         return 2
     finally:

@@ -46,8 +46,9 @@ differential.
 The convention note that matters when reading the sums: the insertion block
 index k+q+1 is counted with q = deg(D2) for either operand order; both
 orders run through the same routine with the roles swapped.
-``from_matrix`` (a linear map as a degree-0 cochain) and
-``is_filippov_derivation`` are paper API that nothing here calls.
+``from_matrix`` reads a linear map as a degree-0 cochain.
+Paper API that nothing here calls: ``from_matrix`` and
+``is_filippov_derivation``.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
 coboundary columns in a combined elimination.  Each kept vector is a cocycle
 and no rational combination of kept vectors is a coboundary.
-``outer_derivations`` (H^1 as derivations modulo inner ones) is paper API
-that nothing here calls.
+``outer_derivations`` reads H^1 as derivations modulo inner ones.
+Paper API that nothing here calls: ``outer_derivations``.
 """
 
 from __future__ import annotations

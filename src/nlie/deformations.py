@@ -182,7 +182,11 @@ def _integral_series(
     quantity linear in phi_t, such as the conjugate or the two sides of
     the intertwining identity, then has as its t^r coefficient the u^r
     coefficient computed here divided by scales[r] = L·D^r."""
-    mats = [Matrix.identity(path.base.dim), *emap.maps[:top]]
+    m = path.base.dim
+    if any((mat.rows, mat.cols) != (m, m) for mat in emap.maps):
+        raise DimensionMismatch("equivalence maps must be square matrices "
+                                "of the base dimension")
+    mats = [Matrix.identity(m), *emap.maps[:top]]
     den = lcm(*(x.denominator for mat in mats for row in mat.data
                 for x in row.values()))
     sups = [None if mat.is_zero else
@@ -257,9 +261,10 @@ def check_equivalence(path1: DeformationPath, path2: DeformationPath,
     if path1.base.arity != path2.base.arity or \
             path1.base.dim != path2.base.dim:
         raise DimensionMismatch("paths live over different spaces")
+    # conjugate first, so a map over another space is an input error
+    conj = conjugate_path(path1, emap)
     if path1.base.structure != path2.base.structure:
         return EquivalenceCheck(False, 0)
-    conj = conjugate_path(path1, emap)
     for r in range(1, path1.order + 1):
         if conj.terms[r - 1].entries != path2.terms[r - 1].entries:
             return EquivalenceCheck(False, r)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from nlie.algebra import WedgeElement, make_algebra, make_wedge
-from nlie.algebroid import PolyLinearBundleMap, make_bundle_map
+from nlie.algebroid import PolyMultiderivation, make_bundle_map
 from nlie.catalog import conjugated_algebra
 from nlie.cochains import Cochain
 from nlie.errors import DimensionMismatch
@@ -77,10 +77,10 @@ def vf_coordinate(num_vars: int, var: int) -> PolyVectorField:
     return PolyVectorField(num_vars, tuple(comps))
 
 
-def constant_bundle_map(num_vars: int, rank: int,
-                        scalars) -> PolyLinearBundleMap:
+def constant_bundle_map(num_vars: int, rank: int, arity: int,
+                        scalars) -> PolyMultiderivation:
     return make_bundle_map(
-        num_vars, rank,
+        num_vars, rank, arity,
         [[poly_const(num_vars, c) for c in row] for row in scalars])
 
 
@@ -549,6 +549,20 @@ def ref_check_symbol_leibniz(abd, d1, d2, degree=2):
     return CheckResult(True, None)
 
 
+def _ref_apply(nmap, s):
+    """N s = sum_j s_j N e_j, with the columns N e_j read from the table
+    of the bundle map by hand."""
+    import nlie.algebroid as A
+
+    out = A.section_zero(s.num_vars, s.rank)
+    for j, p in enumerate(s.comps):
+        col = nmap.table.get((j,))
+        if col is not None:
+            out = A.section_add(out, A.section_scale(
+                p, A.make_section(s.num_vars, s.rank, col)))
+    return out
+
+
 def ref_nijenhuis_symbol_check(abd, nmap, degree=2):
     """``nijenhuis_symbol_check`` with one evaluation per frame and
     monomial weight of degree at most ``degree``."""
@@ -568,7 +582,8 @@ def ref_nijenhuis_symbol_check(abd, nmap, degree=2):
         for xk in itertools.combinations(range(r), n - 1):
             gens = [A.generator_section(m, r, j) for j in xk]
             # the anchors of the N-twisted frames depend on neither j nor f
-            anchors = [A.anchor_eval(abd, [nmap.apply(g) if t in slots else g
+            anchors = [A.anchor_eval(abd, [_ref_apply(nmap, g)
+                                           if t in slots else g
                                            for t, g in enumerate(gens)])
                        for slots in itertools.combinations(range(n - 1), k)]
             for j in range(r):
@@ -680,9 +695,10 @@ def rand_multiderivation(rng: random.Random, m: int, r: int, n: int,
     return make_poly_multiderivation(m, r, n, degree, table, symbol)
 
 
-def rand_bundle_map(rng: random.Random, m: int, r: int):
+def rand_bundle_map(rng: random.Random, m: int, r: int, n: int):
     """A constant diagonal map, a polynomial multiple of the identity, or
-    a sparse random map (which usually fails the Nijenhuis condition)."""
+    a sparse random map (which usually fails the Nijenhuis condition), as
+    the degree-0 multiderivation of arity n."""
     from nlie.algebroid import make_bundle_map
     from nlie.poly import poly_const, poly_zero
 
@@ -692,11 +708,11 @@ def rand_bundle_map(rng: random.Random, m: int, r: int):
     elif kind == "scalar":
         diag = [rand_low_poly(rng, m, 2)] * r
     else:
-        return make_bundle_map(m, r, [
+        return make_bundle_map(m, r, n, [
             [rand_low_poly(rng, m) if rng.random() < 0.3 else poly_zero(m)
              for _ in range(r)] for _ in range(r)])
-    return make_bundle_map(m, r, [[diag[i] if i == j else poly_zero(m)
-                                   for j in range(r)] for i in range(r)])
+    return make_bundle_map(m, r, n, [[diag[i] if i == j else poly_zero(m)
+                                      for j in range(r)] for i in range(r)])
 
 
 # ------------------------------------------------------------------

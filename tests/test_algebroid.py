@@ -4,8 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (constant_bundle_map, monomials, rand_invertible,
-                     rand_poly, vf_coordinate)
+from helpers import (constant_bundle_map, monomials, rand_bundle_map,
+                     rand_invertible, rand_poly, rand_poly_algebroid,
+                     vf_coordinate)
 
 from nlie.algebroid import (PolyVectorField, anchor_eval, anchor_on_generators,
                             bracket_derivation, check_algebroid_axioms,
@@ -384,7 +385,7 @@ def test_algebroid_entry_points_refuse_degree_zero(entry):
     d0 = make_poly_multiderivation(3, 3, 3, 0, table,
                                    {(): vf_coordinate(3, 0)})
     e = [generator_section(3, 3, j) for j in range(3)]
-    nmap = constant_bundle_map(3, 3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    nmap = constant_bundle_map(3, 3, 3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     _ALGEBROID_ENTRY_POINTS[entry](top, e, nmap)
     with pytest.raises(DimensionMismatch, match="degree-1"):
         _ALGEBROID_ENTRY_POINTS[entry](d0, e, nmap)
@@ -458,7 +459,7 @@ def test_symbol_leibniz_mixed_degrees():
 def test_nijenhuis_section_bracket_basics():
     top = example_tangent_topform(3, 2)
     g = [generator_section(3, 3, j) for j in range(3)]
-    zero_map = constant_bundle_map(3, 3, [[0] * 3] * 3)
+    zero_map = constant_bundle_map(3, 3, 3, [[0] * 3] * 3)
     assert nijenhuis_section_bracket(top, zero_map, 0, g).comps == \
         section_bracket(top, g).comps
     for k in (1, 2):
@@ -469,23 +470,24 @@ def test_nijenhuis_section_bracket_basics():
 
 def test_poly_nijenhuis_constant_diagonals():
     fc = sl2_fc()
-    good = constant_bundle_map(3, 3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+    good = constant_bundle_map(3, 3, 2, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
     assert check_poly_nijenhuis(fc, good).holds
-    bad = constant_bundle_map(3, 3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    bad = constant_bundle_map(3, 3, 2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     res = check_poly_nijenhuis(fc, bad)
     assert not res.holds
     assert res.witness["tuple"] == (1, 2)
     with pytest.raises(DimensionMismatch):
-        check_poly_nijenhuis(fc, constant_bundle_map(2, 2, [[1, 0], [0, 1]]))
+        check_poly_nijenhuis(fc, constant_bundle_map(2, 2, 2,
+                                                     [[1, 0], [0, 1]]))
 
 
 def test_polynomial_nijenhuis_on_topform():
     # x_0 * Id: both sides of the closure condition equal x_0^2 e_2
     top = example_tangent_topform(3, 2)
-    N = make_bundle_map(3, 3, [[x(3, 0) if i == j else poly_zero(3)
-                                for j in range(3)] for i in range(3)])
+    N = make_bundle_map(3, 3, 3, [[x(3, 0) if i == j else poly_zero(3)
+                                   for j in range(3)] for i in range(3)])
     g = [generator_section(3, 3, j) for j in range(3)]
-    lhs = section_bracket(top, [N.apply(s) for s in g])
+    lhs = section_bracket(top, [md_eval(N, (), [s]) for s in g])
     expect = section_scale(x(3, 0) * x(3, 0), g[2])
     assert section_sub(lhs, expect).is_zero
     assert check_poly_nijenhuis(top, N).holds
@@ -494,37 +496,122 @@ def test_polynomial_nijenhuis_on_topform():
 
 def test_nijenhuis_symbol_identity():
     top = example_tangent_topform(3, 2)
-    diagonal = constant_bundle_map(3, 3, [[2, 0, 0], [0, 3, 0], [0, 0, 5]])
+    diagonal = constant_bundle_map(3, 3, 3,
+                                   [[2, 0, 0], [0, 3, 0], [0, 0, 5]])
     assert nijenhuis_symbol_check(top, diagonal).holds
-    zero_map = constant_bundle_map(3, 3, [[0] * 3] * 3)
+    zero_map = constant_bundle_map(3, 3, 3, [[0] * 3] * 3)
     assert nijenhuis_symbol_check(top, zero_map).holds
     # zero anchor: every symbol vanishes and the identity is trivial
     fc = example_tangent_fc(levi_civita_bracket(), x(4, 0))
-    lam = constant_bundle_map(4, 4, [[3 if i == j else 0 for j in range(4)]
-                                     for i in range(4)])
+    lam = constant_bundle_map(4, 4, 3, [[3 if i == j else 0
+                                         for j in range(4)]
+                                        for i in range(4)])
     assert nijenhuis_symbol_check(fc, lam).holds
 
 
 def test_nijenhuis_symbol_check_rejects_bad_map():
     fc = sl2_fc()
-    bad = constant_bundle_map(3, 3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    bad = constant_bundle_map(3, 3, 2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(InvalidStructure):
         nijenhuis_symbol_check(fc, bad)
 
 
 def test_bundle_map_constructors():
-    N = make_bundle_map(2, 2, [[x(2, 0), poly_zero(2)],
-                               [poly_zero(2), poly_const(2, 1)]])
+    N = make_bundle_map(2, 2, 2, [[x(2, 0), poly_zero(2)],
+                                  [poly_zero(2), poly_const(2, 1)]])
+    # the degree-0 multiderivation with zero symbol, its table the columns
+    assert (N.degree, N.symbol) == (0, {})
+    assert N.table == {(0,): (x(2, 0), poly_zero(2)),
+                       (1,): (poly_zero(2), poly_const(2, 1))}
     s = make_section(2, 2, [poly_const(2, 1), x(2, 1)])
-    out = N.apply(s)
+    out = md_eval(N, (), [s])
     assert out.comps[0] == x(2, 0)
     assert out.comps[1] == x(2, 1)
     with pytest.raises(DimensionMismatch):
-        make_bundle_map(2, 2, [[poly_zero(2)]])
+        make_bundle_map(2, 2, 2, [[poly_zero(2)]])
     with pytest.raises(DimensionMismatch):
-        make_bundle_map(2, 2, [[poly_zero(3)] * 2] * 2)
+        make_bundle_map(2, 2, 2, [[poly_zero(3)] * 2] * 2)
     with pytest.raises(DimensionMismatch):
-        N.apply(make_section(2, 3, [poly_zero(2)] * 3))
+        md_eval(N, (), [make_section(2, 3, [poly_zero(2)] * 3)])
+
+
+_NOT_BUNDLE_MAPS = {
+    # a rank-2 map over two variables
+    "bundle": lambda: make_bundle_map(2, 2, 3, [[x(2, 0), poly_zero(2)],
+                                                [poly_zero(2), x(2, 1)]]),
+    "arity": lambda: constant_bundle_map(3, 3, 2,
+                                         [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    "degree one": lambda: example_tangent_topform(3, 2),
+    "symbol": lambda: make_poly_multiderivation(
+        3, 3, 3, 0, {(j,): tuple(poly_const(3, 2 if i == j else 0)
+                                 for i in range(3)) for j in range(3)},
+        {(): vf_coordinate(3, 0)}),
+}
+
+
+@pytest.mark.parametrize("operand", sorted(_NOT_BUNDLE_MAPS))
+def test_nijenhuis_entry_points_take_only_bundle_maps(operand):
+    # one check refuses anything but a degree-0 multiderivation of the
+    # algebroid's bundle with zero symbol, at every k, the bracket k = 0
+    # included
+    top = example_tangent_topform(3, 2)
+    g = [generator_section(3, 3, j) for j in range(3)]
+    nmap = _NOT_BUNDLE_MAPS[operand]()
+    refused = r"different bundles|zero symbol"
+    for k in range(3):
+        with pytest.raises(DimensionMismatch, match=refused):
+            nijenhuis_section_bracket(top, nmap, k, g)
+    with pytest.raises(DimensionMismatch, match=refused):
+        check_poly_nijenhuis(top, nmap)
+    with pytest.raises(DimensionMismatch, match=refused):
+        nijenhuis_symbol_check(top, nmap)
+
+
+def _assert_graded_bracket_is_deformed(abd, nmap):
+    """The polynomial twin of acceptance criterion 07: the graded bracket
+    [pi, N] of the algebroid pi with a bundle map N is the first deformed
+    bracket [.]^1_N, its symbol is the anchor with N inserted into one
+    slot, and it obeys the Leibniz rule with that symbol."""
+    m, r, n = abd.num_vars, abd.rank, abd.arity
+    weight = poly_const(m, 2) + (x(m, 0) if m else poly_zero(m))
+    symbols = symbol_bracket(abd, nmap)
+    for xk in itertools.combinations(range(r), n - 1):
+        xs = [generator_section(m, r, j) for j in xk]
+        for j in range(r):
+            z = section_scale(weight, generator_section(m, r, j))
+            assert section_sub(
+                md_bracket_eval(abd, nmap, (xk,), z),
+                nijenhuis_section_bracket(abd, nmap, 1, xs + [z])).is_zero
+        claimed = vf_zero(m)
+        for s in range(n - 1):
+            claimed = claimed + anchor_eval(abd, [
+                md_eval(nmap, (), [y]) if t == s else y
+                for t, y in enumerate(xs)])
+        assert (symbols[(xk,)] - claimed).is_zero
+    assert check_symbol_leibniz(abd, abd, nmap).holds
+
+
+@pytest.mark.parametrize("model", [
+    lambda: example_tangent_topform(3, 2),
+    lambda: example_tangent_topform(4, 3),
+    lambda: example_tangent_fc(sl2(), x(3, 0)),
+    lambda: example_tangent_fc(levi_civita_bracket(), x(4, 0))],
+    ids=["topform-3-2", "topform-4-3", "fc-sl2", "fc-levi-civita"])
+def test_graded_bracket_with_bundle_map_on_models(model):
+    abd = model()
+    rng = random.Random(31)
+    for _ in range(3):
+        _assert_graded_bracket_is_deformed(
+            abd, rand_bundle_map(rng, abd.num_vars, abd.rank, abd.arity))
+
+
+def test_graded_bracket_with_bundle_map_random():
+    for seed in range(20):
+        rng = random.Random(seed)
+        m, r = rng.randint(0, 3), rng.randint(2, 4)
+        n = min(rng.randint(2, 3), r)
+        abd = rand_poly_algebroid(rng, m, r, n)
+        _assert_graded_bracket_is_deformed(abd, rand_bundle_map(rng, m, r, n))
 
 
 def test_poly_family_sizes():

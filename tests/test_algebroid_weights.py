@@ -178,7 +178,7 @@ def test_nijenhuis_symbol_matches_reference_random():
         rng = random.Random(seed)
         m, r, n = _shape(rng)
         abd = rand_poly_algebroid(rng, m, r, n)
-        nmap = rand_bundle_map(rng, m, r)
+        nmap = rand_bundle_map(rng, m, r, n)
         res = _outcome(nijenhuis_symbol_check, abd, nmap)
         # the reference on every monomial of degree <= 3
         assert res == _outcome(ref_nijenhuis_symbol_check, abd, nmap, 3), seed
@@ -534,8 +534,9 @@ def test_planted_symbol(monkeypatch):
 
 def test_planted_nijenhuis_symbol(monkeypatch):
     top = example_tangent_topform(3, 2)
-    nmap = make_bundle_map(3, 3, [[poly_var(3, 0) if i == j else poly_zero(3)
-                                   for j in range(3)] for i in range(3)])
+    nmap = make_bundle_map(3, 3, 3, [[poly_var(3, 0) if i == j
+                                      else poly_zero(3)
+                                      for j in range(3)] for i in range(3)])
     assert nijenhuis_symbol_check(top, nmap).holds
     _plant_vf_apply(monkeypatch, 3)
     _fails_like_reference(nijenhuis_symbol_check(top, nmap),

@@ -305,21 +305,35 @@ def test_one_elimination_routine():
 
 
 def test_one_multiderivation_record():
-    """An algebroid is its degree-1 bracket multiderivation: ``algebroid``
-    defines one record class with a table and a symbol, has no second
-    lift or symbol key adapter, and no module reads the fields of the
-    deleted algebroid record."""
+    """An algebroid is its degree-1 bracket multiderivation and a bundle
+    map its degree-0 one with zero symbol: ``algebroid`` defines one
+    record class with a table and a symbol and no record besides it and
+    ``PolySection``, no ``apply`` method (a second section evaluator), no
+    second lift or symbol key adapter, and no module reads the fields of
+    the deleted algebroid record."""
     root = pathlib.Path(nlie.__file__).parent
     tree = ast.parse((root / "algebroid.py").read_text())
-    tables = [node.name for node in tree.body
-              if isinstance(node, ast.ClassDef) and {"table", "symbol"} <= {
-                  sub.target.id for sub in node.body
-                  if isinstance(sub, ast.AnnAssign)}]
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    tables = [node.name for node in classes if {"table", "symbol"} <= {
+        sub.target.id for sub in node.body
+        if isinstance(sub, ast.AnnAssign)}]
     assert tables == ["PolyMultiderivation"]
+    assert [node.name for node in classes] == ["PolySection",
+                                               "PolyMultiderivation"]
+    assert "apply" not in {sub.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ClassDef)
+                           for sub in node.body
+                           if isinstance(sub, ast.FunctionDef)}
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not {"_lift_md", "_symbol", "_pad_tables",
-                "PolyFilippovAlgebroid"} & defined
+                "PolyFilippovAlgebroid", "PolyLinearBundleMap"} & defined
+    # one lift: only ``_lift`` pads a table
+    assert {func.name for func in tree.body
+            if isinstance(func, ast.FunctionDef)
+            for sub in ast.walk(func)
+            if isinstance(sub, ast.Name) and sub.id == "_pad"} == {
+                "_lift", "_pad_field"}
     here = pathlib.Path(__file__).parent
     paths = [*root.glob("*.py"), *here.glob("*.py"),
              *(here.parent / "perfbench").glob("*.py")]
@@ -327,6 +341,42 @@ def test_one_multiderivation_record():
         reads = {sub.attr for sub in ast.walk(ast.parse(path.read_text()))
                  if isinstance(sub, ast.Attribute)}
         assert not {"bracket_table", "anchor_table"} & reads, path.name
+
+
+_UNCALLED_API = re.compile(r"Paper API that nothing here calls: "
+                           r"``\w+``((, ``\w+``)* and ``\w+``)?\.$")
+
+
+def test_uncalled_api_lists_are_true():
+    """A module docstring may end with the sentence "Paper API that
+    nothing here calls: ``a``, ``b`` and ``c``."  Every name it lists is
+    defined at the top of its module, and no other function or statement
+    in ``nlie`` names it."""
+    root = pathlib.Path(nlie.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(root.glob("*.py"))}
+    listed = {}
+    for module, tree in trees.items():
+        doc = " ".join((ast.get_docstring(tree) or "").split())
+        if "nothing here calls" in doc:
+            sentence = _UNCALLED_API.search(doc)
+            assert sentence, module
+            listed[module] = re.findall(r"``(\w+)``", sentence.group())
+    assert sorted(listed) == ["algebra.py", "algebroid.py", "cochains.py",
+                              "cohomology.py", "deformations.py"]
+    for module, names in listed.items():
+        defs = {node.name: node for node in trees[module].body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for api in names:
+            assert api in defs, (module, api)
+            for name, tree in trees.items():
+                own = defs[api] if name == module else None
+                uses = [sub for node in tree.body if node is not own
+                        for sub in ast.walk(node)
+                        if getattr(sub, "id", None) == api
+                        or getattr(sub, "attr", None) == api
+                        or isinstance(sub, ast.alias) and sub.name == api]
+                assert not uses, (module, api, name)
 
 
 def test_polynomials_validated_where_they_enter():
@@ -635,6 +685,19 @@ def test_deform_equiv_orientation(capsys, tmp_path):
     code, out, _ = run(capsys, "deform", "equiv", deformed, const, target)
     assert code == 1 and "first failing power: 1" in out
 
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_deform_equiv_map_of_other_dimension_is_input_error(capsys, tmp_path,
+                                                            dim):
+    # the path lives on Q^4; an identity map of another size is an input
+    # error, not a traceback and not a failed equivalence
+    path = write(tmp_path, "p.json",
+                 path_to_json(constant_path(levi_civita_bracket(), 1)))
+    emap = write(tmp_path, "e.json", emap_to_json(make_equivalence_map(
+        dim, 1, [Matrix.identity(dim)]), dim))
+    code, out, err = run(capsys, "deform", "equiv", path, path, emap)
+    assert (code, out) == (2, "")
+    assert "base dimension" in _single_error(err)
 
 def test_deform_rigidity(capsys, sl2_file, tmp_path):
     code, out, _ = run(capsys, "--seed", "5", "deform", "rigidity",

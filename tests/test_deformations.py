@@ -227,6 +227,32 @@ def test_conjugation_preserves_validity():
     assert check_deformation(conj, "truncated").holds
 
 
+def test_series_refuse_maps_of_another_dimension():
+    # an equivalence map over another space is refused before its columns
+    # are read against the base's keys; Phi_t = Id (no maps) fits any base
+    path = deformation_from_nijenhuis(levi_civita_bracket(), diag(1, 2, 1, 2))
+    const = constant_path(path.base, path.order)
+    # the same space, another bracket: the map is refused all the same
+    other = constant_path(conjugated_algebra(path.base, diag(2, 1, 1, 1)),
+                          path.order)
+    for dim in (2, 3, 5):
+        emap = EquivalenceMap(path.order, (Matrix.identity(dim),))
+        with pytest.raises(DimensionMismatch, match="base dimension"):
+            conjugate_path(path, emap)
+        with pytest.raises(DimensionMismatch, match="base dimension"):
+            check_homomorphism_family(path, emap)
+        for target in (const, other):
+            with pytest.raises(DimensionMismatch, match="base dimension"):
+                check_equivalence(const, target, emap)
+    for alg in (sl2(), levi_civita_bracket(), heisenberg3()):
+        identity = EquivalenceMap(2, ())
+        assert conjugate_path(constant_path(alg, 2), identity) == \
+            constant_path(alg, 2)
+        assert check_homomorphism_family(constant_path(alg, 2),
+                                         identity).holds
+        assert check_equivalence(constant_path(alg, 2), constant_path(alg, 2),
+                                 identity).holds
+
 def test_check_equivalence_validation():
     eps = levi_civita_bracket()
     with pytest.raises(DimensionMismatch):

@@ -254,11 +254,18 @@ DEFORM_CASES = [
 @st.composite
 def mutated_deform_inputs(draw) -> list[str]:
     """A case of ``DEFORM_CASES`` as three texts, one of them (path1,
-    path2 or the map) mutated like an algebra document.  Case and slot
-    come from a seeded Random, like the mutations."""
+    path2 or the map) mutated like an algebra document.  Half the time the
+    map is another case's at this case's order, which may be square of
+    another dimension than the paths' base (``N3`` against the
+    Levi-Civita paths).  Case, slot and map come from a seeded Random,
+    like the mutations."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    docs = [json.dumps(doc) for doc in rng.choice(DEFORM_CASES)]
+    case = rng.choice(DEFORM_CASES)
+    docs = [json.dumps(doc) for doc in case]
     slot = rng.randrange(3)
+    if rng.random() < 0.5:
+        docs[2] = json.dumps(dict(rng.choice(DEFORM_CASES)[2],
+                                  order=case[2]["order"]))
     docs[slot] = draw(mutated_documents([json.loads(docs[slot])]))
     return docs
 

@@ -12,8 +12,7 @@ import pytest
 import nlie.cli  # noqa: F401  (loads every module of the package)
 from nlie.algebra import (CheckResult, NLieAlgebra, Representation,
                           WedgeElement)
-from nlie.algebroid import (PolyLinearBundleMap, PolyMultiderivation,
-                            PolySection)
+from nlie.algebroid import PolyMultiderivation, PolySection
 from nlie.chevalley import CECochain
 from nlie.cochains import Cochain
 from nlie.cohomology import CohomologyReport
@@ -42,7 +41,6 @@ SAMPLES = {
     WedgeElement: ((1, 2, {(0,): F(1)}), (1, 2, {(1,): F(1)})),
     Representation: ((2, 1, 2, {((0,), 0): (F(1),)}), (2, 1, 2, {})),
     PolySection: ((1, 1, (X,)), (1, 1, (ZERO,))),
-    PolyLinearBundleMap: ((1, 1, ((X,),)), (1, 1, ((ZERO,),))),
     PolyMultiderivation: ((1, 1, 2, 0, {(0,): (X,)}, {}),
                           (1, 1, 2, 1, {(0,): (X,)}, {})),
     CECochain: ((2, 1, {(0,): (F(1), F(0))}), (2, 1, {})),
