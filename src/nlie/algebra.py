@@ -20,8 +20,8 @@ strictly increasing int indices, 0-based, of a fixed length and below a
 fixed bound (``make_wedge`` takes a key in any order, sorts it with its
 sign and drops it on a repeat); ``coeff_vector`` reads Fraction vectors.
 ``fundamental_bracket`` is the Leibniz bracket on (n-1)-wedges.
-Paper API that nothing here calls: ``fundamental_bracket``, ``ad_map`` and
-``adjoint_representation``.
+Paper API that nothing here calls: ``fundamental_bracket``, ``ad_map``,
+``make_representation`` and ``adjoint_representation``.
 """
 
 from __future__ import annotations

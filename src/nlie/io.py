@@ -6,7 +6,14 @@ Conventions, fixed once here so all documents agree:
 * rationals serialize as strings "p/q", or just "p" when the denominator
   is 1; plain JSON integers are accepted on input, floats are not;
 * coefficient vectors serialize sparsely as objects mapping the 1-based
-  component index (as a string) to a rational;
+  component index to a rational; the index is written canonically, as
+  ``str(i)`` writes it (ASCII digits with no sign, padding, separator or
+  leading zero), so two keys never name one component;
+* an entry keyed by a basis tuple carries it as ``"on"``: the number of
+  1-based indices its part requires, strictly increasing.
+  ``_write_keyed`` writes and ``_read_keyed`` reads every such part, and
+  the reader checks the count, range, order and repeats of each key at
+  the key itself;
 * polynomials serialize as term lists [{"exponents": [..], "coeff": "p/q"}]
   with one exponent per variable;
 * matrices serialize as dense row lists of rationals;
@@ -17,8 +24,8 @@ Conventions, fixed once here so all documents agree:
 
 Parsers raise ``InputFormatError`` carrying the path to the offending
 field, so the command line can report the location and exit with the
-input-error code instead of a traceback.  No verb reads or writes a
-representation or calls ``load_document``: they are library API.
+input-error code instead of a traceback.  No verb calls
+``load_document``: it is library API.
 """
 
 from __future__ import annotations
@@ -29,8 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
 
-from .algebra import (Key, NLieAlgebra, Representation, WedgeElement,
-                      make_algebra, make_representation)
+from .algebra import Key, NLieAlgebra, WedgeElement, make_algebra
 from .algebroid import (PolyMultiderivation, _check_algebroid,
                         make_poly_algebroid)
 from .cochains import Cochain, CochainKey, make_cochain
@@ -168,10 +174,14 @@ def _index(value: Any, bound: int, where: str) -> int:
     return value - 1
 
 
-def _key(value: Any, bound: int, where: str) -> Key:
-    """A list of strictly increasing 1-based indices in 1..bound, as a
-    0-based key: the one key-order check of every keyed part."""
+def _key(value: Any, length: int, bound: int, where: str) -> Key:
+    """A list of ``length`` strictly increasing 1-based indices in
+    1..bound, as a 0-based key: the one key check of every keyed part."""
     items = _expect_list(value, where)
+    # the count is checked first, so no error line echoes a long list
+    if len(items) != length:
+        raise InputFormatError(
+            f"key must have {length} indices, not {len(items)}", where)
     key = tuple(_index(v, bound, f"{where}[{t}]")
                 for t, v in enumerate(items))
     if any(a >= b for a, b in zip(key, key[1:])):
@@ -194,6 +204,11 @@ def vector_from_json(obj: Any, dim: int, where: str) -> tuple[Fraction, ...]:
         except ValueError:
             raise InputFormatError(
                 f"component key {_clip(raw_key)} is not an integer", where)
+        if str(component) != raw_key:
+            raise InputFormatError(
+                f"component key {_clip(raw_key)} must be written in ASCII "
+                "digits with no sign, padding, separator or leading zero",
+                where)
         i = _index(component, dim, where)
         out[i] = parse_fraction(raw_val, f"{where}.{raw_key}")
     return tuple(out)
@@ -210,16 +225,35 @@ def _wrap(ctor, where: str):
         raise InputFormatError(str(exc), where)
 
 
+def _write_keyed(table: Mapping[Key, Any], write) -> list[dict]:
+    """The entries of a keyed part: each key of ``table`` as ``"on"``,
+    1-based, then the fields ``write`` makes of its value, by key."""
+    return [{"on": [i + 1 for i in key], **write(value)}
+            for key, value in sorted(table.items())]
+
+
+def _read_keyed(doc: dict, name: str, length: int, bound: int, where: str,
+                what: str, read) -> dict:
+    """The keyed part ``name`` of ``doc`` as a table: ``read(item, here)``
+    by the key each entry carries as ``"on"``, checked by ``_key`` and
+    refused on a repeat, both at the key itself."""
+    table = {}
+    for here, item in _items(doc, name, where):
+        key = _key(_field(item, "on", here), length, bound, f"{here}.on")
+        if key in table:
+            raise InputFormatError(f"duplicate {what} key", f"{here}.on")
+        table[key] = read(item, here)
+    return table
+
+
 # ---------------------------------------------------------------- algebras
 
 def algebra_to_json(alg: NLieAlgebra) -> dict:
     return {
         "arity": alg.arity,
         "dim": alg.dim,
-        "brackets": [
-            {"on": [i + 1 for i in key], "value": vector_to_json(vec)}
-            for key, vec in sorted(alg.structure.items())
-        ],
+        "brackets": _write_keyed(
+            alg.structure, lambda vec: {"value": vector_to_json(vec)}),
     }
 
 
@@ -229,49 +263,11 @@ def algebra_from_json(obj: Any, where: str = "algebra") -> NLieAlgebra:
     dim = _int_field(doc, "dim", where)
     if arity < 2 or dim < 1:
         raise InputFormatError("need arity >= 2 and dim >= 1", where)
-    brackets: dict[Key, tuple[Fraction, ...]] = {}
-    for here, item in _items(doc, "brackets", where):
-        key = _key(_field(item, "on", here), dim, f"{here}.on")
-        if key in brackets:
-            raise InputFormatError("duplicate bracket key", f"{here}.on")
-        brackets[key] = vector_from_json(
-            _field(item, "value", here), dim, f"{here}.value")
+    brackets = _read_keyed(
+        doc, "brackets", arity, dim, where, "bracket",
+        lambda item, here: vector_from_json(
+            _field(item, "value", here), dim, f"{here}.value"))
     return _wrap(lambda: make_algebra(arity, dim, brackets), where)
-
-
-# ---------------------------------------------------------- representations
-
-def representation_to_json(rho: Representation) -> dict:
-    return {
-        "arity": rho.arity,
-        "algebra_dim": rho.algebra_dim,
-        "module_dim": rho.module_dim,
-        "action": [
-            {"on": [i + 1 for i in key], "of": j + 1,
-             "value": vector_to_json(vec)}
-            for (key, j), vec in sorted(rho.action.items())
-        ],
-    }
-
-
-def representation_from_json(obj: Any,
-                             where: str = "representation") -> Representation:
-    doc = _expect_object(obj, where)
-    arity = _int_field(doc, "arity", where)
-    m = _int_field(doc, "algebra_dim", where)
-    r = _int_field(doc, "module_dim", where)
-    if arity < 2 or m < 1 or r < 1:
-        raise InputFormatError("need arity >= 2 and positive dimensions",
-                               where)
-    action: dict[tuple[Key, int], tuple[Fraction, ...]] = {}
-    for here, item in _items(doc, "action", where):
-        key = _key(_field(item, "on", here), m, f"{here}.on")
-        j = _index(_field(item, "of", here), r, f"{here}.of")
-        if (key, j) in action:
-            raise InputFormatError("duplicate action key", here)
-        action[(key, j)] = vector_from_json(
-            _field(item, "value", here), r, f"{here}.value")
-    return _wrap(lambda: make_representation(m, r, arity, action), where)
 
 
 # ---------------------------------------------------------------- cochains
@@ -297,13 +293,19 @@ def cochain_from_json(obj: Any, where: str = "cochain") -> Cochain:
         raise InputFormatError(
             "need arity >= 2, dim >= 1 and degree >= 0", where)
     table: dict[CochainKey, tuple[Fraction, ...]] = {}
+    count = max(degree - 1, 0)
     for here, item in _items(doc, "entries", where):
         raw_blocks = _expect_list(_field(item, "tensor_blocks", here),
                                   f"{here}.tensor_blocks")
+        if len(raw_blocks) != count:
+            raise InputFormatError(
+                f"expected {count} tensor blocks at degree {degree}, got "
+                f"{len(raw_blocks)}", f"{here}.tensor_blocks")
         blocks = tuple(
-            _key(b, dim, f"{here}.tensor_blocks[{s}]")
+            _key(b, arity - 1, dim, f"{here}.tensor_blocks[{s}]")
             for s, b in enumerate(raw_blocks))
-        last = _key(_field(item, "wedge", here), dim, f"{here}.wedge")
+        last = _key(_field(item, "wedge", here), arity if degree else 1, dim,
+                    f"{here}.wedge")
         if (blocks, last) in table:
             raise InputFormatError("duplicate cochain key", here)
         table[(blocks, last)] = vector_from_json(
@@ -335,10 +337,8 @@ def wedge_to_json(w: WedgeElement) -> dict:
     return {
         "grade": w.grade,
         "dim": w.dim,
-        "coords": [
-            {"on": [i + 1 for i in key], "coeff": fraction_str(c)}
-            for key, c in sorted(w.coords.items())
-        ],
+        "coords": _write_keyed(
+            w.coords, lambda c: {"coeff": fraction_str(c)}),
     }
 
 
@@ -439,16 +439,10 @@ def algebroid_to_json(abd: PolyMultiderivation) -> dict:
         "num_vars": abd.num_vars,
         "rank": abd.rank,
         "arity": abd.arity,
-        "brackets": [
-            {"on": [i + 1 for i in key],
-             "value": [poly_to_json(p) for p in comps]}
-            for key, comps in sorted(abd.table.items())
-        ],
-        "anchor": [
-            {"on": [i + 1 for i in key],
-             "field": [poly_to_json(p) for p in field.components]}
-            for key, field in sorted(abd.symbol.items())
-        ],
+        "brackets": _write_keyed(abd.table, lambda comps: {
+            "value": [poly_to_json(p) for p in comps]}),
+        "anchor": _write_keyed(abd.symbol, lambda field: {
+            "field": [poly_to_json(p) for p in field.components]}),
     }
 
 
@@ -461,21 +455,14 @@ def algebroid_from_json(obj: Any,
     if num_vars < 0 or rank < 1 or arity < 2:
         raise InputFormatError(
             "need num_vars >= 0, rank >= 1 and arity >= 2", where)
-    brackets: dict[Key, tuple[MultiPoly, ...]] = {}
-    for here, item in _items(doc, "brackets", where):
-        key = _key(_field(item, "on", here), rank, f"{here}.on")
-        if key in brackets:
-            raise InputFormatError("duplicate bracket key", f"{here}.on")
-        brackets[key] = _poly_list_from_json(
-            _field(item, "value", here), rank, num_vars, f"{here}.value")
-    anchors: dict[Key, PolyVectorField] = {}
-    for here, item in _items(doc, "anchor", where):
-        key = _key(_field(item, "on", here), rank, f"{here}.on")
-        if key in anchors:
-            raise InputFormatError("duplicate anchor key", f"{here}.on")
-        comps = _poly_list_from_json(
-            _field(item, "field", here), num_vars, num_vars, f"{here}.field")
-        anchors[key] = PolyVectorField(num_vars, comps)
+    brackets = _read_keyed(
+        doc, "brackets", arity, rank, where, "bracket",
+        lambda item, here: _poly_list_from_json(
+            _field(item, "value", here), rank, num_vars, f"{here}.value"))
+    anchors = _read_keyed(
+        doc, "anchor", arity - 1, rank, where, "anchor",
+        lambda item, here: PolyVectorField(num_vars, _poly_list_from_json(
+            _field(item, "field", here), num_vars, num_vars, f"{here}.field")))
     return _wrap(lambda: make_poly_algebroid(num_vars, rank, arity,
                                              brackets, anchors), where)
 

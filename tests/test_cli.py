@@ -173,6 +173,24 @@ def test_huge_literals_are_input_errors(capsys, tmp_path):
     assert f"{sys.get_int_max_str_digits()} digits" in _single_error(err)
 
 
+@pytest.mark.parametrize("value", ['{"2": "2", "02": "5"}',
+                                   '{"02": "5", "2": "2"}'])
+def test_component_key_spellings_do_not_alias(capsys, tmp_path, value):
+    """The keys "2" and "02" would name one component, and the later one
+    would win, so the verdict would hang on their order; either order is
+    an input error at the vector."""
+    text = json.dumps(algebra_to_json(sl2()))
+    assert text.count('{"2": "2"}') == 1
+    target = tmp_path / "doc.json"
+    target.write_text(text.replace('{"2": "2"}', value))
+    code, out, err = run(capsys, "check", str(target))
+    assert (code, out) == (2, "")
+    assert _single_error(err) == (
+        f"error: {target}.brackets[0].value: component key '02' must be "
+        "written in ASCII digits with no sign, padding, separator or "
+        "leading zero")
+
+
 def test_package_has_no_assert_guards():
     """Guards must survive ``python -O``, which strips assert statements."""
     package = pathlib.Path(nlie.__file__).parent
@@ -479,6 +497,39 @@ def test_one_basis_key_rule():
         if path.name == "algebroid.py":
             assert calls(funcs["make_poly_algebroid"],
                          "make_poly_multiderivation")
+
+
+def test_one_keyed_entry_rule():
+    """``nlie.io`` writes and reads every ``"on"``-keyed part through
+    ``_write_keyed`` and ``_read_keyed``: only they name ``"on"``.  A
+    repeated key is refused there and in ``cochain_from_json``, whose key
+    is composite, and nowhere else; every ``_key`` call passes the key's
+    length; and no private helper ends like a codec, which the harness
+    would trace as a parser or an encoder.  The representation codec is
+    retired."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent / "io.py")
+                     .read_text())
+
+    def holders(match):
+        return {getattr(node, "name", None) for node in tree.body
+                for sub in ast.walk(node) if isinstance(sub, ast.Constant)
+                and isinstance(sub.value, str) and match(sub.value)}
+
+    assert holders(lambda text: text == "on") == {"_read_keyed",
+                                                  "_write_keyed"}
+    assert holders(lambda text: text.startswith("duplicate ")) == {
+        "_read_keyed", "cochain_from_json"}
+    calls = [sub for sub in ast.walk(tree) if isinstance(sub, ast.Call)
+             and getattr(sub.func, "id", None) == "_key"]
+    assert calls
+    assert all(len(call.args) == 4 and not call.keywords for call in calls)
+    codecs = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name.endswith(("_to_json", "_from_json"))}
+    assert {name for name in codecs if name.startswith("_")} == {
+        "_poly_list_from_json"}
+    assert not {"representation_to_json", "representation_from_json"} \
+        & codecs
 
 
 def test_fractions_made_only_where_coefficients_enter():

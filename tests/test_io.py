@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from helpers import basis_wedge, rand_cochain, rand_matrix, rand_valid_algebra
-from nlie.algebra import adjoint_representation
 from nlie.algebroid import (example_tangent_fc, example_tangent_topform,
                             make_poly_multiderivation)
 from nlie.catalog import levi_civita_bracket, sl2, zero_algebra
@@ -21,9 +20,8 @@ from nlie.io import (InputFormatError, algebra_from_json, algebra_to_json,
                      fraction_str, load_document, matrix_from_json,
                      matrix_to_json, parse_fraction, path_from_json,
                      path_to_json, poly_from_json, poly_to_json,
-                     report_value, representation_from_json,
-                     representation_to_json, vector_from_json,
-                     vector_to_json, wedge_to_json)
+                     report_value, vector_from_json, vector_to_json,
+                     wedge_to_json)
 from nlie.linalg import Matrix
 from nlie.poly import (PolyVectorField, poly_const, poly_from_terms, poly_var,
                        poly_zero)
@@ -51,6 +49,14 @@ def test_vector_codec():
         vector_from_json({"4": "1"}, 3, "v")
     with pytest.raises(InputFormatError):
         vector_from_json({"x": "1"}, 3, "v")
+    # a component key is written as str(i) writes it, so no two keys name
+    # one component and "2_0" is not read as 20
+    for key in ("02", "+2", " 2", "2 ", "2_0", "\uff12", "\u0662"):
+        with pytest.raises(InputFormatError) as err:
+            vector_from_json({"2": "1", key: "5"}, 3, "v")
+        assert err.value.location == "v"
+        assert f"component key {key!r} must be written in ASCII digits" \
+            in str(err.value)
 
 
 def test_algebra_roundtrip_catalog():
@@ -101,16 +107,6 @@ def test_algebra_duplicate_key_rejected():
         algebra_from_json(doc)
 
 
-def test_representation_roundtrip():
-    rho = adjoint_representation(levi_civita_bracket())
-    doc = representation_to_json(rho)
-    assert representation_from_json(doc) == rho
-    bad = json.loads(json.dumps(doc))
-    bad["action"][0]["of"] = 9
-    with pytest.raises(InputFormatError):
-        representation_from_json(bad)
-
-
 def test_cochain_roundtrip():
     rng = random.Random(5)
     for degree in (0, 1, 2):
@@ -130,14 +126,24 @@ def test_cochain_wire_shape():
         cochain_from_json(bad)
 
 
+@pytest.mark.parametrize("degree,blocks", [(0, [[1, 2]]), (1, [[1, 2]]),
+                                           (2, []), (3, [[1, 2]])])
+def test_cochain_block_count_checked_at_the_blocks(degree, blocks):
+    """A degree-p entry has max(p - 1, 0) tensor blocks; another count is
+    reported at the blocks."""
+    doc = {"arity": 3, "dim": 4, "degree": degree, "entries": [
+        {"tensor_blocks": blocks, "wedge": [1, 3, 4], "value": {"1": "1"}}]}
+    with pytest.raises(InputFormatError) as err:
+        cochain_from_json(doc, "doc")
+    assert err.value.location == "doc.entries[0].tensor_blocks"
+    assert str(err.value).endswith(
+        f"expected {max(degree - 1, 0)} tensor blocks at degree {degree}, "
+        f"got {len(blocks)}")
+
+
 _KEYED_DOCS = {
     "algebra": (algebra_from_json, lambda: algebra_to_json(sl2()),
                 ("brackets", 0, "on")),
-    "representation": (
-        representation_from_json,
-        lambda: representation_to_json(
-            adjoint_representation(levi_civita_bracket())),
-        ("action", 0, "on")),
     "cochain block": (
         cochain_from_json,
         lambda: cochain_to_json(make_cochain(
@@ -167,22 +173,28 @@ _KEYED_DOCS = {
 
 @pytest.mark.parametrize("name", sorted(_KEYED_DOCS))
 def test_key_order_checked_where_the_key_is_read(name):
-    """Every keyed part of a document reports an unsorted key at the key
-    itself, 1-based."""
+    """Every keyed part of a document reports an unsorted key, and one of
+    the wrong length, at the key itself, 1-based."""
     parse, build, path = _KEYED_DOCS[name]
-    doc = build()
-    parse(doc)
+    parse(build())
     *parent, last = path
-    holder = doc
-    for step in parent:
-        holder = holder[step]
-    key = holder[last][::-1]
-    holder[last] = key
-    with pytest.raises(InputFormatError) as err:
-        parse(doc, "doc")
-    assert err.value.location == "doc" + "".join(
-        f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
-    assert str(err.value).endswith(f"key {key} must be strictly increasing")
+
+    def holder(doc):
+        for step in parent:
+            doc = doc[step]
+        return doc
+
+    good = holder(build())[last]
+    for key in (good[::-1], good[:-1], good + [good[-1] + 1]):
+        doc = build()
+        holder(doc)[last] = key
+        with pytest.raises(InputFormatError) as err:
+            parse(doc, "doc")
+        assert err.value.location == "doc" + "".join(
+            f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        assert str(err.value).endswith(
+            f"key {key} must be strictly increasing" if len(key) == len(good)
+            else f"key must have {len(good)} indices, not {len(key)}")
 
 
 def test_matrix_codec():

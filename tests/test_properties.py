@@ -270,8 +270,23 @@ def mutated_deform_inputs(draw) -> list[str]:
     return docs
 
 
-# nearly every mutated case breaks the equivalence or fails to parse: 80
-# examples also reach exit 0
+@pytest.mark.parametrize("case,code,verdict", [
+    (0, 0, "equivalence: holds"), (1, 0, "equivalence: holds"),
+    (2, 1, "first failing power: 1")])
+def test_deform_equiv_on_unmutated_cases(case, code, verdict):
+    """The unmutated cases reach exit 0 and 1, which the mutated ones below
+    seldom do."""
+    out = io.StringIO()
+    with _written(*map(json.dumps, DEFORM_CASES[case])) as paths, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["deform", "equiv", *paths]) == code
+    assert out.getvalue().splitlines()[-1] == verdict
+
+
+# nearly every mutated case breaks the equivalence or fails to parse: of
+# the 80 examples 1 reaches exit 0 and 24 exit 1, so the test above pins
+# the unmutated verdicts
 @settings(PROFILE, max_examples=80)
 @given(mutated_deform_inputs())
 def test_deform_exit_contract_on_mutated_documents(texts):
