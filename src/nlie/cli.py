@@ -36,7 +36,7 @@ import time
 from typing import Any, Callable, Optional
 
 from . import __version__, trace
-from .algebra import check_fundamental_identity
+from .algebra import CheckResult, check_fundamental_identity
 from .algebroid import (check_algebroid_axioms, example_tangent_fc,
                         example_tangent_topform)
 from .chevalley import (CECochain, ce_differential, ce_differential_matrix,
@@ -51,6 +51,7 @@ from .io import (InputFormatError, algebra_from_json, algebroid_from_json,
                  algebroid_to_json, cochain_to_json,
                  cohomology_report_to_json, emap_from_json, matrix_from_json,
                  path_from_json, path_to_json, read_document, report_value)
+from .linalg import Refusal
 from .poly import poly_const, poly_var
 
 
@@ -146,36 +147,42 @@ def run_nijenhuis(args, report: Report) -> None:
         report.artifact = path_to_json(path)
 
 
+def _power_verdict(report: Report, label: str, res: CheckResult) -> None:
+    """``_verdict`` for a power-by-power check: a failure reports the
+    first failing power of its witness."""
+    if not _verdict(report, label, res.holds):
+        power = res.witness["first_failing_power"]
+        report.set("first_failing_power", power,
+                   f"first failing power: {power}")
+
+
 def run_deform_check(args, report: Report) -> None:
     path = _load(report, args.path, path_from_json)
     res = check_deformation(path, mode=args.mode)
-    report.set("mode", res.mode)
-    if not _verdict(report, f"deformation equations ({res.mode})",
-                    res.holds):
-        report.set("first_failing_power", res.first_failing_power,
-                   f"first failing power: {res.first_failing_power}")
+    report.set("mode", args.mode)
+    _power_verdict(report, f"deformation equations ({args.mode})", res)
+
+
+_OBSTRUCTED = "obstruction class is nonzero: Theta is not a coboundary"
 
 
 def run_deform_extend(args, report: Report) -> None:
     path = _load(report, args.path, path_from_json)
-    res = extend(path)
-    if res.success:
-        report.artifact = cochain_to_json(res.term)
-    else:
+    term = extend(path)
+    if isinstance(term, Refusal):
         report.set("status", "fails", "extension: obstructed")
-        report.set("certificate", res.certificate,
-                   f"certificate: {res.certificate}")
+        report.set("certificate", _OBSTRUCTED, f"certificate: {_OBSTRUCTED}")
         report.exit_code = 1
+    else:
+        report.artifact = cochain_to_json(term)
 
 
 def run_deform_equiv(args, report: Report) -> None:
     path1 = _load(report, args.path1, path_from_json)
     path2 = _load(report, args.path2, path_from_json)
     emap = _load(report, args.map, emap_from_json)
-    res = check_equivalence(path1, path2, emap)
-    if not _verdict(report, "equivalence", res.holds):
-        report.set("first_failing_power", res.first_failing_power,
-                   f"first failing power: {res.first_failing_power}")
+    _power_verdict(report, "equivalence",
+                   check_equivalence(path1, path2, emap))
 
 
 def run_deform_rigidity(args, report: Report) -> None:

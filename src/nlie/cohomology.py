@@ -9,8 +9,8 @@ components), which makes every matrix byte-stable for golden tests.
 One ``Complex`` serves one call: it checks the fundamental identity once,
 builds each d_k once, eliminates it at most once for its kernel and
 solves on one ``linalg.Factorization`` per k, which factors d_k once for
-its rank and every solve; a refusal carries a checked left witness.  It
-works on integers.  Let
+its rank and every solve; a refused solve returns its checked
+``Refusal``, the left witness included.  It works on integers.  Let
 L be the least common denominator of the structure constants.  Every entry
 of d_k is linear in the bracket, so L·d_k is an integer matrix, assembled
 by ``cochains.coboundary_rows`` on the structure table times L.  Scaling a
@@ -75,8 +75,8 @@ class Complex:
     integer rows of L·d_k on first use, eliminated at most once for its
     kernel and factored at most once, on the first ``factor(k)``, for its
     rank and all its solves, however many right sides follow.  A solve
-    that returns None has a left witness y with yᵀ(L·d_k) = 0 and
-    yᵀ(L·b) != 0, checked exactly.
+    with no solution returns the ``Refusal`` whose left witness y has
+    yᵀ(L·d_k) = 0 and yᵀ(L·b) != 0, checked exactly.
     """
 
     def __init__(self, alg: NLieAlgebra):
@@ -113,14 +113,13 @@ class Complex:
                                              complex_dim(self.alg, k))
         return self._factors[k]
 
-    def solve(self, k: int, b: Vector) -> Vector | None:
-        """The canonical solution of d_k x = b, or None when the
-        factorization refuses with a checked left witness: (L·d_k) x = L·b.
-        """
+    def solve(self, k: int, b: Vector) -> Vector | Refusal:
+        """The canonical solution of d_k x = b, solved as (L·d_k) x = L·b,
+        or the factorization's ``Refusal``: y with yᵀ(L·d_k) = 0 and
+        yᵀ(L·b) != 0, so yᵀd_k = 0 and yᵀb != 0 too."""
         if self.scale != 1:
             b = [self.scale * x for x in b]
-        sol = self.factor(k).solve(b)
-        return None if isinstance(sol, Refusal) else sol
+        return self.factor(k).solve(b)
 
     def matrix(self, k: int) -> Matrix:
         """The rational matrix of d_k: entries Fraction(x, L)."""

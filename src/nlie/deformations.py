@@ -37,10 +37,10 @@ from .algebra import (CheckResult, Key, NLieAlgebra, Representation,
                       require_fi, semidirect_product)
 from .cochains import (Cochain, circle_sum, clear_denominators,
                        cochain_is_zero, cochain_to_vec, cochain_zero,
-                       from_bracket, gla_bracket, vec_to_cochain)
+                       from_bracket, gla_bracket, to_matrix, vec_to_cochain)
 from .cohomology import Complex, complex_dim
 from .errors import DimensionMismatch, InvalidStructure
-from .linalg import (Factorization, Matrix, Refusal, Support, Vector,
+from .linalg import (Factorization, Matrix, Refusal, Support,
                      column_supports, multilinear, vec_is_zero, vec_scale)
 from .poly import _coeff
 from .record import Record
@@ -92,31 +92,25 @@ def _phi_list(path: DeformationPath) -> list[Cochain]:
     return [from_bracket(path.base), *path.terms]
 
 
-class DeformationCheck(Record):
-    __slots__ = ("holds", "mode", "first_failing_power")
-    holds: bool
-    mode: str
-    first_failing_power: Optional[int]
-
-
 def check_deformation(path: DeformationPath,
-                      mode: str = "truncated") -> DeformationCheck:
+                      mode: str = "truncated") -> CheckResult:
     """Power-by-power Maurer-Cartan test.  Truncated mode checks powers
-    1..k, full mode 1..2k (power 0 is the base, checked up front)."""
+    1..k, full mode 1..2k (power 0 is the base, checked up front); a
+    failure's witness is {"first_failing_power": r}."""
     if mode not in ("truncated", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     require_fi(path.base)
     return _check_powers(path, mode)
 
 
-def _check_powers(path: DeformationPath, mode: str) -> DeformationCheck:
+def _check_powers(path: DeformationPath, mode: str) -> CheckResult:
     """``check_deformation`` on a base whose FI the caller has checked."""
     phis = _phi_list(path)
     top = path.order if mode == "truncated" else 2 * path.order
     for r in range(1, top + 1):
         if not cochain_is_zero(_circle_sum(phis, r, 0)):
-            return DeformationCheck(False, mode, r)
-    return DeformationCheck(True, mode, None)
+            return CheckResult(False, {"first_failing_power": r})
+    return CheckResult(True)
 
 
 def _circle_sum(phis: list[Cochain], r: int, low: int) -> Cochain:
@@ -247,15 +241,11 @@ def conjugate_path(path: DeformationPath,
         Cochain(n, m, 1, table) for table in entries))
 
 
-class EquivalenceCheck(Record):
-    __slots__ = ("holds", "first_failing_power")
-    holds: bool
-    first_failing_power: Optional[int]
-
-
 def check_equivalence(path1: DeformationPath, path2: DeformationPath,
-                      emap: EquivalenceMap) -> EquivalenceCheck:
-    """Does conjugating path1 by Phi_t reproduce path2 modulo t^(k+1)?"""
+                      emap: EquivalenceMap) -> CheckResult:
+    """Does conjugating path1 by Phi_t reproduce path2 modulo t^(k+1)?  A
+    failure's witness is {"first_failing_power": r}, r = 0 when the bases
+    differ."""
     if path1.order != path2.order or path1.order != emap.order:
         raise DimensionMismatch("path and map orders must agree")
     if path1.base.arity != path2.base.arity or \
@@ -264,11 +254,11 @@ def check_equivalence(path1: DeformationPath, path2: DeformationPath,
     # conjugate first, so a map over another space is an input error
     conj = conjugate_path(path1, emap)
     if path1.base.structure != path2.base.structure:
-        return EquivalenceCheck(False, 0)
+        return CheckResult(False, {"first_failing_power": 0})
     for r in range(1, path1.order + 1):
         if conj.terms[r - 1].entries != path2.terms[r - 1].entries:
-            return EquivalenceCheck(False, r)
-    return EquivalenceCheck(True, None)
+            return CheckResult(False, {"first_failing_power": r})
+    return CheckResult(True)
 
 
 def check_homomorphism_family(path: DeformationPath,
@@ -455,9 +445,8 @@ def _require_valid(path: DeformationPath) -> None:
     order; the caller has checked the base's FI."""
     res = _check_powers(path, "truncated")
     if not res.holds:
-        raise InvalidStructure(
-            "path fails the deformation equations",
-            witness={"first_failing_power": res.first_failing_power})
+        raise InvalidStructure("path fails the deformation equations",
+                               witness=res.witness)
 
 
 def _obstruction(path: DeformationPath) -> Cochain:
@@ -471,24 +460,15 @@ def _obstruction(path: DeformationPath) -> Cochain:
     return theta
 
 
-class ExtensionResult(Record):
-    __slots__ = ("success", "term", "certificate")
-    success: bool
-    term: Optional[Cochain]
-    certificate: Optional[str]
-
-
-def extend(path: DeformationPath) -> ExtensionResult:
-    """Solve the coboundary equation for the next term; a solution extends
-    the path one order, absence certifies a nonzero obstruction class."""
-    cx = Complex(path.base)
-    sol = cx.solve(2, cochain_to_vec(_obstruction(path)))
-    if sol is None:
-        return ExtensionResult(False, None,
-                               "obstruction class is nonzero: Theta is not "
-                               "a coboundary")
-    term = vec_to_cochain(sol, path.base.arity, path.base.dim, 1)
-    return ExtensionResult(True, term, None)
+def extend(path: DeformationPath) -> Cochain | Refusal:
+    """The next term: the canonical solution of d_2 x = Theta, which
+    extends the path one order, or ``Complex.solve``'s ``Refusal``, whose
+    left witness y (yᵀd_2 = 0, yᵀTheta != 0) certifies a nonzero
+    obstruction class."""
+    sol = Complex(path.base).solve(2, cochain_to_vec(_obstruction(path)))
+    if isinstance(sol, Refusal):
+        return sol
+    return vec_to_cochain(sol, path.base.arity, path.base.dim, 1)
 
 
 class RigidityTrial(Record):
@@ -578,16 +558,9 @@ def _trivialize(alg: NLieAlgebra, path: DeformationPath, cx: Complex,
         cleared = lead
         target = vec_scale(-1, cochain_to_vec(cur.terms[lead - 1]))
         sol = cx.solve(1, target)
-        if sol is None:
+        if isinstance(sol, Refusal):
             return RigidityTrial(kind, False, lead)
-        psi = vec_to_mat(sol, alg.dim)
+        psi = to_matrix(vec_to_cochain(sol, alg.arity, alg.dim, 0))
         maps = [Matrix.zero(alg.dim, alg.dim)] * (lead - 1) + [psi]
         emap = EquivalenceMap(cur.order, tuple(maps))
         cur = conjugate_path(cur, emap)
-
-
-def vec_to_mat(vec: Vector, m: int) -> Matrix:
-    """Inverse of the column-major degree-0 vectorization."""
-    if len(vec) != m * m:
-        raise DimensionMismatch("vector length must be m^2")
-    return Matrix.from_cols([vec[j * m:(j + 1) * m] for j in range(m)], m)

@@ -17,6 +17,8 @@ Conventions, fixed once here so all documents agree:
 * polynomials serialize as term lists [{"exponents": [..], "coeff": "p/q"}]
   with one exponent per variable;
 * matrices serialize as dense row lists of rationals;
+* an object repeats no member name (``_members``), so no value is
+  silently dropped for a later one of the same name;
 * integers are kept within the interpreter's limit for int/str conversion
   (``sys.get_int_max_str_digits()``, 4300 digits by default), which is not
   raised: a longer input literal is an input error, and a result that
@@ -77,11 +79,14 @@ def read_document(path: str) -> tuple[bytes, Any]:
         raise InputFormatError(f"not UTF-8: {exc.reason} at byte offset "
                                f"{exc.start}", location=path)
     try:
-        return data, json.loads(text)
+        return data, json.loads(text, object_pairs_hook=_members)
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"invalid JSON: {exc.msg}",
             location=f"{path}: line {exc.lineno} column {exc.colno}")
+    except InputFormatError as exc:
+        # a repeated member name, from ``_members``
+        raise InputFormatError(str(exc), location=path) from None
     except RecursionError:
         raise InputFormatError("JSON nested too deeply", location=path)
     except ValueError:
@@ -90,6 +95,17 @@ def read_document(path: str) -> tuple[bytes, Any]:
         raise InputFormatError(
             f"integer literal longer than {sys.get_int_max_str_digits()} "
             "digits", location=path)
+
+
+def _members(pairs: list[tuple[str, Any]]) -> dict:
+    """One JSON object; a repeated member name is an input error, where
+    ``json`` alone would keep the last of its values."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        name = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputFormatError(f"repeated member name {_clip(name)}")
+    return obj
 
 
 def fraction_str(c: Fraction) -> str:

@@ -1196,6 +1196,17 @@ def ref_extend(path):
     return sol and vec_to_cochain(sol, path.base.arity, path.base.dim, 1)
 
 
+def refusal_replays(d: Matrix, b, witness: dict[int, int]) -> bool:
+    """Replay a refusal of d x = b in Fractions: its left witness y must
+    have sum_s y_s·d[s][j] = 0 for every column j and sum_s y_s·b_s != 0,
+    which no solution x could meet."""
+    left = [Fraction(0)] * d.cols
+    for s, y in witness.items():
+        for j, a in d.data[s].items():
+            left[j] += y * a
+    return not any(left) and sum(y * b[s] for s, y in witness.items()) != 0
+
+
 def ref_rigidity_probe(alg, max_order: int, trials: int, seed: int = 0):
     """``rigidity_probe`` by rational eliminations and solves against
     ``ref_differential``: (betti_h2, trials)."""
@@ -1203,7 +1214,7 @@ def ref_rigidity_probe(alg, max_order: int, trials: int, seed: int = 0):
                                vec_to_cochain)
     from nlie.deformations import (DeformationPath, EquivalenceMap,
                                    RigidityTrial, conjugate_path,
-                                   constant_path, vec_to_mat)
+                                   constant_path)
     from nlie.linalg import rank_nullspace, solve_linear, vec_scale
 
     rng = random.Random(seed)
@@ -1238,6 +1249,9 @@ def ref_rigidity_probe(alg, max_order: int, trials: int, seed: int = 0):
             if sol is None:
                 results.append(RigidityTrial(kind, False, lead))
                 break
-            maps = [Matrix.zero(m, m)] * (lead - 1) + [vec_to_mat(sol, m)]
+            # sol is psi column by column
+            psi = Matrix.from_cols([sol[j * m:(j + 1) * m]
+                                    for j in range(m)], m)
+            maps = [Matrix.zero(m, m)] * (lead - 1) + [psi]
             cur = conjugate_path(cur, EquivalenceMap(cur.order, tuple(maps)))
     return betti, tuple(results)

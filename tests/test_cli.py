@@ -191,6 +191,40 @@ def test_component_key_spellings_do_not_alias(capsys, tmp_path, value):
         "leading zero")
 
 
+@pytest.mark.parametrize("value,name", [
+    ('{"2": "2", "2": "5"}', "'2'"),
+    ('{"2": "5", "2": "2"}', "'2'"),
+    ('{"2": "2", "%s": 1, "%s": 2}' % ("x" * 60, "x" * 60),
+     "'xxxxxxxxxxxxxxxxxxxx'... (60 characters)"),
+], ids=["last-5", "last-2", "clipped"])
+def test_repeated_member_name_is_input_error(capsys, tmp_path, value, name):
+    """``json`` keeps the last value of a repeated member name, so the
+    verdict would hang on the order of the two; either order is an input
+    error that names the file and the member, clipped."""
+    text = json.dumps(algebra_to_json(sl2()))
+    target = tmp_path / "doc.json"
+    target.write_text(text.replace('{"2": "2"}', value))
+    code, out, err = run(capsys, "check", str(target))
+    assert (code, out) == (2, "")
+    assert _single_error(err) == \
+        f"error: {target}: repeated member name {name}"
+
+
+def test_member_names_repeat_across_objects(capsys, sl2_file):
+    # every entry of "brackets" has its own "on" and "value"
+    assert pathlib.Path(sl2_file).read_text().count('"value"') == 3
+    code, out, _ = run(capsys, "check", sl2_file)
+    assert (code, "fundamental identity: holds" in out) == (0, True)
+
+
+def test_deeply_nested_objects_are_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' * 100_000)
+    code, out, err = run(capsys, "check", str(deep))
+    assert (code, out) == (2, "")
+    assert _single_error(err) == f"error: {deep}: JSON nested too deeply"
+
+
 def test_package_has_no_assert_guards():
     """Guards must survive ``python -O``, which strips assert statements."""
     package = pathlib.Path(nlie.__file__).parent
@@ -359,6 +393,48 @@ def test_one_multiderivation_record():
         reads = {sub.attr for sub in ast.walk(ast.parse(path.read_text()))
                  if isinstance(sub, ast.Attribute)}
         assert not {"bracket_table", "anchor_table"} & reads, path.name
+
+
+def test_package_parses_at_python_floor():
+    """Every module of the package and of its tests parses with the grammar
+    of the oldest Python that ``pyproject.toml`` admits, read with a regex
+    since ``tomllib`` is younger than that floor."""
+    here = pathlib.Path(__file__).parent
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (here.parent / "pyproject.toml").read_text())
+    version = (int(floor[1]), int(floor[2]))
+    paths = [*pathlib.Path(nlie.__file__).parent.glob("*.py"),
+             *here.glob("*.py")]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=version)
+
+
+def test_one_verdict_shape():
+    """Every check returns ``CheckResult`` and every exact solve its
+    solution or its ``Refusal``: ``deformations`` defines no class with a
+    ``holds`` field, no module defines the deleted verdict records or a
+    second degree-0 vectorization, and ``Complex.solve`` holds no None."""
+    root = pathlib.Path(nlie.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in root.glob("*.py")}
+    assert not [node.name for node in ast.walk(trees["deformations.py"])
+                if isinstance(node, ast.ClassDef)
+                and "holds" in {sub.value for sub in ast.walk(node)
+                                if isinstance(sub, ast.Constant)}
+                | {sub.target.id for sub in node.body
+                   if isinstance(sub, ast.AnnAssign)}]
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"DeformationCheck", "EquivalenceCheck", "ExtensionResult",
+                "vec_to_mat"} & defined
+    complex_ = next(node for node in trees["cohomology.py"].body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "Complex")
+    solve = next(node for node in complex_.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    assert not [sub for sub in ast.walk(solve)
+                if isinstance(sub, ast.Constant) and sub.value is None]
 
 
 _UNCALLED_API = re.compile(r"Paper API that nothing here calls: "

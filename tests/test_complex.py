@@ -16,16 +16,16 @@ import pytest
 from helpers import (rand_fraction, rand_rational_algebra,
                      ref_check_fundamental_identity, ref_differential,
                      ref_extend, ref_report, ref_rigidity_probe,
-                     simple_4lie)
+                     refusal_replays, simple_4lie)
 from nlie.algebra import (check_fundamental_identity, integral_table,
                           make_algebra)
 from nlie.catalog import heisenberg3, levi_civita_bracket, sl2
-from nlie.cochains import cochain_zero, vec_to_cochain
+from nlie.cochains import cochain_to_vec, cochain_zero, vec_to_cochain
 from nlie.cohomology import Complex, cohomology, differential_matrix
 from nlie.deformations import (DeformationPath, extend, make_deformation_path,
-                               rigidity_probe)
+                               obstruction, rigidity_probe)
 from nlie.errors import InvalidStructure
-from nlie.linalg import rank_nullspace, solve_linear
+from nlie.linalg import Refusal, rank_nullspace, solve_linear
 
 F = Fraction
 
@@ -109,14 +109,20 @@ def test_solve_matches_rational_route():
             for b in (ref.apply(x),
                       tuple(rand_fraction(rng) for _ in range(ref.rows))):
                 sol = cx.solve(k, b)
-                assert sol == solve_linear(ref, b)
-                solved += sol is not None and any(sol)
+                if isinstance(sol, Refusal):
+                    assert solve_linear(ref, b) is None
+                    assert refusal_replays(ref, b, sol.witness)
+                else:
+                    assert sol == solve_linear(ref, b)
+                    solved += any(sol)
     assert solved >= 12
 
 
 def test_extend_matches_rational_route():
     """Order-1 cocycle paths over algebras with denominators: the same next
-    term, or the same refusal."""
+    term, or a refusal whose left witness replays in Fractions against
+    d_2 and the obstruction, and stops replaying once an entry of it on a
+    nonzero row of d_2 changes."""
     rng = random.Random(91)
     outcomes = set()
     for alg in _conjugates(92, (heisenberg3(), sl2(), levi_civita_bracket()),
@@ -129,8 +135,18 @@ def test_extend_matches_rational_route():
             path = make_deformation_path(
                 alg, [vec_to_cochain(combo, alg.arity, alg.dim, 1)])
             res = extend(path)
-            assert res.term == ref_extend(path)
-            outcomes.add(res.success)
+            outcomes.add(isinstance(res, Refusal))
+            if not isinstance(res, Refusal):
+                assert res == ref_extend(path)
+                continue
+            assert ref_extend(path) is None
+            d2 = ref_differential(alg, 2)
+            theta = cochain_to_vec(obstruction(path))
+            assert refusal_replays(d2, theta, res.witness)
+            rows = [s for s, row in enumerate(d2.data) if row]
+            s = next((s for s in rows if s in res.witness), rows[0])
+            changed = {**res.witness, s: res.witness.get(s, 0) + 1}
+            assert not refusal_replays(d2, theta, changed)
     assert outcomes == {True, False}
 
 

@@ -16,10 +16,9 @@ from nlie.algebroid import PolyMultiderivation, PolySection
 from nlie.chevalley import CECochain
 from nlie.cochains import Cochain
 from nlie.cohomology import CohomologyReport
-from nlie.deformations import (DeformationCheck, DeformationPath,
-                               EquivalenceCheck, EquivalenceMap,
-                               ExtensionResult, InfinitesimalClass,
-                               OOperatorLift, RigidityReport, RigidityTrial)
+from nlie.deformations import (DeformationPath, EquivalenceMap,
+                               InfinitesimalClass, OOperatorLift,
+                               RigidityReport, RigidityTrial)
 from nlie.errors import DimensionMismatch
 from nlie.linalg import Matrix, RankNullspace, Refusal
 from nlie.poly import MultiPoly, PolyVectorField
@@ -48,12 +47,9 @@ SAMPLES = {
     CohomologyReport: ((2, 4, 1, 0, 3, ()), (2, 4, 1, 0, 3, (TERM,))),
     DeformationPath: ((ALG, 1, (TERM,)), (ALG, 0, ())),
     EquivalenceMap: ((1, (ID2,)), (1, ())),
-    DeformationCheck: ((True, "full", None), (False, "full", 2)),
     InfinitesimalClass: ((1, True, 1, (F(1),), False),
                          (1, True, 1, (F(2),), False)),
-    EquivalenceCheck: ((True, None), (False, 1)),
     OOperatorLift: ((ID2, True, True), (ID2, True, False)),
-    ExtensionResult: ((True, TERM, None), (False, None, "obstructed")),
     RigidityTrial: (("sampled", True, None), ("sampled", False, 2)),
     RigidityReport: ((1, 2, (TRIAL,), True, "note"),
                      (1, 2, (), True, "note")),
@@ -121,8 +117,8 @@ REPRS = [
      "Matrix(rows=2, cols=2, data=({0: 1}, {0: Fraction(1, 3), 1: 2}))"),
     (TERM, "Cochain(arity=2, dim=2, degree=1, "
            "entries={((), (0, 1)): (1, Fraction(2, 3))})"),
-    (DeformationCheck(True, "full", None),
-     "DeformationCheck(holds=True, mode='full', first_failing_power=None)"),
+    (CheckResult(False, {"first_failing_power": 2}),
+     "CheckResult(holds=False, witness={'first_failing_power': 2})"),
     (ALG, "NLieAlgebra(arity=2, dim=2, "
           "structure={(0, 1): (Fraction(1, 1), Fraction(0, 1))})"),
 ]
