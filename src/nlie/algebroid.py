@@ -38,11 +38,24 @@ symbol
                     + {sigma_D1, sigma_D2},
 
 with (.) the insertion of the other operator into a wedge slot and {,}
-the shuffle-signed commutator.  Degrees above 1 are not modeled here:
-their evaluation would need coefficient rules in block arguments that the
-structure does not determine.  So insertion is k = 0 only: D2 enters the
-last wedge of a degree-1 D1, with the identity shuffle and sign 1, and on
-generators D2 is its table, read by lookup.
+the shuffle-signed commutator.  Like terms are collected before anything
+composes (``_bracket_terms``): the bracket is
+
+    [D1, D2] = (-1)^(pq) D1 o D2 - D2 o D1,
+
+and when D1 and D2 are the same object D of degree p,
+
+    [D, D] = ((-1)^(pp) - 1) D o D,
+
+one composition, with a symbol of one (.) term and one commutator per
+pair of swapped shuffles; both are zero, with nothing composed, when
+that factor is.  So the Maurer-Cartan bracket [pi, pi] of
+``check_symbol_leibniz(abd, pi, pi)`` composes once, as
+``cochains.maurer_cartan_defect`` does.  Degrees above 1 are not modeled
+here: their evaluation would need coefficient rules in block arguments
+that the structure does not determine.  So insertion is k = 0 only: D2
+enters the last wedge of a degree-1 D1, with the identity shuffle and
+sign 1, and on generators D2 is its table, read by lookup.
 Paper API that nothing here calls: ``make_bundle_map``,
 ``nijenhuis_section_bracket`` and ``nijenhuis_symbol_check``.
 """
@@ -196,7 +209,7 @@ def anchor_on_generators(abd: PolyMultiderivation,
     field = abd.symbol.get(key)
     if field is None:
         return vf_zero(abd.num_vars)
-    return field.scale(sign)
+    return field if sign == 1 else -field
 
 
 def _supports(m: int, r: int, sections: Sequence[PolySection]):
@@ -227,7 +240,8 @@ _Slot = Sequence[tuple[int, MultiPoly]]
 def _leibniz(d: PolyMultiderivation, slots: Sequence[_Slot]) -> PolySection:
     """The closed form of the module docstring for d on slot supports
     [(j, p)]: d's table on the sorted generator tuple, and its symbol on
-    the sorted wedge of the other generators."""
+    the sorted wedge of the other generators.  A slot whose weight is a
+    constant has no symbol term: a derivation kills constants."""
     m, r, table, symbol = d.num_vars, d.rank, d.table, d.symbol.get
     n = len(slots)
     out = [poly_zero(m)] * r
@@ -241,6 +255,8 @@ def _leibniz(d: PolyMultiderivation, slots: Sequence[_Slot]) -> PolySection:
             out = [o if c.is_zero else o + _times(c, coeff)
                    for o, c in zip(out, comps)]
         for s in range(n):
+            if polys[s].is_constant:
+                continue
             ws = sort_with_sign(idx[:s] + idx[s + 1:])
             sigma = symbol(ws[1]) if ws is not None else None
             if sigma is None:
@@ -454,6 +470,12 @@ def _coordinate(x: Key, u: int, m: int) -> dict:
     return {"slot": len(x) - 1, "f": str(poly_var(m, u))}
 
 
+def _anchor_live(A, xp: Key, y: Key) -> bool:
+    """Whether a factor of E that does not depend on b is nonzero on the
+    pair (x', y): A(y') or some A(x' + (y_i,))."""
+    return A(y) is not None or any(A(xp + (yi,)) is not None for yi in y)
+
+
 def _anchor_weighted(A, m: int, x: Key, y: Key) -> Optional[dict]:
     """E(x_u) = -A(y')[u] A(x) + sum_i A(x' + (y_i,))[u] A(y' with y_i ->
     b) on the frame x = x' + (b,), y' = y, for u = 0, 1, ..; a frame on
@@ -471,6 +493,15 @@ def _anchor_weighted(A, m: int, x: Key, y: Key) -> Optional[dict]:
         if not out.is_zero:
             return _coordinate(x, u, m)
     return None
+
+
+def _fi_live(B, A, xp: Key, y: Key) -> bool:
+    """Whether a factor of D that does not depend on b is nonzero on the
+    pair (x', y): some A(y^i), A(x' + (y_i,)) or A(x' + (k,)) with k in
+    the support of B(y)."""
+    return (any(A(y[:i] + y[i + 1:]) is not None or A(xp + (yi,)) is not None
+                for i, yi in enumerate(y))
+            or any(A(xp + (k,)) is not None for k, _ in B(y)))
 
 
 def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
@@ -516,30 +547,37 @@ def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
     return None
 
 
-def _weighted_frames(r: int, n: int, ny: int):
+def _weighted_frames(r: int, n: int, ny: int,
+                    live: Callable[[Key, Key], bool]):
     """Frames (x, y) of a weighted phase: x is a sorted (n-2)-tuple x'
     followed by the weighted generator b, any of the r, and y is a sorted
-    ny-tuple."""
+    ny-tuple.  ``live(x', y)`` is decided once per pair, and each frame of
+    a pair that is not live comes as None: it holds unevaluated."""
+    ys = list(itertools.combinations(range(r), ny))
     for xp in itertools.combinations(range(r), n - 2):
+        pairs = [(y, live(xp, y)) for y in ys]
         for b in range(r):
-            for y in itertools.combinations(range(r), ny):
-                yield xp + (b,), y
+            for y, ok in pairs:
+                yield (xp + (b,), y) if ok else None
 
 
 def _first_failing(sp, filled: Callable[[], int], frames,
                    defect: Callable[[Key, Key], Optional[dict]],
                    ) -> Optional[dict]:
     """Witness fields of the first frame (x, y) on which ``defect`` fails,
-    or None; counts on ``sp`` the frames evaluated and the lookup memo
-    entries filled."""
-    start, count, bad = filled(), 0, None
-    for x, y in frames:
+    or None; a frame given as None holds.  Counts on ``sp`` the frames
+    evaluated, those skipped and the lookup memo entries filled."""
+    start, count, skipped, bad = filled(), 0, 0, None
+    for frame in frames:
+        if frame is None:
+            skipped += 1
+            continue
         count += 1
-        fields = defect(x, y)
+        fields = defect(*frame)
         if fields is not None:
-            bad = {"x": x, "y": y, **fields}
+            bad = {"x": frame[0], "y": frame[1], **fields}
             break
-    sp.count(frames=count, lookups=filled() - start)
+    sp.count(frames=count, skipped=skipped, lookups=filled() - start)
     return bad
 
 
@@ -610,9 +648,14 @@ def check_algebroid_axioms(abd: PolyMultiderivation) -> CheckResult:
     sorted and u any variable.  The phases run in that order, so D is
     checked where E = 0 holds.  Every term of A, E and D has an anchor
     factor, so a frame whose anchors vanish holds, and with no anchor only
-    the FI generator phase runs.  The first failing frame, in the order
-    of x, then y, then u, is reported with x, y and, on weighted frames,
-    the weighted slot of x and f = x_u.
+    the FI generator phase runs.  Some of these factors do not depend on
+    b: A(y') and A(x' + (y_i,)) for E, and A(y^i), A(x' + (y_i,)) and
+    A(x' + (k,)) for k in the support of B(y) for D.  Each weighted phase
+    decides once per pair (x', y) whether one of them is nonzero, and
+    skips every frame of a pair where none is (``_anchor_live``,
+    ``_fi_live``).  The first failing frame, in the order of x, then y,
+    then u, is reported with x, y and, on weighted frames, the weighted
+    slot of x and f = x_u.
 
     Generator phases by lookup.  On generators the bracket is the table:
     with B(idx) the signed support of the bracket table and A(idx) the
@@ -653,10 +696,11 @@ def check_algebroid_axioms(abd: PolyMultiderivation) -> CheckResult:
              itertools.product(wedges, wedges),
              lambda x, y: _anchor_generator(B, A, vf_zero(m), x, y)),
             ("anchor_weighted", "anchor compatibility",
-             _weighted_frames(r, n, n - 1),
+             _weighted_frames(r, n, n - 1,
+                              lambda xp, y: _anchor_live(A, xp, y)),
              lambda x, y: _anchor_weighted(A, m, x, y)),
             ("fi_weighted", "fundamental identity",
-             _weighted_frames(r, n, n),
+             _weighted_frames(r, n, n, lambda xp, y: _fi_live(B, A, xp, y)),
              lambda x, y: _fi_weighted(B, A, m, r, x, y))]
     for name, axiom, frames, defect in phases:
         with span(f"algebroid.axioms.{name}") as sp:
@@ -768,16 +812,23 @@ def _insertions(d1: PolyMultiderivation, d2: PolyMultiderivation,
             yield gens[:s] + [w] + gens[s + 1:]
 
 
+def _product_args(d1: PolyMultiderivation, d2: PolyMultiderivation,
+                  keys: tuple[Key, ...], z: PolySection) -> _Slot:
+    """The slot support of z, once operands, keys and z are checked."""
+    _check_pair(d1, d2)
+    if len(keys) != d1.degree + d2.degree:
+        raise DimensionMismatch(f"expected {d1.degree + d2.degree} wedge "
+                                f"arguments")
+    return _supports(d1.num_vars, d1.rank, [z])[0]
+
+
 def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
                    keys: tuple[Key, ...], z: PolySection) -> PolySection:
     """Circle product evaluated on generator wedge keys and a final
     section; mirrors the point-base formula with polynomial coefficients."""
-    _check_pair(d1, d2)
+    zs = _product_args(d1, d2, keys, z)
     p, q = d1.degree, d2.degree
     m, r = d1.num_vars, d1.rank
-    if len(keys) != p + q:
-        raise DimensionMismatch(f"expected {p + q} wedge arguments")
-    [zs] = _supports(m, r, [z])
     one = poly_const(m, 1)
     out = section_zero(m, r)
     for wedge in _insertions(d1, d2, keys, one):
@@ -796,13 +847,30 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
     return out
 
 
+def _bracket_terms(d1: PolyMultiderivation, d2: PolyMultiderivation,
+                   ) -> list[tuple[int, PolyMultiderivation,
+                                   PolyMultiderivation]]:
+    """The compositions of [D1, D2] as (coefficient, outer, inner) terms,
+    like terms collected (module docstring): one term when the operands
+    are the same object, none when its coefficient is 0."""
+    sign = -1 if (d1.degree * d2.degree) % 2 else 1
+    if d1 is d2:
+        return [(sign - 1, d1, d1)] if sign != 1 else []
+    return [(sign, d1, d2), (-1, d2, d1)]
+
+
 def md_bracket_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
                     keys: tuple[Key, ...], z: PolySection) -> PolySection:
-    p, q = d1.degree, d2.degree
-    sign = -1 if (p * q) % 2 else 1
-    return section_sub(
-        section_scale(sign, md_circle_eval(d1, d2, keys, z)),
-        md_circle_eval(d2, d1, keys, z))
+    """[D1, D2] on generator wedge keys and a final section: one
+    ``md_circle_eval`` per term of ``_bracket_terms``."""
+    terms = _bracket_terms(d1, d2)
+    if not terms:
+        _product_args(d1, d2, keys, z)
+    out = section_zero(d1.num_vars, d1.rank)
+    for c, outer, inner in terms:
+        out = section_add(out, section_scale(
+            c, md_circle_eval(outer, inner, keys, z)))
+    return out
 
 
 def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
@@ -823,46 +891,67 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
     _check_pair(d1, d2)
     p, q = d1.degree, d2.degree
     n, m, r = d1.arity, d1.num_vars, d1.rank
-    sign = -1 if (p * q) % 2 else 1
+    terms = _bracket_terms(d1, d2)
+    if d1 is d2:
+        # swapping the shares of a shuffle multiplies its sign by
+        # (-1)^(pp) and negates its commutator, so each pair sums to
+        # 1 - (-1)^(pp) = -c times the one whose head holds wedge 0
+        comms = [(-c * sh_sign, perm) for c, _, _ in terms
+                 for perm, sh_sign in shuffles(p, p) if perm[0] == 0]
+    else:
+        comms = [(sh_sign, perm) for perm, sh_sign in shuffles(p, q)]
     out = {}
     wedges = list(itertools.combinations(range(r), n - 1))
     zero = vf_zero(m)
     for keys in itertools.product(wedges, repeat=p + q):
-        total = _odot(d1, d2, keys).scale(sign) - _odot(d2, d1, keys)
-        for perm, sh_sign in shuffles(p, q):
+        parts = [(c, _odot(outer, inner, keys)) for c, outer, inner in terms]
+        for c, perm in comms:
             # the wedges of each share, joined: a symbol's key
             head = sum((keys[i] for i in perm[:p]), ())
             tail = sum((keys[i] for i in perm[p:]), ())
-            comm = vf_bracket(d1.symbol.get(head, zero),
-                              d2.symbol.get(tail, zero))
-            total = total + comm.scale(sh_sign)
+            parts.append((c, vf_bracket(d1.symbol.get(head, zero),
+                                        d2.symbol.get(tail, zero))))
+        total = zero
+        for c, v in parts:
+            total = total + (v if c == 1 else v.scale(c))
         out[keys] = total
     return out
 
 
-@traced("algebroid.check_symbol_leibniz")
 def check_symbol_leibniz(abd: PolyMultiderivation,
                          d1: PolyMultiderivation, d2: PolyMultiderivation,
                          ) -> CheckResult:
     """Verify that the bracket of two multiderivations obeys the Leibniz
     rule with the symbol produced by the symbol-bracket formula, on all
-    weights (``_leibniz_failure``)."""
+    weights (``_leibniz_failure``).  An operand given twice, as in
+    [pi, pi], is lifted once, so its bracket is one composition
+    (``_bracket_terms``); the span counts the frames and the
+    ``md_circle_eval`` calls."""
     _check_algebroid(abd)
     _check_pair(abd, d1)
     _check_pair(d1, d2)
     n, m, r = d1.arity, d1.num_vars, d1.rank
-    t1, t2 = _lift(d1), _lift(d2)
-    symbols = symbol_bracket(t1, t2)
     wedges = list(itertools.combinations(range(r), n - 1))
+    brackets = 0
+
+    def bracket(keys):
+        def op(z, _):
+            nonlocal brackets
+            brackets += 1
+            return md_bracket_eval(t1, t2, keys, z)
+        return op
 
     def frames(gens):
         for keys in itertools.product(wedges,
                                       repeat=d1.degree + d2.degree):
-            yield ({"wedges": keys},
-                   lambda z, _: md_bracket_eval(t1, t2, keys, z),
-                   symbols[keys])
+            yield {"wedges": keys}, bracket(keys), symbols[keys]
 
-    bad = _leibniz_failure(m, r, frames)
+    with span("algebroid.check_symbol_leibniz") as sp:
+        t1 = _lift(d1)
+        t2 = t1 if d2 is d1 else _lift(d2)
+        symbols = symbol_bracket(t1, t2)
+        bad = _leibniz_failure(m, r, frames, sp)
+        sp.count(compositions=brackets * len(_bracket_terms(t1, t2)))
     return CheckResult(bad is None, bad)
 
 

@@ -59,6 +59,11 @@ class MultiPoly(Record):
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.num_vars: 1}
 
+    @property
+    def is_constant(self) -> bool:
+        """Zero or a constant: a polynomial that every derivation kills."""
+        return not any(map(any, self.terms))
+
     def __bool__(self) -> bool:
         # false on zero, as for a Fraction, so signed supports skip it
         return bool(self.terms)
@@ -78,7 +83,16 @@ class MultiPoly(Record):
         return MultiPoly(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
-        return self + (-other)
+        # one pass, as ``__add__``: no negated copy of ``other``
+        _same_vars(self, other)
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            acc = terms.get(exps, 0) - c
+            if acc == 0:
+                terms.pop(exps, None)
+            else:
+                terms[exps] = acc
+        return MultiPoly(self.num_vars, terms)
 
     def __mul__(self, other: MultiPoly | Coeff) -> MultiPoly:
         if isinstance(other, (Fraction, int)):
@@ -216,7 +230,11 @@ class PolyVectorField(Record):
                                tuple(-p for p in self.components))
 
     def __sub__(self, other: PolyVectorField) -> PolyVectorField:
-        return self + (-other)
+        if self.num_vars != other.num_vars:
+            raise DimensionMismatch("vector fields over different bases")
+        return PolyVectorField(
+            self.num_vars,
+            tuple(a - b for a, b in zip(self.components, other.components)))
 
     def scale(self, f: MultiPoly | Coeff) -> PolyVectorField:
         return PolyVectorField(self.num_vars,

@@ -6,17 +6,21 @@ and ``anchor_eval``.
 Parity: equal ``CheckResult``s (verdict and witness) on seeded random
 algebroids, multiderivations and bundle maps.  The lemma of
 ``check_algebroid_axioms``: its identities on random dense tables, and a
-witness of every failing kind replays with a nonzero defect.  Planted
-defects: one input per witness kind, each of which must fail with the
-reference's witness, and the action algebroids of sl(2) and of the
-Levi-Civita bracket.  The Leibniz rule (b) and the two symbol checks hold
+witness of every failing kind replays with a nonzero defect.  Like terms:
+[D, D], one composition, against an equal copy of D (two) and the
+reference, with the compositions counted.  Planted defects: one input per
+witness kind, each of which must fail with the reference's witness, the
+weighted ones after skipped frames, and the action algebroids of sl(2)
+and of the Levi-Civita bracket.  The Leibniz rule (b) and the two symbol checks hold
 by construction of the evaluator, so their defects are planted by
 monkeypatching a kernel of ``nlie.algebroid`` to drop the terms of degree
 2 and up in the base variables; the reference looks its kernels up on the
 module, so it sees the same patch.
 """
 
+import io
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -27,18 +31,22 @@ from helpers import (rand_bundle_map, rand_low_poly, rand_multiderivation,
                      rand_poly, rand_poly_algebroid, rand_sparse_algebroid,
                      ref_anchor_defect, ref_check_algebroid_axioms,
                      ref_check_symbol_leibniz, ref_fi_defect,
-                     ref_md_circle_eval, ref_nijenhuis_symbol_check,
-                     ref_symbol_bracket, vf_coordinate, weighted_frame)
+                     ref_md_bracket_eval, ref_md_circle_eval,
+                     ref_nijenhuis_symbol_check, ref_symbol_bracket,
+                     vf_coordinate, weighted_frame)
 
 import nlie.algebroid as A
-from nlie.algebroid import (PolySection, anchor_eval, bracket_derivation,
-                            check_algebroid_axioms, check_symbol_leibniz,
+from nlie import trace
+from nlie.algebroid import (PolyMultiderivation, PolySection, anchor_eval,
+                            bracket_derivation, check_algebroid_axioms,
+                            check_symbol_leibniz, example_tangent_fc,
                             example_tangent_topform, generator_section,
                             make_bundle_map, make_poly_algebroid,
                             make_poly_multiderivation, make_section,
-                            md_circle_eval, nijenhuis_symbol_check,
-                            section_add, section_bracket, section_scale,
-                            section_sub, symbol_bracket)
+                            md_bracket_eval, md_circle_eval,
+                            nijenhuis_symbol_check, section_add,
+                            section_bracket, section_scale, section_sub,
+                            symbol_bracket)
 from nlie.algebra import bracket_on_basis
 from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
@@ -170,6 +178,93 @@ def test_symbol_leibniz_matches_reference_random():
         d2 = rand_multiderivation(rng, m, r, n, rng.randint(0, 1))
         assert check_symbol_leibniz(abd, d1, d2) == \
             ref_check_symbol_leibniz(abd, d1, d2, degree=3), seed
+
+
+# ------------------------------------------- [D, D] as one composition
+
+def _twin(d):
+    """A record equal to d that is not the same object."""
+    twin = PolyMultiderivation(d.num_vars, d.rank, d.arity, d.degree,
+                               dict(d.table), dict(d.symbol))
+    assert twin == d and twin is not d
+    return twin
+
+
+def _traced(check, *args):
+    """check(*args) and the summed counters of each span it closed."""
+    out = io.StringIO()
+    trace.enable(out)
+    try:
+        res = check(*args)
+    finally:
+        trace.finish()
+    lines = map(json.loads, out.getvalue().splitlines())
+    return res, {line["summary"]: line["counters"] for line in lines
+                 if "summary" in line}
+
+
+def test_bracket_with_itself_matches_twin_and_reference():
+    # [D, D] collects its like terms into one composition (none at
+    # degree 0); an equal copy takes both, and the reference both through
+    # md_eval; z a generator or a polynomial-weighted section
+    nonzero = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        m, r, n = _shape(rng)
+        d = rand_multiderivation(rng, m, r, n, seed % 2)
+        twin = _twin(d)
+        zs = [generator_section(m, r, j) for j in range(r)] + [make_section(
+            m, r, [rand_low_poly(rng, m, 2) for _ in range(r)])]
+        wedges = list(itertools.combinations(range(r), n - 1))
+        for keys in itertools.product(wedges, repeat=2 * d.degree):
+            for z in zs:
+                val = md_bracket_eval(d, d, keys, z)
+                assert val == md_bracket_eval(d, twin, keys, z), seed
+                assert val == ref_md_bracket_eval(d, d, keys, z), seed
+                nonzero[d.degree] += not val.is_zero
+        sym = symbol_bracket(d, d)
+        assert sym == symbol_bracket(d, twin) == ref_symbol_bracket(d, d)
+        nonzero["symbol"] += sum(not v.is_zero for v in sym.values())
+    assert nonzero[0] == 0 and nonzero[1] >= 20 and nonzero["symbol"] >= 20
+
+
+def test_symbol_leibniz_of_an_operand_with_itself_random():
+    # the [pi, pi] call, check_symbol_leibniz(abd, d, d), on the seeds of
+    # test_symbol_leibniz_matches_reference_random
+    for seed in range(30):
+        rng = random.Random(seed)
+        m, r, n = _shape(rng)
+        abd = rand_poly_algebroid(rng, m, r, n)
+        d = rand_multiderivation(rng, m, r, n, rng.randint(0, 1))
+        assert check_symbol_leibniz(abd, d, d) == \
+            ref_check_symbol_leibniz(abd, d, d, degree=3), seed
+
+
+def test_bracket_with_itself_is_one_composition(monkeypatch):
+    # the count guard: with md_circle_eval wrapped by a counter, the check
+    # on (phi, phi) composes half as often as on phi and an equal copy,
+    # and the span's compositions counter is that count
+    circle, calls = A.md_circle_eval, Counter()
+
+    def counted(*args):
+        calls["md_circle_eval"] += 1
+        return circle(*args)
+
+    monkeypatch.setattr(A, "md_circle_eval", counted)
+    for abd in (example_tangent_fc(sl2(), poly_var(3, 0)),
+                example_tangent_topform(3, 2)):
+        phi = bracket_derivation(abd)
+        counts = []
+        for other in (phi, _twin(phi)):
+            calls.clear()
+            res, spans = _traced(check_symbol_leibniz, abd, phi, other)
+            assert res.holds
+            counters = spans["algebroid.check_symbol_leibniz"]
+            assert counters["compositions"] == calls["md_circle_eval"]
+            assert counters["compositions"] == 2 * counters["frames"] * \
+                (1 if other is phi else 2)
+            counts.append(calls["md_circle_eval"])
+        assert 0 < 2 * counts[0] == counts[1]
 
 
 def test_nijenhuis_symbol_matches_reference_random():
@@ -530,6 +625,61 @@ def test_planted_symbol(monkeypatch):
     _fails_like_reference(check_symbol_leibniz(top, phi, d0),
                           ref_check_symbol_leibniz(top, phi, d0),
                           {"wedges": ((0, 1),), "z": 0, "f": "x0^2"})
+
+
+def test_planted_symbol_of_an_operand_with_itself(monkeypatch):
+    # the [pi, pi] twin of test_planted_symbol: one composition per
+    # bracket must still see the planted fault, with the same witness.
+    # On the topform itself [pi, pi] vanishes identically, its two
+    # composition orders cancelling, so the plant cannot show there; the
+    # anchor x0 d/dx0 on (e1, e2) makes [pi, pi] nonzero
+    top = example_tangent_topform(3, 2)
+    anchor = {**top.symbol, (1, 2): vf_coordinate(3, 0).scale(poly_var(3, 0))}
+    pi = make_poly_algebroid(3, 3, 3, {}, anchor)
+    for abd in (top, pi):
+        phi = bracket_derivation(abd)
+        assert check_symbol_leibniz(abd, phi, phi).holds
+    _plant_vf_apply(monkeypatch, 3)
+    res = check_symbol_leibniz(top, top, top)
+    assert res.holds and res == ref_check_symbol_leibniz(top, top, top)
+    _fails_like_reference(check_symbol_leibniz(pi, pi, pi),
+                          ref_check_symbol_leibniz(pi, pi, pi),
+                          {"wedges": ((0, 1), (1, 2)), "z": 0, "f": "x0^2"})
+
+
+def _planted_anchor_weighted_by_y():
+    """Zero bracket of arity 3 on rank 5 over R^2 with a(e1, e2) = -d/dx0
+    and a(e3, e4) = d/dx0 + d/dx1 / 2: on the pair (x', y) = ((1,), (3, 4))
+    the one nonzero anchor factor free of the weighted generator is
+    A(y'), and E(x0) = d/dx0 on the frame x = (1, 2)."""
+    return make_poly_algebroid(
+        2, 5, 3, {}, {(1, 2): -vf_coordinate(2, 0),
+                      (3, 4): vf_coordinate(2, 0)
+                      + vf_coordinate(2, 1).scale(F(1, 2))})
+
+
+@pytest.mark.parametrize("case", ["fi3", "fi4", "anchor", "anchor_by_y"])
+def test_planted_weighted_after_skipped_pairs(case):
+    # the weighted phases skip the frames of a pair (x', y) whose anchor
+    # factors free of the weighted generator all vanish; on these inputs
+    # the failing phase skips frames before its first failing one, which
+    # is still the reference's
+    abd, phase, witness = {
+        "fi3": (_planted_fi_weighted(3), "fi_weighted",
+                {"axiom": "fundamental identity", "x": (0, 1),
+                 "y": (1, 2, 3), "slot": 1, "f": "x0"}),
+        "fi4": (_planted_fi_weighted(4), "fi_weighted",
+                {"axiom": "fundamental identity", "x": (0, 1, 2),
+                 "y": (1, 2, 3, 4), "slot": 2, "f": "x0"}),
+        "anchor": (_planted_anchor_weighted_sections(), "anchor_weighted",
+                   {"axiom": "anchor compatibility", "x": (0, 2),
+                    "y": (1, 2), "slot": 1, "f": "x0"}),
+        "anchor_by_y": (_planted_anchor_weighted_by_y(), "anchor_weighted",
+                        {"axiom": "anchor compatibility", "x": (1, 2),
+                         "y": (3, 4), "slot": 1, "f": "x0"})}[case]
+    res, spans = _traced(check_algebroid_axioms, abd)
+    _fails_like_reference(res, ref_check_algebroid_axioms(abd), witness)
+    assert spans[f"algebroid.axioms.{phase}"]["skipped"] > 0
 
 
 def test_planted_nijenhuis_symbol(monkeypatch):

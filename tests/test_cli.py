@@ -519,7 +519,8 @@ def test_one_leibniz_driver():
 def test_products_take_supports():
     """Sections enter the evaluators of ``nlie.algebroid`` as slot
     supports: ``_supports``, the bundle check, runs only at the public
-    entry points, ``_leibniz`` and ``_tensorial`` take supports, and
+    entry points (the two products through ``_product_args``),
+    ``_leibniz`` and ``_tensorial`` take supports, and
     ``_insertions`` reads the inserted operator from its table, with no
     shuffle loop and no generator section."""
     tree = ast.parse((pathlib.Path(nlie.__file__).parent / "algebroid.py")
@@ -535,7 +536,8 @@ def test_products_take_supports():
         return {func for func in funcs if name in names(func)}
 
     assert callers("_supports") == {"section_bracket", "anchor_eval",
-                                    "md_eval", "md_circle_eval"}
+                                    "md_eval", "_product_args"}
+    assert callers("_product_args") == {"md_circle_eval", "md_bracket_eval"}
     assert not {"shuffles", "_md_apply", "generator_section"} \
         & names("_insertions")
     assert not {"md_eval", "_md_apply", "md_circle_eval", "_odot"} \
@@ -1505,7 +1507,10 @@ def test_each_input_read_once(capsys, eps, monkeypatch):
 def test_trace_algebroid_generator_phases(capsys, tmp_path):
     # every axiom phase reads the bracket and anchor tables; only the
     # Leibniz self-check pushes sections through section_bracket, two per
-    # frame, and nothing calls anchor_eval
+    # frame, and nothing calls anchor_eval.  The weighted phases skip the
+    # frames of each pair (x', y) whose anchor factors free of the
+    # weighted generator vanish: evaluated and skipped frames add up to
+    # all of them, 500 and 250
     top = write(tmp_path, "top.json",
                 algebroid_to_json(example_tangent_topform(5, 3)))
     argv = ["--trace", "algebroid", "check", top, "--max-degree", "2",
@@ -1520,10 +1525,13 @@ def test_trace_algebroid_generator_phases(capsys, tmp_path):
     phases = {name: line["counters"] for name, line in summary.items()
               if name.startswith("algebroid.axioms.")}
     assert phases == {
-        "algebroid.axioms.fi": {"frames": 50, "lookups": 60},
-        "algebroid.axioms.anchor": {"frames": 100, "lookups": 0},
-        "algebroid.axioms.anchor_weighted": {"frames": 500, "lookups": 66},
-        "algebroid.axioms.fi_weighted": {"frames": 250, "lookups": 99},
+        "algebroid.axioms.fi": {"frames": 50, "lookups": 60, "skipped": 0},
+        "algebroid.axioms.anchor": {"frames": 100, "lookups": 0,
+                                    "skipped": 0},
+        "algebroid.axioms.anchor_weighted": {"frames": 125, "lookups": 66,
+                                             "skipped": 375},
+        "algebroid.axioms.fi_weighted": {"frames": 130, "lookups": 99,
+                                         "skipped": 120},
         "algebroid.axioms.leibniz": {"frames": 50}}
     _, _, again = run(capsys, *argv)
     assert [(line["summary"], line["counters"])

@@ -88,11 +88,33 @@ def test_arithmetic_results_stay_canonical():
         results += list(vf_bracket(v, v).components)
         assert all(_canonical(p, m) for p in results)
         assert (a + b) == c and (a - a).terms == {}
+        # subtraction is one pass, the sum with the negation
+        assert a - b == a + (-b) and b - c == -a
+        assert v - w == v + (-w) and (v - v).is_zero
 
 
 def test_mixed_var_count_rejected():
     with pytest.raises(DimensionMismatch):
         poly_var(2, 0) + poly_var(3, 0)
+    with pytest.raises(DimensionMismatch):
+        poly_var(2, 0) - poly_var(3, 0)
+    with pytest.raises(DimensionMismatch):
+        vf_zero(2) - vf_zero(3)
+
+
+def test_constants_are_what_derivations_kill():
+    # is_constant is the condition under which _leibniz drops a symbol term
+    rng = random.Random(5)
+    for m in range(4):
+        assert poly_zero(m).is_constant
+        assert poly_const(m, Fraction(-3, 2)).is_constant
+        v = PolyVectorField(m, tuple(rand_poly(rng, m) for _ in range(m)))
+        for _ in range(10):
+            p = rand_poly(rng, m, 2, 3)
+            assert p.is_constant == all(not any(e) for e in p.terms)
+            if p.is_constant:
+                assert vf_apply(v, p).is_zero
+    assert not poly_var(1, 0).is_constant
 
 
 def test_ring_axioms_random():
