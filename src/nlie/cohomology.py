@@ -20,6 +20,18 @@ L·d_k are those of d_k, and d x = b is solved as (L·d) x = L·b.  The
 fundamental identity is quadratic in the bracket; its integer witness is
 divided by L^2.
 
+Betti 0 needs no rational elimination.  ``report(k)`` bounds rank d_(k-1)
+from below mod 3 (``linalg.rank_mod3``), then rank d_k up to dim C^k minus
+that bound; where they fall short and 3 divides an entry of either matrix,
+it bounds both again mod 2^31 - 1 (``linalg.rank_mod_p``).  Each bound is
+at most the rank over Q, and d_k·d_(k-1) = 0, checked exactly on the
+integer rows, gives rank d_k + rank d_(k-1) <= dim C^k.  So bounds that
+add up to dim C^k are both ranks, and betti_k = 0.  Otherwise (betti > 0,
+a prime dividing every minor of the rank's size, or the row cap read
+first) ``kernel`` gives both ranks as before; a bound above its rank
+raises ArithmeticError, and the ``cohomology.report`` span counts the
+shortfall.
+
 Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
 coboundary columns in a combined elimination.  Each kept vector is a cocycle
@@ -41,11 +53,18 @@ from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
                        to_matrix, vec_to_cochain)
 from .errors import DimensionMismatch
 from .linalg import (Factorization, Matrix, RankNullspace, Refusal, Row,
-                     Vector, integer_row, kernel)
+                     Vector, integer_row, kernel, rank_mod3, rank_mod_p)
 from .record import Record
-from .trace import row_counters, traced
+from .trace import row_counters, span, traced
 
 DEFAULT_DEGREE_CAP = 3
+
+# The row cap of a rank-bound pass on d_k: _CAP_SLOPE·ncols + _CAP_BASE
+# rows.  Measured in the seeded order, the catalog d_k reach their rank
+# within 1.94·ncols rows (sl(2) d_4: 157 rows for rank 57, 81 columns).
+_CAP_SLOPE, _CAP_BASE = 2, 16
+# The second prime, tried where 3 divides an entry of L·d_k.
+_PRIME = 2**31 - 1
 
 
 def complex_dim(alg: NLieAlgebra, k: int) -> int:
@@ -139,13 +158,68 @@ class Complex:
                                 if v[i]}})
                 for i, r in enumerate(self.rows(k))]
 
+    def _bound(self, k: int, target: int, p: int) -> int:
+        """A lower bound on rank d_k (0 for k < 0): the rank mod p of the
+        rows of L·d_k, read until it reaches ``target`` or the row cap."""
+        if k < 0:
+            return 0
+        rows = self.rows(k)
+        cap = _CAP_SLOPE * complex_dim(self.alg, k) + _CAP_BASE
+        return (rank_mod3(rows, target, cap) if p == 3 else
+                rank_mod_p(rows, p, target, cap)).rank
+
+    def _bounds(self, k: int, dim_k: int, p: int) -> tuple[int, int]:
+        """Lower bounds (rank d_(k-1), rank d_k) mod p: d_(k-1) up to its
+        size, then d_k up to dim C^k minus the first."""
+        lo_in = self._bound(k - 1, min(dim_k, complex_dim(self.alg, k - 1))
+                            if k else 0, p)
+        return lo_in, self._bound(k, dim_k - lo_in, p)
+
+    def _product_vanishes(self, k: int) -> None:
+        """Check d_k·d_(k-1) = 0 exactly, on the integer rows; a nonzero
+        entry raises ArithmeticError."""
+        inner = self.rows(k - 1)
+        terms = nonzero = 0
+        with span("cohomology.product_check") as sp:
+            for r in self.rows(k):
+                acc: dict[int, int] = {}
+                for j, a in r.items():
+                    for c, b in inner[j].items():
+                        acc[c] = acc.get(c, 0) + a * b
+                    terms += len(inner[j])
+                nonzero += sum(1 for v in acc.values() if v)
+            sp.count(terms=terms, nonzero=nonzero)
+        if nonzero:
+            raise ArithmeticError("d_k·d_(k-1) is not zero")
+
     def report(self, k: int) -> CohomologyReport:
-        """Betti number and representatives of H^k."""
+        """Betti number and representatives of H^k.  Where the rank bounds
+        meet, betti is 0 with both ranks proven and nothing is eliminated
+        over Q; otherwise ``kernel`` gives both ranks (see the module
+        docstring)."""
         alg = self.alg
         dim_k = complex_dim(alg, k)
-        out = self.kernel(k)
+        with span("cohomology.report") as sp:
+            lo_in, lo_out = self._bounds(k, dim_k, 3)
+            if lo_in + lo_out < dim_k and any(
+                    x % 3 == 0 for j in range(max(k - 1, 0), k + 1)
+                    for r in self.rows(j) for x in r.values()):
+                # 3 divides entries: a second prime can meet where 3 fell short
+                in_p, out_p = self._bounds(k, dim_k, _PRIME)
+                lo_in, lo_out = max(lo_in, in_p), max(lo_out, out_p)
+            if lo_in + lo_out == dim_k:
+                # rank d_k + rank d_(k-1) <= dim C^k; at k = 0, d_(-1) = 0
+                if k:
+                    self._product_vanishes(k)
+                sp.count(proven=1, shortfall=0)
+                return CohomologyReport(k, dim_k, lo_out, lo_in, 0, ())
+            out = self.kernel(k)
+            inn = self.kernel(k - 1) if k else RankNullspace(0, (), ())
+            if out.rank < lo_out or inn.rank < lo_in:
+                raise ArithmeticError("a rank lower bound exceeds the rank "
+                                      "that kernel certified")
+            sp.count(proven=0, shortfall=out.rank - lo_out + inn.rank - lo_in)
         cocycles = out.nullspace
-        inn = self.kernel(k - 1) if k else RankNullspace(0, (), ())
         betti = dim_k - out.rank - inn.rank
         reps: list[Vector] = []
         if betti > 0 and k == 0:

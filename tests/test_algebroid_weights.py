@@ -464,16 +464,6 @@ def _plant_vf_apply(monkeypatch, m):
     monkeypatch.setattr(A, "vf_apply", lambda v, f: drop(apply(v, f)))
 
 
-def _plant_section_scale(monkeypatch, m):
-    drop, scale = _low(m), A.section_scale
-
-    def planted(f, s):
-        out = scale(f, s)
-        return PolySection(out.num_vars, out.rank,
-                           tuple(drop(p) for p in out.comps))
-    monkeypatch.setattr(A, "section_scale", planted)
-
-
 def _fails_like_reference(res, ref, witness):
     assert not res.holds
     assert res == ref
@@ -604,9 +594,17 @@ def test_levi_civita_action_algebroid():
                            "y": (1, 2), "slot": 1, "f": "x1"})
 
 
+def _plant_leibniz(monkeypatch, m):
+    """A Leibniz evaluator that drops the terms of degree 2 and up from
+    the weights of its slots, so the bracket itself breaks the rule."""
+    drop, leibniz = _low(m), A._leibniz
+    monkeypatch.setattr(A, "_leibniz", lambda d, slots: leibniz(
+        d, [[(j, drop(p)) for j, p in slot] for slot in slots]))
+
+
 def test_planted_leibniz_rule(monkeypatch):
     top = example_tangent_topform(3, 2)
-    _plant_section_scale(monkeypatch, 3)
+    _plant_leibniz(monkeypatch, 3)
     _fails_like_reference(check_algebroid_axioms(top),
                           ref_check_algebroid_axioms(top),
                           {"axiom": "leibniz rule", "x": (0, 1), "z": 0,

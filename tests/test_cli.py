@@ -1350,11 +1350,25 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
             "deformations.rigidity_probe", "deformations.conjugate_path",
             "deformations.check_nijenhuis",
             "deformations.nijenhuis_bracket"} <= names
-    rank = next(c for name, _, c in first if name == "linalg.rank_nullspace")
+    # the rigidity probe still eliminates d_2 over Q for its cocycles
+    rank = next(c for name, _, c in runs[0]
+                if name == "linalg.rank_nullspace")
     assert rank["rows"] > 0 and rank["nnz"] > 0 and "rank" in rank
     # the sampled elimination's work: rows eliminated and rounds, for the
-    # kernels here and the rigidity probe's factorization
+    # kernel here and the rigidity probe's factorization
     assert rank["rounds"] >= 1 and 0 < rank["sample_rows"] <= rank["rows"]
+    # H^2 of Levi-Civita: rank d_1 = 10 and rank d_2 = 6 proven mod 3 (the
+    # packed pass, its re-check) and by d_2·d_1 = 0, with no kernel
+    spans = {name: c for name, _, c in first}
+    assert "linalg.rank_nullspace" not in spans
+    assert spans["cohomology.report"] == {"proven": 1, "shortfall": 0}
+    assert spans["linalg.rank_mod_p"] == {"max_prime": 3, "rank": 16,
+                                          "rows_read": 16}
+    packed = spans["linalg.rank_mod3"]
+    assert packed["rank"] == 16 and packed["max_prime"] == 3
+    assert 16 <= packed["rows_read"] <= 16 + 96
+    assert spans["cohomology.product_check"] == {"nonzero": 0,
+                                                 "terms": 144}
     fac = next(c for name, _, c in runs[0] if name == "linalg.factor")
     assert fac["rounds"] >= 1 and 0 < fac["sample_rows"] <= fac["rows"]
     # one circle product per ordered pair: full mode on an order-2 path
@@ -1368,6 +1382,33 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     assert "cochains.gla_bracket" not in spans
     calls, circle = spans["cochains.circle"]
     assert calls == 8 and set(circle) == {"operands", "terms", "nonzero"}
+
+
+@pytest.mark.parametrize("name,degree,ranks,betti,proven", [
+    ("levi_civita_bracket", 4, (486, 90), 0, True),
+    ("sl2", 4, (57, 24), 0, True),
+    ("heisenberg3", 4, (42, 18), 21, False),
+    ("levi_civita_bracket", 5, (2970, 486), 0, True),
+])
+def test_cohomology_route_pins(capsys, tmp_path, name, degree, ranks, betti,
+                               proven):
+    """Betti-0 degrees are proven by the mod-p bounds and d_k·d_(k-1) = 0
+    with no rational elimination; Heisenberg's bounds do not meet, and
+    ``kernel`` gives its H^4."""
+    from nlie import catalog
+    path = write(tmp_path, f"{name}.json",
+                 algebra_to_json(getattr(catalog, name)()))
+    code, out, err = run(capsys, "--trace", "cohomology", path, "--degree",
+                         str(degree), "--max-degree-cap", str(degree))
+    assert code == 0
+    assert f"rank d_out: {ranks[0]}\nrank d_in: {ranks[1]}\n" \
+           f"betti: {betti}\n" in out
+    summary = {line["summary"]: line for line in _trace_lines(err)
+               if "summary" in line}
+    assert ("linalg.rank_nullspace" not in summary) == proven
+    assert summary["cohomology.report"]["counters"] == {
+        "proven": int(proven), "shortfall": 0}
+    assert ("cohomology.product_check" in summary) == proven
 
 
 def test_trace_one_fi_check_per_verb(capsys, eps, sl2_file):

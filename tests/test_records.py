@@ -20,7 +20,7 @@ from nlie.deformations import (DeformationPath, EquivalenceMap,
                                InfinitesimalClass, OOperatorLift,
                                RigidityReport, RigidityTrial)
 from nlie.errors import DimensionMismatch
-from nlie.linalg import Matrix, RankNullspace, Refusal
+from nlie.linalg import Matrix, RankBound, RankNullspace, Refusal
 from nlie.poly import MultiPoly, PolyVectorField
 from nlie.record import Record
 
@@ -55,6 +55,7 @@ SAMPLES = {
                      (1, 2, (), True, "note")),
     Matrix: ((2, 2, [[1, 0], [F(1, 3), 2]]), (2, 2, [[1, 0], [0, 2]])),
     RankNullspace: ((1, ((F(1), F(-1, 2)),), (0,)), (2, (), (0, 1))),
+    RankBound: ((2, (0, 3), 5, 3), (2, (0, 4), 5, 3)),
     Refusal: (({0: 1, 2: -1},), ({0: 1},)),
     MultiPoly: ((2, {(1, 0): 3, (0, 2): F(1, 2)}), (2, {(1, 0): 3})),
     PolyVectorField: ((1, (X,)), (1, (ZERO,))),
