@@ -16,8 +16,9 @@ piped straight into the next command.
 ``--threads`` is accepted for interface compatibility; all computations
 run single-threaded, which is what keeps the outputs byte-stable.
 ``algebroid check --sections-degree`` and ``--max-degree`` are accepted
-for compatibility too: the check decides the axioms on all sections, and
-the Leibniz rule on all weights (``check_algebroid_axioms``).
+for compatibility too: the check decides the axioms on all sections
+(``check_algebroid_axioms``), and the Leibniz rule holds by construction
+of the bracket on sections.
 ``--trace`` writes spans and work counters to stderr as JSON lines
 (``nlie.trace``); stdout and the exit code stay the same.
 
@@ -307,7 +308,7 @@ VERBS = {
         "check": ("algebroid axioms", run_algebroid_check, _arg("algebroid"),
                   _arg("--max-degree", type=int, default=argparse.SUPPRESS,
                        help="accepted for compatibility; the Leibniz rule "
-                            "is decided on a fixed family of weights"),
+                            "holds by construction"),
                   _arg("--sections-degree", type=int,
                        default=argparse.SUPPRESS,
                        help="accepted for compatibility; the axioms are "

@@ -11,11 +11,13 @@ witness of every failing kind replays with a nonzero defect.  Like terms:
 reference, with the compositions counted.  Planted defects: one input per
 witness kind, each of which must fail with the reference's witness, the
 weighted ones after skipped frames, and the action algebroids of sl(2)
-and of the Levi-Civita bracket.  The Leibniz rule (b) and the two symbol checks hold
-by construction of the evaluator, so their defects are planted by
-monkeypatching a kernel of ``nlie.algebroid`` to drop the terms of degree
-2 and up in the base variables; the reference looks its kernels up on the
-module, so it sees the same patch.
+and of the Levi-Civita bracket.  The Leibniz rule (b) and the two symbol
+checks hold by construction of the evaluator, so their defects are
+planted by monkeypatching a kernel of ``nlie.algebroid`` to drop the terms
+of degree 2 and up in the base variables; the reference looks its kernels
+up on the module, so it sees the same patch.  The axiom check reads only
+its tables, so (b) is checked here, as a self-check of the evaluator on
+catalog models and seeded random algebroids.
 """
 
 import io
@@ -30,7 +32,7 @@ import pytest
 from helpers import (rand_bundle_map, rand_low_poly, rand_multiderivation,
                      rand_poly, rand_poly_algebroid, rand_sparse_algebroid,
                      ref_anchor_defect, ref_check_algebroid_axioms,
-                     ref_check_symbol_leibniz, ref_fi_defect,
+                     ref_check_symbol_leibniz, ref_fi_defect, ref_leibniz_rule,
                      ref_md_bracket_eval, ref_md_circle_eval,
                      ref_nijenhuis_symbol_check, ref_symbol_bracket,
                      vf_coordinate, weighted_frame)
@@ -47,7 +49,7 @@ from nlie.algebroid import (PolyMultiderivation, PolySection, anchor_eval,
                             nijenhuis_symbol_check, section_add,
                             section_bracket, section_scale, section_sub,
                             symbol_bracket)
-from nlie.algebra import bracket_on_basis
+from nlie.algebra import CheckResult, bracket_on_basis
 from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
 from nlie.poly import (MultiPoly, PolyVectorField, poly_const, poly_from_terms,
@@ -129,15 +131,13 @@ def test_axioms_match_reference_random(n):
 
 def test_generator_phases_match_reference_random():
     # rand_poly_algebroid fails mostly on generators; the reference
-    # evaluates every phase through section_bracket and anchor_eval, and
-    # the Leibniz rule, which holds by construction, on the weight 1 only
+    # evaluates every phase through section_bracket and anchor_eval
     kinds = Counter()
     for seed in range(200):
         rng = random.Random(seed)
         abd = rand_poly_algebroid(rng, *_shape(rng))
         res = check_algebroid_axioms(abd)
-        assert res == ref_check_algebroid_axioms(abd, implied=False,
-                                                 degree=0), seed
+        assert res == ref_check_algebroid_axioms(abd, implied=False), seed
         kinds[_kind(res)] += 1
     assert kinds[("fundamental identity", False)] >= 10
     assert kinds[("anchor compatibility", False)] >= 10
@@ -602,13 +602,54 @@ def _plant_leibniz(monkeypatch, m):
         d, [[(j, drop(p)) for j, p in slot] for slot in slots]))
 
 
+def _leibniz_self_check(abd):
+    """The anchored Leibniz rule (b) of ``section_bracket`` on all
+    weights: ``_leibniz_failure`` over the generator frames of the lifted
+    bracket, each with its lifted anchor field."""
+    lift = A._lift(abd)
+    wedges = list(itertools.combinations(range(abd.rank), abd.arity - 1))
+
+    def frames(gens):
+        for xk in wedges:
+            xs = [gens[i] for i in xk]
+            yield ({"x": xk}, lambda z, _: A.section_bracket(lift, xs + [z]),
+                   A.anchor_on_generators(lift, xk))
+
+    bad = A._leibniz_failure(abd.num_vars, abd.rank, frames)
+    return CheckResult(bad is None, bad)
+
+
+def _leibniz_models():
+    for alg in (sl2(), levi_civita_bracket()):
+        x1 = poly_var(alg.dim, 0)
+        for f in (poly_const(alg.dim, 1), x1, x1 * x1):
+            yield example_tangent_fc(alg, f)
+    yield example_tangent_topform(5, 3)
+    yield example_tangent_topform(3, 2)
+    for seed in range(10):
+        rng = random.Random(seed)
+        yield rand_poly_algebroid(rng, *_shape(rng))
+    for _, abd in _sparse(3, range(10)):
+        yield abd
+
+
+def test_leibniz_self_check():
+    # axiom (b) holds by construction of the evaluator, on any table:
+    # the generic-weight driver and the per-monomial reference agree
+    for i, abd in enumerate(_leibniz_models()):
+        res = _leibniz_self_check(abd)
+        assert res.holds, i
+        assert res == ref_leibniz_rule(abd), i
+
+
 def test_planted_leibniz_rule(monkeypatch):
+    # the verdict reads the tables only, so it holds under a broken
+    # evaluator, which the self-check catches with the reference's witness
     top = example_tangent_topform(3, 2)
     _plant_leibniz(monkeypatch, 3)
-    _fails_like_reference(check_algebroid_axioms(top),
-                          ref_check_algebroid_axioms(top),
-                          {"axiom": "leibniz rule", "x": (0, 1), "z": 0,
-                           "f": "x0^2"})
+    _fails_like_reference(_leibniz_self_check(top), ref_leibniz_rule(top),
+                          {"x": (0, 1), "z": 0, "f": "x0^2"})
+    assert check_algebroid_axioms(top).holds
 
 
 def test_planted_symbol(monkeypatch):

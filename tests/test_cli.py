@@ -437,6 +437,35 @@ def test_one_verdict_shape():
                 if isinstance(sub, ast.Constant) and sub.value is None]
 
 
+def test_axiom_verdict_reads_only_tables():
+    """``check_algebroid_axioms`` and every helper of ``nlie.algebroid``
+    it reaches, the phase helpers it passes among them, name no
+    evaluator: the verdict reads the lookups of ``_generator_lookups``
+    and never evaluates a bracket or an anchor on sections.  The Leibniz
+    rule of the evaluator is checked by the tests."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent / "algebroid.py")
+                     .read_text())
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+
+    def named(func):
+        return {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                for sub in ast.walk(funcs[func])}
+
+    reached, todo = set(), ["check_algebroid_axioms"]
+    while todo:
+        func = todo.pop()
+        reached.add(func)
+        todo += (named(func) & set(funcs)) - reached
+    assert {"_fi_generator", "_anchor_generator", "_anchor_weighted",
+            "_fi_weighted", "_anchor_live", "_fi_live", "_weighted_frames",
+            "_first_failing"} <= reached
+    evaluators = {"section_bracket", "_leibniz", "_leibniz_failure", "_lift",
+                  "anchor_eval", "anchor_on_generators"}
+    assert not [(func, evaluators & named(func)) for func in sorted(reached)
+                if evaluators & named(func)]
+
+
 _UNCALLED_API = re.compile(r"Paper API that nothing here calls: "
                            r"``\w+``((, ``\w+``)* and ``\w+``)?\.$")
 
@@ -509,9 +538,8 @@ def test_one_leibniz_driver():
                 if isinstance(sub, ast.Name) and sub.id == name}
 
     assert callers("_generic") == {"_leibniz_failure"}
-    assert callers("_leibniz_failure") == {
-        "check_algebroid_axioms", "check_symbol_leibniz",
-        "nijenhuis_symbol_check"}
+    assert callers("_leibniz_failure") == {"check_symbol_leibniz",
+                                           "nijenhuis_symbol_check"}
     assert not {"_leibniz_weight", "_generators",
                 "_weight_index"} & set(funcs)
 
@@ -1042,8 +1070,8 @@ def test_help_lists_every_verb_in_declaration_order(capsys, monkeypatch):
 
 COMPATIBILITY_FLAGS = {
     "--threads": "accepted for compatibility; runs are single-threaded",
-    "--max-degree": "accepted for compatibility; the Leibniz rule is "
-                    "decided on a fixed family of weights",
+    "--max-degree": "accepted for compatibility; the Leibniz rule holds "
+                    "by construction",
     "--sections-degree": "accepted for compatibility; the axioms are "
                          "decided on all sections",
 }
@@ -1546,9 +1574,8 @@ def test_each_input_read_once(capsys, eps, monkeypatch):
 
 
 def test_trace_algebroid_generator_phases(capsys, tmp_path):
-    # every axiom phase reads the bracket and anchor tables; only the
-    # Leibniz self-check pushes sections through section_bracket, two per
-    # frame, and nothing calls anchor_eval.  The weighted phases skip the
+    # every axiom phase reads the bracket and anchor tables, so nothing
+    # calls section_bracket or anchor_eval.  The weighted phases skip the
     # frames of each pair (x', y) whose anchor factors free of the
     # weighted generator vanish: evaluated and skipped frames add up to
     # all of them, 500 and 250
@@ -1561,7 +1588,7 @@ def test_trace_algebroid_generator_phases(capsys, tmp_path):
     assert run(capsys, *argv[1:])[1] == out
     summary = {line["summary"]: line for line in _trace_lines(err)
                if "summary" in line}
-    assert summary["algebroid.section_bracket"]["calls"] == 100
+    assert "algebroid.section_bracket" not in summary
     assert "algebroid.anchor_eval" not in summary
     phases = {name: line["counters"] for name, line in summary.items()
               if name.startswith("algebroid.axioms.")}
@@ -1572,8 +1599,7 @@ def test_trace_algebroid_generator_phases(capsys, tmp_path):
         "algebroid.axioms.anchor_weighted": {"frames": 125, "lookups": 66,
                                              "skipped": 375},
         "algebroid.axioms.fi_weighted": {"frames": 130, "lookups": 99,
-                                         "skipped": 120},
-        "algebroid.axioms.leibniz": {"frames": 50}}
+                                         "skipped": 120}}
     _, _, again = run(capsys, *argv)
     assert [(line["summary"], line["counters"])
             for line in _trace_lines(again) if "summary" in line] == \
