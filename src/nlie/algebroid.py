@@ -468,46 +468,54 @@ def _anchor_generator(B, A, out: PolyVectorField, x: Key,
     return None if out.is_zero else _UNWEIGHTED
 
 
-def _coordinate(x: Key, u: int, m: int) -> dict:
-    """Witness fields of the weight x_u on the last slot of x."""
-    return {"slot": len(x) - 1, "f": str(poly_var(m, u))}
+def _anchor_factors(A, xp: Key, y: Key) -> list:
+    """The nonzero anchor factors of E free of the weighted generator b on
+    the pair (x', y), each as (c, s, w, i): E(x_u) sums s c[u] A(w with b
+    in slot i).  They are A(y'), against A(x' + (b,)), and
+    A(x' + (y_i,)), against A(y' with y_i -> b)."""
+    factors = [(A(y), -1, xp, len(xp))] + [
+        (A(xp + (yi,)), 1, y[:i] + y[i + 1:], i) for i, yi in enumerate(y)]
+    return [f for f in factors if f[0] is not None]
 
 
-def _anchor_live(A, xp: Key, y: Key) -> bool:
-    """Whether a factor of E that does not depend on b is nonzero on the
-    pair (x', y): A(y') or some A(x' + (y_i,))."""
-    return A(y) is not None or any(A(xp + (yi,)) is not None for yi in y)
-
-
-def _anchor_weighted(A, m: int, x: Key, y: Key) -> Optional[dict]:
+def _anchor_weighted(A, m: int, x: Key, factors: list) -> Optional[dict]:
     """E(x_u) = -A(y')[u] A(x) + sum_i A(x' + (y_i,))[u] A(y' with y_i ->
-    b) on the frame x = x' + (b,), y' = y, for u = 0, 1, ..; a frame on
-    which every term has a vanishing anchor factor holds at once."""
-    xp, b, fx = x[:-1], x[-1], A(x)
-    terms = [(A(y), fx and -fx)] + [
-        (A(xp + (yi,)), A(y[:i] + (b,) + y[i + 1:]))
-        for i, yi in enumerate(y)]
-    terms = [(c, v) for c, v in terms if c is not None and v is not None]
-    for u in range(m if terms else 0):
-        out = vf_zero(m)
-        for c, v in terms:
-            p = c.components[u]
-            out = out + (v if p.is_one else v.scale(p))
-        if not out.is_zero:
-            return _coordinate(x, u, m)
-    return None
+    b) on the frame x = x' + (b,), y', for u = 0, 1, .., from the
+    ``_anchor_factors`` of its pair: only the partners are looked up."""
+    b, terms = x[-1], []
+    for c, s, w, i in factors:
+        v = A(w[:i] + (b,) + w[i:])
+        if v is not None:
+            terms.append((c, s, [(j, q) for j, q in enumerate(v.components)
+                                 if q]))
+    return _first_coordinate(x, m, terms)
 
 
-def _fi_live(B, A, xp: Key, y: Key) -> bool:
-    """Whether a factor of D that does not depend on b is nonzero on the
-    pair (x', y): some A(y^i), A(x' + (y_i,)) or A(x' + (k,)) with k in
-    the support of B(y)."""
-    return (any(A(y[:i] + y[i + 1:]) is not None or A(xp + (yi,)) is not None
-                for i, yi in enumerate(y))
-            or any(A(xp + (k,)) is not None for k, _ in B(y)))
+def _fi_factors(B, A, m: int, xp: Key, y: Key) -> list:
+    """The nonzero anchor factors of D free of the weighted generator b on
+    the pair (x', y), each as (c, s, w, i): the term s c[u] B(w with b in
+    slot i), or s c[u] w e_b where i is None.  They are A(x' + (k,)) for
+    (k, q) in B(y), against -q e_b; A(y^i), against -s_i B(x + (y_i,));
+    A(x' + (y_i,)), against B(y with y_i -> b); and, where both of the
+    last two are nonzero, the nested field c[u] = A(y^i)(A(x' + (y_i,))[u])
+    against s_i e_b, with s_i = (-1)^(n-1-i) and slots counted from 0.
+    A nested field enters with its two factors, so the list is empty
+    exactly when every factor free of b vanishes."""
+    n = len(y)
+    factors = [(A(xp + (k,)), -1, q, None) for k, q in B(y)]
+    for i, yi in enumerate(y):
+        s = -1 if (n - 1 - i) % 2 else 1
+        rest = y[:i] + y[i + 1:]
+        outer, inner = A(rest), A(xp + (yi,))
+        factors += [(outer, -s, xp + (yi,), len(xp)), (inner, 1, rest, i)]
+        if outer is not None and inner is not None:
+            factors.append((PolyVectorField(m, tuple(
+                vf_apply(outer, p) for p in inner.components)), s,
+                poly_const(m, 1), None))
+    return [f for f in factors if f[0] is not None]
 
 
-def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
+def _fi_weighted(B, m: int, x: Key, factors: list) -> Optional[dict]:
     """D(x_u) on the frame x = x' + (b,), y, for u = 0, 1, ..:
 
         - sum_{(k,q) in B(y)} q A(x' + (k,))[u] e_b
@@ -515,60 +523,53 @@ def _fi_weighted(B, A, m: int, r: int, x: Key, y: Key) -> Optional[dict]:
         + sum_i A(x' + (y_i,))[u] B(y with y_i -> b)
         + sum_i s_i A(y^i)(A(x' + (y_i,))[u]) e_b,
 
-    where s_i = (-1)^(n-1-i) with slots counted from 0; a frame on which
-    every term has a vanishing anchor factor or an empty bracket support
-    holds at once.  The signs choose between adding and subtracting."""
-    xp, b = x[:-1], x[-1]
-    n = len(y)
-    flat = []    # (c, s, support): the term s c[u] support
-    nested = []  # (v, w, s): the term s v(w[u]) e_b
-    for k, q in B(y):
-        field = A(xp + (k,))
-        if field is not None:
-            flat.append((field, -1, [(b, q)]))
-    for i, yi in enumerate(y):
-        s = -1 if (n - 1 - i) % 2 else 1
-        outer, inner = A(y[:i] + y[i + 1:]), A(xp + (yi,))
-        if outer is not None:
-            flat.append((outer, -s, B(x + (yi,))))
-        if inner is not None:
-            flat.append((inner, 1, B(y[:i] + (b,) + y[i + 1:])))
-            if outer is not None:
-                nested.append((outer, inner, s))
-    flat = [term for term in flat if term[2]]
-    for u in range(m if flat or nested else 0):
-        out = [poly_zero(m)] * r
-        for c, s, sup in flat:
+    from the ``_fi_factors`` of its pair: only the partners are looked
+    up."""
+    b = x[-1]
+    return _first_coordinate(x, m, [
+        (c, s, [(b, w)] if i is None else B(w[:i] + (b,) + w[i:]))
+        for c, s, w, i in factors])
+
+
+def _first_coordinate(x: Key, m: int, terms) -> Optional[dict]:
+    """Witness fields of the weight x_u on the last slot of x for the first
+    u at which sum s c[u] q e_j, over the terms (c, s, [(j, q)]), is
+    nonzero, or None.  No product has a factor equal to 1, and the signs
+    choose between adding and subtracting."""
+    zero, terms = poly_zero(m), [t for t in terms if t[2]]
+    for u in range(m if terms else 0):
+        out: dict[int, MultiPoly] = {}
+        for c, s, sup in terms:
             p = c.components[u]
             for j, q in sup if p else ():
-                out[j] = out[j] + p * q if s == 1 else out[j] - p * q
-        for v, w, s in nested:
-            q = vf_apply(v, w.components[u])
-            out[b] = out[b] + q if s == 1 else out[b] - q
-        if any(out):
-            return _coordinate(x, u, m)
+                t = q if p.is_one else p if q.is_one else p * q
+                acc = out.get(j, zero)
+                out[j] = acc + t if s == 1 else acc - t
+        if any(out.values()):
+            return {"slot": len(x) - 1, "f": str(poly_var(m, u))}
     return None
 
 
 def _weighted_frames(r: int, n: int, ny: int,
-                    live: Callable[[Key, Key], bool]):
-    """Frames (x, y) of a weighted phase: x is a sorted (n-2)-tuple x'
-    followed by the weighted generator b, any of the r, and y is a sorted
-    ny-tuple.  ``live(x', y)`` is decided once per pair, and each frame of
-    a pair that is not live comes as None: it holds unevaluated."""
+                     factors: Callable[[Key, Key], list]):
+    """Frames (x, y, fs) of a weighted phase: x is a sorted (n-2)-tuple x'
+    followed by the weighted generator b, any of the r, y is a sorted
+    ny-tuple, and fs = ``factors(x', y)``, the pair's nonzero anchor
+    factors free of b, read once per pair.  Each frame of a pair whose fs
+    is empty comes as None: it holds unevaluated."""
     ys = list(itertools.combinations(range(r), ny))
     for xp in itertools.combinations(range(r), n - 2):
-        pairs = [(y, live(xp, y)) for y in ys]
+        pairs = [(y, factors(xp, y)) for y in ys]
         for b in range(r):
-            for y, ok in pairs:
-                yield (xp + (b,), y) if ok else None
+            for y, fs in pairs:
+                yield (xp + (b,), y, fs) if fs else None
 
 
 def _first_failing(sp, filled: Callable[[], int], frames,
-                   defect: Callable[[Key, Key], Optional[dict]],
+                   defect: Callable[..., Optional[dict]],
                    ) -> Optional[dict]:
-    """Witness fields of the first frame (x, y) on which ``defect`` fails,
-    or None; a frame given as None holds.  Counts on ``sp`` the frames
+    """Witness fields of the first frame (x, y, ..) on which ``defect``
+    fails, or None; a frame given as None holds.  Counts on ``sp`` the frames
     evaluated, those skipped and the lookup memo entries filled."""
     start, count, skipped, bad = filled(), 0, 0, None
     for frame in frames:
@@ -656,9 +657,10 @@ def check_algebroid_axioms(abd: PolyMultiderivation) -> CheckResult:
     the FI generator phase runs.  Some of these factors do not depend on
     b: A(y') and A(x' + (y_i,)) for E, and A(y^i), A(x' + (y_i,)) and
     A(x' + (k,)) for k in the support of B(y) for D.  Each weighted phase
-    decides once per pair (x', y) whether one of them is nonzero, and
-    skips every frame of a pair where none is (``_anchor_live``,
-    ``_fi_live``).  The first failing frame, in the order of x, then y,
+    reads the nonzero ones once per pair (x', y) (``_anchor_factors``,
+    ``_fi_factors``) and skips every frame of a pair where that list is
+    empty; on the other frames it looks up only their partners, which
+    depend on b.  The first failing frame, in the order of x, then y,
     then u, is reported with x, y and, on weighted frames, the weighted
     slot of x and f = x_u.
 
@@ -699,11 +701,12 @@ def check_algebroid_axioms(abd: PolyMultiderivation) -> CheckResult:
              lambda x, y: _anchor_generator(B, A, vf_zero(m), x, y)),
             ("anchor_weighted", "anchor compatibility",
              _weighted_frames(r, n, n - 1,
-                              lambda xp, y: _anchor_live(A, xp, y)),
-             lambda x, y: _anchor_weighted(A, m, x, y)),
+                              lambda xp, y: _anchor_factors(A, xp, y)),
+             lambda x, y, fs: _anchor_weighted(A, m, x, fs)),
             ("fi_weighted", "fundamental identity",
-             _weighted_frames(r, n, n, lambda xp, y: _fi_live(B, A, xp, y)),
-             lambda x, y: _fi_weighted(B, A, m, r, x, y))]
+             _weighted_frames(r, n, n,
+                              lambda xp, y: _fi_factors(B, A, m, xp, y)),
+             lambda x, y, fs: _fi_weighted(B, m, x, fs))]
     for name, axiom, frames, defect in phases:
         with span(f"algebroid.axioms.{name}") as sp:
             bad = _first_failing(sp, filled, frames, defect)

@@ -7,18 +7,18 @@ C^k -> C^(k+1) in the elementary bases (lexicographic keys, then vector
 components), which makes every matrix byte-stable for golden tests.
 
 One ``Complex`` serves one call: it checks the fundamental identity once,
-builds each d_k once, eliminates it at most once for its kernel and
-solves on one ``linalg.Factorization`` per k, which factors d_k once for
-its rank and every solve; a refused solve returns its checked
-``Refusal``, the left witness included.  It works on integers.  Let
-L be the least common denominator of the structure constants.  Every entry
-of d_k is linear in the bracket, so L·d_k is an integer matrix, assembled
-by ``cochains.coboundary_rows`` on the structure table times L.  Scaling a
-row by L > 0 changes neither the rows' span nor the shortest-row pivot
-choice of ``linalg.kernel``.  So rank, pivots and canonical nullspace of
-L·d_k are those of d_k, and d x = b is solved as (L·d) x = L·b.  The
-fundamental identity is quadratic in the bracket; its integer witness is
-divided by L^2.
+builds each d_k once, eliminates it on each ``kernel(k)`` (no caller asks
+one ``Complex`` twice) and solves on one ``linalg.Factorization`` per k,
+which factors d_k once for its rank and every solve; a refused solve
+returns its checked ``Refusal``, the left witness included.  It works on
+integers.  Let L be the least common denominator of the structure
+constants.  Every entry of d_k is linear in the bracket, so L·d_k is an
+integer matrix, assembled by ``cochains.coboundary_rows`` on the structure
+table times L.  Scaling a row by L > 0 changes neither the rows' span nor
+the shortest-row pivot choice of ``linalg.kernel``.  So rank, pivots and
+canonical nullspace of L·d_k are those of d_k, and d x = b is solved as
+(L·d) x = L·b.  The fundamental identity is quadratic in the bracket; its
+integer witness is divided by L^2.
 
 Betti 0 needs no rational elimination.  ``report(k)`` bounds rank d_(k-1)
 from below mod 3 (``linalg.rank_mod3``), then rank d_k up to dim C^k minus
@@ -35,7 +35,10 @@ shortfall.
 Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
 coboundary columns in a combined elimination.  Each kept vector is a cocycle
-and no rational combination of kept vectors is a coboundary.
+and no rational combination of kept vectors is a coboundary.  That
+elimination runs over every column of d_in, so its pivots before the
+cocycles are the canonical pivots of d_in and give rank d_in: no second
+elimination of d_in is needed.
 ``outer_derivations`` reads H^1 as derivations modulo inner ones.
 Paper API that nothing here calls: ``outer_derivations``.
 """
@@ -91,9 +94,9 @@ class Complex:
 
     Construction checks the fundamental identity (raising its witness) and
     clears the structure table to (L, integers); each d_k is built as the
-    integer rows of L·d_k on first use, eliminated at most once for its
-    kernel and factored at most once, on the first ``factor(k)``, for its
-    rank and all its solves, however many right sides follow.  A solve
+    integer rows of L·d_k on first use, eliminated on each ``kernel(k)``
+    and factored at most once, on the first ``factor(k)``, for its rank
+    and all its solves, however many right sides follow.  A solve
     with no solution returns the ``Refusal`` whose left witness y has
     yᵀ(L·d_k) = 0 and yᵀ(L·b) != 0, checked exactly.
     """
@@ -103,7 +106,6 @@ class Complex:
         self.alg = alg
         self.scale, self.table = integral_table(alg)
         self._rows: dict[int, list[Row]] = {}
-        self._kernels: dict[int, RankNullspace] = {}
         self._factors: dict[int, Factorization] = {}
 
     def rows(self, k: int) -> list[Row]:
@@ -121,9 +123,7 @@ class Complex:
 
     def kernel(self, k: int) -> RankNullspace:
         """Rank, pivots and canonical nullspace of d_k."""
-        if k not in self._kernels:
-            self._kernels[k] = kernel(self.rows(k), complex_dim(self.alg, k))
-        return self._kernels[k]
+        return kernel(self.rows(k), complex_dim(self.alg, k))
 
     def factor(self, k: int) -> Factorization:
         """The ``linalg.Factorization`` of L·d_k that every solve uses."""
@@ -146,16 +146,13 @@ class Complex:
             ({j: Fraction(x, self.scale) for j, x in r.items()}
              for r in self.rows(k)), complex_dim(self.alg, k))
 
-    def beside(self, k: int, cols: Sequence[int],
-               vectors: Sequence[Vector]) -> list[Row]:
-        """Integer rows of the matrix whose columns are columns ``cols`` of
-        L·d_k, then ``vectors``.  Scaling the first block by L moves no
-        pivot and no coordinate of a solution in the second."""
-        base = len(cols)
-        return [integer_row({**{t: r[j] for t, j in enumerate(cols)
-                                if j in r},
-                             **{base + s: v[i] for s, v in enumerate(vectors)
-                                if v[i]}})
+    def beside(self, k: int, vectors: Sequence[Vector]) -> list[Row]:
+        """Integer rows of the matrix whose columns are those of L·d_k,
+        then ``vectors``.  Scaling the first block by L moves no pivot and
+        no coordinate of a solution in the second."""
+        base = complex_dim(self.alg, k)
+        return [integer_row({**r, **{base + s: v[i]
+                                     for s, v in enumerate(vectors) if v[i]}})
                 for i, r in enumerate(self.rows(k))]
 
     def _bound(self, k: int, target: int, p: int) -> int:
@@ -214,20 +211,22 @@ class Complex:
                 sp.count(proven=1, shortfall=0)
                 return CohomologyReport(k, dim_k, lo_out, lo_in, 0, ())
             out = self.kernel(k)
-            inn = self.kernel(k - 1) if k else RankNullspace(0, (), ())
-            if out.rank < lo_out or inn.rank < lo_in:
+            cocycles = out.nullspace
+            dim_in, piv = 0, range(len(cocycles))  # C^0: no coboundaries
+            if k:
+                # one elimination of [L·d_(k-1) | cocycles]: its pivots in
+                # the first block are those of d_(k-1), and the rest pick
+                # the representatives
+                dim_in = complex_dim(alg, k - 1)
+                piv = kernel(self.beside(k - 1, cocycles),
+                             dim_in + len(cocycles)).pivots
+            rank_in = sum(1 for j in piv if j < dim_in)
+            if out.rank < lo_out or rank_in < lo_in:
                 raise ArithmeticError("a rank lower bound exceeds the rank "
                                       "that kernel certified")
-            sp.count(proven=0, shortfall=out.rank - lo_out + inn.rank - lo_in)
-        cocycles = out.nullspace
-        betti = dim_k - out.rank - inn.rank
-        reps: list[Vector] = []
-        if betti > 0 and k == 0:
-            reps = list(cocycles)  # C^0 has no coboundaries
-        elif betti > 0:
-            combined = self.beside(k - 1, inn.pivots, cocycles)
-            piv = kernel(combined, inn.rank + len(cocycles)).pivots
-            reps = [cocycles[j - inn.rank] for j in piv if j >= inn.rank]
+            sp.count(proven=0, shortfall=out.rank - lo_out + rank_in - lo_in)
+        reps = [cocycles[j - dim_in] for j in piv if j >= dim_in]
+        betti = dim_k - out.rank - rank_in
         if len(reps) != betti:
             raise ArithmeticError("representative count differs from the "
                                   "betti number; rank bookkeeping is wrong")
@@ -241,7 +240,7 @@ class Complex:
         else:
             packed = tuple(vec_to_cochain(r, alg.arity, alg.dim, k - 1)
                            for r in reps)
-        return CohomologyReport(k, dim_k, out.rank, inn.rank, betti, packed)
+        return CohomologyReport(k, dim_k, out.rank, rank_in, betti, packed)
 
 
 def differential_matrix(alg: NLieAlgebra, k: int) -> Matrix:

@@ -151,7 +151,7 @@ def infinitesimal_class(path: DeformationPath) -> InfinitesimalClass:
     # representative coordinates of any solution are the class
     n1 = complex_dim(path.base, 1)
     reps = [cochain_to_vec(r) for r in report.representatives]
-    rows = cx.beside(1, range(n1), reps + [target])
+    rows = cx.beside(1, reps + [target])
     ncols = n1 + len(reps)
     rhs = [r.pop(ncols, 0) for r in rows]
     sol = Factorization(rows, ncols).solve(rhs)

@@ -8,15 +8,16 @@ algebroids, multiderivations and bundle maps.  The lemma of
 ``check_algebroid_axioms``: its identities on random dense tables, and a
 witness of every failing kind replays with a nonzero defect.  Like terms:
 [D, D], one composition, against an equal copy of D (two) and the
-reference, with the compositions counted.  Planted defects: one input per
-witness kind, each of which must fail with the reference's witness, the
-weighted ones after skipped frames, and the action algebroids of sl(2)
+reference, with the compositions counted; the axiom check makes no product
+by a factor equal to 1 on the topform models.  Planted defects: one input
+per witness kind, each of which must fail with the reference's witness,
+the weighted ones after skipped frames, and the action algebroids of sl(2)
 and of the Levi-Civita bracket.  The Leibniz rule (b) and the two symbol
-checks hold by construction of the evaluator, so their defects are
-planted by monkeypatching a kernel of ``nlie.algebroid`` to drop the terms
-of degree 2 and up in the base variables; the reference looks its kernels
-up on the module, so it sees the same patch.  The axiom check reads only
-its tables, so (b) is checked here, as a self-check of the evaluator on
+checks hold by construction of the evaluator, so their defects are planted
+by monkeypatching a kernel of ``nlie.algebroid`` to drop the terms of
+degree 2 and up in the base variables; the reference looks its kernels up
+on the module, so it sees the same patch.  The axiom check reads only its
+tables, so (b) is checked here, as a self-check of the evaluator on
 catalog models and seeded random algebroids.
 """
 
@@ -719,6 +720,27 @@ def test_planted_weighted_after_skipped_pairs(case):
     res, spans = _traced(check_algebroid_axioms, abd)
     _fails_like_reference(res, ref_check_algebroid_axioms(abd), witness)
     assert spans[f"algebroid.axioms.{phase}"]["skipped"] > 0
+
+
+def test_axiom_check_makes_no_product_by_one(monkeypatch):
+    # the topform anchors have a component equal to 1, and the weighted
+    # phases evaluate frames on them, so scaling a whole anchor field by
+    # a coordinate factor would multiply by 1
+    mul, by_one = MultiPoly.__mul__, []
+
+    def counted(self, other):
+        one = other.is_one if isinstance(other, MultiPoly) else other == 1
+        by_one.append(self.is_one or one)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    for args in ((5, 3), (3, 2)):
+        by_one.clear()
+        res, spans = _traced(check_algebroid_axioms,
+                             example_tangent_topform(*args))
+        assert res.holds and spans["algebroid.axioms.anchor_weighted"][
+            "frames"] > 0
+        assert not any(by_one), (args, by_one.count(True), len(by_one))
 
 
 def test_planted_nijenhuis_symbol(monkeypatch):

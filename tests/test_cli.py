@@ -458,7 +458,8 @@ def test_axiom_verdict_reads_only_tables():
         reached.add(func)
         todo += (named(func) & set(funcs)) - reached
     assert {"_fi_generator", "_anchor_generator", "_anchor_weighted",
-            "_fi_weighted", "_anchor_live", "_fi_live", "_weighted_frames",
+            "_fi_weighted", "_anchor_factors", "_fi_factors",
+            "_first_coordinate", "_weighted_frames",
             "_first_failing"} <= reached
     evaluators = {"section_bracket", "_leibniz", "_leibniz_failure", "_lift",
                   "anchor_eval", "anchor_on_generators"}
@@ -1434,6 +1435,12 @@ def test_cohomology_route_pins(capsys, tmp_path, name, degree, ranks, betti,
     summary = {line["summary"]: line for line in _trace_lines(err)
                if "summary" in line}
     assert ("linalg.rank_nullspace" not in summary) == proven
+    if not proven:
+        # Heisenberg H^4: kernel(d_4) on its 243 rows, then one elimination
+        # of [L·d_3 | cocycles] on 81 rows gives both rank d_3 and the
+        # representatives
+        elim = summary["linalg.rank_nullspace"]
+        assert (elim["calls"], elim["counters"]["rows"]) == (2, 324)
     assert summary["cohomology.report"]["counters"] == {
         "proven": int(proven), "shortfall": 0}
     assert ("cohomology.product_check" in summary) == proven
@@ -1578,7 +1585,9 @@ def test_trace_algebroid_generator_phases(capsys, tmp_path):
     # calls section_bracket or anchor_eval.  The weighted phases skip the
     # frames of each pair (x', y) whose anchor factors free of the
     # weighted generator vanish: evaluated and skipped frames add up to
-    # all of them, 500 and 250
+    # all of them, 500 and 250.  An evaluated frame looks up only the
+    # partners of its pair's nonzero factors, so anchor_weighted reads
+    # A(x) only where A(y') is nonzero
     top = write(tmp_path, "top.json",
                 algebroid_to_json(example_tangent_topform(5, 3)))
     argv = ["--trace", "algebroid", "check", top, "--max-degree", "2",
@@ -1596,7 +1605,7 @@ def test_trace_algebroid_generator_phases(capsys, tmp_path):
         "algebroid.axioms.fi": {"frames": 50, "lookups": 60, "skipped": 0},
         "algebroid.axioms.anchor": {"frames": 100, "lookups": 0,
                                     "skipped": 0},
-        "algebroid.axioms.anchor_weighted": {"frames": 125, "lookups": 66,
+        "algebroid.axioms.anchor_weighted": {"frames": 125, "lookups": 65,
                                              "skipped": 375},
         "algebroid.axioms.fi_weighted": {"frames": 130, "lookups": 99,
                                          "skipped": 120}}
