@@ -1,11 +1,14 @@
 """Filippov brackets on a free polynomial module with an anchor.
 
 The base "manifold" is R^m with polynomial functions only, so every identity
-is decided exactly.  Sections of the rank-r bundle are r-vectors of
-polynomials.  A Filippov algebroid is its bracket: the degree-1
-multiderivation (``PolyMultiderivation``) whose table holds the bracket on
-sorted generator n-tuples and whose symbol is the anchor.  The bracket
-extends to arbitrary sections by the anchored Leibniz rule
+is decided exactly.  A section of the rank-r bundle is a
+``poly.PolySection``: r polynomials, added, subtracted and scaled by the
+record's own operators.  A vector field on R^m is a section of rank m, so
+every anchor and symbol value is a rank-m section.  A Filippov algebroid
+is its bracket: the degree-1 multiderivation (``PolyMultiderivation``)
+whose table holds the bracket on sorted generator n-tuples and whose
+symbol is the anchor.  The bracket extends to arbitrary sections by the
+anchored Leibniz rule
 
     [x_1, .., x_{n-1}, f y] = f [x_1, .., x_{n-1}, y] + a(x_1 ^ .. ^ x_{n-1})(f) y
 
@@ -15,8 +18,8 @@ which yields the closed form
     [f_1 y_1, .., f_n y_n] = (prod f) [y..] +
         sum_i (-1)^(n-i) (prod_{j != i} f_j) a(y_1 ^ .. ^_i .. ^ y_n)(f_i) y_i.
 
-Multiderivations of degree 0 and 1 carry a symbol (a vector-field-valued
-map on wedges) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z, keyed
+Multiderivations of degree 0 and 1 carry a symbol (a map from wedges to
+vector fields) satisfying D(X, f z) = f D(X, z) + sigma_D(X)(f) z, keyed
 by the sorted wedge X of the other generators: () at degree 0, an
 (n-1)-tuple at degree 1.  The algebroid entry points refuse a degree-0
 multiderivation (``_check_algebroid``).  A bundle map N: A -> A, such as a
@@ -70,67 +73,11 @@ from .algebra import (CheckResult, Key, NLieAlgebra, basis_key, basis_lookup,
                       bracket_on_basis, require_fi, sort_with_sign)
 from .cochains import shuffles
 from .errors import DimensionMismatch, InvalidStructure
-from .poly import (Coeff, MultiPoly, PolyVectorField, poly_const, poly_var,
-                   poly_zero, vf_apply, vf_bracket, vf_zero)
-from .record import Record, _set
+from .poly import (MultiPoly, PolySection, generator_section, make_section,
+                   poly_const, poly_var, poly_zero, section_zero, vf_apply,
+                   vf_bracket)
+from .record import Record
 from .trace import span, traced
-
-
-class PolySection(Record):
-    __slots__ = ("num_vars", "rank", "comps")
-    num_vars: int
-    rank: int
-    comps: tuple[MultiPoly, ...]
-
-    def __init__(self, num_vars, rank, comps):
-        _set(self, "num_vars", num_vars)
-        _set(self, "rank", rank)
-        _set(self, "comps", comps)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.comps)
-
-
-def make_section(num_vars: int, rank: int,
-                 comps: Sequence[MultiPoly]) -> PolySection:
-    if len(comps) != rank:
-        raise DimensionMismatch(f"expected {rank} components")
-    for p in comps:
-        if p.num_vars != num_vars:
-            raise DimensionMismatch("component over wrong variable count")
-    return PolySection(num_vars, rank, tuple(comps))
-
-
-def section_zero(num_vars: int, rank: int) -> PolySection:
-    return PolySection(num_vars, rank,
-                       tuple(poly_zero(num_vars) for _ in range(rank)))
-
-
-def generator_section(num_vars: int, rank: int, j: int) -> PolySection:
-    if not 0 <= j < rank:
-        raise DimensionMismatch("generator index out of range")
-    comps = [poly_zero(num_vars) for _ in range(rank)]
-    comps[j] = poly_const(num_vars, 1)
-    return PolySection(num_vars, rank, tuple(comps))
-
-
-def section_add(a: PolySection, b: PolySection) -> PolySection:
-    return PolySection(a.num_vars, a.rank,
-                       tuple(x + y for x, y in zip(a.comps, b.comps)))
-
-
-def section_scale(f: MultiPoly | Coeff, s: PolySection) -> PolySection:
-    # a product costs a coefficient operation per term, even by 1 or into zero
-    if f == 1:
-        return s
-    return PolySection(s.num_vars, s.rank,
-                       tuple(p * f if p.terms else p for p in s.comps))
-
-
-def section_sub(a: PolySection, b: PolySection) -> PolySection:
-    return PolySection(a.num_vars, a.rank,
-                       tuple(x - y for x, y in zip(a.comps, b.comps)))
 
 
 class PolyMultiderivation(Record):
@@ -151,13 +98,13 @@ class PolyMultiderivation(Record):
     arity: int
     degree: int
     table: Mapping[Key, tuple[MultiPoly, ...]]
-    symbol: Mapping[Key, PolyVectorField]
+    symbol: Mapping[Key, PolySection]
 
 
 def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
                               degree: int,
                               table: Mapping[Key, Sequence[MultiPoly]],
-                              symbol: Mapping[Key, PolyVectorField],
+                              symbol: Mapping[Key, PolySection],
                               ) -> PolyMultiderivation:
     if degree not in (0, 1):
         raise DimensionMismatch("only degrees 0 and 1 are modeled")
@@ -174,8 +121,9 @@ def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
     sym = {}
     for key, field in symbol.items():
         key = basis_key(key, degree * (arity - 1), rank, "symbol")
-        if field.num_vars != num_vars:
-            raise DimensionMismatch("symbol field over wrong variable count")
+        if (field.num_vars, field.rank) != (num_vars, num_vars):
+            raise DimensionMismatch(f"symbol value is not a vector field "
+                                    f"on R^{num_vars}")
         if not field.is_zero:
             sym[key] = field
     return PolyMultiderivation(num_vars, rank, arity, degree, tab, sym)
@@ -183,7 +131,7 @@ def make_poly_multiderivation(num_vars: int, rank: int, arity: int,
 
 def make_poly_algebroid(num_vars: int, rank: int, arity: int,
                         brackets: Mapping[Key, Sequence[MultiPoly]],
-                        anchor: Mapping[Key, PolyVectorField],
+                        anchor: Mapping[Key, PolySection],
                         ) -> PolyMultiderivation:
     """The algebroid as its bracket: the degree-1 multiderivation with the
     bracket on sorted n-tuples as its table and the anchor on sorted
@@ -201,16 +149,13 @@ def _check_algebroid(abd: PolyMultiderivation) -> None:
 
 
 def anchor_on_generators(abd: PolyMultiderivation,
-                         idx: Sequence[int]) -> PolyVectorField:
+                         idx: Sequence[int]) -> PolySection:
     _check_algebroid(abd)
     ss = sort_with_sign(tuple(idx))
-    if ss is None:
-        return vf_zero(abd.num_vars)
-    sign, key = ss
-    field = abd.symbol.get(key)
+    field = ss and abd.symbol.get(ss[1])
     if field is None:
-        return vf_zero(abd.num_vars)
-    return field if sign == 1 else -field
+        return section_zero(abd.num_vars, abd.num_vars)
+    return field if ss[0] == 1 else -field
 
 
 def _supports(m: int, r: int, sections: Sequence[PolySection]):
@@ -272,22 +217,22 @@ def _leibniz(d: PolyMultiderivation, slots: Sequence[_Slot]) -> PolySection:
 
 
 def _tensorial(d: PolyMultiderivation,
-               slots: Sequence[_Slot]) -> PolyVectorField:
+               slots: Sequence[_Slot]) -> PolySection:
     """C-infinity-multilinear extension of d's symbol to a wedge of slot
     supports [(j, p)]."""
-    out = vf_zero(d.num_vars)
+    out = section_zero(d.num_vars, d.num_vars)
     for combo in itertools.product(*slots):
         ss = sort_with_sign(tuple(j for j, _ in combo))
         field = d.symbol.get(ss[1]) if ss is not None else None
         if field is not None:
             coeff = _prod([p for _, p in combo], ss[0])
-            out = out + (field if coeff == 1 else field.scale(coeff))
+            out = out + field.scale(coeff)
     return out
 
 
 @traced("algebroid.anchor_eval")
 def anchor_eval(abd: PolyMultiderivation,
-                sections: Sequence[PolySection]) -> PolyVectorField:
+                sections: Sequence[PolySection]) -> PolySection:
     """C-infinity-multilinear extension of the anchor to a wedge of
     polynomial sections."""
     _check_algebroid(abd)
@@ -321,11 +266,11 @@ def _pad(p: MultiPoly) -> MultiPoly:
     return MultiPoly(p.num_vars + 1, {e + (0,): c for e, c in p.terms.items()})
 
 
-def _pad_field(v: PolyVectorField) -> PolyVectorField:
-    """v over one more variable t, with a zero t-component, so that t is
-    a constant for v."""
-    return PolyVectorField(v.num_vars + 1, tuple(_pad(p) for p in v.components)
-                           + (poly_zero(v.num_vars + 1),))
+def _pad_field(v: PolySection) -> PolySection:
+    """The vector field v over one more variable t, with a zero
+    t-component, so that t is a constant for v."""
+    m = v.num_vars + 1
+    return PolySection(m, m, tuple(map(_pad, v.comps)) + (poly_zero(m),))
 
 
 def _lift(d: PolyMultiderivation) -> PolyMultiderivation:
@@ -392,7 +337,7 @@ def _leibniz_failure(m: int, r: int, frames: Callable, sp=None,
             for j in range(r):
                 count += 1
                 lhs = op(weighted[j], (j, True))
-                rhs = section_scale(g, op(gens[j], (j, False)))
+                rhs = op(gens[j], (j, False)).scale(g)
                 defect = [a - b for a, b in zip(lhs.comps, rhs.comps)]
                 defect[j] = defect[j] - action
                 k = min((e[-1] for p in defect for e in p.terms),
@@ -411,9 +356,9 @@ def _generator_lookups(abd: PolyMultiderivation):
     them, None where it vanishes; with a count of their memo entries."""
     brackets: dict = {}
     B = basis_lookup(abd.table, memo=brackets)
-    anchors: dict[Key, Optional[PolyVectorField]] = {}
+    anchors: dict[Key, Optional[PolySection]] = {}
 
-    def A(idx: Key) -> Optional[PolyVectorField]:
+    def A(idx: Key) -> Optional[PolySection]:
         if idx not in anchors:
             ss = sort_with_sign(idx)
             field = ss and abd.symbol.get(ss[1])
@@ -454,7 +399,7 @@ def _fi_generator(B, A, out: list[MultiPoly], x: Key,
     return _UNWEIGHTED if any(out) else None
 
 
-def _anchor_generator(B, A, out: PolyVectorField, x: Key,
+def _anchor_generator(B, A, out: PolySection, x: Key,
                       y: Key) -> Optional[dict]:
     """A(x; y') on generators; ``out`` is the zero field."""
     fx, fy = A(x), A(y)
@@ -486,8 +431,7 @@ def _anchor_weighted(A, m: int, x: Key, factors: list) -> Optional[dict]:
     for c, s, w, i in factors:
         v = A(w[:i] + (b,) + w[i:])
         if v is not None:
-            terms.append((c, s, [(j, q) for j, q in enumerate(v.components)
-                                 if q]))
+            terms.append((c, s, [(j, q) for j, q in enumerate(v.comps) if q]))
     return _first_coordinate(x, m, terms)
 
 
@@ -509,8 +453,8 @@ def _fi_factors(B, A, m: int, xp: Key, y: Key) -> list:
         outer, inner = A(rest), A(xp + (yi,))
         factors += [(outer, -s, xp + (yi,), len(xp)), (inner, 1, rest, i)]
         if outer is not None and inner is not None:
-            factors.append((PolyVectorField(m, tuple(
-                vf_apply(outer, p) for p in inner.components)), s,
+            factors.append((PolySection(m, m, tuple(
+                vf_apply(outer, p) for p in inner.comps)), s,
                 poly_const(m, 1), None))
     return [f for f in factors if f[0] is not None]
 
@@ -540,7 +484,7 @@ def _first_coordinate(x: Key, m: int, terms) -> Optional[dict]:
     for u in range(m if terms else 0):
         out: dict[int, MultiPoly] = {}
         for c, s, sup in terms:
-            p = c.components[u]
+            p = c.comps[u]
             for j, q in sup if p else ():
                 t = q if p.is_one else p if q.is_one else p * q
                 acc = out.get(j, zero)
@@ -698,7 +642,7 @@ def check_algebroid_axioms(abd: PolyMultiderivation) -> CheckResult:
         phases += [
             ("anchor", "anchor compatibility",
              itertools.product(wedges, wedges),
-             lambda x, y: _anchor_generator(B, A, vf_zero(m), x, y)),
+             lambda x, y: _anchor_generator(B, A, section_zero(m, m), x, y)),
             ("anchor_weighted", "anchor compatibility",
              _weighted_frames(r, n, n - 1,
                               lambda xp, y: _anchor_factors(A, xp, y)),
@@ -723,12 +667,15 @@ def example_tangent_fc(algebra: NLieAlgebra, f: MultiPoly,
     if f.num_vars != m:
         raise DimensionMismatch("rescaling function must live on R^dim")
     require_fi(algebra)
-    table = {}
-    for key in itertools.combinations(range(m), algebra.arity):
-        vec = bracket_on_basis(algebra, key)
-        comps = tuple(f * c for c in vec)
-        if any(not p.is_zero for p in comps):
-            table[key] = comps
+
+    def times(c):
+        # no product by a coefficient 0 or 1, or by f = 1
+        if c == 1:
+            return f
+        return poly_const(m, c) if not c or f.is_one else f * c
+
+    table = {key: tuple(map(times, bracket_on_basis(algebra, key)))
+             for key in itertools.combinations(range(m), algebra.arity)}
     return make_poly_algebroid(m, m, algebra.arity, table, {})
 
 
@@ -740,7 +687,7 @@ def example_tangent_topform(m_base: int, n: int) -> PolyMultiderivation:
         raise DimensionMismatch("form degree must satisfy 1 <= n <= m_base")
     comps = [poly_zero(m_base) for _ in range(m_base)]
     comps[0] = poly_const(m_base, 1)
-    anchor = {tuple(range(n)): PolyVectorField(m_base, tuple(comps))}
+    anchor = {tuple(range(n)): PolySection(m_base, m_base, tuple(comps))}
     return make_poly_algebroid(m_base, m_base, n + 1, {}, anchor)
 
 
@@ -763,12 +710,10 @@ def bracket_derivation(abd: PolyMultiderivation) -> PolyMultiderivation:
     return abd
 
 
-def md_eval(d: PolyMultiderivation, blocks: tuple[Key, ...],
+def md_eval(d: PolyMultiderivation,
             final: Sequence[PolySection]) -> PolySection:
     """Evaluate on a final tuple of polynomial sections by the Leibniz
-    rule in each slot; at degrees 0 and 1 there are no wedge ``blocks``."""
-    if blocks:
-        raise DimensionMismatch("wrong number of block arguments")
+    rule in each slot: one section at degree 0, n at degree 1."""
     if d.degree == 0 and len(final) != 1:
         raise DimensionMismatch("degree 0 takes a single section")
     if d.degree == 1 and len(final) != d.arity:
@@ -826,7 +771,7 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
     for wedge in _insertions(d1, d2, keys, one):
         val = _leibniz(d1, wedge + [zs])
         if not val.is_zero:
-            out = section_add(out, val)
+            out = out + val
     base_sign = -1 if (p * q) % 2 else 1
     for perm, sh_sign in shuffles(p, q):
         w = _md_apply(d2, tuple(keys[i] for i in perm[p:]), zs, one)
@@ -835,7 +780,7 @@ def md_circle_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
         val = _md_apply(d1, tuple(keys[i] for i in perm[:p]),
                         [(j, c) for j, c in enumerate(w.comps) if c], one)
         if not val.is_zero:
-            out = section_add(out, section_scale(base_sign * sh_sign, val))
+            out = out + val.scale(base_sign * sh_sign)
     return out
 
 
@@ -860,24 +805,23 @@ def md_bracket_eval(d1: PolyMultiderivation, d2: PolyMultiderivation,
         _product_args(d1, d2, keys, z)
     out = section_zero(d1.num_vars, d1.rank)
     for c, outer, inner in terms:
-        out = section_add(out, section_scale(
-            c, md_circle_eval(outer, inner, keys, z)))
+        out = out + md_circle_eval(outer, inner, keys, z).scale(c)
     return out
 
 
 def _odot(sig_owner: PolyMultiderivation, other: PolyMultiderivation,
-          keys: tuple[Key, ...]) -> PolyVectorField:
+          keys: tuple[Key, ...]) -> PolySection:
     """(sigma_D1 (.) D2)(keys): insert D2's value into one wedge factor of
     sigma_D1's arguments."""
     m = sig_owner.num_vars
-    out = vf_zero(m)
+    out = section_zero(m, m)
     for wedge in _insertions(sig_owner, other, keys, poly_const(m, 1)):
         out = out + _tensorial(sig_owner, wedge)
     return out
 
 
 def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
-                   ) -> dict[tuple[Key, ...], PolyVectorField]:
+                   ) -> dict[tuple[Key, ...], PolySection]:
     """Symbol of the graded bracket, tabulated on all tuples of sorted
     generator wedges."""
     _check_pair(d1, d2)
@@ -894,7 +838,7 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
         comms = [(sh_sign, perm) for perm, sh_sign in shuffles(p, q)]
     out = {}
     wedges = list(itertools.combinations(range(r), n - 1))
-    zero = vf_zero(m)
+    zero = section_zero(m, m)
     for keys in itertools.product(wedges, repeat=p + q):
         parts = [(c, _odot(outer, inner, keys)) for c, outer, inner in terms]
         for c, perm in comms:
@@ -905,7 +849,7 @@ def symbol_bracket(d1: PolyMultiderivation, d2: PolyMultiderivation,
                                         d2.symbol.get(tail, zero))))
         total = zero
         for c, v in parts:
-            total = total + (v if c == 1 else v.scale(c))
+            total = total + v.scale(c)
         out[keys] = total
     return out
 
@@ -982,14 +926,14 @@ def _deformed_brackets(abd: PolyMultiderivation,
     def deformed(k: int) -> PolySection:
         while len(tower) <= k:
             if tower and not mapped:
-                mapped.extend(md_eval(nmap, (), [s]) for s in sections)
+                mapped.extend(md_eval(nmap, [s]) for s in sections)
             total = section_zero(abd.num_vars, abd.rank)
             for slots in itertools.combinations(range(abd.arity), len(tower)):
                 args = [mapped[t] if t in slots else s
                         for t, s in enumerate(sections)]
-                total = section_add(total, section_bracket(abd, args))
-            tower.append(section_sub(total, md_eval(nmap, (), [tower[-1]]))
-                         if tower else total)
+                total = total + section_bracket(abd, args)
+            tower.append(total - md_eval(nmap, [tower[-1]]) if tower
+                         else total)
         return tower[k]
 
     return deformed
@@ -1031,10 +975,10 @@ def nijenhuis_symbol_check(abd: PolyMultiderivation,
         for k in range(1, n):
             for xk in itertools.combinations(range(r), n - 1):
                 xs = [gens[i] for i in xk]
-                claimed = vf_zero(m + 1)
+                claimed = section_zero(m + 1, m + 1)
                 for slots in itertools.combinations(range(n - 1), k):
                     claimed = claimed + anchor_eval(lift, [
-                        md_eval(tmap, (), [x]) if t in slots else x
+                        md_eval(tmap, [x]) if t in slots else x
                         for t, x in enumerate(xs)])
                 yield ({"k": k, "x": xk}, lambda z, key: towers.setdefault(
                     (xk, *key), _deformed_brackets(lift, tmap, xs + [z]))(k),

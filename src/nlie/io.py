@@ -16,6 +16,9 @@ Conventions, fixed once here so all documents agree:
   the key itself;
 * polynomials serialize as term lists [{"exponents": [..], "coeff": "p/q"}]
   with one exponent per variable;
+* a section of rank r serializes as its list of r polynomials; a vector
+  field on R^m, such as an anchor value, is a section of rank m and is
+  read through ``poly.make_section`` like any other;
 * matrices serialize as dense row lists of rationals;
 * an object repeats no member name (``_members``), so no value is
   silently dropped for a later one of the same name;
@@ -47,7 +50,7 @@ from .deformations import (DeformationPath, EquivalenceMap,
                            make_deformation_path, make_equivalence_map)
 from .errors import DimensionMismatch, OutputTooLarge
 from .linalg import Matrix, Vector
-from .poly import MultiPoly, PolyVectorField, poly_from_terms
+from .poly import MultiPoly, PolySection, make_section, poly_from_terms
 from .trace import traced
 
 
@@ -458,7 +461,7 @@ def algebroid_to_json(abd: PolyMultiderivation) -> dict:
         "brackets": _write_keyed(abd.table, lambda comps: {
             "value": [poly_to_json(p) for p in comps]}),
         "anchor": _write_keyed(abd.symbol, lambda field: {
-            "field": [poly_to_json(p) for p in field.components]}),
+            "field": [poly_to_json(p) for p in field.comps]}),
     }
 
 
@@ -477,8 +480,10 @@ def algebroid_from_json(obj: Any,
             _field(item, "value", here), rank, num_vars, f"{here}.value"))
     anchors = _read_keyed(
         doc, "anchor", arity - 1, rank, where, "anchor",
-        lambda item, here: PolyVectorField(num_vars, _poly_list_from_json(
-            _field(item, "field", here), num_vars, num_vars, f"{here}.field")))
+        lambda item, here: make_section(
+            num_vars, num_vars, _poly_list_from_json(
+                _field(item, "field", here), num_vars, num_vars,
+                f"{here}.field")))
     return _wrap(lambda: make_poly_algebroid(num_vars, rank, arity,
                                              brackets, anchors), where)
 
@@ -514,14 +519,12 @@ def report_value(value: Any) -> Any:
         return {str(k): report_value(v) for k, v in value.items()}
     if isinstance(value, MultiPoly):
         return poly_to_json(value)
-    if isinstance(value, PolyVectorField):
-        return [poly_to_json(p) for p in value.components]
+    if isinstance(value, PolySection):
+        return [poly_to_json(p) for p in value.comps]
     if isinstance(value, Cochain):
         return cochain_to_json(value)
     if isinstance(value, WedgeElement):
         return wedge_to_json(value)
     if isinstance(value, Matrix):
         return matrix_to_json(value)
-    if hasattr(value, "comps"):
-        return [poly_to_json(p) for p in value.comps]
     return str(value)

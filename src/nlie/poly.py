@@ -1,30 +1,37 @@
-"""Exact sparse multivariate polynomials and polynomial vector fields.
+"""Exact sparse multivariate polynomials and polynomial sections.
 
-Polynomials stand in for the smooth functions on the base space, vector
-fields for its derivations.  Coefficients are exact rationals, so
-identities are decided by exact equality.  An integral coefficient is stored
-as an ``int`` and only a non-integral one as a ``fractions.Fraction``;
-``_coeff`` normalises each coefficient where it enters (``poly_from_terms``,
-``poly_const``, ``MultiPoly.scale``), and ``nlie.cochains`` and
-``nlie.deformations`` store cochain entries by the same rule.  Nothing here
-divides, so on integral inputs the arithmetic adds and multiplies Python
-ints and never makes a Fraction.  An int and a Fraction of the same value
-compare and hash alike and print alike, so equality and rendering do not
-depend on the type.
+Polynomials stand in for the smooth functions on the base space R^m.  A
+section of the free module of rank r over them (``PolySection``) is r
+polynomials, one per generator, with the record's own ``+``, ``-`` and
+``scale``.  A vector field on R^m is a section of rank m: the tangent
+bundle of R^m is free of rank m, and the derivations of the base
+(``vf_apply``, ``vf_bracket``) take rank-m sections and refuse any other.
+
+Coefficients are exact rationals, so identities are decided by exact
+equality.  An integral coefficient is stored as an ``int`` and only a
+non-integral one as a ``fractions.Fraction``; ``_coeff`` normalises each
+coefficient where it enters (``poly_from_terms``, ``poly_const``,
+``MultiPoly.scale``), and ``nlie.cochains`` and ``nlie.deformations`` store
+cochain entries by the same rule.  Nothing here divides, so on integral
+inputs the arithmetic adds and multiplies Python ints and never makes a
+Fraction.  An int and a Fraction of the same value compare and hash alike
+and print alike, so equality and rendering do not depend on the type.
 
 Terms are stored sparsely as a map from exponent vectors (one entry per
 variable) to nonzero coefficients.  Exponent vectors compare
 lexicographically, which fixes the canonical term order used when
 serializing.
 
-Only ``poly_from_terms``, where raw terms enter, validates them; the
-arithmetic builds canonical terms from canonical operands unchecked.
+Only ``poly_from_terms`` and ``make_section``, where raw terms and
+components enter, validate them; the arithmetic builds canonical values
+from canonical operands unchecked, and a section's ``+`` and ``-`` check
+only that both operands live on one bundle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .record import Record, _set
@@ -198,66 +205,91 @@ def poly_from_terms(num_vars: int,
     return MultiPoly(num_vars, {e: _coeff(c) for e, c in out.items() if c})
 
 
-class PolyVectorField(Record):
-    """Vector field with polynomial components, acting as a derivation."""
+class PolySection(Record):
+    """Section of the free module of rank ``rank`` over the polynomials on
+    R^num_vars: one polynomial per generator e_j.  A vector field on R^m is
+    a section of rank m, its j-th component the coefficient of d/dx_j.
+    Nothing here checks the shape: build raw components through
+    ``make_section``, everything else by the constructors or arithmetic.
+    """
 
-    __slots__ = ("num_vars", "components")
+    __slots__ = ("num_vars", "rank", "comps")
     num_vars: int
-    components: tuple[MultiPoly, ...]
+    rank: int
+    comps: tuple[MultiPoly, ...]
 
-    def __init__(self, num_vars, components):
-        if len(components) != num_vars:
-            raise DimensionMismatch("one component per variable required")
-        for p in components:
-            if p.num_vars != num_vars:
-                raise DimensionMismatch("component over wrong variable count")
+    def __init__(self, num_vars, rank, comps):
         _set(self, "num_vars", num_vars)
-        _set(self, "components", components)
+        _set(self, "rank", rank)
+        _set(self, "comps", comps)
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.components)
+        return all(p.is_zero for p in self.comps)
 
-    def __add__(self, other: PolyVectorField) -> PolyVectorField:
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatch("vector fields over different bases")
-        return PolyVectorField(
-            self.num_vars,
-            tuple(a + b for a, b in zip(self.components, other.components)))
+    def __add__(self, other: PolySection) -> PolySection:
+        _same_bundle(self, other)
+        return PolySection(self.num_vars, self.rank, tuple(
+            a + b for a, b in zip(self.comps, other.comps)))
 
-    def __neg__(self) -> PolyVectorField:
-        return PolyVectorField(self.num_vars,
-                               tuple(-p for p in self.components))
+    def __neg__(self) -> PolySection:
+        return PolySection(self.num_vars, self.rank,
+                           tuple(-p for p in self.comps))
 
-    def __sub__(self, other: PolyVectorField) -> PolyVectorField:
-        if self.num_vars != other.num_vars:
-            raise DimensionMismatch("vector fields over different bases")
-        return PolyVectorField(
-            self.num_vars,
-            tuple(a - b for a, b in zip(self.components, other.components)))
+    def __sub__(self, other: PolySection) -> PolySection:
+        _same_bundle(self, other)
+        return PolySection(self.num_vars, self.rank, tuple(
+            a - b for a, b in zip(self.comps, other.comps)))
 
-    def scale(self, f: MultiPoly | Coeff) -> PolyVectorField:
-        return PolyVectorField(self.num_vars,
-                               tuple(p * f for p in self.components))
-
-    def __str__(self) -> str:
-        parts = [f"({p})*d/dx{v}" for v, p in enumerate(self.components)
-                 if not p.is_zero]
-        return " + ".join(parts) if parts else "0"
+    def scale(self, f: MultiPoly | Coeff) -> PolySection:
+        # a product costs a coefficient operation per term, even by 1 or
+        # into zero
+        if f == 1:
+            return self
+        return PolySection(self.num_vars, self.rank,
+                           tuple(p * f if p.terms else p for p in self.comps))
 
 
-def vf_zero(num_vars: int) -> PolyVectorField:
-    return PolyVectorField(num_vars, tuple(poly_zero(num_vars)
-                                           for _ in range(num_vars)))
+def _same_bundle(a: PolySection, b: PolySection) -> None:
+    if (a.num_vars, a.rank) != (b.num_vars, b.rank):
+        raise DimensionMismatch("sections of different bundles")
 
 
-def vf_apply(v: PolyVectorField, f: MultiPoly) -> MultiPoly:
-    """Apply the derivation: sum_i v_i * df/dx_i, summed into one dict,
-    with no product by a factor equal to 1."""
-    if v.num_vars != f.num_vars:
-        raise DimensionMismatch("field and function over different bases")
+def make_section(num_vars: int, rank: int,
+                 comps: Sequence[MultiPoly]) -> PolySection:
+    if len(comps) != rank:
+        raise DimensionMismatch(f"expected {rank} components")
+    for p in comps:
+        if p.num_vars != num_vars:
+            raise DimensionMismatch("component over wrong variable count")
+    return PolySection(num_vars, rank, tuple(comps))
+
+
+def section_zero(num_vars: int, rank: int) -> PolySection:
+    return PolySection(num_vars, rank,
+                       tuple(poly_zero(num_vars) for _ in range(rank)))
+
+
+def generator_section(num_vars: int, rank: int, j: int) -> PolySection:
+    if not 0 <= j < rank:
+        raise DimensionMismatch("generator index out of range")
+    comps = [poly_zero(num_vars) for _ in range(rank)]
+    comps[j] = poly_const(num_vars, 1)
+    return PolySection(num_vars, rank, tuple(comps))
+
+
+def _field_on(v: PolySection, m: int) -> None:
+    if v.num_vars != m or v.rank != m:
+        raise DimensionMismatch(f"not a vector field on R^{m}")
+
+
+def vf_apply(v: PolySection, f: MultiPoly) -> MultiPoly:
+    """Apply the vector field v, a section of rank m, as a derivation:
+    sum_i v_i * df/dx_i, summed into one dict, with no product by a factor
+    equal to 1."""
+    _field_on(v, f.num_vars)
     acc: dict[Exponents, Coeff] = {}
-    for i, comp in enumerate(v.components):
+    for i, comp in enumerate(v.comps):
         if comp.is_zero:
             continue
         d = f.partial(i)
@@ -271,12 +303,12 @@ def vf_apply(v: PolyVectorField, f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.num_vars, acc)
 
 
-def vf_bracket(v: PolyVectorField, w: PolyVectorField) -> PolyVectorField:
-    """Commutator [v, w]; its components are v(w_i) - w(v_i)."""
-    if v.num_vars != w.num_vars:
-        raise DimensionMismatch("vector fields over different bases")
-    return PolyVectorField(
-        v.num_vars,
-        tuple(vf_apply(v, wi) - vf_apply(w, vi)
-              for vi, wi in zip(v.components, w.components)))
+def vf_bracket(v: PolySection, w: PolySection) -> PolySection:
+    """Commutator [v, w] of two vector fields on R^m; its components are
+    v(w_i) - w(v_i)."""
+    m = v.num_vars
+    _field_on(v, m)
+    _field_on(w, m)
+    return PolySection(m, m, tuple(vf_apply(v, wi) - vf_apply(w, vi)
+                                   for vi, wi in zip(v.comps, w.comps)))
 

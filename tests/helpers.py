@@ -16,7 +16,7 @@ from nlie.catalog import conjugated_algebra
 from nlie.cochains import Cochain
 from nlie.errors import DimensionMismatch
 from nlie.linalg import Matrix, vec_add, vec_is_zero, vec_sub
-from nlie.poly import (MultiPoly, PolyVectorField, poly_const,
+from nlie.poly import (MultiPoly, PolySection, generator_section, poly_const,
                        poly_from_terms, poly_zero)
 
 
@@ -70,11 +70,9 @@ def to_algebra(d: Cochain):
                         {last: val for (_, last), val in d.entries.items()})
 
 
-def vf_coordinate(num_vars: int, var: int) -> PolyVectorField:
-    """The coordinate field d/dx_var."""
-    comps = [poly_zero(num_vars) for _ in range(num_vars)]
-    comps[var] = poly_const(num_vars, 1)
-    return PolyVectorField(num_vars, tuple(comps))
+def vf_coordinate(num_vars: int, var: int) -> PolySection:
+    """The coordinate field d/dx_var: the generator e_var of rank num_vars."""
+    return generator_section(num_vars, num_vars, var)
 
 
 def constant_bundle_map(num_vars: int, rank: int, arity: int,
@@ -291,9 +289,9 @@ def ref_fi_defect(abd, xs, ys):
     rhs = A.section_zero(abd.num_vars, abd.rank)
     for i in range(abd.arity):
         sub = A.section_bracket(abd, list(xs) + [ys[i]])
-        rhs = A.section_add(rhs, A.section_bracket(
-            abd, list(ys[:i]) + [sub] + list(ys[i + 1:])))
-    return A.section_sub(lhs, rhs)
+        rhs = rhs + A.section_bracket(
+            abd, list(ys[:i]) + [sub] + list(ys[i + 1:]))
+    return lhs - rhs
 
 
 def ref_anchor_defect(abd, xs, ys):
@@ -301,7 +299,7 @@ def ref_anchor_defect(abd, xs, ys):
     import nlie.algebroid as A
 
     lhs = A.vf_bracket(A.anchor_eval(abd, xs), A.anchor_eval(abd, ys))
-    rhs = A.vf_zero(abd.num_vars)
+    rhs = A.section_zero(abd.num_vars, abd.num_vars)
     for i in range(abd.arity - 1):
         w = A.section_bracket(abd, list(xs) + [ys[i]])
         rhs = rhs + A.anchor_eval(abd, list(ys[:i]) + [w] + list(ys[i + 1:]))
@@ -315,7 +313,7 @@ def weighted_frame(abd, x, weights):
 
     secs = [A.generator_section(abd.num_vars, abd.rank, j) for j in x]
     for s, f in weights:
-        secs[s] = A.section_scale(f, secs[s])
+        secs[s] = secs[s].scale(f)
     return secs
 
 
@@ -339,9 +337,6 @@ def ref_check_algebroid_axioms(abd, implied=True):
     quads = [coords[u] * coords[v] for u in range(m) for v in range(u, m)
              if implied]
 
-    def polys(defect):
-        return getattr(defect, "comps", None) or defect.components
-
     def fails(axiom, x, y, **fields):
         return CheckResult(False, {"axiom": axiom, "x": x, "y": y, **fields})
 
@@ -350,8 +345,8 @@ def ref_check_algebroid_axioms(abd, implied=True):
     for axiom, defect, ny, _ in phases:
         for x, y in itertools.product(itertools.combinations(range(r), n - 1),
                                       itertools.combinations(range(r), ny)):
-            if any(polys(defect(abd, weighted_frame(abd, x, ()),
-                                weighted_frame(abd, y, ())))):
+            if not defect(abd, weighted_frame(abd, x, ()),
+                          weighted_frame(abd, y, ())).is_zero:
                 return fails(axiom, x, y, f=None)
     for axiom, defect, ny, weights in reversed(
             phases if abd.symbol else []):
@@ -359,11 +354,11 @@ def ref_check_algebroid_axioms(abd, implied=True):
                 itertools.combinations(range(r), n - 2), range(r),
                 itertools.combinations(range(r), ny)):
             x, ys = xp + (b,), weighted_frame(abd, y, ())
-            base = polys(defect(abd, weighted_frame(abd, x, ()), ys))
+            base = defect(abd, weighted_frame(abd, x, ()), ys)
             for f in weights:
-                weighted = polys(defect(
-                    abd, weighted_frame(abd, x, [(n - 2, f)]), ys))
-                if any(p - f * q for p, q in zip(weighted, base)):
+                weighted = defect(
+                    abd, weighted_frame(abd, x, [(n - 2, f)]), ys)
+                if not (weighted - base.scale(f)).is_zero:
                     return fails(axiom, x, y, slot=n - 2, f=str(f))
     # the cross term is skew under swapping the two weighted slots with
     # their weights, so x_{n-2} <= x_{n-1} covers every frame
@@ -376,8 +371,8 @@ def ref_check_algebroid_axioms(abd, implied=True):
         x, ys = xpp + pair, weighted_frame(abd, y, ())
 
         def fi(*weights):
-            return polys(ref_fi_defect(abd, weighted_frame(abd, x, weights),
-                                       ys))
+            return ref_fi_defect(abd, weighted_frame(abd, x, weights),
+                                 ys).comps
 
         neither = fi()
         for (g, only_g), (f, only_f) in itertools.product(
@@ -411,12 +406,10 @@ def ref_leibniz_rule(abd, degree=2):
         for j in range(r):
             plain = A.section_bracket(abd, xs + [gens[j]])
             for f in fam:
-                weighted = A.section_scale(f, gens[j])
+                weighted = gens[j].scale(f)
                 lhs = A.section_bracket(abd, xs + [weighted])
-                rhs = A.section_add(A.section_scale(f, plain),
-                                    A.section_scale(A.vf_apply(field, f),
-                                                    gens[j]))
-                if not A.section_sub(lhs, rhs).is_zero:
+                rhs = plain.scale(f) + gens[j].scale(A.vf_apply(field, f))
+                if not (lhs - rhs).is_zero:
                     return CheckResult(False, {"x": xk, "z": j, "f": str(f)})
     return CheckResult(True, None)
 
@@ -428,7 +421,6 @@ def _ref_insertions(d1, d2, keys):
     block[slot], evaluated on generator sections through ``md_eval``, head
     is d1's share before block, and sign is the Koszul sign times the
     shuffle sign."""
-    from nlie.algebroid import generator_section
     from nlie.cochains import shuffles
 
     p, q = d1.degree, d2.degree
@@ -446,7 +438,6 @@ def _ref_insertions(d1, d2, keys):
 
 
 def _ref_gens(d, key):
-    from nlie.algebroid import generator_section
     return [generator_section(d.num_vars, d.rank, j) for j in key]
 
 
@@ -454,8 +445,8 @@ def _ref_md_apply(d, keys, z):
     """D(X_1, .., X_degree, z) through ``md_eval`` on generator sections."""
     from nlie.algebroid import md_eval
     if d.degree == 0:
-        return md_eval(d, (), (z,))
-    return md_eval(d, keys[:-1], _ref_gens(d, keys[-1]) + [z])
+        return md_eval(d, (z,))
+    return md_eval(d, _ref_gens(d, keys[-1]) + [z])
 
 
 def ref_md_circle_eval(d1, d2, keys, z):
@@ -466,16 +457,15 @@ def ref_md_circle_eval(d1, d2, keys, z):
 
     p, q = d1.degree, d2.degree
     out = A.section_zero(d1.num_vars, d1.rank)
-    for sign, head, block, s, w in _ref_insertions(d1, d2, keys):
+    for sign, _, block, s, w in _ref_insertions(d1, d2, keys):
         final = (_ref_gens(d1, block[:s]) + [w]
                  + _ref_gens(d1, block[s + 1:]) + [z])
-        out = A.section_add(out, A.section_scale(
-            sign, A.md_eval(d1, head, final)))
+        out = out + A.md_eval(d1, final).scale(sign)
     base_sign = -1 if (p * q) % 2 else 1
     for perm, sh_sign in shuffles(p, q):
         w = _ref_md_apply(d2, tuple(keys[i] for i in perm[p:]), z)
         val = _ref_md_apply(d1, tuple(keys[i] for i in perm[:p]), w)
-        out = A.section_add(out, A.section_scale(base_sign * sh_sign, val))
+        out = out + val.scale(base_sign * sh_sign)
     return out
 
 
@@ -483,9 +473,8 @@ def ref_md_bracket_eval(d1, d2, keys, z):
     import nlie.algebroid as A
 
     sign = -1 if (d1.degree * d2.degree) % 2 else 1
-    return A.section_sub(
-        A.section_scale(sign, ref_md_circle_eval(d1, d2, keys, z)),
-        ref_md_circle_eval(d2, d1, keys, z))
+    return (ref_md_circle_eval(d1, d2, keys, z).scale(sign)
+            - ref_md_circle_eval(d2, d1, keys, z))
 
 
 def _ref_odot(sig_owner, other, keys):
@@ -494,7 +483,7 @@ def _ref_odot(sig_owner, other, keys):
     import nlie.algebroid as A
 
     m, r, n = sig_owner.num_vars, sig_owner.rank, sig_owner.arity
-    out = A.vf_zero(m)
+    out = A.section_zero(m, m)
     for sign, head, block, s, w in _ref_insertions(sig_owner, other, keys):
         # a symbol key joins its wedges: the head's, then the last one
         h = sum(head, ())
@@ -517,7 +506,7 @@ def ref_symbol_bracket(d1, d2):
 
     p, q = d1.degree, d2.degree
     sign = -1 if (p * q) % 2 else 1
-    zero = A.vf_zero(d1.num_vars)
+    zero = A.section_zero(d1.num_vars, d1.num_vars)
     wedges = list(itertools.combinations(range(d1.rank), d1.arity - 1))
     out = {}
     for keys in itertools.product(wedges, repeat=p + q):
@@ -552,12 +541,9 @@ def ref_check_symbol_leibniz(abd, d1, d2, degree=2):
             gen = A.generator_section(m, r, j)
             plain = ref_md_bracket_eval(d1, d2, keys, gen)
             for f in fam:
-                lhs = ref_md_bracket_eval(d1, d2, keys,
-                                          A.section_scale(f, gen))
-                rhs = A.section_add(A.section_scale(f, plain),
-                                    A.section_scale(A.vf_apply(sigma, f),
-                                                    gen))
-                if not A.section_sub(lhs, rhs).is_zero:
+                lhs = ref_md_bracket_eval(d1, d2, keys, gen.scale(f))
+                rhs = plain.scale(f) + gen.scale(A.vf_apply(sigma, f))
+                if not (lhs - rhs).is_zero:
                     return CheckResult(False, {"wedges": keys, "z": j,
                                                "f": str(f)})
     return CheckResult(True, None)
@@ -572,8 +558,7 @@ def _ref_apply(nmap, s):
     for j, p in enumerate(s.comps):
         col = nmap.table.get((j,))
         if col is not None:
-            out = A.section_add(out, A.section_scale(
-                p, A.make_section(s.num_vars, s.rank, col)))
+            out = out + A.make_section(s.num_vars, s.rank, col).scale(p)
     return out
 
 
@@ -606,14 +591,13 @@ def ref_nijenhuis_symbol_check(abd, nmap, degree=2):
                                                     gens + [gen])
                 for f in fam:
                     deformed = A.nijenhuis_section_bracket(
-                        abd, nmap, k, gens + [A.section_scale(f, gen)])
-                    defect = A.section_sub(deformed,
-                                           A.section_scale(f, plain))
+                        abd, nmap, k, gens + [gen.scale(f)])
+                    defect = deformed - plain.scale(f)
                     claimed = A.poly_zero(m)
                     for anchor in anchors:
                         claimed = claimed + A.vf_apply(anchor, f)
-                    expected = A.section_scale(claimed, gen)
-                    if not A.section_sub(defect, expected).is_zero:
+                    expected = gen.scale(claimed)
+                    if not (defect - expected).is_zero:
                         return CheckResult(False, {"k": k, "x": xk, "z": j,
                                                    "f": str(f)})
     return CheckResult(True, None)
@@ -625,9 +609,9 @@ def rand_low_poly(rng: random.Random, num_vars: int, terms: int = 1):
 
 
 def rand_field(rng: random.Random, num_vars: int):
-    from nlie.poly import PolyVectorField, poly_zero
+    from nlie.poly import make_section, poly_zero
 
-    return PolyVectorField(num_vars, tuple(
+    return make_section(num_vars, num_vars, tuple(
         rand_low_poly(rng, num_vars) if rng.random() < 0.5
         else poly_zero(num_vars) for _ in range(num_vars)))
 
@@ -665,7 +649,7 @@ def rand_sparse_algebroid(rng: random.Random, m: int, r: int, n: int):
     import itertools
 
     from nlie.algebroid import make_poly_algebroid
-    from nlie.poly import PolyVectorField, poly_const, poly_zero
+    from nlie.poly import make_section, poly_const, poly_zero
 
     def coeff(choices):
         return rand_low_poly(rng, m) if rng.random() < 0.3 \
@@ -679,7 +663,7 @@ def rand_sparse_algebroid(rng: random.Random, m: int, r: int, n: int):
         table[key] = tuple(comps)
     wedges = list(itertools.combinations(range(r), n - 1))
     for w in rng.sample(wedges, rng.randint(1, min(2, len(wedges)))):
-        anchor[w] = PolyVectorField(m, tuple(
+        anchor[w] = make_section(m, m, tuple(
             coeff([1, -1]) if rng.random() < 0.6 else poly_zero(m)
             for _ in range(m)))
     return make_poly_algebroid(m, r, n, table, anchor)

@@ -8,23 +8,21 @@ from helpers import (constant_bundle_map, monomials, rand_bundle_map,
                      rand_invertible, rand_poly, rand_poly_algebroid,
                      vf_coordinate)
 
-from nlie.algebroid import (PolyVectorField, anchor_eval, anchor_on_generators,
+from nlie.algebroid import (anchor_eval, anchor_on_generators,
                             bracket_derivation, check_algebroid_axioms,
                             check_poly_nijenhuis, check_symbol_leibniz,
                             example_tangent_fc, example_tangent_topform,
-                            generator_section, make_bundle_map,
-                            make_poly_algebroid, make_poly_multiderivation,
-                            make_section, md_bracket_eval, md_circle_eval,
-                            md_eval, nijenhuis_section_bracket,
-                            nijenhuis_symbol_check, poly_family, section_add,
-                            section_bracket, section_scale, section_sub,
-                            section_zero, symbol_bracket)
+                            make_bundle_map, make_poly_algebroid,
+                            make_poly_multiderivation, md_bracket_eval,
+                            md_circle_eval, md_eval,
+                            nijenhuis_section_bracket, nijenhuis_symbol_check,
+                            poly_family, section_bracket, symbol_bracket)
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
                           levi_civita_bracket, sl2)
 from nlie.cochains import eval_keys_z, from_bracket, gla_bracket
 from nlie.errors import DimensionMismatch, InvalidStructure
-from nlie.poly import (poly_const, poly_var, poly_zero, vf_apply, vf_bracket,
-                       vf_zero)
+from nlie.poly import (generator_section, make_section, poly_const, poly_var,
+                       poly_zero, section_zero, vf_apply, vf_bracket)
 
 
 def x(num_vars, v):
@@ -45,10 +43,18 @@ def test_section_helpers():
     s = make_section(2, 3, [x(2, 0), poly_zero(2), poly_const(2, 4)])
     assert not s.is_zero
     assert section_zero(2, 3).is_zero
-    assert section_sub(s, s).is_zero
-    doubled = section_add(s, s)
+    assert (s - s).is_zero
+    doubled = s + s
     assert doubled.comps[2] == poly_const(2, 8)
-    assert section_scale(F(1, 2), doubled).comps == s.comps
+    assert doubled.scale(F(1, 2)).comps == s.comps
+    assert (-s).comps == (section_zero(2, 3) - s).comps
+    assert s.scale(1) is s
+    # + and - refuse a section of another bundle, a field of R^2 included
+    for other in (section_zero(2, 2), section_zero(3, 3)):
+        with pytest.raises(DimensionMismatch, match="different bundles"):
+            s + other
+        with pytest.raises(DimensionMismatch, match="different bundles"):
+            s - other
     with pytest.raises(DimensionMismatch):
         make_section(2, 3, [poly_zero(2)])
     with pytest.raises(DimensionMismatch):
@@ -67,10 +73,10 @@ def test_make_poly_algebroid_validation():
     with pytest.raises(DimensionMismatch):
         make_poly_algebroid(1, 3, 2, {(0, 1): [poly_zero(1)] * 2}, {})
     with pytest.raises(DimensionMismatch):
-        make_poly_algebroid(1, 3, 2, {}, {(0,): vf_zero(2)})
+        make_poly_algebroid(1, 3, 2, {}, {(0,): section_zero(2, 2)})
     # zero rows and zero fields are dropped
     abd = make_poly_algebroid(1, 3, 2, {(0, 1): [poly_zero(1)] * 3},
-                              {(0,): vf_zero(1)})
+                              {(0,): section_zero(1, 1)})
     assert abd.table == {} and abd.symbol == {}
 
 
@@ -80,7 +86,7 @@ def test_generator_lookup_signs():
     plus = section_bracket(abd, [g[0], g[1]])
     minus = section_bracket(abd, [g[1], g[0]])
     assert not plus.is_zero
-    assert section_add(plus, minus).is_zero
+    assert (plus + minus).is_zero
     assert section_bracket(abd, [g[1], g[1]]).is_zero
     top = example_tangent_topform(3, 2)
     a = anchor_on_generators(top, (0, 1))
@@ -126,7 +132,7 @@ def test_section_bracket_skew_random(model):
         for i, j in itertools.combinations(range(abd.arity), 2):
             swapped = list(secs)
             swapped[i], swapped[j] = secs[j], secs[i]
-            assert section_add(section_bracket(abd, swapped), ref).is_zero
+            assert (section_bracket(abd, swapped) + ref).is_zero
 
 
 @pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
@@ -141,13 +147,11 @@ def test_section_bracket_anchored_leibniz_random(model):
         plain = section_bracket(abd, secs)
         for i in range(n):
             weighted = list(secs)
-            weighted[i] = section_scale(f, secs[i])
+            weighted[i] = secs[i].scale(f)
             action = vf_apply(anchor_eval(abd, secs[:i] + secs[i + 1:]), f)
             sign = -1 if (n - 1 - i) % 2 else 1
-            expect = section_add(section_scale(f, plain),
-                                 section_scale(action * sign, secs[i]))
-            assert section_sub(section_bracket(abd, weighted),
-                               expect).is_zero
+            expect = plain.scale(f) + secs[i].scale(action * sign)
+            assert (section_bracket(abd, weighted) - expect).is_zero
 
 
 @pytest.mark.parametrize("model", sorted(KERNEL_MODELS))
@@ -161,7 +165,7 @@ def test_anchor_eval_function_linear_random(model):
         base = anchor_eval(abd, secs)
         for i in range(abd.arity - 1):
             args, alt = list(secs), list(secs)
-            args[i] = section_add(section_scale(f, secs[i]), extra)
+            args[i] = secs[i].scale(f) + extra
             alt[i] = extra
             expect = base.scale(f) + anchor_eval(abd, alt)
             assert (anchor_eval(abd, args) - expect).is_zero
@@ -175,26 +179,25 @@ def test_md_eval_degree_zero_leibniz_random(model):
     rng = random.Random(109)
     table = {(j,): tuple(rand_poly(rng, m, 1, 2) for _ in range(r))
              for j in range(r)}
-    sigma = PolyVectorField(m, tuple(rand_poly(rng, m, 1, 2) + x(m, v)
-                                     for v in range(m)))
+    sigma = make_section(m, m, tuple(rand_poly(rng, m, 1, 2) + x(m, v)
+                                      for v in range(m)))
     d = make_poly_multiderivation(m, r, abd.arity, 0, table, {(): sigma})
     for _ in range(3):
         y = rand_section(rng, abd)
         f = rand_weight(rng, m)
-        lhs = md_eval(d, (), (section_scale(f, y),))
-        rhs = section_add(section_scale(f, md_eval(d, (), (y,))),
-                          section_scale(vf_apply(sigma, f), y))
-        assert section_sub(lhs, rhs).is_zero
+        lhs = md_eval(d, (y.scale(f),))
+        rhs = md_eval(d, (y,)).scale(f) + y.scale(vf_apply(sigma, f))
+        assert (lhs - rhs).is_zero
 
 
 def test_anchor_eval_multilinearity():
     top = example_tangent_topform(3, 2)
     f, g = x(3, 0), x(3, 1)
-    s0 = section_scale(f, generator_section(3, 3, 0))
-    s1 = section_scale(g, generator_section(3, 3, 1))
+    s0 = generator_section(3, 3, 0).scale(f)
+    s1 = generator_section(3, 3, 1).scale(g)
     field = anchor_eval(top, [s0, s1])
-    assert field.components[0] == f * g
-    assert field.components[1].is_zero and field.components[2].is_zero
+    assert field.comps[0] == f * g
+    assert field.comps[1].is_zero and field.comps[2].is_zero
     s2 = generator_section(3, 3, 2)
     assert anchor_eval(top, [s0, s2]).is_zero
 
@@ -202,10 +205,10 @@ def test_anchor_eval_multilinearity():
 def test_section_bracket_leibniz_last_slot():
     top = example_tangent_topform(3, 2)
     g = [generator_section(3, 3, j) for j in range(3)]
-    out = section_bracket(top, [g[0], g[1], section_scale(x(3, 0), g[2])])
+    out = section_bracket(top, [g[0], g[1], g[2].scale(x(3, 0))])
     # a(e0 ^ e1) = d/dx_0 applied to x_0 gives 1
     assert out.comps == g[2].comps
-    out = section_bracket(top, [g[0], g[1], section_scale(x(3, 2), g[2])])
+    out = section_bracket(top, [g[0], g[1], g[2].scale(x(3, 2))])
     assert out.is_zero
     with pytest.raises(DimensionMismatch):
         section_bracket(top, [g[0], g[1]])
@@ -217,11 +220,11 @@ def test_section_bracket_skew_extension():
     top = example_tangent_topform(3, 2)
     g = [generator_section(3, 3, j) for j in range(3)]
     f = x(3, 0) * x(3, 1)
-    ref = section_bracket(top, [g[0], g[1], section_scale(f, g[2])])
-    cyc = section_bracket(top, [section_scale(f, g[2]), g[0], g[1]])
+    ref = section_bracket(top, [g[0], g[1], g[2].scale(f)])
+    cyc = section_bracket(top, [g[2].scale(f), g[0], g[1]])
     assert cyc.comps == ref.comps
-    swapped = section_bracket(top, [g[1], g[0], section_scale(f, g[2])])
-    assert section_add(swapped, ref).is_zero
+    swapped = section_bracket(top, [g[1], g[0], g[2].scale(f)])
+    assert (swapped + ref).is_zero
 
 
 def test_zero_anchor_is_function_linear():
@@ -231,9 +234,9 @@ def test_zero_anchor_is_function_linear():
     for slot in range(3):
         args = [g[0], g[1], g[2]]
         plain = section_bracket(abd, args)
-        args[slot] = section_scale(f, args[slot])
+        args[slot] = args[slot].scale(f)
         scaled = section_bracket(abd, args)
-        assert section_sub(scaled, section_scale(f, plain)).is_zero
+        assert (scaled - plain.scale(f)).is_zero
 
 
 def test_axioms_structure_constant_models():
@@ -266,7 +269,7 @@ def test_axioms_bad_anchor_detected():
     # zero bracket but noncommuting anchor fields: [a(e0), a(e1)] = d/dx_0
     # while the right side of axiom (a) vanishes
     anchor = {(0,): vf_coordinate(2, 0),
-              (1,): PolyVectorField(2, (x(2, 0), poly_zero(2)))}
+              (1,): make_section(2, 2, (x(2, 0), poly_zero(2)))}
     abd = make_poly_algebroid(2, 2, 2, {}, anchor)
     res = check_algebroid_axioms(abd)
     assert not res.holds
@@ -285,7 +288,7 @@ def test_example_topform_shape():
     assert top.arity == 4 and top.rank == 4 and top.num_vars == 4
     assert top.table == {}
     field = anchor_on_generators(top, (0, 1, 2))
-    assert field.components[0] == poly_const(4, 1)
+    assert field.comps[0] == poly_const(4, 1)
     assert anchor_on_generators(top, (0, 1, 3)).is_zero
     with pytest.raises(DimensionMismatch):
         example_tangent_topform(2, 3)
@@ -312,27 +315,25 @@ def test_md_eval_degree_one_leibniz():
     phi = bracket_derivation(top)
     g = [generator_section(3, 3, j) for j in range(3)]
     for f in poly_family(3):
-        lhs = md_eval(phi, (), [g[0], g[1], section_scale(f, g[2])])
-        plain = md_eval(phi, (), [g[0], g[1], g[2]])
+        lhs = md_eval(phi, [g[0], g[1], g[2].scale(f)])
+        plain = md_eval(phi, [g[0], g[1], g[2]])
         sigma = anchor_on_generators(top, (0, 1))
-        rhs = section_add(section_scale(f, plain),
-                          section_scale(vf_apply(sigma, f), g[2]))
-        assert section_sub(lhs, rhs).is_zero
+        rhs = plain.scale(f) + g[2].scale(vf_apply(sigma, f))
+        assert (lhs - rhs).is_zero
     with pytest.raises(DimensionMismatch):
-        md_eval(phi, (), [g[0], g[1]])
+        md_eval(phi, [g[0], g[1]])
 
 
 def test_md_eval_degree_zero():
-    v = PolyVectorField(3, (x(3, 0), poly_zero(3), poly_zero(3)))
+    v = make_section(3, 3, (x(3, 0), poly_zero(3), poly_zero(3)))
     table = {(j,): tuple(poly_const(3, 2 if i == j else 0)
                          for i in range(3)) for j in range(3)}
     d = make_poly_multiderivation(3, 3, 3, 0, table, {(): v})
     f = x(3, 0) * x(3, 1)
     gen = generator_section(3, 3, 1)
-    out = md_eval(d, (), (section_scale(f, gen),))
-    expect = section_add(section_scale(f * 2, gen),
-                         section_scale(vf_apply(v, f), gen))
-    assert section_sub(out, expect).is_zero
+    out = md_eval(d, (gen.scale(f),))
+    expect = gen.scale(f * 2) + gen.scale(vf_apply(v, f))
+    assert (out - expect).is_zero
 
 
 def test_make_poly_multiderivation_validation():
@@ -343,9 +344,10 @@ def test_make_poly_multiderivation_validation():
                                   {})
     with pytest.raises(DimensionMismatch):
         make_poly_multiderivation(1, 2, 2, 0, {},
-                                  {((0,),): vf_zero(1)})
+                                  {((0,),): section_zero(1, 1)})
     with pytest.raises(DimensionMismatch):
-        make_poly_multiderivation(1, 2, 2, 1, {}, {(1, 0): vf_zero(1)})
+        make_poly_multiderivation(1, 2, 2, 1, {},
+                                  {(1, 0): section_zero(1, 1)})
     # a symbol key names generators of the bundle, as an anchor key does
     with pytest.raises(DimensionMismatch, match="bad symbol key"):
         make_poly_multiderivation(2, 3, 3, 1, {},
@@ -357,6 +359,22 @@ def test_make_poly_multiderivation_validation():
             make_poly_multiderivation(*sizes, 0, {}, {})
         with pytest.raises(DimensionMismatch):
             make_poly_multiderivation(*sizes, 1, {}, {})
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_symbol_values_are_vector_fields(degree):
+    # a symbol value is a vector field on R^m: a section of rank m, here
+    # m = 2, whatever the rank r = 3 of the bundle; a section of rank r,
+    # or a field over another base, is refused, zero or not
+    key = (0, 1) if degree else ()
+    make_poly_multiderivation(2, 3, 3, degree, {}, {key: vf_coordinate(2, 0)})
+    for value in (generator_section(2, 3, 0), section_zero(2, 3),
+                  vf_coordinate(3, 0), section_zero(1, 1)):
+        with pytest.raises(DimensionMismatch, match="not a vector field"):
+            make_poly_multiderivation(2, 3, 3, degree, {}, {key: value})
+        if degree:
+            with pytest.raises(DimensionMismatch, match="not a vector field"):
+                make_poly_algebroid(2, 3, 3, {}, {key: value})
 
 
 _ALGEBROID_ENTRY_POINTS = {
@@ -397,7 +415,7 @@ _EVALUATORS = {
     "anchor_eval": lambda top, phi, e, z: anchor_eval(top, [e[0], z]),
     "section_bracket": lambda top, phi, e, z: section_bracket(
         top, [e[0], e[1], z]),
-    "md_eval": lambda top, phi, e, z: md_eval(phi, (), [e[0], e[1], z]),
+    "md_eval": lambda top, phi, e, z: md_eval(phi, [e[0], e[1], z]),
     "md_circle_eval": lambda top, phi, e, z: md_circle_eval(
         phi, phi, ((0, 1), (0, 1)), z),
     "md_bracket_eval": lambda top, phi, e, z: md_bracket_eval(
@@ -418,8 +436,8 @@ def test_evaluators_reject_section_over_other_bundle(evaluator, bundle):
 
 
 def test_symbol_bracket_degree_zero_commutator():
-    v1 = PolyVectorField(2, (x(2, 0), poly_zero(2)))
-    v2 = PolyVectorField(2, (poly_zero(2), x(2, 0) * x(2, 1)))
+    v1 = make_section(2, 2, (x(2, 0), poly_zero(2)))
+    v2 = make_section(2, 2, (poly_zero(2), x(2, 0) * x(2, 1)))
     d1 = make_poly_multiderivation(2, 2, 2, 0, {}, {(): v1})
     d2 = make_poly_multiderivation(2, 2, 2, 0, {}, {(): v2})
     sb = symbol_bracket(d1, d2)
@@ -447,7 +465,7 @@ def test_symbol_leibniz_models():
 def test_symbol_leibniz_mixed_degrees():
     top = example_tangent_topform(3, 2)
     phit = bracket_derivation(top)
-    v = PolyVectorField(3, (x(3, 0), poly_zero(3), poly_zero(3)))
+    v = make_section(3, 3, (x(3, 0), poly_zero(3), poly_zero(3)))
     table = {(j,): tuple(poly_const(3, 2 if i == j else 0)
                          for i in range(3)) for j in range(3)}
     d0 = make_poly_multiderivation(3, 3, 3, 0, table, {(): v})
@@ -487,9 +505,9 @@ def test_polynomial_nijenhuis_on_topform():
     N = make_bundle_map(3, 3, 3, [[x(3, 0) if i == j else poly_zero(3)
                                    for j in range(3)] for i in range(3)])
     g = [generator_section(3, 3, j) for j in range(3)]
-    lhs = section_bracket(top, [md_eval(N, (), [s]) for s in g])
-    expect = section_scale(x(3, 0) * x(3, 0), g[2])
-    assert section_sub(lhs, expect).is_zero
+    lhs = section_bracket(top, [md_eval(N, [s]) for s in g])
+    expect = g[2].scale(x(3, 0) * x(3, 0))
+    assert (lhs - expect).is_zero
     assert check_poly_nijenhuis(top, N).holds
     assert nijenhuis_symbol_check(top, N).holds
 
@@ -524,7 +542,7 @@ def test_bundle_map_constructors():
     assert N.table == {(0,): (x(2, 0), poly_zero(2)),
                        (1,): (poly_zero(2), poly_const(2, 1))}
     s = make_section(2, 2, [poly_const(2, 1), x(2, 1)])
-    out = md_eval(N, (), [s])
+    out = md_eval(N, [s])
     assert out.comps[0] == x(2, 0)
     assert out.comps[1] == x(2, 1)
     with pytest.raises(DimensionMismatch):
@@ -532,7 +550,7 @@ def test_bundle_map_constructors():
     with pytest.raises(DimensionMismatch):
         make_bundle_map(2, 2, 2, [[poly_zero(3)] * 2] * 2)
     with pytest.raises(DimensionMismatch):
-        md_eval(N, (), [make_section(2, 3, [poly_zero(2)] * 3)])
+        md_eval(N, [make_section(2, 3, [poly_zero(2)] * 3)])
 
 
 _NOT_BUNDLE_MAPS = {
@@ -578,14 +596,14 @@ def _assert_graded_bracket_is_deformed(abd, nmap):
     for xk in itertools.combinations(range(r), n - 1):
         xs = [generator_section(m, r, j) for j in xk]
         for j in range(r):
-            z = section_scale(weight, generator_section(m, r, j))
-            assert section_sub(
-                md_bracket_eval(abd, nmap, (xk,), z),
-                nijenhuis_section_bracket(abd, nmap, 1, xs + [z])).is_zero
-        claimed = vf_zero(m)
+            z = generator_section(m, r, j).scale(weight)
+            assert (md_bracket_eval(abd, nmap, (xk,), z)
+                    - nijenhuis_section_bracket(abd, nmap, 1, xs + [z])
+                    ).is_zero
+        claimed = section_zero(m, m)
         for s in range(n - 1):
             claimed = claimed + anchor_eval(abd, [
-                md_eval(nmap, (), [y]) if t == s else y
+                md_eval(nmap, [y]) if t == s else y
                 for t, y in enumerate(xs)])
         assert (symbols[(xk,)] - claimed).is_zero
     assert check_symbol_leibniz(abd, abd, nmap).holds

@@ -40,21 +40,20 @@ from helpers import (rand_bundle_map, rand_low_poly, rand_multiderivation,
 
 import nlie.algebroid as A
 from nlie import trace
-from nlie.algebroid import (PolyMultiderivation, PolySection, anchor_eval,
+from nlie.algebroid import (PolyMultiderivation, anchor_eval,
                             bracket_derivation, check_algebroid_axioms,
                             check_symbol_leibniz, example_tangent_fc,
-                            example_tangent_topform, generator_section,
-                            make_bundle_map, make_poly_algebroid,
-                            make_poly_multiderivation, make_section,
+                            example_tangent_topform, make_bundle_map,
+                            make_poly_algebroid, make_poly_multiderivation,
                             md_bracket_eval, md_circle_eval,
-                            nijenhuis_symbol_check, section_add,
-                            section_bracket, section_scale, section_sub,
+                            nijenhuis_symbol_check, section_bracket,
                             symbol_bracket)
 from nlie.algebra import CheckResult, bracket_on_basis
 from nlie.catalog import broken_ternary_bracket, levi_civita_bracket, sl2
 from nlie.errors import InvalidStructure
-from nlie.poly import (MultiPoly, PolyVectorField, poly_const, poly_from_terms,
-                       poly_var, poly_zero, vf_apply)
+from nlie.poly import (MultiPoly, PolySection, generator_section,
+                       make_section, poly_const, poly_from_terms, poly_var,
+                       poly_zero, vf_apply)
 
 
 def _shape(rng):
@@ -293,7 +292,7 @@ def _dense(rng, m, r, n):
     keys = itertools.combinations(range(r), n)
     wedges = itertools.combinations(range(r), n - 1)
     return make_poly_algebroid(m, r, n, {key: polys(r) for key in keys},
-                               {w: PolyVectorField(m, polys(m))
+                               {w: make_section(m, m, polys(m))
                                 for w in wedges})
 
 
@@ -344,17 +343,16 @@ def test_lemma_identities(n):
 
         def D(f):
             inner = anchor_eval(abd, _gens(abd, xp) + [_bracket(abd, y)])
-            out = section_scale(-vf_apply(inner, f), e_b)
+            out = e_b.scale(-vf_apply(inner, f))
             for i, yi in enumerate(y):
                 outer, acting = _a(abd, y[:i] + y[i + 1:]), \
                     _a(abd, xp + (yi,))
-                out = section_sub(out, section_scale(
-                    vf_apply(outer, f) * s[i], _bracket(abd, x + (yi,))))
-                out = section_add(out, section_scale(
-                    vf_apply(acting, f),
-                    _bracket(abd, y[:i] + (b,) + y[i + 1:])))
-                out = section_add(out, section_scale(
-                    vf_apply(outer, vf_apply(acting, f)) * s[i], e_b))
+                out = out - _bracket(abd, x + (yi,)).scale(
+                    vf_apply(outer, f) * s[i])
+                out = out + _bracket(abd, y[:i] + (b,) + y[i + 1:]).scale(
+                    vf_apply(acting, f))
+                out = out + e_b.scale(
+                    vf_apply(outer, vf_apply(acting, f)) * s[i])
             return out
 
         def Q(w, g, f):
@@ -367,29 +365,24 @@ def test_lemma_identities(n):
             ``two`` are ((x weights, y weights), weight) pairs."""
             (p, h), (q, k) = one, two
             both = fi(*[sum(ws, []) for ws in zip(p, q)])
-            return section_add(
-                section_sub(both, section_add(section_scale(k, fi(*p)),
-                                              section_scale(h, fi(*q)))),
-                section_scale(h * k, plain_fi))
+            return (both - (fi(*p).scale(k) + fi(*q).scale(h))
+                    + plain_fi.scale(h * k))
 
         plain_fi, plain_anchor = fi([]), anchor([])
         # 1. a weight on y_n; A is tensorial in its y slots
-        assert fi([], [(n - 1, f)]) == section_add(
-            section_scale(f, plain_fi),
-            section_scale(vf_apply(plain_anchor, f), e_yn))
+        assert fi([], [(n - 1, f)]) == (
+            plain_fi.scale(f) + e_yn.scale(vf_apply(plain_anchor, f)))
         assert anchor([], [(n - 2, f)]) == plain_anchor.scale(f)
         # 2. and 3. a weight on x_{n-1}
         assert anchor([(n - 2, f)]) == plain_anchor.scale(f) + E(f)
-        assert fi([(n - 2, f)]) == section_add(section_scale(f, plain_fi),
-                                               D(f))
+        assert fi([(n - 2, f)]) == plain_fi.scale(f) + D(f)
         # 4. f on x_{n-1} and g on y_n
         assert cross((([(n - 2, f)], []), f), (([], [(n - 1, g)]), g)) == \
-            section_scale(vf_apply(E(f), g), e_yn)
+            e_yn.scale(vf_apply(E(f), g))
         # 5. g on x_{n-2} and f on x_{n-1}
         e_a = _gens(abd, (x[-2],))[0]
         assert cross((([(n - 3, g)], []), g), (([(n - 2, f)], []), f)) == \
-            section_sub(section_scale(Q(xp, g, f), e_b),
-                        section_scale(Q(xp[:-1] + (b,), f, g), e_a))
+            e_b.scale(Q(xp, g, f)) - e_a.scale(Q(xp[:-1] + (b,), f, g))
         # 6. two y weights, and two x weights in A, have no cross term
         assert cross((([], [(0, g)]), g),
                      (([], [(n - 1, f)]), f)).is_zero
@@ -507,7 +500,7 @@ def test_arity_two_weighted_identity_is_the_anchor_axiom():
 
 def test_planted_anchor_on_generators():
     anchor = {(0,): vf_coordinate(2, 0),
-              (1,): PolyVectorField(2, (poly_var(2, 0), poly_zero(2)))}
+              (1,): make_section(2, 2, (poly_var(2, 0), poly_zero(2)))}
     abd = make_poly_algebroid(2, 2, 2, {}, anchor)
     _fails_like_reference(check_algebroid_axioms(abd),
                           ref_check_algebroid_axioms(abd),
@@ -519,11 +512,11 @@ def test_planted_anchor_weighted():
     # zero bracket, commuting anchor fields: (a) and the identity hold on
     # generators, but (a) fails once the last x slot carries the weight x0
     x2 = poly_var(3, 2)
-    anchor = {(0, 1): PolyVectorField(3, (poly_zero(3), x2 * 3,
-                                          poly_zero(3))),
-              (1, 2): PolyVectorField(3, (poly_const(3, -1),
-                                          poly_const(3, F(-3, 2)),
-                                          poly_zero(3)))}
+    anchor = {(0, 1): make_section(3, 3, (poly_zero(3), x2 * 3,
+                                         poly_zero(3))),
+              (1, 2): make_section(3, 3, (poly_const(3, -1),
+                                         poly_const(3, F(-3, 2)),
+                                         poly_zero(3)))}
     abd = make_poly_algebroid(3, 3, 3, {}, anchor)
     _fails_like_reference(check_algebroid_axioms(abd),
                           ref_check_algebroid_axioms(abd),
@@ -541,9 +534,9 @@ def test_planted_anchor_weighted_sections():
     assert _replay(abd, witness) == -vf_coordinate(2, 1)
     x0, x1 = poly_var(2, 0), poly_var(2, 1)
     e0, e1, e2 = _gens(abd, (0, 1, 2))
-    assert ref_fi_defect(abd, [e0, section_scale(x0, e2)],
-                         [e1, e2, section_scale(x1, e0)]) == \
-        section_scale(poly_const(2, -1), e0)
+    assert ref_fi_defect(abd, [e0, e2.scale(x0)],
+                         [e1, e2, e0.scale(x1)]) == \
+        e0.scale(poly_const(2, -1))
 
 
 def _action_algebroid(alg):
@@ -556,7 +549,7 @@ def _action_algebroid(alg):
     anchor = {}
     for w in itertools.combinations(range(m), n - 1):
         ad = [bracket_on_basis(alg, w + (col,)) for col in range(m)]
-        anchor[w] = PolyVectorField(m, tuple(
+        anchor[w] = make_section(m, m, tuple(
             poly_from_terms(m, {tuple(int(v == col) for v in range(m)):
                                 -ad[col][row] for col in range(m)})
             for row in range(m)))
@@ -656,7 +649,7 @@ def test_planted_leibniz_rule(monkeypatch):
 def test_planted_symbol(monkeypatch):
     top = example_tangent_topform(3, 2)
     phi = bracket_derivation(top)
-    field = PolyVectorField(3, (poly_var(3, 0), poly_zero(3), poly_zero(3)))
+    field = make_section(3, 3, (poly_var(3, 0), poly_zero(3), poly_zero(3)))
     table = {(j,): tuple(poly_const(3, 2 if i == j else 0)
                          for i in range(3)) for j in range(3)}
     d0 = make_poly_multiderivation(3, 3, 3, 0, table, {(): field})
@@ -741,6 +734,34 @@ def test_axiom_check_makes_no_product_by_one(monkeypatch):
         assert res.holds and spans["algebroid.axioms.anchor_weighted"][
             "frames"] > 0
         assert not any(by_one), (args, by_one.count(True), len(by_one))
+
+
+@pytest.mark.parametrize("name", ["sl2", "levi_civita"])
+def test_example_fc_makes_no_product_by_one_or_zero(monkeypatch, name):
+    # the structure constants are 0, +-1 or +-2 and f may be the constant
+    # 1: the table is f times the constants, with no product where f or
+    # the constant is 1 and none where the constant is 0
+    alg = {"sl2": sl2, "levi_civita": levi_civita_bracket}[name]()
+    m = alg.dim
+    x1 = poly_var(m, 0)
+    cases = [(f, {key: tuple(f.scale(c) for c in bracket_on_basis(alg, key))
+                  for key in itertools.combinations(range(m), alg.arity)})
+             for f in (poly_const(m, 1), x1, x1 * x1)]
+    mul, trivial = MultiPoly.__mul__, []
+
+    def counted(self, other):
+        poly = isinstance(other, MultiPoly)
+        trivial.append(self.is_one or self.is_zero or (
+            other.is_one or other.is_zero if poly else other in (0, 1)))
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    for f, table in cases:
+        trivial.clear()
+        abd = example_tangent_fc(alg, f)
+        assert abd.table == {key: comps for key, comps in table.items()
+                             if any(comps)}
+        assert not any(trivial), (str(f), trivial.count(True), len(trivial))
 
 
 def test_planted_nijenhuis_symbol(monkeypatch):

@@ -17,8 +17,7 @@ import nlie
 from nlie import cli, linalg
 from nlie.algebra import make_algebra
 from nlie.algebroid import (anchor_eval, example_tangent_topform,
-                            generator_section, make_poly_algebroid,
-                            section_bracket, section_scale)
+                            make_poly_algebroid, section_bracket)
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
                           levi_civita_bracket, sl2, zero_algebra)
 from nlie.cli import main
@@ -30,8 +29,8 @@ from nlie.io import (algebra_to_json, algebroid_to_json, cochain_from_json,
                      emap_to_json, matrix_to_json, path_from_json,
                      path_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import (PolyVectorField, poly_const, poly_var, vf_bracket,
-                       vf_zero)
+from nlie.poly import (generator_section, make_section, poly_const, poly_var,
+                       section_zero, vf_bracket)
 
 F = Fraction
 
@@ -359,10 +358,11 @@ def test_one_elimination_routine():
 def test_one_multiderivation_record():
     """An algebroid is its degree-1 bracket multiderivation and a bundle
     map its degree-0 one with zero symbol: ``algebroid`` defines one
-    record class with a table and a symbol and no record besides it and
-    ``PolySection``, no ``apply`` method (a second section evaluator), no
-    second lift or symbol key adapter, and no module reads the fields of
-    the deleted algebroid record."""
+    record class with a table and a symbol and no record besides it (a
+    section is ``poly.PolySection``, see ``test_one_section_record``), no
+    ``apply`` method (a second section evaluator), no second lift or
+    symbol key adapter, and no module reads the fields of the deleted
+    algebroid record."""
     root = pathlib.Path(nlie.__file__).parent
     tree = ast.parse((root / "algebroid.py").read_text())
     classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
@@ -370,8 +370,7 @@ def test_one_multiderivation_record():
         sub.target.id for sub in node.body
         if isinstance(sub, ast.AnnAssign)}]
     assert tables == ["PolyMultiderivation"]
-    assert [node.name for node in classes] == ["PolySection",
-                                               "PolyMultiderivation"]
+    assert [node.name for node in classes] == ["PolyMultiderivation"]
     assert "apply" not in {sub.name for node in ast.walk(tree)
                            if isinstance(node, ast.ClassDef)
                            for sub in node.body
@@ -393,6 +392,45 @@ def test_one_multiderivation_record():
         reads = {sub.attr for sub in ast.walk(ast.parse(path.read_text()))
                  if isinstance(sub, ast.Attribute)}
         assert not {"bracket_table", "anchor_table"} & reads, path.name
+
+
+def test_one_section_record():
+    """A vector field on R^m is a section of rank m: ``nlie`` defines one
+    class with a ``comps`` field, ``poly.PolySection``, whose operators
+    are the only section arithmetic; no module defines or names the
+    deleted field record, its zero or the free section functions; and
+    ``io.report_value`` encodes a section by its class, with no
+    ``hasattr``."""
+    root = pathlib.Path(nlie.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(root.glob("*.py"))}
+
+    def fields(cls):
+        slots = [sub.value for node in cls.body if isinstance(node, ast.Assign)
+                 and "__slots__" in {getattr(t, "id", None)
+                                     for t in node.targets}
+                 for sub in ast.walk(node.value)
+                 if isinstance(sub, ast.Constant)]
+        return set(slots) | {node.target.id for node in cls.body
+                             if isinstance(node, ast.AnnAssign)}
+
+    holders = [(module, node.name) for module, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and "comps" in fields(node)]
+    assert holders == [("poly.py", "PolySection")]
+    deleted = {"PolyVectorField", "vf_zero", "section_add", "section_sub",
+               "section_scale"}
+    for module, tree in trees.items():
+        named = {getattr(node, attr, None) for node in ast.walk(tree)
+                 for attr in ("name", "id", "attr")}
+        assert not deleted & named, module
+    report = next(node for node in trees["io.py"].body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "report_value")
+    assert "hasattr" not in {getattr(node, "id", None)
+                             for node in ast.walk(report)}
+    assert [node for node in ast.walk(report) if isinstance(node, ast.Name)
+            and node.id == "PolySection"]
 
 
 def test_package_parses_at_python_floor():
@@ -700,7 +738,7 @@ def test_algebroid_rational_coefficients_golden(capsys, tmp_path):
     top["anchor"][0]["field"][0][0]["coeff"] = "3/2"
     bad = algebroid_to_json(make_poly_algebroid(1, 2, 2, {}, {
         (0,): vf_coordinate(1, 0),
-        (1,): PolyVectorField(1, (poly_var(1, 0).scale(F(3, 2)),))}))
+        (1,): make_section(1, 1, (poly_var(1, 0).scale(F(3, 2)),))}))
     outs = {}
     code, outs["example-fc"], _ = run(capsys, "algebroid", "example-fc",
                                       scaled, "--f", "x1sq")
@@ -917,13 +955,31 @@ def test_algebroid_check_detects_violation(capsys, tmp_path):
     bad = make_poly_algebroid(
         1, 2, 2, {},
         {(0,): vf_coordinate(1, 0),
-         (1,): PolyVectorField(1, (poly_var(1, 0),))})
+         (1,): make_section(1, 1, (poly_var(1, 0),))})
     target = write(tmp_path, "bad.json", algebroid_to_json(bad))
     code, out, _ = run(capsys, "algebroid", "check", target,
                        "--max-degree", "0")
     assert code == 1
     assert "algebroid axioms: fails" in out
     assert "witness:" in out
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_algebroid_anchor_field_of_bundle_rank_is_input_error(capsys,
+                                                              tmp_path,
+                                                              extra):
+    """An anchor value is a vector field on R^m, a section of rank m, not
+    of the bundle's rank r: a field with r != m components is refused
+    where it is read, with one error line and nothing on stdout."""
+    doc = algebroid_to_json(make_poly_algebroid(
+        2, 2 + extra, 2, {}, {(0,): vf_coordinate(2, 0)}))
+    doc["anchor"][0]["field"] = [[]] * (2 + extra)
+    target = write(tmp_path, "rank.json", doc)
+    code, out, err = run(capsys, "algebroid", "check", target)
+    assert (code, out) == (2, "")
+    assert _single_error(err) == (
+        f"error: {target}.anchor[0].field: expected 2 "
+        f"polynomial components, got {2 + extra}")
 
 
 def test_algebroid_check_decides_sections(capsys, tmp_path):
@@ -947,12 +1003,12 @@ def test_algebroid_check_decides_sections(capsys, tmp_path):
     assert witness == {"axiom": "anchor compatibility", "x": [0, 2],
                        "y": [1, 2], "slot": 1, "f": "x0"}
     xs = [generator_section(2, 3, j) for j in witness["x"]]
-    xs[witness["slot"]] = section_scale(poly_var(2, 0), xs[witness["slot"]])
+    xs[witness["slot"]] = xs[witness["slot"]].scale(poly_var(2, 0))
     ys = [generator_section(2, 3, j) for j in witness["y"]]
     lhs = vf_bracket(anchor_eval(abd, xs), anchor_eval(abd, ys))
     rhs = sum((anchor_eval(abd, ys[:i] + [section_bracket(abd, xs + [yi])]
                            + ys[i + 1:]) for i, yi in enumerate(ys)),
-              vf_zero(2))
+              section_zero(2, 2))
     assert lhs - rhs == -vf_coordinate(2, 1)
 
 
@@ -1258,7 +1314,7 @@ def _golden_argv(tmp_path, eps, sl2_file, name):
     anchor_bad = write(tmp_path, "anchor.json", algebroid_to_json(
         make_poly_algebroid(1, 2, 2, {},
                             {(0,): vf_coordinate(1, 0),
-                             (1,): PolyVectorField(1, (poly_var(1, 0),))})))
+                             (1,): make_section(1, 1, (poly_var(1, 0),))})))
     # [e0, e1, e2] = e0 with a(e1, e3) = d/dx0: the identity fails only
     # once a slot carries a polynomial weight
     weighted = write(tmp_path, "weighted.json", algebroid_to_json(

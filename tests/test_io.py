@@ -23,7 +23,7 @@ from nlie.io import (InputFormatError, algebra_from_json, algebra_to_json,
                      report_value, vector_from_json, vector_to_json,
                      wedge_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import (PolyVectorField, poly_const, poly_from_terms, poly_var,
+from nlie.poly import (make_section, poly_const, poly_from_terms, poly_var,
                        poly_zero)
 
 F = Fraction
@@ -267,7 +267,7 @@ def test_algebroid_roundtrip():
 def test_algebroid_to_json_refuses_degree_zero():
     """A degree-0 multiderivation is not an algebroid: writing it would give
     a document that ``algebroid_from_json`` rejects, so it is refused."""
-    vf = PolyVectorField(1, (poly_var(1, 0),))
+    vf = make_section(1, 1, (poly_var(1, 0),))
     md = make_poly_multiderivation(1, 2, 2, 0, {(1,): [poly_const(1, 1),
                                                       poly_zero(1)]},
                                    {(): vf})

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import rand_fraction, rand_poly, vf_coordinate
-from nlie.algebroid import make_poly_algebroid, make_section, section_bracket
+from nlie.algebroid import make_poly_algebroid, section_bracket
 from nlie.errors import DimensionMismatch
 from nlie.io import poly_from_json, poly_to_json, report_value
-from nlie.poly import (MultiPoly, poly_const, poly_from_terms, poly_var,
-                       poly_zero, vf_apply, vf_bracket, vf_zero,
-                       PolyVectorField)
+from nlie.poly import (MultiPoly, generator_section, make_section, poly_const,
+                       poly_from_terms, poly_var, poly_zero, section_zero,
+                       vf_apply, vf_bracket)
 
 
 def x(i, v=2):
@@ -79,13 +79,13 @@ def test_arithmetic_results_stay_canonical():
         m = rng.randint(0, 3)
         a, c = rand_poly(rng, m, 3, 4), rand_poly(rng, m, 2, 2)
         b = -a + c
-        v, w = (PolyVectorField(m, tuple(rand_poly(rng, m) for _ in range(m)))
+        v, w = (make_section(m, m, tuple(rand_poly(rng, m) for _ in range(m)))
                 for _ in range(2))
         results = [a + b, a - b, a - a, b - c, a * b, (a + c) * (a - c),
                    a.scale(rand_fraction(rng)), a * 0, vf_apply(v, a * b)]
         results += [p.partial(u) for p in (a, a * c) for u in range(m)]
-        results += list(vf_bracket(v, w).components)
-        results += list(vf_bracket(v, v).components)
+        results += list(vf_bracket(v, w).comps)
+        results += list(vf_bracket(v, v).comps)
         assert all(_canonical(p, m) for p in results)
         assert (a + b) == c and (a - a).terms == {}
         # subtraction is one pass, the sum with the negation
@@ -99,7 +99,7 @@ def test_mixed_var_count_rejected():
     with pytest.raises(DimensionMismatch):
         poly_var(2, 0) - poly_var(3, 0)
     with pytest.raises(DimensionMismatch):
-        vf_zero(2) - vf_zero(3)
+        section_zero(2, 2) - section_zero(3, 3)
 
 
 def test_constants_are_what_derivations_kill():
@@ -108,7 +108,7 @@ def test_constants_are_what_derivations_kill():
     for m in range(4):
         assert poly_zero(m).is_constant
         assert poly_const(m, Fraction(-3, 2)).is_constant
-        v = PolyVectorField(m, tuple(rand_poly(rng, m) for _ in range(m)))
+        v = make_section(m, m, tuple(rand_poly(rng, m) for _ in range(m)))
         for _ in range(10):
             p = rand_poly(rng, m, 2, 3)
             assert p.is_constant == all(not any(e) for e in p.terms)
@@ -155,13 +155,13 @@ def test_vf_apply_is_derivation():
     rng = random.Random(13)
     for _ in range(20):
         f, g = rand_poly(rng, 2), rand_poly(rng, 2)
-        v = PolyVectorField(2, (rand_poly(rng, 2), rand_poly(rng, 2)))
+        v = make_section(2, 2, (rand_poly(rng, 2), rand_poly(rng, 2)))
         assert vf_apply(v, f * g) == vf_apply(v, f) * g + f * vf_apply(v, g)
 
 
 def test_vf_bracket_self_and_coordinates():
-    v = PolyVectorField(2, (rand_poly(random.Random(3), 2),
-                            rand_poly(random.Random(4), 2)))
+    v = make_section(2, 2, (rand_poly(random.Random(3), 2),
+                           rand_poly(random.Random(4), 2)))
     assert vf_bracket(v, v).is_zero
     assert vf_bracket(vf_coordinate(2, 0), vf_coordinate(2, 1)).is_zero
 
@@ -176,8 +176,8 @@ def test_vf_bracket_euler_example():
 def test_vf_bracket_jacobi_random():
     rng = random.Random(17)
     for _ in range(10):
-        u, v, w = (PolyVectorField(2, (rand_poly(rng, 2, 1),
-                                       rand_poly(rng, 2, 1)))
+        u, v, w = (make_section(2, 2, (rand_poly(rng, 2, 1),
+                                      rand_poly(rng, 2, 1)))
                    for _ in range(3))
         jac = vf_bracket(u, vf_bracket(v, w)) \
             + vf_bracket(v, vf_bracket(w, u)) \
@@ -188,8 +188,8 @@ def test_vf_bracket_jacobi_random():
 def test_vf_bracket_acts_as_commutator():
     rng = random.Random(19)
     for _ in range(10):
-        u = PolyVectorField(2, (rand_poly(rng, 2, 1), rand_poly(rng, 2, 1)))
-        v = PolyVectorField(2, (rand_poly(rng, 2, 1), rand_poly(rng, 2, 1)))
+        u = make_section(2, 2, (rand_poly(rng, 2, 1), rand_poly(rng, 2, 1)))
+        v = make_section(2, 2, (rand_poly(rng, 2, 1), rand_poly(rng, 2, 1)))
         f = rand_poly(rng, 2)
         lhs = vf_apply(vf_bracket(u, v), f)
         rhs = vf_apply(u, vf_apply(v, f)) - vf_apply(v, vf_apply(u, f))
@@ -197,8 +197,22 @@ def test_vf_bracket_acts_as_commutator():
 
 
 def test_zero_field():
-    assert vf_zero(3).is_zero
-    assert vf_apply(vf_zero(3), poly_var(3, 1)).is_zero
+    assert section_zero(3, 3).is_zero
+    assert vf_apply(section_zero(3, 3), poly_var(3, 1)).is_zero
+
+
+def test_vector_field_operations_refuse_other_sections():
+    # a vector field on R^m is a section of rank m: vf_apply and vf_bracket
+    # refuse a section of another rank and a field over another base
+    v, f = vf_coordinate(2, 0), poly_var(2, 1)
+    for other in (generator_section(2, 3, 0), section_zero(2, 1),
+                  vf_coordinate(3, 0)):
+        with pytest.raises(DimensionMismatch, match="not a vector field"):
+            vf_apply(other, f)
+        with pytest.raises(DimensionMismatch, match="not a vector field"):
+            vf_bracket(v, other)
+        with pytest.raises(DimensionMismatch, match="not a vector field"):
+            vf_bracket(other, v)
 
 
 def test_str_forms():
@@ -222,7 +236,7 @@ def _forced(p):
 
 
 def _forced_field(v):
-    return PolyVectorField(v.num_vars, tuple(map(_forced, v.components)))
+    return make_section(v.num_vars, v.num_vars, tuple(map(_forced, v.comps)))
 
 
 def _operations(polys, fields, sections, abd, c):
@@ -232,7 +246,7 @@ def _operations(polys, fields, sections, abd, c):
     out = [a + b, a - b, -a, a * b, a.scale(c), a * c, c * b,
            vf_apply(v, a * b)]
     out += [p.partial(u) for p in (a, a * b) for u in range(a.num_vars)]
-    out += vf_bracket(v, w).components
+    out += vf_bracket(v, w).comps
     out += section_bracket(abd, sections).comps
     return out
 
@@ -242,11 +256,11 @@ def _case(rng, m, poly):
     with them, the same operands with every coefficient a Fraction."""
     r, n = 3, 2
     polys = [poly(rng, m) for _ in range(2)]
-    fields = [PolyVectorField(m, tuple(poly(rng, m) for _ in range(m)))
+    fields = [make_section(m, m, tuple(poly(rng, m) for _ in range(m)))
               for _ in range(2)]
     table = {key: tuple(poly(rng, m) for _ in range(r))
              for key in itertools.combinations(range(r), n)}
-    anchor = {(j,): PolyVectorField(m, tuple(poly(rng, m) for _ in range(m)))
+    anchor = {(j,): make_section(m, m, tuple(poly(rng, m) for _ in range(m)))
               for j in range(r)}
     sections = [tuple(poly(rng, m) for _ in range(r)) for _ in range(n)]
 

@@ -41,7 +41,7 @@ from nlie.deformations import (EquivalenceMap, constant_path,
 from nlie.io import (algebra_to_json, algebroid_to_json, emap_to_json,
                      matrix_to_json, path_to_json)
 from nlie.linalg import Matrix
-from nlie.poly import PolyVectorField, poly_var
+from nlie.poly import make_section, poly_var
 
 # fixed examples, so the suite reruns the same inputs every time
 PROFILE = settings(derandomize=True, max_examples=12, deadline=None,
@@ -325,7 +325,7 @@ ALGEBROID_DOCUMENTS = [algebroid_to_json(abd) for abd in (
     example_tangent_topform(3, 2),
     make_poly_algebroid(1, 2, 2, {}, {
         (0,): vf_coordinate(1, 0),
-        (1,): PolyVectorField(1, (poly_var(1, 0),))}))]
+        (1,): make_section(1, 1, (poly_var(1, 0),))}))]
 
 
 # nearly every mutation of a table is an input error; with the header

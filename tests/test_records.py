@@ -12,7 +12,7 @@ import pytest
 import nlie.cli  # noqa: F401  (loads every module of the package)
 from nlie.algebra import (CheckResult, NLieAlgebra, Representation,
                           WedgeElement)
-from nlie.algebroid import PolyMultiderivation, PolySection
+from nlie.algebroid import PolyMultiderivation
 from nlie.chevalley import CECochain
 from nlie.cochains import Cochain
 from nlie.cohomology import CohomologyReport
@@ -21,7 +21,7 @@ from nlie.deformations import (DeformationPath, EquivalenceMap,
                                RigidityReport, RigidityTrial)
 from nlie.errors import DimensionMismatch
 from nlie.linalg import Matrix, RankBound, RankNullspace, Refusal
-from nlie.poly import MultiPoly, PolyVectorField
+from nlie.poly import MultiPoly, PolySection, make_section
 from nlie.record import Record
 
 F = Fraction
@@ -58,7 +58,6 @@ SAMPLES = {
     RankBound: ((2, (0, 3), 5, 3), (2, (0, 4), 5, 3)),
     Refusal: (({0: 1, 2: -1},), ({0: 1},)),
     MultiPoly: ((2, {(1, 0): 3, (0, 2): F(1, 2)}), (2, {(1, 0): 3})),
-    PolyVectorField: ((1, (X,)), (1, (ZERO,))),
 }
 
 
@@ -111,8 +110,8 @@ REPRS = [
      " pivots=(0,))"),
     (MultiPoly(2, {(1, 0): 3, (0, 2): F(1, 2)}),
      "MultiPoly(num_vars=2, terms={(1, 0): 3, (0, 2): Fraction(1, 2)})"),
-    (PolyVectorField(1, (X,)),
-     "PolyVectorField(num_vars=1, components=(MultiPoly(num_vars=1, "
+    (PolySection(1, 1, (X,)),
+     "PolySection(num_vars=1, rank=1, comps=(MultiPoly(num_vars=1, "
      "terms={(1,): 1}),))"),
     (Matrix(2, 2, [[1, 0], [F(1, 3), 2]]),
      "Matrix(rows=2, cols=2, data=({0: 1}, {0: Fraction(1, 3), 1: 2}))"),
@@ -142,7 +141,9 @@ def test_record_defaults_and_counters():
 
 
 def test_vector_field_checks_its_components():
+    # a vector field on R^m is a section of rank m, and ``make_section``
+    # is where a section's components are checked
     with pytest.raises(DimensionMismatch):
-        PolyVectorField(2, (X,))
+        make_section(2, 2, (X,))
     with pytest.raises(DimensionMismatch):
-        PolyVectorField(1, (MultiPoly(2, {}),))
+        make_section(1, 1, (MultiPoly(2, {}),))
