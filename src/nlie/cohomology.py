@@ -21,16 +21,16 @@ canonical nullspace of L·d_k are those of d_k, and d x = b is solved as
 integer witness is divided by L^2.
 
 Betti 0 needs no rational elimination.  ``report(k)`` bounds rank d_(k-1)
-from below mod 3 (``linalg.rank_mod3``), then rank d_k up to dim C^k minus
-that bound; where they fall short and 3 divides an entry of either matrix,
-it bounds both again mod 2^31 - 1 (``linalg.rank_mod_p``).  Each bound is
-at most the rank over Q, and d_k·d_(k-1) = 0, checked exactly on the
-integer rows, gives rank d_k + rank d_(k-1) <= dim C^k.  So bounds that
-add up to dim C^k are both ranks, and betti_k = 0.  Otherwise (betti > 0,
-a prime dividing every minor of the rank's size, or the row cap read
-first) ``kernel`` gives both ranks as before; a bound above its rank
-raises ArithmeticError, and the ``cohomology.report`` span counts the
-shortfall.
+from below by its rank mod 3 (``linalg.rank_mod_p``), then rank d_k up to
+dim C^k minus that bound; where they fall short and 3 divides an entry of
+either matrix, it bounds both again mod 2^31 - 1 with the same routine.
+Each bound is at most the rank over Q, and d_k·d_(k-1) = 0, checked
+exactly on the integer rows, gives rank d_k + rank d_(k-1) <= dim C^k.
+So bounds that add up to dim C^k are both ranks, and betti_k = 0.
+Otherwise (betti > 0, a prime dividing every minor of the rank's size, or
+the row cap read first) ``kernel`` gives both ranks as before; a bound
+above its rank raises ArithmeticError, and the ``cohomology.report`` span
+counts the shortfall.
 
 Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
@@ -56,7 +56,7 @@ from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
                        to_matrix, vec_to_cochain)
 from .errors import DimensionMismatch
 from .linalg import (Factorization, Matrix, RankNullspace, Refusal, Row,
-                     Vector, integer_row, kernel, rank_mod3, rank_mod_p)
+                     Vector, integer_row, kernel, rank_mod_p)
 from .record import Record
 from .trace import row_counters, span, traced
 
@@ -160,10 +160,8 @@ class Complex:
         rows of L·d_k, read until it reaches ``target`` or the row cap."""
         if k < 0:
             return 0
-        rows = self.rows(k)
         cap = _CAP_SLOPE * complex_dim(self.alg, k) + _CAP_BASE
-        return (rank_mod3(rows, target, cap) if p == 3 else
-                rank_mod_p(rows, p, target, cap)).rank
+        return rank_mod_p(self.rows(k), p, target, cap).rank
 
     def _bounds(self, k: int, dim_k: int, p: int) -> tuple[int, int]:
         """Lower bounds (rank d_(k-1), rank d_k) mod p: d_(k-1) up to its

@@ -34,14 +34,14 @@ both rank bounds exactly; each solve is then a product and the exact
 M·x = b check on every row.  An inconsistent right side is refused only
 with a left witness y (yᵀM = 0, yᵀb != 0) checked exactly.
 
-``kernel``'s certificate bounds the rank from above only.  ``rank_mod3``
-and ``rank_mod_p`` bound it from below: they read the nonzero integer rows
-in a seeded order and keep each row independent of those kept modulo a
-prime p, until the rank reaches a given bound or a row cap is read.  A
-minor that is nonzero mod p is nonzero over Z, so rank_Fp <= rank_Q.
-``rank_mod3`` holds each row as two bit planes (Boothby–Bradshaw
-bitslicing) and re-checks the rows it keeps with ``rank_mod_p`` at p = 3,
-a plain dict elimination; a disagreement raises ArithmeticError.
+``kernel``'s certificate bounds the rank from above only.  ``rank_mod_p``
+bounds it from below: it reads the nonzero integer rows in a seeded order
+and keeps each row independent of those kept modulo a prime p, by a plain
+elimination of {column: int} rows mod p, until the rank reaches a given
+bound or a row cap is read.  A minor that is nonzero mod p is nonzero
+over Z, so rank_Fp <= rank_Q.  The bound is not re-checked at run time:
+the tests hold it to a dense elimination mod p on random rows, and
+``tests/mutants.py`` plants faults in it.
 
 Scaling lemma: multiplying a row by a constant L > 0 keeps its length, so
 the pivot choice, and ``_cancel`` of a positive multiple is the same
@@ -442,8 +442,9 @@ def kernel(rows: Sequence[Row], ncols: int) -> RankNullspace:
 
 
 class RankBound(Record):
-    """rank ≤ rank over Q of integer rows: the rows ``kept`` are
-    independent modulo ``prime``, found among the first ``read`` rows of
+    """What ``rank_mod_p`` returns: ``rank`` ≤ the rank over Q of the
+    integer rows, since the rows ``kept`` are independent modulo
+    ``prime``; they were found among the first ``read`` nonzero rows of
     the seeded order."""
 
     __slots__ = ("rank", "kept", "read", "prime")
@@ -453,31 +454,6 @@ class RankBound(Record):
     prime: int
 
 
-def _add3(x1: int, x2: int, y1: int, y2: int) -> tuple[int, int]:
-    """x + y over GF(3), a vector held as two bit planes: the columns
-    where it is 1 and where it is 2."""
-    t = (x1 | y2) ^ (x2 | y1)
-    return (x2 | y2) ^ t, (x1 | y1) ^ t
-
-
-def _bound_pass(rows: Sequence[Row], bound: int, cap: int,
-                insert: Callable[[Row], bool], prime: int) -> RankBound:
-    """Offer the nonzero rows, in a seeded order, to ``insert`` (True when
-    the row is independent of those kept) until ``bound`` rows are kept
-    or ``cap`` rows are read."""
-    order = [i for i, r in enumerate(rows) if r]
-    random.Random(_SAMPLE_SEED).shuffle(order)
-    kept: list[int] = []
-    read = 0
-    for i in order:
-        if len(kept) >= bound or read >= cap:
-            break
-        read += 1
-        if insert(rows[i]):
-            kept.append(i)
-    return RankBound(len(kept), tuple(kept), read, prime)
-
-
 def _bound_counters(_, res: RankBound) -> dict[str, int]:
     return {"rows_read": res.read, "rank": res.rank, "max_prime": res.prime}
 
@@ -485,20 +461,30 @@ def _bound_counters(_, res: RankBound) -> dict[str, int]:
 @traced("linalg.rank_mod_p", _bound_counters)
 def rank_mod_p(rows: Sequence[Row], p: int, bound: int,
                cap: int) -> RankBound:
-    """A lower bound on the rank of the integer rows: a plain elimination
-    of {column: int} rows modulo the prime p, each pivot on its row's
-    last column, stopped at ``bound`` or ``cap`` rows read."""
+    """A lower bound on the rank of the integer rows: their rank modulo
+    the prime p.  The nonzero rows are read in a seeded order and each is
+    reduced, by a plain elimination of {column: int} rows mod p, against
+    the rows kept so far, each pivot on its row's last column; a row that
+    does not reduce to zero is kept.  The pass stops once ``bound`` rows
+    are kept or ``cap`` rows are read."""
+    order = [i for i, r in enumerate(rows) if r]
+    random.Random(_SAMPLE_SEED).shuffle(order)
     pivots: dict[int, Row] = {}
-
-    def insert(row: Row) -> bool:
-        r = {j: x % p for j, x in row.items() if x % p}
+    kept: list[int] = []
+    read = 0
+    for i in order:
+        if len(kept) >= bound or read >= cap:
+            break
+        read += 1
+        r = {j: x % p for j, x in rows[i].items() if x % p}
         while r:
             c = max(r)
             q = pivots.get(c)
             if q is None:
                 inv = pow(r[c], -1, p)
                 pivots[c] = {j: x * inv % p for j, x in r.items()}
-                return True
+                kept.append(i)
+                break
             f = r[c]
             for j, x in q.items():
                 v = (r.get(j, 0) - f * x) % p
@@ -508,44 +494,7 @@ def rank_mod_p(rows: Sequence[Row], p: int, bound: int,
                     del r[j]
             if c in r:  # so the loop cannot spin
                 raise ArithmeticError("the elimination mod p kept the pivot")
-        return False
-
-    return _bound_pass(rows, bound, cap, insert, p)
-
-
-@traced("linalg.rank_mod3", _bound_counters)
-def rank_mod3(rows: Sequence[Row], bound: int, cap: int) -> RankBound:
-    """``rank_mod_p`` at p = 3 on bit-packed rows: each row is two Python
-    ints, its bit planes (``_add3``), so a row operation is a few big-int
-    bitwise operations (Boothby–Bradshaw bitslicing), each pivot on its
-    row's highest bit.  The kept rows are re-checked by ``rank_mod_p`` at
-    p = 3; a disagreement raises ArithmeticError."""
-    pivots: dict[int, tuple[int, int]] = {}
-
-    def insert(row: Row) -> bool:
-        x1 = sum(1 << j for j, x in row.items() if x % 3 == 1)
-        x2 = sum(1 << j for j, x in row.items() if x % 3 == 2)
-        c = (x1 | x2).bit_length()
-        while c:
-            p = pivots.get(c)
-            one = x1 >> (c - 1) & 1
-            if p is None:
-                # stored with 1 at its pivot: -x swaps the planes
-                pivots[c] = (x1, x2) if one else (x2, x1)
-                return True
-            # x - p where x is 1 at the pivot, else x - 2p = x + p
-            x1, x2 = _add3(x1, x2, p[1], p[0]) if one else \
-                _add3(x1, x2, *p)
-            top, c = c, (x1 | x2).bit_length()
-            if c >= top:  # so the loop cannot spin
-                raise ArithmeticError("the packed addition kept the pivot")
-        return False
-
-    res = _bound_pass(rows, bound, cap, insert, 3)
-    if rank_mod_p([rows[i] for i in res.kept], 3, res.rank,
-                  res.rank).rank != res.rank:
-        raise ArithmeticError("the packed mod-3 pass kept dependent rows")
-    return res
+    return RankBound(len(kept), tuple(kept), read, p)
 
 
 class Refusal(Record):

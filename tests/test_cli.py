@@ -338,21 +338,37 @@ def test_each_route_written_once():
     assert "evaluate" in wedge and "multilinear" not in wedge
 
 
-def test_one_elimination_routine():
-    """``linalg._rref`` has one call site in the package, inside
-    ``_eliminate``: rank, nullspace and every solve share the sampled,
-    certified elimination, with no one-shot elimination beside it."""
-    sites = []
+def _call_sites(name):
+    """(module, enclosing functions) of each call of ``name`` in nlie,
+    and the names of every function the package defines."""
+    sites, defined = [], set()
     for path in sorted(pathlib.Path(nlie.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)]
+        defined |= {func.name for func in funcs}
         sites += [(path.name, [func.name for func in funcs
                                if call in ast.walk(func)])
                   for call in ast.walk(tree) if isinstance(call, ast.Call)
                   and getattr(call.func, "id",
-                              getattr(call.func, "attr", None)) == "_rref"]
-    assert sites == [("linalg.py", ["_eliminate"])]
+                              getattr(call.func, "attr", None)) == name]
+    return sites, defined
+
+
+def test_one_elimination_routine():
+    """``linalg._rref`` has one call site in the package, inside
+    ``_eliminate``: rank, nullspace and every solve share the sampled,
+    certified elimination, with no one-shot elimination beside it."""
+    assert _call_sites("_rref")[0] == [("linalg.py", ["_eliminate"])]
+
+
+def test_one_rank_bound_routine():
+    """``linalg.rank_mod_p`` is the one lower bound on a rank, called
+    only by ``Complex._bound``, for every prime: no bit-packed pass and no
+    run-time re-check of its kept rows beside it."""
+    sites, defined = _call_sites("rank_mod_p")
+    assert sites == [("cohomology.py", ["_bound"])]
+    assert not defined & {"_add3", "rank_mod3", "_bound_pass"}
 
 
 def test_one_multiderivation_record():
@@ -1442,16 +1458,16 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     # the sampled elimination's work: rows eliminated and rounds, for the
     # kernel here and the rigidity probe's factorization
     assert rank["rounds"] >= 1 and 0 < rank["sample_rows"] <= rank["rows"]
-    # H^2 of Levi-Civita: rank d_1 = 10 and rank d_2 = 6 proven mod 3 (the
-    # packed pass, its re-check) and by d_2·d_1 = 0, with no kernel
+    # H^2 of Levi-Civita: rank d_1 = 10 and rank d_2 = 6 proven mod 3, in
+    # two calls of the one bound routine, and by d_2·d_1 = 0, with no kernel
     spans = {name: c for name, _, c in first}
     assert "linalg.rank_nullspace" not in spans
+    assert "linalg.rank_mod3" not in spans
     assert spans["cohomology.report"] == {"proven": 1, "shortfall": 0}
     assert spans["linalg.rank_mod_p"] == {"max_prime": 3, "rank": 16,
-                                          "rows_read": 16}
-    packed = spans["linalg.rank_mod3"]
-    assert packed["rank"] == 16 and packed["max_prime"] == 3
-    assert 16 <= packed["rows_read"] <= 16 + 96
+                                          "rows_read": 28}
+    assert next(calls for name, calls, _ in first
+                if name == "linalg.rank_mod_p") == 2
     assert spans["cohomology.product_check"] == {"nonzero": 0,
                                                  "terms": 144}
     fac = next(c for name, _, c in runs[0] if name == "linalg.factor")

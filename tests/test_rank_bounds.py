@@ -1,14 +1,13 @@
 """Rank lower bounds modulo a prime, and the betti-0 route of
 ``Complex.report``.
 
-``linalg.rank_mod3`` (bit-packed rows) and ``linalg.rank_mod_p`` (dict
-rows) must give the rank mod p of the rows they read, checked against a
-dense elimination written here, and never exceed the rank over Q that
-``kernel`` certifies.  A fault planted in the packed addition must be
-caught.  ``Complex.report`` proves betti 0 from two bounds that meet and
-d_k·d_(k-1) = 0 (through the second prime where 3 divides entries); where
-the bounds do not meet it takes the ``kernel`` route, with the same report
-as the rational reference, and counts the shortfall.
+``linalg.rank_mod_p`` must give the rank mod p of the rows it reads,
+checked against a dense elimination written here, and never exceed the
+rank over Q that ``kernel`` certifies.  ``Complex.report`` proves betti 0
+from two bounds that meet and d_k·d_(k-1) = 0 (through the second prime
+where 3 divides entries); where the bounds do not meet it takes the
+``kernel`` route, with the same report as the rational reference, and
+counts the shortfall.
 """
 
 import io
@@ -21,7 +20,7 @@ from helpers import ref_report
 from nlie import cohomology, linalg, trace
 from nlie.catalog import conjugated_algebra, heisenberg3, levi_civita_bracket
 from nlie.cohomology import Complex
-from nlie.linalg import Matrix, kernel, rank_mod3, rank_mod_p
+from nlie.linalg import Matrix, kernel, rank_mod_p
 
 P = 2**31 - 1
 
@@ -63,21 +62,26 @@ def _random_rows(seed):
     return rows, cols
 
 
-CASES = [_random_rows(seed) for seed in range(120)]
+def _low_rank_rows(seed):
+    """Seeded integer rows spanning fewer dimensions than they have
+    columns, at least as many rows as columns: most rows are dependent
+    and reach zero only if every column of their support is updated, and
+    some columns are left with no pivot."""
+    rng = random.Random(seed)
+    cols = rng.randint(3, 12)
+    basis = [[rng.randint(-4, 4) for _ in range(cols)]
+             for _ in range(rng.randint(1, cols - 2))]
+    rows = []
+    for _ in range(rng.randint(cols, 30)):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        row = [sum(a * b[j] for a, b in zip(coeffs, basis))
+               for j in range(cols)]
+        rows.append({j: x for j, x in enumerate(row) if x})
+    return rows, cols
 
 
-def _disagreements():
-    """The cases where ``rank_mod3`` raises or differs from the dense rank
-    mod 3."""
-    bad = []
-    for rows, cols in CASES:
-        try:
-            got = rank_mod3(rows, cols, len(rows)).rank
-        except ArithmeticError:
-            got = None
-        if got != _rank_mod(rows, cols, 3):
-            bad.append((rows, cols, got))
-    return bad
+CASES = [_random_rows(seed) for seed in range(120)] \
+    + [_low_rank_rows(seed) for seed in range(40)]
 
 
 def test_bounds_match_dense_elimination_and_never_exceed_kernel():
@@ -85,88 +89,57 @@ def test_bounds_match_dense_elimination_and_never_exceed_kernel():
     for rows, cols in CASES:
         exact = kernel(rows, cols).rank
         mod3 = _rank_mod(rows, cols, 3)
-        packed = rank_mod3(rows, cols, len(rows))
-        assert packed.rank == rank_mod_p(rows, 3, cols, len(rows)).rank \
-            == mod3 <= exact
-        assert _rank_mod([rows[i] for i in packed.kept], cols, 3) == mod3
+        bound = rank_mod_p(rows, 3, cols, len(rows))
+        assert bound.rank == mod3 <= exact
+        assert _rank_mod([rows[i] for i in bound.kept], cols, 3) == mod3
         assert rank_mod_p(rows, P, cols, len(rows)).rank \
             == _rank_mod(rows, cols, P) <= exact
         short += mod3 < exact
     assert short >= 10
-    assert not _disagreements()
 
 
 def test_bound_and_cap_stop_the_pass():
     rows, cols = next((r, c) for r, c in CASES
                       if _rank_mod(r, c, 3) >= 3 and len(r) >= 10)
-    stopped = rank_mod3(rows, 2, len(rows))
+    stopped = rank_mod_p(rows, 3, 2, len(rows))
     assert stopped.rank == 2 and stopped.read <= len(rows)
     capped = rank_mod_p(rows, 3, cols, 1)
     assert capped.read == 1 and capped.rank <= 1
-    assert rank_mod3([{}, {}], 5, 5) == linalg.RankBound(0, (), 0, 3)
+    assert rank_mod_p([{}, {}], 3, 5, 5) == linalg.RankBound(0, (), 0, 3)
 
 
-# One bit-plane formula of ``_add3`` replaced: the plane loses its ^ t.
-PLANTED = {
-    "ones": lambda x1, x2, y1, y2: (x2 | y2, (x1 | y1) ^ (x1 | y2) ^ (x2 | y1)),
-    "twos": lambda x1, x2, y1, y2: ((x2 | y2) ^ (x1 | y2) ^ (x2 | y1), x1 | y1),
-}
-
-
-@pytest.mark.parametrize("plane", sorted(PLANTED))
-def test_planted_packed_addition_is_caught(monkeypatch, plane):
-    monkeypatch.setattr(linalg, "_add3", PLANTED[plane])
-    bad = _disagreements()
-    # the parity check above fails ...
-    assert bad
-    # ... and no planted run returns a rank above the true rank mod 3: an
-    # overcount is caught at run time, by the re-check or the spin guard
-    assert all(got is None or got < _rank_mod(rows, cols, 3)
-               for rows, cols, got in bad)
-    assert any(got is None for _, _, got in bad)
-
-
-def _pivot_only(x1, x2, y1, y2):
-    """A planted addition that clears x at y's pivot column and nowhere
-    else, so a dependent row survives its reduction."""
-    top = 1 << ((y1 | y2).bit_length() - 1)
-    return x1 & ~top, x2 & ~top
-
-
-def test_planted_overcount_is_caught_by_the_recheck(monkeypatch):
-    monkeypatch.setattr(linalg, "_add3", _pivot_only)
-    raised = 0
-    for rows, cols in CASES:
-        try:
-            assert rank_mod3(rows, cols, len(rows)).rank \
-                <= _rank_mod(rows, cols, 3)
-        except ArithmeticError as exc:
-            assert "dependent rows" in str(exc)
-            raised += 1
-    assert raised >= 10
-
-
-def _traced_report(cx, k):
+def _trace_lines(cx, k):
+    """The report and the JSON lines of its traced run."""
     out = io.StringIO()
     trace.enable(out)
     try:
         rep = cx.report(k)
     finally:
         trace.finish()
+    return rep, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _traced_report(cx, k):
+    rep, lines = _trace_lines(cx, k)
     return rep, {line["summary"]: line["counters"]
-                 for line in map(json.loads, out.getvalue().splitlines())
-                 if "summary" in line}
+                 for line in lines if "summary" in line}
 
 
 def test_rescaling_by_three_meets_through_the_second_prime():
     alg = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
         [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
-    rep, spans = _traced_report(Complex(alg), 2)
+    rep, lines = _trace_lines(Complex(alg), 2)
     assert rep == ref_report(alg, 2) and rep.betti == 0
+    spans = {line["summary"]: line["counters"]
+             for line in lines if "summary" in line}
     assert "linalg.rank_nullspace" not in spans
-    assert spans["linalg.rank_mod3"]["rank"] < 16
-    assert spans["linalg.rank_mod_p"]["max_prime"] == P
     assert spans["cohomology.report"] == {"proven": 1, "shortfall": 0}
+    # d_1, then d_2, mod 3: together short of rank 10 + 6 = 16; then the
+    # same two mod 2^31 - 1
+    calls = [line["counters"] for line in lines
+             if line.get("span") == "linalg.rank_mod_p"]
+    assert [c["max_prime"] for c in calls] == [3, 3, P, P]
+    assert calls[0]["rank"] + calls[1]["rank"] < 16
 
 
 def test_heisenberg_h2_falls_back_to_kernel():
