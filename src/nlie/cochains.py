@@ -452,7 +452,6 @@ def coboundary_explicit(alg: NLieAlgebra, psi: Cochain) -> Cochain:
     return vec_to_cochain(rows.apply(x), n, m, p + 1)
 
 
-@traced("cochains.coboundary_rows")
 def coboundary_rows(alg: NLieAlgebra, p: int,
                     table: Optional[Mapping] = None) -> list[Row]:
     """The four sums of ``coboundary_explicit`` in transposed form: the
@@ -466,6 +465,15 @@ def coboundary_rows(alg: NLieAlgebra, p: int,
     component, the order of ``cochain_to_vec``.  At p = -1 the column of an
     (n-1)-wedge X is ``wedge_differential``: z -> [X, z].
 
+    Each coordinate is located once: ``read`` keeps the (sign, first
+    column) it finds for each (blocks, z), and ``action`` the nonzero terms
+    (j, i, c) of [slot with e_j at pos] = sum_i c e_i for each slot with a
+    hole at pos, so the third and fourth sums loop over a list and make no
+    lookup.  Both dictionaries, like the wedge-bracket ``moves``, live for
+    one call.  The ``cochains.coboundary_rows`` span counts the coordinates
+    located, the action lists built and the entries written (one per
+    multiply-add into a row), once per call.
+
     Brackets are read from ``table`` (``alg.structure`` by default)
     through one signed lookup, the wedge-bracket moves [X_i, X_j] too.
     Every entry is linear in the bracket, so on ``integral_table``'s
@@ -474,77 +482,108 @@ def coboundary_rows(alg: NLieAlgebra, p: int,
     """
     n, m = alg.arity, alg.dim
     look = basis_lookup(alg.structure if table is None else table)
-    if p == -1:
-        ad: list[Row] = [{} for _ in range(m * m)]
-        for t, x in enumerate(itertools.combinations(range(m), n - 1)):
-            for z in range(m):
-                for i, c in look(x + (z,)):
-                    ad[z * m + i][t] = c
-        return ad
-    base_of = {key: t * m for t, key in enumerate(space_keys(m, n, p))}
-    moves: dict[tuple[Key, Key], dict[Key, int]] = {}
+    with span("cochains.coboundary_rows") as sp:
+        if p == -1:
+            ad: list[Row] = [{} for _ in range(m * m)]
+            for t, x in enumerate(itertools.combinations(range(m), n - 1)):
+                for z in range(m):
+                    for i, c in look(x + (z,)):
+                        ad[z * m + i][t] = c
+            return ad
+        base_of = {key: t * m for t, key in enumerate(space_keys(m, n, p))}
+        moves: dict[tuple[Key, Key], dict[Key, int]] = {}
+        located: dict[tuple[tuple[Key, ...], int], tuple[int, ...]] = {}
+        actions: dict[tuple[Key, int], list[tuple[int, int, int]]] = {}
+        written = 0
 
-    def move(xk: Key, yk: Key) -> dict[Key, int]:
-        # [X, Y] = sum_i y_1 ∧ .. ∧ [X, y_i] ∧ .. ∧ y_(n-1), on basis wedges
-        if (xk, yk) not in moves:
-            acc: dict[Key, int] = {}
-            for moved, c in replace_slots(yk, [look(xk + (y,)) for y in yk]):
-                ss = sort_with_sign(moved)
-                if ss is not None:
-                    acc[ss[1]] = acc.get(ss[1], 0) + (c if ss[0] == 1 else -c)
-            moves[xk, yk] = {key: c for key, c in acc.items() if c}
-        return moves[xk, yk]
+        def move(xk: Key, yk: Key) -> dict[Key, int]:
+            # [X, Y] = sum_i y_1 ∧ .. ∧ [X, y_i] ∧ .. ∧ y_(n-1), on basis
+            # wedges
+            if (xk, yk) not in moves:
+                acc: dict[Key, int] = {}
+                for moved, c in replace_slots(yk,
+                                              [look(xk + (y,)) for y in yk]):
+                    ss = sort_with_sign(moved)
+                    if ss is not None:
+                        acc[ss[1]] = acc.get(ss[1], 0) + \
+                            (c if ss[0] == 1 else -c)
+                moves[xk, yk] = {key: c for key, c in acc.items() if c}
+            return moves[xk, yk]
 
-    def read(blocks: tuple[Key, ...], z: int) -> Optional[tuple[int, int]]:
-        # (sign, first column) of the entry eval_keys_z(psi, blocks, z) reads
-        at = _locate(p, blocks, z)
-        return at and (at[0], base_of[at[1]])
+        def read(blocks: tuple[Key, ...], z: int) -> tuple[int, ...]:
+            # (sign, first column) of the entry eval_keys_z(psi, blocks, z)
+            # reads, or () where z repeats an index of the last block
+            key = blocks, z
+            at = located.get(key)
+            if at is None:
+                at = _locate(p, blocks, z)
+                at = located[key] = (at[0], base_of[at[1]]) if at else ()
+            return at
 
-    rows: list[Row] = []
-    for blocks, last in space_keys(m, n, p + 1):
-        args = blocks + (last[:n - 1],)
-        z = last[n - 1]
-        out: list[Row] = [{} for _ in range(m)]
+        def action(rest: Key, pos: int) -> list[tuple[int, int, int]]:
+            # the nonzero terms (j, i, c) of [rest with e_j at pos]
+            key = rest, pos
+            terms = actions.get(key)
+            if terms is None:
+                terms = actions[key] = [
+                    (j, i, c) for j in range(m)
+                    for i, c in look(rest[:pos] + (j,) + rest[pos:])]
+            return terms
 
-        def same(sign: int, c, at: Optional[tuple[int, int]]) -> None:
-            # sign * c * psi(at): psi's value lands component by component
-            if at is not None:
-                c = c if sign * at[0] == 1 else -c
-                for i in range(m):
-                    col = at[1] + i
-                    out[i][col] = out[i].get(col, 0) + c
+        rows: list[Row] = []
+        for blocks, last in space_keys(m, n, p + 1):
+            args = blocks + (last[:n - 1],)
+            z = last[n - 1]
+            out: list[Row] = [{} for _ in range(m)]
 
-        def acted(sign: int, at: Optional[tuple[int, int]], slot: Key,
-                  pos: int) -> None:
-            # sign * sum_j psi(at)_j [slot with e_j at pos]
-            if at is not None:
-                sign *= at[0]
-                for j in range(m):
-                    col = at[1] + j
-                    for i, c in look(slot[:pos] + (j,) + slot[pos + 1:]):
+            def same(sign: int, c, at: tuple[int, ...]) -> None:
+                # sign * c * psi(at): psi's value lands component by
+                # component
+                nonlocal written
+                if at:
+                    c = c if sign * at[0] == 1 else -c
+                    col = at[1]
+                    for row in out:
+                        row[col] = row.get(col, 0) + c
+                        col += 1
+                    written += m
+
+            def acted(sign: int, at: tuple[int, ...], rest: Key,
+                      pos: int) -> None:
+                # sign * sum_j psi(at)_j [rest with e_j at pos]
+                nonlocal written
+                if at:
+                    terms = action(rest, pos)
+                    sign *= at[0]
+                    for j, i, c in terms:
+                        col = at[1] + j
                         out[i][col] = out[i].get(col, 0) + \
                             (c if sign == 1 else -c)
+                    written += len(terms)
 
-        for i0 in range(p + 1):
-            rem = args[:i0] + args[i0 + 1:]
-            sign = -1 if (i0 + 1) % 2 else 1
-            # first sum: z replaced by the X_i action on it
-            for j, c in look(args[i0] + (z,)):
-                same(sign, c, read(rem, j))
-            # third sum: X_i acts on the value
-            acted(-sign, read(rem, z), args[i0] + (z,), n - 1)
-            # second sum: wedge-bracket of X_i into the X_j slot
-            for j0 in range(i0 + 1, p + 1):
-                for skey, c in move(args[i0], args[j0]).items():
-                    reduced = (args[:i0] + args[i0 + 1:j0] + (skey,)
-                               + args[j0 + 1:])
-                    same(sign, c, read(reduced, z))
-        # fourth sum: psi's value replaces slot s of the last block
-        lastblock = args[p]
-        for s in range(n - 1):
-            acted(-1 if p % 2 else 1, read(args[:p], lastblock[s]),
-                  lastblock + (z,), s)
-        rows.extend({j: x for j, x in sorted(r.items()) if x} for r in out)
+            for i0 in range(p + 1):
+                rem = args[:i0] + args[i0 + 1:]
+                sign = -1 if (i0 + 1) % 2 else 1
+                # first sum: z replaced by the X_i action on it
+                for j, c in look(args[i0] + (z,)):
+                    same(sign, c, read(rem, j))
+                # third sum: X_i acts on the value
+                acted(-sign, read(rem, z), args[i0], n - 1)
+                # second sum: wedge-bracket of X_i into the X_j slot
+                for j0 in range(i0 + 1, p + 1):
+                    for skey, c in move(args[i0], args[j0]).items():
+                        reduced = (args[:i0] + args[i0 + 1:j0] + (skey,)
+                                   + args[j0 + 1:])
+                        same(sign, c, read(reduced, z))
+            # fourth sum: psi's value replaces slot s of the last block
+            lastblock = args[p]
+            for s in range(n - 1):
+                acted(-1 if p % 2 else 1, read(args[:p], lastblock[s]),
+                      lastblock[:s] + lastblock[s + 1:] + (z,), s)
+            rows.extend({j: x for j, x in sorted(r.items()) if x}
+                        for r in out)
+        sp.count(coordinates_located=len(located),
+                 action_lists=len(actions), entries_written=written)
     return rows
 
 

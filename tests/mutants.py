@@ -41,6 +41,17 @@ class Mutant(NamedTuple):
 
 _PARITY = ("tests/test_rank_bounds.py::"
            "test_bounds_match_dense_elimination_and_never_exceed_kernel")
+# the four-sum rows against the circle route, on catalog and dense inputs
+_ROWS = ("tests/test_cohomology.py::"
+         "test_differential_matrix_matches_circle_oracle",
+         "tests/test_cochains.py::"
+         "test_coboundary_explicit_matches_differential",
+         "tests/test_cochains.py::"
+         "test_coboundary_explicit_matches_differential_dense")
+_PRODUCT = ("tests/test_rank_bounds.py::"
+            "test_product_check_matches_the_dict_product",
+            "tests/test_rank_bounds.py::"
+            "test_product_packing_leaves_no_room_to_cancel")
 
 MUTANTS = (
     # the row is cleared at the pivot column only: a dependent row with
@@ -88,6 +99,31 @@ MUTANTS = (
             "tests/test_linalg.py::test_solve_linear_consistent_systems",
             "tests/test_complex.py::"
             "test_complex_matches_rational_route_dense_d3")),
+    # coboundary_rows: a coordinate found for one z is read for every z
+    Mutant("coboundary_read_memo_without_z", "cochains.py",
+           "key = blocks, z",
+           "key = blocks",
+           _ROWS),
+    # coboundary_rows: an action list built for one hole position is read
+    # for every position
+    Mutant("coboundary_action_memo_without_pos", "cochains.py",
+           "key = rest, pos",
+           "key = rest",
+           _ROWS),
+    # the product check packs one bit narrower than the zero test needs,
+    # so an entry 2^w next to an entry -1 cancels; floored at 2 bits,
+    # because at width 1 the balanced decode of a nonzero row never ends
+    Mutant("product_check_width_too_narrow", "cohomology.py",
+           "(a * b).bit_length() + 1",
+           "max((a * b).bit_length() - 1, 2)",
+           _PRODUCT),
+    # the product check packs without the sign bit: the zero test holds,
+    # but an entry at or above 2^(w-1) decodes with a carry into the
+    # next digit, so the nonzero counter is wrong
+    Mutant("product_check_width_without_sign_bit", "cohomology.py",
+           "(a * b).bit_length() + 1",
+           "max((a * b).bit_length(), 2)",
+           _PRODUCT),
 )
 
 

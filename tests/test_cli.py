@@ -1470,6 +1470,12 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
                 if name == "linalg.rank_mod_p") == 2
     assert spans["cohomology.product_check"] == {"nonzero": 0,
                                                  "terms": 144}
+    # the assembly of d_1 and d_2: each coordinate of psi located once
+    # (4 + 24), the action lists built (9 + 12) and the multiply-adds
+    # into the rows (40 + 216)
+    assert spans["cochains.coboundary_rows"] == {
+        "action_lists": 21, "coordinates_located": 28,
+        "entries_written": 256}
     fac = next(c for name, _, c in runs[0] if name == "linalg.factor")
     assert fac["rounds"] >= 1 and 0 < fac["sample_rows"] <= fac["rows"]
     # one circle product per ordered pair: full mode on an order-2 path

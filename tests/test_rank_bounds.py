@@ -7,7 +7,10 @@ rank over Q that ``kernel`` certifies.  ``Complex.report`` proves betti 0
 from two bounds that meet and d_k·d_(k-1) = 0 (through the second prime
 where 3 divides entries); where the bounds do not meet it takes the
 ``kernel`` route, with the same report as the rational reference, and
-counts the shortfall.
+counts the shortfall.  The packed d_k·d_(k-1) = 0 check must give the
+verdict and the counters of a plain dict product written here, on
+catalog, dense and random rows and on products planted nonzero in one
+entry or cancelling under too narrow a packing.
 """
 
 import io
@@ -18,7 +21,8 @@ import pytest
 
 from helpers import ref_report
 from nlie import cohomology, linalg, trace
-from nlie.catalog import conjugated_algebra, heisenberg3, levi_civita_bracket
+from nlie.catalog import (conjugated_algebra, heisenberg3, levi_civita_bracket,
+                          sl2)
 from nlie.cohomology import Complex
 from nlie.linalg import Matrix, kernel, rank_mod_p
 
@@ -54,7 +58,8 @@ def _random_rows(seed):
     tripled = {j for j in range(cols) if rng.random() < 0.2}
     rows = []
     for _ in range(rng.randint(1, 30)):
-        row = [sum(rng.randint(-2, 2) * b[j] for b in basis)
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        row = [sum(a * b[j] for a, b in zip(coeffs, basis))
                * (3 if j in tripled else 1) for j in range(cols)]
         if rng.random() < 0.2:
             row = [3 * x for x in row]
@@ -183,3 +188,107 @@ def test_nonzero_product_is_never_betti_zero():
     row[next(iter(row))] += 1
     with pytest.raises(ArithmeticError, match="d_k·d_"):
         cx.report(2)
+
+
+def _dict_product(outer, inner):
+    """The verdict and the counters of d_k·d_(k-1) = 0 by a plain dict
+    product, independent of ``Complex._product_vanishes``: entries of the
+    inner rows read, and nonzero entries of the product."""
+    terms = nonzero = 0
+    for r in outer:
+        acc = {}
+        for j, a in r.items():
+            for c, b in inner[j].items():
+                acc[c] = acc.get(c, 0) + a * b
+            terms += len(inner[j])
+        nonzero += sum(1 for v in acc.values() if v)
+    return nonzero == 0, {"nonzero": nonzero, "terms": terms}
+
+
+def _product_check(outer, inner):
+    """The verdict and the ``cohomology.product_check`` counters of
+    ``Complex._product_vanishes(2)`` with ``outer`` in place of L·d_2 and
+    ``inner`` in place of L·d_1."""
+    cx = Complex(levi_civita_bracket())
+    cx._rows.update({1: inner, 2: outer})
+    out = io.StringIO()
+    trace.enable(out)
+    try:
+        cx._product_vanishes(2)
+        holds = True
+    except ArithmeticError:
+        holds = False
+    finally:
+        trace.finish()
+    spans = {line["summary"]: line["counters"] for line in
+             map(json.loads, out.getvalue().splitlines())
+             if "summary" in line}
+    return holds, spans["cohomology.product_check"]
+
+
+def _row_pairs(seed):
+    """Seeded (outer, inner) integer rows with negative and multi-digit
+    entries: inner rows are a few random rows and combinations of them;
+    each outer row is a relation among them, whose product row is zero, or
+    a random row."""
+    rng = random.Random(seed)
+    cols = rng.randint(1, 10)
+    size = rng.choice((1, 9, 10**6, 10**15))
+    basis = [{j: rng.randint(-size, size) for j in range(cols)
+              if rng.random() < 0.6} for _ in range(rng.randint(1, 5))]
+    inner, outer = list(basis), []
+    for _ in range(rng.randint(0, 8)):
+        coeffs = [rng.randint(-size, size) if rng.random() < 0.5 else 0
+                  for _ in basis]
+        inner.append({j: sum(a * b.get(j, 0) for a, b in zip(coeffs, basis))
+                      for j in range(cols)})
+        outer.append({len(inner) - 1: 1,
+                      **{s: -a for s, a in enumerate(coeffs)}})
+    for _ in range(rng.randint(0, 3)):
+        outer.append({j: rng.randint(-size, size) for j in range(len(inner))
+                      if rng.random() < 0.4})
+    rng.shuffle(outer)
+    return ([{j: x for j, x in r.items() if x} for r in outer],
+            [{j: x for j, x in r.items() if x} for r in inner])
+
+
+def _planted(outer, inner, value, column):
+    """The pair with one more outer row: an outer row whose product row
+    is zero, plus a new inner row holding ``value`` at ``column``.  Its
+    product row is nonzero in that one entry only."""
+    row = next((r for r in outer if r and _dict_product([r], inner)[0]), {})
+    return (outer + [{**row, len(inner): 1}], inner + [{column: value}])
+
+
+def test_product_check_matches_the_dict_product():
+    heavy = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
+        [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+    pairs = [(cx.rows(k), cx.rows(k - 1))
+             for cx in map(Complex, (levi_civita_bracket(), sl2(),
+                                     heisenberg3(), heavy))
+             for k in (1, 2, 3)]
+    pairs += [_row_pairs(seed) for seed in range(150)]
+    # entries at the bound A·B, which is not a power of two; no rows
+    pairs += [([{0: 3}], [{0: 1}]), ([{0: -5, 1: 2}], [{0: 7}, {0: -7}]),
+              ([], []), ([{}], [{}])]
+    planted = [_planted(outer, inner, value, seed % 3)
+               for seed, (outer, inner) in enumerate(pairs[:40])
+               for value in (1, -1, 7, -10**6, 2**64 + 1)]
+    verdicts = set()
+    for outer, inner in pairs + planted:
+        expected = _dict_product(outer, inner)
+        assert _product_check(outer, inner) == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
+    for outer, inner in planted:
+        assert _product_check(outer, inner)[1]["nonzero"] \
+            == _dict_product(outer[:-1], inner[:-1])[1]["nonzero"] + 1
+
+
+def test_product_packing_leaves_no_room_to_cancel():
+    # the product row (2^bits, -1), with A = 1 and B = 2^bits: a packing
+    # of width bits, one narrower than the zero test needs, reads it as
+    # 2^bits - 2^bits = 0
+    for bits in (1, 2, 3, 30, 64, 200):
+        assert _product_check([{0: 1}], [{0: 2**bits, 1: -1}]) \
+            == (False, {"nonzero": 2, "terms": 2})
