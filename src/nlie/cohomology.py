@@ -32,13 +32,10 @@ the row cap read first) ``kernel`` gives both ranks as before; a bound
 above its rank raises ArithmeticError, and the ``cohomology.report`` span
 counts the shortfall.
 
-The product check packs each row of L·d_(k-1) into one int, entry c at
-bit w·c (Kronecker substitution), and sums each row of L·d_k against the
-packed rows.  The width w = bitlen(A·B) + 1, with A the largest sum of
-|entries| of a row of L·d_k and B the largest |entry| of L·d_(k-1),
-keeps every entry of the product strictly inside ±2^(w-1), so no carry
-crosses an entry: a packed row is 0 exactly when the product row is,
-and the check stays an exact proof.
+The product check counts the nonzero entries of (L·d_k)·(L·d_(k-1))
+with ``linalg.nonzero_counts``, the routine that also certifies every
+``kernel`` nullspace: it packs integer rows into big ints at a width
+that leaves no room to cancel, so the check stays an exact proof.
 
 Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
@@ -65,7 +62,7 @@ from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
                        to_matrix, vec_to_cochain)
 from .errors import DimensionMismatch
 from .linalg import (Factorization, Matrix, RankNullspace, Refusal, Row,
-                     Vector, integer_row, kernel, rank_mod_p)
+                     Vector, integer_row, kernel, nonzero_counts, rank_mod_p)
 from .record import Record
 from .trace import row_counters, span, traced
 
@@ -180,40 +177,16 @@ class Complex:
         return lo_in, self._bound(k, dim_k - lo_in, p)
 
     def _product_vanishes(self, k: int) -> None:
-        """Check d_k·d_(k-1) = 0 exactly, on the integer rows; a nonzero
-        entry raises ArithmeticError.
-
-        Each row of L·d_(k-1) is packed into one int, entry c at bit w·c
-        (Kronecker substitution; Harvey, JSC 2009), so row r of L·d_k
-        times L·d_(k-1) is the one sum of r_j times packed row j.  With A
-        the largest sum of |r_j| over the rows of L·d_k and B the largest
-        |entry| of L·d_(k-1), every entry of the product has |e| <= A·B <
-        2^(w-1) for w = bitlen(A·B) + 1.  The packed sum is then the
-        balanced base-2^w expansion of the product row, digits in
-        (-2^(w-1), 2^(w-1)): zero exactly when the row is, and its nonzero
-        digits, decoded only where it is not zero, are the row's nonzero
-        entries.  The span counts ``terms``, the entries of L·d_(k-1)
-        that the entries of L·d_k meet, and ``nonzero``."""
+        """Check d_k·d_(k-1) = 0 exactly on the integer rows, by
+        ``linalg.nonzero_counts``; a nonzero entry raises ArithmeticError.
+        The span counts ``terms``, the entries of L·d_(k-1) that the
+        entries of L·d_k meet, and ``nonzero`` entries of the product."""
         inner, outer = self.rows(k - 1), self.rows(k)
         with span("cohomology.product_check") as sp:
-            a = max((sum(map(abs, r.values())) for r in outer), default=0)
-            b = max((abs(x) for r in inner for x in r.values()), default=0)
-            w = (a * b).bit_length() + 1
-            half, mask = 1 << (w - 1), (1 << w) - 1
-            packed = [sum(x << w * c for c, x in r.items()) for r in inner]
             # each entry r_j of L·d_k meets the entries of inner row j
             terms = sum(len(inner[j]) * count for j, count in
                         Counter(itertools.chain.from_iterable(outer)).items())
-            nonzero = 0
-            for r in outer:
-                acc = 0
-                for j, x in r.items():
-                    acc += x * packed[j]
-                while acc:
-                    # the lowest balanced digit: one entry of the product row
-                    digit = ((acc + half) & mask) - half
-                    nonzero += digit != 0
-                    acc = (acc - digit) >> w
+            nonzero = sum(nonzero_counts(outer, inner))
             sp.count(terms=terms, nonzero=nonzero)
         if nonzero:
             raise ArithmeticError("d_k·d_(k-1) is not zero")

@@ -20,13 +20,14 @@ Vegas elimination: a random choice moves only the time, and an exact
 certificate decides the answer.  On a tall matrix the first round
 eliminates a seeded sample of about 1.3·ncols + 16 of its rows; every
 row of M is multiplied once by the canonical nullspace read off the
-reduced rows, and the rows that fail join the reduced rows in the next
-round.  When no row fails, M annihilates the nullspace, so the reduced
-rows span the row space of M, and its reduced echelon form, which is
-unique, gives the same rank, pivots and nullspace as eliminating every
-row.  A failing row lies outside the span of the reduced rows, so a
-correct round raises the rank; a round that does not raises
-ArithmeticError, so there are at most rank + 1 rounds.
+reduced rows, exactly, in packed integers (``nonzero_counts``), and the
+rows that fail join the reduced rows in the next round.  When no row
+fails, M annihilates the nullspace, so the reduced rows span the row
+space of M, and its reduced echelon form, which is unique, gives the same
+rank, pivots and nullspace as eliminating every row.  A failing row lies
+outside the span of the reduced rows, so a correct round raises the rank;
+a round that does not raises ArithmeticError, so there are at most
+rank + 1 rounds.
 
 ``Factorization`` is the one solver.  It eliminates the matrix once, at
 construction, with the rows it eliminates tagged by index, and checks
@@ -319,26 +320,51 @@ def _rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     return red, pivots
 
 
-def _failing(rows: Sequence[Row],
-             vectors: Sequence[Mapping[int, Fraction]]) -> list[int]:
-    """The indices of the integer rows that do not annihilate every
-    vector, each product taken exactly with the vector's denominators
-    cleared."""
-    by_col: dict[int, list[tuple[int, int]]] = {}
+def nonzero_counts(outer: Sequence[Row], inner: Sequence[Row]) -> list[int]:
+    """The number of nonzero entries of each row of outer·inner, exactly;
+    column j of an outer row meets inner row j.
+
+    Inner row j is packed into one int, entry c at bit w·c (Kronecker
+    substitution; Harvey, JSC 2009), and outer row r gives the sum of r_j
+    times packed row j.  Every product entry has |e| <= A·B < 2^(w-1) for
+    w = bitlen(A·B) + 1, A the largest sum of |r_j| over the outer rows
+    and B the largest |entry| of the inner rows, so the sum is the
+    balanced base-2^w expansion of the product row: zero exactly when the
+    row is.  Adding H, 2^(w-1) in every digit, gives the digits
+    e + 2^(w-1) in [1, 2^w) with no carry, so the digits of (sum + H) XOR
+    H are nonzero exactly at the row's nonzero entries.  Adding
+    2^(w-1) - 1 to the low w - 1 bits of each such digit, again with no
+    carry, sets its top bit where the digit is nonzero, and the top bits
+    are counted: a few operations per row, not one pass per digit."""
+    a = max((sum(map(abs, r.values())) for r in outer), default=0)
+    b = max((abs(x) for r in inner for x in r.values()), default=0)
+    w = (a * b).bit_length() + 1
+    packed = [sum(x << w * c for c, x in r.items()) for r in inner]
+    digits = max((max(r) + 1 for r in inner if r), default=0)
+    lows = ((1 << w * digits) - 1) // ((1 << w) - 1)  # bit 0 of each digit
+    high = lows << (w - 1)  # H, the top bit of each digit
+    rest = high - lows  # the low w - 1 bits of each digit
+    counts = []
+    for r in outer:
+        acc = 0
+        for j, x in r.items():
+            acc += x * packed[j]
+        if acc:
+            acc = (acc + high) ^ high
+            acc = ((((acc & rest) + rest) | acc) & high).bit_count()
+        counts.append(acc)
+    return counts
+
+
+def _failing(rows: Sequence[Row], vectors: Iterable[Mapping[int, Fraction]],
+             ncols: int) -> list[int]:
+    """The indices of the integer rows with a nonzero entry in M·V, V the
+    vectors, each scaled by the lcm of its denominators, as columns."""
+    inner: list[Row] = [{} for _ in range(ncols)]
     for k, v in enumerate(vectors):
-        mult = lcm(*(x.denominator for x in v.values()))
-        for j, x in v.items():
-            by_col.setdefault(j, []).append(
-                (k, x.numerator * (mult // x.denominator)))
-    out = []
-    for i, r in enumerate(rows):
-        acc = [0] * len(vectors)
-        for j, a in r.items():
-            for k, x in by_col.get(j, ()):
-                acc[k] += a * x
-        if any(acc):
-            out.append(i)
-    return out
+        for j, x in integer_row(v).items():
+            inner[j][k] = x
+    return [i for i, n in enumerate(nonzero_counts(rows, inner)) if n]
 
 
 def _nullspace(red: list[Row], pivots: list[int],
@@ -405,7 +431,7 @@ def _eliminate(rows: Sequence[Row], ncols: int, tagged: bool = False
             rank = len(pivots)
             null = _nullspace([{j: x for j, x in r.items() if j < ncols}
                                for r in red] if tagged else red, pivots, ncols)
-            batch = _failing(rows, list(null.values()))
+            batch = _failing(rows, null.values(), ncols)
         except (KeyError, ValueError) as exc:
             raise ArithmeticError(_LOST) from exc
         if not batch:

@@ -1236,12 +1236,18 @@ def ref_rigidity_probe(alg, max_order: int, trials: int, seed: int = 0):
             cur = conjugate_path(constant_path(alg, max_order),
                                  EquivalenceMap(max_order, tuple(maps)))
             kind = "conjugated"
+        cleared = 0
+        # the lead power rises on every step, so at most max_order steps run
         while True:
             lead = next((i + 1 for i, term in enumerate(cur.terms)
                          if not cochain_is_zero(term)), None)
             if lead is None:
                 results.append(RigidityTrial(kind, True, None))
                 break
+            if lead <= cleared:
+                raise ArithmeticError(f"conjugation left power {lead} "
+                                      "nonzero; the coboundary solve is wrong")
+            cleared = lead
             sol = solve_linear(d10, vec_scale(
                 -1, cochain_to_vec(cur.terms[lead - 1])))
             if sol is None:

@@ -8,9 +8,11 @@ fail.  The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
 temporary directory, first checks that every listed node id passes there
 unmutated, then applies one mutant at a time to the copy, runs its node
 ids and reports it killed (every listed node id fails), partly killed or
-survived, with the time taken.  ``tests/test_mutants.py`` checks in
-Tier-1 that each fragment occurs exactly once in its module, so the list
-keeps up with the code.
+survived, with the time taken.  A run that outlasts ``TIME_LIMIT``
+seconds is stopped and reported ``timed out``, never killed: a mutant
+that makes the code spin ends with a verdict of its own.
+``tests/test_mutants.py`` checks in Tier-1 that each fragment occurs
+exactly once in its module, so the list keeps up with the code.
 
 Run::
 
@@ -52,6 +54,10 @@ _PRODUCT = ("tests/test_rank_bounds.py::"
             "test_product_check_matches_the_dict_product",
             "tests/test_rank_bounds.py::"
             "test_product_packing_leaves_no_room_to_cancel")
+_CERTIFICATE = ("tests/test_linalg.py::"
+                "test_certificate_matches_the_dict_product",)
+# seconds one pytest run may take; the slowest listed run takes about 1 s
+TIME_LIMIT = 120
 
 MUTANTS = (
     # the row is cleared at the pivot column only: a dependent row with
@@ -110,29 +116,50 @@ MUTANTS = (
            "key = rest, pos",
            "key = rest",
            _ROWS),
-    # the product check packs one bit narrower than the zero test needs,
-    # so an entry 2^w next to an entry -1 cancels; floored at 2 bits,
-    # because at width 1 the balanced decode of a nonzero row never ends
-    Mutant("product_check_width_too_narrow", "cohomology.py",
+    # the zero-product check packs one bit narrower than the zero test
+    # needs, so an entry 2^w next to an entry -1 cancels; floored at 2
+    # bits, so that the width stays positive
+    Mutant("product_check_width_too_narrow", "linalg.py",
            "(a * b).bit_length() + 1",
            "max((a * b).bit_length() - 1, 2)",
-           _PRODUCT),
-    # the product check packs without the sign bit: the zero test holds,
-    # but an entry at or above 2^(w-1) decodes with a carry into the
-    # next digit, so the nonzero counter is wrong
-    Mutant("product_check_width_without_sign_bit", "cohomology.py",
+           _PRODUCT + _CERTIFICATE),
+    # the zero-product check packs without the sign bit: the zero test
+    # holds, but an entry at or above 2^(w-1) carries into the next digit
+    # once 2^(w-1) is added to each, so the nonzero counts are wrong; the
+    # certificate reads only the zero test, so its test passes
+    Mutant("product_check_width_without_sign_bit", "linalg.py",
            "(a * b).bit_length() + 1",
            "max((a * b).bit_length(), 2)",
            _PRODUCT),
+    # the kernel certificate multiplies the rows by the first nullspace
+    # vector only, so a sampled round can stop with rows left outside
+    # the span of the reduced rows
+    Mutant("certificate_first_vector_only", "linalg.py",
+           "for k, v in enumerate(vectors):",
+           "for k, v in enumerate(list(vectors)[:1]):",
+           _CERTIFICATE + (
+               "tests/test_linalg.py::"
+               "test_sampled_elimination_matches_full_elimination[as shipped]",
+               "tests/test_linalg.py::"
+               "test_planted_fault_reaches_the_sampled_loop[last_entry]",
+               "tests/test_linalg.py::"
+               "test_planted_fault_returns_certified_or_raises[last_entry]")),
 )
 
 
-def _pytest(copy: pathlib.Path, nodes) -> tuple[int, set[str]]:
-    """(exit code, node ids reported failed or in error) of one run."""
-    res = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-rfE", *nodes], cwd=copy, capture_output=True, text=True)
-    failed = {line.split()[1] for line in res.stdout.splitlines()
+def _pytest(copy: pathlib.Path, nodes) -> tuple[int | None, set[str]]:
+    """(exit code, node ids reported failed or in error) of one run; the
+    code is None if the run was stopped at ``TIME_LIMIT``."""
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-rfE", *nodes], cwd=copy, capture_output=True, text=True,
+            timeout=TIME_LIMIT)
+    except subprocess.TimeoutExpired:
+        return None, set()
+    # "FAILED <node id> - <message>"; a parameter id may hold spaces
+    failed = {line.split(" ", 1)[1].split(" - ")[0]
+              for line in res.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))}
     return res.returncode, failed
 
@@ -147,6 +174,8 @@ def run(mutants) -> list[tuple[str, str, float]]:
         shutil.copy(ROOT / "pyproject.toml", copy)
         code, failed = _pytest(copy, sorted({n for m in mutants
                                              for n in m.kills}))
+        if code is None:
+            raise SystemExit("unmutated copy timed out")
         if code != 0:
             raise SystemExit(f"unmutated copy fails: {sorted(failed)}")
         for m in mutants:
@@ -160,7 +189,8 @@ def run(mutants) -> list[tuple[str, str, float]]:
             took = time.perf_counter() - start
             path.write_text(source)
             caught = failed & set(m.kills)
-            verdict = ("error" if code not in (0, 1) else
+            verdict = ("timed out" if code is None else
+                       "error" if code not in (0, 1) else
                        "killed" if caught == set(m.kills) else
                        "partly killed" if caught else "survived")
             out.append((m.name, verdict, took))

@@ -371,6 +371,34 @@ def test_one_rank_bound_routine():
     assert not defined & {"_add3", "rank_mod3", "_bound_pass"}
 
 
+def test_one_zero_product_routine():
+    """``linalg.nonzero_counts`` is the one exact check that an integer
+    product is zero: the ``kernel`` certificate (``_failing``) and the
+    d_k·d_(k-1) = 0 proof (``Complex._product_vanishes``) call it, no
+    other function packs bits (``<<``), and ``_failing`` keeps no
+    by-column accumulator of its own."""
+    sites, _ = _call_sites("nonzero_counts")
+    assert sorted(sites) == [("cohomology.py", ["_product_vanishes"]),
+                             ("linalg.py", ["_failing"])]
+    packers = set()
+    for path in pathlib.Path(nlie.__file__).parent.glob("*.py"):
+        funcs = [node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)]
+        packers |= {(path.name, func.name) for func in funcs
+                    for node in ast.walk(func) if isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.LShift)}
+    assert packers == {("linalg.py", "nonzero_counts")}
+    linalg_tree = ast.parse((pathlib.Path(nlie.__file__).parent
+                             / "linalg.py").read_text())
+    failing = next(node for node in ast.walk(linalg_tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_failing")
+    assert not [node for node in ast.walk(failing)
+                if isinstance(node, ast.AugAssign)]
+    assert "by_col" not in {node.id for node in ast.walk(linalg_tree)
+                            if isinstance(node, ast.Name)}
+
+
 def test_one_multiderivation_record():
     """An algebroid is its degree-1 bracket multiderivation and a bundle
     map its degree-0 one with zero symbol: ``algebroid`` defines one

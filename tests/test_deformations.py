@@ -566,6 +566,10 @@ def _types(*cochains):
     return {type(x) for d in cochains for v in d.entries.values() for x in v}
 
 
+# the most cocycles test_integral_inputs_compute_in_ints draws
+_DRAWS = 20
+
+
 def test_integral_inputs_compute_in_ints():
     rng = random.Random(53)
     lc = levi_civita_bracket()
@@ -577,10 +581,10 @@ def test_integral_inputs_compute_in_ints():
     results = [*path.terms, *conj.terms]
     # a Nijenhuis path is exact, so its obstruction vanishes; on Heisenberg,
     # draw cocycles until one's nonzero obstruction extends by a nonzero
-    # term
+    # term (the second draw of this seed does), at most _DRAWS of them
     alg = heisenberg3()
     cocycles = Complex(alg).kernel(2).nullspace
-    while True:
+    for _ in range(_DRAWS):
         coeffs = [rng.randint(-1, 1) for _ in cocycles]
         phi1 = vec_to_cochain([sum(c * x for c, x in zip(coeffs, col))
                                for col in zip(*cocycles)], 2, 3, 1)
@@ -588,6 +592,9 @@ def test_integral_inputs_compute_in_ints():
         term = extend(path)
         if isinstance(term, Cochain) and not cochain_is_zero(term):
             break
+    else:
+        pytest.fail(f"no Heisenberg cocycle of {_DRAWS} drawn extends by "
+                    "a nonzero term")
     results += [phi1, obstruction(path), term]
     assert all(not cochain_is_zero(d) for d in results)
     assert _types(*results) == {int}

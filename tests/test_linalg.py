@@ -10,7 +10,8 @@ solve comes first, or a refusal whose left witness is re-checked here,
 and must raise when a faulty ``_cancel`` is planted.  Both eliminate a
 seeded sample of a tall matrix's rows and certify on every row; they must
 agree with one elimination of every row, and a planted fault must end the
-sampled rounds in ArithmeticError.
+sampled rounds in ArithmeticError.  The certificate's packed product must
+name the same failing rows as a plain product of the Fraction vectors.
 """
 
 import random
@@ -767,3 +768,64 @@ def test_sampled_elimination_matches_full_elimination(monkeypatch,
         assert sum(r >= 2 for r in rounds) >= 10
     else:
         assert sampled >= 12 and max(rounds) >= 2
+
+
+def _dict_failing(rows, vectors):
+    """The rows that do not annihilate every vector, by plain sums of
+    Fractions, independent of ``linalg.nonzero_counts``."""
+    return [i for i, r in enumerate(rows)
+            if any(sum(a * v.get(j, 0) for j, a in r.items())
+                   for v in vectors)]
+
+
+def _certificate_case(rng):
+    """Seeded integer rows and Fraction vectors with mixed denominators:
+    rows that annihilate every vector, rows that annihilate all but the
+    last one, and random rows."""
+    cols = rng.randint(1, 8)
+    vectors = [{j: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10**6 + 3)))
+                for j in range(cols) if rng.random() < 0.6}
+               for _ in range(rng.randint(0, 4))]
+    vectors = [{j: x for j, x in v.items() if x} for v in vectors]
+    vectors = [v for v in vectors if v]
+    rows = []
+    for upto in (len(vectors), len(vectors) - 1):
+        # the rows annihilating vectors[:upto]: the nullspace of their rows
+        null = linalg.kernel([linalg.integer_row(v) for v in vectors[:upto]],
+                             cols).nullspace
+        for v in null:
+            row = linalg.integer_row({j: x for j, x in enumerate(v) if x})
+            rows.append({j: x * rng.randint(1, 5) for j, x in row.items()})
+    rows += [{j: rng.randint(-10**6, 10**6) or 1 for j in range(cols)
+              if rng.random() < 0.5} for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows, vectors, cols
+
+
+def test_certificate_matches_the_dict_product():
+    """``_failing``, the certificate of every ``kernel`` round, names the
+    rows of a plain Fraction product: on seeded rows, with an empty
+    nullspace, a row failing in exactly one vector (the last) and entries
+    of the product at the packing bound A·B."""
+    rng = random.Random(42)
+    cases = [_certificate_case(rng) for _ in range(150)]
+    cases += [
+        ([{0: 1}, {1: 2}, {}], [], 2),                     # empty nullspace
+        ([{0: 3}, {0: 1, 1: -2}], [{0: F(1, 2), 1: F(1, 4)}], 2),
+        # row 1 fails in the second vector only
+        ([{0: 2, 1: -1}, {0: 1}], [{1: F(2)}, {0: F(1, 3), 1: F(2, 3)}], 2),
+        ([{0: 3}], [{0: F(1)}], 1),                        # 3 = A·B
+        ([{0: -5, 1: 2}], [{0: F(7, 3), 1: F(-7, 3)}], 2),  # -49 = -A·B
+        # the product row (2^30, -1): a packing one bit narrower than the
+        # zero test needs reads it as 2^30 - 2^30 = 0
+        ([{0: 1}], [{0: F(2**30)}, {0: F(-1)}], 1),
+    ]
+    in_one = 0
+    for rows, vectors, cols in cases:
+        assert linalg._failing(rows, vectors, cols) \
+            == _dict_failing(rows, vectors)
+        # rows that fail in exactly one vector, and only the last one
+        in_one += sum(1 for r in rows if len(vectors) > 1
+                      and _dict_failing([r], vectors[-1:])
+                      and not _dict_failing([r], vectors[:-1]))
+    assert in_one >= 20

@@ -7,10 +7,12 @@ rank over Q that ``kernel`` certifies.  ``Complex.report`` proves betti 0
 from two bounds that meet and d_k·d_(k-1) = 0 (through the second prime
 where 3 divides entries); where the bounds do not meet it takes the
 ``kernel`` route, with the same report as the rational reference, and
-counts the shortfall.  The packed d_k·d_(k-1) = 0 check must give the
-verdict and the counters of a plain dict product written here, on
-catalog, dense and random rows and on products planted nonzero in one
-entry or cancelling under too narrow a packing.
+counts the shortfall.  ``linalg.nonzero_counts``, the packed product
+behind the d_k·d_(k-1) = 0 check, must count the nonzero entries of each
+row as a plain dict product written here does, and the check must give
+its verdict and counters, on catalog, dense and random rows and on
+products planted nonzero in one entry or cancelling under too narrow a
+packing.
 """
 
 import io
@@ -191,18 +193,19 @@ def test_nonzero_product_is_never_betti_zero():
 
 
 def _dict_product(outer, inner):
-    """The verdict and the counters of d_k·d_(k-1) = 0 by a plain dict
-    product, independent of ``Complex._product_vanishes``: entries of the
-    inner rows read, and nonzero entries of the product."""
-    terms = nonzero = 0
+    """The nonzero entries of each row of outer·inner and the counters of
+    d_k·d_(k-1) = 0 by a plain dict product, independent of
+    ``linalg.nonzero_counts``: entries of the inner rows read, and
+    nonzero entries of the product."""
+    counts, terms = [], 0
     for r in outer:
         acc = {}
         for j, a in r.items():
             for c, b in inner[j].items():
                 acc[c] = acc.get(c, 0) + a * b
             terms += len(inner[j])
-        nonzero += sum(1 for v in acc.values() if v)
-    return nonzero == 0, {"nonzero": nonzero, "terms": terms}
+        counts.append(sum(1 for v in acc.values() if v))
+    return counts, {"nonzero": sum(counts), "terms": terms}
 
 
 def _product_check(outer, inner):
@@ -256,7 +259,8 @@ def _planted(outer, inner, value, column):
     """The pair with one more outer row: an outer row whose product row
     is zero, plus a new inner row holding ``value`` at ``column``.  Its
     product row is nonzero in that one entry only."""
-    row = next((r for r in outer if r and _dict_product([r], inner)[0]), {})
+    row = next((r for r in outer if r and _dict_product([r], inner)[0] == [0]),
+               {})
     return (outer + [{**row, len(inner): 1}], inner + [{column: value}])
 
 
@@ -276,13 +280,14 @@ def test_product_check_matches_the_dict_product():
                for value in (1, -1, 7, -10**6, 2**64 + 1)]
     verdicts = set()
     for outer, inner in pairs + planted:
-        expected = _dict_product(outer, inner)
-        assert _product_check(outer, inner) == expected
-        verdicts.add(expected[0])
+        counts, counters = _dict_product(outer, inner)
+        assert linalg.nonzero_counts(outer, inner) == counts
+        assert _product_check(outer, inner) == (not any(counts), counters)
+        verdicts.add(not any(counts))
     assert verdicts == {True, False}
     for outer, inner in planted:
-        assert _product_check(outer, inner)[1]["nonzero"] \
-            == _dict_product(outer[:-1], inner[:-1])[1]["nonzero"] + 1
+        assert linalg.nonzero_counts(outer, inner) \
+            == _dict_product(outer[:-1], inner[:-1])[0] + [1]
 
 
 def test_product_packing_leaves_no_room_to_cancel():
@@ -290,5 +295,7 @@ def test_product_packing_leaves_no_room_to_cancel():
     # of width bits, one narrower than the zero test needs, reads it as
     # 2^bits - 2^bits = 0
     for bits in (1, 2, 3, 30, 64, 200):
-        assert _product_check([{0: 1}], [{0: 2**bits, 1: -1}]) \
+        outer, inner = [{0: 1}], [{0: 2**bits, 1: -1}]
+        assert linalg.nonzero_counts(outer, inner) == [2]
+        assert _product_check(outer, inner) \
             == (False, {"nonzero": 2, "terms": 2})
