@@ -56,7 +56,7 @@ _PRODUCT = ("tests/test_rank_bounds.py::"
             "test_product_packing_leaves_no_room_to_cancel")
 _CERTIFICATE = ("tests/test_linalg.py::"
                 "test_certificate_matches_the_dict_product",)
-# seconds one pytest run may take; the slowest listed run takes about 1 s
+# seconds one pytest run may take; the slowest listed run takes about 2 s
 TIME_LIMIT = 120
 
 MUTANTS = (
@@ -144,6 +144,31 @@ MUTANTS = (
                "test_planted_fault_reaches_the_sampled_loop[last_entry]",
                "tests/test_linalg.py::"
                "test_planted_fault_returns_certified_or_raises[last_entry]")),
+    # ``_corrupt_last_entry`` of tests/test_linalg.py in the source: every
+    # cancellation adds 1 to the last entry of its row, so the reduced
+    # rows leave the row space and the M·x check raises
+    Mutant("cancel_corrupt_last_entry", "linalg.py",
+           "    return {j: x // g for j, x in out.items()} if g > 1 else out\n",
+           "    out = {j: x // g for j, x in out.items()} if g > 1 else out\n"
+           "    if out:\n"
+           "        out[max(out)] += 1\n"
+           "    return out\n",
+           ("tests/test_linalg.py::test_rank_nullspace_random_sparse_and_dense",
+            "tests/test_linalg.py::test_solve_linear_consistent_systems",
+            "tests/test_complex.py::"
+            "test_complex_matches_rational_route_dense_d3")),
+    # the obstruction summed as an ungraded commutator, phi_i ∘ phi_j -
+    # phi_j ∘ phi_i for i < j: unchanged at order 1, where the one pair is
+    # phi_1 ∘ phi_1, and no longer a cocycle at order 2; the path stays
+    # valid, since the validity check sums through ``_circle_sum``
+    Mutant("obstruction_ungraded_commutator", "deformations.py",
+           "    return _circle_sum(_phi_list(path), path.order + 1, 1)\n",
+           "    phis, r = _phi_list(path), path.order + 1\n"
+           "    return circle_sum(phis[0].arity, phis[0].dim, 2, [\n"
+           "        (1 if 2 * i <= r else -1, phis[i], phis[r - i])\n"
+           "        for i in range(1, r)])\n",
+           ("tests/test_deformations.py::"
+            "test_obstruction_is_cocycle_on_the_four_sum_route",)),
 )
 
 

@@ -549,6 +549,23 @@ def test_axiom_verdict_reads_only_tables():
                 if evaluators & named(func)]
 
 
+def test_obstruction_reads_no_graded_bracket():
+    """The obstruction of a valid path is a cocycle by a theorem, which
+    the tests check on the four-sum route; no function of
+    ``nlie.deformations`` re-checks it at run time through
+    ``gla_bracket``."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent / "deformations.py")
+                     .read_text())
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)]
+    assert {"obstruction", "_obstruction", "extend"} <= \
+        {func.name for func in funcs}
+    assert not [func.name for func in funcs for sub in ast.walk(func)
+                if isinstance(sub, ast.Call)
+                and getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                == "gla_bracket"]
+
+
 _UNCALLED_API = re.compile(r"Paper API that nothing here calls: "
                            r"``\w+``((, ``\w+``)* and ``\w+``)?\.$")
 
@@ -1524,12 +1541,14 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     ("sl2", 4, (57, 24), 0, True),
     ("heisenberg3", 4, (42, 18), 21, False),
     ("levi_civita_bracket", 5, (2970, 486), 0, True),
+    ("heisenberg3", 5, (157, 42), 44, False),
 ])
 def test_cohomology_route_pins(capsys, tmp_path, name, degree, ranks, betti,
                                proven):
     """Betti-0 degrees are proven by the mod-p bounds and d_k·d_(k-1) = 0
     with no rational elimination; Heisenberg's bounds do not meet, and
-    ``kernel`` gives its H^4."""
+    ``kernel`` gives its H^4 and H^5 (both agree with
+    ``helpers.ref_report``)."""
     from nlie import catalog
     path = write(tmp_path, f"{name}.json",
                  algebra_to_json(getattr(catalog, name)()))
@@ -1542,11 +1561,13 @@ def test_cohomology_route_pins(capsys, tmp_path, name, degree, ranks, betti,
                if "summary" in line}
     assert ("linalg.rank_nullspace" not in summary) == proven
     if not proven:
-        # Heisenberg H^4: kernel(d_4) on its 243 rows, then one elimination
-        # of [L·d_3 | cocycles] on 81 rows gives both rank d_3 and the
-        # representatives
+        # Heisenberg H^k: kernel(d_k) on its 3^(k+1) rows, then one
+        # elimination of [L·d_(k-1) | cocycles] on 3^k rows gives both
+        # rank d_(k-1) and the representatives: 243 + 81 rows at k = 4,
+        # 729 + 243 at k = 5
         elim = summary["linalg.rank_nullspace"]
-        assert (elim["calls"], elim["counters"]["rows"]) == (2, 324)
+        assert (elim["calls"], elim["counters"]["rows"]) == \
+            (2, {4: 324, 5: 972}[degree])
     assert summary["cohomology.report"]["counters"] == {
         "proven": int(proven), "shortfall": 0}
     assert ("cohomology.product_check" in summary) == proven

@@ -3,16 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
+import nlie.deformations as deformations
+import nlie.linalg as linalg
 from nlie.algebra import (CheckResult, adjoint_representation,
-                          bracket_eval, check_fundamental_identity)
+                          bracket_eval, check_fundamental_identity,
+                          make_algebra)
 from nlie.algebroid import example_tangent_fc
 from nlie.catalog import (broken_ternary_bracket, conjugated_algebra,
                           heisenberg3, levi_civita_bracket, sl2,
                           zero_algebra)
-from nlie.cochains import (Cochain, cochain_is_zero, cochain_scale,
-                           differential, from_bracket, from_matrix,
-                           gla_bracket, make_cochain, to_matrix,
-                           vec_to_cochain)
+from nlie.cochains import (Cochain, circle, coboundary_explicit,
+                           cochain_is_zero, cochain_scale, differential,
+                           from_bracket, from_matrix, gla_bracket,
+                           make_cochain, to_matrix, vec_to_cochain)
 from nlie.cohomology import (Complex, cochain_to_vec, cohomology,
                              complex_dim, differential_matrix)
 from nlie.deformations import (DeformationPath, EquivalenceMap,
@@ -28,8 +31,8 @@ from nlie.linalg import Matrix, Refusal, basis_vec
 from nlie.poly import poly_const
 
 from helpers import (cochain_add, cochain_sub, mat_scale, rand_fraction,
-                     rand_matrix, rand_rational_algebra, ref_circle_sum,
-                     ref_conjugate_path)
+                     rand_invertible, rand_matrix, rand_rational_algebra,
+                     ref_circle_sum, ref_conjugate_path)
 
 
 def diag(*vals):
@@ -318,6 +321,74 @@ def test_obstruction_is_cocycle_for_valid_paths():
         assert cochain_is_zero(gla_bracket(phi0, theta))
 
 
+def _cocycle_paths(base, seed: int, count: int) -> list[DeformationPath]:
+    """Order-1 paths whose phi_1 is a seeded integer combination of the
+    nullspace vectors of d_2, so each one is valid."""
+    rng = random.Random(seed)
+    cocycles = Complex(base).kernel(2).nullspace
+    paths = []
+    for _ in range(count):
+        coeffs = [rng.randint(-2, 2) for _ in cocycles]
+        combo = [sum((c * v[j] for c, v in zip(coeffs, cocycles)), F(0))
+                 for j in range(len(cocycles[0]))]
+        paths.append(make_deformation_path(
+            base, [vec_to_cochain(combo, base.arity, base.dim, 1)]))
+    return paths
+
+
+def test_obstruction_is_cocycle_on_the_four_sum_route(monkeypatch):
+    """The obstruction of a valid path is a cocycle (a theorem, which
+    ``obstruction`` does not re-check), checked by the four-sum
+    differential, which shares no code with the circle product that
+    sums Theta.  The paths: order 1 over Heisenberg, a unimodular
+    conjugate of it and Levi-Civita ⊕ Q (a central e_5), and order 2
+    where ``extend`` continues them.  An extra circle product planted in
+    the obstruction's sum alone leaves the path valid and fails the
+    check."""
+    lc = levi_civita_bracket()
+    bases = {
+        "heisenberg": heisenberg3(),
+        "conjugate": conjugated_algebra(heisenberg3(),
+                                        rand_invertible(random.Random(5), 3)),
+        "lc+q": make_algebra(3, 5, {key: v + (0,)
+                                    for key, v in lc.structure.items()}),
+    }
+    counts = {"heisenberg": 8, "conjugate": 8, "lc+q": 3}
+    paths, nonzero = [], {}
+    for name, base in bases.items():
+        for path in _cocycle_paths(base, 11, counts[name]):
+            paths.append(path)
+            nxt = extend(path)
+            if not isinstance(nxt, Refusal):
+                paths.append(make_deformation_path(
+                    base, [path.terms[0], nxt]))
+    for path in paths:
+        theta = obstruction(path)
+        assert cochain_is_zero(coboundary_explicit(path.base, theta))
+        key = (path.base.arity, path.base.dim, path.order)
+        nonzero[key] = nonzero.get(key, 0) + (not cochain_is_zero(theta))
+    # Theta != 0 on most order-1 paths over Heisenberg and its conjugate
+    # (a path there extends only where Theta = 0), and on every
+    # Levi-Civita ⊕ Q path of order 1 and 2
+    assert nonzero[2, 3, 1] >= 12
+    assert nonzero[3, 5, 1] == nonzero[3, 5, 2] == 3
+
+    real = deformations._circle_sum
+
+    def planted(phis, r, low):
+        out = real(phis, r, low)
+        # low = 1 is the obstruction's call; the validity check's is 0
+        return cochain_add(out, circle(phis[0], phis[1])) if low == 1 \
+            else out
+
+    monkeypatch.setattr(deformations, "_circle_sum", planted)
+    # obstruction validates each path first, so the planted sum leaves
+    # every path valid
+    assert any(not cochain_is_zero(coboundary_explicit(path.base,
+                                                       obstruction(path)))
+               for path in paths)
+
+
 def test_infinitesimal_class_reports():
     base = zero_algebra(2, 2)
     const = constant_path(base, 2)
@@ -347,6 +418,18 @@ def test_infinitesimal_class_reports():
     forced = DeformationPath(bad.base, 2, bad.terms + bad.terms)
     with pytest.raises(InvalidStructure):
         infinitesimal_class(forced)
+
+
+def test_infinitesimal_class_raises_arithmetic_error_on_a_refused_solve(
+        monkeypatch):
+    # a cocycle is always spanned by coboundaries and representatives,
+    # so a refusal there is a library fault, never an input error
+    unit = make_cochain(2, 2, 1, {((), (0, 1)): (F(1), F(0))})
+    path = make_deformation_path(zero_algebra(2, 2), [unit])
+    monkeypatch.setattr(linalg.Factorization, "solve",
+                        lambda self, b: Refusal({0: 1}))
+    with pytest.raises(ArithmeticError, match="rank bookkeeping"):
+        infinitesimal_class(path)
 
 
 def test_infinitesimal_class_builds_each_matrix_once(monkeypatch):
@@ -515,8 +598,6 @@ def test_trivialize_raises_when_a_step_clears_nothing(monkeypatch):
 def test_rigidity_probe_samples_the_drawn_cocycle(monkeypatch):
     # the cocycle trials start from sum c_i v_i over the nullspace of d_2,
     # c_i the drawn ints; replayed here in Fractions with the same draws
-    import nlie.deformations as deformations
-
     alg = rand_rational_algebra(random.Random(2), heisenberg3())
     cocycles = Complex(alg).kernel(2).nullspace
     assert any(x.denominator > 1 for v in cocycles for x in v)
