@@ -22,8 +22,9 @@ of the bracket on sections.
 ``--trace`` writes spans and work counters to stderr as JSON lines
 (``nlie.trace``); stdout and the exit code stay the same.
 
-Each verb is declared once, in ``VERBS``.  Every ``main`` call builds a
-fresh parser that lists them all but builds only the one argv selects.
+Each verb is declared once, in ``VERBS``.  A well-formed argv is parsed
+straight from that table and builds no parser; argparse serves only help
+and errors, with a fresh parser that lists every verb.
 """
 
 from __future__ import annotations
@@ -275,6 +276,22 @@ def _arg(*names: str, **options) -> tuple:
     return names, options
 
 
+# the flags of the top parser and of every leaf verb: the top parser sets
+# their defaults, and a leaf's SUPPRESS keeps a flag given before the verb
+_SHARED_FLAGS = (
+    _arg("--format", choices=("text", "json"), default=argparse.SUPPRESS,
+         help="report format (default: text)"),
+    _arg("--seed", type=int, default=argparse.SUPPRESS,
+         help="seed for randomized sampling verbs"),
+    _arg("--threads", type=int, default=argparse.SUPPRESS,
+         help="accepted for compatibility; runs are single-threaded"),
+)
+_TOP_DEFAULTS = {"format": "text", "seed": 0, "threads": 1}
+# before the verb only, as the README documents
+_TRACE = _arg("--trace", action="store_true",
+              help="write spans and work counters to stderr as JSON lines")
+
+
 # name: (summary, runner, *arguments) for a leaf verb, (summary, verbs) for
 # a group of subverbs; each name is listed in declaration order
 VERBS = {
@@ -328,46 +345,25 @@ VERBS = {
 }
 
 
-class _Verbs(argparse._SubParsersAction):
-    """Subparsers that list every verb in help, usage and errors, as
-    ``add_parser`` would, but build a verb's parser only when argv selects
-    it.  Until then its entry in the choices map is its ``VERBS`` spec."""
-
-    def add_verbs(self, verbs: dict) -> None:
-        for name, (summary, *spec) in verbs.items():
-            self._choices_actions.append(
-                self._ChoicesPseudoAction(name, (), summary))
-            self._name_parser_map[name] = spec
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        spec = self._name_parser_map[values[0]]
-        if isinstance(spec, list):
-            self._name_parser_map[values[0]] = chosen = self._parser_class(
-                prog=f"{self._prog_prefix} {values[0]}")
-            if isinstance(spec[0], dict):
-                chosen.add_subparsers(dest="subverb", required=True,
-                                      action=_Verbs).add_verbs(spec[0])
-            else:
-                _shared_flags(chosen)
-                chosen.set_defaults(run=spec[0])
-                for names, options in spec[1:]:
-                    chosen.add_argument(*names, **options)
-        super().__call__(parser, namespace, values, option_string)
+def _add_arguments(parser: argparse.ArgumentParser, specs) -> None:
+    for names, options in specs:
+        parser.add_argument(*names, **options)
 
 
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
-    """Add the flags of the top parser and every leaf verb.  Each parser gets
-    its own actions: the top parser's ``set_defaults`` rewrites the defaults
-    of the actions it holds, and a leaf's ``SUPPRESS`` keeps a flag given
-    before the verb."""
-    parser.add_argument("--format", choices=("text", "json"),
-                        default=argparse.SUPPRESS,
-                        help="report format (default: text)")
-    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized sampling verbs")
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="accepted for compatibility; runs are "
-                             "single-threaded")
+def _add_verbs(parser: argparse.ArgumentParser, verbs: dict,
+               dest: str) -> None:
+    """Make ``verbs`` the choices of ``parser``'s positional ``dest`` and
+    build each verb's parser: a group's subverbs, or a leaf's shared
+    flags, runner and arguments."""
+    choices = parser.add_subparsers(dest=dest, required=True)
+    for name, (summary, *spec) in verbs.items():
+        verb = choices.add_parser(name, help=summary)
+        if isinstance(spec[0], dict):
+            _add_verbs(verb, spec[0], "subverb")
+        else:
+            _add_arguments(verb, _SHARED_FLAGS)
+            verb.set_defaults(run=spec[0])
+            _add_arguments(verb, spec[1:])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,19 +372,88 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact checkers for skew n-ary brackets, their "
                     "deformation cohomology, and polynomial algebroid "
                     "models")
-    _shared_flags(parser)
-    parser.set_defaults(format="text", seed=0, threads=1)
-    # before the verb only, as the README documents
-    parser.add_argument("--trace", action="store_true",
-                        help="write spans and work counters to stderr as "
-                             "JSON lines")
-    parser.add_subparsers(dest="verb", required=True,
-                          action=_Verbs).add_verbs(VERBS)
+    _add_arguments(parser, _SHARED_FLAGS)
+    parser.set_defaults(**_TOP_DEFAULTS)
+    _add_arguments(parser, (_TRACE,))
+    _add_verbs(parser, VERBS, "verb")
     return parser
 
 
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _quick_parse(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    straight from ``VERBS``, for a well-formed argv: verb names,
+    positionals and exact flag names each followed by its value, with
+    ``--trace`` before the verb only.  None for anything else (help,
+    abbreviations, ``=`` forms, a token that starts with ``-``, a bad
+    value, a missing or extra argument), which argparse then parses."""
+    found: dict[str, Any] = dict(_TOP_DEFAULTS, trace=False)
+    flags = {names[0]: options for names, options in (*_SHARED_FLAGS,
+                                                       _TRACE)}
+    table: Optional[dict] = VERBS
+    dest, positionals, required = "verb", [], set()
+    tokens = iter(argv)
+    for token in tokens:
+        options = flags.get(token)
+        if options is not None:
+            name = token
+            if options.get("action") == "store_true":
+                found[_dest(name)] = True
+                continue
+            required.discard(name)
+            # a missing value reads as "-", which is declined below
+            token = next(tokens, "-")
+        elif token.startswith("-"):
+            return None
+        elif table is not None:
+            if token not in table:
+                return None
+            found[dest] = token
+            spec = table[token][1:]
+            if isinstance(spec[0], dict):
+                # no flag between a group and its subverb
+                table, dest, flags = spec[0], "subverb", {}
+                continue
+            table, found["run"] = None, spec[0]
+            flags = {names[0]: options for names, options
+                     in (*_SHARED_FLAGS, *spec[1:])
+                     if names[0].startswith("-")}
+            positionals = [(names[0], options) for names, options
+                           in spec[1:] if not names[0].startswith("-")]
+            required = {name for name, options in flags.items()
+                        if options.get("required")}
+            for name, options in flags.items():
+                default = options.get("default",
+                                      False if "action" in options else None)
+                if default is not argparse.SUPPRESS:
+                    found[_dest(name)] = default
+            continue
+        elif positionals:
+            name, options = positionals.pop(0)
+        else:
+            return None
+        if token.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(token)
+        except (TypeError, ValueError):
+            return None
+        choices = options.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        found[_dest(name)] = value
+    if table is not None or positionals or required:
+        return None
+    return argparse.Namespace(**found)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _quick_parse(argv) or build_parser().parse_args(argv)
     command = args.verb + (f" {args.subverb}"
                            if getattr(args, "subverb", None) else "")
     report = Report(command)

@@ -56,6 +56,7 @@ _PRODUCT = ("tests/test_rank_bounds.py::"
             "test_product_packing_leaves_no_room_to_cancel")
 _CERTIFICATE = ("tests/test_linalg.py::"
                 "test_certificate_matches_the_dict_product",)
+_QUICK = ("tests/test_cli.py::test_quick_parse_matches_argparse",)
 # seconds one pytest run may take; the slowest listed run takes about 2 s
 TIME_LIMIT = 120
 
@@ -169,6 +170,21 @@ MUTANTS = (
            "        for i in range(1, r)])\n",
            ("tests/test_deformations.py::"
             "test_obstruction_is_cocycle_on_the_four_sum_route",)),
+    # the argv quick path of ``cli``: a value outside its choices, a
+    # missing required flag and ``--trace`` after the verb are accepted,
+    # where argparse refuses each
+    Mutant("quick_parse_without_choices_check", "cli.py",
+           "if choices is not None and value not in choices:",
+           "if False:",
+           _QUICK),
+    Mutant("quick_parse_without_required_check", "cli.py",
+           "if table is not None or positionals or required:",
+           "if table is not None or positionals:",
+           _QUICK),
+    Mutant("quick_parse_trace_after_verb", "cli.py",
+           "in (*_SHARED_FLAGS, *spec[1:])",
+           "in (*_SHARED_FLAGS, _TRACE, *spec[1:])",
+           _QUICK),
 )
 
 

@@ -1,10 +1,12 @@
 import argparse
 import ast
 import builtins
+import contextlib
 import hashlib
 import io
 import json
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -1250,9 +1252,8 @@ def test_parse_errors_name_every_choice(capsys, monkeypatch):
 @pytest.mark.parametrize("verb, runner", LEAF_VERBS,
                          ids=[run.__name__ for _, run in LEAF_VERBS])
 def test_each_call_builds_only_its_parsers(capsys, monkeypatch, verb, runner):
-    """``main`` builds the top parser, the verb's group if it has one, and
-    the verb's own parser, on every call: nothing is kept between calls and
-    no other verb is built."""
+    """A well-formed argv builds no parser, on every call; the verb's
+    ``--help`` still builds argparse's parser and prints its usage."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1261,14 +1262,15 @@ def test_each_call_builds_only_its_parsers(capsys, monkeypatch, verb, runner):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    path = _verb_path(verb)
-    for calls in (1, 2):
+    for _ in (1, 2):
         main(list(verb))
-        assert len(built) == calls * (1 + len(path)) <= calls * 5
-    assert built[:1 + len(path)] == [
-        "nlie", *(f"nlie {' '.join(path[:i])}" for i in
-                  range(1, 1 + len(path)))]
+    assert built == []
     capsys.readouterr()
+    path = _verb_path(verb)
+    code, out, err = _parser_exit(capsys, monkeypatch, *path, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: nlie {' '.join(path)} [-h] ")
+    assert built[0] == "nlie"
 
 
 def test_cli_keeps_no_parser_between_calls():
@@ -1289,6 +1291,128 @@ def test_cli_keeps_no_parser_between_calls():
             and getattr(node.func, "attr", getattr(node.func, "id", None))
             in ("ArgumentParser", "build_parser", "add_subparsers")]
     assert made == []
+
+
+def _leaves(table=cli.VERBS, path=()):
+    """(verb path, argument specs) of every leaf of ``table``."""
+    for name, (_, *spec) in table.items():
+        if isinstance(spec[0], dict):
+            yield from _leaves(spec[0], path + (name,))
+        else:
+            yield path + (name,), spec[1:]
+
+
+_INT_VALUES = ["0", "2", "3", "+3", "1_0", " 5", "-1", "", "x", "2.5"]
+_TEXT_VALUES = ["a.json", "p.json", " 5", "x=y", "check", "", "json"]
+_HOSTILE = ["-h", "--help", "--", "-", "--format=json", "--deg", "-1", "+3",
+            "1_0", " 5", "", "--trace", "--bogus", "x"]
+
+
+def _draw_argv(rng, leaves):
+    """One argv from the ``VERBS`` grammar: flags before the verb, the
+    verb path, positionals and flags in any order after it, each value
+    drawn from good and bad ones; half of them then take a hostile edit."""
+    path, args = rng.choice(leaves)
+
+    def value(options):
+        pool = _INT_VALUES if "type" in options else _TEXT_VALUES
+        choices = list(options.get("choices", ()))
+        return rng.choice(choices * 3 + ["xml"] if choices else pool)
+
+    def flags(specs, odds):
+        return [[names[0]] if "action" in options
+                else [names[0], value(options)]
+                for names, options in specs
+                if rng.random() < (0.9 if options.get("required") else odds)]
+
+    before = flags(cli._SHARED_FLAGS + (cli._TRACE,), 0.3)
+    after = flags(cli._SHARED_FLAGS + tuple(
+        spec for spec in args if spec[0][0].startswith("-")), 0.3)
+    rng.shuffle(before)
+    units = [[value(options)] for names, options in args
+             if not names[0].startswith("-")]
+    for unit in after:
+        units.insert(rng.randint(0, len(units)), unit)
+    argv = [t for unit in before for t in unit] + list(path) + \
+        [t for unit in units for t in unit]
+    edit = rng.random()
+    at = rng.randint(0, len(argv))
+    if edit < 0.15:
+        argv.insert(at, rng.choice(_HOSTILE))
+    elif edit < 0.25 and argv:
+        argv[min(at, len(argv) - 1)] = rng.choice(_HOSTILE)
+    elif edit < 0.35 and argv:
+        del argv[min(at, len(argv) - 1)]
+    elif edit < 0.45 and argv:
+        argv.insert(at, argv[min(at, len(argv) - 1)])
+    elif edit < 0.5 and len(path) == 2:
+        # a flag between a group and its subverb
+        i = argv.index(path[0]) + 1
+        argv[i:i] = rng.choice([["--seed", "3"], ["--format", "json"],
+                                ["--trace"]])
+    return argv
+
+
+def test_quick_parse_matches_argparse():
+    """On 20,000 seeded argv, grammatical and hostile, every namespace the
+    quick path returns is the one argparse returns; what it declines goes
+    to argparse unchanged.  Both sides are hit often enough to count.
+
+    The quick path reads ``type``, ``choices``, ``default``, ``required``,
+    ``action="store_true"`` and ``help``: a spec with any other option, a
+    second name, a type other than ``int`` or a string default for an
+    ``int`` (argparse converts it) fails here instead of being parsed
+    wrongly."""
+    known = {"type", "choices", "default", "required", "action", "help"}
+    specs = [cli._TRACE, *cli._SHARED_FLAGS,
+             *(spec for _, args in _leaves() for spec in args)]
+    for names, options in specs:
+        assert len(names) == 1 and set(options) <= known, names
+        assert options.get("action", "store_true") == "store_true", names
+        assert options.get("type", int) is int, names
+        default = options.get("default")
+        assert "type" not in options or default is argparse.SUPPRESS \
+            or not isinstance(default, str), names
+    rng = random.Random(44)
+    leaves = list(_leaves())
+    # parse_args leaves its parser as it was, so one serves every argv
+    parser = cli.build_parser()
+    accepted = declined = 0
+    for _ in range(20_000):
+        argv = _draw_argv(rng, leaves)
+        quick = cli._quick_parse(argv)
+        if quick is None:
+            declined += 1
+            continue
+        accepted += 1
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                full = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"quick path accepts {argv!r}, argparse "
+                            f"refuses it: {err.getvalue()}")
+        assert vars(quick) == vars(full), argv
+    assert accepted >= 3_000 and declined >= 3_000, (accepted, declined)
+
+
+def test_well_formed_argv_takes_the_quick_path(capsys, monkeypatch,
+                                               tmp_path, eps, sl2_file):
+    """Every leaf argv, every golden argv and every placement of the
+    shared flags is parsed without argparse, to argparse's namespace; and
+    ``main()`` reads ``sys.argv`` as ``main(argv)`` reads its list."""
+    flags = ["--format", "json", "--seed", "9", "--threads", "2"]
+    argvs = [argv for verb, _ in LEAF_VERBS
+             for argv in (verb, flags + verb, verb + flags,
+                          ["--trace"] + flags + verb)]
+    argvs += [_golden_argv(tmp_path, eps, sl2_file, name)[1]
+              for name in sorted(GOLDEN_STDOUT)]
+    for argv in argvs:
+        quick = cli._quick_parse(argv)
+        assert quick is not None, argv
+        assert quick == cli.build_parser().parse_args(argv), argv
+    listed = run(capsys, "check", eps)
+    monkeypatch.setattr(sys, "argv", ["nlie", "check", eps])
+    assert (main(), capsys.readouterr().out) == listed[:2]
 
 
 def _lifted_semidirect(tmp_path, name, tmap):
