@@ -24,18 +24,20 @@ Betti 0 needs no rational elimination.  ``report(k)`` bounds rank d_(k-1)
 from below by its rank mod 3 (``linalg.rank_mod_p``), then rank d_k up to
 dim C^k minus that bound; where they fall short and 3 divides an entry of
 either matrix, it bounds both again mod 2^31 - 1 with the same routine.
-Each bound is at most the rank over Q, and d_k·d_(k-1) = 0, checked
-exactly on the integer rows, gives rank d_k + rank d_(k-1) <= dim C^k.
-So bounds that add up to dim C^k are both ranks, and betti_k = 0.
+Each bound is at most the rank over Q, and d_k·d_(k-1) = 0 gives
+rank d_k + rank d_(k-1) <= dim C^k.  So bounds that add up to dim C^k are
+both ranks, and betti_k = 0.  d_k·d_(k-1) = 0 is the theorem
+d∘d = [pi, [pi, .]] = 1/2 [[pi, pi], .] = 0, which holds once
+construction has proven the fundamental identity ([pi, pi] = 0); it is
+not multiplied out at run time.  It could fail only on faulty rows, the
+trust ``kernel`` places in them too, and the tests check it on the rows
+of ``coboundary_rows`` by a product of their own.
 Otherwise (betti > 0, a prime dividing every minor of the rank's size, or
 the row cap read first) ``kernel`` gives both ranks as before; a bound
 above its rank raises ArithmeticError, and the ``cohomology.report`` span
-counts the shortfall.
-
-The product check counts the nonzero entries of (L·d_k)·(L·d_(k-1))
-with ``linalg.nonzero_counts``, the routine that also certifies every
-``kernel`` nullspace: it packs integer rows into big ints at a width
-that leaves no room to cancel, so the check stays an exact proof.
+counts the shortfall.  That O(1) comparison stays: it sets two
+independent computations on the input's rows, the rank mod p and the
+rank over Q, against each other.
 
 Representatives are chosen deterministically: among the canonical nullspace
 basis of d_out, keep the vectors whose columns become pivots after the
@@ -51,7 +53,6 @@ Paper API that nothing here calls: ``outer_derivations``.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Sequence, Union
@@ -62,7 +63,7 @@ from .cochains import (Cochain, coboundary_rows, cochain_dim, cochain_to_vec,
                        to_matrix, vec_to_cochain)
 from .errors import DimensionMismatch
 from .linalg import (Factorization, Matrix, RankNullspace, Refusal, Row,
-                     Vector, integer_row, kernel, nonzero_counts, rank_mod_p)
+                     Vector, integer_row, kernel, rank_mod_p)
 from .record import Record
 from .trace import row_counters, span, traced
 
@@ -176,26 +177,12 @@ class Complex:
                             if k else 0, p)
         return lo_in, self._bound(k, dim_k - lo_in, p)
 
-    def _product_vanishes(self, k: int) -> None:
-        """Check d_k·d_(k-1) = 0 exactly on the integer rows, by
-        ``linalg.nonzero_counts``; a nonzero entry raises ArithmeticError.
-        The span counts ``terms``, the entries of L·d_(k-1) that the
-        entries of L·d_k meet, and ``nonzero`` entries of the product."""
-        inner, outer = self.rows(k - 1), self.rows(k)
-        with span("cohomology.product_check") as sp:
-            # each entry r_j of L·d_k meets the entries of inner row j
-            terms = sum(len(inner[j]) * count for j, count in
-                        Counter(itertools.chain.from_iterable(outer)).items())
-            nonzero = sum(nonzero_counts(outer, inner))
-            sp.count(terms=terms, nonzero=nonzero)
-        if nonzero:
-            raise ArithmeticError("d_k·d_(k-1) is not zero")
-
     def report(self, k: int) -> CohomologyReport:
         """Betti number and representatives of H^k.  Where the rank bounds
-        meet, betti is 0 with both ranks proven and nothing is eliminated
-        over Q; otherwise ``kernel`` gives both ranks (see the module
-        docstring)."""
+        meet, betti is 0: the two bounds and the theorem d_k·d_(k-1) = 0
+        prove both ranks, and nothing is eliminated over Q or multiplied
+        out.  Otherwise ``kernel`` gives both ranks, each checked against
+        its bound (see the module docstring)."""
         alg = self.alg
         dim_k = complex_dim(alg, k)
         with span("cohomology.report") as sp:
@@ -207,9 +194,7 @@ class Complex:
                 in_p, out_p = self._bounds(k, dim_k, _PRIME)
                 lo_in, lo_out = max(lo_in, in_p), max(lo_out, out_p)
             if lo_in + lo_out == dim_k:
-                # rank d_k + rank d_(k-1) <= dim C^k; at k = 0, d_(-1) = 0
-                if k:
-                    self._product_vanishes(k)
+                # rank d_k + rank d_(k-1) <= dim C^k, since d_k·d_(k-1) = 0
                 sp.count(proven=1, shortfall=0)
                 return CohomologyReport(k, dim_k, lo_out, lo_in, 0, ())
             out = self.kernel(k)

@@ -1122,6 +1122,28 @@ def simple_4lie():
     return make_algebra(4, 5, table)
 
 
+def filippov_algebra(b):
+    """Filippov's (n+1)-dimensional n-Lie algebra of a symmetric
+    (n+1)×(n+1) matrix B, given as rows:
+    [e_0..ê_i..e_n] = (-1)^i Σ_j B_ij e_j.  B = -I at n = 3 is the
+    Levi-Civita bracket of ``catalog.levi_civita_bracket``."""
+    m = len(b)
+    return make_algebra(m - 1, m, {
+        tuple(j for j in range(m) if j != i):
+            tuple((-1) ** i * Fraction(x) for x in b[i])
+        for i in range(m)})
+
+
+def rand_filippov(rng: random.Random, n: int):
+    """A seeded member of Filippov's n-Lie family on Q^(n+1): B symmetric
+    with entries drawn from {0, 1, -1, 2}."""
+    b = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            b[i][j] = b[j][i] = rng.choice((0, 1, -1, 2))
+    return filippov_algebra(b)
+
+
 def rand_rational_algebra(rng: random.Random, base):
     """Transport a known-valid algebra along a random rational basis change
     (a unimodular matrix times a diagonal of random fractions), so its

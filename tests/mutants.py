@@ -80,11 +80,6 @@ MUTANTS = (
            "pivots[c] = {j: x * inv % p for j, x in r.items()}",
            "pivots[c] = dict(r)",
            (_PARITY,)),
-    Mutant("report_without_product_check", "cohomology.py",
-           "self._product_vanishes(k)",
-           "pass",
-           ("tests/test_rank_bounds.py::"
-            "test_nonzero_product_is_never_betti_zero",)),
     Mutant("report_without_bound_above_kernel_check", "cohomology.py",
            "if out.rank < lo_out or rank_in < lo_in:",
            "if False:",
@@ -117,6 +112,14 @@ MUTANTS = (
            "key = rest, pos",
            "key = rest",
            _ROWS),
+    # coboundary_rows: the fourth sum, the last block acting on the
+    # arguments, with its sign flipped, so that d_k·d_(k-1) is no longer
+    # zero (at k = 1..4 on Levi-Civita and sl(2))
+    Mutant("coboundary_fourth_sum_sign", "cochains.py",
+           "acted(-1 if p % 2 else 1, read(args[:p], lastblock[s]),",
+           "acted(1 if p % 2 else -1, read(args[:p], lastblock[s]),",
+           ("tests/test_rank_bounds.py::test_four_sum_rows_compose_to_zero",)
+           + _ROWS),
     # the zero-product check packs one bit narrower than the zero test
     # needs, so an entry 2^w next to an entry -1 cancels; floored at 2
     # bits, so that the width stays positive
@@ -170,6 +173,13 @@ MUTANTS = (
            "        for i in range(1, r)])\n",
            ("tests/test_deformations.py::"
             "test_obstruction_is_cocycle_on_the_four_sum_route",)),
+    # ``md_eval``, which ``algebroid`` calls itself, listed as paper API
+    # that nothing here calls
+    Mutant("uncalled_api_lists_md_eval", "algebroid.py",
+           "Paper API that nothing here calls: ``anchor_on_generators``,",
+           "Paper API that nothing here calls: ``md_eval``,\n"
+           "``anchor_on_generators``,",
+           ("tests/test_cli.py::test_uncalled_api_lists_are_true",)),
     # the argv quick path of ``cli``: a value outside its choices, a
     # missing required flag and ``--trace`` after the verb are accepted,
     # where argparse refuses each

@@ -375,13 +375,12 @@ def test_one_rank_bound_routine():
 
 def test_one_zero_product_routine():
     """``linalg.nonzero_counts`` is the one exact check that an integer
-    product is zero: the ``kernel`` certificate (``_failing``) and the
-    d_k·d_(k-1) = 0 proof (``Complex._product_vanishes``) call it, no
-    other function packs bits (``<<``), and ``_failing`` keeps no
-    by-column accumulator of its own."""
+    product is zero: the ``kernel`` certificate (``_failing``) is its one
+    caller (d_k·d_(k-1) = 0 is a theorem, checked in the tests, not at
+    run time), no other function packs bits (``<<``), and ``_failing``
+    keeps no by-column accumulator of its own."""
     sites, _ = _call_sites("nonzero_counts")
-    assert sorted(sites) == [("cohomology.py", ["_product_vanishes"]),
-                             ("linalg.py", ["_failing"])]
+    assert sorted(sites) == [("linalg.py", ["_failing"])]
     packers = set()
     for path in pathlib.Path(nlie.__file__).parent.glob("*.py"):
         funcs = [node for node in ast.walk(ast.parse(path.read_text()))
@@ -1628,7 +1627,8 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
     # kernel here and the rigidity probe's factorization
     assert rank["rounds"] >= 1 and 0 < rank["sample_rows"] <= rank["rows"]
     # H^2 of Levi-Civita: rank d_1 = 10 and rank d_2 = 6 proven mod 3, in
-    # two calls of the one bound routine, and by d_2·d_1 = 0, with no kernel
+    # two calls of the one bound routine, and by the theorem d_2·d_1 = 0,
+    # with no kernel and no product multiplied out
     spans = {name: c for name, _, c in first}
     assert "linalg.rank_nullspace" not in spans
     assert "linalg.rank_mod3" not in spans
@@ -1637,8 +1637,7 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
                                           "rows_read": 28}
     assert next(calls for name, calls, _ in first
                 if name == "linalg.rank_mod_p") == 2
-    assert spans["cohomology.product_check"] == {"nonzero": 0,
-                                                 "terms": 144}
+    assert "cohomology.product_check" not in spans
     # the assembly of d_1 and d_2: each coordinate of psi located once
     # (4 + 24), the action lists built (9 + 12) and the multiply-adds
     # into the rows (40 + 216)
@@ -1669,10 +1668,10 @@ def test_trace_counters_repeat(capsys, tmp_path, sl2_file, eps):
 ])
 def test_cohomology_route_pins(capsys, tmp_path, name, degree, ranks, betti,
                                proven):
-    """Betti-0 degrees are proven by the mod-p bounds and d_k·d_(k-1) = 0
-    with no rational elimination; Heisenberg's bounds do not meet, and
-    ``kernel`` gives its H^4 and H^5 (both agree with
-    ``helpers.ref_report``)."""
+    """Betti-0 degrees are proven by the mod-p bounds and the theorem
+    d_k·d_(k-1) = 0, with no rational elimination and no product check;
+    Heisenberg's bounds do not meet, and ``kernel`` gives its H^4 and H^5
+    (both agree with ``helpers.ref_report``)."""
     from nlie import catalog
     path = write(tmp_path, f"{name}.json",
                  algebra_to_json(getattr(catalog, name)()))
@@ -1694,7 +1693,7 @@ def test_cohomology_route_pins(capsys, tmp_path, name, degree, ranks, betti,
             (2, {4: 324, 5: 972}[degree])
     assert summary["cohomology.report"]["counters"] == {
         "proven": int(proven), "shortfall": 0}
-    assert ("cohomology.product_check" in summary) == proven
+    assert "cohomology.product_check" not in summary
 
 
 def test_trace_one_fi_check_per_verb(capsys, eps, sl2_file):

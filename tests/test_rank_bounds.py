@@ -4,28 +4,32 @@
 ``linalg.rank_mod_p`` must give the rank mod p of the rows it reads,
 checked against a dense elimination written here, and never exceed the
 rank over Q that ``kernel`` certifies.  ``Complex.report`` proves betti 0
-from two bounds that meet and d_k·d_(k-1) = 0 (through the second prime
-where 3 divides entries); where the bounds do not meet it takes the
-``kernel`` route, with the same report as the rational reference, and
-counts the shortfall.  ``linalg.nonzero_counts``, the packed product
-behind the d_k·d_(k-1) = 0 check, must count the nonzero entries of each
-row as a plain dict product written here does, and the check must give
-its verdict and counters, on catalog, dense and random rows and on
-products planted nonzero in one entry or cancelling under too narrow a
-packing.
+from two bounds that meet (through the second prime where 3 divides
+entries) and the theorem d_k·d_(k-1) = 0, which it does not multiply out;
+where the bounds do not meet it takes the ``kernel`` route, with the same
+report as the rational reference, and counts the shortfall.  Both routes
+are also run on members of Filippov's (n+1)-dimensional family, outside
+the catalog.  The theorem is checked on the rows ``Complex`` builds, by a
+plain dict product written here: on the catalog, a dense conjugate,
+rescalings and Filippov members.  ``linalg.nonzero_counts``, the packed
+product behind the ``kernel`` certificate, must count the nonzero
+entries of each row as that dict product does, on catalog, dense and
+random rows and on products planted nonzero in one entry or cancelling
+under too narrow a packing.
 """
 
 import io
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from helpers import ref_report
+from helpers import filippov_algebra, rand_filippov, ref_report
 from nlie import cohomology, linalg, trace
 from nlie.catalog import (conjugated_algebra, heisenberg3, levi_civita_bracket,
                           sl2)
-from nlie.cohomology import Complex
+from nlie.cohomology import Complex, complex_dim
 from nlie.linalg import Matrix, kernel, rank_mod_p
 
 P = 2**31 - 1
@@ -182,51 +186,58 @@ def test_kernel_rank_below_a_bound_raises(monkeypatch):
         Complex(heisenberg3()).report(2)
 
 
-def test_nonzero_product_is_never_betti_zero():
-    # one entry of L·d_1 changed: the bounds still meet, and the exact
-    # d_2·d_1 check refuses them
-    cx = Complex(levi_civita_bracket())
-    row = next(r for r in cx.rows(1) if r)
-    row[next(iter(row))] += 1
-    with pytest.raises(ArithmeticError, match="d_k·d_"):
-        cx.report(2)
+def test_filippov_reports_match_the_rational_route():
+    # Filippov n = 3 with B diagonal of rank 4, 3, 2 and 1, and one of
+    # mixed signs: reports agree with the rational route at k = 0..3, and
+    # both routes of ``Complex.report`` run (no betti table is pinned)
+    routes = set()
+    for diag in ((1, 1, 1, 1), (1, 1, 1, 0), (1, 1, 0, 0), (1, 0, 0, 0),
+                 (1, -1, 2, -1)):
+        alg = filippov_algebra([[x if i == j else 0 for j in range(4)]
+                                for i, x in enumerate(diag)])
+        for k in range(4):
+            rep, spans = _traced_report(Complex(alg), k)
+            assert rep == ref_report(alg, k)
+            routes.add(spans["cohomology.report"]["proven"])
+    assert routes == {0, 1}
 
 
 def _dict_product(outer, inner):
-    """The nonzero entries of each row of outer·inner and the counters of
-    d_k·d_(k-1) = 0 by a plain dict product, independent of
-    ``linalg.nonzero_counts``: entries of the inner rows read, and
-    nonzero entries of the product."""
-    counts, terms = [], 0
+    """The number of nonzero entries of each row of outer·inner by a
+    plain dict product, independent of ``linalg.nonzero_counts``."""
+    counts = []
     for r in outer:
         acc = {}
         for j, a in r.items():
             for c, b in inner[j].items():
                 acc[c] = acc.get(c, 0) + a * b
-            terms += len(inner[j])
         counts.append(sum(1 for v in acc.values() if v))
-    return counts, {"nonzero": sum(counts), "terms": terms}
+    return counts
 
 
-def _product_check(outer, inner):
-    """The verdict and the ``cohomology.product_check`` counters of
-    ``Complex._product_vanishes(2)`` with ``outer`` in place of L·d_2 and
-    ``inner`` in place of L·d_1."""
-    cx = Complex(levi_civita_bracket())
-    cx._rows.update({1: inner, 2: outer})
-    out = io.StringIO()
-    trace.enable(out)
-    try:
-        cx._product_vanishes(2)
-        holds = True
-    except ArithmeticError:
-        holds = False
-    finally:
-        trace.finish()
-    spans = {line["summary"]: line["counters"] for line in
-             map(json.loads, out.getvalue().splitlines())
-             if "summary" in line}
-    return holds, spans["cohomology.product_check"]
+HEAVY = [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
+
+
+def test_four_sum_rows_compose_to_zero():
+    # the theorem behind the betti-0 route: d_k·d_(k-1) = 0 on the rows
+    # of L·d_k that ``Complex`` builds, multiplied out here; catalog
+    # inputs at k = 1..4, the dense ``heavy`` conjugate and two rescalings
+    # of Levi-Civita at k = 1..3, and seeded Filippov members at k = 1..3
+    lc = levi_civita_bracket()
+    cases = [(alg, 4) for alg in (lc, sl2(), heisenberg3())]
+    cases += [(conjugated_algebra(lc, Matrix.from_rows(rows)), 3) for rows in (
+        HEAVY, [[3, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, Fraction(1, 2), 0, 0], [0, 0, 2, 0],
+         [0, 0, 0, Fraction(-3, 5)]])]
+    cases += [(rand_filippov(random.Random(seed), n), 3)
+              for n in (2, 3, 4) for seed in range(3)]
+    for alg, top in cases:
+        cx = Complex(alg)
+        assert any(cx.rows(1))
+        for k in range(1, top + 1):
+            outer = cx.rows(k)
+            assert len(outer) == complex_dim(alg, k + 1)
+            assert not any(_dict_product(outer, cx.rows(k - 1)))
 
 
 def _row_pairs(seed):
@@ -259,14 +270,13 @@ def _planted(outer, inner, value, column):
     """The pair with one more outer row: an outer row whose product row
     is zero, plus a new inner row holding ``value`` at ``column``.  Its
     product row is nonzero in that one entry only."""
-    row = next((r for r in outer if r and _dict_product([r], inner)[0] == [0]),
+    row = next((r for r in outer if r and _dict_product([r], inner) == [0]),
                {})
     return (outer + [{**row, len(inner): 1}], inner + [{column: value}])
 
 
 def test_product_check_matches_the_dict_product():
-    heavy = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
-        [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+    heavy = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(HEAVY))
     pairs = [(cx.rows(k), cx.rows(k - 1))
              for cx in map(Complex, (levi_civita_bracket(), sl2(),
                                      heisenberg3(), heavy))
@@ -280,14 +290,13 @@ def test_product_check_matches_the_dict_product():
                for value in (1, -1, 7, -10**6, 2**64 + 1)]
     verdicts = set()
     for outer, inner in pairs + planted:
-        counts, counters = _dict_product(outer, inner)
+        counts = _dict_product(outer, inner)
         assert linalg.nonzero_counts(outer, inner) == counts
-        assert _product_check(outer, inner) == (not any(counts), counters)
         verdicts.add(not any(counts))
     assert verdicts == {True, False}
     for outer, inner in planted:
         assert linalg.nonzero_counts(outer, inner) \
-            == _dict_product(outer[:-1], inner[:-1])[0] + [1]
+            == _dict_product(outer[:-1], inner[:-1]) + [1]
 
 
 def test_product_packing_leaves_no_room_to_cancel():
@@ -297,5 +306,3 @@ def test_product_packing_leaves_no_room_to_cancel():
     for bits in (1, 2, 3, 30, 64, 200):
         outer, inner = [{0: 1}], [{0: 2**bits, 1: -1}]
         assert linalg.nonzero_counts(outer, inner) == [2]
-        assert _product_check(outer, inner) \
-            == (False, {"nonzero": 2, "terms": 2})
