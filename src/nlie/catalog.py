@@ -52,8 +52,9 @@ def conjugated_algebra(alg: NLieAlgebra, p: Matrix) -> NLieAlgebra:
     identity, so this is how the tests mass-produce valid algebras.
 
     P is factored once, as the integer matrix D·P (D the lcm of its
-    denominators), which checks its rank both ways, and each bracket
-    solves (D·P) x = D·[P x_1,..,P x_n] on it."""
+    denominators), whose certificate bounds its rank from above, and
+    each bracket solves (D·P) x = D·[P x_1,..,P x_n] on it, each
+    solution checked exactly."""
     if p.rows != alg.dim or p.cols != alg.dim:
         raise ValueError("basis change must be square of the algebra's size")
     den, rows = integer_rows(p)

@@ -30,10 +30,19 @@ a round that does not raises ArithmeticError, so there are at most
 rank + 1 rounds.
 
 ``Factorization`` is the one solver.  It eliminates the matrix once, at
-construction, with the rows it eliminates tagged by index, and checks
-both rank bounds exactly; each solve is then a product and the exact
-M·x = b check on every row.  An inconsistent right side is refused only
-with a left witness y (yᵀM = 0, yᵀb != 0) checked exactly.
+construction, with the rows it eliminates tagged by index; each solve is
+then a product and the exact M·x = b check on every row.  An
+inconsistent right side is refused only with a left witness y
+(yᵀM = 0, yᵀb != 0) checked exactly.
+
+One trust rule covers both: what depends on the input is checked at run
+time, and what holds by construction is tested.  The certificate gives
+rank <= r on every row of M, and M·x = b and a refusal's witness are
+checked exactly.  That the reduced rows are r independent rows of the
+row space (rank >= r), and that a tagged row's tags are the combination
+of rows of M it is (E·M_S = R), hold because ``_rref`` applies the same
+integer operations to every entry of a row; the tests hold both to the
+Gauss-Jordan oracle, and no run re-proves them.
 
 ``kernel``'s certificate bounds the rank from above only.  ``rank_mod_p``
 bounds it from below: it reads the nonzero integer rows in a seeded order
@@ -549,13 +558,14 @@ class Factorization:
     rows that fail, tagged with its own index i: 1 at column ncols + i.
     Pivoting stops at ncols, so the tags record each reduced row as an
     integer combination of those rows: E·M_S = R, with R[:, J] = D
-    diagonal on the r pivot columns J.  Both rank bounds are checked
-    exactly: E·M_S = R with D nonzero gives rank >= r, and the last
-    round's certificate, M annihilates the ncols − r nullspace vectors
-    read off R on every row of M, gives rank <= r, so R spans the row
-    space of M.  A failed check raises ArithmeticError.  Only this path
-    pays for the tags, and only on the rows it eliminates; ``kernel``
-    eliminates untagged rows.
+    diagonal on the r pivot columns J.  That holds by construction
+    (module docstring) and gives rank >= r, trusted here as ``kernel``
+    trusts it; the tests recompute E·M_S.  The last round's certificate,
+    M annihilates the ncols − r nullspace vectors read off R on every
+    row of M, gives rank <= r, so R spans the row space of M; a failed
+    certificate raises ArithmeticError.  Only this path pays for the
+    tags, and only on the rows it eliminates; ``kernel`` eliminates
+    untagged rows.
 
     A solve sets x_J = D⁻¹E·b and every other coordinate 0 (the canonical
     solution, since J are the reduced-echelon pivots), then checks
@@ -569,25 +579,12 @@ class Factorization:
     def __init__(self, rows: Sequence[Row], ncols: int):
         self.rows = list(rows)
         self.ncols = n = ncols
-        # rank <= r: M annihilates the nullspace, checked on every row
         red, pivots, _, *self._work = _eliminate(self.rows, n, tagged=True)
-        rref = [{j: x for j, x in row.items() if j < n} for row in red]
         self._elim = [[(j - n, x) for j, x in row.items() if j >= n]
                       for row in red]
-        # rank >= r: E·M = R exactly, R diagonal and nonzero on the pivots
-        where = set(pivots)
-        for row, tags, pc in zip(rref, self._elim, pivots):
-            acc: Row = {}
-            for s, e in tags:
-                for j, a in self.rows[s].items():
-                    acc[j] = acc.get(j, 0) + e * a
-            if {j: v for j, v in acc.items() if v} != row \
-                    or where.intersection(row) != {pc}:
-                raise ArithmeticError("factorization fails the exact "
-                                      "E·M = R check")
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
-        self._diag = [row[pc] for row, pc in zip(rref, pivots)]
+        self._diag = [row[pc] for row, pc in zip(red, pivots)]
         self._den = lcm(*self._diag)
 
     @traced("linalg.solve_linear",

@@ -232,16 +232,11 @@ def ce_betti(alg, k: int) -> int:
     return ce_dim(alg.dim, k) - rank_out - rank_in
 
 
-def gauss_jordan(m: Matrix) -> tuple[int, tuple[int, ...],
-                                     tuple[tuple[Fraction, ...], ...]]:
-    """Rank, pivot columns and canonical nullspace by naive dense
-    Gauss-Jordan over Fraction, independent of nlie.linalg.
-
-    The rows are brought to reduced row echelon form; the nullspace has one
-    vector per free column, with that coordinate 1, the other free
-    coordinates 0 and each pivot coordinate minus the RREF entry in the
-    free column.
-    """
+def reduced_echelon(m: Matrix) -> tuple[tuple[int, ...],
+                                        list[list[Fraction]]]:
+    """Pivot columns and the nonzero rows of the reduced row echelon form
+    (RREF), by naive dense Gauss-Jordan over Fraction, independent of
+    nlie.linalg."""
     rows = [list(r) for r in m.entries]
     pivots = []
     for c in range(m.cols):
@@ -258,6 +253,17 @@ def gauss_jordan(m: Matrix) -> tuple[int, tuple[int, ...],
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         pivots.append(c)
+    return tuple(pivots), rows[:len(pivots)]
+
+
+def gauss_jordan(m: Matrix) -> tuple[int, tuple[int, ...],
+                                     tuple[tuple[Fraction, ...], ...]]:
+    """Rank, pivot columns and canonical nullspace by the Gauss-Jordan
+    oracle above: the nullspace has one vector per free column, with that
+    coordinate 1, the other free coordinates 0 and each pivot coordinate
+    minus the RREF entry in the free column.
+    """
+    pivots, rows = reduced_echelon(m)
     basis = []
     for free in (c for c in range(m.cols) if c not in pivots):
         v = [Fraction(0)] * m.cols
@@ -265,7 +271,12 @@ def gauss_jordan(m: Matrix) -> tuple[int, tuple[int, ...],
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][free]
         basis.append(tuple(v))
-    return len(pivots), tuple(pivots), tuple(basis)
+    return len(pivots), pivots, tuple(basis)
+
+
+# The basis change of the dense ``heavy`` conjugate of Levi-Civita, whose
+# differentials are dense with rational entries.
+HEAVY = [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
 
 
 def gauss_rank(m: Matrix) -> int:

@@ -400,6 +400,28 @@ def test_one_zero_product_routine():
                             if isinstance(node, ast.Name)}
 
 
+def test_factorization_trusts_its_elimination():
+    """``Factorization.__init__`` trusts its tagged elimination for
+    rank >= r, as ``kernel`` does: it raises nothing itself and loops over
+    no row of M (an E·M = R re-proof), since E·M_S = R holds by
+    construction and is recomputed in the tests.  The certificate inside
+    the elimination and the checks of each solve stay."""
+    tree = ast.parse((pathlib.Path(nlie.__file__).parent
+                      / "linalg.py").read_text())
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "Factorization")
+    init = next(node for node in cls.body if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert not [node for node in ast.walk(init) if isinstance(node, ast.Raise)]
+    loops = [node.iter for node in ast.walk(init)
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert not [node for it in loops for node in ast.walk(it)
+                if isinstance(node, ast.Attribute) and node.attr == "rows"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"]
+    assert loops  # the tags and the diagonal are still read off
+
+
 def test_one_multiderivation_record():
     """An algebroid is its degree-1 bracket multiderivation and a bundle
     map its degree-0 one with zero symbol: ``algebroid`` defines one

@@ -7,7 +7,10 @@ dense rational matrices of every shape and on the differential matrices of
 the catalog algebras.  A ``Factorization`` of the matrix must give the
 same pivots and solution for every right side, whether the rank or a
 solve comes first, or a refusal whose left witness is re-checked here,
-and must raise when a faulty ``_cancel`` is planted.  Both eliminate a
+and must raise when a faulty ``_cancel`` is planted.  Its tags must give
+E·M_S = R, which it trusts at run time: recomputed here by a product of
+its own, R is diagonal and nonzero on the pivots and, row by row up to
+scale, the oracle's reduced row echelon form.  Both eliminate a
 seeded sample of a tall matrix's rows and certify on every row; they must
 agree with one elimination of every row, and a planted fault must end the
 sampled rounds in ArithmeticError.  The certificate's packed product must
@@ -20,8 +23,9 @@ from math import gcd
 
 import pytest
 
-from helpers import (gauss_jordan, mat_add, mat_scale, rand_invertible,
-                     rand_matrix, rand_sparse_vector, rand_vector)
+from helpers import (HEAVY, gauss_jordan, mat_add, mat_scale,
+                     rand_filippov, rand_invertible, rand_matrix,
+                     rand_sparse_vector, rand_vector, reduced_echelon)
 from nlie import linalg
 from nlie.catalog import (conjugated_algebra, heisenberg3,
                           levi_civita_bracket, sl2)
@@ -365,25 +369,37 @@ def _planted(fault: str):
 FAULTS = ["first_entry_gcd", "last_entry"]
 
 
+def _rank_or_raises(factor) -> int | None:
+    """The rank of ``factor()``, or None if factoring raises
+    ArithmeticError."""
+    try:
+        return factor().rank
+    except ArithmeticError:
+        return None
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_faulty_cancel_raises_never_refuses(monkeypatch, fault):
-    """With a faulty ``_cancel`` planted, factoring an invertible system
-    raises ArithmeticError, whether a solve or the rank comes first: no
-    refusal or wrong vector is returned.  ``Complex.solve`` raises or
-    returns the exact answer, which the M·x = b check has certified."""
+    """With a faulty ``_cancel`` planted, solving an invertible system
+    (determinant -10, so no left witness exists) raises ArithmeticError:
+    no refusal or wrong vector is returned.  The rank, which the
+    certificate bounds from above only, raises or reads at least the true
+    rank.  ``Complex.solve`` raises or returns the exact answer, which the
+    M·x = b check has certified."""
     cx = Complex(sl2())
     x = rand_vector(random.Random(3), complex_dim(sl2(), 1))
     image = tuple(sum((F(a) * x[j] for j, a in r.items()), F(0))
                   for r in cx.rows(1))
     exact = Complex(sl2()).solve(1, image)
-    rows = [{0: 2, 1: 3, 2: 1}, {0: 4, 1: 1, 2: 7}, {0: 1, 1: 1, 2: 1}]
+    rank_d1 = Complex(sl2()).factor(1).rank
+    rows = [{0: 2, 1: 3, 2: 1}, {0: 4, 1: 1, 2: 7}, {0: 1, 1: 1, 2: 2}]
     monkeypatch.setattr(linalg, "_cancel", _planted(fault))
     with pytest.raises(ArithmeticError):
         Factorization(rows, 3).solve([1, 1, 1])
-    with pytest.raises(ArithmeticError):
-        Factorization(rows, 3).rank
-    with pytest.raises(ArithmeticError):
-        cx.factor(1).rank
+    for factor, rank in ((lambda: Factorization(rows, 3), 3),
+                         (lambda: cx.factor(1), rank_d1)):
+        got = _rank_or_raises(factor)
+        assert got is None or got >= rank
     try:
         assert Complex(sl2()).solve(1, image) == exact
     except ArithmeticError:
@@ -415,22 +431,24 @@ PLANTED = ["first_entry_gcd", "lost_pivot"]
 @pytest.mark.parametrize("fault", PLANTED)
 def test_faulty_factorization_never_decides_invertibility(monkeypatch,
                                                           fault):
-    """The basis change's rank is checked both ways, so a faulty
-    elimination raises rather than call P singular or return a wrong
-    conjugate."""
+    """A faulty elimination raises rather than call the basis change P
+    singular (the certificate bounds its rank from above) or return a
+    wrong conjugate (each bracket's solve is checked)."""
     p = Matrix.from_rows([[2, 1, 0], [0, F(1, 3), 1], [1, 0, 1]])
     _plant_in_factorization(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
         conjugated_algebra(sl2(), p)
 
 
-@pytest.mark.parametrize("fault", PLANTED)
+@pytest.mark.parametrize("fault", ["lost_pivot"])
 def test_faulty_factorization_never_gives_a_betti_number(monkeypatch, fault):
-    """With the kernel of d_2 exact and the factorization of d_1 faulty,
-    the rigidity probe raises instead of reading a wrong rank of d_1, with
-    no trial run."""
-    alg = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(
-        [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]))
+    """With the kernel of d_2 exact and the factorization of d_1 losing a
+    pivot, the rigidity probe raises instead of reading the rank of d_1
+    low, with no trial run: the certificate sees it.  A fault that reads
+    the rank high passes the run-time checks, as in ``kernel``; the
+    recomputed E·M_S sees it (``test_elimination_check_sees_a_planted_
+    fault``)."""
+    alg = conjugated_algebra(levi_civita_bracket(), Matrix.from_rows(HEAVY))
     _plant_in_factorization(monkeypatch, fault)
     with pytest.raises(ArithmeticError):
         rigidity_probe(alg, 2, 0)
@@ -446,12 +464,28 @@ def _wrong_tag(red, ncols):
             return
 
 
+def _plant_after_rref(monkeypatch, fault: str) -> None:
+    """Plant a fault on every ``_rref`` result: the last pivot row lost,
+    or a tag off by one (``_wrong_tag``)."""
+    real = linalg._rref
+
+    def planted(batch, ncols):
+        red, pivots = real(batch, ncols)
+        if fault == "lost_pivot":
+            return red[:-1], pivots[:-1]
+        _wrong_tag(red, ncols)
+        return red, pivots
+    monkeypatch.setattr(linalg, "_rref", planted)
+
+
 # Each fault passes every guard of a ``Factorization`` but one, named by
 # the message it raises.
 GUARDED = {
     # a tag off by one: the reduced rows, so the certificate, are right,
-    # and only the exact E·M = R check sees it
-    "wrong_tag": "E·M = R",
+    # and E·M = R is trusted at run time (the tests recompute it); the
+    # first solve gives a wrong x, and only the check of the refusal's
+    # witness sees it, on a consistent right side as on an inconsistent one
+    "wrong_tag": "refusal",
     # the last pivot row lost: E·M = R holds on the rows kept, and only
     # the certificate on every row of M sees that the rank reads low (the
     # next round loses a pivot again)
@@ -466,9 +500,9 @@ GUARDED = {
 @pytest.mark.parametrize("fault", sorted(GUARDED))
 def test_each_factorization_guard_catches_a_planted_fault(monkeypatch,
                                                           fault):
-    """Removing any one guard of ``Factorization`` (the E·M = R check,
-    the last round's certificate, the check of a refusal's witness) lets
-    one of these faults through to a wrong rank or a wrong refusal."""
+    """Removing either guard of ``Factorization`` (the last round's
+    certificate, the check of a refusal's witness) lets one of these
+    faults through to a wrong rank or a wrong refusal."""
     rows = [{0: 2, 1: 1}, {0: 1, 1: 3}, {0: 3, 1: 4}]
     if fault == "tag_after_checks":
         fac = Factorization(rows, 2)
@@ -476,18 +510,90 @@ def test_each_factorization_guard_catches_a_planted_fault(monkeypatch,
         with pytest.raises(ArithmeticError, match=GUARDED[fault]):
             fac.solve([3, 4, 0])
         return
-    real = linalg._rref
+    _plant_after_rref(monkeypatch, fault)
+    if fault == "lost_pivot":
+        with pytest.raises(ArithmeticError, match=GUARDED[fault]):
+            Factorization(rows, 2)
+        return
+    fac = Factorization(rows, 2)
+    for b in ([3, 4, 7], [3, 4, 0]):
+        with pytest.raises(ArithmeticError, match=GUARDED[fault]):
+            fac.solve(b)
 
-    def planted(batch, ncols):
-        red, pivots = real(batch, ncols)
-        if fault == "lost_pivot":
-            return red[:-1], pivots[:-1]
-        _wrong_tag(red, ncols)
-        return red, pivots
 
-    monkeypatch.setattr(linalg, "_rref", planted)
-    with pytest.raises(ArithmeticError, match=GUARDED[fault]):
-        Factorization(rows, 2)
+def _tagged_product(fac: Factorization) -> list[dict[int, int]]:
+    """E·M_S by a plain dict product: reduced row i is the sum, over its
+    tags (s, e) in ``fac._elim``, of e times row s of M."""
+    out = []
+    for tags in fac._elim:
+        acc: dict[int, int] = {}
+        for s, e in tags:
+            for j, a in fac.rows[s].items():
+                acc[j] = acc.get(j, 0) + e * a
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _elimination_is_exact(fac: Factorization) -> bool:
+    """The oracle's pivots, and E·M_S[:, J] = diag(D) on them with every
+    D_i nonzero, and row i of E·M_S over D_i is row i of the oracle's
+    reduced row echelon form of M."""
+    pivots, reduced = reduced_echelon(Matrix.from_sparse_rows(
+        [{j: F(x) for j, x in r.items()} for r in fac.rows], fac.ncols))
+    if fac.pivots != pivots:
+        return False
+    for row, d, pc, want in zip(_tagged_product(fac), fac._diag, pivots,
+                                reduced, strict=True):
+        if not d or {c: row.get(c, 0) for c in pivots} != \
+                {c: d if c == pc else 0 for c in pivots}:
+            return False
+        if [F(row.get(j, 0), d) for j in range(fac.ncols)] != want:
+            return False
+    return True
+
+
+def test_factorization_tags_give_the_reduced_rows():
+    # the theorem the factorization trusts for rank >= r, recomputed from
+    # its tags: catalog d_1 and d_2, the dense ``heavy`` conjugate, seeded
+    # Filippov members, and random rows of low rank, tall ones included,
+    # whose sampled elimination runs more than one round
+    lc = levi_civita_bracket()
+    algs = [lc, sl2(), heisenberg3(),
+            conjugated_algebra(lc, Matrix.from_rows(HEAVY))]
+    algs += [rand_filippov(random.Random(seed), n)
+             for n in (2, 3) for seed in range(3)]
+    facs = [Complex(alg).factor(k) for alg in algs for k in (1, 2)]
+    rng = random.Random(46)
+    for _ in range(60):
+        cols = rng.randint(1, 7)
+        rows = _combination_rows(rng, rng.randint(1, 10), cols,
+                                 rng.randint(1, cols))
+        facs.append(Factorization(rows, cols))
+    facs += [Factorization(rows, cols) for rows, cols, _ in _tall_cases()]
+    facs += [Factorization(_block_rows(random.Random(seed),
+                                       _sampled_rows(6), 6, 2), 6)
+             for seed in range(8)]
+    for fac in facs:
+        assert _elimination_is_exact(fac)
+    assert sum(fac.rank < min(len(fac.rows), fac.ncols) for fac in facs) > 40
+    assert any(fac._work[1] > 1 for fac in facs)
+
+
+@pytest.mark.parametrize("fault", ["wrong_tag", "first_entry_gcd"])
+def test_elimination_check_sees_a_planted_fault(monkeypatch, fault):
+    """Faults in the tagged elimination that pass every run-time check of
+    factoring fail the recomputed E·M_S: a tag off by one, and the
+    first-entry gcd ``_cancel`` on tagged rows, under which the rigidity
+    probe on the ``heavy`` conjugate reads the rank of d_1 high."""
+    if fault == "wrong_tag":
+        _plant_after_rref(monkeypatch, fault)
+        fac = Factorization([{0: 2, 1: 1}, {0: 1, 1: 3}, {0: 3, 1: 4}], 2)
+    else:
+        cx = Complex(conjugated_algebra(levi_civita_bracket(),
+                                        Matrix.from_rows(HEAVY)))
+        _plant_in_factorization(monkeypatch, fault)
+        fac = cx.factor(1)
+    assert not _elimination_is_exact(fac)
 
 
 def test_refusal_of_a_corrupted_factorization_raises():

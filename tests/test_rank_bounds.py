@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import filippov_algebra, rand_filippov, ref_report
+from helpers import HEAVY, filippov_algebra, rand_filippov, ref_report
 from nlie import cohomology, linalg, trace
 from nlie.catalog import (conjugated_algebra, heisenberg3, levi_civita_bracket,
                           sl2)
@@ -213,9 +213,6 @@ def _dict_product(outer, inner):
                 acc[c] = acc.get(c, 0) + a * b
         counts.append(sum(1 for v in acc.values() if v))
     return counts
-
-
-HEAVY = [[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
 
 
 def test_four_sum_rows_compose_to_zero():
